@@ -8,7 +8,9 @@ generators over the polynomial ring in ``del`` and action tables
 
 Either table may be absent.  `check_module_axioms` verifies the left
 axiom, the right axiom and the two-sided compatibility law, each as an
-exact polynomial identity in (del, lam, mu) on generator triples.
+exact polynomial identity in (del, lam, mu) on generator triples.  Every
+law composes two tables the way associativity does, so it shares
+`conformal._law_sides` with `check_associativity`.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
@@ -23,6 +25,7 @@ action variable and mu the variable of the resulting map.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -32,6 +35,8 @@ from .conformal import (
     CElement,
     ConformalAlgebra,
     StructureMap,
+    _law_sides,
+    _table_degree,
     _validate_structure,
 )
 from .polyring import Poly, VariableMismatchError
@@ -91,16 +96,9 @@ class BimoduleStructure:
         return self.right.get((j, i), ())
 
     def structure_degree(self) -> int:
-        degree = self.algebra.structure_degree()
-        for table in (self.left, self.right):
-            if table is None:
-                continue
-            for entries in table.values():
-                for _, poly in entries:
-                    d = poly.total_degree()
-                    if d is not None and d > degree:
-                        degree = d
-        return degree
+        """Largest total degree among the algebra's and both actions' polynomials."""
+        tables = [t for t in (self.left, self.right) if t is not None]
+        return max([self.algebra.structure_degree(), *map(_table_degree, tables)])
 
     def generator_index(self, name: str) -> int:
         try:
@@ -131,98 +129,33 @@ class ModuleAxiomCounterexample:
         return tuple(l - r for l, r in zip(self.lhs, self.rhs))
 
 
-def _sides_left(module: BimoduleStructure, i: int, j: int, t: int):
-    """a_i lam (a_j mu u_t)  vs  (a_i lam a_j) (lam+mu) u_t."""
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
-    rank = module.rank
-    lhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    rhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    for k, l_jtk in module.left_entries(j, t):
-        inner = l_jtk.substitute({"lam": mu, "del": lam + dl})
-        for s, l_iks in module.left_entries(i, k):
-            lhs[s] = lhs[s] + inner * l_iks.substitute({"lam": lam, "del": dl})
-    for l, p_ijl in module.algebra.products(i, j):
-        outer = p_ijl.substitute({"lam": lam, "del": -(lam + mu)})
-        for s, l_lts in module.left_entries(l, t):
-            rhs[s] = rhs[s] + outer * l_lts.substitute({"lam": lam + mu, "del": dl})
-    return lhs, rhs
-
-
-def _sides_right(module: BimoduleStructure, t: int, i: int, j: int):
-    """u_t lam (a_i mu a_j)  vs  (u_t lam a_i) (lam+mu) a_j."""
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
-    rank = module.rank
-    lhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    rhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    for l, p_ijl in module.algebra.products(i, j):
-        inner = p_ijl.substitute({"lam": mu, "del": lam + dl})
-        for s, r_tls in module.right_entries(t, l):
-            lhs[s] = lhs[s] + inner * r_tls.substitute({"lam": lam, "del": dl})
-    for k, r_tik in module.right_entries(t, i):
-        outer = r_tik.substitute({"lam": lam, "del": -(lam + mu)})
-        for s, r_kjs in module.right_entries(k, j):
-            rhs[s] = rhs[s] + outer * r_kjs.substitute({"lam": lam + mu, "del": dl})
-    return lhs, rhs
-
-
-def _sides_compat(module: BimoduleStructure, i: int, t: int, j: int):
-    """a_i lam (u_t mu a_j)  vs  (a_i lam u_t) (lam+mu) a_j."""
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
-    rank = module.rank
-    lhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    rhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    for k, r_tjk in module.right_entries(t, j):
-        inner = r_tjk.substitute({"lam": mu, "del": lam + dl})
-        for s, l_iks in module.left_entries(i, k):
-            lhs[s] = lhs[s] + inner * l_iks.substitute({"lam": lam, "del": dl})
-    for k, l_itk in module.left_entries(i, t):
-        outer = l_itk.substitute({"lam": lam, "del": -(lam + mu)})
-        for s, r_kjs in module.right_entries(k, j):
-            rhs[s] = rhs[s] + outer * r_kjs.substitute({"lam": lam + mu, "del": dl})
-    return lhs, rhs
-
-
 def check_module_axioms(module: BimoduleStructure) -> ModuleAxiomCounterexample | None:
     """Verify every applicable module law; None means all pass.
 
+    The laws run in the order left, right, compat, each over its triples in
+    lexicographic order; the residual is right-nested minus left-nested.
     Assumes the underlying algebra is associative (run check_associativity
     first); the verdict on a non-associative algebra is not meaningful.
     """
-    na = module.algebra.rank
-    nm = module.rank
-    if module.has_left:
-        for i in range(na):
-            for j in range(na):
-                for t in range(nm):
-                    lhs, rhs = _sides_left(module, i, j, t)
-                    if lhs != rhs:
-                        return ModuleAxiomCounterexample(
-                            "left", (i, j, t), tuple(lhs), tuple(rhs)
-                        )
-    if module.has_right:
-        for t in range(nm):
-            for i in range(na):
-                for j in range(na):
-                    lhs, rhs = _sides_right(module, t, i, j)
-                    if lhs != rhs:
-                        return ModuleAxiomCounterexample(
-                            "right", (t, i, j), tuple(lhs), tuple(rhs)
-                        )
-    if module.has_left and module.has_right:
-        for i in range(na):
-            for t in range(nm):
-                for j in range(na):
-                    lhs, rhs = _sides_compat(module, i, t, j)
-                    if lhs != rhs:
-                        return ModuleAxiomCounterexample(
-                            "compat", (i, t, j), tuple(lhs), tuple(rhs)
-                        )
+    na, nm = module.algebra.rank, module.rank
+    P, L, R = module.algebra.products, module.left_entries, module.right_entries
+    laws = (
+        # a_i lam (a_j mu u_t)  vs  (a_i lam a_j) (lam+mu) u_t
+        ("left", module.has_left, (na, na, nm), (P, L, L, L)),
+        # u_t lam (a_i mu a_j)  vs  (u_t lam a_i) (lam+mu) a_j
+        ("right", module.has_right, (nm, na, na), (R, R, P, R)),
+        # a_i lam (u_t mu a_j)  vs  (a_i lam u_t) (lam+mu) a_j
+        ("compat", module.has_left and module.has_right, (na, nm, na), (L, R, R, L)),
+    )
+    for law, applies, sizes, tables in laws:
+        if not applies:
+            continue
+        for triple in itertools.product(*map(range, sizes)):
+            left_nested, right_nested = _law_sides(*tables, *triple, nm)
+            if left_nested != right_nested:
+                return ModuleAxiomCounterexample(
+                    law, triple, tuple(right_nested), tuple(left_nested)
+                )
     return None
 
 

@@ -3,9 +3,10 @@
 Subcommands: check, cohomology, derivations, deform, extend, classical.
 Reports go to stdout and are byte-identical across runs for identical
 inputs and flags; wall-clock timing goes to stderr so it never perturbs
-the report.  Exit codes: 0 success, 1 usage or parse error, 2 a
-mathematical counterexample (the inputs fail the property under test),
-3 internal inconsistency (a broken identity that can only be a bug).
+the report.  Exit codes: 0 success, 1 bad input (usage, a file that does
+not parse or read, or a module unfit for the command), 2 a mathematical
+counterexample (the inputs fail the property under test), 3 any other
+error, which can only be a bug.
 
 The JSON report always carries the keys command, inputs, truncation,
 results, residuals and version; truncation fields are null for commands
@@ -35,8 +36,6 @@ from .classical import (
 from .cohomology import (
     Cochain,
     CochainIndex,
-    ComplexInconsistencyError,
-    TruncationOverflowError,
     TruncationWindow,
     cohomology_dimensions,
     derivation_basis,
@@ -44,14 +43,12 @@ from .cohomology import (
 )
 from .conformal import check_associativity
 from .constructions import (
-    AbelianExtensionDatum,
     DeformationDatum,
     ExtensionDatum,
     build_extension,
-    deformation_residuals,
+    deform,
     extension_residuals,
 )
-from .exactla import ContainmentError
 from .formats import (
     DefinitionError,
     parse_algebra,
@@ -247,26 +244,26 @@ def _load_algebra(path: str):
     return parse_algebra(text), info
 
 
-def _load_module(path, algebra) -> tuple[BimoduleStructure, Optional[dict], str]:
+def _load_module(path, algebra) -> tuple[BimoduleStructure, Optional[dict]]:
     if path is None:
-        return BimoduleStructure.regular(algebra), None, "(regular)"
+        return BimoduleStructure.regular(algebra), None
     text, info = _read_input(path)
-    return parse_module(text, algebra), info, path
+    return parse_module(text, algebra), info
 
 
-def _tuple_names(algebra, indices) -> str:
-    return "(" + ", ".join(algebra.generators[i] for i in indices) + ")"
+def _names(axes, indices) -> str:
+    """'(x, y, z)': each index looked up in the generator names of its axis."""
+    return "(" + ", ".join(axis[i] for axis, i in zip(axes, indices)) + ")"
 
 
-def _module_triple_names(module, law: str, triple) -> str:
-    alg = module.algebra.generators
-    mod = module.generators
-    order = {
-        "left": (alg, alg, mod),
-        "right": (mod, alg, alg),
-        "compat": (alg, mod, alg),
-    }[law]
-    return "(" + ", ".join(seq[idx] for seq, idx in zip(order, triple)) + ")"
+def _residual_lines(residuals: dict, axes, targets, prefix: str = "") -> list[str]:
+    """One '<prefix>(names)[target]: poly' line per nonzero residual, in key
+    order; each key is an index tuple over ``axes`` then a target index."""
+    return [
+        f"{prefix}{_names(axes, key[:-1])}[{targets[key[-1]]}]: {poly_to_str(poly)}"
+        for key, poly in sorted(residuals.items())
+        if not poly.is_zero
+    ]
 
 
 def _render_cochain(cochain: Cochain) -> str:
@@ -285,38 +282,53 @@ def _render_cochain(cochain: Cochain) -> str:
     return "; ".join(parts) if parts else "0"
 
 
+def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
+    """Law, triple names and residual lines of an associativity failure (no
+    module) or a module-law failure."""
+    alg = algebra.generators
+    if module is None:
+        law, axes, targets = "associativity", (alg, alg, alg), alg
+    else:
+        law, targets = cex.law, module.generators
+        axes = {"left": (alg, alg, targets), "right": (targets, alg, alg),
+                "compat": (alg, targets, alg)}[law]
+    residuals = {(*cex.triple, s): poly for s, poly in enumerate(cex.residual)}
+    lines = _residual_lines(residuals, axes, targets, f"{law} ")
+    return law, _names(axes, cex.triple), lines
+
+
 def _axiom_precheck(algebra, module, inputs, command, as_json) -> Optional[int]:
     """Shared abort path: report the first broken axiom and exit 2."""
     cex = check_associativity(algebra)
     if cex is not None:
-        residuals = [
-            f"associativity {_tuple_names(algebra, cex.triple)}"
-            f"[{algebra.generators[s]}]: {poly_to_str(poly)}"
-            for s, poly in enumerate(cex.residual)
-            if not poly.is_zero
-        ]
-        report = _report(command, inputs,
-                         {"precheck": "associativity failed",
-                          "triple": _tuple_names(algebra, cex.triple)},
-                         residuals)
-        _emit(report, as_json)
-        return EXIT_COUNTEREXAMPLE
-    if module is not None:
-        mex = check_module_axioms(module)
-        if mex is not None:
-            residuals = [
-                f"{mex.law} {_module_triple_names(module, mex.law, mex.triple)}"
-                f"[{module.generators[s]}]: {poly_to_str(poly)}"
-                for s, poly in enumerate(mex.residual)
-                if not poly.is_zero
-            ]
-            report = _report(command, inputs,
-                             {"precheck": f"module {mex.law} law failed",
-                              "triple": _module_triple_names(module, mex.law, mex.triple)},
-                             residuals)
-            _emit(report, as_json)
-            return EXIT_COUNTEREXAMPLE
-    return None
+        _, names, residuals = _axiom_failure(cex, algebra)
+        precheck = "associativity failed"
+    elif module is not None and (cex := check_module_axioms(module)) is not None:
+        law, names, residuals = _axiom_failure(cex, algebra, module)
+        precheck = f"module {law} law failed"
+    else:
+        return None
+    results = {"precheck": precheck, "triple": names}
+    _emit(_report(command, inputs, results, residuals), as_json)
+    return EXIT_COUNTEREXAMPLE
+
+
+def _complex_inputs(args, command: str, n: int):
+    """Algebra, module and inputs of a command on the degree-n differential,
+    plus the precheck's exit code when it reported a broken axiom."""
+    algebra, alg_info = _load_algebra(args.algebra)
+    module, mod_info = _load_module(args.module, algebra)
+    inputs = {"algebra": alg_info}
+    if mod_info is not None:
+        inputs["module"] = mod_info
+    aborted = _axiom_precheck(algebra, module, inputs, command, args.json)
+    # the differential uses both actions, so a missing one is bad input
+    if aborted is None and not (module.has_left and module.has_right):
+        if n == 0:
+            raise _UsageError("degree-0 differential needs both module actions")
+        side = "right" if module.has_left else "left"
+        raise _UsageError(f"the differential needs a {side} action")
+    return algebra, module, inputs, aborted
 
 
 def _cmd_check(args) -> int:
@@ -324,54 +336,31 @@ def _cmd_check(args) -> int:
     inputs = {"algebra": alg_info}
     module = None
     if args.module is not None:
-        text, info = _read_input(args.module)
-        module = parse_module(text, algebra)
-        inputs["module"] = info
+        module, inputs["module"] = _load_module(args.module, algebra)
     results: dict = {}
     residuals: list[str] = []
-    code = EXIT_OK
     cex = check_associativity(algebra)
-    if cex is None:
-        results["associativity"] = True
-    else:
-        results["associativity"] = False
-        results["associativity_counterexample"] = _tuple_names(algebra, cex.triple)
-        residuals.extend(
-            f"associativity {_tuple_names(algebra, cex.triple)}"
-            f"[{algebra.generators[s]}]: {poly_to_str(poly)}"
-            for s, poly in enumerate(cex.residual)
-            if not poly.is_zero
-        )
-        code = EXIT_COUNTEREXAMPLE
+    results["associativity"] = cex is None
+    if cex is not None:
+        _, names, lines = _axiom_failure(cex, algebra)
+        results["associativity_counterexample"] = names
+        residuals.extend(lines)
+    mex = None
     if module is not None:
         mex = check_module_axioms(module)
-        if mex is None:
-            results["module_axioms"] = True
-        else:
-            results["module_axioms"] = False
-            results["module_counterexample"] = (
-                f"{mex.law} {_module_triple_names(module, mex.law, mex.triple)}"
-            )
-            residuals.extend(
-                f"{mex.law} {_module_triple_names(module, mex.law, mex.triple)}"
-                f"[{module.generators[s]}]: {poly_to_str(poly)}"
-                for s, poly in enumerate(mex.residual)
-                if not poly.is_zero
-            )
-            code = EXIT_COUNTEREXAMPLE
+        results["module_axioms"] = mex is None
+        if mex is not None:
+            law, names, lines = _axiom_failure(mex, algebra, module)
+            results["module_counterexample"] = f"{law} {names}"
+            residuals.extend(lines)
     _emit(_report("check", inputs, results, residuals), args.json)
-    return code
+    return EXIT_OK if cex is None and mex is None else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_cohomology(args) -> int:
     if args.n < 0 or args.deg < 0 or args.margin < 1:
         raise _UsageError("need --n >= 0, --deg >= 0, --margin >= 1")
-    algebra, alg_info = _load_algebra(args.algebra)
-    module, mod_info, _ = _load_module(args.module, algebra)
-    inputs = {"algebra": alg_info}
-    if mod_info is not None:
-        inputs["module"] = mod_info
-    aborted = _axiom_precheck(algebra, module, inputs, "cohomology", args.json)
+    algebra, module, inputs, aborted = _complex_inputs(args, "cohomology", args.n)
     if aborted is not None:
         return aborted
     window = TruncationWindow(args.deg, args.margin)
@@ -401,12 +390,7 @@ def _cmd_cohomology(args) -> int:
 def _cmd_derivations(args) -> int:
     if args.deg < 0:
         raise _UsageError("need --deg >= 0")
-    algebra, alg_info = _load_algebra(args.algebra)
-    module, mod_info, _ = _load_module(args.module, algebra)
-    inputs = {"algebra": alg_info}
-    if mod_info is not None:
-        inputs["module"] = mod_info
-    aborted = _axiom_precheck(algebra, module, inputs, "derivations", args.json)
+    algebra, module, inputs, aborted = _complex_inputs(args, "derivations", 1)
     if aborted is not None:
         return aborted
     der = derivation_basis(algebra, module, args.deg)
@@ -441,20 +425,9 @@ def _cmd_deform(args) -> int:
     cochain = parse_cochain(cocycle_text, algebra, module)
     if cochain.degree != 2:
         raise DefinitionError("deformation data must be a degree-2 cochain", 1)
-    datum = DeformationDatum(algebra, cochain)
-    residual_map = deformation_residuals(datum)
-    flat = not residual_map
-    from .cohomology import apply_dn
-
-    if flat != apply_dn(cochain).is_zero():
-        raise ComplexInconsistencyError(
-            "deformation residuals disagree with the cochain differential"
-        )
-    residuals = [
-        f"{_tuple_names(algebra, key[:3])}[{algebra.generators[key[3]]}]: "
-        f"{poly_to_str(poly)}"
-        for key, poly in sorted(residual_map.items())
-    ]
+    residual_map, flat = deform(DeformationDatum(algebra, cochain))
+    alg = algebra.generators
+    residuals = _residual_lines(residual_map, (alg, alg, alg), alg)
     report = _report(
         "deform",
         inputs,
@@ -471,33 +444,32 @@ def _cmd_extend(args) -> int:
     paths = args.module or []
     if len(paths) > 2:
         raise _UsageError("extend takes at most two --module files")
-    if not paths:
-        sub = quotient = BimoduleStructure.regular(algebra)
-    elif len(paths) == 1:
-        text, info = _read_input(paths[0])
-        sub = quotient = parse_module(text, algebra)
+    sub, info = _load_module(paths[0] if paths else None, algebra)
+    quotient = sub
+    if len(paths) == 1:
         inputs["module"] = info
-    else:
-        text, info = _read_input(paths[0])
-        sub = parse_module(text, algebra)
+    elif len(paths) == 2:
         inputs["sub_module"] = info
-        text, info = _read_input(paths[1])
-        quotient = parse_module(text, algebra)
-        inputs["quotient_module"] = info
+        quotient, inputs["quotient_module"] = _load_module(paths[1], algebra)
     cocycle_text, coc_info = _read_input(args.cocycle)
     inputs["cocycle"] = coc_info
     aborted = _axiom_precheck(algebra, None, inputs, "extend", args.json)
     if aborted is not None:
         return aborted
     gamma = parse_gamma(cocycle_text, algebra, sub, quotient)
-    datum = ExtensionDatum(algebra, sub, quotient, gamma)
+    try:
+        datum = ExtensionDatum(algebra, sub, quotient, gamma)
+    except ValueError as exc:
+        # the datum's own checks of its modules raise plain ValueError;
+        # a subclass comes from deeper down and is not an input problem
+        if type(exc) is not ValueError:
+            raise
+        raise _UsageError(str(exc)) from None
     extension, passed = build_extension(datum)
     residual_map = extension_residuals(datum)
-    residuals = [
-        f"({algebra.generators[i]}, {algebra.generators[j]}, "
-        f"{quotient.generators[t]})[{sub.generators[s]}]: {poly_to_str(poly)}"
-        for (i, j, t, s), poly in sorted(residual_map.items())
-    ]
+    alg = algebra.generators
+    residuals = _residual_lines(residual_map, (alg, alg, quotient.generators),
+                                sub.generators)
     report = _report(
         "extend",
         inputs,
@@ -522,6 +494,8 @@ def _cmd_classical(args) -> int:
                          {"precheck": "structure constants not associative"}, [])
         _emit(report, args.json)
         return EXIT_COUNTEREXAMPLE
+    if args.n > 3:
+        raise _UsageError("only degrees 0..3 are supported")
     module = regular_bimodule(algebra)
     dim = hochschild_dimension(algebra, module, args.n)
     results = {
@@ -545,31 +519,32 @@ _COMMANDS = {
 }
 
 
+# input problems exit 1; any other exception is a bug and exits 3
+_INPUT_ERRORS = (_UsageError, DefinitionError, PolyParseError, OSError, UnicodeDecodeError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
+    command = "pseudo"
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        command = args.command
+        return _COMMANDS[command](args)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DefinitionError, PolyParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ComplexInconsistencyError, TruncationOverflowError, ContainmentError) as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+    except Exception as exc:
+        import traceback  # only bugs reach here; start-up does not pay for it
+
+        traceback.print_exc()
+        print(
+            f"internal inconsistency in {command}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_INTERNAL
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

@@ -176,11 +176,6 @@ class Cochain:
         )
 
 
-def structure_degree_bound(algebra: ConformalAlgebra, module: BimoduleStructure) -> int:
-    """Growth of the differential: max degree of any structure polynomial."""
-    return module.structure_degree()
-
-
 def cochain_basis(
     algebra: ConformalAlgebra, module: BimoduleStructure, degree: int, max_degree: int
 ) -> list[Cochain]:
@@ -457,7 +452,7 @@ def differential_matrix(
     max_degree_out: int,
 ) -> QMatrix:
     """Matrix of d_n from the degree-<=D_in slice to the degree-<=D_out slice."""
-    bound = structure_degree_bound(algebra, module)
+    bound = module.structure_degree()
     needed = (max_degree_in if degree > 0 else 0) + bound
     if max_degree_out < needed:
         raise ValueError(
@@ -523,7 +518,7 @@ def cohomology_dimensions(
         raise ValueError("max_rounds must be at least 1")
     d = window.degree_bound
     step = window.stabilization_margin
-    bound = structure_degree_bound(algebra, module)
+    bound = module.structure_degree()
 
     z_matrix = differential_matrix(algebra, module, degree, d, d + bound)
     cocycles = kernel_basis(z_matrix)
@@ -573,7 +568,7 @@ def derivation_basis(
     algebra: ConformalAlgebra, module: BimoduleStructure, max_degree: int
 ) -> SubspaceBasis:
     """Kernel of d_1 on the degree-<=D slice, in CochainIndex coordinates."""
-    bound = structure_degree_bound(algebra, module)
+    bound = module.structure_degree()
     matrix = differential_matrix(algebra, module, 1, max_degree, max_degree + bound)
     return kernel_basis(matrix)
 

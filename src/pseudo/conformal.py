@@ -12,13 +12,16 @@ argument's coefficient turns into lam + del.  Associativity
     (a lam b) (lam+mu) c  =  a lam (b mu c)
 
 is then a polynomial identity in lam, mu, del for every generator triple,
-which `check_associativity` verifies exactly.
+which `check_associativity` verifies exactly.  The module laws in
+`cfmodule` have the same shape, so both checkers build their two sides
+with one kernel, `_law_sides`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .polyring import Poly, Rational, VariableMismatchError
 
@@ -60,6 +63,14 @@ def _validate_structure(
     return clean
 
 
+def _table_degree(table: StructureMap) -> int:
+    """Largest total degree among a table's polynomials (0 if none)."""
+    return max(
+        (poly.total_degree() for entries in table.values() for _, poly in entries),
+        default=0,
+    )
+
+
 @dataclass(frozen=True)
 class ConformalAlgebra:
     """Generator names plus the structure polynomial table."""
@@ -83,13 +94,7 @@ class ConformalAlgebra:
 
     def structure_degree(self) -> int:
         """Largest total degree among structure polynomials (0 if none)."""
-        degree = 0
-        for entries in self.structure.values():
-            for _, poly in entries:
-                d = poly.total_degree()
-                if d is not None and d > degree:
-                    degree = d
-        return degree
+        return _table_degree(self.structure)
 
     def generator_index(self, name: str) -> int:
         try:
@@ -197,44 +202,54 @@ class AssociativityCounterexample:
         return tuple(l - r for l, r in zip(self.lhs, self.rhs))
 
 
-def _assoc_sides(
-    algebra: ConformalAlgebra, i: int, j: int, k: int
+# (x_i lam x_j) (lam+mu) x_k: the del inside the first product rides on
+# the intermediate generator, so it becomes -(lam+mu) in the second one
+_LAM, _MU, _DEL = (Poly.var(ASSOC_VARS, v) for v in ("lam", "mu", "del"))
+_FIRST = {"lam": _LAM, "del": -(_LAM + _MU)}
+_SECOND = {"lam": _LAM + _MU, "del": _DEL}
+# x_i lam (x_j mu x_k): the del inside the inner product rides on the right
+# argument of the outer product, so it shifts to lam + del
+_INNER = {"lam": _MU, "del": _LAM + _DEL}
+_OUTER = {"lam": _LAM, "del": _DEL}
+
+_Lookup = Callable[[int, int], tuple[tuple[int, Poly], ...]]
+
+
+def _law_sides(
+    first: _Lookup, second: _Lookup, inner: _Lookup, outer: _Lookup,
+    i: int, j: int, k: int, rank: int,
 ) -> tuple[list[Poly], list[Poly]]:
-    """Both sides of the associativity identity on (a_i, a_j, a_k)."""
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
-    rank = algebra.rank
-    lhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    rhs = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
-    # (a_i lam a_j) (lam+mu) a_k: the del inside P_ij* rides on the
-    # intermediate generator, so it becomes -(lam+mu) in the outer product
-    for l, p_ijl in algebra.products(i, j):
-        outer_coeff = p_ijl.substitute({"lam": lam, "del": -(lam + mu)})
-        for m, p_lkm in algebra.products(l, k):
-            lhs[m] = lhs[m] + outer_coeff * p_lkm.substitute(
-                {"lam": lam + mu, "del": dl}
-            )
-    # a_i lam (a_j mu a_k): the del inside P_jk* rides on the right
-    # argument of the outer product, so it shifts to lam + del
-    for l, p_jkl in algebra.products(j, k):
-        inner_coeff = p_jkl.substitute({"lam": mu, "del": lam + dl})
-        for m, p_ilm in algebra.products(i, l):
-            rhs[m] = rhs[m] + inner_coeff * p_ilm.substitute({"lam": lam, "del": dl})
-    return lhs, rhs
+    """Both association orders on (x_i, x_j, x_k), over ``rank`` targets.
+
+    Returns ``(x_i lam x_j) (lam+mu) x_k``, composed from ``first`` then
+    ``second``, and ``x_i lam (x_j mu x_k)``, composed from ``inner`` then
+    ``outer``.  Each lookup maps an index pair (a, b) to the (target, poly)
+    entries of x_a lam x_b, so one kernel serves associativity and every
+    module law.
+    """
+    left_nested = [Poly.zero(ASSOC_VARS)] * rank
+    right_nested = [Poly.zero(ASSOC_VARS)] * rank
+    for l, p_ijl in first(i, j):
+        coeff = p_ijl.substitute(_FIRST)
+        for m, p_lkm in second(l, k):
+            left_nested[m] = left_nested[m] + coeff * p_lkm.substitute(_SECOND)
+    for l, p_jkl in inner(j, k):
+        coeff = p_jkl.substitute(_INNER)
+        for m, p_ilm in outer(i, l):
+            right_nested[m] = right_nested[m] + coeff * p_ilm.substitute(_OUTER)
+    return left_nested, right_nested
 
 
 def check_associativity(algebra: ConformalAlgebra) -> AssociativityCounterexample | None:
-    """None when every generator triple associates; else the first failure."""
-    rank = algebra.rank
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                lhs, rhs = _assoc_sides(algebra, i, j, k)
-                if lhs != rhs:
-                    return AssociativityCounterexample(
-                        (i, j, k), tuple(lhs), tuple(rhs)
-                    )
+    """None when every generator triple associates; else the first failure.
+
+    The residual is left-nested minus right-nested.
+    """
+    products, rank = algebra.products, algebra.rank
+    for i, j, k in itertools.product(range(rank), repeat=3):
+        lhs, rhs = _law_sides(products, products, products, products, i, j, k, rank)
+        if lhs != rhs:
+            return AssociativityCounterexample((i, j, k), tuple(lhs), tuple(rhs))
     return None
 
 

@@ -38,7 +38,6 @@ from .cohomology import (
     ComplexInconsistencyError,
     apply_dn,
     differential_matrix,
-    structure_degree_bound,
 )
 from .exactla import QMatrix, solve
 from .polyring import Poly
@@ -538,7 +537,7 @@ def find_deformation_witness(
     module = BimoduleStructure.regular(algebra)
     if target.degree != 2 or target.module != module:
         raise ValueError("target must be a degree-2 cochain valued in the algebra")
-    bound = structure_degree_bound(algebra, module)
+    bound = module.structure_degree()
     out_degree = max(max_degree + bound, target.max_value_degree())
     matrix = differential_matrix(algebra, module, 1, max_degree, out_degree)
     rhs = CochainIndex(algebra, module, 2, out_degree).decompose(target)

@@ -61,9 +61,6 @@ class QMatrix:
     def entry(self, r: int, c: int) -> Fraction:
         return self.rows[r].get(c, _ZERO)
 
-    def to_dense(self) -> list[list[Fraction]]:
-        return [[row.get(j, _ZERO) for j in range(self.ncols)] for row in self.rows]
-
     def transpose(self) -> "QMatrix":
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):
@@ -212,31 +209,6 @@ def image_basis(m: QMatrix) -> SubspaceBasis:
         [rows[i].get(j, _ZERO) for j in range(t.ncols)] for i in range(len(pivots))
     ]
     return SubspaceBasis(m.nrows, tuple(tuple(v) for v in vectors))
-
-
-def image_basis_with_certificates(
-    m: QMatrix,
-) -> tuple[SubspaceBasis, list[list[Fraction]]]:
-    """Column space plus, per basis vector, an x with m @ x = vector."""
-    # eliminate on [columns | identity]: the right block tracks which
-    # combination of original columns produced each reduced row
-    aug_cols = m.nrows + m.ncols
-    rows: list[dict[int, Fraction]] = []
-    t = m.transpose()
-    for j in range(m.ncols):
-        row = dict(t.rows[j])
-        row[m.nrows + j] = Fraction(1)
-        rows.append(row)
-    rows, _ = _rref_rows(rows, aug_cols)
-    basis = []
-    certs = []
-    for row in rows:
-        left = [row.get(c, _ZERO) for c in range(m.nrows)]
-        if any(left):
-            basis.append(tuple(left))
-            certs.append([row.get(m.nrows + j, _ZERO) for j in range(m.ncols)])
-    # rows whose left part vanished describe kernel combinations; drop them
-    return SubspaceBasis(m.nrows, tuple(basis)), certs
 
 
 def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:

@@ -442,7 +442,3 @@ def parse_fd_algebra(text: str) -> FDAlgebra:
         )
     except ValueError as exc:
         raise DefinitionError(str(exc), 1) from None
-
-
-def detect_kind(text: str) -> str:
-    return _Document(text).kind

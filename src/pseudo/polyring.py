@@ -314,12 +314,6 @@ class Poly:
         return f"Poly({self.variables}, {poly_to_str(self)!r})"
 
 
-def align(*polys: Poly) -> tuple[Poly, ...]:
-    """Embed all arguments over the union of their variable sets."""
-    union = sort_variables(v for p in polys for v in p.variables)
-    return tuple(p.embed(union) for p in polys)
-
-
 def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[int, ...]]:
     """Exponent tuples of total degree <= max_degree, ascending (degree, lex)."""
     variables = tuple(variables)

@@ -40,7 +40,6 @@ from pseudo.cohomology import (
     derivation_basis,
     differential_matrix,
     inner_derivation_basis,
-    structure_degree_bound,
 )
 from pseudo.conformal import (
     ASSOC_VARS,
@@ -154,7 +153,7 @@ def test_criterion_4_h0_with_direct_representative(cur1, cur1_regular):
     finish = timed(1.0)
     report = cohomology_dimensions(cur1, cur1_regular, 0, TruncationWindow(2, 1))
     assert report.dim_cohomology == 1
-    bound = structure_degree_bound(cur1, cur1_regular)
+    bound = cur1_regular.structure_degree()
     kernel = kernel_basis(differential_matrix(cur1, cur1_regular, 0, 0, bound))
     assert kernel.dim == 1
     coords = list(kernel.vectors[0])

@@ -142,3 +142,24 @@ def test_chom_requires_left_action(cur1):
         chom_left_action(e, f, right_only)
     with pytest.raises(ValueError):
         chom_right_action(f, e, right_only)
+
+
+def test_broken_right_law(cur1):
+    mod = BimoduleStructure(algebra=cur1, generators=("u",), left={},
+                            right={(0, 0): ((0, -ONE),)})
+    cex = check_module_axioms(mod)
+    assert cex is not None
+    assert cex.law == "right"
+    assert cex.triple == (0, 0, 0)
+    assert cex.residual == (Poly.const(ASSOC_VARS, -2),)
+
+
+def test_broken_compat_law(cur1):
+    mod = BimoduleStructure(algebra=cur1, generators=("u", "v"),
+                            left={(0, 1): ((1, ONE),)},
+                            right={(1, 0): ((0, ONE), (1, ONE))})
+    cex = check_module_axioms(mod)
+    assert cex is not None
+    assert cex.law == "compat"
+    assert cex.triple == (0, 1, 0)
+    assert cex.residual == (Poly.const(ASSOC_VARS, -1), Poly.zero(ASSOC_VARS))

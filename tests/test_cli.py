@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import jsonschema
 import pytest
 
 from pseudo.cli import REPORT_SCHEMA
+from pseudo.exactla import ContainmentError
+from pseudo.polyring import VariableMismatchError
 
 from conftest import INPUTS
 
@@ -27,6 +30,11 @@ def run_cli(*args, env_extra=None):
 
 def path(name: str) -> str:
     return str(INPUTS / name)
+
+
+CLI_EXPECTED = json.loads(
+    (INPUTS.parent / "perfbench" / "cli_expected.json").read_text()
+)["commands"]
 
 
 def test_check_passes():
@@ -190,3 +198,120 @@ def test_console_script_entry_point():
 
     code = cli.main(["check", path("cur1.alg")])
     assert code == 0
+
+
+RIGHT_LAW_MODULE = """kind: module
+generators: u
+actions: left right
+right u e -> -1 * u
+"""
+
+COMPAT_LAW_MODULE = """kind: module
+generators: u v
+actions: left right
+left e v -> 1 * v
+right v e -> 1 * u
+right v e -> 1 * v
+"""
+
+
+@pytest.mark.parametrize(
+    "text, law, triple, residual",
+    [
+        (RIGHT_LAW_MODULE, "right", "(u, e, e)", "[u]: -2"),
+        (COMPAT_LAW_MODULE, "compat", "(e, v, e)", "[u]: -1"),
+    ],
+    ids=["right", "compat"],
+)
+def test_check_module_law_failure_report(tmp_path, text, law, triple, residual):
+    mod = tmp_path / "broken.mod"
+    mod.write_text(text)
+    result = run_cli("check", path("cur1.alg"), "--module", str(mod))
+    assert result.returncode == 2
+    lines = result.stdout.splitlines()
+    assert "  module_axioms: FAIL" in lines
+    assert f"  module_counterexample: {law} {triple}" in lines
+    assert f"  - {law} {triple}{residual}" in lines
+
+
+@pytest.mark.parametrize(
+    "entry", CLI_EXPECTED, ids=[" ".join(c["argv"]) for c in CLI_EXPECTED]
+)
+def test_pinned_report_bytes(entry):
+    result = subprocess.run(
+        [sys.executable, "-m", "pseudo", *entry["argv"]],
+        capture_output=True,
+        cwd=str(INPUTS.parent),
+        timeout=120,
+    )
+    assert result.returncode == entry["exit"]
+    assert hashlib.sha256(result.stdout).hexdigest() == entry["sha256"]
+
+
+MODULES_LACKING_INPUT = {
+    "left_only.mod": "kind: module\ngenerators: u\nactions: left\nleft e u -> 1 * u\n",
+    "right_only.mod": "kind: module\ngenerators: u\nactions: right\nright u e -> 1 * u\n",
+    "broken_left.mod": (
+        "kind: module\ngenerators: u\nactions: left right\nleft e u -> del * u\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cohomology", "cur1.alg", "--module", "left_only.mod", "--n", "0"),
+         "degree-0 differential needs both module actions"),
+        (("cohomology", "cur1.alg", "--module", "left_only.mod", "--n", "2"),
+         "the differential needs a right action"),
+        (("derivations", "cur1.alg", "--module", "left_only.mod"),
+         "the differential needs a right action"),
+        (("extend", "cur1.alg", "--module", "right_only.mod",
+          "--cocycle", "gamma_zero_u.coc"),
+         "sub module needs a left action"),
+        (("extend", "cur1.alg", "--module", "uboth.mod", "--module", "broken_left.mod",
+          "--cocycle", "gamma_zero_u.coc"),
+         "quotient module violates its own left law"),
+        (("classical", "mat2.fda", "--n", "4"), "only degrees 0..3 are supported"),
+    ],
+    ids=["cohomology-d0", "cohomology-d2", "derivations", "extend-sub",
+         "extend-quotient", "classical-n4"],
+)
+def test_input_problems_exit_1(tmp_path, argv, message):
+    for name, text in MODULES_LACKING_INPUT.items():
+        (tmp_path / name).write_text(text)
+    fixed = [
+        str(tmp_path / a) if a in MODULES_LACKING_INPUT
+        else path(a) if (INPUTS / a).is_file() else a
+        for a in argv
+    ]
+    result = run_cli(*fixed)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert f"error: {message}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        VariableMismatchError("variables differ"),
+        ContainmentError("not a subspace"),
+        KeyError("missing"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_internal_errors_exit_3(monkeypatch, capsys, error):
+    from pseudo import cli
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "cohomology_dimensions", broken)
+    code = cli.main(["cohomology", path("cur1.alg"), "--n", "1", "--deg", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (
+        f"internal inconsistency in cohomology: {type(error).__name__}: {error}"
+        in captured.err
+    )

@@ -22,7 +22,6 @@ from pseudo.cohomology import (
     evaluate_cochain,
     inner_derivation,
     inner_derivation_basis,
-    structure_degree_bound,
 )
 from pseudo.conformal import PRODUCT_VARS
 from pseudo.polyring import Poly, parse_poly
@@ -220,7 +219,7 @@ def test_apply_differential_dispatch(cur1, cur1_regular):
 
 
 def test_differential_matrix_matches_apply(cur1, cur1_regular):
-    bound = structure_degree_bound(cur1, cur1_regular)
+    bound = cur1_regular.structure_degree()
     matrix = differential_matrix(cur1, cur1_regular, 1, 2, 2 + bound)
     source = CochainIndex(cur1, cur1_regular, 1, 2)
     target = CochainIndex(cur1, cur1_regular, 2, 2 + bound)

@@ -5,7 +5,6 @@ from pseudo.cohomology import cochain_variables
 from pseudo.conformal import PRODUCT_VARS, check_associativity
 from pseudo.formats import (
     DefinitionError,
-    detect_kind,
     parse_algebra,
     parse_cochain,
     parse_fd_algebra,
@@ -65,13 +64,6 @@ def test_parse_fd_algebra_files(inputs_dir):
     dual = parse_fd_algebra(read(inputs_dir, "dual.fda"))
     assert dual.dimension == 2
     assert dual.multiply((0, 1), (0, 1)) == (0, 0)
-
-
-def test_detect_kind(inputs_dir):
-    assert detect_kind(read(inputs_dir, "cur1.alg")) == "algebra"
-    assert detect_kind(read(inputs_dir, "uboth.mod")) == "module"
-    assert detect_kind(read(inputs_dir, "f_const.coc")) == "cochain"
-    assert detect_kind(read(inputs_dir, "mat2.fda")) == "fd_algebra"
 
 
 def test_comments_and_blank_lines_ignored(cur1):

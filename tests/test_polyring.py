@@ -8,7 +8,6 @@ from pseudo.polyring import (
     Poly,
     PolyParseError,
     VariableMismatchError,
-    align,
     iter_monomials,
     parse_poly,
     poly_to_str,
@@ -59,7 +58,7 @@ def test_mixed_variable_arithmetic_rejected():
     assert dl.embed(PL) + lam == parse_poly("del + lam", PL)
 
 
-def test_embed_and_align():
+def test_embed():
     dl = Poly.var(("del",), "del")
     wide = dl.embed(ALL3)
     assert wide.variables == ALL3
@@ -68,8 +67,6 @@ def test_embed_and_align():
          "lam": Poly.zero(("del",)),
          "mu": Poly.zero(("del",))}
     ) == dl
-    a, b = align(Poly.var(("lam",), "lam"), Poly.var(("mu",), "mu"))
-    assert a.variables == b.variables == ("lam", "mu")
 
 
 def test_substitute_binding_rules():
