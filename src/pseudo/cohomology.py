@@ -36,8 +36,7 @@ from .exactla import (
     ContainmentError,
     QMatrix,
     SubspaceBasis,
-    image_basis,
-    intersect,
+    _rref_rows,
     kernel_basis,
     quotient_dimension,
 )
@@ -244,16 +243,8 @@ class CochainIndex:
         ):
             raise ValueError("cochain does not match this index")
         out = [Fraction(0)] * self.dimension
-        for tup, vec in cochain.values.items():
-            for k, poly in enumerate(vec):
-                for mono, coeff in poly.terms.items():
-                    pos = self.position.get((tup, k, mono))
-                    if pos is None:
-                        raise TruncationOverflowError(
-                            f"monomial {mono} on tuple {tup} exceeds degree "
-                            f"{self.max_degree}"
-                        )
-                    out[pos] = coeff
+        for label, coeff in _labelled_terms(cochain, self.max_degree).items():
+            out[self.position[label]] = coeff
         return out
 
     def reconstruct(self, coords: Sequence) -> Cochain:
@@ -273,6 +264,21 @@ class CochainIndex:
             self.module,
             {tup: tuple(vec) for tup, vec in values.items()},
         )
+
+
+def _labelled_terms(cochain: Cochain, max_degree: int) -> dict:
+    """Sparse coordinates keyed by CochainIndex label (tuple, module
+    generator, monomial); overflow if a monomial exceeds max_degree."""
+    out = {}
+    for tup, vec in cochain.values.items():
+        for k, poly in enumerate(vec):
+            for mono, coeff in poly.terms.items():
+                if sum(mono) > max_degree:
+                    raise TruncationOverflowError(
+                        f"monomial {mono} on tuple {tup} exceeds degree {max_degree}"
+                    )
+                out[(tup, k, mono)] = coeff
+    return out
 
 
 def evaluate_cochain(cochain: Cochain, args: Sequence[Sequence[Poly]]) -> list[Poly]:
@@ -462,11 +468,15 @@ def differential_matrix(
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
     rows: list[dict[int, Fraction]] = [dict() for _ in range(target.dimension)]
     for col in range(source.dimension):
-        image = apply_differential(source.basis_cochain(col))
-        for coeff_idx, coeff in enumerate(target.decompose(image)):
-            if coeff:
-                rows[coeff_idx][col] = coeff
+        for label, coeff in _image_column(source, col, max_degree_out).items():
+            rows[target.position[label]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
+
+
+def _image_column(source: CochainIndex, col: int, max_degree_out: int) -> dict:
+    """d of one source basis cochain as sparse target-label coordinates."""
+    image = apply_differential(source.basis_cochain(col))
+    return _labelled_terms(image, max_degree_out)
 
 
 @dataclass(frozen=True)
@@ -483,20 +493,69 @@ class CohomologyReport:
     rounds: int
 
 
-def _slice_projection(
-    big: CochainIndex, small: CochainIndex, subspace: SubspaceBasis
-) -> SubspaceBasis:
-    """Part of a subspace of the big slice that lives in the small slice."""
-    positions = [big.position[label] for label in small.labels]
-    unit_rows = []
-    for pos in positions:
-        row = [Fraction(0)] * big.dimension
-        row[pos] = Fraction(1)
-        unit_rows.append(tuple(row))
-    slice_subspace = SubspaceBasis(big.dimension, tuple(unit_rows))
-    inside = intersect(subspace, slice_subspace)
-    projected = [[vec[pos] for pos in positions] for vec in inside.vectors]
-    return SubspaceBasis.from_vectors(small.dimension, projected)
+def _slice_span(columns: Sequence[Mapping], slice_labels: Sequence) -> SubspaceBasis:
+    """Span of sparse columns intersected with a coordinate slice.
+
+    Every label outside the slice gets a column index before every slice
+    label, so after one RREF of the columns (taken as rows) the rows whose
+    pivot lies in the slice are zero outside it and span the intersection.
+    The basis is returned in slice coordinates, in canonical RREF.
+    """
+    inside = set(slice_labels)
+    position: dict = {}
+    for column in columns:
+        for label in column:
+            if label not in inside and label not in position:
+                position[label] = len(position)
+    offset = len(position)
+    position.update((label, offset + i) for i, label in enumerate(slice_labels))
+    rows = [{position[label]: v for label, v in column.items()} for column in columns]
+    rows, pivots = _rref_rows(rows, len(position))
+    vectors = [
+        [row.get(offset + j, 0) for j in range(len(slice_labels))]
+        for row, pivot in zip(rows, pivots)
+        if pivot >= offset
+    ]
+    return SubspaceBasis.from_vectors(len(slice_labels), vectors)
+
+
+def _coboundary_slice(
+    algebra: ConformalAlgebra,
+    module: BimoduleStructure,
+    degree: int,
+    window: TruncationWindow,
+    max_rounds: int,
+) -> tuple[SubspaceBasis, bool, int]:
+    """B intersected with the degree-<=D slice, widened until stable.
+
+    Round k takes sources of degree <= D + k*K.  Each source basis cochain
+    is differentiated once, in the round that first admits it, and must
+    land within that round's target window; every round re-runs one
+    ordered elimination over all images so far.  Returns (coboundaries,
+    stabilized, rounds); degree 0 has no coboundaries and no rounds.
+    """
+    d = window.degree_bound
+    bound = module.structure_degree()
+    slice_labels = CochainIndex(algebra, module, degree, d).labels
+    if degree == 0:
+        return SubspaceBasis.zero(len(slice_labels)), True, 0
+    images: list[dict] = []
+    covered = -1  # sources of degree <= covered are already differentiated
+    previous: int | None = None
+    for k in range(max_rounds + 1):
+        source_bound = d + k * window.stabilization_margin
+        source = CochainIndex(algebra, module, degree - 1, source_bound)
+        for col, (_, _, mono) in enumerate(source.labels):
+            if sum(mono) > covered:
+                image = _image_column(source, col, source_bound + bound)
+                if image:
+                    images.append(image)
+        covered = source_bound
+        coboundaries = _slice_span(images, slice_labels)
+        if previous is not None and coboundaries.dim == previous:
+            return coboundaries, True, k + 1
+        previous = coboundaries.dim
+    return coboundaries, False, max_rounds + 1
 
 
 def cohomology_dimensions(
@@ -517,35 +576,13 @@ def cohomology_dimensions(
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     d = window.degree_bound
-    step = window.stabilization_margin
     bound = module.structure_degree()
 
     z_matrix = differential_matrix(algebra, module, degree, d, d + bound)
     cocycles = kernel_basis(z_matrix)
-
-    small = CochainIndex(algebra, module, degree, d)
-    if degree == 0:
-        coboundaries = SubspaceBasis.zero(small.dimension)
-        stabilized = True
-        rounds = 0
-    else:
-        coboundaries = SubspaceBasis.zero(small.dimension)
-        stabilized = False
-        previous: int | None = None
-        rounds = 0
-        for k in range(max_rounds + 1):
-            rounds = k + 1
-            source_bound = d + k * step
-            matrix = differential_matrix(
-                algebra, module, degree - 1, source_bound, source_bound + bound
-            )
-            big = CochainIndex(algebra, module, degree, source_bound + bound)
-            image = image_basis(matrix)
-            coboundaries = _slice_projection(big, small, image)
-            if previous is not None and coboundaries.dim == previous:
-                stabilized = True
-                break
-            previous = coboundaries.dim
+    coboundaries, stabilized, rounds = _coboundary_slice(
+        algebra, module, degree, window, max_rounds
+    )
     try:
         dim_h = quotient_dimension(cocycles, coboundaries)
     except ContainmentError as exc:
@@ -555,7 +592,7 @@ def cohomology_dimensions(
     return CohomologyReport(
         degree=degree,
         degree_bound=d,
-        stabilization_margin=step,
+        stabilization_margin=window.stabilization_margin,
         dim_cocycles=cocycles.dim,
         dim_coboundaries=coboundaries.dim,
         dim_cohomology=dim_h,

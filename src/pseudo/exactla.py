@@ -45,28 +45,8 @@ class QMatrix:
             rows.append({j: Fraction(v) for j, v in enumerate(row) if Fraction(v)})
         return cls(nrows, ncols, rows)
 
-    @classmethod
-    def from_columns(cls, ncols_ambient: int, columns: Sequence[Sequence]) -> "QMatrix":
-        """Matrix whose j-th column is columns[j] (each of length ncols_ambient)."""
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(ncols_ambient)]
-        for j, col in enumerate(columns):
-            if len(col) != ncols_ambient:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                v = Fraction(v)
-                if v:
-                    rows[i][j] = v
-        return cls(ncols_ambient, len(columns), rows)
-
     def entry(self, r: int, c: int) -> Fraction:
         return self.rows[r].get(c, _ZERO)
-
-    def transpose(self) -> "QMatrix":
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                rows[j][i] = v
-        return QMatrix(self.ncols, self.nrows, rows)
 
     def matvec(self, vec: Sequence) -> list[Fraction]:
         out = []
@@ -200,17 +180,6 @@ def kernel_basis(m: QMatrix) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(m.ncols, vectors)
 
 
-def image_basis(m: QMatrix) -> SubspaceBasis:
-    """Column space of m, as an RREF basis of Q^nrows."""
-    t = m.transpose()
-    rows = [dict(r) for r in t.rows]
-    rows, pivots = _rref_rows(rows, t.ncols)
-    vectors = [
-        [rows[i].get(j, _ZERO) for j in range(t.ncols)] for i in range(len(pivots))
-    ]
-    return SubspaceBasis(m.nrows, tuple(tuple(v) for v in vectors))
-
-
 def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:
     """One exact solution of m @ x = rhs, or None if inconsistent."""
     rhs = [Fraction(v) for v in rhs]
@@ -229,28 +198,6 @@ def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:
     for row_idx, pc in enumerate(pivots):
         solution[pc] = rows[row_idx].get(m.ncols, _ZERO)
     return solution
-
-
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection of two subspaces of the same ambient space."""
-    if a.ambient_dimension != b.ambient_dimension:
-        raise ValueError("ambient dimensions differ")
-    if not a.vectors or not b.vectors:
-        return SubspaceBasis.zero(a.ambient_dimension)
-    # solve sum alpha_i a_i = sum beta_j b_j: kernel of [A^T | -B^T]
-    columns = [list(v) for v in a.vectors] + [[-x for x in v] for v in b.vectors]
-    stacked = QMatrix.from_columns(a.ambient_dimension, columns)
-    combos = kernel_basis(stacked)
-    vectors = []
-    for combo in combos.vectors:
-        vec = [_ZERO] * a.ambient_dimension
-        for i, basis_vec in enumerate(a.vectors):
-            if combo[i]:
-                for j, v in enumerate(basis_vec):
-                    if v:
-                        vec[j] += combo[i] * v
-        vectors.append(vec)
-    return SubspaceBasis.from_vectors(a.ambient_dimension, vectors)
 
 
 def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:

@@ -63,6 +63,21 @@ def sort_variables(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=variable_key))
 
 
+# variable tuples already found canonical; the variable universe a run
+# touches is a handful of tuples, so the set stays tiny
+_CANONICAL: set[tuple[str, ...]] = set()
+
+
+def _canonical(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variables as a tuple, after checking they are in canonical order."""
+    variables = tuple(variables)
+    if variables not in _CANONICAL:
+        if variables != sort_variables(variables):
+            raise ValueError(f"variables not in canonical order: {variables}")
+        _CANONICAL.add(variables)
+    return variables
+
+
 class Poly:
     """Polynomial with exact rational coefficients.
 
@@ -73,9 +88,7 @@ class Poly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping | Iterable = ()):
-        variables = tuple(variables)
-        if variables != sort_variables(variables):
-            raise ValueError(f"variables not in canonical order: {variables}")
+        variables = _canonical(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple[int, ...], Fraction] = {}
         for exp, coeff in items:
@@ -105,15 +118,15 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "Poly":
-        return cls(variables, ())
+        return cls._raw(_canonical(variables), {})
 
     @classmethod
     def const(cls, variables: Iterable[str], value) -> "Poly":
-        variables = tuple(variables)
+        variables = _canonical(variables)
         value = Fraction(value)
         if not value:
-            return cls(variables, ())
-        return cls(variables, {(0,) * len(variables): value})
+            return cls._raw(variables, {})
+        return cls._raw(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Iterable[str], name: str) -> "Poly":
@@ -231,8 +244,7 @@ class Poly:
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        if variables != sort_variables(variables):
-            raise ValueError(f"variables not in canonical order: {variables}")
+        _canonical(variables)
         if not set(self.variables) <= set(variables):
             raise VariableMismatchError(
                 f"{variables} does not contain {self.variables}"

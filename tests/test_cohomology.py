@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import polys, rationals
+import pseudo.cohomology as cohomology
+from conftest import INPUTS, polys, rationals
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import (
     Cochain,
@@ -22,8 +23,12 @@ from pseudo.cohomology import (
     evaluate_cochain,
     inner_derivation,
     inner_derivation_basis,
+    _coboundary_slice,
+    _slice_span,
 )
 from pseudo.conformal import PRODUCT_VARS
+from pseudo.exactla import QMatrix, SubspaceBasis, rank, solve
+from pseudo.formats import parse_algebra
 from pseudo.polyring import Poly, parse_poly
 
 ONE = Poly.const(PRODUCT_VARS, 1)
@@ -301,3 +306,112 @@ def test_h0_representative_checks(cur1, cur1_regular, mat2, mat2_regular):
     assert all(p.is_zero for p in check_h0_representative(mat2, mat2_regular, ident))
     skew = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     assert any(not p.is_zero for p in check_h0_representative(mat2, mat2_regular, skew))
+
+
+# U2: rank two, a lam a = a + del b, structure polynomials of mixed degree
+U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
+
+
+@pytest.fixture(scope="module")
+def u2():
+    return parse_algebra(U2_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def u2_regular(u2):
+    return BimoduleStructure.regular(u2)
+
+
+def test_u2_h3_needs_three_widening_rounds(u2, u2_regular):
+    rep = cohomology_dimensions(u2, u2_regular, 3, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (8, 8, 0)
+    assert rep.stabilized and rep.rounds == 3
+
+
+def test_u2_h2_is_nonzero(u2, u2_regular):
+    rep = cohomology_dimensions(u2, u2_regular, 2, TruncationWindow(4, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (19, 12, 7)
+    assert rep.stabilized and rep.rounds == 2
+
+
+@pytest.mark.parametrize(
+    "name, degree, bound",
+    [
+        ("cur1", 1, 2),
+        ("cur1", 2, 2),
+        ("cur1", 3, 2),
+        ("mat2", 1, 1),
+        ("mat2", 2, 0),
+        ("mat2", 2, 1),
+        ("u2", 2, 4),
+        ("u2", 3, 1),
+    ],
+)
+def test_coboundary_slice_matches_rank_oracle(request, name, degree, bound):
+    """dim(B cap slice) = rank(M) - rank(M on out-of-slice rows), where M is
+    the matrix of d at the last source bound the widening reached."""
+    algebra = request.getfixturevalue(name)
+    module = request.getfixturevalue(f"{name}_regular")
+    window = TruncationWindow(bound, 1)
+    rep = cohomology_dimensions(algebra, module, degree, window)
+    source_bound = bound + (rep.rounds - 1) * window.stabilization_margin
+    target_bound = source_bound + module.structure_degree()
+    matrix = differential_matrix(algebra, module, degree - 1, source_bound, target_bound)
+    big = CochainIndex(algebra, module, degree, target_bound)
+    in_slice = set(CochainIndex(algebra, module, degree, bound).labels)
+    outside = [row for row, label in zip(matrix.rows, big.labels) if label not in in_slice]
+    outside_rank = rank(QMatrix(len(outside), matrix.ncols, outside))
+    assert rep.dim_coboundaries == rank(matrix) - outside_rank
+
+
+def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
+    # with the structure degree understated, some image must overflow its window
+    monkeypatch.setattr(BimoduleStructure, "structure_degree", lambda self: 0)
+    window = TruncationWindow(1, 1)
+    with pytest.raises(TruncationOverflowError):
+        cohomology_dimensions(u2, u2_regular, 2, window)
+    with pytest.raises(TruncationOverflowError):
+        _coboundary_slice(u2, u2_regular, 2, window, 4)
+
+
+def test_coboundary_slice_differentiates_each_source_once(u2, u2_regular, monkeypatch):
+    calls = []
+    original = cohomology.apply_differential
+    monkeypatch.setattr(
+        cohomology, "apply_differential", lambda c: calls.append(c) or original(c)
+    )
+    _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
+    assert stabilized and rounds == 3
+    assert len(calls) == CochainIndex(u2, u2_regular, 2, 3).dimension
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals())
+
+
+@given(st.data())
+def test_slice_span_matches_rank_identity(data):
+    nrows = data.draw(st.integers(min_value=1, max_value=5))
+    ncols = data.draw(st.integers(min_value=1, max_value=4))
+    m = QMatrix.from_dense(
+        data.draw(
+            st.lists(
+                st.lists(sparse_rationals, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+    )
+    # slice rows in a drawn order: slice coordinate j is matrix row inside[j]
+    inside = data.draw(st.lists(st.integers(0, nrows - 1), unique=True))
+    columns = [
+        {r: m.entry(r, c) for r in range(nrows) if m.entry(r, c)} for c in range(ncols)
+    ]
+    span = _slice_span(columns, inside)
+    outside = [m.rows[r] for r in range(nrows) if r not in inside]
+    assert span.dim == rank(m) - rank(QMatrix(len(outside), ncols, outside))
+    assert span == SubspaceBasis.from_vectors(len(inside), span.vectors)
+    for vec in span.vectors:
+        lifted = [Fraction(0)] * nrows
+        for j, r in enumerate(inside):
+            lifted[r] = vec[j]
+        assert solve(m, lifted) is not None

@@ -26,6 +26,14 @@ def test_variable_order():
         variable_key("x")
 
 
+@pytest.mark.parametrize("variables", [("lam", "del"), ("del", "del"), ("lam2", "lam1")])
+def test_constructors_reject_non_canonical_variables(variables):
+    Poly.zero(PL)  # a canonical tuple seen first must not excuse others
+    for build in (Poly.zero, lambda v: Poly.const(v, 1), lambda v: Poly.const(v, 0), Poly):
+        with pytest.raises(ValueError):
+            build(variables)
+
+
 def test_constructors_and_degree():
     zero = Poly.zero(PL)
     assert zero.is_zero and zero.total_degree() is None
