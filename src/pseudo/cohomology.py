@@ -466,17 +466,126 @@ def differential_matrix(
         )
     source = CochainIndex(algebra, module, degree, max_degree_in)
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
+    stencil = _Stencil(algebra, module, degree) if degree else None
     rows: list[dict[int, Fraction]] = [dict() for _ in range(target.dimension)]
     for col in range(source.dimension):
-        for label, coeff in _image_column(source, col, max_degree_out).items():
+        for label, coeff in _image_column(stencil, source, col, max_degree_out).items():
             rows[target.position[label]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
 
 
-def _image_column(source: CochainIndex, col: int, max_degree_out: int) -> dict:
-    """d of one source basis cochain as sparse target-label coordinates."""
-    image = apply_differential(source.basis_cochain(col))
-    return _labelled_terms(image, max_degree_out)
+class _Stencil:
+    """d_n (n >= 1) on one-term cochains, compiled for one matrix build.
+
+    A source basis cochain x^m on (tuple t, module generator k) reaches
+    only n + 2 kinds of target tuple: the head (g,) + t, the middle slot i
+    t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
+    t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
+    generators in its place; its image depends on t only through the cut.
+    The structure tables are substituted once here, and each image of a
+    (slot, cut, k, m) is formed once and remembered for the call.
+    ``apply_dn`` stays the reference route this must agree with.
+    """
+
+    def __init__(self, algebra: ConformalAlgebra, module: BimoduleStructure, n: int):
+        if not module.has_left:
+            raise ValueError("the differential needs a left action")
+        if not module.has_right:
+            raise ValueError("the differential needs a right action")
+        self.src_vars = cochain_variables(n)
+        dst_vars = cochain_variables(n + 1)
+        dl = Poly.var(dst_vars, "del")
+        lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
+        lam_total = Poly.zero(dst_vars)
+        for i in range(1, n + 1):
+            lam_total = lam_total + lam[i]
+        # slot -> (lo, hi, value substitution, table), where the table maps
+        # (cut, k) to ((inserted generators, target module generator,
+        # substituted structure polynomial with the slot's sign), ...)
+        self.slots: list[tuple[int, int, dict, dict]] = []
+
+        head = {f"lam{i}": lam[i + 1] for i in range(1, n)}
+        head["del"] = dl + lam[1]
+        table: dict = {}
+        for (g, k), entries in module.left.items():
+            for s, poly in entries:
+                moved = poly.substitute({"lam": lam[1], "del": dl})
+                table.setdefault(((), k), []).append(((g,), s, moved))
+        self.slots.append((0, 0, head, table))
+
+        for i in range(1, n + 1):
+            sign = -1 if i % 2 else 1
+            value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
+            if i < n:
+                coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
+                value_sub[f"lam{i}"] = lam[i] + lam[i + 1]
+                for j in range(i + 1, n):
+                    value_sub[f"lam{j}"] = lam[j + 1]
+            else:
+                coeff_sub = {"lam": lam[n], "del": dl + lam_total - lam[n]}
+            value_sub["del"] = dl
+            table = {}
+            for (a, b), entries in algebra.structure.items():
+                for l, poly in entries:
+                    moved = sign * poly.substitute(coeff_sub)
+                    for k in range(module.rank):
+                        table.setdefault(((l,), k), []).append(((a, b), k, moved))
+            self.slots.append((i - 1, i, value_sub, table))
+
+        tail = {f"lam{j}": lam[j] for j in range(1, n)}
+        tail["del"] = -lam_total
+        sign_last = 1 if (n + 1) % 2 == 0 else -1
+        table = {}
+        for (k, g), entries in module.right.items():
+            for s, poly in entries:
+                moved = sign_last * poly.substitute({"lam": lam_total, "del": dl})
+                table.setdefault(((), k), []).append(((g,), s, moved))
+        self.slots.append((n, n, tail, table))
+        self._images: dict = {}
+
+    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> list:
+        key = (slot, cut, k, mono)
+        image = self._images.get(key)
+        if image is None:
+            _, _, value_sub, table = self.slots[slot]
+            entries = table.get((cut, k), ())
+            image = []
+            if entries:
+                moved = Poly.monomial(self.src_vars, mono).substitute(value_sub)
+                image = [(ins, s, (moved * poly).terms) for ins, s, poly in entries]
+            self._images[key] = image
+        return image
+
+    def column(self, label: tuple, max_degree: int) -> dict:
+        """d of the basis cochain ``label`` as sparse target-label
+        coordinates; overflow if a monomial exceeds max_degree."""
+        tup, k, mono = label
+        acc: dict = {}
+        for slot, (lo, hi, _, _) in enumerate(self.slots):
+            for ins, s, terms in self._image(slot, tup[lo:hi], k, mono):
+                target = tup[:lo] + ins + tup[hi:]
+                for exp, coeff in terms.items():
+                    key = (target, s, exp)
+                    acc[key] = acc[key] + coeff if key in acc else coeff
+        out = {}
+        for key, coeff in acc.items():
+            if coeff:
+                if sum(key[2]) > max_degree:
+                    raise TruncationOverflowError(
+                        f"monomial {key[2]} on tuple {key[0]} exceeds degree {max_degree}"
+                    )
+                out[key] = coeff
+        return out
+
+
+def _image_column(
+    stencil: _Stencil | None, source: CochainIndex, col: int, max_degree_out: int
+) -> dict:
+    """d of one source basis cochain as sparse target-label coordinates;
+    degree-0 sources (no stencil) go through ``apply_d0``."""
+    if stencil is None:
+        return _labelled_terms(apply_d0(source.basis_cochain(col)), max_degree_out)
+    return stencil.column(source.labels[col], max_degree_out)
 
 
 @dataclass(frozen=True)
@@ -511,12 +620,12 @@ def _slice_span(columns: Sequence[Mapping], slice_labels: Sequence) -> SubspaceB
     position.update((label, offset + i) for i, label in enumerate(slice_labels))
     rows = [{position[label]: v for label, v in column.items()} for column in columns]
     rows, pivots = _rref_rows(rows, len(position))
-    vectors = [
-        [row.get(offset + j, 0) for j in range(len(slice_labels))]
+    inside_rows = [
+        {j - offset: v for j, v in row.items()}
         for row, pivot in zip(rows, pivots)
         if pivot >= offset
     ]
-    return SubspaceBasis.from_vectors(len(slice_labels), vectors)
+    return SubspaceBasis._from_rows(len(slice_labels), inside_rows)
 
 
 def _coboundary_slice(
@@ -539,6 +648,7 @@ def _coboundary_slice(
     slice_labels = CochainIndex(algebra, module, degree, d).labels
     if degree == 0:
         return SubspaceBasis.zero(len(slice_labels)), True, 0
+    stencil = _Stencil(algebra, module, degree - 1) if degree > 1 else None
     images: list[dict] = []
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
@@ -547,7 +657,7 @@ def _coboundary_slice(
         source = CochainIndex(algebra, module, degree - 1, source_bound)
         for col, (_, _, mono) in enumerate(source.labels):
             if sum(mono) > covered:
-                image = _image_column(source, col, source_bound + bound)
+                image = _image_column(stencil, source, col, source_bound + bound)
                 if image:
                     images.append(image)
         covered = source_bound

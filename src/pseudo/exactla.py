@@ -136,6 +136,14 @@ class SubspaceBasis:
             if len(vec) != ambient_dimension:
                 raise ValueError("vector length does not match ambient dimension")
             rows.append({j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)})
+        return cls._from_rows(ambient_dimension, rows)
+
+    @classmethod
+    def _from_rows(
+        cls, ambient_dimension: int, rows: list[dict[int, Fraction]]
+    ) -> "SubspaceBasis":
+        """Span of sparse rows (column -> nonzero Fraction, columns below
+        ambient_dimension); the rows are reduced in place."""
         rows, pivots = _rref_rows(rows, ambient_dimension)
         basis = tuple(
             tuple(rows[i].get(j, _ZERO) for j in range(ambient_dimension))
@@ -148,19 +156,26 @@ class SubspaceBasis:
         return cls(ambient_dimension, ())
 
     def contains(self, vec: Sequence) -> bool:
-        residue = [Fraction(v) for v in vec]
-        if len(residue) != self.ambient_dimension:
-            raise ValueError("vector length does not match ambient dimension")
-        for basis_vec in self.vectors:
-            lead = next((j for j, v in enumerate(basis_vec) if v), None)
-            if lead is None:
-                continue
-            factor = residue[lead]
-            if factor:
-                for j, v in enumerate(basis_vec):
-                    if v:
+        return self._membership()(vec)
+
+    def _membership(self):
+        """A membership test for this subspace; each basis vector's nonzero
+        entries, lead first, are found once here rather than per call."""
+        rows = [[(j, v) for j, v in enumerate(vec) if v] for vec in self.vectors]
+        rows = [row for row in rows if row]
+
+        def contains(vec: Sequence) -> bool:
+            residue = [Fraction(v) for v in vec]
+            if len(residue) != self.ambient_dimension:
+                raise ValueError("vector length does not match ambient dimension")
+            for row in rows:
+                factor = residue[row[0][0]]
+                if factor:
+                    for j, v in row:
                         residue[j] -= factor * v
-        return not any(residue)
+            return not any(residue)
+
+        return contains
 
 
 def kernel_basis(m: QMatrix) -> SubspaceBasis:
@@ -170,14 +185,13 @@ def kernel_basis(m: QMatrix) -> SubspaceBasis:
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     vectors = []
     for free in free_cols:
-        vec = [_ZERO] * m.ncols
-        vec[free] = Fraction(1)
+        vec = {free: Fraction(1)}
         for row_idx, pc in enumerate(pivots):
             entry = reduced.rows[row_idx].get(free)
             if entry:
                 vec[pc] = -entry
         vectors.append(vec)
-    return SubspaceBasis.from_vectors(m.ncols, vectors)
+    return SubspaceBasis._from_rows(m.ncols, vectors)
 
 
 def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:
@@ -204,7 +218,8 @@ def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:
     """dim(big) - dim(small), after verifying small really sits inside big."""
     if big.ambient_dimension != small.ambient_dimension:
         raise ValueError("ambient dimensions differ")
+    contains = big._membership()
     for vec in small.vectors:
-        if not big.contains(vec):
+        if not contains(vec):
             raise ContainmentError("claimed subspace is not contained in the larger one")
     return big.dim - small.dim

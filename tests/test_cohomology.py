@@ -26,12 +26,16 @@ from pseudo.cohomology import (
     _coboundary_slice,
     _slice_span,
 )
-from pseudo.conformal import PRODUCT_VARS
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra
 from pseudo.exactla import QMatrix, SubspaceBasis, rank, solve
-from pseudo.formats import parse_algebra
+from pseudo.formats import parse_algebra, parse_module
 from pseudo.polyring import Poly, parse_poly
 
 ONE = Poly.const(PRODUCT_VARS, 1)
+# U1 and U2: rank two, structure polynomials of mixed degree; U2 is
+# a lam a = a + del b
+U1_PATH = INPUTS.parent / "perfbench" / "algebras" / "u1.alg"
+U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
 
@@ -223,16 +227,67 @@ def test_apply_differential_dispatch(cur1, cur1_regular):
     assert apply_differential(phi) == apply_dn(phi)
 
 
-def test_differential_matrix_matches_apply(cur1, cur1_regular):
-    bound = cur1_regular.structure_degree()
-    matrix = differential_matrix(cur1, cur1_regular, 1, 2, 2 + bound)
-    source = CochainIndex(cur1, cur1_regular, 1, 2)
-    target = CochainIndex(cur1, cur1_regular, 2, 2 + bound)
+def _reference_matrix(algebra, module, degree, max_in, max_out) -> QMatrix:
+    """Matrix of d built column by column through the reference route."""
+    source = CochainIndex(algebra, module, degree, max_in)
+    target = CochainIndex(algebra, module, degree + 1, max_out)
+    rows = [dict() for _ in range(target.dimension)]
     for col in range(source.dimension):
-        basis = source.basis_cochain(col)
-        expected = target.decompose(apply_dn(basis))
-        column = [matrix.entry(r, col) for r in range(matrix.nrows)]
-        assert column == expected
+        image = apply_differential(source.basis_cochain(col))
+        for r, coeff in enumerate(target.decompose(image)):
+            if coeff:
+                rows[r][col] = coeff
+    return QMatrix(target.dimension, source.dimension, rows)
+
+
+def test_differential_matrix_matches_apply(cur1, cur1_regular, mat2, mat2_regular, inputs_dir):
+    u1 = parse_algebra(U1_PATH.read_text(encoding="utf-8"))
+    u2 = parse_algebra(U2_PATH.read_text(encoding="utf-8"))
+    uboth = parse_module((inputs_dir / "uboth.mod").read_text(encoding="utf-8"), cur1)
+    cases = [(cur1, cur1_regular, n, 2) for n in (0, 1, 2, 3)]
+    cases += [(mat2, mat2_regular, n, 1) for n in (0, 1, 2)]
+    cases += [(a, BimoduleStructure.regular(a), n, 1) for a in (u1, u2) for n in (1, 2, 3)]
+    cases += [(cur1, uboth, n, 2) for n in (1, 2, 3)]
+    for algebra, module, degree, bound in cases:
+        out = bound + module.structure_degree()
+        expected = _reference_matrix(algebra, module, degree, bound, out)
+        assert differential_matrix(algebra, module, degree, bound, out) == expected, (
+            algebra.generators, module.generators, degree,
+        )
+
+
+def structure_tables(first: int, second: int, target: int):
+    """Random structure maps {(i, j): [(k, poly), ...]} of small degree."""
+    entries = st.lists(
+        st.tuples(st.integers(0, target - 1), polys(PRODUCT_VARS, max_degree=1, max_terms=2)),
+        max_size=target,
+        unique_by=lambda entry: entry[0],
+    )
+    keys = [(i, j) for i in range(first) for j in range(second)]
+    return st.fixed_dictionaries({key: entries for key in keys})
+
+
+@given(st.data())
+def test_differential_matrix_matches_apply_on_random_tables(data):
+    # d is defined whether or not the tables are associative or satisfy the
+    # module laws, so arbitrary tables exercise every slot of the stencil
+    rank = data.draw(st.integers(1, 2), label="algebra rank")
+    module_rank = data.draw(st.integers(1, 2), label="module rank")
+    degree = data.draw(st.integers(1, 3), label="degree")
+    bound = data.draw(st.integers(0, 1), label="bound")
+    algebra = ConformalAlgebra(
+        generators=("a", "b")[:rank],
+        structure=data.draw(structure_tables(rank, rank, rank), label="products"),
+    )
+    module = BimoduleStructure(
+        algebra=algebra,
+        generators=("u", "v")[:module_rank],
+        left=data.draw(structure_tables(rank, module_rank, module_rank), label="left"),
+        right=data.draw(structure_tables(module_rank, rank, module_rank), label="right"),
+    )
+    out = bound + module.structure_degree()
+    expected = _reference_matrix(algebra, module, degree, bound, out)
+    assert differential_matrix(algebra, module, degree, bound, out) == expected
 
 
 def test_differential_matrix_bound_check(cur1, cur1_regular):
@@ -308,10 +363,6 @@ def test_h0_representative_checks(cur1, cur1_regular, mat2, mat2_regular):
     assert any(not p.is_zero for p in check_h0_representative(mat2, mat2_regular, skew))
 
 
-# U2: rank two, a lam a = a + del b, structure polynomials of mixed degree
-U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
-
-
 @pytest.fixture(scope="module")
 def u2():
     return parse_algebra(U2_PATH.read_text(encoding="utf-8"))
@@ -372,17 +423,46 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
         cohomology_dimensions(u2, u2_regular, 2, window)
     with pytest.raises(TruncationOverflowError):
         _coboundary_slice(u2, u2_regular, 2, window, 4)
+    with pytest.raises(TruncationOverflowError):
+        differential_matrix(u2, u2_regular, 2, 1, 1)
 
 
 def test_coboundary_slice_differentiates_each_source_once(u2, u2_regular, monkeypatch):
+    # every column comes from the compiled stencil, one call per source label
     calls = []
-    original = cohomology.apply_differential
+    original = cohomology._Stencil.column
     monkeypatch.setattr(
-        cohomology, "apply_differential", lambda c: calls.append(c) or original(c)
+        cohomology._Stencil,
+        "column",
+        lambda self, label, bound: calls.append(label) or original(self, label, bound),
     )
+    monkeypatch.setattr(cohomology, "apply_dn", None)
     _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
     assert stabilized and rounds == 3
-    assert len(calls) == CochainIndex(u2, u2_regular, 2, 3).dimension
+    assert sorted(calls) == sorted(CochainIndex(u2, u2_regular, 2, 3).labels)
+
+
+def test_back_to_back_calls_keep_their_own_answers(inputs_dir):
+    # fresh algebra objects each call, so a cache keyed by id() or kept
+    # across calls would hand one algebra's columns to the other
+    def mat2_h1():
+        mat2 = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
+        return cohomology_dimensions(
+            mat2, BimoduleStructure.regular(mat2), 1, TruncationWindow(1, 1)
+        )
+
+    def u2_h3():
+        u2 = parse_algebra(U2_PATH.read_text(encoding="utf-8"))
+        return cohomology_dimensions(
+            u2, BimoduleStructure.regular(u2), 3, TruncationWindow(1, 1)
+        )
+
+    expected = {mat2_h1: (4, 3, 1, 2), u2_h3: (8, 8, 0, 3)}
+    for order in ((mat2_h1, u2_h3), (u2_h3, mat2_h1)):
+        for job in order + order:
+            rep = job()
+            got = (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology, rep.rounds)
+            assert rep.stabilized and got == expected[job]
 
 
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals())

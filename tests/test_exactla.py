@@ -100,3 +100,38 @@ def test_solve_round_trip(m):
     sol = solve(m, rhs)
     assert sol is not None
     assert m.matvec(sol) == rhs
+
+
+@given(matrices(max_rows=4, max_cols=6))
+def test_kernel_basis_matches_dense_route(m):
+    reduced, pivots = rref(m)
+    vectors = []
+    for free in (c for c in range(m.ncols) if c not in pivots):
+        vec = [Fraction(0)] * m.ncols
+        vec[free] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            vec[pc] = -reduced.entry(row, free)
+        vectors.append(vec)
+    assert kernel_basis(m) == SubspaceBasis.from_vectors(m.ncols, vectors)
+
+
+@given(st.data())
+def test_quotient_dimension_containment_matches_rank(data):
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(st.just(Fraction(0)), rationals())
+    vector = st.lists(entries, min_size=ncols, max_size=ncols)
+    big_vectors = data.draw(st.lists(vector, max_size=3))
+    # small: combinations of the big vectors, plus perhaps a stray vector
+    combinations = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=2))
+    small_vectors = [
+        [sum((c * vec[j] for c, vec in zip(coeffs, big_vectors)), Fraction(0)) for j in range(ncols)]
+        for coeffs in combinations
+    ]
+    small_vectors += data.draw(st.lists(vector, max_size=1))
+    big = SubspaceBasis.from_vectors(ncols, big_vectors)
+    small = SubspaceBasis.from_vectors(ncols, small_vectors)
+    if rank(QMatrix.from_dense(big_vectors + small_vectors)) == big.dim:
+        assert quotient_dimension(big, small) == big.dim - small.dim
+    else:
+        with pytest.raises(ContainmentError):
+            quotient_dimension(big, small)
