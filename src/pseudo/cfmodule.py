@@ -35,6 +35,10 @@ from .conformal import (
     CElement,
     ConformalAlgebra,
     StructureMap,
+    _DEL,
+    _LAM,
+    _MU,
+    _OUTER,
     _law_sides,
     _table_degree,
     _validate_structure,
@@ -205,14 +209,7 @@ class CLinearMap:
         )
 
     def __sub__(self, other: "CLinearMap") -> "CLinearMap":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("map shapes differ")
-        keys = set(self.matrix) | set(other.matrix)
-        return CLinearMap(
-            self.source,
-            self.target,
-            {key: self.entry(*key) - other.entry(*key) for key in keys},
-        )
+        return self + other.scaled(-1)
 
     def scaled(self, factor) -> "CLinearMap":
         return CLinearMap(
@@ -230,6 +227,9 @@ class CLinearMap:
 # family arena: lam = algebra action variable, mu = resulting map variable
 FamilyMatrix = dict[tuple[int, int], Poly]
 
+# a map or an action evaluated at mu - lam, its del riding on the outer lam
+_SHIFTED = {"lam": _MU - _LAM, "del": _LAM + _DEL}
+
 
 def chom_left_action(
     a: CElement, f: CLinearMap, target_module: BimoduleStructure
@@ -242,18 +242,15 @@ def chom_left_action(
         raise ValueError("target module does not match the map's target")
     if not target_module.has_left:
         raise ValueError("target module has no left action")
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
+    scales = [
+        (i, p.substitute({"del": -_LAM})) for i, p in enumerate(a.coords) if not p.is_zero
+    ]
     out: FamilyMatrix = {}
     for (j, k), f_jk in f.matrix.items():
-        shifted = f_jk.substitute({"lam": mu - lam, "del": lam + dl})
-        for i, p in enumerate(a.coords):
-            if p.is_zero:
-                continue
-            scale = p.substitute({"del": -lam})
+        shifted = f_jk.substitute(_SHIFTED)
+        for i, scale in scales:
             for s, l_iks in target_module.left_entries(i, k):
-                add = scale * shifted * l_iks.substitute({"lam": lam, "del": dl})
+                add = scale * shifted * l_iks.substitute(_OUTER)
                 key = (j, s)
                 out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + add
     return {k: v for k, v in out.items() if not v.is_zero}
@@ -270,21 +267,21 @@ def chom_right_action(
         raise ValueError("source module does not match the map's source")
     if not source_module.has_left:
         raise ValueError("source module has no left action")
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
+    rows: dict[int, list[tuple[int, Poly]]] = {}
+    for (k, s), f_ks in f.matrix.items():
+        rows.setdefault(k, []).append((s, f_ks.substitute(_OUTER)))
     out: FamilyMatrix = {}
     for i, p in enumerate(a.coords):
         if p.is_zero:
             continue
-        scale = p.substitute({"del": lam - mu})
+        scale = p.substitute({"del": _LAM - _MU})
         for j in range(source_module.rank):
             for k, l_ijk in source_module.left_entries(i, j):
-                inner = l_ijk.substitute({"lam": mu - lam, "del": lam + dl})
-                for (kk, s), f_ks in f.matrix.items():
-                    if kk != k:
-                        continue
-                    add = scale * inner * f_ks.substitute({"lam": lam, "del": dl})
+                if k not in rows:
+                    continue
+                inner = scale * l_ijk.substitute(_SHIFTED)
+                for s, f_ks in rows[k]:
+                    add = inner * f_ks
                     key = (j, s)
                     out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + add
     return {k: v for k, v in out.items() if not v.is_zero}

@@ -281,50 +281,6 @@ def _labelled_terms(cochain: Cochain, max_degree: int) -> dict:
     return out
 
 
-def evaluate_cochain(cochain: Cochain, args: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """Multilinear evaluation on coefficient vectors over the generators.
-
-    Each argument is a coordinate vector whose entries may involve ``del``
-    plus parameter variables; the ``del`` of slot i < n becomes -lam_i, the
-    ``del`` of the last slot becomes del + lam1 + ... + lam(n-1).  The
-    result is over the union of the cochain variables and the parameters.
-    """
-    n = cochain.degree
-    if len(args) != n:
-        raise ValueError(f"expected {n} arguments, got {len(args)}")
-    if n == 0:
-        return [p.embed(("del",)) if p.variables == () else p for p in cochain.value(())]
-    arg_vars = sort_variables(v for vec in args for p in vec for v in p.variables)
-    if "del" not in arg_vars:
-        arg_vars = sort_variables(arg_vars + ("del",))
-    out_vars = sort_variables(arg_vars + cochain.variables)
-    lam_sum = Poly.zero(out_vars)
-    for i in range(1, n):
-        lam_sum = lam_sum + Poly.var(out_vars, f"lam{i}")
-    slot_subs: list[Mapping[str, Poly]] = []
-    for slot in range(1, n + 1):
-        if slot < n:
-            slot_subs.append({"del": -Poly.var(out_vars, f"lam{slot}")})
-        else:
-            slot_subs.append({"del": Poly.var(out_vars, "del") + lam_sum})
-    out = [Poly.zero(out_vars) for _ in range(cochain.module.rank)]
-    for tup, vec in cochain.values.items():
-        factor = Poly.const(out_vars, 1)
-        dead = False
-        for slot, gen in enumerate(tup):
-            coeff = args[slot][gen]
-            if coeff.is_zero:
-                dead = True
-                break
-            factor = factor * coeff.embed(arg_vars).substitute(slot_subs[slot])
-        if dead:
-            continue
-        for k, poly in enumerate(vec):
-            if not poly.is_zero:
-                out[k] = out[k] + factor * poly.embed(out_vars)
-    return out
-
-
 def apply_d0(cochain: Cochain) -> Cochain:
     """Differential of a degree-0 class u: a |-> a_{-del} u - u_0 a."""
     if cochain.degree != 0:

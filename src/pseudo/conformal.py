@@ -140,11 +140,7 @@ class CElement:
         )
 
     def __sub__(self, other: "CElement") -> "CElement":
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-        return CElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+        return self + other.scaled(-1)
 
     def scaled(self, factor) -> "CElement":
         return CElement(self.algebra, tuple(p * factor for p in self.coords))

@@ -15,21 +15,35 @@ axiom checkers.  Disagreement between the two routes raises
 ComplexInconsistencyError, since it can only come from a bug here.
 
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
-the outer action variable and mu the total one, so the inner action
-carries mu - lam.
+always the outer variable.  In extension residuals mu is the total
+variable, so the inner action carries mu - lam, as in the Chom actions of
+`cfmodule`.  In deformation residuals mu is the inner product's variable
+and lam + mu the total one, as in `conformal._law_sides`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .cfmodule import BimoduleStructure, CLinearMap, check_module_axioms
+from .cfmodule import (
+    BimoduleStructure,
+    CLinearMap,
+    check_module_axioms,
+    chom_left_action,
+    chom_right_action,
+)
 from .conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
+    CElement,
     ConformalAlgebra,
+    _DEL,
+    _LAM,
+    _MU,
+    _law_sides,
     check_associativity,
 )
 from .cohomology import (
@@ -97,56 +111,46 @@ class ExtensionDatum:
         return gmap.entry(t, s)
 
 
+# gamma_{a_i lam a_j} acts with the total variable mu, so the del of the
+# product a_i lam a_j turns into -mu
+_PRODUCT_OUTER = {"lam": _LAM, "del": -_MU}
+_GAMMA_TOTAL = {"lam": _MU, "del": _DEL}
+
+
 def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int], Poly]:
     """Nonzero obstructions to the glued action satisfying the left law.
 
-    Key (i, j, t, s): generators a_i (outer, variable lam) and a_j (inner,
+    The obstruction is the Chom differential of gamma, read as a 1-cochain
+    with values in Chom(quotient, sub):
+
+        a_i lam gamma_j  +  gamma_i lam a_j  -  gamma_{a_i lam a_j},
+
+    the first two terms being the Chom actions of `cfmodule`.  Key
+    (i, j, t, s): generators a_i (outer, variable lam) and a_j (inner,
     variable mu - lam) acting on quotient generator t, read off the
     coefficient of sub generator s.  Empty dict means gamma is a cocycle.
     """
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
-    algebra = datum.algebra
-    sub, quo = datum.sub, datum.quotient
+    algebra, gamma = datum.algebra, datum.gamma
+    zero = Poly.zero(ASSOC_VARS)
+    gens = [CElement.generator(algebra, i) for i in range(algebra.rank)]
     out: dict[tuple[int, int, int, int], Poly] = {}
-    for i in range(algebra.rank):
-        for j in range(algebra.rank):
-            for t in range(quo.rank):
-                acc = [Poly.zero(ASSOC_VARS) for _ in range(sub.rank)]
-                # a_i acts on the sub-valued part of a_j's twisted action
-                for k in range(sub.rank):
-                    g_jtk = datum.gamma_entry(j, t, k)
-                    if g_jtk.is_zero:
-                        continue
-                    inner = g_jtk.substitute({"lam": mu - lam, "del": lam + dl})
-                    for s, l_iks in sub.left_entries(i, k):
-                        acc[s] = acc[s] + inner * l_iks.substitute(
-                            {"lam": lam, "del": dl}
-                        )
-                # the twisted part of a_i's action on a_j . t inside the quotient
-                for k, l_jtk in quo.left_entries(j, t):
-                    inner = l_jtk.substitute({"lam": mu - lam, "del": lam + dl})
-                    for s in range(sub.rank):
-                        g_iks = datum.gamma_entry(i, k, s)
-                        if g_iks.is_zero:
-                            continue
-                        acc[s] = acc[s] + inner * g_iks.substitute(
-                            {"lam": lam, "del": dl}
-                        )
-                # minus the twisted action of the product a_i lam a_j
-                for l, p_ijl in algebra.products(i, j):
-                    outer = p_ijl.substitute({"lam": lam, "del": -mu})
-                    for s in range(sub.rank):
-                        g_lts = datum.gamma_entry(l, t, s)
-                        if g_lts.is_zero:
-                            continue
-                        acc[s] = acc[s] - outer * g_lts.substitute(
-                            {"lam": mu, "del": dl}
-                        )
-                for s, poly in enumerate(acc):
-                    if not poly.is_zero:
-                        out[(i, j, t, s)] = poly
+    for i, j in itertools.product(range(algebra.rank), repeat=2):
+        acc: dict[tuple[int, int], Poly] = {}
+        if j in gamma:
+            acc.update(chom_left_action(gens[i], gamma[j], datum.sub))
+        if i in gamma:
+            for key, poly in chom_right_action(gamma[i], gens[j], datum.quotient).items():
+                acc[key] = acc.get(key, zero) + poly
+        # minus the twisted action of the product a_i lam a_j
+        for l, p_ijl in algebra.products(i, j):
+            if l not in gamma:
+                continue
+            outer = p_ijl.substitute(_PRODUCT_OUTER)
+            for key, g_lts in gamma[l].matrix.items():
+                acc[key] = acc.get(key, zero) - outer * g_lts.substitute(_GAMMA_TOTAL)
+        for (t, s), poly in sorted(acc.items()):
+            if not poly.is_zero:
+                out[(i, j, t, s)] = poly
     return out
 
 
@@ -350,6 +354,18 @@ def search_extension_witness(
     )
 
 
+def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
+    """A degree-2 cochain read as a structure table, its lam1 renamed lam."""
+    return {
+        key: tuple(
+            (k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
+            for k, poly in enumerate(vec)
+            if not poly.is_zero
+        )
+        for key, vec in phi.values.items()
+    }
+
+
 @dataclass(frozen=True)
 class AbelianExtensionDatum:
     """Square-zero extension data: a bimodule and a degree-2 cochain."""
@@ -388,17 +404,12 @@ def build_abelian_extension(
     names = tuple(f"a:{g}" for g in algebra.generators) + tuple(
         f"m:{g}" for g in module.generators
     )
+    twists = _cochain_table(phi)
     structure: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
     for i in range(na):
         for j in range(na):
             entries: list[tuple[int, Poly]] = list(algebra.products(i, j))
-            twist = phi.values.get((i, j))
-            if twist is not None:
-                for s, poly in enumerate(twist):
-                    if not poly.is_zero:
-                        entries.append(
-                            (na + s, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
-                        )
+            entries.extend((na + s, poly) for s, poly in twists.get((i, j), ()))
             if entries:
                 structure[(i, j)] = entries
         for t in range(module.rank):
@@ -443,68 +454,26 @@ def deformation_residuals(
     """First-order associativity obstruction of the perturbed product.
 
     Key (a, b, c, s): the coefficient of generator s in the degree-one
-    part of (a lam b) (lam+mu) c - a lam (b mu c), a polynomial in
-    (del, lam, mu).  Empty dict means the perturbation is flat to first
-    order.
+    part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
+    a polynomial in (del, lam, mu).  That part is the law with F in one of
+    the two products, so both orders come from `_law_sides`.  Empty dict
+    means the perturbation is flat to first order.
     """
-    lam = Poly.var(ASSOC_VARS, "lam")
-    mu = Poly.var(ASSOC_VARS, "mu")
-    dl = Poly.var(ASSOC_VARS, "del")
     algebra = datum.algebra
-    n = algebra.rank
+    n, products = algebra.rank, algebra.products
+    table = _cochain_table(datum.cocycle)
 
-    def f_entry(i: int, j: int, k: int) -> Poly:
-        vec = datum.cocycle.values.get((i, j))
-        if vec is None:
-            return Poly.zero(("del", "lam1"))
-        return vec[k]
+    def twist(i: int, j: int) -> tuple[tuple[int, Poly], ...]:
+        return table.get((i, j), ())
 
     out: dict[tuple[int, int, int, int], Poly] = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                acc = [Poly.zero(ASSOC_VARS) for _ in range(n)]
-                # (P twist of a,b) applied to c plus (F twist) fed through P
-                for l, p_abl in algebra.products(a, b):
-                    outer = p_abl.substitute({"lam": lam, "del": -(lam + mu)})
-                    for s in range(n):
-                        f_lcs = f_entry(l, c, s)
-                        if f_lcs.is_zero:
-                            continue
-                        acc[s] = acc[s] + outer * f_lcs.substitute(
-                            {"lam1": lam + mu, "del": dl}
-                        )
-                for k in range(n):
-                    f_abk = f_entry(a, b, k)
-                    if f_abk.is_zero:
-                        continue
-                    outer = f_abk.substitute({"lam1": lam, "del": -(lam + mu)})
-                    for s, p_kcs in algebra.products(k, c):
-                        acc[s] = acc[s] + outer * p_kcs.substitute(
-                            {"lam": lam + mu, "del": dl}
-                        )
-                # minus the right-association route
-                for l, p_bcl in algebra.products(b, c):
-                    inner = p_bcl.substitute({"lam": mu, "del": lam + dl})
-                    for s in range(n):
-                        f_als = f_entry(a, l, s)
-                        if f_als.is_zero:
-                            continue
-                        acc[s] = acc[s] - inner * f_als.substitute(
-                            {"lam1": lam, "del": dl}
-                        )
-                for k in range(n):
-                    f_bck = f_entry(b, c, k)
-                    if f_bck.is_zero:
-                        continue
-                    inner = f_bck.substitute({"lam1": mu, "del": lam + dl})
-                    for s, p_aks in algebra.products(a, k):
-                        acc[s] = acc[s] - inner * p_aks.substitute(
-                            {"lam": lam, "del": dl}
-                        )
-                for s, poly in enumerate(acc):
-                    if not poly.is_zero:
-                        out[(a, b, c, s)] = poly
+    for a, b, c in itertools.product(range(n), repeat=3):
+        pf_left, pf_right = _law_sides(products, twist, products, twist, a, b, c, n)
+        fp_left, fp_right = _law_sides(twist, products, twist, products, a, b, c, n)
+        for s in range(n):
+            left_nested, right_nested = pf_left[s] + fp_left[s], pf_right[s] + fp_right[s]
+            if left_nested != right_nested:
+                out[(a, b, c, s)] = left_nested - right_nested
     return out
 
 

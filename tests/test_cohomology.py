@@ -20,7 +20,6 @@ from pseudo.cohomology import (
     cohomology_dimensions,
     derivation_basis,
     differential_matrix,
-    evaluate_cochain,
     inner_derivation,
     inner_derivation_basis,
     _coboundary_slice,
@@ -42,10 +41,6 @@ D2 = cochain_variables(2)
 
 def one_cochain(algebra, module, text: str) -> Cochain:
     return Cochain(1, algebra, module, {(0,): (parse_poly(text, D1),)})
-
-
-def two_cochain(algebra, module, text: str) -> Cochain:
-    return Cochain(2, algebra, module, {(0, 0): (parse_poly(text, D2),)})
 
 
 def test_cochain_variables():
@@ -112,42 +107,6 @@ def test_decompose_overflow(cur1, cur1_regular):
     tall = one_cochain(cur1, cur1_regular, "del^3")
     with pytest.raises(TruncationOverflowError):
         index.decompose(tall)
-
-
-def test_evaluate_degree_one(cur1, cur1_regular):
-    phi = one_cochain(cur1, cur1_regular, "del^2")
-    dl = Poly.var(("del",), "del")
-    out = evaluate_cochain(phi, [[Poly.const(("del",), 1)]])
-    assert out[0] == dl * dl
-    out = evaluate_cochain(phi, [[dl]])
-    assert out[0] == dl * dl * dl
-
-
-def test_evaluate_degree_two_slot_rules(cur1, cur1_regular):
-    psi = two_cochain(cur1, cur1_regular, "del + lam1")
-    one = Poly.const(("del",), 1)
-    dl = Poly.var(("del",), "del")
-    base = evaluate_cochain(psi, [[one], [one]])
-    assert base[0] == parse_poly("del + lam1", D2)
-    first_shifted = evaluate_cochain(psi, [[dl], [one]])
-    assert first_shifted[0] == parse_poly("-lam1 * (del + lam1)", D2)
-    last_shifted = evaluate_cochain(psi, [[one], [dl]])
-    assert last_shifted[0] == parse_poly("(del + lam1) * (del + lam1)", D2)
-
-
-def test_evaluate_multilinear(cur1, cur1_regular):
-    psi = two_cochain(cur1, cur1_regular, "del*lam1")
-    one = Poly.const(("del",), 1)
-    dl = Poly.var(("del",), "del")
-    summed = evaluate_cochain(psi, [[one + dl], [one]])
-    split = evaluate_cochain(psi, [[one], [one]])
-    other = evaluate_cochain(psi, [[dl], [one]])
-    assert summed[0] == split[0] + other[0]
-
-
-def test_evaluate_degree_zero(cur1, cur1_regular):
-    cls = Cochain.from_module_element(cur1, cur1_regular, [Fraction(2)])
-    assert evaluate_cochain(cls, [])[0] == Poly.const(("del",), 2)
 
 
 def test_d0_two_sided_unit_module_is_zero(cur1):

@@ -1,8 +1,12 @@
-from fractions import Fraction
+import hashlib
+from random import Random
 
 import pytest
 from hypothesis import given
 
+import pseudo.cfmodule as cfmodule
+import pseudo.conformal as conformal
+import pseudo.constructions as constructions
 from conftest import polys
 from pseudo.cfmodule import BimoduleStructure, CLinearMap, check_module_axioms
 from pseudo.cohomology import Cochain, apply_dn, cochain_variables
@@ -29,7 +33,8 @@ from pseudo.constructions import (
     search_deformation_witness,
     search_extension_witness,
 )
-from pseudo.polyring import Poly, parse_poly
+from pseudo.formats import parse_algebra, parse_cochain, parse_gamma
+from pseudo.polyring import Poly, parse_poly, poly_to_str
 
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
@@ -245,3 +250,88 @@ def test_search_deformation_witness_none_when_inequivalent(cur1, cur1_regular):
     bent = DeformationDatum(cur1, two_cochain(cur1, cur1_regular, "lam1"))
     flat = DeformationDatum(cur1, Cochain.zero(cur1, cur1_regular, 2))
     assert search_deformation_witness(bent, flat, 3) is None
+
+
+def _refuse(*args):
+    raise AssertionError("one verification route called into the other")
+
+
+@pytest.mark.parametrize("gamma_file", ["gamma_lam.coc", "gamma_const.coc"])
+def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_file):
+    """Each verdict's two routes stay independent: the residual systems and
+    apply_dn never reach _law_sides, and the axiom checker never reaches the
+    Chom actions the extension residuals are built from."""
+    cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text())
+    module = BimoduleStructure.regular(cur1)
+    gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
+    datum = ExtensionDatum(cur1, module, module, gamma)
+    cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), cur1, module)
+    extension, verdict = build_extension(datum)
+    _, flat = deform(DeformationDatum(cur1, cochain))
+    with monkeypatch.context() as patch:
+        for owner in (conformal, cfmodule, constructions):
+            patch.setattr(owner, "_law_sides", _refuse, raising=False)
+        assert (not extension_residuals(datum)) == verdict
+        assert apply_dn(cochain).is_zero() == flat
+    with monkeypatch.context() as patch:
+        for owner in (cfmodule, constructions):
+            patch.setattr(owner, "chom_left_action", _refuse, raising=False)
+            patch.setattr(owner, "chom_right_action", _refuse, raising=False)
+        assert (check_module_axioms(extension) is None) == verdict
+
+
+def _seeded_poly(rng: Random, variables, degree: int = 2) -> Poly:
+    total = Poly.zero(variables)
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(variables))] += 1
+        total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
+    return total
+
+
+def _rendered(residuals) -> list:
+    return sorted((key, poly_to_str(poly)) for key, poly in residuals.items())
+
+
+# sha256 of the rendered residuals and verdicts of the seeded batch below
+RESIDUAL_DIGEST = "12eac00a7db8708df4f3da676e0c598ea38a84c8d3b60a92e218ef34d547ee6e"
+
+
+def test_residuals_and_verdicts_are_pinned(cur1, cur1_regular, mat2, mat2_regular):
+    """Residual bytes and verdicts of 40 seeded extension data and 40 seeded
+    2-cochains over cur1 and mat2, half of each flat by construction."""
+    rng = Random(20261018)
+    rendered = []
+    for case in range(40):
+        algebra, module = ((cur1, cur1_regular), (mat2, mat2_regular))[case % 2]
+        gens = module.generators
+        pairs = [(t, s) for t in range(module.rank) for s in range(module.rank)]
+        # every pair for cur1, about 6 of the 16 for mat2
+        density = 1.0 if module.rank == 1 else 0.375
+        sparse = [pair for pair in pairs if rng.random() < density]
+        if case % 4 < 2:
+            b_matrix = {pair: _seeded_poly(rng, DEL) for pair in sparse}
+            gamma = gamma_coboundary(module, module, b_matrix)
+            g = {(i,): tuple(_seeded_poly(rng, D1) for _ in gens) for i, _ in sparse}
+            cochain = apply_dn(Cochain(1, algebra, module, g))
+        else:
+            gamma = {
+                i: CLinearMap(gens, gens, {pair: _seeded_poly(rng, PRODUCT_VARS)})
+                for i, pair in zip(range(algebra.rank), sparse)
+            }
+            values = {}
+            for pair in sparse:
+                values[pair] = tuple(
+                    _seeded_poly(rng, D2) if rng.random() < 0.5 else Poly.zero(D2)
+                    for _ in gens
+                )
+            cochain = Cochain(2, algebra, module, values)
+        datum = ExtensionDatum(algebra, module, module, gamma)
+        _, verdict = build_extension(datum)
+        rendered.append(("extension", case, verdict, _rendered(extension_residuals(datum))))
+        residuals, verdict = deform(DeformationDatum(algebra, cochain))
+        rendered.append(("deformation", case, verdict, _rendered(residuals)))
+    verdicts = [entry[2] for entry in rendered]
+    assert 20 <= sum(verdicts) < len(verdicts)
+    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == RESIDUAL_DIGEST
