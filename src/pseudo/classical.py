@@ -23,7 +23,7 @@ from itertools import product as iter_product
 from typing import Optional, Sequence
 
 from .conformal import PRODUCT_VARS, ConformalAlgebra
-from .exactla import QMatrix, kernel_basis, rank
+from .exactla import QMatrix, SubspaceBasis, kernel_basis, rank
 from .polyring import Poly
 
 Tensor3 = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -426,8 +426,6 @@ def inner_derivation_space_dimension(algebra: FDAlgebra) -> int:
             for q in range(n):
                 vec[p * n + q] = c[a][p][q] - c[p][a][q]
         vectors.append(vec)
-    from .exactla import SubspaceBasis
-
     return SubspaceBasis.from_vectors(n * n, vectors).dim
 
 

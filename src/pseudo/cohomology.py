@@ -34,9 +34,9 @@ from .cfmodule import BimoduleStructure
 from .conformal import ConformalAlgebra
 from .exactla import (
     ContainmentError,
+    Echelon,
     QMatrix,
     SubspaceBasis,
-    _rref_rows,
     kernel_basis,
     quotient_dimension,
 )
@@ -558,30 +558,33 @@ class CohomologyReport:
     rounds: int
 
 
-def _slice_span(columns: Sequence[Mapping], slice_labels: Sequence) -> SubspaceBasis:
-    """Span of sparse columns intersected with a coordinate slice.
+class _SliceSpan:
+    """The span of the images inserted so far, intersected with a slice.
 
-    Every label outside the slice gets a column index before every slice
-    label, so after one RREF of the columns (taken as rows) the rows whose
-    pivot lies in the slice are zero outside it and span the intersection.
-    The basis is returned in slice coordinates, in canonical RREF.
+    Slice label j is column j; every other label gets a negative column
+    (-1, -2, ...) as it first appears.  An echelon row's lead is its
+    smallest column, so a row whose lead is >= 0 lies wholly in the slice,
+    and those rows are the RREF basis of the intersection, already in
+    slice coordinates.  Images inserted later extend the same echelon.
     """
-    inside = set(slice_labels)
-    position: dict = {}
-    for column in columns:
-        for label in column:
-            if label not in inside and label not in position:
-                position[label] = len(position)
-    offset = len(position)
-    position.update((label, offset + i) for i, label in enumerate(slice_labels))
-    rows = [{position[label]: v for label, v in column.items()} for column in columns]
-    rows, pivots = _rref_rows(rows, len(position))
-    inside_rows = [
-        {j - offset: v for j, v in row.items()}
-        for row, pivot in zip(rows, pivots)
-        if pivot >= offset
-    ]
-    return SubspaceBasis._from_rows(len(slice_labels), inside_rows)
+
+    def __init__(self, slice_labels: Sequence):
+        self.size = len(slice_labels)
+        self.position = {label: j for j, label in enumerate(slice_labels)}
+        self.echelon = Echelon()
+
+    def insert(self, image: Mapping) -> None:
+        position = self.position
+        row = {}
+        for label, coeff in image.items():
+            if label not in position:
+                position[label] = self.size - len(position) - 1
+            row[position[label]] = coeff
+        self.echelon.insert(row)
+
+    def basis(self) -> SubspaceBasis:
+        inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}
+        return SubspaceBasis(self.size, Echelon(inside))
 
 
 def _coboundary_slice(
@@ -595,8 +598,8 @@ def _coboundary_slice(
 
     Round k takes sources of degree <= D + k*K.  Each source basis cochain
     is differentiated once, in the round that first admits it, and must
-    land within that round's target window; every round re-runs one
-    ordered elimination over all images so far.  Returns (coboundaries,
+    land within that round's target window; its image is inserted into
+    one ``_SliceSpan`` kept across all rounds.  Returns (coboundaries,
     stabilized, rounds); degree 0 has no coboundaries and no rounds.
     """
     d = window.degree_bound
@@ -605,7 +608,7 @@ def _coboundary_slice(
     if degree == 0:
         return SubspaceBasis.zero(len(slice_labels)), True, 0
     stencil = _Stencil(algebra, module, degree - 1) if degree > 1 else None
-    images: list[dict] = []
+    span = _SliceSpan(slice_labels)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
     for k in range(max_rounds + 1):
@@ -613,11 +616,9 @@ def _coboundary_slice(
         source = CochainIndex(algebra, module, degree - 1, source_bound)
         for col, (_, _, mono) in enumerate(source.labels):
             if sum(mono) > covered:
-                image = _image_column(stencil, source, col, source_bound + bound)
-                if image:
-                    images.append(image)
+                span.insert(_image_column(stencil, source, col, source_bound + bound))
         covered = source_bound
-        coboundaries = _slice_span(images, slice_labels)
+        coboundaries = span.basis()
         if previous is not None and coboundaries.dim == previous:
             return coboundaries, True, k + 1
         previous = coboundaries.dim

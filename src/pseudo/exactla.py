@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices keep sparse rows (dict column -> Fraction); subspace bases are
-kept in reduced row echelon form so that equality of subspaces is plain
-structural equality of their bases.  Everything is exact: no pivots are
-ever chosen for numerical reasons, only for determinism (lowest row with a
-nonzero entry in the leftmost unfinished column).
+Matrices keep sparse rows (dict column -> Fraction).  Every elimination
+goes through one sparse echelon (``Echelon``): a dict from pivot column to
+a row that is 1 at its pivot, its smallest column, and 0 at every other
+pivot column.  Such rows are the reduced row echelon basis of their span,
+which is unique, so the order rows are inserted in never shows in a
+result and equality of subspaces is plain equality of their echelons.
+Everything is exact: no pivot is ever chosen for numerical reasons.
 """
 
 from __future__ import annotations
@@ -70,147 +72,140 @@ class QMatrix:
         )
 
 
-def _rref_rows(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    target = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(target, len(rows)):
-            if rows[i].get(col):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[target], rows[pivot_row] = rows[pivot_row], rows[target]
-        piv = rows[target][col]
+class Echelon(dict):
+    """Pivot column -> sparse row, kept fully reduced (see module docstring).
+
+    Columns are any integers; callers that want some columns eliminated
+    before others number those lower.
+    """
+
+    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Subtract from ``row``, in place, its part along the pivot rows.
+
+        One pass over the pivot columns ``row`` holds suffices: a pivot row
+        is 0 at every other pivot column, so no subtraction changes another
+        pivot entry of ``row``.  The result is 0 iff ``row`` lay in the span.
+        """
+        for col in [c for c in row if c in self]:
+            _subtract(row, row[col], self[col])
+        return row
+
+    def insert(self, row: dict[int, Fraction]) -> None:
+        """Add ``row`` (consumed) to the span.
+
+        The reduced row, unless 0, is scaled to 1 at its smallest column,
+        which then is cleared from every other row.
+        """
+        row = self._reduce(row)
+        if not row:
+            return
+        lead = min(row)
+        piv = row[lead]
         if piv != 1:
-            rows[target] = {j: v / piv for j, v in rows[target].items()}
-        prow = rows[target]
-        for i in range(len(rows)):
-            if i == target:
-                continue
-            factor = rows[i].get(col)
-            if factor:
-                ri = rows[i]
-                for j, v in prow.items():
-                    acc = ri.get(j, _ZERO) - factor * v
-                    if acc:
-                        ri[j] = acc
-                    else:
-                        ri.pop(j, None)
-        pivots.append(col)
-        target += 1
-        if target == len(rows):
-            break
-    return rows, pivots
+            row = {j: v / piv for j, v in row.items()}
+        for other in self.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        self[lead] = row
+
+
+def _subtract(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+    """target -= factor * row, in place, keeping only nonzero entries."""
+    for j, v in row.items():
+        acc = target.get(j, _ZERO) - factor * v
+        if acc:
+            target[j] = acc
+        else:
+            del target[j]
+
+
+def _span(rows: Iterable[dict[int, Fraction]]) -> Echelon:
+    """The echelon of copies of ``rows``."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert(dict(row))
+    return echelon
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form and the pivot column list."""
-    rows = [dict(r) for r in m.rows]
-    rows, pivots = _rref_rows(rows, m.ncols)
+    echelon = _span(m.rows)
+    pivots = sorted(echelon)
+    rows = [echelon[p] for p in pivots] + [{} for _ in range(m.nrows - len(pivots))]
     return QMatrix(m.nrows, m.ncols, rows), pivots
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_span(m.rows))
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Subspace of Q^n held as RREF basis rows (tuples of Fractions)."""
+    """Subspace of Q^n held as the echelon of its RREF basis rows."""
 
     ambient_dimension: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    rows: Echelon
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis rows as dense tuples, in pivot order."""
+        return tuple(
+            tuple(self.rows[p].get(j, _ZERO) for j in range(self.ambient_dimension))
+            for p in sorted(self.rows)
+        )
 
     @classmethod
     def from_vectors(cls, ambient_dimension: int, vectors: Iterable[Sequence]) -> "SubspaceBasis":
-        rows = []
-        for vec in vectors:
-            vec = list(vec)
-            if len(vec) != ambient_dimension:
-                raise ValueError("vector length does not match ambient dimension")
-            rows.append({j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)})
-        return cls._from_rows(ambient_dimension, rows)
-
-    @classmethod
-    def _from_rows(
-        cls, ambient_dimension: int, rows: list[dict[int, Fraction]]
-    ) -> "SubspaceBasis":
-        """Span of sparse rows (column -> nonzero Fraction, columns below
-        ambient_dimension); the rows are reduced in place."""
-        rows, pivots = _rref_rows(rows, ambient_dimension)
-        basis = tuple(
-            tuple(rows[i].get(j, _ZERO) for j in range(ambient_dimension))
-            for i in range(len(pivots))
-        )
-        return cls(ambient_dimension, basis)
+        return cls(ambient_dimension, _span(_sparse(ambient_dimension, vec) for vec in vectors))
 
     @classmethod
     def zero(cls, ambient_dimension: int) -> "SubspaceBasis":
-        return cls(ambient_dimension, ())
+        return cls(ambient_dimension, Echelon())
 
     def contains(self, vec: Sequence) -> bool:
-        return self._membership()(vec)
+        return not self.rows._reduce(_sparse(self.ambient_dimension, vec))
 
-    def _membership(self):
-        """A membership test for this subspace; each basis vector's nonzero
-        entries, lead first, are found once here rather than per call."""
-        rows = [[(j, v) for j, v in enumerate(vec) if v] for vec in self.vectors]
-        rows = [row for row in rows if row]
 
-        def contains(vec: Sequence) -> bool:
-            residue = [Fraction(v) for v in vec]
-            if len(residue) != self.ambient_dimension:
-                raise ValueError("vector length does not match ambient dimension")
-            for row in rows:
-                factor = residue[row[0][0]]
-                if factor:
-                    for j, v in row:
-                        residue[j] -= factor * v
-            return not any(residue)
-
-        return contains
+def _sparse(ambient_dimension: int, vec: Sequence) -> dict[int, Fraction]:
+    vec = list(vec)
+    if len(vec) != ambient_dimension:
+        raise ValueError("vector length does not match ambient dimension")
+    return {j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)}
 
 
 def kernel_basis(m: QMatrix) -> SubspaceBasis:
-    """Null space of m, as an RREF basis of Q^ncols."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    vectors = []
-    for free in free_cols:
-        vec = {free: Fraction(1)}
-        for row_idx, pc in enumerate(pivots):
-            entry = reduced.rows[row_idx].get(free)
-            if entry:
-                vec[pc] = -entry
-        vectors.append(vec)
-    return SubspaceBasis._from_rows(m.ncols, vectors)
+    """Null space of m, as an RREF basis of Q^ncols.
+
+    Each free column f gives the vector e_f minus the f-entries of the
+    pivot rows placed at their pivots.
+    """
+    echelon = _span(m.rows)
+    kernel = {f: {f: Fraction(1)} for f in range(m.ncols) if f not in echelon}
+    for pivot, row in echelon.items():
+        for j, v in row.items():
+            if j != pivot:
+                kernel[j][pivot] = -v
+    return SubspaceBasis(m.ncols, _span(kernel.values()))
 
 
 def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of m @ x = rhs, or None if inconsistent."""
+    """One exact solution of m @ x = rhs, or None if inconsistent.
+
+    The right-hand side rides as column ncols; free unknowns are 0.
+    """
     rhs = [Fraction(v) for v in rhs]
     if len(rhs) != m.nrows:
         raise ValueError("right-hand side length does not match row count")
-    rows = []
-    for i, row in enumerate(m.rows):
-        r = dict(row)
-        if rhs[i]:
-            r[m.ncols] = rhs[i]
-        rows.append(r)
-    rows, pivots = _rref_rows(rows, m.ncols + 1)
-    if m.ncols in pivots:
+    echelon = _span({**row, m.ncols: b} if b else row for row, b in zip(m.rows, rhs))
+    if m.ncols in echelon:
         return None
     solution = [_ZERO] * m.ncols
-    for row_idx, pc in enumerate(pivots):
-        solution[pc] = rows[row_idx].get(m.ncols, _ZERO)
+    for pivot, row in echelon.items():
+        solution[pivot] = row.get(m.ncols, _ZERO)
     return solution
 
 
@@ -218,8 +213,7 @@ def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:
     """dim(big) - dim(small), after verifying small really sits inside big."""
     if big.ambient_dimension != small.ambient_dimension:
         raise ValueError("ambient dimensions differ")
-    contains = big._membership()
-    for vec in small.vectors:
-        if not contains(vec):
+    for row in small.rows.values():
+        if big.rows._reduce(dict(row)):
             raise ContainmentError("claimed subspace is not contained in the larger one")
     return big.dim - small.dim

@@ -1,3 +1,4 @@
+import os
 import pathlib
 from fractions import Fraction
 
@@ -18,6 +19,16 @@ settings.register_profile(
 settings.load_profile("exact")
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, so a
+    child interpreter imports the package under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(INPUTS.parent / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ fixed seed so reruns are identical.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ from random import Random
 
 import jsonschema
 
-from conftest import INPUTS
+from conftest import INPUTS, src_env
 from pseudo.cfmodule import BimoduleStructure, CLinearMap
 from pseudo.classical import (
     center_dimension,
@@ -278,7 +277,7 @@ def test_criterion_9_cli_determinism_and_schema():
         sys.executable, "-m", "pseudo",
         "cohomology", str(INPUTS / "cur1.alg"), "--n", "1", "--deg", "2", "--json",
     ]
-    env = dict(os.environ)
+    env = src_env()
     first = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
     second = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
     assert first.returncode == 0 and second.returncode == 0

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -11,11 +10,11 @@ from pseudo.cli import REPORT_SCHEMA
 from pseudo.exactla import ContainmentError
 from pseudo.polyring import VariableMismatchError
 
-from conftest import INPUTS
+from conftest import INPUTS, src_env
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    env = src_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -241,6 +240,7 @@ def test_pinned_report_bytes(entry):
     result = subprocess.run(
         [sys.executable, "-m", "pseudo", *entry["argv"]],
         capture_output=True,
+        env=src_env(),
         cwd=str(INPUTS.parent),
         timeout=120,
     )

@@ -23,7 +23,7 @@ from pseudo.cohomology import (
     inner_derivation,
     inner_derivation_basis,
     _coboundary_slice,
-    _slice_span,
+    _SliceSpan,
 )
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra
 from pseudo.exactla import QMatrix, SubspaceBasis, rank, solve
@@ -338,6 +338,19 @@ def test_u2_h3_needs_three_widening_rounds(u2, u2_regular):
     assert rep.stabilized and rep.rounds == 3
 
 
+def test_plateau_h3_with_margin_three(inputs_dir):
+    # "stabilized" means two rounds agreed, not a proof: with margin 1 the
+    # widening stops on a plateau below the answer pinned here
+    plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(plateau)
+    rep = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 3))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (3, 3, 0)
+    assert rep.stabilized and rep.rounds == 3
+    short = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
+    assert short.dim_cocycles == 3
+    assert short.dim_coboundaries <= rep.dim_coboundaries
+
+
 def test_u2_h2_is_nonzero(u2, u2_regular):
     rep = cohomology_dimensions(u2, u2_regular, 2, TruncationWindow(4, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (19, 12, 7)
@@ -445,12 +458,19 @@ def test_slice_span_matches_rank_identity(data):
     columns = [
         {r: m.entry(r, c) for r in range(nrows) if m.entry(r, c)} for c in range(ncols)
     ]
-    span = _slice_span(columns, inside)
-    outside = [m.rows[r] for r in range(nrows) if r not in inside]
-    assert span.dim == rank(m) - rank(QMatrix(len(outside), ncols, outside))
-    assert span == SubspaceBasis.from_vectors(len(inside), span.vectors)
-    for vec in span.vectors:
-        lifted = [Fraction(0)] * nrows
-        for j, r in enumerate(inside):
-            lifted[r] = vec[j]
-        assert solve(m, lifted) is not None
+    # the columns arrive in two rounds, as widening rounds feed one span
+    split = data.draw(st.integers(0, ncols))
+    span = _SliceSpan(inside)
+    for start, stop in ((0, split), (split, ncols)):
+        for column in columns[start:stop]:
+            span.insert(column)
+        basis = span.basis()
+        part = QMatrix(nrows, stop, [{c: v for c, v in row.items() if c < stop} for row in m.rows])
+        outside = [part.rows[r] for r in range(nrows) if r not in inside]
+        assert basis.dim == rank(part) - rank(QMatrix(len(outside), stop, outside))
+        assert basis == SubspaceBasis.from_vectors(len(inside), basis.vectors)
+        for vec in basis.vectors:
+            lifted = [Fraction(0)] * nrows
+            for j, r in enumerate(inside):
+                lifted[r] = vec[j]
+            assert solve(part, lifted) is not None

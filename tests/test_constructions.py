@@ -72,6 +72,18 @@ def test_extension_datum_validation(cur1, mat2, cur1_regular, mat2_regular):
         ExtensionDatum(cur1, cur1_regular, cur1_regular, bad_shape)
 
 
+def test_extension_datum_checks_one_module_once(cur1, cur1_regular, monkeypatch):
+    calls = []
+    original = constructions.check_module_axioms
+    monkeypatch.setattr(
+        constructions,
+        "check_module_axioms",
+        lambda module: calls.append(module) or original(module),
+    )
+    datum_of(cur1, cur1_regular, "lam")
+    assert len(calls) == 1
+
+
 def test_extension_residuals_oracles(cur1, cur1_regular):
     const = datum_of(cur1, cur1_regular, "1")
     residuals = extension_residuals(const)

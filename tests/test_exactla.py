@@ -135,3 +135,68 @@ def test_quotient_dimension_containment_matches_rank(data):
     else:
         with pytest.raises(ContainmentError):
             quotient_dimension(big, small)
+
+
+def gauss_jordan(rows, ncols):
+    """Textbook dense reduced row echelon form, pivot search column by
+    column; returns (nonzero rows, pivot columns)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals())
+
+
+@given(st.data())
+def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
+    nrows = data.draw(st.integers(min_value=1, max_value=5))
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    vector = st.lists(sparse_rationals, min_size=ncols, max_size=ncols)
+    entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    shuffled = QMatrix.from_dense([entries[i] for i in order])
+    basis, pivots = gauss_jordan(entries, ncols)
+
+    reduced, got_pivots = rref(shuffled)
+    assert got_pivots == pivots
+    dense_reduced = [[reduced.entry(i, j) for j in range(ncols)] for i in range(nrows)]
+    assert dense_reduced == basis + [[0] * ncols] * (nrows - len(pivots))
+    assert rank(shuffled) == len(pivots)
+    spanned = SubspaceBasis.from_vectors(ncols, [entries[i] for i in order])
+    assert [list(vec) for vec in spanned.vectors] == basis
+
+    kernel = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(basis, pivots):
+            vec[pc] = -row[free]
+        kernel.append(vec)
+    assert [list(vec) for vec in kernel_basis(shuffled).vectors] == gauss_jordan(kernel, ncols)[0]
+
+    if data.draw(st.booleans()):
+        rhs = QMatrix.from_dense(entries).matvec(data.draw(vector))
+    else:
+        rhs = data.draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
+    augmented, aug_pivots = gauss_jordan([row + [b] for row, b in zip(entries, rhs)], ncols + 1)
+    solution = solve(shuffled, [rhs[i] for i in order])
+    if ncols in aug_pivots:
+        assert solution is None
+    else:
+        expected = [Fraction(0)] * ncols
+        for row, pc in zip(augmented, aug_pivots):
+            expected[pc] = row[ncols]
+        assert solution == expected

@@ -1,10 +1,9 @@
 """Smoke test of scripts/cohomology_survey.py, run as a user runs it."""
 
-import os
 import subprocess
 import sys
 
-from conftest import INPUTS
+from conftest import INPUTS, src_env
 
 ROOT = INPUTS.parent
 
@@ -23,15 +22,11 @@ SURVEY_ROWS = [
 
 
 def test_survey_rows():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cohomology_survey.py"), "--max-n", "2", "--deg", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         cwd=str(ROOT),
         timeout=120,
     )
