@@ -22,8 +22,6 @@ from .cohomology import (
     ComplexInconsistencyError,
     TruncationOverflowError,
     TruncationWindow,
-    apply_differential,
-    cochain_basis,
     cohomology_dimensions,
     derivation_basis,
     differential_matrix,
@@ -55,7 +53,7 @@ from .constructions import (
     search_deformation_witness,
     search_extension_witness,
 )
-from .polyring import Poly, PolyParseError, Rational, parse_poly, poly_to_str
+from .polyring import Poly, PolyParseError, parse_poly, poly_to_str
 
 __all__ = [
     "__version__",
@@ -74,15 +72,12 @@ __all__ = [
     "ModuleAxiomCounterexample",
     "Poly",
     "PolyParseError",
-    "Rational",
     "TruncationOverflowError",
     "TruncationWindow",
-    "apply_differential",
     "build_abelian_extension",
     "build_extension",
     "check_associativity",
     "check_module_axioms",
-    "cochain_basis",
     "cohomology_dimensions",
     "deform",
     "deformation_residuals",

@@ -104,12 +104,6 @@ class BimoduleStructure:
         tables = [t for t in (self.left, self.right) if t is not None]
         return max([self.algebra.structure_degree(), *map(_table_degree, tables)])
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise ValueError(f"unknown module generator {name!r}") from None
-
     @classmethod
     def regular(cls, algebra: ConformalAlgebra) -> "BimoduleStructure":
         """The algebra acting on itself on both sides."""
@@ -214,13 +208,6 @@ class CLinearMap:
     def scaled(self, factor) -> "CLinearMap":
         return CLinearMap(
             self.source, self.target, {k: p * factor for k, p in self.matrix.items()}
-        )
-
-    def del_action(self) -> "CLinearMap":
-        """del . f, characterized by (del f)_lam(u) = -lam f_lam(u)."""
-        neg_lam = -Poly.var(PRODUCT_VARS, "lam")
-        return CLinearMap(
-            self.source, self.target, {k: neg_lam * p for k, p in self.matrix.items()}
         )
 
 

@@ -133,59 +133,6 @@ def matrix_algebra(size: int) -> FDAlgebra:
     return FDAlgebra(names, _freeze3(constants), tuple(unit))
 
 
-def dual_numbers() -> FDAlgebra:
-    """Two-dimensional algebra on 1 and x with x * x = 0."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    constants = (
-        (((one, zero), (zero, one))),
-        (((zero, one), (zero, zero))),
-    )
-    return FDAlgebra(("one", "x"), _freeze3(constants), (one, zero))
-
-
-def ground_field() -> FDAlgebra:
-    return FDAlgebra(("one",), (((Fraction(1),),),), (Fraction(1),))
-
-
-def split_pair() -> FDAlgebra:
-    """Product of two copies of the ground field (two idempotents)."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    constants = (
-        (((one, zero), (zero, zero))),
-        (((zero, zero), (zero, one))),
-    )
-    return FDAlgebra(("p", "q"), _freeze3(constants), (one, one))
-
-
-def zero_algebra(dimension: int) -> FDAlgebra:
-    """All products vanish; no unit."""
-    z = Fraction(0)
-    constants = tuple(
-        tuple(tuple(z for _ in range(dimension)) for _ in range(dimension))
-        for _ in range(dimension)
-    )
-    return FDAlgebra(tuple(f"z{i}" for i in range(dimension)), constants, None)
-
-
-def upper_triangular_pair() -> FDAlgebra:
-    """Upper triangular 2x2 matrices: basis e11, e12, e22."""
-    names = ("e11", "e12", "e22")
-    z = Fraction(0)
-    o = Fraction(1)
-    tbl = {
-        ("e11", "e11"): "e11",
-        ("e11", "e12"): "e12",
-        ("e12", "e22"): "e12",
-        ("e22", "e22"): "e22",
-    }
-    constants = [[[z] * 3 for _ in range(3)] for _ in range(3)]
-    for (a, b), c in tbl.items():
-        constants[names.index(a)][names.index(b)][names.index(c)] = o
-    return FDAlgebra(names, _freeze3(constants), (o, z, o))
-
-
 # -- bimodules ---------------------------------------------------------
 
 
@@ -253,45 +200,6 @@ def regular_bimodule(algebra: FDAlgebra) -> FDBimodule:
         tuple(tuple(c[t][i][s] for s in range(n)) for i in range(n)) for t in range(n)
     )
     return FDBimodule(algebra, algebra.basis_names, left, right)
-
-
-def check_bimodule_axioms(module: FDBimodule) -> bool:
-    """(ab)m = a(bm), m(ab) = (ma)b, (am)b = a(mb) on basis triples."""
-    algebra = module.algebra
-    na = algebra.dimension
-    nm = module.dimension
-
-    def basis(t):
-        return tuple(Fraction(1) if s == t else Fraction(0) for s in range(nm))
-
-    for i in range(na):
-        for j in range(na):
-            prod = algebra.multiply(
-                algebra._basis_vector(i), algebra._basis_vector(j)
-            )
-            for t in range(nm):
-                u = basis(t)
-                via_prod = [Fraction(0)] * nm
-                for l, cl in enumerate(prod):
-                    if cl:
-                        for s, x in enumerate(module.act_left(l, u)):
-                            via_prod[s] += cl * x
-                if tuple(via_prod) != module.act_left(i, module.act_left(j, u)):
-                    return False
-                via_prod = [Fraction(0)] * nm
-                for l, cl in enumerate(prod):
-                    if cl:
-                        for s, x in enumerate(module.act_right(u, l)):
-                            via_prod[s] += cl * x
-                if tuple(via_prod) != module.act_right(
-                    module.act_right(u, i), j
-                ):
-                    return False
-                if module.act_right(module.act_left(i, u), j) != module.act_left(
-                    i, module.act_right(u, j)
-                ):
-                    return False
-    return True
 
 
 # -- bar complex -------------------------------------------------------

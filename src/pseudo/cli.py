@@ -49,6 +49,7 @@ from .constructions import (
     deform,
     extension_residuals,
 )
+from .exactla import quotient_dimension
 from .formats import (
     DefinitionError,
     parse_algebra,
@@ -360,12 +361,12 @@ def _cmd_check(args) -> int:
 def _cmd_cohomology(args) -> int:
     if args.n < 0 or args.deg < 0 or args.margin < 1:
         raise _UsageError("need --n >= 0, --deg >= 0, --margin >= 1")
+    max_rounds = _max_rounds()
     algebra, module, inputs, aborted = _complex_inputs(args, "cohomology", args.n)
     if aborted is not None:
         return aborted
     window = TruncationWindow(args.deg, args.margin)
-    rep = cohomology_dimensions(algebra, module, args.n, window,
-                                max_rounds=_max_rounds())
+    rep = cohomology_dimensions(algebra, module, args.n, window, max_rounds=max_rounds)
     report = _report(
         "cohomology",
         inputs,
@@ -395,6 +396,9 @@ def _cmd_derivations(args) -> int:
         return aborted
     der = derivation_basis(algebra, module, args.deg)
     inner = inner_derivation_basis(algebra, module, args.deg)
+    # d after d = 0 puts every inner derivation among the derivations; a
+    # ContainmentError here is a bug and exits 3
+    quotient_dimension(der, inner)
     index = CochainIndex(algebra, module, 1, args.deg)
     der_lines = [_render_cochain(index.reconstruct(vec)) for vec in der.vectors]
     inner_lines = [_render_cochain(index.reconstruct(vec)) for vec in inner.vectors]
@@ -486,6 +490,8 @@ def _cmd_extend(args) -> int:
 def _cmd_classical(args) -> int:
     if args.n < 0:
         raise _UsageError("need --n >= 0")
+    if args.n > 3:
+        raise _UsageError("only degrees 0..3 are supported")
     text, info = _read_input(args.algebra)
     algebra = parse_fd_algebra(text)
     inputs = {"algebra": info}
@@ -494,8 +500,6 @@ def _cmd_classical(args) -> int:
                          {"precheck": "structure constants not associative"}, [])
         _emit(report, args.json)
         return EXIT_COUNTEREXAMPLE
-    if args.n > 3:
-        raise _UsageError("only degrees 0..3 are supported")
     module = regular_bimodule(algebra)
     dim = hochschild_dimension(algebra, module, args.n)
     results = {

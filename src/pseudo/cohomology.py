@@ -175,15 +175,6 @@ class Cochain:
         )
 
 
-def cochain_basis(
-    algebra: ConformalAlgebra, module: BimoduleStructure, degree: int, max_degree: int
-) -> list[Cochain]:
-    """Deterministic slice basis: tuple-lex, then module generator, then
-    graded-lex monomial of total degree <= max_degree."""
-    index = CochainIndex(algebra, module, degree, max_degree)
-    return [index.basis_cochain(i) for i in range(index.dimension)]
-
-
 class CochainIndex:
     """Coordinates on the degree-<=D slice of the n-cochain space.
 
@@ -228,12 +219,6 @@ class CochainIndex:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def basis_cochain(self, index: int) -> Cochain:
-        tup, k, mono = self.labels[index]
-        vec = [Poly.zero(self.variables) for _ in range(self.module.rank)]
-        vec[k] = Poly.monomial(self.variables, mono, 1)
-        return Cochain(self.degree, self.algebra, self.module, {tup: tuple(vec)})
-
     def decompose(self, cochain: Cochain) -> list[Fraction]:
         """Coordinates of a cochain in this basis; overflow if it escapes."""
         if (
@@ -243,8 +228,14 @@ class CochainIndex:
         ):
             raise ValueError("cochain does not match this index")
         out = [Fraction(0)] * self.dimension
-        for label, coeff in _labelled_terms(cochain, self.max_degree).items():
-            out[self.position[label]] = coeff
+        for tup, vec in cochain.values.items():
+            for k, poly in enumerate(vec):
+                for mono, coeff in poly.terms.items():
+                    if sum(mono) > self.max_degree:
+                        raise TruncationOverflowError(
+                            f"monomial {mono} on tuple {tup} exceeds degree {self.max_degree}"
+                        )
+                    out[self.position[(tup, k, mono)]] = coeff
         return out
 
     def reconstruct(self, coords: Sequence) -> Cochain:
@@ -264,21 +255,6 @@ class CochainIndex:
             self.module,
             {tup: tuple(vec) for tup, vec in values.items()},
         )
-
-
-def _labelled_terms(cochain: Cochain, max_degree: int) -> dict:
-    """Sparse coordinates keyed by CochainIndex label (tuple, module
-    generator, monomial); overflow if a monomial exceeds max_degree."""
-    out = {}
-    for tup, vec in cochain.values.items():
-        for k, poly in enumerate(vec):
-            for mono, coeff in poly.terms.items():
-                if sum(mono) > max_degree:
-                    raise TruncationOverflowError(
-                        f"monomial {mono} on tuple {tup} exceeds degree {max_degree}"
-                    )
-                out[(tup, k, mono)] = coeff
-    return out
 
 
 def apply_d0(cochain: Cochain) -> Cochain:
@@ -402,10 +378,6 @@ def apply_dn(cochain: Cochain) -> Cochain:
     return Cochain(n + 1, algebra, module, values)
 
 
-def apply_differential(cochain: Cochain) -> Cochain:
-    return apply_d0(cochain) if cochain.degree == 0 else apply_dn(cochain)
-
-
 def differential_matrix(
     algebra: ConformalAlgebra,
     module: BimoduleStructure,
@@ -422,16 +394,16 @@ def differential_matrix(
         )
     source = CochainIndex(algebra, module, degree, max_degree_in)
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
-    stencil = _Stencil(algebra, module, degree) if degree else None
+    stencil = _Stencil(algebra, module, degree)
     rows: list[dict[int, Fraction]] = [dict() for _ in range(target.dimension)]
-    for col in range(source.dimension):
-        for label, coeff in _image_column(stencil, source, col, max_degree_out).items():
-            rows[target.position[label]][col] = coeff
+    for col, label in enumerate(source.labels):
+        for image, coeff in stencil.column(label, max_degree_out).items():
+            rows[target.position[image]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
 
 
 class _Stencil:
-    """d_n (n >= 1) on one-term cochains, compiled for one matrix build.
+    """d_n on one-term cochains, compiled for one matrix build.
 
     A source basis cochain x^m on (tuple t, module generator k) reaches
     only n + 2 kinds of target tuple: the head (g,) + t, the middle slot i
@@ -440,7 +412,9 @@ class _Stencil:
     generators in its place; its image depends on t only through the cut.
     The structure tables are substituted once here, and each image of a
     (slot, cut, k, m) is formed once and remembered for the call.
-    ``apply_dn`` stays the reference route this must agree with.
+    For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
+    and the source monomial is the constant 1 in ("del",).  ``apply_d0``
+    and ``apply_dn`` stay the reference routes this must agree with.
     """
 
     def __init__(self, algebra: ConformalAlgebra, module: BimoduleStructure, n: int):
@@ -448,10 +422,12 @@ class _Stencil:
             raise ValueError("the differential needs a left action")
         if not module.has_right:
             raise ValueError("the differential needs a right action")
-        self.src_vars = cochain_variables(n)
+        self.src_vars = cochain_variables(n) or ("del",)
         dst_vars = cochain_variables(n + 1)
         dl = Poly.var(dst_vars, "del")
         lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
+        if n == 0:
+            lam.append(-dl)
         lam_total = Poly.zero(dst_vars)
         for i in range(1, n + 1):
             lam_total = lam_total + lam[i]
@@ -507,7 +483,7 @@ class _Stencil:
             entries = table.get((cut, k), ())
             image = []
             if entries:
-                moved = Poly.monomial(self.src_vars, mono).substitute(value_sub)
+                moved = Poly.monomial(self.src_vars, mono or (0,)).substitute(value_sub)
                 image = [(ins, s, (moved * poly).terms) for ins, s, poly in entries]
             self._images[key] = image
         return image
@@ -532,16 +508,6 @@ class _Stencil:
                     )
                 out[key] = coeff
         return out
-
-
-def _image_column(
-    stencil: _Stencil | None, source: CochainIndex, col: int, max_degree_out: int
-) -> dict:
-    """d of one source basis cochain as sparse target-label coordinates;
-    degree-0 sources (no stencil) go through ``apply_d0``."""
-    if stencil is None:
-        return _labelled_terms(apply_d0(source.basis_cochain(col)), max_degree_out)
-    return stencil.column(source.labels[col], max_degree_out)
 
 
 @dataclass(frozen=True)
@@ -607,16 +573,16 @@ def _coboundary_slice(
     slice_labels = CochainIndex(algebra, module, degree, d).labels
     if degree == 0:
         return SubspaceBasis.zero(len(slice_labels)), True, 0
-    stencil = _Stencil(algebra, module, degree - 1) if degree > 1 else None
+    stencil = _Stencil(algebra, module, degree - 1)
     span = _SliceSpan(slice_labels)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
     for k in range(max_rounds + 1):
         source_bound = d + k * window.stabilization_margin
         source = CochainIndex(algebra, module, degree - 1, source_bound)
-        for col, (_, _, mono) in enumerate(source.labels):
-            if sum(mono) > covered:
-                span.insert(_image_column(stencil, source, col, source_bound + bound))
+        for label in source.labels:
+            if sum(label[2]) > covered:
+                span.insert(stencil.column(label, source_bound + bound))
         covered = source_bound
         coboundaries = span.basis()
         if previous is not None and coboundaries.dim == previous:
@@ -697,38 +663,8 @@ def inner_derivation(
 def inner_derivation_basis(
     algebra: ConformalAlgebra, module: BimoduleStructure, max_degree: int
 ) -> SubspaceBasis:
-    """Span of the inner derivations inside the degree-<=D slice."""
-    index = CochainIndex(algebra, module, 1, max_degree)
-    vectors = []
-    for j in range(module.rank):
-        coords = [Fraction(0)] * module.rank
-        coords[j] = Fraction(1)
-        vectors.append(index.decompose(inner_derivation(algebra, module, coords)))
-    return SubspaceBasis.from_vectors(index.dimension, vectors)
+    """Inner derivations intersected with the degree-<=D slice: B^1 there.
 
-
-def check_h0_representative(
-    algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
-) -> list[Poly]:
-    """Residuals a_{-del} u - u_0 a per generator, computed directly.
-
-    A representative of a degree-0 class is valid exactly when every
-    residual coordinate is zero.  This recomputes the defining identity
-    from the action tables rather than reusing the kernel arithmetic.
+    Every source is a constant degree-0 class, so one round is exact.
     """
-    dl = Poly.var(("del",), "del")
-    residuals = []
-    for i in range(algebra.rank):
-        vec = [Poly.zero(("del",)) for _ in range(module.rank)]
-        for j, c in enumerate(coords):
-            c = Fraction(c)
-            if not c:
-                continue
-            for k, l_ijk in module.left_entries(i, j):
-                vec[k] = vec[k] + c * l_ijk.substitute({"lam": -dl, "del": dl})
-            for k, r_jik in module.right_entries(j, i):
-                vec[k] = vec[k] - c * r_jik.substitute(
-                    {"lam": Poly.zero(("del",)), "del": dl}
-                )
-        residuals.extend(vec)
-    return residuals
+    return _coboundary_slice(algebra, module, 1, TruncationWindow(max_degree), 1)[0]

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .polyring import Poly, Rational, VariableMismatchError
+from .polyring import Poly, VariableMismatchError
 
 # arenas: structure polynomials live in (del, lam); both sides of the
 # associativity identity live in (del, lam, mu)
@@ -96,12 +96,6 @@ class ConformalAlgebra:
         """Largest total degree among structure polynomials (0 if none)."""
         return _table_degree(self.structure)
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise ValueError(f"unknown generator {name!r}") from None
-
 
 @dataclass(frozen=True)
 class CElement:
@@ -123,10 +117,6 @@ class CElement:
     def generator(cls, algebra: ConformalAlgebra, index: int) -> "CElement":
         coords = [Poly.zero(("del",)) for _ in range(algebra.rank)]
         coords[index] = Poly.const(("del",), 1)
-        return cls(algebra, tuple(coords))
-
-    @classmethod
-    def from_coords(cls, algebra: ConformalAlgebra, coords: Sequence[Poly]) -> "CElement":
         return cls(algebra, tuple(coords))
 
     def is_zero(self) -> bool:

@@ -27,40 +27,12 @@ class QMatrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, Fraction]] | None = None):
-        if rows is None:
-            rows = [dict() for _ in range(nrows)]
+    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, Fraction]]):
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence]) -> "QMatrix":
-        nrows = len(entries)
-        ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            rows.append({j: Fraction(v) for j, v in enumerate(row) if Fraction(v)})
-        return cls(nrows, ncols, rows)
-
-    def entry(self, r: int, c: int) -> Fraction:
-        return self.rows[r].get(c, _ZERO)
-
-    def matvec(self, vec: Sequence) -> list[Fraction]:
-        out = []
-        for row in self.rows:
-            acc = _ZERO
-            for j, v in row.items():
-                acc += v * Fraction(vec[j])
-            out.append(acc)
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not row for row in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
@@ -127,14 +99,6 @@ def _span(rows: Iterable[dict[int, Fraction]]) -> Echelon:
     return echelon
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    echelon = _span(m.rows)
-    pivots = sorted(echelon)
-    rows = [echelon[p] for p in pivots] + [{} for _ in range(m.nrows - len(pivots))]
-    return QMatrix(m.nrows, m.ncols, rows), pivots
-
-
 def rank(m: QMatrix) -> int:
     return len(_span(m.rows))
 
@@ -165,9 +129,6 @@ class SubspaceBasis:
     @classmethod
     def zero(cls, ambient_dimension: int) -> "SubspaceBasis":
         return cls(ambient_dimension, Echelon())
-
-    def contains(self, vec: Sequence) -> bool:
-        return not self.rows._reduce(_sparse(self.ambient_dimension, vec))
 
 
 def _sparse(ambient_dimension: int, vec: Sequence) -> dict[int, Fraction]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cfmodule import BimoduleStructure, CLinearMap
 from .classical import FDAlgebra

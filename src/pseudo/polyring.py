@@ -24,11 +24,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-# The package works over the field of rationals.  fractions.Fraction is
-# arbitrary precision, always reduced, and keeps denominators positive,
-# which is exactly the required normal form.
-Rational = Fraction
-
+# Coefficients are fractions.Fraction: arbitrary precision, always
+# reduced, denominators positive, which is exactly the required normal form.
 _ZERO = Fraction(0)
 
 _FIXED_ORDER = {"del": (0, 0), "lam": (1, 0), "mu": (2, 0)}
@@ -151,9 +148,6 @@ class Poly:
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), _ZERO)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), _ZERO)

@@ -1,13 +1,15 @@
 import os
 import pathlib
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import current_algebra, matrix_algebra
-from pseudo.conformal import free_rank_one
+from pseudo.conformal import ConformalAlgebra, free_rank_one
+from pseudo.formats import parse_fd_algebra
 from pseudo.polyring import Poly
 
 settings.register_profile(
@@ -29,6 +31,43 @@ def src_env() -> dict[str, str]:
         [str(INPUTS.parent / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def fd_algebra(name: str):
+    """The finite-dimensional algebra in inputs/<name>.fda."""
+    return parse_fd_algebra((INPUTS / f"{name}.fda").read_text(encoding="utf-8"))
+
+
+def unit_cochain(index, i: int):
+    """Basis cochain i of a CochainIndex."""
+    return index.reconstruct([int(j == i) for j in range(index.dimension)])
+
+
+def check_h0_representative(
+    algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
+) -> list[Poly]:
+    """Residuals a_{-del} u - u_0 a per generator, computed directly.
+
+    A representative of a degree-0 class is valid exactly when every
+    residual coordinate is zero.  This recomputes the defining identity
+    from the action tables rather than reusing the kernel arithmetic.
+    """
+    dl = Poly.var(("del",), "del")
+    residuals = []
+    for i in range(algebra.rank):
+        vec = [Poly.zero(("del",)) for _ in range(module.rank)]
+        for j, c in enumerate(coords):
+            c = Fraction(c)
+            if not c:
+                continue
+            for k, l_ijk in module.left_entries(i, j):
+                vec[k] = vec[k] + c * l_ijk.substitute({"lam": -dl, "del": dl})
+            for k, r_jik in module.right_entries(j, i):
+                vec[k] = vec[k] - c * r_jik.substitute(
+                    {"lam": Poly.zero(("del",)), "del": dl}
+                )
+        residuals.extend(vec)
+    return residuals
 
 
 @pytest.fixture(scope="session")

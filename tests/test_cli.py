@@ -99,6 +99,17 @@ def test_derivations_basis_text():
     assert "inner_derivation_basis: (none)" in result.stdout
 
 
+def test_derivations_with_inner_derivation_above_the_slice():
+    # a lam a = lam c: the inner derivation a -> del * c has degree 1
+    low = run_cli("derivations", path("lam_c.alg"), "--deg", "0")
+    assert low.returncode == 0
+    assert "  dim_derivations_slice: 2\n  dim_inner_derivations_slice: 0\n" in low.stdout
+    high = run_cli("derivations", path("lam_c.alg"), "--deg", "1")
+    assert high.returncode == 0
+    assert "  dim_derivations_slice: 4\n  dim_inner_derivations_slice: 1\n" in high.stdout
+    assert "  inner_derivation_basis:\n    - a -> del * c\n" in high.stdout
+
+
 def test_deform_verdicts():
     passing = run_cli("deform", path("cur1.alg"), "--cocycle", path("f_const.coc"))
     assert passing.returncode == 0
@@ -248,12 +259,13 @@ def test_pinned_report_bytes(entry):
     assert hashlib.sha256(result.stdout).hexdigest() == entry["sha256"]
 
 
-MODULES_LACKING_INPUT = {
+SCRATCH_INPUTS = {
     "left_only.mod": "kind: module\ngenerators: u\nactions: left\nleft e u -> 1 * u\n",
     "right_only.mod": "kind: module\ngenerators: u\nactions: right\nright u e -> 1 * u\n",
     "broken_left.mod": (
         "kind: module\ngenerators: u\nactions: left right\nleft e u -> del * u\n"
     ),
+    "crooked.fda": "kind: fd_algebra\ngenerators: a b\nproduct a a -> 1 * b\nproduct a b -> 1 * a\n",
 }
 
 
@@ -273,19 +285,24 @@ MODULES_LACKING_INPUT = {
           "--cocycle", "gamma_zero_u.coc"),
          "quotient module violates its own left law"),
         (("classical", "mat2.fda", "--n", "4"), "only degrees 0..3 are supported"),
+        # a bad flag is reported before the input is read, even a counterexample
+        (("classical", "crooked.fda", "--n", "7"), "only degrees 0..3 are supported"),
+        (("PSEUDO_MAX_MARGIN=0", "cohomology", "bad_lam.alg"),
+         "PSEUDO_MAX_MARGIN must be at least 1"),
     ],
     ids=["cohomology-d0", "cohomology-d2", "derivations", "extend-sub",
-         "extend-quotient", "classical-n4"],
+         "extend-quotient", "classical-n4", "classical-n7-crooked", "max-margin-bad-lam"],
 )
 def test_input_problems_exit_1(tmp_path, argv, message):
-    for name, text in MODULES_LACKING_INPUT.items():
+    for name, text in SCRATCH_INPUTS.items():
         (tmp_path / name).write_text(text)
+    env = dict(a.split("=", 1) for a in argv if "=" in a)
     fixed = [
-        str(tmp_path / a) if a in MODULES_LACKING_INPUT
+        str(tmp_path / a) if a in SCRATCH_INPUTS
         else path(a) if (INPUTS / a).is_file() else a
-        for a in argv
+        for a in argv if "=" not in a
     ]
-    result = run_cli(*fixed)
+    result = run_cli(*fixed, env_extra=env)
     assert result.returncode == 1
     assert result.stdout == ""
     assert f"error: {message}" in result.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from pseudo.cfmodule import BimoduleStructure, check_module_axioms
+from pseudo.cfmodule import check_module_axioms
 from pseudo.cohomology import cochain_variables
 from pseudo.conformal import PRODUCT_VARS, check_associativity
 from pseudo.formats import (

@@ -42,7 +42,7 @@ def test_constructors_and_degree():
     dl = Poly.var(PL, "del")
     assert dl.total_degree() == 1
     m = Poly.monomial(PL, (2, 1), Fraction(3, 2))
-    assert m.coefficient((2, 1)) == Fraction(3, 2)
+    assert m.terms == {(2, 1): Fraction(3, 2)}
     assert m.total_degree() == 3
 
 
