@@ -9,8 +9,10 @@ generators over the polynomial ring in ``del`` and action tables
 Either table may be absent.  `check_module_axioms` verifies the left
 axiom, the right axiom and the two-sided compatibility law, each as an
 exact polynomial identity in (del, lam, mu) on generator triples.  Every
-law composes two tables the way associativity does, so it shares
-`conformal._law_sides` with `check_associativity`.
+law composes two tables the way associativity does, so it shares the law
+kernel with `check_associativity`: `conformal._law_tables` substitutes the
+law's four tables once per law, and `conformal._law_sides` multiplies and
+adds them on each triple.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
@@ -39,7 +41,9 @@ from .conformal import (
     _LAM,
     _MU,
     _OUTER,
+    _dense,
     _law_sides,
+    _law_tables,
     _table_degree,
     _validate_structure,
 )
@@ -136,7 +140,7 @@ def check_module_axioms(module: BimoduleStructure) -> ModuleAxiomCounterexample 
     first); the verdict on a non-associative algebra is not meaningful.
     """
     na, nm = module.algebra.rank, module.rank
-    P, L, R = module.algebra.products, module.left_entries, module.right_entries
+    P, L, R = module.algebra.structure, module.left, module.right
     laws = (
         # a_i lam (a_j mu u_t)  vs  (a_i lam a_j) (lam+mu) u_t
         ("left", module.has_left, (na, na, nm), (P, L, L, L)),
@@ -148,11 +152,12 @@ def check_module_axioms(module: BimoduleStructure) -> ModuleAxiomCounterexample 
     for law, applies, sizes, tables in laws:
         if not applies:
             continue
+        moved = _law_tables(*tables)
         for triple in itertools.product(*map(range, sizes)):
-            left_nested, right_nested = _law_sides(*tables, *triple, nm)
+            left_nested, right_nested = _law_sides(moved, *triple)
             if left_nested != right_nested:
                 return ModuleAxiomCounterexample(
-                    law, triple, tuple(right_nested), tuple(left_nested)
+                    law, triple, _dense(right_nested, nm), _dense(left_nested, nm)
                 )
     return None
 
@@ -218,6 +223,11 @@ FamilyMatrix = dict[tuple[int, int], Poly]
 _SHIFTED = {"lam": _MU - _LAM, "del": _LAM + _DEL}
 
 
+def _scale(p: Poly, image: Poly) -> Poly | None:
+    """An element coordinate p(del) at del = image; None when p is 1."""
+    return None if p.terms == {(0,): 1} else p.substitute({"del": image})
+
+
 def chom_left_action(
     a: CElement, f: CLinearMap, target_module: BimoduleStructure
 ) -> FamilyMatrix:
@@ -229,17 +239,18 @@ def chom_left_action(
         raise ValueError("target module does not match the map's target")
     if not target_module.has_left:
         raise ValueError("target module has no left action")
-    scales = [
-        (i, p.substitute({"del": -_LAM})) for i, p in enumerate(a.coords) if not p.is_zero
-    ]
+    scales = {i: _scale(p, -_LAM) for i, p in enumerate(a.coords) if not p.is_zero}
+    # each action polynomial the scales reach, substituted once per call
+    moved = {key: [(s, l.substitute(_OUTER)) for s, l in entries]
+             for key, entries in target_module.left.items() if key[0] in scales}
     out: FamilyMatrix = {}
     for (j, k), f_jk in f.matrix.items():
         shifted = f_jk.substitute(_SHIFTED)
-        for i, scale in scales:
-            for s, l_iks in target_module.left_entries(i, k):
-                add = scale * shifted * l_iks.substitute(_OUTER)
+        for i, scale in scales.items():
+            scaled = shifted if scale is None else scale * shifted
+            for s, l_iks in moved.get((i, k), ()):
                 key = (j, s)
-                out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + add
+                out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + scaled * l_iks
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -261,12 +272,13 @@ def chom_right_action(
     for i, p in enumerate(a.coords):
         if p.is_zero:
             continue
-        scale = p.substitute({"del": _LAM - _MU})
+        scale = _scale(p, _LAM - _MU)
         for j in range(source_module.rank):
             for k, l_ijk in source_module.left_entries(i, j):
                 if k not in rows:
                     continue
-                inner = scale * l_ijk.substitute(_SHIFTED)
+                inner = l_ijk.substitute(_SHIFTED)
+                inner = inner if scale is None else scale * inner
                 for s, f_ks in rows[k]:
                     add = inner * f_ks
                     key = (j, s)

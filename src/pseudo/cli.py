@@ -47,7 +47,6 @@ from .constructions import (
     ExtensionDatum,
     build_extension,
     deform,
-    extension_residuals,
 )
 from .exactla import quotient_dimension
 from .formats import (
@@ -469,8 +468,7 @@ def _cmd_extend(args) -> int:
         if type(exc) is not ValueError:
             raise
         raise _UsageError(str(exc)) from None
-    extension, passed = build_extension(datum)
-    residual_map = extension_residuals(datum)
+    extension, passed, residual_map = build_extension(datum)
     alg = algebra.generators
     residuals = _residual_lines(residual_map, (alg, alg, quotient.generators),
                                 sub.generators)

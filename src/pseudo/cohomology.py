@@ -297,7 +297,6 @@ def apply_dn(cochain: Cochain) -> Cochain:
     if not module.has_right:
         raise ValueError("the differential needs a right action")
     algebra = cochain.algebra
-    src_vars = cochain_variables(n)
     dst_vars = cochain_variables(n + 1)
     dl = Poly.var(dst_vars, "del")
     lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
@@ -306,73 +305,71 @@ def apply_dn(cochain: Cochain) -> Cochain:
         lam_total = lam_total + lam[i]
     lam_head = lam_total - lam[n]  # lam1 + ... + lam(n-1)
     sign_last = 1 if (n + 1) % 2 == 0 else -1
-    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
 
+    # every polynomial is substituted once per call: each structure table
+    # (its sign folded in) and each cochain value once per slot kind
+    def moved_table(table, bindings, sign=1):
+        return {
+            key: [(k, sign * poly.substitute(bindings)) for k, poly in entries]
+            for key, entries in table.items()
+        }
+
+    def moved_values(bindings):
+        return {
+            key: [(k, poly.substitute(bindings)) for k, poly in enumerate(vec) if not poly.is_zero]
+            for key, vec in cochain.values.items()
+        }
+
+    # head term: g1 lam1 phi(g2 ... g_{n+1}); the cochain variables shift
+    # one slot right and del rides the module value
+    shift = {f"lam{i}": lam[i + 1] for i in range(1, n)}
+    shift["del"] = dl + lam[1]
+    head_values = moved_values(shift)
+    left = moved_table(module.left, {"lam": lam[1], "del": dl})
+
+    # middle terms: slot i absorbs the product g_i lam_i g_{i+1}
+    middles = []
+    for i in range(1, n + 1):
+        if i < n:
+            # the product sits in a non-last slot: its del becomes
+            # -(lam_i + lam_{i+1}), the merged cochain variable
+            coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
+            value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
+            value_sub[f"lam{i}"] = lam[i] + lam[i + 1]
+            for j in range(i + 1, n):
+                value_sub[f"lam{j}"] = lam[j + 1]
+        else:
+            # the product sits in the last slot: shift rule with the
+            # cochain's own variables lam1 .. lam(n-1)
+            coeff_sub = {"lam": lam[n], "del": dl + lam_head}
+            value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
+        value_sub["del"] = dl
+        sign = -1 if i % 2 else 1
+        middles.append(
+            (i, moved_values(value_sub), moved_table(algebra.structure, coeff_sub, sign))
+        )
+
+    # tail term: phi(g1 ... gn) (lam1+...+lamn) g_{n+1}; the value's del
+    # becomes minus the total action variable
+    value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
+    value_sub["del"] = -lam_total
+    tail_values = moved_values(value_sub)
+    right = moved_table(module.right, {"lam": lam_total, "del": dl}, sign_last)
+
+    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
     for gens in iter_product(range(algebra.rank), repeat=n + 1):
         acc = [Poly.zero(dst_vars) for _ in range(module.rank)]
-
-        # head term: g1 lam1 phi(g2 ... g_{n+1}); the cochain variables
-        # shift one slot right and del rides the module value
-        tail_value = cochain.values.get(gens[1:])
-        if tail_value is not None:
-            shift = {f"lam{i}": lam[i + 1] for i in range(1, n)}
-            shift["del"] = dl + lam[1]
-            for k, poly in enumerate(tail_value):
-                if poly.is_zero:
-                    continue
-                moved = poly.substitute(shift)
-                for s, l_ks in module.left_entries(gens[0], k):
-                    acc[s] = acc[s] + moved * l_ks.substitute(
-                        {"lam": lam[1], "del": dl}
-                    )
-
-        # middle terms: slot i absorbs the product g_i lam_i g_{i+1}
-        for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            entries = algebra.products(gens[i - 1], gens[i])
-            if not entries:
-                continue
-            if i < n:
-                # the product sits in a non-last slot: its del becomes
-                # -(lam_i + lam_{i+1}), the merged cochain variable
-                coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
-                value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
-                value_sub[f"lam{i}"] = lam[i] + lam[i + 1]
-                for j in range(i + 1, n):
-                    value_sub[f"lam{j}"] = lam[j + 1]
-                value_sub["del"] = dl
-            else:
-                # the product sits in the last slot: shift rule with the
-                # cochain's own variables lam1 .. lam(n-1)
-                coeff_sub = {"lam": lam[n], "del": dl + lam_head}
-                value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
-                value_sub["del"] = dl
-            for l, p_l in entries:
+        for k, moved in head_values.get(gens[1:], ()):
+            for s, l_ks in left.get((gens[0], k), ()):
+                acc[s] = acc[s] + moved * l_ks
+        for i, moved_inner, products in middles:
+            for l, coeff in products.get((gens[i - 1], gens[i]), ()):
                 key = gens[: i - 1] + (l,) + gens[i + 1 :]
-                inner = cochain.values.get(key)
-                if inner is None:
-                    continue
-                coeff = p_l.substitute(coeff_sub)
-                for k, poly in enumerate(inner):
-                    if poly.is_zero:
-                        continue
-                    acc[k] = acc[k] + sign * coeff * poly.substitute(value_sub)
-
-        # tail term: phi(g1 ... gn) (lam1+...+lamn) g_{n+1}; the value's
-        # del becomes minus the total action variable
-        head_value = cochain.values.get(gens[:n])
-        if head_value is not None:
-            value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
-            value_sub["del"] = -lam_total
-            for k, poly in enumerate(head_value):
-                if poly.is_zero:
-                    continue
-                moved = poly.substitute(value_sub)
-                for s, r_ks in module.right_entries(k, gens[n]):
-                    acc[s] = acc[s] + sign_last * moved * r_ks.substitute(
-                        {"lam": lam_total, "del": dl}
-                    )
-
+                for k, moved in moved_inner.get(key, ()):
+                    acc[k] = acc[k] + coeff * moved
+        for k, moved in tail_values.get(gens[:n], ()):
+            for s, r_ks in right.get((k, gens[n]), ()):
+                acc[s] = acc[s] + moved * r_ks
         if any(not p.is_zero for p in acc):
             values[gens] = tuple(acc)
     return Cochain(n + 1, algebra, module, values)

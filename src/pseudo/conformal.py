@@ -13,15 +13,17 @@ argument's coefficient turns into lam + del.  Associativity
 
 is then a polynomial identity in lam, mu, del for every generator triple,
 which `check_associativity` verifies exactly.  The module laws in
-`cfmodule` have the same shape, so both checkers build their two sides
-with one kernel, `_law_sides`.
+`cfmodule` have the same shape, so both checkers share one kernel in two
+steps: `_law_tables` substitutes each table a law reads into (del, lam,
+mu) once per call, and `_law_sides` composes the two orders on a triple
+from those tables with multiplication and addition alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .polyring import Poly, VariableMismatchError
 
@@ -198,32 +200,51 @@ _SECOND = {"lam": _LAM + _MU, "del": _DEL}
 _INNER = {"lam": _MU, "del": _LAM + _DEL}
 _OUTER = {"lam": _LAM, "del": _DEL}
 
-_Lookup = Callable[[int, int], tuple[tuple[int, Poly], ...]]
+
+def _law_tables(
+    first: StructureMap, second: StructureMap, inner: StructureMap, outer: StructureMap
+) -> tuple:
+    """The four tables of one law, each substituted by its map once per call.
+
+    Each table maps an index pair (a, b) to the (target, poly) entries of
+    x_a lam x_b, so one kernel serves associativity and every module law.
+    """
+    maps = ((first, _FIRST), (second, _SECOND), (inner, _INNER), (outer, _OUTER))
+    return tuple(
+        {key: [(k, p.substitute(sub)) for k, p in entries] for key, entries in table.items()}
+        for table, sub in maps
+    )
 
 
 def _law_sides(
-    first: _Lookup, second: _Lookup, inner: _Lookup, outer: _Lookup,
-    i: int, j: int, k: int, rank: int,
-) -> tuple[list[Poly], list[Poly]]:
-    """Both association orders on (x_i, x_j, x_k), over ``rank`` targets.
+    tables: tuple, i: int, j: int, k: int, sides: tuple[dict, dict] | None = None
+) -> tuple[dict, dict]:
+    """Both association orders on (x_i, x_j, x_k) from `_law_tables`.
 
     Returns ``(x_i lam x_j) (lam+mu) x_k``, composed from ``first`` then
     ``second``, and ``x_i lam (x_j mu x_k)``, composed from ``inner`` then
-    ``outer``.  Each lookup maps an index pair (a, b) to the (target, poly)
-    entries of x_a lam x_b, so one kernel serves associativity and every
-    module law.
+    ``outer``, as sparse {target: poly} maps with no zero entry.  The
+    tables are already substituted, so this only multiplies and adds;
+    given ``sides``, it adds into them.
     """
-    left_nested = [Poly.zero(ASSOC_VARS)] * rank
-    right_nested = [Poly.zero(ASSOC_VARS)] * rank
-    for l, p_ijl in first(i, j):
-        coeff = p_ijl.substitute(_FIRST)
-        for m, p_lkm in second(l, k):
-            left_nested[m] = left_nested[m] + coeff * p_lkm.substitute(_SECOND)
-    for l, p_jkl in inner(j, k):
-        coeff = p_jkl.substitute(_INNER)
-        for m, p_ilm in outer(i, l):
-            right_nested[m] = right_nested[m] + coeff * p_ilm.substitute(_OUTER)
+    first, second, inner, outer = tables
+    left_nested, right_nested = sides or ({}, {})
+    for l, coeff in first.get((i, j), ()):
+        for m, poly in second.get((l, k), ()):
+            term = coeff * poly
+            left_nested[m] = left_nested[m] + term if m in left_nested else term
+    for l, coeff in inner.get((j, k), ()):
+        for m, poly in outer.get((i, l), ()):
+            term = coeff * poly
+            right_nested[m] = right_nested[m] + term if m in right_nested else term
+    for side in (left_nested, right_nested):
+        for m in [m for m, poly in side.items() if poly.is_zero]:
+            del side[m]
     return left_nested, right_nested
+
+
+def _dense(side: dict, rank: int) -> tuple[Poly, ...]:
+    return tuple(side.get(m, Poly.zero(ASSOC_VARS)) for m in range(rank))
 
 
 def check_associativity(algebra: ConformalAlgebra) -> AssociativityCounterexample | None:
@@ -231,11 +252,14 @@ def check_associativity(algebra: ConformalAlgebra) -> AssociativityCounterexampl
 
     The residual is left-nested minus right-nested.
     """
-    products, rank = algebra.products, algebra.rank
+    rank, table = algebra.rank, algebra.structure
+    tables = _law_tables(table, table, table, table)
     for i, j, k in itertools.product(range(rank), repeat=3):
-        lhs, rhs = _law_sides(products, products, products, products, i, j, k, rank)
+        lhs, rhs = _law_sides(tables, i, j, k)
         if lhs != rhs:
-            return AssociativityCounterexample((i, j, k), tuple(lhs), tuple(rhs))
+            return AssociativityCounterexample(
+                (i, j, k), _dense(lhs, rank), _dense(rhs, rank)
+            )
     return None
 
 

@@ -44,6 +44,7 @@ from .conformal import (
     _LAM,
     _MU,
     _law_sides,
+    _law_tables,
     check_associativity,
 )
 from .cohomology import (
@@ -134,6 +135,11 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     algebra, gamma = datum.algebra, datum.gamma
     zero = Poly.zero(ASSOC_VARS)
     gens = [CElement.generator(algebra, i) for i in range(algebra.rank)]
+    # each gamma entry at the total variable, substituted once per call
+    total = {
+        l: [(key, g.substitute(_GAMMA_TOTAL)) for key, g in gmap.matrix.items()]
+        for l, gmap in gamma.items()
+    }
     out: dict[tuple[int, int, int, int], Poly] = {}
     for i, j in itertools.product(range(algebra.rank), repeat=2):
         acc: dict[tuple[int, int], Poly] = {}
@@ -147,19 +153,22 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
             if l not in gamma:
                 continue
             outer = p_ijl.substitute(_PRODUCT_OUTER)
-            for key, g_lts in gamma[l].matrix.items():
-                acc[key] = acc.get(key, zero) - outer * g_lts.substitute(_GAMMA_TOTAL)
+            for key, g_lts in total[l]:
+                acc[key] = acc.get(key, zero) - outer * g_lts
         for (t, s), poly in sorted(acc.items()):
             if not poly.is_zero:
                 out[(i, j, t, s)] = poly
     return out
 
 
-def build_extension(datum: ExtensionDatum) -> tuple[BimoduleStructure, bool]:
+def build_extension(
+    datum: ExtensionDatum,
+) -> tuple[BimoduleStructure, bool, dict[tuple[int, int, int, int], Poly]]:
     """Assemble E = sub (+) quotient with the glued left action.
 
-    Returns the module and whether it satisfies the left law.  The verdict
-    is computed twice, from the residual system and from the axiom checker
+    Returns the module, whether it satisfies the left law, and the
+    `extension_residuals` the verdict was read from.  The verdict is
+    computed twice, from the residual system and from the axiom checker
     on E itself; disagreement raises ComplexInconsistencyError.
     """
     sub, quo = datum.sub, datum.quotient
@@ -187,13 +196,13 @@ def build_extension(datum: ExtensionDatum) -> tuple[BimoduleStructure, bool]:
     extension = BimoduleStructure(
         algebra=datum.algebra, generators=names, left=left, right=None
     )
-    residual_verdict = not extension_residuals(datum)
+    residuals = extension_residuals(datum)
     checker_verdict = check_module_axioms(extension) is None
-    if residual_verdict != checker_verdict:
+    if (not residuals) != checker_verdict:
         raise ComplexInconsistencyError(
             "extension residuals disagree with the axiom checker on E"
         )
-    return extension, checker_verdict
+    return extension, checker_verdict, residuals
 
 
 def gamma_coboundary(
@@ -209,39 +218,31 @@ def gamma_coboundary(
     """
     lam = Poly.var(PRODUCT_VARS, "lam")
     dl = Poly.var(PRODUCT_VARS, "del")
-    entries_b: dict[tuple[int, int], Poly] = {}
     for (t, k), poly in b_matrix.items():
         if not (0 <= t < quotient.rank and 0 <= k < sub.rank):
             raise ValueError(f"B index {(t, k)} out of range")
         if poly.variables != DEL_ONLY:
             raise ValueError("B entries must be polynomials in del alone")
-        if not poly.is_zero:
-            entries_b[(t, k)] = poly
+    # each entry of B moved once per call: shifted for a . B(n), widened
+    # for B(a . n)
+    entries = sorted((key, poly) for key, poly in b_matrix.items() if not poly.is_zero)
+    shifted = [(t, k, poly.substitute({"del": lam + dl})) for (t, k), poly in entries]
+    widened: dict[int, list[tuple[int, Poly]]] = {}
+    for (k, s), poly in entries:
+        widened.setdefault(k, []).append((s, poly.embed(PRODUCT_VARS)))
 
-    def b_entry(t: int, k: int) -> Poly:
-        return entries_b.get((t, k), Poly.zero(DEL_ONLY))
-
+    zero = Poly.zero(PRODUCT_VARS)
     out: dict[int, CLinearMap] = {}
     for i in range(sub.algebra.rank):
         matrix: dict[tuple[int, int], Poly] = {}
+        for t, k, b_tk in shifted:
+            for s, l_iks in sub.left_entries(i, k):
+                matrix[(t, s)] = matrix.get((t, s), zero) + b_tk * l_iks
         for t in range(quotient.rank):
-            for s in range(sub.rank):
-                acc = Poly.zero(PRODUCT_VARS)
-                for k in range(sub.rank):
-                    b_tk = b_entry(t, k)
-                    if b_tk.is_zero:
-                        continue
-                    shifted = b_tk.substitute({"del": lam + dl})
-                    for s2, l_iks in sub.left_entries(i, k):
-                        if s2 == s:
-                            acc = acc + shifted * l_iks
-                for k, l_itk in quotient.left_entries(i, t):
-                    b_ks = b_entry(k, s)
-                    if not b_ks.is_zero:
-                        acc = acc - l_itk * b_ks.embed(PRODUCT_VARS)
-                if not acc.is_zero:
-                    matrix[(t, s)] = acc
-        gmap = CLinearMap(quotient.generators, sub.generators, matrix)
+            for k, l_itk in quotient.left_entries(i, t):
+                for s, b_ks in widened.get(k, ()):
+                    matrix[(t, s)] = matrix.get((t, s), zero) - l_itk * b_ks
+        gmap = CLinearMap(quotient.generators, sub.generators, dict(sorted(matrix.items())))
         if not gmap.is_zero():
             out[i] = gmap
     return out
@@ -457,24 +458,23 @@ def deformation_residuals(
     Key (a, b, c, s): the coefficient of generator s in the degree-one
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
-    the two products, so both orders come from `_law_sides`.  Empty dict
-    means the perturbation is flat to first order.
+    the two products: P and F are each moved by all four law maps once per
+    call (`_law_tables`), and `_law_sides` adds both placements of F into
+    one pair of sides per triple.  Empty dict means the perturbation is
+    flat to first order.
     """
-    algebra = datum.algebra
-    n, products = algebra.rank, algebra.products
-    table = _cochain_table(datum.cocycle)
-
-    def twist(i: int, j: int) -> tuple[tuple[int, Poly], ...]:
-        return table.get((i, j), ())
-
+    n, products = datum.algebra.rank, datum.algebra.structure
+    twist = _cochain_table(datum.cocycle)
+    pf = _law_tables(products, twist, products, twist)
+    fp = _law_tables(twist, products, twist, products)
+    zero = Poly.zero(ASSOC_VARS)
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
-        pf_left, pf_right = _law_sides(products, twist, products, twist, a, b, c, n)
-        fp_left, fp_right = _law_sides(twist, products, twist, products, a, b, c, n)
-        for s in range(n):
-            left_nested, right_nested = pf_left[s] + fp_left[s], pf_right[s] + fp_right[s]
-            if left_nested != right_nested:
-                out[(a, b, c, s)] = left_nested - right_nested
+        left, right = _law_sides(fp, a, b, c, _law_sides(pf, a, b, c))
+        for s in sorted(left.keys() | right.keys()):
+            residual = left.get(s, zero) - right.get(s, zero)
+            if not residual.is_zero:
+                out[(a, b, c, s)] = residual
     return out
 
 

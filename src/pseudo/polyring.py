@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 # Coefficients are fractions.Fraction: arbitrary precision, always
@@ -201,16 +202,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exp, _ZERO) + c1 * c2
-                if acc:
-                    terms[exp] = acc
-                else:
-                    terms.pop(exp, None)
-        return Poly._raw(self.variables, terms)
+        return Poly._raw(self.variables, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -236,22 +228,7 @@ class Poly:
     def embed(self, variables: Iterable[str]) -> "Poly":
         """Reinterpret over a superset of the current variables."""
         variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        _canonical(variables)
-        if not set(self.variables) <= set(variables):
-            raise VariableMismatchError(
-                f"{variables} does not contain {self.variables}"
-            )
-        pos = [variables.index(v) for v in self.variables]
-        width = len(variables)
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * width
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return Poly._raw(variables, terms)
+        return self if variables == self.variables else self.rename_vars({}, variables)
 
     def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Simultaneously replace variables by polynomials (a ring map).
@@ -274,42 +251,53 @@ class Poly:
                 f"replacement polynomials disagree on variables: {sorted(targets)}"
             )
         tvars = targets.pop()
-        base: list[Poly] = []
+        origin = (0,) * len(tvars)
+        one = {origin: Fraction(1)}
+        # powers[i][e]: terms of the i-th image to the e-th power, grown on
+        # demand and kept for this call only
+        powers: list[list[dict]] = []
         for v in self.variables:
             if v in bindings:
-                base.append(bindings[v])
+                powers.append([one, bindings[v].terms])
             elif v in tvars:
-                base.append(Poly.var(tvars, v))
+                powers.append([one, {tuple(int(w == v) for w in tvars): Fraction(1)}])
             else:
                 raise VariableMismatchError(
                     f"unbound variable {v!r} missing from target variables {tvars}"
                 )
-        out = Poly.zero(tvars)
-        cache: list[dict[int, Poly]] = [{} for _ in base]
+        out: dict[tuple[int, ...], Fraction] = {}
         for exp, coeff in self.terms.items():
-            term = Poly.const(tvars, coeff)
-            for i, e in enumerate(exp):
+            term = {origin: coeff}
+            for table, e in zip(powers, exp):
                 if e:
-                    pw = cache[i].get(e)
-                    if pw is None:
-                        pw = base[i] ** e
-                        cache[i][e] = pw
-                    term = term * pw
-            out = out + term
-        return out
+                    while len(table) <= e:
+                        table.append(_mul_terms(table[-1], table[1]))
+                    term = _mul_terms(term, table[e])
+            for m, c in term.items():
+                out[m] = out[m] + c if m in out else c
+        return Poly._raw(tvars, {m: c for m, c in out.items() if c})
 
     def rename_vars(
         self, mapping: Mapping[str, str], target: Iterable[str] | None = None
     ) -> "Poly":
-        """Injectively rename variables; unmentioned names keep themselves."""
+        """Injectively rename variables; unmentioned names keep themselves.
+
+        A rename only moves exponent positions, so no arithmetic is done.
+        """
         names = [mapping.get(v, v) for v in self.variables]
         if len(set(names)) != len(names):
             raise VariableMismatchError(f"rename collides: {mapping}")
-        tvars = sort_variables(names) if target is None else tuple(target)
-        bindings = {
-            v: Poly.var(tvars, mapping.get(v, v)) for v in self.variables
-        }
-        return self.substitute(bindings)
+        tvars = sort_variables(names) if target is None else _canonical(target)
+        if not set(names) <= set(tvars):
+            raise VariableMismatchError(f"{tvars} does not contain {names}")
+        pos = [tvars.index(v) for v in names]
+        terms = {}
+        for exp, coeff in self.terms.items():
+            new = [0] * len(tvars)
+            for p, e in zip(pos, exp):
+                new[p] = e
+            terms[tuple(new)] = coeff
+        return Poly._raw(tvars, terms)
 
     # -- printing and parsing ----------------------------------------
 
@@ -318,6 +306,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.variables}, {poly_to_str(self)!r})"
+
+
+def _mul_terms(left: dict, right: dict) -> dict:
+    """Product of two term maps, zero coefficients dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exp = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[exp] = out[exp] + c if exp in out else c
+    return {e: c for e, c in out.items() if c}
 
 
 def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -190,7 +190,7 @@ def test_criterion_6_extension_verdicts_and_splittings(cur1, cur1_regular):
             b_matrix = {(0, 0): random_poly(rng, ("del",))}
             gamma = gamma_coboundary(reg, reg, b_matrix)
         datum = ExtensionDatum(cur1, reg, reg, gamma)
-        _, verdict = build_extension(datum)
+        _, verdict, _ = build_extension(datum)
         assert verdict == (not extension_residuals(datum))
         passed += verdict
         failed += not verdict
@@ -200,7 +200,7 @@ def test_criterion_6_extension_verdicts_and_splittings(cur1, cur1_regular):
         b_matrix = {(0, 0): random_poly(rng, ("del",))}
         gamma = gamma_coboundary(reg, reg, b_matrix)
         datum = ExtensionDatum(cur1, reg, reg, gamma)
-        _, verdict = build_extension(datum)
+        _, verdict, _ = build_extension(datum)
         assert verdict
         assert equivalent_extensions(datum, zero_datum, b_matrix)
         witness = search_extension_witness(datum, zero_datum, 3)

@@ -7,7 +7,7 @@ from pseudo.cfmodule import (
     chom_left_action,
     chom_right_action,
 )
-from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, CElement
+from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, CElement, check_associativity
 from pseudo.polyring import Poly, parse_poly
 
 ONE = Poly.const(PRODUCT_VARS, 1)
@@ -30,6 +30,30 @@ def test_regular_module_passes(cur1, mat2):
         assert reg.generators == alg.generators
         assert reg.has_left and reg.has_right
         assert check_module_axioms(reg) is None
+
+
+def _entries(table) -> int:
+    return sum(len(entries) for entries in table.values())
+
+
+def test_checkers_substitute_each_table_entry_once_per_map(monkeypatch, mat2):
+    # each table a law reads is substituted at most once by each of the
+    # four law maps per call, not once per generator triple
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(poly, bindings):
+        calls.append(1)
+        return substitute(poly, bindings)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    reg = BimoduleStructure.regular(mat2)
+    assert check_associativity(mat2) is None
+    assert 0 < len(calls) <= 4 * _entries(mat2.structure)
+    calls.clear()
+    assert check_module_axioms(reg) is None
+    read = _entries(mat2.structure) + _entries(reg.left) + _entries(reg.right)
+    assert 0 < len(calls) <= 4 * read
 
 
 def test_two_sided_unit_module(cur1):

@@ -341,6 +341,20 @@ def test_plateau_h3_with_margin_three(inputs_dir):
     assert short.dim_coboundaries <= rep.dim_coboundaries
 
 
+@pytest.mark.parametrize("degree, pinned", [(1, (2, 2, 0)), (2, (5, 5, 0))])
+def test_plateau_del3_twin_with_margin_three(inputs_dir, degree, pinned):
+    # B = Z, so the margin-3 answer is exact; the default margin stops on a
+    # plateau below it, so its B is only held to that upper bound here
+    twin = parse_algebra((inputs_dir / "plateau3.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(twin)
+    rep = cohomology_dimensions(twin, module, 3, TruncationWindow(degree, 3))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == pinned
+    assert rep.stabilized and rep.rounds == 3
+    short = cohomology_dimensions(twin, module, 3, TruncationWindow(degree, 1))
+    assert short.dim_cocycles == pinned[0]
+    assert short.dim_coboundaries <= pinned[1]
+
+
 def test_u2_h2_is_nonzero(u2, u2_regular):
     rep = cohomology_dimensions(u2, u2_regular, 2, TruncationWindow(4, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (19, 12, 7)

@@ -94,17 +94,17 @@ def test_extension_residuals_oracles(cur1, cur1_regular):
 
 
 def test_build_extension_verdicts(cur1, cur1_regular):
-    glued, ok = build_extension(datum_of(cur1, cur1_regular, "lam"))
+    glued, ok, _ = build_extension(datum_of(cur1, cur1_regular, "lam"))
     assert ok
     assert glued.generators == ("m:e", "n:e")
     assert glued.has_left and not glued.has_right
     assert check_module_axioms(glued) is None
-    _, bad = build_extension(datum_of(cur1, cur1_regular, "1"))
+    _, bad, _ = build_extension(datum_of(cur1, cur1_regular, "1"))
     assert not bad
 
 
 def test_build_extension_glued_entries(cur1, cur1_regular):
-    glued, _ = build_extension(datum_of(cur1, cur1_regular, "lam"))
+    glued, _, _ = build_extension(datum_of(cur1, cur1_regular, "lam"))
     one = Poly.const(PRODUCT_VARS, 1)
     assert glued.left_entries(0, 0) == ((0, one),)
     assert glued.left_entries(0, 1) == (
@@ -270,25 +270,28 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("gamma_file", ["gamma_lam.coc", "gamma_const.coc"])
 def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_file):
-    """Each verdict's two routes stay independent: the residual systems and
-    apply_dn never reach _law_sides, and the axiom checker never reaches the
-    Chom actions the extension residuals are built from."""
+    """Each verdict's two routes stay independent: the extension residuals
+    and apply_dn never reach the law kernel (_law_tables, _law_sides and
+    _dense), and the axiom checker never reaches the Chom actions the
+    extension residuals are built from."""
     cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text())
     module = BimoduleStructure.regular(cur1)
     gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
     datum = ExtensionDatum(cur1, module, module, gamma)
     cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), cur1, module)
-    extension, verdict = build_extension(datum)
+    extension, verdict, _ = build_extension(datum)
     _, flat = deform(DeformationDatum(cur1, cochain))
     with monkeypatch.context() as patch:
         for owner in (conformal, cfmodule, constructions):
-            patch.setattr(owner, "_law_sides", _refuse, raising=False)
+            for name in ("_law_tables", "_law_sides", "_dense"):
+                patch.setattr(owner, name, _refuse, raising=False)
         assert (not extension_residuals(datum)) == verdict
         assert apply_dn(cochain).is_zero() == flat
     with monkeypatch.context() as patch:
         for owner in (cfmodule, constructions):
             patch.setattr(owner, "chom_left_action", _refuse, raising=False)
             patch.setattr(owner, "chom_right_action", _refuse, raising=False)
+            patch.setattr(owner, "_scale", _refuse, raising=False)
         assert (check_module_axioms(extension) is None) == verdict
 
 
@@ -340,7 +343,7 @@ def test_residuals_and_verdicts_are_pinned(cur1, cur1_regular, mat2, mat2_regula
                 )
             cochain = Cochain(2, algebra, module, values)
         datum = ExtensionDatum(algebra, module, module, gamma)
-        _, verdict = build_extension(datum)
+        _, verdict, _ = build_extension(datum)
         rendered.append(("extension", case, verdict, _rendered(extension_residuals(datum))))
         residuals, verdict = deform(DeformationDatum(algebra, cochain))
         rendered.append(("deformation", case, verdict, _rendered(residuals)))

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import polys, rationals
+from conftest import _poly_from_pairs, polys, rationals
 from pseudo.polyring import (
     Poly,
     PolyParseError,
@@ -172,3 +172,69 @@ def test_scalar_action(p, c):
     assert p * c == c * p
     if c:
         assert (p * c) * (1 / c) == p
+
+
+def _reference_substitute(p: Poly, bindings, target) -> Poly:
+    """Sum over terms of coeff times a product of ** powers; unbound
+    variables map to themselves in the target."""
+    total = Poly.zero(target)
+    for exp, coeff in p.terms.items():
+        term = Poly.const(target, coeff)
+        for v, e in zip(p.variables, exp):
+            image = bindings[v] if v in bindings else Poly.var(target, v)
+            term = term * image ** e
+        total = total + term
+    return total
+
+
+def _images(variables) -> st.SearchStrategy:
+    """Polynomials of total degree 0-2 over the variables, zero included."""
+    monomial = st.lists(st.sampled_from(variables), max_size=2).map(
+        lambda names: tuple(names.count(v) for v in variables)
+    )
+    pairs = st.lists(st.tuples(monomial, rationals()), max_size=3)
+    return pairs.map(lambda terms: _poly_from_pairs(variables, terms))
+
+
+@st.composite
+def _bindings(draw):
+    """A target variable set and a nonempty binding of some of (del, lam,
+    mu) into it; the unbound ones must lie in the target."""
+    target = draw(st.sampled_from([PL, ALL3, ("del", "lam", "mu", "lam1"), ("lam1", "lam2")]))
+    forced = [v for v in ALL3 if v not in target]
+    bound = set(forced) | set(draw(st.lists(st.sampled_from(ALL3), min_size=1, unique=True)))
+    return target, {v: draw(_images(target)) for v in sorted(bound, key=variable_key)}
+
+
+@given(polys(ALL3), polys(ALL3), _bindings(), _bindings())
+def test_substitute_matches_reference(p, q, first, second):
+    (target, bindings), (other_target, other) = first, second
+    want_p = _reference_substitute(p, bindings, target)
+    assert p.substitute(bindings) == want_p
+    # another polynomial and another map in between, then the same
+    # bindings object again: nothing may carry over between calls
+    assert q.substitute(other) == _reference_substitute(q, other, other_target)
+    assert q.substitute(bindings) == _reference_substitute(q, bindings, target)
+    assert p.substitute(bindings) == want_p
+
+
+NAMES = ("del", "lam", "mu", "lam1", "lam2")
+
+
+@given(
+    st.sampled_from([("del",), ("del", "lam1"), ALL3, ("lam", "lam1", "lam2")]).flatmap(
+        lambda source: st.tuples(
+            polys(source), st.permutations(NAMES), st.lists(st.sampled_from(NAMES))
+        )
+    ),
+    st.booleans(),
+)
+def test_rename_vars_is_substitute_by_variables(case, widen):
+    p, order, extra = case
+    mapping = dict(zip(p.variables, order))
+    images = [mapping[v] for v in p.variables]
+    target = sort_variables(images + (extra if widen else []))
+    expected = p.substitute({v: Poly.var(target, mapping[v]) for v in p.variables})
+    renamed = p.rename_vars(mapping, target if widen else None)
+    assert renamed == expected
+    assert renamed.variables == target
