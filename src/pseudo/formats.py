@@ -2,10 +2,14 @@
 
 Every file starts with a ``kind:`` header (algebra, module, cochain or
 fd_algebra) followed by headers and statement lines.  ``#`` starts a
-comment; blank lines are ignored.  A statement's right-hand side has the
-shape ``P * name`` where P is polynomial text and name a generator; one
-line contributes one target term, so multi-term values repeat the
-left-hand side across lines.
+comment; blank lines are ignored.  One grammar holds for every kind:
+
+- each header the kind allows appears at most once;
+- where the kind has ``generators:``, statements come after it;
+- a statement reads ``<keyword> <name> ... -> P * <target>`` where P is
+  polynomial text and target a generator, so one line holds one target
+  term and multi-term values repeat the left-hand side across lines;
+- a repeated target for the same left-hand side is an error.
 
     kind: algebra
     generators: e11 e12 e21 e22
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, CLinearMap
 from .classical import FDAlgebra
@@ -40,6 +44,9 @@ from .conformal import PRODUCT_VARS, ConformalAlgebra
 from .polyring import Poly, PolyParseError, parse_poly, variable_key
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+
+# (line, keyword, names before "->", polynomial text, target name)
+_Statement = tuple[int, str, list[str], str, str]
 
 
 class DefinitionError(ValueError):
@@ -58,21 +65,14 @@ def _is_poly_variable(name: str) -> bool:
         return False
 
 
-def _meaningful_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
-
-
-def _split_header(line: str) -> Optional[tuple[str, str]]:
+def _split_header(line: str) -> tuple[str, str] | None:
     head, sep, rest = line.partition(":")
     if not sep or " " in head.strip() or not head.strip():
         return None
     return head.strip(), rest.strip()
 
 
-def _parse_generator_list(rest: str, line: int) -> tuple[str, ...]:
+def _parse_generator_list(line: int, rest: str) -> tuple[str, ...]:
     names = tuple(rest.split())
     if not names:
         raise DefinitionError("empty generator list", line)
@@ -101,245 +101,173 @@ def _split_rhs(rhs: str, line: int) -> tuple[str, str]:
     return poly_text.strip(), name
 
 
-def _parse_coefficient(
-    text: str, variables: tuple[str, ...], line: int
-) -> Poly:
-    try:
-        return parse_poly(text, variables)
-    except PolyParseError as exc:
-        raise DefinitionError(f"bad polynomial {text!r}: {exc}", line) from None
+def _read(
+    text: str, kind: str, headers: Sequence[str], shapes: Mapping[str, str]
+) -> tuple[dict[str, tuple[int, str]], list[_Statement]]:
+    """Check the kind line, then split the file into headers and statements.
 
-
-class _Document:
-    """Kind header plus the remaining lines, with position tracking."""
-
-    def __init__(self, text: str):
-        lines = list(_meaningful_lines(text))
-        if not lines:
-            raise DefinitionError("empty definition file", 1)
-        number, first = lines[0]
-        header = _split_header(first)
-        if header is None or header[0] != "kind":
-            raise DefinitionError("first line must be 'kind: ...'", number)
-        self.kind = header[1]
-        self.body = lines[1:]
-
-    def require_kind(self, expected: str):
-        if self.kind != expected:
+    ``headers`` lists the headers the kind allows; ``shapes`` maps each
+    statement keyword to the usage shown for a line of it without ``->``.
+    Returns ``{header: (line, text)}`` and the statements in file order.
+    """
+    lines = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((number, line))
+    if not lines:
+        raise DefinitionError("empty definition file", 1)
+    number, first = lines[0]
+    header = _split_header(first)
+    if header is None or header[0] != "kind":
+        raise DefinitionError("first line must be 'kind: ...'", number)
+    if header[1] != kind:
+        raise DefinitionError(f"expected 'kind: {kind}', found 'kind: {header[1]}'", number)
+    needs_generators = "generators" in headers
+    found: dict[str, tuple[int, str]] = {}
+    statements: list[_Statement] = []
+    for number, line in lines[1:]:
+        header = _split_header(line)
+        if header is not None:
+            key, rest = header
+            if key not in headers:
+                raise DefinitionError(f"unknown header {key!r}", number)
+            if key in found:
+                raise DefinitionError(f"{key} given twice", number)
+            found[key] = (number, rest)
+            continue
+        keyword, *parts = line.split()
+        if keyword not in shapes:
+            raise DefinitionError(f"unknown statement {keyword!r}", number)
+        if needs_generators and "generators" not in found:
+            raise DefinitionError(f"{keyword} lines before the generators header", number)
+        if "->" not in parts:
             raise DefinitionError(
-                f"expected 'kind: {expected}', found 'kind: {self.kind}'", 1
+                f"{keyword} lines look like '{keyword} {shapes[keyword]}'", number
             )
+        poly_text, target = _split_rhs(line.split("->", 1)[1], number)
+        statements.append((number, keyword, parts[: parts.index("->")], poly_text, target))
+    if needs_generators and "generators" not in found:
+        raise DefinitionError("missing generators header", 1)
+    return found, statements
 
 
-def _index_of(names: Sequence[str], name: str, what: str, line: int) -> int:
+def _index_of(names: Sequence[str], what: str, name: str, line: int) -> int:
     try:
         return names.index(name)
     except ValueError:
         raise DefinitionError(f"unknown {what} {name!r}", line) from None
 
 
-def parse_algebra(text: str) -> ConformalAlgebra:
-    doc = _Document(text)
-    doc.require_kind("algebra")
-    generators: Optional[tuple[str, ...]] = None
-    table: dict[tuple[int, int], dict[int, Poly]] = {}
-    for number, line in doc.body:
-        header = _split_header(line)
-        if header is not None:
-            key, rest = header
-            if key == "generators":
-                if generators is not None:
-                    raise DefinitionError("generators given twice", number)
-                generators = _parse_generator_list(rest, number)
-                continue
-            raise DefinitionError(f"unknown header {key!r}", number)
-        parts = line.split()
-        if parts[0] != "product":
-            raise DefinitionError(f"unknown statement {parts[0]!r}", number)
-        if generators is None:
-            raise DefinitionError("products before the generators header", number)
-        if len(parts) < 4 or parts[3] != "->":
-            raise DefinitionError(
-                "product lines look like 'product a b -> P * c'", number
-            )
-        i = _index_of(generators, parts[1], "generator", number)
-        j = _index_of(generators, parts[2], "generator", number)
-        poly_text, target = _split_rhs(line.split("->", 1)[1], number)
-        k = _index_of(generators, target, "generator", number)
-        poly = _parse_coefficient(poly_text, PRODUCT_VARS, number)
-        pair = table.setdefault((i, j), {})
-        if k in pair:
-            raise DefinitionError(
-                f"duplicate product target {target!r} for this pair", number
-            )
-        pair[k] = poly
-    if generators is None:
-        raise DefinitionError("missing generators header", 1)
-    structure = {
-        key: [(k, poly) for k, poly in sorted(entries.items())]
-        for key, entries in table.items()
-    }
-    return ConformalAlgebra(generators, structure)
+def _table(
+    statements: list[_Statement],
+    keyword: str,
+    axes: Sequence[tuple[Sequence[str], str]],
+    variables: tuple[str, ...],
+) -> dict[tuple[int, ...], list[tuple[int, Poly]]]:
+    """``{key: [(k, P), ...]}`` from the statements of one keyword.
 
-
-def parse_module(text: str, algebra: ConformalAlgebra) -> BimoduleStructure:
-    doc = _Document(text)
-    doc.require_kind("module")
-    generators: Optional[tuple[str, ...]] = None
-    declared: Optional[set[str]] = None
-    tables: dict[str, dict[tuple[int, int], dict[int, Poly]]] = {
-        "left": {},
-        "right": {},
-    }
-    used: set[str] = set()
-    for number, line in doc.body:
-        header = _split_header(line)
-        if header is not None:
-            key, rest = header
-            if key == "generators":
-                if generators is not None:
-                    raise DefinitionError("generators given twice", number)
-                generators = _parse_generator_list(rest, number)
-                continue
-            if key == "actions":
-                sides = rest.split()
-                if not sides or any(s not in ("left", "right") for s in sides):
-                    raise DefinitionError(
-                        "actions header lists 'left' and/or 'right'", number
-                    )
-                declared = set(sides)
-                continue
-            raise DefinitionError(f"unknown header {key!r}", number)
-        parts = line.split()
-        side = parts[0]
-        if side not in ("left", "right"):
-            raise DefinitionError(f"unknown statement {side!r}", number)
-        if generators is None:
-            raise DefinitionError("action lines before the generators header", number)
-        if len(parts) < 4 or parts[3] != "->":
+    ``axes`` holds (generator names, what they are) for each name before
+    ``->`` and then for the target.  Entries are sorted by target; keys
+    keep the order of their first statement.
+    """
+    *key_axes, target_axis = axes
+    table: dict[tuple[int, ...], dict[int, Poly]] = {}
+    for number, word, names, poly_text, target in statements:
+        if word != keyword:
+            continue
+        if len(names) != len(key_axes):
             raise DefinitionError(
-                f"{side} lines look like '{side} a u -> P * v'"
-                if side == "left"
-                else "right lines look like 'right u a -> P * v'",
+                f"{keyword} line needs {len(key_axes)} generators, got {len(names)}",
                 number,
             )
-        if side == "left":
-            i = _index_of(algebra.generators, parts[1], "algebra generator", number)
-            j = _index_of(generators, parts[2], "module generator", number)
-            key = (i, j)
-        else:
-            j = _index_of(generators, parts[1], "module generator", number)
-            i = _index_of(algebra.generators, parts[2], "algebra generator", number)
-            key = (j, i)
-        poly_text, target = _split_rhs(line.split("->", 1)[1], number)
-        k = _index_of(generators, target, "module generator", number)
-        poly = _parse_coefficient(poly_text, PRODUCT_VARS, number)
-        entries = tables[side].setdefault(key, {})
+        key = tuple(_index_of(*axis, name, number) for axis, name in zip(key_axes, names))
+        k = _index_of(*target_axis, target, number)
+        try:
+            poly = parse_poly(poly_text, variables)
+        except PolyParseError as exc:
+            raise DefinitionError(f"bad polynomial {poly_text!r}: {exc}", number) from None
+        entries = table.setdefault(key, {})
         if k in entries:
             raise DefinitionError(
-                f"duplicate {side} target {target!r} for this pair", number
+                f"duplicate {keyword} target {target!r} for ({', '.join(names)})",
+                number,
             )
         entries[k] = poly
-        used.add(side)
-    if generators is None:
-        raise DefinitionError("missing generators header", 1)
-    present = declared if declared is not None else used
-    if not present:
-        raise DefinitionError(
-            "module defines no actions; declare sides with 'actions:'", 1
-        )
-    for side in used - present:
-        raise DefinitionError(f"{side} lines present but not declared in actions", 1)
+    return {key: sorted(entries.items()) for key, entries in table.items()}
 
-    def build(side: str):
-        if side not in present:
-            return None
-        return {
-            key: [(k, poly) for k, poly in sorted(entries.items())]
-            for key, entries in tables[side].items()
-        }
 
-    return BimoduleStructure(
-        algebra=algebra,
-        generators=generators,
-        left=build("left"),
-        right=build("right"),
+def parse_algebra(text: str) -> ConformalAlgebra:
+    found, statements = _read(text, "algebra", ("generators",), {"product": "a b -> P * c"})
+    generators = _parse_generator_list(*found["generators"])
+    axis = (generators, "generator")
+    return ConformalAlgebra(
+        generators, _table(statements, "product", (axis, axis, axis), PRODUCT_VARS)
     )
 
 
-def _parse_cochain_document(
-    text: str,
-) -> tuple[int, bool, list[tuple[int, list[str], str]]]:
-    """Shared cochain-file front end: degree, chom flag, value lines."""
-    doc = _Document(text)
-    doc.require_kind("cochain")
-    degree: Optional[int] = None
-    chom = False
-    values: list[tuple[int, list[str], str]] = []
-    for number, line in doc.body:
-        header = _split_header(line)
-        if header is not None:
-            key, rest = header
-            if key == "degree":
-                try:
-                    degree = int(rest)
-                except ValueError:
-                    raise DefinitionError("degree must be an integer", number) from None
-                if degree < 0:
-                    raise DefinitionError("degree must be nonnegative", number)
-                continue
-            if key == "coefficients":
-                if rest != "chom":
-                    raise DefinitionError(
-                        "the only supported coefficients marker is 'chom'", number
-                    )
-                chom = True
-                continue
-            raise DefinitionError(f"unknown header {key!r}", number)
-        parts = line.split()
-        if parts[0] != "value":
-            raise DefinitionError(f"unknown statement {parts[0]!r}", number)
-        if "->" not in parts:
-            raise DefinitionError("value lines look like 'value ... -> P * m'", number)
-        arrow = parts.index("->")
-        values.append((number, parts[1:arrow], line.split("->", 1)[1]))
-    if degree is None:
+def parse_module(text: str, algebra: ConformalAlgebra) -> BimoduleStructure:
+    found, statements = _read(
+        text,
+        "module",
+        ("generators", "actions"),
+        {"left": "a u -> P * v", "right": "u a -> P * v"},
+    )
+    generators = _parse_generator_list(*found["generators"])
+    if "actions" in found:
+        number, rest = found["actions"]
+        sides = set(rest.split())
+        if not sides or not sides <= {"left", "right"}:
+            raise DefinitionError("actions header lists 'left' and/or 'right'", number)
+    else:
+        sides = {keyword for _, keyword, *_ in statements}
+    if not sides:
+        raise DefinitionError("module defines no actions; declare sides with 'actions:'", 1)
+    for number, side, *_ in statements:
+        if side not in sides:
+            raise DefinitionError(f"{side} lines present but not declared in actions", number)
+    outer = (algebra.generators, "algebra generator")
+    inner = (generators, "module generator")
+    axes = {"left": (outer, inner, inner), "right": (inner, outer, inner)}
+    tables = {
+        side: _table(statements, side, axes[side], PRODUCT_VARS) if side in sides else None
+        for side in axes
+    }
+    return BimoduleStructure(algebra, generators, tables["left"], tables["right"])
+
+
+def _read_cochain(text: str, shape: str) -> tuple[int, bool, list[_Statement]]:
+    """Degree, chom marker and value statements of a cochain file."""
+    found, statements = _read(text, "cochain", ("degree", "coefficients"), {"value": shape})
+    if "degree" not in found:
         raise DefinitionError("missing degree header", 1)
-    return degree, chom, values
+    number, degree = found["degree"]
+    if not degree.isdecimal():
+        raise DefinitionError("degree must be a nonnegative integer", number)
+    number, marker = found.get("coefficients", (1, None))
+    if marker not in (None, "chom"):
+        raise DefinitionError("the only supported coefficients marker is 'chom'", number)
+    return int(degree), marker == "chom", statements
 
 
 def parse_cochain(
     text: str, algebra: ConformalAlgebra, module: BimoduleStructure
 ) -> Cochain:
-    degree, chom, value_lines = _parse_cochain_document(text)
+    degree, chom, statements = _read_cochain(text, "... -> P * m")
     if chom:
         raise DefinitionError(
             "chom-valued file describes extension data, not a plain cochain", 1
         )
     variables = cochain_variables(degree)
-    table: dict[tuple[int, ...], list[Poly]] = {}
-    for number, args, rhs in value_lines:
-        if len(args) != degree:
-            raise DefinitionError(
-                f"value line needs {degree} algebra generators, got {len(args)}",
-                number,
-            )
-        key = tuple(
-            _index_of(algebra.generators, name, "algebra generator", number)
-            for name in args
-        )
-        poly_text, target = _split_rhs(rhs, number)
-        k = _index_of(module.generators, target, "module generator", number)
-        poly = _parse_coefficient(poly_text, variables, number)
-        vec = table.setdefault(key, [Poly.zero(variables)] * module.rank)
-        if not vec[k].is_zero:
-            raise DefinitionError(
-                f"duplicate value target {target!r} for this tuple", number
-            )
-        vec[k] = poly
-    return Cochain(
-        degree, algebra, module, {key: tuple(vec) for key, vec in table.items()}
-    )
+    axes = [(algebra.generators, "algebra generator")] * degree
+    axes.append((module.generators, "module generator"))
+    values = {}
+    for key, entries in _table(statements, "value", axes, variables).items():
+        vec = [Poly.zero(variables)] * module.rank
+        for k, poly in entries:
+            vec[k] = poly
+        values[key] = tuple(vec)
+    return Cochain(degree, algebra, module, values)
 
 
 def parse_gamma(
@@ -348,97 +276,44 @@ def parse_gamma(
     sub: BimoduleStructure,
     quotient: BimoduleStructure,
 ) -> dict[int, CLinearMap]:
-    degree, chom, value_lines = _parse_cochain_document(text)
+    degree, chom, statements = _read_cochain(text, "a u -> P * m")
     if not chom:
         raise DefinitionError("extension data needs 'coefficients: chom'", 1)
     if degree != 1:
         raise DefinitionError("extension data must have degree 1", 1)
+    axes = (
+        (algebra.generators, "algebra generator"),
+        (quotient.generators, "quotient generator"),
+        (sub.generators, "sub generator"),
+    )
     matrices: dict[int, dict[tuple[int, int], Poly]] = {}
-    for number, args, rhs in value_lines:
-        if len(args) != 2:
-            raise DefinitionError(
-                "chom value lines look like 'value a u -> P * m'", number
-            )
-        i = _index_of(algebra.generators, args[0], "algebra generator", number)
-        t = _index_of(quotient.generators, args[1], "quotient generator", number)
-        poly_text, target = _split_rhs(rhs, number)
-        s = _index_of(sub.generators, target, "sub generator", number)
-        poly = _parse_coefficient(poly_text, PRODUCT_VARS, number)
-        matrix = matrices.setdefault(i, {})
-        if (t, s) in matrix:
-            raise DefinitionError(
-                f"duplicate value target {target!r} for this pair", number
-            )
-        matrix[(t, s)] = poly
-    return {
-        i: CLinearMap(quotient.generators, sub.generators, matrix)
-        for i, matrix in matrices.items()
-    }
+    for (i, t), entries in _table(statements, "value", axes, PRODUCT_VARS).items():
+        for s, poly in entries:
+            matrices.setdefault(i, {})[(t, s)] = poly
+    return {i: CLinearMap(quotient.generators, sub.generators, m) for i, m in matrices.items()}
 
 
 def parse_fd_algebra(text: str) -> FDAlgebra:
-    doc = _Document(text)
-    doc.require_kind("fd_algebra")
-    generators: Optional[tuple[str, ...]] = None
-    unit_line: Optional[tuple[int, str]] = None
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for number, line in doc.body:
-        header = _split_header(line)
-        if header is not None:
-            key, rest = header
-            if key == "generators":
-                if generators is not None:
-                    raise DefinitionError("generators given twice", number)
-                generators = _parse_generator_list(rest, number)
-                continue
-            if key == "unit":
-                if unit_line is not None:
-                    raise DefinitionError("unit given twice", number)
-                unit_line = (number, rest)
-                continue
-            raise DefinitionError(f"unknown header {key!r}", number)
-        parts = line.split()
-        if parts[0] != "product":
-            raise DefinitionError(f"unknown statement {parts[0]!r}", number)
-        if generators is None:
-            raise DefinitionError("products before the generators header", number)
-        if len(parts) < 4 or parts[3] != "->":
-            raise DefinitionError(
-                "product lines look like 'product a b -> c/d * e'", number
-            )
-        i = _index_of(generators, parts[1], "generator", number)
-        j = _index_of(generators, parts[2], "generator", number)
-        poly_text, target = _split_rhs(line.split("->", 1)[1], number)
-        k = _index_of(generators, target, "generator", number)
-        coeff_poly = _parse_coefficient(poly_text, (), number)
-        pair = products.setdefault((i, j), {})
-        if k in pair:
-            raise DefinitionError(
-                f"duplicate product target {target!r} for this pair", number
-            )
-        pair[k] = coeff_poly.constant_term()
-    if generators is None:
-        raise DefinitionError("missing generators header", 1)
+    found, statements = _read(
+        text, "fd_algebra", ("generators", "unit"), {"product": "a b -> c/d * e"}
+    )
+    generators = _parse_generator_list(*found["generators"])
     n = len(generators)
+    axis = (generators, "generator")
     constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), entries in products.items():
-        for k, coeff in entries.items():
-            constants[i][j][k] = coeff
-    unit = None
-    if unit_line is not None:
-        number, rest = unit_line
-        coords = rest.split()
+    for (i, j), entries in _table(statements, "product", (axis, axis, axis), ()).items():
+        for k, coeff in entries:
+            constants[i][j][k] = coeff.constant_term()
+    unit_line, unit = found.get("unit", (1, None))
+    if unit is not None:
+        coords = unit.split()
         if len(coords) != n:
-            raise DefinitionError(f"unit needs {n} coordinates", number)
+            raise DefinitionError(f"unit needs {n} coordinates", unit_line)
         try:
             unit = tuple(Fraction(c) for c in coords)
         except (ValueError, ZeroDivisionError):
-            raise DefinitionError("unit coordinates must be rationals", number) from None
+            raise DefinitionError("unit coordinates must be rationals", unit_line) from None
     try:
-        return FDAlgebra(
-            generators,
-            tuple(tuple(tuple(row) for row in plane) for plane in constants),
-            unit,
-        )
+        return FDAlgebra(generators, constants, unit)
     except ValueError as exc:
-        raise DefinitionError(str(exc), 1) from None
+        raise DefinitionError(str(exc), unit_line) from None
