@@ -15,7 +15,9 @@ The differential of an n-cochain phi evaluated on (g1, ..., g_{n+1}) is
 
 where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
-For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).
+For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
+slot rules are written once, in ``_Stencil``, which ``apply_d0``,
+``apply_dn`` and ``differential_matrix`` all run on.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -239,6 +241,8 @@ class CochainIndex:
         return out
 
     def reconstruct(self, coords: Sequence) -> Cochain:
+        if len(coords) != self.dimension:
+            raise ValueError("coordinate count does not match this index")
         values: dict[tuple[int, ...], list[Poly]] = {}
         for coeff, (tup, k, mono) in zip(coords, self.labels):
             coeff = Fraction(coeff)
@@ -264,115 +268,51 @@ def apply_d0(cochain: Cochain) -> Cochain:
     module = cochain.module
     if not (module.has_left and module.has_right):
         raise ValueError("degree-0 differential needs both module actions")
-    algebra = cochain.algebra
-    u = [p.constant_term() for p in cochain.value(())]
-    dl = Poly.var(("del",), "del")
-    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
-    for i in range(algebra.rank):
-        vec = [Poly.zero(("del",)) for _ in range(module.rank)]
-        for j, coeff in enumerate(u):
-            if not coeff:
-                continue
-            # expand a_i lam u_j fully, then substitute lam -> -del
-            for k, l_ijk in module.left_entries(i, j):
-                vec[k] = vec[k] + coeff * l_ijk.substitute({"lam": -dl, "del": dl})
-            # u_j lam a_i at lam = 0
-            for k, r_jik in module.right_entries(j, i):
-                vec[k] = vec[k] - coeff * r_jik.substitute(
-                    {"lam": Poly.zero(("del",)), "del": dl}
-                )
-        if any(not p.is_zero for p in vec):
-            values[(i,)] = tuple(vec)
-    return Cochain(1, algebra, module, values)
+    return _differential(cochain)
 
 
 def apply_dn(cochain: Cochain) -> Cochain:
     """Differential of an n-cochain for n >= 1 (see module docstring)."""
-    n = cochain.degree
-    if n < 1:
+    if cochain.degree < 1:
         raise ValueError("apply_dn expects degree >= 1; use apply_d0")
-    module = cochain.module
-    if not module.has_left:
-        raise ValueError("the differential needs a left action")
-    if not module.has_right:
-        raise ValueError("the differential needs a right action")
-    algebra = cochain.algebra
+    return _differential(cochain)
+
+
+def _differential(cochain: Cochain) -> Cochain:
+    """d of a cochain on the stencil: every nonzero coordinate polynomial
+    goes whole through each slot, at that slot's cut of its tuple."""
+    n, module = cochain.degree, cochain.module
+    stencil = _Stencil(cochain.algebra, module, n)
+    acc: dict = {}
+    for tup, vec in cochain.values.items():
+        for k, value in enumerate(vec):
+            if value.is_zero:
+                continue
+            value = value.embed(stencil.src_vars)
+            for slot, (lo, hi, _, _) in enumerate(stencil.slots):
+                image = stencil.image(slot, tup[lo:hi], k, value)
+                _spread(acc, tup[:lo], tup[hi:], image)
     dst_vars = cochain_variables(n + 1)
-    dl = Poly.var(dst_vars, "del")
-    lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
-    lam_total = Poly.zero(dst_vars)
-    for i in range(1, n + 1):
-        lam_total = lam_total + lam[i]
-    lam_head = lam_total - lam[n]  # lam1 + ... + lam(n-1)
-    sign_last = 1 if (n + 1) % 2 == 0 else -1
+    values: dict = {}
+    for (target, s, exp), coeff in acc.items():
+        if coeff:
+            vec = values.setdefault(target, [{} for _ in range(module.rank)])
+            vec[s][exp] = coeff
+    return Cochain(
+        n + 1,
+        cochain.algebra,
+        module,
+        {t: tuple(Poly._raw(dst_vars, terms) for terms in values[t]) for t in sorted(values)},
+    )
 
-    # every polynomial is substituted once per call: each structure table
-    # (its sign folded in) and each cochain value once per slot kind
-    def moved_table(table, bindings, sign=1):
-        return {
-            key: [(k, sign * poly.substitute(bindings)) for k, poly in entries]
-            for key, entries in table.items()
-        }
 
-    def moved_values(bindings):
-        return {
-            key: [(k, poly.substitute(bindings)) for k, poly in enumerate(vec) if not poly.is_zero]
-            for key, vec in cochain.values.items()
-        }
-
-    # head term: g1 lam1 phi(g2 ... g_{n+1}); the cochain variables shift
-    # one slot right and del rides the module value
-    shift = {f"lam{i}": lam[i + 1] for i in range(1, n)}
-    shift["del"] = dl + lam[1]
-    head_values = moved_values(shift)
-    left = moved_table(module.left, {"lam": lam[1], "del": dl})
-
-    # middle terms: slot i absorbs the product g_i lam_i g_{i+1}
-    middles = []
-    for i in range(1, n + 1):
-        if i < n:
-            # the product sits in a non-last slot: its del becomes
-            # -(lam_i + lam_{i+1}), the merged cochain variable
-            coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
-            value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
-            value_sub[f"lam{i}"] = lam[i] + lam[i + 1]
-            for j in range(i + 1, n):
-                value_sub[f"lam{j}"] = lam[j + 1]
-        else:
-            # the product sits in the last slot: shift rule with the
-            # cochain's own variables lam1 .. lam(n-1)
-            coeff_sub = {"lam": lam[n], "del": dl + lam_head}
-            value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
-        value_sub["del"] = dl
-        sign = -1 if i % 2 else 1
-        middles.append(
-            (i, moved_values(value_sub), moved_table(algebra.structure, coeff_sub, sign))
-        )
-
-    # tail term: phi(g1 ... gn) (lam1+...+lamn) g_{n+1}; the value's del
-    # becomes minus the total action variable
-    value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
-    value_sub["del"] = -lam_total
-    tail_values = moved_values(value_sub)
-    right = moved_table(module.right, {"lam": lam_total, "del": dl}, sign_last)
-
-    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
-    for gens in iter_product(range(algebra.rank), repeat=n + 1):
-        acc = [Poly.zero(dst_vars) for _ in range(module.rank)]
-        for k, moved in head_values.get(gens[1:], ()):
-            for s, l_ks in left.get((gens[0], k), ()):
-                acc[s] = acc[s] + moved * l_ks
-        for i, moved_inner, products in middles:
-            for l, coeff in products.get((gens[i - 1], gens[i]), ()):
-                key = gens[: i - 1] + (l,) + gens[i + 1 :]
-                for k, moved in moved_inner.get(key, ()):
-                    acc[k] = acc[k] + coeff * moved
-        for k, moved in tail_values.get(gens[:n], ()):
-            for s, r_ks in right.get((k, gens[n]), ()):
-                acc[s] = acc[s] + moved * r_ks
-        if any(not p.is_zero for p in acc):
-            values[gens] = tuple(acc)
-    return Cochain(n + 1, algebra, module, values)
+def _spread(acc: dict, before: tuple, after: tuple, image: list) -> None:
+    """Add one slot's image into acc, keyed (target tuple, s, exponent)."""
+    for ins, s, terms in image:
+        target = before + ins + after
+        for exp, coeff in terms.items():
+            key = (target, s, exp)
+            acc[key] = acc[key] + coeff if key in acc else coeff
 
 
 def differential_matrix(
@@ -400,18 +340,18 @@ def differential_matrix(
 
 
 class _Stencil:
-    """d_n on one-term cochains, compiled for one matrix build.
+    """d_n compiled for one call: the only definition of its slot rules.
 
-    A source basis cochain x^m on (tuple t, module generator k) reaches
-    only n + 2 kinds of target tuple: the head (g,) + t, the middle slot i
+    A cochain value p on (tuple t, module generator k) reaches only n + 2
+    kinds of target tuple: the head (g,) + t, the middle slot i
     t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
     t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
     generators in its place; its image depends on t only through the cut.
-    The structure tables are substituted once here, and each image of a
-    (slot, cut, k, m) is formed once and remembered for the call.
+    The structure tables are substituted once here.  ``apply_d0`` and
+    ``apply_dn`` feed whole values through ``image``; ``column`` feeds
+    basis monomials and remembers each image of a (slot, cut, k, m).
     For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
-    and the source monomial is the constant 1 in ("del",).  ``apply_d0``
-    and ``apply_dn`` stay the reference routes this must agree with.
+    and a constant value is read in ("del",).
     """
 
     def __init__(self, algebra: ConformalAlgebra, module: BimoduleStructure, n: int):
@@ -472,18 +412,15 @@ class _Stencil:
         self.slots.append((n, n, tail, table))
         self._images: dict = {}
 
-    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> list:
-        key = (slot, cut, k, mono)
-        image = self._images.get(key)
-        if image is None:
-            _, _, value_sub, table = self.slots[slot]
-            entries = table.get((cut, k), ())
-            image = []
-            if entries:
-                moved = Poly.monomial(self.src_vars, mono or (0,)).substitute(value_sub)
-                image = [(ins, s, (moved * poly).terms) for ins, s, poly in entries]
-            self._images[key] = image
-        return image
+    def image(self, slot: int, cut: tuple, k: int, value: Poly) -> list:
+        """((inserted generators, s, terms), ...): a value over src_vars on
+        module generator k, fed into the slot where the tuple's cut is."""
+        _, _, value_sub, table = self.slots[slot]
+        entries = table.get((cut, k))
+        if not entries:
+            return []
+        moved = value.substitute(value_sub)
+        return [(ins, s, (moved * poly).terms) for ins, s, poly in entries]
 
     def column(self, label: tuple, max_degree: int) -> dict:
         """d of the basis cochain ``label`` as sparse target-label
@@ -491,11 +428,12 @@ class _Stencil:
         tup, k, mono = label
         acc: dict = {}
         for slot, (lo, hi, _, _) in enumerate(self.slots):
-            for ins, s, terms in self._image(slot, tup[lo:hi], k, mono):
-                target = tup[:lo] + ins + tup[hi:]
-                for exp, coeff in terms.items():
-                    key = (target, s, exp)
-                    acc[key] = acc[key] + coeff if key in acc else coeff
+            key = (slot, tup[lo:hi], k, mono)
+            image = self._images.get(key)
+            if image is None:
+                value = Poly.monomial(self.src_vars, mono or (0,))
+                image = self._images[key] = self.image(slot, tup[lo:hi], k, value)
+            _spread(acc, tup[:lo], tup[hi:], image)
         out = {}
         for key, coeff in acc.items():
             if coeff:

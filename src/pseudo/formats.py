@@ -108,7 +108,8 @@ def _read(
 
     ``headers`` lists the headers the kind allows; ``shapes`` maps each
     statement keyword to the usage shown for a line of it without ``->``.
-    Returns ``{header: (line, text)}`` and the statements in file order.
+    Returns ``{header: (line, text)}``, with the kind line under "kind",
+    and the statements in file order.
     """
     lines = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -124,7 +125,7 @@ def _read(
     if header[1] != kind:
         raise DefinitionError(f"expected 'kind: {kind}', found 'kind: {header[1]}'", number)
     needs_generators = "generators" in headers
-    found: dict[str, tuple[int, str]] = {}
+    found: dict[str, tuple[int, str]] = {"kind": (number, kind)}
     statements: list[_Statement] = []
     for number, line in lines[1:]:
         header = _split_header(line)
@@ -236,27 +237,28 @@ def parse_module(text: str, algebra: ConformalAlgebra) -> BimoduleStructure:
     return BimoduleStructure(algebra, generators, tables["left"], tables["right"])
 
 
-def _read_cochain(text: str, shape: str) -> tuple[int, bool, list[_Statement]]:
-    """Degree, chom marker and value statements of a cochain file."""
+def _read_cochain(text: str, shape: str) -> tuple[int, int, bool, int, list[_Statement]]:
+    """Degree, chom marker and value statements of a cochain file, each
+    header with its line (the marker's is the kind line when absent)."""
     found, statements = _read(text, "cochain", ("degree", "coefficients"), {"value": shape})
     if "degree" not in found:
         raise DefinitionError("missing degree header", 1)
-    number, degree = found["degree"]
+    degree_line, degree = found["degree"]
     if not degree.isdecimal():
-        raise DefinitionError("degree must be a nonnegative integer", number)
-    number, marker = found.get("coefficients", (1, None))
+        raise DefinitionError("degree must be a nonnegative integer", degree_line)
+    marker_line, marker = found.get("coefficients", (found["kind"][0], None))
     if marker not in (None, "chom"):
-        raise DefinitionError("the only supported coefficients marker is 'chom'", number)
-    return int(degree), marker == "chom", statements
+        raise DefinitionError("the only supported coefficients marker is 'chom'", marker_line)
+    return int(degree), degree_line, marker == "chom", marker_line, statements
 
 
 def parse_cochain(
     text: str, algebra: ConformalAlgebra, module: BimoduleStructure
 ) -> Cochain:
-    degree, chom, statements = _read_cochain(text, "... -> P * m")
+    degree, _, chom, marker_line, statements = _read_cochain(text, "... -> P * m")
     if chom:
         raise DefinitionError(
-            "chom-valued file describes extension data, not a plain cochain", 1
+            "chom-valued file describes extension data, not a plain cochain", marker_line
         )
     variables = cochain_variables(degree)
     axes = [(algebra.generators, "algebra generator")] * degree
@@ -276,11 +278,11 @@ def parse_gamma(
     sub: BimoduleStructure,
     quotient: BimoduleStructure,
 ) -> dict[int, CLinearMap]:
-    degree, chom, statements = _read_cochain(text, "a u -> P * m")
+    degree, degree_line, chom, marker_line, statements = _read_cochain(text, "a u -> P * m")
     if not chom:
-        raise DefinitionError("extension data needs 'coefficients: chom'", 1)
+        raise DefinitionError("extension data needs 'coefficients: chom'", marker_line)
     if degree != 1:
-        raise DefinitionError("extension data must have degree 1", 1)
+        raise DefinitionError("extension data must have degree 1", degree_line)
     axes = (
         (algebra.generators, "algebra generator"),
         (quotient.generators, "quotient generator"),

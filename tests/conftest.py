@@ -1,6 +1,7 @@
 import os
 import pathlib
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Sequence
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import current_algebra, matrix_algebra
+from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ConformalAlgebra, free_rank_one
 from pseudo.formats import parse_fd_algebra
 from pseudo.polyring import Poly
@@ -68,6 +70,129 @@ def check_h0_representative(
                 )
         residuals.extend(vec)
     return residuals
+
+
+# The term-by-term differential: each slot's substitutions are written out
+# again here, apart from the compiled stencil that apply_d0, apply_dn and
+# differential_matrix share, so the tests can compare the two.
+
+
+def reference_d0(cochain: Cochain) -> Cochain:
+    """Differential of a degree-0 class u: a |-> a_{-del} u - u_0 a."""
+    if cochain.degree != 0:
+        raise ValueError("apply_d0 expects a degree-0 cochain")
+    module = cochain.module
+    if not (module.has_left and module.has_right):
+        raise ValueError("degree-0 differential needs both module actions")
+    algebra = cochain.algebra
+    u = [p.constant_term() for p in cochain.value(())]
+    dl = Poly.var(("del",), "del")
+    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
+    for i in range(algebra.rank):
+        vec = [Poly.zero(("del",)) for _ in range(module.rank)]
+        for j, coeff in enumerate(u):
+            if not coeff:
+                continue
+            # expand a_i lam u_j fully, then substitute lam -> -del
+            for k, l_ijk in module.left_entries(i, j):
+                vec[k] = vec[k] + coeff * l_ijk.substitute({"lam": -dl, "del": dl})
+            # u_j lam a_i at lam = 0
+            for k, r_jik in module.right_entries(j, i):
+                vec[k] = vec[k] - coeff * r_jik.substitute(
+                    {"lam": Poly.zero(("del",)), "del": dl}
+                )
+        if any(not p.is_zero for p in vec):
+            values[(i,)] = tuple(vec)
+    return Cochain(1, algebra, module, values)
+
+
+def reference_dn(cochain: Cochain) -> Cochain:
+    """Differential of an n-cochain for n >= 1 (see module docstring)."""
+    n = cochain.degree
+    if n < 1:
+        raise ValueError("apply_dn expects degree >= 1; use apply_d0")
+    module = cochain.module
+    if not module.has_left:
+        raise ValueError("the differential needs a left action")
+    if not module.has_right:
+        raise ValueError("the differential needs a right action")
+    algebra = cochain.algebra
+    dst_vars = cochain_variables(n + 1)
+    dl = Poly.var(dst_vars, "del")
+    lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
+    lam_total = Poly.zero(dst_vars)
+    for i in range(1, n + 1):
+        lam_total = lam_total + lam[i]
+    lam_head = lam_total - lam[n]  # lam1 + ... + lam(n-1)
+    sign_last = 1 if (n + 1) % 2 == 0 else -1
+
+    # every polynomial is substituted once per call: each structure table
+    # (its sign folded in) and each cochain value once per slot kind
+    def moved_table(table, bindings, sign=1):
+        return {
+            key: [(k, sign * poly.substitute(bindings)) for k, poly in entries]
+            for key, entries in table.items()
+        }
+
+    def moved_values(bindings):
+        return {
+            key: [(k, poly.substitute(bindings)) for k, poly in enumerate(vec) if not poly.is_zero]
+            for key, vec in cochain.values.items()
+        }
+
+    # head term: g1 lam1 phi(g2 ... g_{n+1}); the cochain variables shift
+    # one slot right and del rides the module value
+    shift = {f"lam{i}": lam[i + 1] for i in range(1, n)}
+    shift["del"] = dl + lam[1]
+    head_values = moved_values(shift)
+    left = moved_table(module.left, {"lam": lam[1], "del": dl})
+
+    # middle terms: slot i absorbs the product g_i lam_i g_{i+1}
+    middles = []
+    for i in range(1, n + 1):
+        if i < n:
+            # the product sits in a non-last slot: its del becomes
+            # -(lam_i + lam_{i+1}), the merged cochain variable
+            coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
+            value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
+            value_sub[f"lam{i}"] = lam[i] + lam[i + 1]
+            for j in range(i + 1, n):
+                value_sub[f"lam{j}"] = lam[j + 1]
+        else:
+            # the product sits in the last slot: shift rule with the
+            # cochain's own variables lam1 .. lam(n-1)
+            coeff_sub = {"lam": lam[n], "del": dl + lam_head}
+            value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
+        value_sub["del"] = dl
+        sign = -1 if i % 2 else 1
+        middles.append(
+            (i, moved_values(value_sub), moved_table(algebra.structure, coeff_sub, sign))
+        )
+
+    # tail term: phi(g1 ... gn) (lam1+...+lamn) g_{n+1}; the value's del
+    # becomes minus the total action variable
+    value_sub = {f"lam{j}": lam[j] for j in range(1, n)}
+    value_sub["del"] = -lam_total
+    tail_values = moved_values(value_sub)
+    right = moved_table(module.right, {"lam": lam_total, "del": dl}, sign_last)
+
+    values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
+    for gens in iter_product(range(algebra.rank), repeat=n + 1):
+        acc = [Poly.zero(dst_vars) for _ in range(module.rank)]
+        for k, moved in head_values.get(gens[1:], ()):
+            for s, l_ks in left.get((gens[0], k), ()):
+                acc[s] = acc[s] + moved * l_ks
+        for i, moved_inner, products in middles:
+            for l, coeff in products.get((gens[i - 1], gens[i]), ()):
+                key = gens[: i - 1] + (l,) + gens[i + 1 :]
+                for k, moved in moved_inner.get(key, ()):
+                    acc[k] = acc[k] + coeff * moved
+        for k, moved in tail_values.get(gens[:n], ()):
+            for s, r_ks in right.get((k, gens[n]), ()):
+                acc[s] = acc[s] + moved * r_ks
+        if any(not p.is_zero for p in acc):
+            values[gens] = tuple(acc)
+    return Cochain(n + 1, algebra, module, values)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,20 @@
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, strategies as st
 
 import pseudo.cohomology as cohomology
-from conftest import INPUTS, check_h0_representative, polys, rationals, unit_cochain
+from conftest import (
+    INPUTS,
+    _poly_from_pairs,
+    check_h0_representative,
+    polys,
+    rationals,
+    reference_d0,
+    reference_dn,
+    unit_cochain,
+)
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import (
     Cochain,
@@ -25,7 +35,7 @@ from pseudo.cohomology import (
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra
 from pseudo.exactla import QMatrix, SubspaceBasis, quotient_dimension, rank, solve
 from pseudo.formats import parse_algebra, parse_module
-from pseudo.polyring import Poly, parse_poly
+from pseudo.polyring import Poly, iter_monomials, parse_poly
 
 ONE = Poly.const(PRODUCT_VARS, 1)
 # U1 and U2: rank two, structure polynomials of mixed degree; U2 is
@@ -97,6 +107,13 @@ def test_cochain_index_order_and_round_trip(cur1, cur1_regular):
     assert index.decompose(second) == [Fraction(0), Fraction(1)]
     combo = first.scaled(Fraction(2, 3)) + second.scaled(-2)
     assert index.reconstruct(index.decompose(combo)) == combo
+
+
+@pytest.mark.parametrize("coords", [[1], [1, 2, 3, 4, 5]])
+def test_reconstruct_rejects_wrong_length(cur1, cur1_regular, coords):
+    index = CochainIndex(cur1, cur1_regular, 1, 1)
+    with pytest.raises(ValueError, match="coordinate count"):
+        index.reconstruct(coords)
 
 
 def test_decompose_overflow(cur1, cur1_regular):
@@ -177,10 +194,10 @@ def test_d1_after_d0_is_zero_on_mat2(mat2_coords):
 
 
 def _reference_matrix(algebra, module, degree, max_in, max_out) -> QMatrix:
-    """Matrix of d built column by column through the reference route."""
+    """Matrix of d built column by column through the term-by-term oracle."""
     source = CochainIndex(algebra, module, degree, max_in)
     target = CochainIndex(algebra, module, degree + 1, max_out)
-    reference = apply_d0 if degree == 0 else apply_dn
+    reference = reference_d0 if degree == 0 else reference_dn
     rows = [dict() for _ in range(target.dimension)]
     for col in range(source.dimension):
         image = reference(unit_cochain(source, col))
@@ -217,27 +234,54 @@ def structure_tables(first: int, second: int, target: int):
     return st.fixed_dictionaries({key: entries for key in keys})
 
 
-@given(st.data())
-def test_differential_matrix_matches_apply_on_random_tables(data):
-    # d is defined whether or not the tables are associative or satisfy the
-    # module laws, so arbitrary tables exercise every slot of the stencil
+def draw_random_module(data) -> BimoduleStructure:
+    """A two-sided module of rank 1 or 2 over an algebra of rank 1 or 2,
+    every table drawn by ``structure_tables``."""
     rank = data.draw(st.integers(1, 2), label="algebra rank")
     module_rank = data.draw(st.integers(1, 2), label="module rank")
-    degree = data.draw(st.integers(1, 3), label="degree")
-    bound = data.draw(st.integers(0, 1), label="bound")
     algebra = ConformalAlgebra(
         generators=("a", "b")[:rank],
         structure=data.draw(structure_tables(rank, rank, rank), label="products"),
     )
-    module = BimoduleStructure(
+    return BimoduleStructure(
         algebra=algebra,
         generators=("u", "v")[:module_rank],
         left=data.draw(structure_tables(rank, module_rank, module_rank), label="left"),
         right=data.draw(structure_tables(module_rank, rank, module_rank), label="right"),
     )
+
+
+@given(st.data())
+def test_differential_matrix_matches_apply_on_random_tables(data):
+    # d is defined whether or not the tables are associative or satisfy the
+    # module laws, so arbitrary tables exercise every slot of the stencil
+    module = draw_random_module(data)
+    algebra = module.algebra
+    degree = data.draw(st.integers(1, 3), label="degree")
+    bound = data.draw(st.integers(0, 1), label="bound")
     out = bound + module.structure_degree()
     expected = _reference_matrix(algebra, module, degree, bound, out)
     assert differential_matrix(algebra, module, degree, bound, out) == expected
+
+
+@given(st.data())
+def test_apply_matches_oracle_on_random_cochains(data):
+    # apply_d0 and apply_dn feed each value whole through a slot, so values
+    # with several terms, and zero coordinates beside them, are drawn here
+    module = draw_random_module(data)
+    algebra = module.algebra
+    degree = data.draw(st.integers(0, 3), label="degree")
+    variables = cochain_variables(degree)
+    term = st.tuples(st.sampled_from(list(iter_monomials(variables, 3))), rationals())
+    value = st.lists(term, max_size=4).map(lambda pairs: _poly_from_pairs(variables, pairs))
+    tuples = iter_product(range(algebra.rank), repeat=degree)
+    vector = st.tuples(*[value] * module.rank)
+    values = data.draw(st.fixed_dictionaries({tup: vector for tup in tuples}), label="values")
+    cochain = Cochain(degree, algebra, module, values)
+    if degree == 0:
+        assert apply_d0(cochain) == reference_d0(cochain)
+    else:
+        assert apply_dn(cochain) == reference_dn(cochain)
 
 
 def test_differential_matrix_bound_check(cur1, cur1_regular):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 import pseudo.cfmodule as cfmodule
+import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from conftest import polys
@@ -272,8 +273,9 @@ def _refuse(*args):
 def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_file):
     """Each verdict's two routes stay independent: the extension residuals
     and apply_dn never reach the law kernel (_law_tables, _law_sides and
-    _dense), and the axiom checker never reaches the Chom actions the
-    extension residuals are built from."""
+    _dense), the axiom checker never reaches the Chom actions the
+    extension residuals are built from, and no route but the cochain
+    differential reaches the compiled stencil."""
     cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text())
     module = BimoduleStructure.regular(cur1)
     gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
@@ -281,6 +283,7 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
     cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), cur1, module)
     extension, verdict, _ = build_extension(datum)
     _, flat = deform(DeformationDatum(cur1, cochain))
+    abelian, associative = build_abelian_extension(AbelianExtensionDatum(cur1, module, cochain))
     with monkeypatch.context() as patch:
         for owner in (conformal, cfmodule, constructions):
             for name in ("_law_tables", "_law_sides", "_dense"):
@@ -292,6 +295,14 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
             patch.setattr(owner, "chom_left_action", _refuse, raising=False)
             patch.setattr(owner, "chom_right_action", _refuse, raising=False)
             patch.setattr(owner, "_scale", _refuse, raising=False)
+        assert (check_module_axioms(extension) is None) == verdict
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_Stencil", _refuse)
+        with pytest.raises(AssertionError, match="one verification route"):
+            apply_dn(cochain)
+        assert (not deformation_residuals(DeformationDatum(cur1, cochain))) == flat
+        assert (check_associativity(abelian) is None) == associative
+        assert (not extension_residuals(datum)) == verdict
         assert (check_module_axioms(extension) is None) == verdict
 
 

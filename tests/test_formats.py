@@ -222,6 +222,43 @@ def test_errors_reported_at_the_line_at_fault(parser, text, line, fragment, cur1
 
 
 @pytest.mark.parametrize(
+    "parser,text,line,fragment",
+    [
+        (
+            "cochain",
+            "kind: cochain\n# twist\ndegree: 1\ncoefficients: chom\nvalue e e -> 1 * e\n",
+            4,
+            "describes extension data",
+        ),
+        (
+            "gamma",
+            "kind: cochain\n\n# gluing data\ndegree: 2\ncoefficients: chom\n",
+            4,
+            "must have degree 1",
+        ),
+        (
+            "gamma",
+            "# gluing data\n\nkind: cochain\ndegree: 1\nvalue e e -> 1 * e\n",
+            3,
+            "needs 'coefficients: chom'",
+        ),
+    ],
+    ids=["chom-in-plain-cochain", "gamma-degree", "gamma-without-marker"],
+)
+def test_whole_file_errors_reported_at_their_header(
+    parser, text, line, fragment, cur1, cur1_regular
+):
+    parse = {
+        "cochain": lambda t: parse_cochain(t, cur1, cur1_regular),
+        "gamma": lambda t: parse_gamma(t, cur1, cur1_regular, cur1_regular),
+    }
+    with pytest.raises(DefinitionError) as info:
+        parse[parser](text)
+    assert info.value.line == line
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
     "parser,text,line",
     [
         ("cochain", "kind: cochain\ndegree: 1\ndegree: 2\nvalue e e -> 1 * e\n", 3),
