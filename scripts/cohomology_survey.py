@@ -11,46 +11,33 @@ rows are reproducible.
 
 import argparse
 import time
-from dataclasses import dataclass, field
 
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import current_algebra, matrix_algebra
 from pseudo.cohomology import TruncationWindow, cohomology_dimensions
-from pseudo.conformal import ConformalAlgebra, free_rank_one
+from pseudo.conformal import free_rank_one
 from pseudo.polyring import Poly
 
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_n: int = 2
-    degree_bound: int = 2
-    margin: int = 1
-    max_rounds: int = 4
-    names: tuple[str, ...] = ("unit-current", "zero-product", "mat2-current")
+# the surveyed algebras, by the name each row prints
+ALGEBRAS = {
+    "unit-current": free_rank_one,
+    "zero-product": lambda: free_rank_one(Poly.zero(("del", "lam"))),
+    "mat2-current": lambda: current_algebra(matrix_algebra(2)),
+}
 
 
-def build_algebra(name: str) -> ConformalAlgebra:
-    if name == "unit-current":
-        return free_rank_one()
-    if name == "zero-product":
-        return free_rank_one(Poly.zero(("del", "lam")))
-    if name == "mat2-current":
-        return current_algebra(matrix_algebra(2))
-    raise ValueError(f"unknown algebra {name!r}")
-
-
-def run(config: SurveyConfig) -> None:
+def run(max_n: int, degree_bound: int, margin: int, max_rounds: int) -> None:
     header = f"{'algebra':<14} {'n':>2} {'deg':>4} {'dim Z':>6} {'dim B':>6} {'dim H':>6}  stabilized  seconds"
     print(header)
     print("-" * len(header))
-    window = TruncationWindow(config.degree_bound, config.margin)
-    for name in config.names:
-        algebra = build_algebra(name)
+    window = TruncationWindow(degree_bound, margin)
+    for name, build in ALGEBRAS.items():
+        algebra = build()
         module = BimoduleStructure.regular(algebra)
-        for n in range(config.max_n + 1):
+        for n in range(max_n + 1):
             started = time.perf_counter()
             report = cohomology_dimensions(
-                algebra, module, n, window, max_rounds=config.max_rounds
+                algebra, module, n, window, max_rounds=max_rounds
             )
             elapsed = time.perf_counter() - started
             print(
@@ -68,14 +55,7 @@ def main() -> None:
     parser.add_argument("--margin", type=int, default=1, help="stabilization step")
     parser.add_argument("--max-rounds", type=int, default=4)
     args = parser.parse_args()
-    run(
-        SurveyConfig(
-            max_n=args.max_n,
-            degree_bound=args.deg,
-            margin=args.margin,
-            max_rounds=args.max_rounds,
-        )
-    )
+    run(args.max_n, args.deg, args.margin, args.max_rounds)
 
 
 if __name__ == "__main__":

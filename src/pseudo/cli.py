@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: check, cohomology, derivations, deform, extend, classical.
-Reports go to stdout and are byte-identical across runs for identical
-inputs and flags; wall-clock timing goes to stderr so it never perturbs
-the report.  Exit codes: 0 success, 1 bad input (usage, a file that does
-not parse or read, or a module unfit for the command), 2 a mathematical
-counterexample (the inputs fail the property under test), 3 any other
-error, which can only be a bug.
+``classical`` runs the same cochain complex as ``cohomology``, on the
+current algebra of a finite-dimensional algebra at polynomial degree 0,
+where it is the bar complex (see ``pseudo.classical``).  Reports go to
+stdout and are byte-identical across runs for identical inputs and flags;
+wall-clock timing goes to stderr so it never perturbs the report.  Exit
+codes: 0 success, 1 bad input (usage, a file that does not parse or read,
+or a module unfit for the command), 2 a mathematical counterexample (the
+inputs fail the property under test), 3 any other error, which can only
+be a bug.
 
 The JSON report always carries the keys command, inputs, truncation,
 results, residuals and version; truncation fields are null for commands
@@ -25,14 +28,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cfmodule import BimoduleStructure, check_module_axioms
-from .classical import (
-    center_dimension,
-    derivation_space_dimension,
-    hochschild_dimension,
-    inner_derivation_space_dimension,
-    is_associative,
-    regular_bimodule,
-)
+from .classical import current_algebra
 from .cohomology import (
     Cochain,
     CochainIndex,
@@ -425,9 +421,7 @@ def _cmd_deform(args) -> int:
     if aborted is not None:
         return aborted
     module = BimoduleStructure.regular(algebra)
-    cochain = parse_cochain(cocycle_text, algebra, module)
-    if cochain.degree != 2:
-        raise DefinitionError("deformation data must be a degree-2 cochain", 1)
+    cochain = parse_cochain(cocycle_text, algebra, module, 2)
     residual_map, flat = deform(DeformationDatum(algebra, cochain))
     alg = algebra.generators
     residuals = _residual_lines(residual_map, (alg, alg, alg), alg)
@@ -491,21 +485,23 @@ def _cmd_classical(args) -> int:
     if args.n > 3:
         raise _UsageError("only degrees 0..3 are supported")
     text, info = _read_input(args.algebra)
-    algebra = parse_fd_algebra(text)
+    algebra = current_algebra(parse_fd_algebra(text))
     inputs = {"algebra": info}
-    if not is_associative(algebra):
+    if check_associativity(algebra) is not None:
         report = _report("classical", inputs,
                          {"precheck": "structure constants not associative"}, [])
         _emit(report, args.json)
         return EXIT_COUNTEREXAMPLE
-    module = regular_bimodule(algebra)
-    dim = hochschild_dimension(algebra, module, args.n)
+    # the degree-0 slice of the current algebra's complex is the bar complex
+    module = BimoduleStructure.regular(algebra)
+    window = TruncationWindow(0)
+    reports = {n: cohomology_dimensions(algebra, module, n, window) for n in {0, 1, args.n}}
     results = {
         "degree": args.n,
-        "dim_cohomology": dim,
-        "dim_center": center_dimension(algebra),
-        "dim_derivations": derivation_space_dimension(algebra),
-        "dim_inner_derivations": inner_derivation_space_dimension(algebra),
+        "dim_cohomology": reports[args.n].dim_cohomology,
+        "dim_center": reports[0].dim_cocycles,
+        "dim_derivations": reports[1].dim_cocycles,
+        "dim_inner_derivations": reports[1].dim_coboundaries,
     }
     _emit(_report("classical", inputs, results, []), args.json)
     return EXIT_OK

@@ -123,19 +123,8 @@ class SubspaceBasis:
         )
 
     @classmethod
-    def from_vectors(cls, ambient_dimension: int, vectors: Iterable[Sequence]) -> "SubspaceBasis":
-        return cls(ambient_dimension, _span(_sparse(ambient_dimension, vec) for vec in vectors))
-
-    @classmethod
     def zero(cls, ambient_dimension: int) -> "SubspaceBasis":
         return cls(ambient_dimension, Echelon())
-
-
-def _sparse(ambient_dimension: int, vec: Sequence) -> dict[int, Fraction]:
-    vec = list(vec)
-    if len(vec) != ambient_dimension:
-        raise ValueError("vector length does not match ambient dimension")
-    return {j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)}
 
 
 def kernel_basis(m: QMatrix) -> SubspaceBasis:

@@ -253,12 +253,18 @@ def _read_cochain(text: str, shape: str) -> tuple[int, int, bool, int, list[_Sta
 
 
 def parse_cochain(
-    text: str, algebra: ConformalAlgebra, module: BimoduleStructure
+    text: str, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int
 ) -> Cochain:
-    degree, _, chom, marker_line, statements = _read_cochain(text, "... -> P * m")
+    """The cochain a file defines; an error at the ``degree:`` line unless
+    the file's degree is ``degree``."""
+    found, degree_line, chom, marker_line, statements = _read_cochain(text, "... -> P * m")
     if chom:
         raise DefinitionError(
             "chom-valued file describes extension data, not a plain cochain", marker_line
+        )
+    if found != degree:
+        raise DefinitionError(
+            f"expected a degree-{degree} cochain, found degree {found}", degree_line
         )
     variables = cochain_variables(degree)
     axes = [(algebra.generators, "algebra generator")] * degree

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import current_algebra, matrix_algebra
+from pseudo.classical import FDAlgebra, current_algebra, matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ConformalAlgebra, free_rank_one
+from pseudo.exactla import QMatrix, SubspaceBasis, _span, kernel_basis
 from pseudo.formats import parse_fd_algebra
 from pseudo.polyring import Poly
 
@@ -38,6 +39,12 @@ def src_env() -> dict[str, str]:
 def fd_algebra(name: str):
     """The finite-dimensional algebra in inputs/<name>.fda."""
     return parse_fd_algebra((INPUTS / f"{name}.fda").read_text(encoding="utf-8"))
+
+
+def subspace(ambient_dimension: int, vectors) -> SubspaceBasis:
+    """The span of dense vectors in Q^ambient_dimension."""
+    rows = ({j: Fraction(v) for j, v in enumerate(vec) if v} for vec in vectors)
+    return SubspaceBasis(ambient_dimension, _span(rows))
 
 
 def unit_cochain(index, i: int):
@@ -70,6 +77,72 @@ def check_h0_representative(
                 )
         residuals.extend(vec)
     return residuals
+
+
+# Classical oracles: each solves the defining equations of the center, the
+# derivations or the inner derivations of an FDAlgebra directly from its
+# structure constants, apart from the cochain complex that pseudo classical
+# reads the same dimensions from.
+
+
+def center_dimension(algebra: FDAlgebra) -> int:
+    """dim of the commutant {z : za = az for all a}; independent of the
+    bar complex, so it cross-checks HH^0 with regular coefficients."""
+    n = algebra.dimension
+    c = algebra.constants
+    rows: list[dict[int, Fraction]] = []
+    for a in range(n):
+        for k in range(n):
+            row: dict[int, Fraction] = {}
+            for z in range(n):
+                val = c[z][a][k] - c[a][z][k]
+                if val:
+                    row[z] = val
+            rows.append(row)
+    matrix = QMatrix(len(rows), n, rows)
+    return kernel_basis(matrix).dim
+
+
+def derivation_space_dimension(algebra: FDAlgebra) -> int:
+    """Linear maps D with D(ab) = D(a)b + a D(b), by brute-force solve."""
+    n = algebra.dimension
+    c = algebra.constants
+    # unknowns D[p][q] (column q*n+p? keep (p, q): D(e_p) = sum_q D[p][q] e_q)
+    cols = {(p, q): p * n + q for p in range(n) for q in range(n)}
+    rows: list[dict[int, Fraction]] = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row: dict[int, Fraction] = {}
+
+                def bump(key, val):
+                    if val:
+                        row[key] = row.get(key, Fraction(0)) + val
+
+                for l in range(n):
+                    # D applied to the product
+                    bump(cols[(l, m)], c[i][j][l])
+                    # minus D(e_i) e_j
+                    bump(cols[(i, l)], -c[l][j][m])
+                    # minus e_i D(e_j)
+                    bump(cols[(j, l)], -c[i][l][m])
+                rows.append({k: v for k, v in row.items() if v})
+    matrix = QMatrix(len(rows), n * n, rows)
+    return kernel_basis(matrix).dim
+
+
+def inner_derivation_space_dimension(algebra: FDAlgebra) -> int:
+    """Span of the commutator maps x -> ax - xa."""
+    n = algebra.dimension
+    c = algebra.constants
+    vectors = []
+    for a in range(n):
+        vec = [Fraction(0)] * (n * n)
+        for p in range(n):
+            for q in range(n):
+                vec[p * n + q] = c[a][p][q] - c[p][a][q]
+        vectors.append(vec)
+    return subspace(n * n, vectors).dim
 
 
 # The term-by-term differential: each slot's substitutions are written out

@@ -14,16 +14,18 @@ from random import Random
 
 import jsonschema
 
-from conftest import INPUTS, check_h0_representative, fd_algebra, src_env, unit_cochain
-from pseudo.cfmodule import CLinearMap
-from pseudo.classical import (
+from conftest import (
+    INPUTS,
     center_dimension,
+    check_h0_representative,
     derivation_space_dimension,
-    hochschild_dimension,
+    fd_algebra,
     inner_derivation_space_dimension,
-    matrix_algebra,
-    regular_bimodule,
+    src_env,
+    unit_cochain,
 )
+from pseudo.cfmodule import BimoduleStructure, CLinearMap
+from pseudo.classical import current_algebra, matrix_algebra
 from pseudo.cli import REPORT_SCHEMA
 from pseudo.cohomology import (
     Cochain,
@@ -163,9 +165,15 @@ def test_criterion_5_classical_bar_complex_oracles():
     finish = timed(10.0)
     mat2 = matrix_algebra(2)
     dual = fd_algebra("dual")
-    assert hochschild_dimension(mat2, regular_bimodule(mat2), 0) == 1
-    assert hochschild_dimension(mat2, regular_bimodule(mat2), 1) == 0
-    assert hochschild_dimension(dual, regular_bimodule(dual), 1) == 1
+
+    def hh(algebra, degree):
+        cur = current_algebra(algebra)
+        regular = BimoduleStructure.regular(cur)
+        return cohomology_dimensions(cur, regular, degree, TruncationWindow(0)).dim_cohomology
+
+    assert hh(mat2, 0) == 1
+    assert hh(mat2, 1) == 0
+    assert hh(dual, 1) == 1
     # independent re-derivation from the defining equations
     assert center_dimension(mat2) == 1
     assert derivation_space_dimension(mat2) - inner_derivation_space_dimension(mat2) == 0

@@ -266,6 +266,7 @@ SCRATCH_INPUTS = {
         "kind: module\ngenerators: u\nactions: left right\nleft e u -> del * u\n"
     ),
     "crooked.fda": "kind: fd_algebra\ngenerators: a b\nproduct a a -> 1 * b\nproduct a b -> 1 * a\n",
+    "degree1.coc": "# a degree-1 cochain\nkind: cochain\n\ndegree: 1\nvalue e -> 1 * e\n",
 }
 
 
@@ -289,9 +290,13 @@ SCRATCH_INPUTS = {
         (("classical", "crooked.fda", "--n", "7"), "only degrees 0..3 are supported"),
         (("PSEUDO_MAX_MARGIN=0", "cohomology", "bad_lam.alg"),
          "PSEUDO_MAX_MARGIN must be at least 1"),
+        # the error names the degree header, not the first line
+        (("deform", "cur1.alg", "--cocycle", "degree1.coc"),
+         "line 4: expected a degree-2 cochain, found degree 1"),
     ],
     ids=["cohomology-d0", "cohomology-d2", "derivations", "extend-sub",
-         "extend-quotient", "classical-n4", "classical-n7-crooked", "max-margin-bad-lam"],
+         "extend-quotient", "classical-n4", "classical-n7-crooked", "max-margin-bad-lam",
+         "deform-degree"],
 )
 def test_input_problems_exit_1(tmp_path, argv, message):
     for name, text in SCRATCH_INPUTS.items():
@@ -306,6 +311,14 @@ def test_input_problems_exit_1(tmp_path, argv, message):
     assert result.returncode == 1
     assert result.stdout == ""
     assert f"error: {message}" in result.stderr
+
+
+def test_classical_non_associative_exit_2(tmp_path):
+    crooked = tmp_path / "crooked.fda"
+    crooked.write_text(SCRATCH_INPUTS["crooked.fda"])
+    result = run_cli("classical", str(crooked), "--n", "1")
+    assert result.returncode == 2
+    assert "  precheck: structure constants not associative" in result.stdout.splitlines()
 
 
 @pytest.mark.parametrize(

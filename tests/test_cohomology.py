@@ -13,6 +13,7 @@ from conftest import (
     rationals,
     reference_d0,
     reference_dn,
+    subspace,
     unit_cochain,
 )
 from pseudo.cfmodule import BimoduleStructure
@@ -33,7 +34,7 @@ from pseudo.cohomology import (
     _SliceSpan,
 )
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra
-from pseudo.exactla import QMatrix, SubspaceBasis, quotient_dimension, rank, solve
+from pseudo.exactla import QMatrix, quotient_dimension, rank, solve
 from pseudo.formats import parse_algebra, parse_module
 from pseudo.polyring import Poly, iter_monomials, parse_poly
 
@@ -524,7 +525,7 @@ def test_slice_span_matches_rank_identity(data):
         part = QMatrix(nrows, stop, [{c: v for c, v in row.items() if c < stop} for row in m.rows])
         outside = [part.rows[r] for r in range(nrows) if r not in inside]
         assert basis.dim == rank(part) - rank(QMatrix(len(outside), stop, outside))
-        assert basis == SubspaceBasis.from_vectors(len(inside), basis.vectors)
+        assert basis == subspace(len(inside), basis.vectors)
         for vec in basis.vectors:
             lifted = [Fraction(0)] * nrows
             for j, r in enumerate(inside):

@@ -280,7 +280,7 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
     module = BimoduleStructure.regular(cur1)
     gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
     datum = ExtensionDatum(cur1, module, module, gamma)
-    cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), cur1, module)
+    cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), cur1, module, 2)
     extension, verdict, _ = build_extension(datum)
     _, flat = deform(DeformationDatum(cur1, cochain))
     abelian, associative = build_abelian_extension(AbelianExtensionDatum(cur1, module, cochain))

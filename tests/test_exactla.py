@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rationals
+from conftest import rationals, subspace
 from pseudo.exactla import (
     ContainmentError,
     QMatrix,
@@ -40,7 +40,7 @@ def matrices(max_rows=4, max_cols=4):
 
 def test_rref_example():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert SubspaceBasis.from_vectors(3, rows).rows == {
+    assert subspace(3, rows).rows == {
         0: {0: Fraction(1), 2: Fraction(1)},
         1: {1: Fraction(1), 2: Fraction(1)},
     }
@@ -66,10 +66,10 @@ def test_solve():
 
 
 def test_quotient_dimension_and_containment():
-    big = SubspaceBasis.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    small = SubspaceBasis.from_vectors(3, [[1, 1, 0]])
+    big = subspace(3, [[1, 0, 0], [0, 1, 0]])
+    small = subspace(3, [[1, 1, 0]])
     assert quotient_dimension(big, small) == 1
-    stranger = SubspaceBasis.from_vectors(3, [[0, 0, 1]])
+    stranger = subspace(3, [[0, 0, 1]])
     with pytest.raises(ContainmentError):
         quotient_dimension(big, stranger)
     assert quotient_dimension(big, SubspaceBasis.zero(3)) == 2
@@ -107,7 +107,7 @@ def test_solve_round_trip(m):
 @given(matrices(max_rows=4, max_cols=6))
 def test_kernel_basis_matches_dense_route(m):
     entries = [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
-    echelon = SubspaceBasis.from_vectors(m.ncols, entries).rows
+    echelon = subspace(m.ncols, entries).rows
     vectors = []
     for free in (c for c in range(m.ncols) if c not in echelon):
         vec = [Fraction(0)] * m.ncols
@@ -115,7 +115,7 @@ def test_kernel_basis_matches_dense_route(m):
         for pc, row in echelon.items():
             vec[pc] = -row.get(free, Fraction(0))
         vectors.append(vec)
-    assert kernel_basis(m) == SubspaceBasis.from_vectors(m.ncols, vectors)
+    assert kernel_basis(m) == subspace(m.ncols, vectors)
 
 
 @given(st.data())
@@ -131,8 +131,8 @@ def test_quotient_dimension_containment_matches_rank(data):
         for coeffs in combinations
     ]
     small_vectors += data.draw(st.lists(vector, max_size=1))
-    big = SubspaceBasis.from_vectors(ncols, big_vectors)
-    small = SubspaceBasis.from_vectors(ncols, small_vectors)
+    big = subspace(ncols, big_vectors)
+    small = subspace(ncols, small_vectors)
     if rank(dense(big_vectors + small_vectors)) == big.dim:
         assert quotient_dimension(big, small) == big.dim - small.dim
     else:
@@ -173,7 +173,7 @@ def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
     shuffled = dense([entries[i] for i in order])
     basis, pivots = gauss_jordan(entries, ncols)
 
-    spanned = SubspaceBasis.from_vectors(ncols, [entries[i] for i in order])
+    spanned = subspace(ncols, [entries[i] for i in order])
     assert sorted(spanned.rows) == pivots
     assert [list(vec) for vec in spanned.vectors] == basis
     assert rank(shuffled) == len(pivots)

@@ -46,10 +46,10 @@ def test_module_sides_inferred_when_undeclared(cur1):
 
 
 def test_parse_cochain_files(inputs_dir, cur1, cur1_regular):
-    const = parse_cochain(read(inputs_dir, "f_const.coc"), cur1, cur1_regular)
+    const = parse_cochain(read(inputs_dir, "f_const.coc"), cur1, cur1_regular, 2)
     assert const.degree == 2
     assert const.value((0, 0))[0] == Poly.const(cochain_variables(2), 1)
-    lam = parse_cochain(read(inputs_dir, "f_lam.coc"), cur1, cur1_regular)
+    lam = parse_cochain(read(inputs_dir, "f_lam.coc"), cur1, cur1_regular, 2)
     assert lam.value((0, 0))[0] == Poly.var(cochain_variables(2), "lam1")
 
 
@@ -138,22 +138,23 @@ def test_module_errors(text, line, fragment, cur1):
 
 def test_cochain_errors(cur1, cur1_regular):
     with pytest.raises(DefinitionError) as info:
-        parse_cochain("kind: cochain\nvalue e -> 1 * e\n", cur1, cur1_regular)
+        parse_cochain("kind: cochain\nvalue e -> 1 * e\n", cur1, cur1_regular, 1)
     assert "missing degree" in str(info.value)
     with pytest.raises(DefinitionError) as info:
         parse_cochain(
-            "kind: cochain\ndegree: 2\nvalue e -> 1 * e\n", cur1, cur1_regular
+            "kind: cochain\ndegree: 2\nvalue e -> 1 * e\n", cur1, cur1_regular, 2
         )
     assert info.value.line == 3 and "needs 2" in str(info.value)
     with pytest.raises(DefinitionError):
         parse_cochain(
-            "kind: cochain\ndegree: 1\nvalue e -> lam1 * e\n", cur1, cur1_regular
+            "kind: cochain\ndegree: 1\nvalue e -> lam1 * e\n", cur1, cur1_regular, 1
         )
     with pytest.raises(DefinitionError) as info:
         parse_cochain(
             "kind: cochain\ndegree: 1\ncoefficients: chom\nvalue e e -> 1 * e\n",
             cur1,
             cur1_regular,
+            1,
         )
     assert "extension data" in str(info.value)
 
@@ -231,6 +232,12 @@ def test_errors_reported_at_the_line_at_fault(parser, text, line, fragment, cur1
             "describes extension data",
         ),
         (
+            "cochain",
+            "kind: cochain\n\n# twist\ndegree: 1\nvalue e -> 1 * e\n",
+            4,
+            "expected a degree-2 cochain, found degree 1",
+        ),
+        (
             "gamma",
             "kind: cochain\n\n# gluing data\ndegree: 2\ncoefficients: chom\n",
             4,
@@ -243,13 +250,13 @@ def test_errors_reported_at_the_line_at_fault(parser, text, line, fragment, cur1
             "needs 'coefficients: chom'",
         ),
     ],
-    ids=["chom-in-plain-cochain", "gamma-degree", "gamma-without-marker"],
+    ids=["chom-in-plain-cochain", "cochain-degree", "gamma-degree", "gamma-without-marker"],
 )
 def test_whole_file_errors_reported_at_their_header(
     parser, text, line, fragment, cur1, cur1_regular
 ):
     parse = {
-        "cochain": lambda t: parse_cochain(t, cur1, cur1_regular),
+        "cochain": lambda t: parse_cochain(t, cur1, cur1_regular, 2),
         "gamma": lambda t: parse_gamma(t, cur1, cur1_regular, cur1_regular),
     }
     with pytest.raises(DefinitionError) as info:
@@ -277,7 +284,7 @@ def test_whole_file_errors_reported_at_their_header(
 )
 def test_repeated_header_rejected(parser, text, line, cur1, cur1_regular):
     parse = {
-        "cochain": lambda t: parse_cochain(t, cur1, cur1_regular),
+        "cochain": lambda t: parse_cochain(t, cur1, cur1_regular, 1),
         "module": lambda t: parse_module(t, cur1),
     }
     key = text.splitlines()[line - 1].split(":")[0]
@@ -290,7 +297,7 @@ def test_repeated_header_rejected(parser, text, line, cur1, cur1_regular):
 def test_cochain_rejects_a_target_repeated_after_a_zero_value(cur1, cur1_regular):
     text = "kind: cochain\ndegree: 2\nvalue e e -> 0 * e\nvalue e e -> lam1 * e\n"
     with pytest.raises(DefinitionError) as info:
-        parse_cochain(text, cur1, cur1_regular)
+        parse_cochain(text, cur1, cur1_regular, 2)
     assert info.value.line == 4
     assert "duplicate value target" in str(info.value)
 
@@ -428,7 +435,7 @@ def _random_case(kind, draw):
             for key in draw(st.lists(keys, max_size=4, unique=True))
         }
         cochain = Cochain(degree, algebra, module, values)
-        return cochain, None, lambda text: parse_cochain(text, algebra, module)
+        return cochain, None, lambda text: parse_cochain(text, algebra, module, degree)
     quotient = _random_module(draw, algebra)
     matrices = {}
     for (i, t), entries in _random_table(draw, algebra.rank, quotient.rank, module.rank).items():
@@ -476,7 +483,7 @@ def test_committed_definition_file_parses(name, cur1, cur1_regular, inputs_dir):
         algebra = cur1
         parse = lambda t: parse_gamma(t, cur1, module, module)
     else:
-        parse = lambda t: parse_cochain(t, cur1, module)
+        parse = lambda t: parse_cochain(t, cur1, module, 2)
     parsed = parse(text)
     kind, headers, statements = _definition(parsed, algebra)
     assert parse("\n".join([f"kind: {kind}", *headers, *statements])) == parsed
