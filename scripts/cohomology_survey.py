@@ -14,7 +14,7 @@ import time
 
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import current_algebra, matrix_algebra
-from pseudo.cohomology import TruncationWindow, cohomology_dimensions
+from pseudo.cohomology import DEFAULT_MAX_ROUNDS, TruncationWindow, cohomology_dimensions
 from pseudo.conformal import free_rank_one
 from pseudo.polyring import Poly
 
@@ -53,7 +53,7 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=2, help="highest degree n")
     parser.add_argument("--deg", type=int, default=2, help="truncation degree bound")
     parser.add_argument("--margin", type=int, default=1, help="stabilization step")
-    parser.add_argument("--max-rounds", type=int, default=4)
+    parser.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     args = parser.parse_args()
     run(args.max_n, args.deg, args.margin, args.max_rounds)
 

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .cfmodule import (
     BimoduleStructure,
     CLinearMap,
-    ModuleAxiomCounterexample,
     check_module_axioms,
 )
 from .cohomology import (
@@ -23,18 +22,13 @@ from .cohomology import (
     TruncationOverflowError,
     TruncationWindow,
     cohomology_dimensions,
-    derivation_basis,
     differential_matrix,
-    inner_derivation,
-    inner_derivation_basis,
 )
 from .conformal import (
-    AssociativityCounterexample,
-    CElement,
     ConformalAlgebra,
+    LawCounterexample,
     check_associativity,
     free_rank_one,
-    lambda_product,
 )
 from .constructions import (
     AbelianExtensionDatum,
@@ -58,9 +52,7 @@ from .polyring import Poly, PolyParseError, parse_poly, poly_to_str
 __all__ = [
     "__version__",
     "AbelianExtensionDatum",
-    "AssociativityCounterexample",
     "BimoduleStructure",
-    "CElement",
     "CLinearMap",
     "Cochain",
     "CochainIndex",
@@ -69,7 +61,7 @@ __all__ = [
     "ConformalAlgebra",
     "DeformationDatum",
     "ExtensionDatum",
-    "ModuleAxiomCounterexample",
+    "LawCounterexample",
     "Poly",
     "PolyParseError",
     "TruncationOverflowError",
@@ -81,7 +73,6 @@ __all__ = [
     "cohomology_dimensions",
     "deform",
     "deformation_residuals",
-    "derivation_basis",
     "differential_matrix",
     "equivalent_deformations",
     "equivalent_extensions",
@@ -90,9 +81,6 @@ __all__ = [
     "find_extension_witness",
     "free_rank_one",
     "gamma_coboundary",
-    "inner_derivation",
-    "inner_derivation_basis",
-    "lambda_product",
     "parse_poly",
     "poly_to_str",
     "search_deformation_witness",

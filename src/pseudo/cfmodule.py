@@ -16,13 +16,16 @@ adds them on each triple.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
-(lam + del) f_lam(u).  The space of such maps carries algebra actions
+(lam + del) f_lam(u).  The space of such maps carries actions of the
+algebra generators
 
-    (a lam f) mu u = a lam (f_{mu-lam} u)
-    (f lam a) mu u = f lam (a_{mu-lam} u)
+    (a_i lam f) mu u = a_i lam (f_{mu-lam} u)
+    (f lam a_i) mu u = f lam (a_i (mu-lam) u)
 
 returned here as polynomial families in (del, lam, mu), with lam the
-action variable and mu the variable of the resulting map.
+action variable and mu the variable of the resulting map.  Generators
+suffice: a general element acts through its coefficients by
+sesquilinearity.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Mapping, Optional
 from .conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
-    CElement,
     ConformalAlgebra,
+    LawCounterexample,
     StructureMap,
     _DEL,
     _LAM,
@@ -119,19 +122,7 @@ class BimoduleStructure:
         )
 
 
-@dataclass(frozen=True)
-class ModuleAxiomCounterexample:
-    law: str  # "left" | "right" | "compat"
-    triple: tuple[int, int, int]
-    lhs: tuple[Poly, ...]
-    rhs: tuple[Poly, ...]
-
-    @property
-    def residual(self) -> tuple[Poly, ...]:
-        return tuple(l - r for l, r in zip(self.lhs, self.rhs))
-
-
-def check_module_axioms(module: BimoduleStructure) -> ModuleAxiomCounterexample | None:
+def check_module_axioms(module: BimoduleStructure) -> LawCounterexample | None:
     """Verify every applicable module law; None means all pass.
 
     The laws run in the order left, right, compat, each over its triples in
@@ -156,7 +147,7 @@ def check_module_axioms(module: BimoduleStructure) -> ModuleAxiomCounterexample 
         for triple in itertools.product(*map(range, sizes)):
             left_nested, right_nested = _law_sides(moved, *triple)
             if left_nested != right_nested:
-                return ModuleAxiomCounterexample(
+                return LawCounterexample(
                     law, triple, _dense(right_nested, nm), _dense(left_nested, nm)
                 )
     return None
@@ -223,64 +214,53 @@ FamilyMatrix = dict[tuple[int, int], Poly]
 _SHIFTED = {"lam": _MU - _LAM, "del": _LAM + _DEL}
 
 
-def _scale(p: Poly, image: Poly) -> Poly | None:
-    """An element coordinate p(del) at del = image; None when p is 1."""
-    return None if p.terms == {(0,): 1} else p.substitute({"del": image})
-
-
 def chom_left_action(
-    a: CElement, f: CLinearMap, target_module: BimoduleStructure
+    i: int, f: CLinearMap, target_module: BimoduleStructure
 ) -> FamilyMatrix:
-    """(a lam f) as a family: entry (j, s) of a lam (f_{mu-lam} u_j).
+    """(a_i lam f) as a family: entry (j, s) of a_i lam (f_{mu-lam} u_j).
 
-    Requires a left action of a's algebra on the target module of f.
+    Requires a left action of the algebra on the target module of f.
     """
     if target_module.generators != f.target:
         raise ValueError("target module does not match the map's target")
     if not target_module.has_left:
         raise ValueError("target module has no left action")
-    scales = {i: _scale(p, -_LAM) for i, p in enumerate(a.coords) if not p.is_zero}
-    # each action polynomial the scales reach, substituted once per call
-    moved = {key: [(s, l.substitute(_OUTER)) for s, l in entries]
-             for key, entries in target_module.left.items() if key[0] in scales}
+    # each action polynomial of a_i, substituted once per call
+    moved = {k: [(s, l.substitute(_OUTER)) for s, l in entries]
+             for (g, k), entries in target_module.left.items() if g == i}
     out: FamilyMatrix = {}
     for (j, k), f_jk in f.matrix.items():
+        if k not in moved:
+            continue
         shifted = f_jk.substitute(_SHIFTED)
-        for i, scale in scales.items():
-            scaled = shifted if scale is None else scale * shifted
-            for s, l_iks in moved.get((i, k), ()):
-                key = (j, s)
-                out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + scaled * l_iks
+        for s, l_iks in moved[k]:
+            key = (j, s)
+            out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + shifted * l_iks
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
 def chom_right_action(
-    f: CLinearMap, a: CElement, source_module: BimoduleStructure
+    f: CLinearMap, i: int, source_module: BimoduleStructure
 ) -> FamilyMatrix:
-    """(f lam a) as a family: entry (j, s) of f_lam(a_{mu-lam} u_j).
+    """(f lam a_i) as a family: entry (j, s) of f_lam(a_i (mu-lam) u_j).
 
-    Requires a left action of a's algebra on the source module of f.
+    Requires a left action of the algebra on the source module of f.
     """
     if source_module.generators != f.source:
         raise ValueError("source module does not match the map's source")
     if not source_module.has_left:
         raise ValueError("source module has no left action")
+    # each map entry, substituted once per call
     rows: dict[int, list[tuple[int, Poly]]] = {}
     for (k, s), f_ks in f.matrix.items():
         rows.setdefault(k, []).append((s, f_ks.substitute(_OUTER)))
     out: FamilyMatrix = {}
-    for i, p in enumerate(a.coords):
-        if p.is_zero:
-            continue
-        scale = _scale(p, _LAM - _MU)
-        for j in range(source_module.rank):
-            for k, l_ijk in source_module.left_entries(i, j):
-                if k not in rows:
-                    continue
-                inner = l_ijk.substitute(_SHIFTED)
-                inner = inner if scale is None else scale * inner
-                for s, f_ks in rows[k]:
-                    add = inner * f_ks
-                    key = (j, s)
-                    out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + add
+    for j in range(source_module.rank):
+        for k, l_ijk in source_module.left_entries(i, j):
+            if k not in rows:
+                continue
+            inner = l_ijk.substitute(_SHIFTED)
+            for s, f_ks in rows[k]:
+                key = (j, s)
+                out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + inner * f_ks
     return {k: v for k, v in out.items() if not v.is_zero}

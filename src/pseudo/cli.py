@@ -30,12 +30,11 @@ from . import __version__
 from .cfmodule import BimoduleStructure, check_module_axioms
 from .classical import current_algebra
 from .cohomology import (
+    DEFAULT_MAX_ROUNDS,
     Cochain,
     CochainIndex,
     TruncationWindow,
     cohomology_dimensions,
-    derivation_basis,
-    inner_derivation_basis,
 )
 from .conformal import check_associativity
 from .constructions import (
@@ -44,7 +43,6 @@ from .constructions import (
     build_extension,
     deform,
 )
-from .exactla import quotient_dimension
 from .formats import (
     DefinitionError,
     parse_algebra,
@@ -59,8 +57,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_MAX_ROUNDS = 4
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -279,18 +275,20 @@ def _render_cochain(cochain: Cochain) -> str:
 
 
 def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
-    """Law, triple names and residual lines of an associativity failure (no
-    module) or a module-law failure."""
-    alg = algebra.generators
-    if module is None:
-        law, axes, targets = "associativity", (alg, alg, alg), alg
-    else:
-        law, targets = cex.law, module.generators
-        axes = {"left": (alg, alg, targets), "right": (targets, alg, alg),
-                "compat": (alg, targets, alg)}[law]
+    """Law, triple names and residual lines of a law failure; ``module`` is
+    the failing module of a module law."""
+    a = algebra.generators
+    m = () if module is None else module.generators
+    # law -> (generator names of each triple slot, names of the targets)
+    axes, targets = {
+        "associativity": ((a, a, a), a),
+        "left": ((a, a, m), m),
+        "right": ((m, a, a), m),
+        "compat": ((a, m, a), m),
+    }[cex.law]
     residuals = {(*cex.triple, s): poly for s, poly in enumerate(cex.residual)}
-    lines = _residual_lines(residuals, axes, targets, f"{law} ")
-    return law, _names(axes, cex.triple), lines
+    lines = _residual_lines(residuals, axes, targets, f"{cex.law} ")
+    return cex.law, _names(axes, cex.triple), lines
 
 
 def _axiom_precheck(algebra, module, inputs, command, as_json) -> Optional[int]:
@@ -389,11 +387,10 @@ def _cmd_derivations(args) -> int:
     algebra, module, inputs, aborted = _complex_inputs(args, "derivations", 1)
     if aborted is not None:
         return aborted
-    der = derivation_basis(algebra, module, args.deg)
-    inner = inner_derivation_basis(algebra, module, args.deg)
-    # d after d = 0 puts every inner derivation among the derivations; a
-    # ContainmentError here is a bug and exits 3
-    quotient_dimension(der, inner)
+    # Z^1 and B^1 of the slice: B^1's sources are constant classes, all
+    # admitted in the first round, and a B^1 outside Z^1 raises (exit 3)
+    rep = cohomology_dimensions(algebra, module, 1, TruncationWindow(args.deg))
+    der, inner = rep.cocycles, rep.coboundaries
     index = CochainIndex(algebra, module, 1, args.deg)
     der_lines = [_render_cochain(index.reconstruct(vec)) for vec in der.vectors]
     inner_lines = [_render_cochain(index.reconstruct(vec)) for vec in inner.vectors]

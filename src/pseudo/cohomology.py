@@ -16,8 +16,8 @@ The differential of an n-cochain phi evaluated on (g1, ..., g_{n+1}) is
 where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
 For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
-slot rules are written once, in ``_Stencil``, which ``apply_d0``,
-``apply_dn`` and ``differential_matrix`` all run on.
+slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
+degree, 0 included) and ``differential_matrix`` both run on.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -51,6 +51,10 @@ class ComplexInconsistencyError(RuntimeError):
 
 class TruncationOverflowError(RuntimeError):
     """A polynomial escaped the degree window it was promised to fit."""
+
+
+# widening rounds of the coboundary slice before it is reported unstabilized
+DEFAULT_MAX_ROUNDS = 4
 
 
 def cochain_variables(degree: int) -> tuple[str, ...]:
@@ -116,18 +120,6 @@ class Cochain:
     @classmethod
     def zero(cls, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int) -> "Cochain":
         return cls(degree, algebra, module, {})
-
-    @classmethod
-    def from_module_element(
-        cls, algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
-    ) -> "Cochain":
-        """Degree-0 cochain representing the class of a constant vector."""
-        vec = tuple(Poly.const((), Fraction(c)) for c in coords)
-        return cls(0, algebra, module, {(): vec})
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return cochain_variables(self.degree)
 
     def value(self, key: tuple[int, ...]) -> tuple[Poly, ...]:
         got = self.values.get(tuple(key))
@@ -261,26 +253,10 @@ class CochainIndex:
         )
 
 
-def apply_d0(cochain: Cochain) -> Cochain:
-    """Differential of a degree-0 class u: a |-> a_{-del} u - u_0 a."""
-    if cochain.degree != 0:
-        raise ValueError("apply_d0 expects a degree-0 cochain")
-    module = cochain.module
-    if not (module.has_left and module.has_right):
-        raise ValueError("degree-0 differential needs both module actions")
-    return _differential(cochain)
-
-
 def apply_dn(cochain: Cochain) -> Cochain:
-    """Differential of an n-cochain for n >= 1 (see module docstring)."""
-    if cochain.degree < 1:
-        raise ValueError("apply_dn expects degree >= 1; use apply_d0")
-    return _differential(cochain)
-
-
-def _differential(cochain: Cochain) -> Cochain:
-    """d of a cochain on the stencil: every nonzero coordinate polynomial
-    goes whole through each slot, at that slot's cut of its tuple."""
+    """d of an n-cochain, n >= 0 (see module docstring), on the stencil:
+    every nonzero coordinate polynomial goes whole through each slot, at
+    that slot's cut of its tuple."""
     n, module = cochain.degree, cochain.module
     stencil = _Stencil(cochain.algebra, module, n)
     acc: dict = {}
@@ -347,9 +323,9 @@ class _Stencil:
     t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
     t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
     generators in its place; its image depends on t only through the cut.
-    The structure tables are substituted once here.  ``apply_d0`` and
-    ``apply_dn`` feed whole values through ``image``; ``column`` feeds
-    basis monomials and remembers each image of a (slot, cut, k, m).
+    The structure tables are substituted once here.  ``apply_dn`` feeds
+    whole values through ``image``; ``column`` feeds basis monomials and
+    remembers each image of a (slot, cut, k, m).
     For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
     and a constant value is read in ("del",).
     """
@@ -447,16 +423,31 @@ class _Stencil:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Dimensions of the degree-<=D slice of Z, B and H at one degree n."""
+    """The degree-<=D slice of Z and B at one degree n, as RREF bases in
+    ``CochainIndex(algebra, module, n, D)`` coordinates; every dimension
+    is read off them.  At n = 1 they are the derivations and the inner
+    derivations in the slice.
+    """
 
     degree: int
     degree_bound: int
     stabilization_margin: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_cohomology: int
+    cocycles: SubspaceBasis
+    coboundaries: SubspaceBasis
     stabilized: bool
     rounds: int
+
+    @property
+    def dim_cocycles(self) -> int:
+        return self.cocycles.dim
+
+    @property
+    def dim_coboundaries(self) -> int:
+        return self.coboundaries.dim
+
+    @property
+    def dim_cohomology(self) -> int:
+        return self.cocycles.dim - self.coboundaries.dim
 
 
 class _SliceSpan:
@@ -531,7 +522,7 @@ def cohomology_dimensions(
     module: BimoduleStructure,
     degree: int,
     window: TruncationWindow,
-    max_rounds: int = 4,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> CohomologyReport:
     """Truncated cohomology slice at one degree.
 
@@ -552,7 +543,7 @@ def cohomology_dimensions(
         algebra, module, degree, window, max_rounds
     )
     try:
-        dim_h = quotient_dimension(cocycles, coboundaries)
+        quotient_dimension(cocycles, coboundaries)
     except ContainmentError as exc:
         raise ComplexInconsistencyError(
             "coboundary slice escapes the cocycle space: d after d is not zero"
@@ -561,45 +552,8 @@ def cohomology_dimensions(
         degree=degree,
         degree_bound=d,
         stabilization_margin=window.stabilization_margin,
-        dim_cocycles=cocycles.dim,
-        dim_coboundaries=coboundaries.dim,
-        dim_cohomology=dim_h,
+        cocycles=cocycles,
+        coboundaries=coboundaries,
         stabilized=stabilized,
         rounds=rounds,
     )
-
-
-def derivation_basis(
-    algebra: ConformalAlgebra, module: BimoduleStructure, max_degree: int
-) -> SubspaceBasis:
-    """Kernel of d_1 on the degree-<=D slice, in CochainIndex coordinates."""
-    bound = module.structure_degree()
-    matrix = differential_matrix(algebra, module, 1, max_degree, max_degree + bound)
-    return kernel_basis(matrix)
-
-
-def inner_derivation(
-    algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
-) -> Cochain:
-    """The derivation a |-> a_{-del} u - u_0 a attached to a module vector.
-
-    The construction lands in the kernel of the next differential; that is
-    re-verified here and a failure is reported as an internal error.
-    """
-    zero_class = Cochain.from_module_element(algebra, module, coords)
-    derivation = apply_d0(zero_class)
-    if not apply_dn(derivation).is_zero():
-        raise ComplexInconsistencyError(
-            "inner derivation is not a cocycle: d after d is not zero"
-        )
-    return derivation
-
-
-def inner_derivation_basis(
-    algebra: ConformalAlgebra, module: BimoduleStructure, max_degree: int
-) -> SubspaceBasis:
-    """Inner derivations intersected with the degree-<=D slice: B^1 there.
-
-    Every source is a constant degree-0 class, so one round is exact.
-    """
-    return _coboundary_slice(algebra, module, 1, TruncationWindow(max_degree), 1)[0]

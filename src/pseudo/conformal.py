@@ -100,87 +100,14 @@ class ConformalAlgebra:
 
 
 @dataclass(frozen=True)
-class CElement:
-    """Element of an algebra: one coefficient polynomial in del per generator."""
+class LawCounterexample:
+    """First generator triple on which a law's two association orders differ.
 
-    algebra: ConformalAlgebra
-    coords: tuple[Poly, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.rank:
-            raise ValueError("coordinate count does not match generator count")
-        for poly in self.coords:
-            if poly.variables != ("del",):
-                raise VariableMismatchError(
-                    f"element coordinates must be over ('del',), got {poly.variables}"
-                )
-
-    @classmethod
-    def generator(cls, algebra: ConformalAlgebra, index: int) -> "CElement":
-        coords = [Poly.zero(("del",)) for _ in range(algebra.rank)]
-        coords[index] = Poly.const(("del",), 1)
-        return cls(algebra, tuple(coords))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.coords)
-
-    def __add__(self, other: "CElement") -> "CElement":
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-        return CElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "CElement") -> "CElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "CElement":
-        return CElement(self.algebra, tuple(p * factor for p in self.coords))
-
-
-def _neg_lam(p: Poly) -> Poly:
-    # p(del) -> p(-lam), landing in (del, lam)
-    return p.substitute({"del": -Poly.var(PRODUCT_VARS, "lam")})
-
-
-def _shift_lam(p: Poly) -> Poly:
-    # p(del) -> p(lam + del), landing in (del, lam)
-    return p.substitute(
-        {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
-    )
-
-
-def lambda_product(a: CElement, b: CElement) -> list[Poly]:
-    """Coordinates of a lam b over the generators, as polynomials in (del, lam).
-
-    Bilinear extension of the structure table: a coefficient p(del) on the
-    left contributes p(-lam), a coefficient q(del) on the right contributes
-    q(lam + del), both multiplying the structure polynomial.
+    ``law`` is "associativity" for the algebra, or the module law "left",
+    "right" or "compat" (see ``cfmodule.check_module_axioms``).
     """
-    if a.algebra != b.algebra:
-        raise ValueError("elements of different algebras")
-    algebra = a.algebra
-    out = [Poly.zero(PRODUCT_VARS) for _ in range(algebra.rank)]
-    for i, p in enumerate(a.coords):
-        if p.is_zero:
-            continue
-        left_factor = _neg_lam(p)
-        for j, q in enumerate(b.coords):
-            if q.is_zero:
-                continue
-            entries = algebra.products(i, j)
-            if not entries:
-                continue
-            factor = left_factor * _shift_lam(q)
-            for k, poly in entries:
-                out[k] = out[k] + factor * poly
-    return out
 
-
-@dataclass(frozen=True)
-class AssociativityCounterexample:
-    """First generator triple on which the two association orders differ."""
-
+    law: str
     triple: tuple[int, int, int]
     lhs: tuple[Poly, ...]
     rhs: tuple[Poly, ...]
@@ -247,7 +174,7 @@ def _dense(side: dict, rank: int) -> tuple[Poly, ...]:
     return tuple(side.get(m, Poly.zero(ASSOC_VARS)) for m in range(rank))
 
 
-def check_associativity(algebra: ConformalAlgebra) -> AssociativityCounterexample | None:
+def check_associativity(algebra: ConformalAlgebra) -> LawCounterexample | None:
     """None when every generator triple associates; else the first failure.
 
     The residual is left-nested minus right-nested.
@@ -257,8 +184,8 @@ def check_associativity(algebra: ConformalAlgebra) -> AssociativityCounterexampl
     for i, j, k in itertools.product(range(rank), repeat=3):
         lhs, rhs = _law_sides(tables, i, j, k)
         if lhs != rhs:
-            return AssociativityCounterexample(
-                (i, j, k), _dense(lhs, rank), _dense(rhs, rank)
+            return LawCounterexample(
+                "associativity", (i, j, k), _dense(lhs, rank), _dense(rhs, rank)
             )
     return None
 

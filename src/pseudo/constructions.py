@@ -38,7 +38,6 @@ from .cfmodule import (
 from .conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
-    CElement,
     ConformalAlgebra,
     _DEL,
     _LAM,
@@ -134,7 +133,6 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     """
     algebra, gamma = datum.algebra, datum.gamma
     zero = Poly.zero(ASSOC_VARS)
-    gens = [CElement.generator(algebra, i) for i in range(algebra.rank)]
     # each gamma entry at the total variable, substituted once per call
     total = {
         l: [(key, g.substitute(_GAMMA_TOTAL)) for key, g in gmap.matrix.items()]
@@ -144,9 +142,9 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     for i, j in itertools.product(range(algebra.rank), repeat=2):
         acc: dict[tuple[int, int], Poly] = {}
         if j in gamma:
-            acc.update(chom_left_action(gens[i], gamma[j], datum.sub))
+            acc.update(chom_left_action(i, gamma[j], datum.sub))
         if i in gamma:
-            for key, poly in chom_right_action(gamma[i], gens[j], datum.quotient).items():
+            for key, poly in chom_right_action(gamma[i], j, datum.quotient).items():
                 acc[key] = acc.get(key, zero) + poly
         # minus the twisted action of the product a_i lam a_j
         for l, p_ijl in algebra.products(i, j):

@@ -34,15 +34,6 @@ class QMatrix:
         self.ncols = ncols
         self.rows = rows
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
 
 class Echelon(dict):
     """Pivot column -> sparse row, kept fully reduced (see module docstring).

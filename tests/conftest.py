@@ -146,14 +146,14 @@ def inner_derivation_space_dimension(algebra: FDAlgebra) -> int:
 
 
 # The term-by-term differential: each slot's substitutions are written out
-# again here, apart from the compiled stencil that apply_d0, apply_dn and
+# again here, apart from the compiled stencil that apply_dn and
 # differential_matrix share, so the tests can compare the two.
 
 
 def reference_d0(cochain: Cochain) -> Cochain:
     """Differential of a degree-0 class u: a |-> a_{-del} u - u_0 a."""
     if cochain.degree != 0:
-        raise ValueError("apply_d0 expects a degree-0 cochain")
+        raise ValueError("reference_d0 expects a degree-0 cochain")
     module = cochain.module
     if not (module.has_left and module.has_right):
         raise ValueError("degree-0 differential needs both module actions")
@@ -183,7 +183,7 @@ def reference_dn(cochain: Cochain) -> Cochain:
     """Differential of an n-cochain for n >= 1 (see module docstring)."""
     n = cochain.degree
     if n < 1:
-        raise ValueError("apply_dn expects degree >= 1; use apply_d0")
+        raise ValueError("reference_dn expects degree >= 1; use reference_d0")
     module = cochain.module
     if not module.has_left:
         raise ValueError("the differential needs a left action")

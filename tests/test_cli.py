@@ -259,6 +259,44 @@ def test_pinned_report_bytes(entry):
     assert hashlib.sha256(result.stdout).hexdigest() == entry["sha256"]
 
 
+# stdout sha256 of `pseudo derivations` cases whose bases are not all
+# trivial: an inner derivation above degree 0, a widening plateau, a
+# two-sided module that is not the regular one, and a degree-0 slice
+DERIVATIONS_EXPECTED = [
+    (("inputs/lam_c.alg", "--deg", "3"),
+     "7ab19e4c7b315ef219221e164815db3b2097642d80cf750d60392d67bf511dfb"),
+    (("inputs/lam_c.alg", "--deg", "3", "--json"),
+     "48edaabcfb3b5c31c3aa57efb5d1e768d372b5b9f4488358e3719e4d822e87ce"),
+    (("inputs/plateau.alg", "--deg", "2"),
+     "7f697eb6f7288a240a3b0fc3c961e64fec715aa450b424ec378452cd9e942f78"),
+    (("inputs/plateau.alg", "--deg", "2", "--json"),
+     "df2a44766c19c720663766280cc21144a04ac6961303275d9fb178c4e819e55b"),
+    (("inputs/cur1.alg", "--module", "inputs/uboth.mod", "--deg", "3"),
+     "02df8609f838ca47a838043753e0d2412e48074d5b9a1d0ff53893207d972d09"),
+    (("inputs/cur1.alg", "--module", "inputs/uboth.mod", "--deg", "3", "--json"),
+     "03c9d9ec807edbcd1cb6d5a39ff48c58df916084424808d499d2710455dd32e0"),
+    (("inputs/mat2.alg", "--deg", "0"),
+     "5f624e08e2752bbb924c39786aea731b75c69e483b44ee742e995d6475cb722c"),
+    (("inputs/mat2.alg", "--deg", "0", "--json"),
+     "af9ed892f51e5c2efc2be0d7f5d58f25ca05535ad33500778c6fdcc196d40f2f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", DERIVATIONS_EXPECTED, ids=[" ".join(a) for a, _ in DERIVATIONS_EXPECTED]
+)
+def test_derivations_report_bytes(argv, digest):
+    result = subprocess.run(
+        [sys.executable, "-m", "pseudo", "derivations", *argv],
+        capture_output=True,
+        env=src_env(),
+        cwd=str(INPUTS.parent),
+        timeout=120,
+    )
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 SCRATCH_INPUTS = {
     "left_only.mod": "kind: module\ngenerators: u\nactions: left\nleft e u -> 1 * u\n",
     "right_only.mod": "kind: module\ngenerators: u\nactions: right\nright u e -> 1 * u\n",

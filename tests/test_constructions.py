@@ -294,7 +294,6 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
         for owner in (cfmodule, constructions):
             patch.setattr(owner, "chom_left_action", _refuse, raising=False)
             patch.setattr(owner, "chom_right_action", _refuse, raising=False)
-            patch.setattr(owner, "_scale", _refuse, raising=False)
         assert (check_module_axioms(extension) is None) == verdict
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "_Stencil", _refuse)

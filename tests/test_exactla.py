@@ -77,8 +77,7 @@ def test_quotient_dimension_and_containment():
 
 def test_matrix_helpers():
     m = dense([[0, 1], [2, 0]])
-    assert m == QMatrix(2, 2, [{1: Fraction(1)}, {0: Fraction(2)}])
-    assert m != dense([[0, 1], [2, 1]]) and m != QMatrix(2, 3, m.rows)
+    assert (m.nrows, m.ncols, m.rows) == (2, 2, [{1: Fraction(1)}, {0: Fraction(2)}])
     assert times(m, [Fraction(1), Fraction(3)]) == [Fraction(3), Fraction(2)]
     with pytest.raises(ValueError):
         QMatrix(3, 2, m.rows)

@@ -6,7 +6,6 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPORTED = {"lambda_product", "inner_derivation"}  # API the package never calls
 
 
 def _trees(*folders):
@@ -26,7 +25,7 @@ def test_every_definition_has_a_caller_outside_tests():
         owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             name = getattr(node, "name", "__")
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or name in EXPORTED \
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or (name.startswith("__") and name.endswith("__")) \
                     or any(p != path or not node.lineno <= line <= node.end_lineno
                            for p, line in uses[name]):
