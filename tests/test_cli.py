@@ -297,6 +297,40 @@ def test_derivations_report_bytes(argv, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# sha256 over "<exit code>\n<stdout>" of the eight `pseudo classical` runs
+# on each inputs/<name>.fda: --n 0..3, each in text and then --json
+CLASSICAL_EXPECTED = {
+    "dual": "c79b054798f251e9639ff88d6170a98be79cee51af49a87d0f90ee6b98241696",
+    "ground": "592a3dbdbeaa8882e43fdba1c15c591d5fe367098c9a5e240fbe3fd823027770",
+    "mat2": "80fafd0ef54870c045355c0ee78bfe2c92109d860a8fd9365dd86383c7f4eb2d",
+    "split": "28c230fc01d8fbbf6d89ea13d7eb0965dd6f046cac836145adb0ea65bbc65dee",
+    "upper": "6a74fd29105f7d64109ec2b63b29d65c820d9be9d7a9e7ba6c75dae1f304e678",
+    "zero3": "821b29208e9b2e240d2ee64449dfa6b0c8aa09f7ee8782ad35fa5d77bc324f0d",
+}
+
+
+def classical_digest(capsys, argvs) -> str:
+    """Run `pseudo classical` in-process on each argv; digest codes and stdout."""
+    from pseudo import cli
+
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = cli.main(["classical", *argv])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_EXPECTED))
+def test_classical_report_bytes(monkeypatch, capsys, name):
+    monkeypatch.chdir(INPUTS.parent)
+    argvs = [
+        (f"inputs/{name}.fda", "--n", str(n), *flags)
+        for n in range(4)
+        for flags in ((), ("--json",))
+    ]
+    assert classical_digest(capsys, argvs) == CLASSICAL_EXPECTED[name]
+
+
 SCRATCH_INPUTS = {
     "left_only.mod": "kind: module\ngenerators: u\nactions: left\nleft e u -> 1 * u\n",
     "right_only.mod": "kind: module\ngenerators: u\nactions: right\nright u e -> 1 * u\n",
@@ -357,6 +391,15 @@ def test_classical_non_associative_exit_2(tmp_path):
     result = run_cli("classical", str(crooked), "--n", "1")
     assert result.returncode == 2
     assert "  precheck: structure constants not associative" in result.stdout.splitlines()
+
+
+def test_classical_non_associative_report_bytes(monkeypatch, capsys, tmp_path):
+    (tmp_path / "crooked.fda").write_text(SCRATCH_INPUTS["crooked.fda"])
+    monkeypatch.chdir(tmp_path)
+    argvs = [("crooked.fda", "--n", "1"), ("crooked.fda", "--n", "1", "--json")]
+    assert classical_digest(capsys, argvs) == (
+        "ebb6164aa31fb12cab681fe80ade795c1dfaacefe69c47892c5059f2946334c8"
+    )
 
 
 @pytest.mark.parametrize(
