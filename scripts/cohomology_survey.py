@@ -13,7 +13,7 @@ import argparse
 import time
 
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import current_algebra, matrix_algebra
+from pseudo.classical import matrix_algebra
 from pseudo.cohomology import DEFAULT_MAX_ROUNDS, TruncationWindow, cohomology_dimensions
 from pseudo.conformal import free_rank_one
 from pseudo.polyring import Poly
@@ -22,7 +22,7 @@ from pseudo.polyring import Poly
 ALGEBRAS = {
     "unit-current": free_rank_one,
     "zero-product": lambda: free_rank_one(Poly.zero(("del", "lam"))),
-    "mat2-current": lambda: current_algebra(matrix_algebra(2)),
+    "mat2-current": lambda: matrix_algebra(2),
 }
 
 

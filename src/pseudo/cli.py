@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, cohomology, derivations, deform, extend, classical.
-``classical`` runs the same cochain complex as ``cohomology``, on the
-current algebra of a finite-dimensional algebra at polynomial degree 0,
-where it is the bar complex (see ``pseudo.classical``).  Reports go to
+``classical`` reads a finite-dimensional algebra A straight into its
+current algebra (``formats.parse_fd_algebra``) and runs the same cochain
+complex as ``cohomology`` on it at polynomial degree 0, where it is the
+bar complex of A (see ``pseudo.classical``).  Reports go to
 stdout and are byte-identical across runs for identical inputs and flags;
 wall-clock timing goes to stderr so it never perturbs the report.  Exit
 codes: 0 success, 1 bad input (usage, a file that does not parse or read,
@@ -28,7 +29,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cfmodule import BimoduleStructure, check_module_axioms
-from .classical import current_algebra
 from .cohomology import (
     DEFAULT_MAX_ROUNDS,
     Cochain,
@@ -482,7 +482,7 @@ def _cmd_classical(args) -> int:
     if args.n > 3:
         raise _UsageError("only degrees 0..3 are supported")
     text, info = _read_input(args.algebra)
-    algebra = current_algebra(parse_fd_algebra(text))
+    algebra = parse_fd_algebra(text)
     inputs = {"algebra": info}
     if check_associativity(algebra) is not None:
         report = _report("classical", inputs,

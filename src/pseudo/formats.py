@@ -27,18 +27,21 @@ comment; blank lines are ignored.  One grammar holds for every kind:
 
 A degree-1 cochain file with ``coefficients: chom`` holds extension
 gluing data: ``value a u -> P * m`` with P in (del, lam), u a quotient
-generator and m a sub generator.  fd_algebra files look like algebra
-files with constant coefficients plus an optional ``unit:`` header.
+generator and m a sub generator.
+
+An fd_algebra file gives a finite-dimensional algebra A: an algebra file
+whose coefficients are rationals (polynomials over no variables), plus an
+optional ``unit:`` header of coordinates in the same grammar.
+`parse_fd_algebra` returns the current algebra Cur A, with constant
+products, and checks the unit at its line without keeping it.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, CLinearMap
-from .classical import FDAlgebra
 from .cohomology import Cochain, cochain_variables
 from .conformal import PRODUCT_VARS, ConformalAlgebra
 from .polyring import Poly, PolyParseError, parse_poly, variable_key
@@ -301,27 +304,42 @@ def parse_gamma(
     return {i: CLinearMap(quotient.generators, sub.generators, m) for i, m in matrices.items()}
 
 
-def parse_fd_algebra(text: str) -> FDAlgebra:
+def parse_fd_algebra(text: str) -> ConformalAlgebra:
+    """The current algebra of the finite-dimensional algebra a file defines
+    (see ``pseudo.classical``); a ``unit:`` header is checked, not kept."""
     found, statements = _read(
         text, "fd_algebra", ("generators", "unit"), {"product": "a b -> c/d * e"}
     )
     generators = _parse_generator_list(*found["generators"])
-    n = len(generators)
     axis = (generators, "generator")
-    constants = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), entries in _table(statements, "product", (axis, axis, axis), ()).items():
-        for k, coeff in entries:
-            constants[i][j][k] = coeff.constant_term()
-    unit_line, unit = found.get("unit", (1, None))
-    if unit is not None:
-        coords = unit.split()
-        if len(coords) != n:
-            raise DefinitionError(f"unit needs {n} coordinates", unit_line)
-        try:
-            unit = tuple(Fraction(c) for c in coords)
-        except (ValueError, ZeroDivisionError):
-            raise DefinitionError("unit coordinates must be rationals", unit_line) from None
+    table = _table(statements, "product", (axis, axis, axis), ())
+    algebra = ConformalAlgebra(generators, {
+        key: [(k, Poly.const(PRODUCT_VARS, c.constant_term())) for k, c in entries]
+        for key, entries in table.items()
+    })
+    if "unit" in found:
+        _check_unit(algebra, *found["unit"])
+    return algebra
+
+
+def _check_unit(algebra: ConformalAlgebra, line: int, text: str) -> None:
+    """Reject unit coordinates that are not a two-sided identity of the
+    constant products of ``algebra``."""
+    n = algebra.rank
+    coords = text.split()
+    if len(coords) != n:
+        raise DefinitionError(f"unit needs {n} coordinates", line)
     try:
-        return FDAlgebra(generators, constants, unit)
-    except ValueError as exc:
-        raise DefinitionError(str(exc), unit_line) from None
+        unit = [parse_poly(c, ()).constant_term() for c in coords]
+    except PolyParseError:
+        raise DefinitionError("unit coordinates must be rationals", line) from None
+    for j in range(n):
+        left, right = [0] * n, [0] * n
+        for i, u in enumerate(unit):
+            for k, poly in algebra.products(i, j):
+                left[k] += u * poly.constant_term()
+            for k, poly in algebra.products(j, i):
+                right[k] += u * poly.constant_term()
+        basis_vector = [int(k == j) for k in range(n)]
+        if left != basis_vector or right != basis_vector:
+            raise DefinitionError("claimed unit is not an identity", line)

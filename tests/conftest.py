@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import FDAlgebra, current_algebra, matrix_algebra
+from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ConformalAlgebra, free_rank_one
 from pseudo.exactla import QMatrix, SubspaceBasis, _span, kernel_basis
@@ -36,8 +36,8 @@ def src_env() -> dict[str, str]:
     return env
 
 
-def fd_algebra(name: str):
-    """The finite-dimensional algebra in inputs/<name>.fda."""
+def fd_algebra(name: str) -> ConformalAlgebra:
+    """The current algebra of the finite-dimensional algebra in inputs/<name>.fda."""
     return parse_fd_algebra((INPUTS / f"{name}.fda").read_text(encoding="utf-8"))
 
 
@@ -80,16 +80,30 @@ def check_h0_representative(
 
 
 # Classical oracles: each solves the defining equations of the center, the
-# derivations or the inner derivations of an FDAlgebra directly from its
-# structure constants, apart from the cochain complex that pseudo classical
-# reads the same dimensions from.
+# derivations or the inner derivations of a finite-dimensional algebra A
+# directly from its structure constants, apart from the cochain complex
+# that pseudo classical reads the same dimensions from.  A is given as its
+# current algebra, a constant table.
 
 
-def center_dimension(algebra: FDAlgebra) -> int:
+def structure_constants(algebra: ConformalAlgebra) -> list[list[list[Fraction]]]:
+    """``c[i][j][k]``: the coefficient of generator k in the product of
+    generators i and j of a constant table."""
+    n = algebra.rank
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), entries in algebra.structure.items():
+        for k, poly in entries:
+            if poly.total_degree():
+                raise ValueError("structure_constants expects a constant table")
+            c[i][j][k] = poly.constant_term()
+    return c
+
+
+def center_dimension(algebra: ConformalAlgebra) -> int:
     """dim of the commutant {z : za = az for all a}; independent of the
     bar complex, so it cross-checks HH^0 with regular coefficients."""
-    n = algebra.dimension
-    c = algebra.constants
+    n = algebra.rank
+    c = structure_constants(algebra)
     rows: list[dict[int, Fraction]] = []
     for a in range(n):
         for k in range(n):
@@ -103,10 +117,10 @@ def center_dimension(algebra: FDAlgebra) -> int:
     return kernel_basis(matrix).dim
 
 
-def derivation_space_dimension(algebra: FDAlgebra) -> int:
+def derivation_space_dimension(algebra: ConformalAlgebra) -> int:
     """Linear maps D with D(ab) = D(a)b + a D(b), by brute-force solve."""
-    n = algebra.dimension
-    c = algebra.constants
+    n = algebra.rank
+    c = structure_constants(algebra)
     # unknowns D[p][q] (column q*n+p? keep (p, q): D(e_p) = sum_q D[p][q] e_q)
     cols = {(p, q): p * n + q for p in range(n) for q in range(n)}
     rows: list[dict[int, Fraction]] = []
@@ -131,10 +145,10 @@ def derivation_space_dimension(algebra: FDAlgebra) -> int:
     return kernel_basis(matrix).dim
 
 
-def inner_derivation_space_dimension(algebra: FDAlgebra) -> int:
+def inner_derivation_space_dimension(algebra: ConformalAlgebra) -> int:
     """Span of the commutator maps x -> ax - xa."""
-    n = algebra.dimension
-    c = algebra.constants
+    n = algebra.rank
+    c = structure_constants(algebra)
     vectors = []
     for a in range(n):
         vec = [Fraction(0)] * (n * n)
@@ -280,7 +294,7 @@ def cur1():
 
 @pytest.fixture(scope="session")
 def mat2():
-    return current_algebra(matrix_algebra(2))
+    return matrix_algebra(2)
 
 
 @pytest.fixture(scope="session")

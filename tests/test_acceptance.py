@@ -25,7 +25,7 @@ from conftest import (
     unit_cochain,
 )
 from pseudo.cfmodule import BimoduleStructure, CLinearMap
-from pseudo.classical import current_algebra, matrix_algebra
+from pseudo.classical import matrix_algebra
 from pseudo.cli import REPORT_SCHEMA
 from pseudo.cohomology import (
     Cochain,
@@ -164,9 +164,8 @@ def test_criterion_5_classical_bar_complex_oracles():
     dual = fd_algebra("dual")
 
     def hh(algebra, degree):
-        cur = current_algebra(algebra)
-        regular = BimoduleStructure.regular(cur)
-        return cohomology_dimensions(cur, regular, degree, TruncationWindow(0)).dim_cohomology
+        regular = BimoduleStructure.regular(algebra)
+        return cohomology_dimensions(algebra, regular, degree, TruncationWindow(0)).dim_cohomology
 
     assert hh(mat2, 0) == 1
     assert hh(mat2, 1) == 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    INPUTS,
     center_dimension,
     derivation_space_dimension,
     fd_algebra,
@@ -11,31 +12,33 @@ from conftest import (
     rationals,
 )
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import FDAlgebra, current_algebra, matrix_algebra
+from pseudo.classical import matrix_algebra
 from pseudo.cohomology import (
     TruncationWindow,
     cohomology_dimensions,
     differential_matrix,
     _coboundary_slice,
 )
-from pseudo.conformal import check_associativity
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, check_associativity
 from pseudo.exactla import kernel_basis
+from pseudo.formats import DefinitionError, parse_algebra, parse_fd_algebra
+from pseudo.polyring import Poly
 
-SAMPLES = [
+# the samples with a unit: every .fda file but zero3 (mat2.fda is M_2)
+UNITAL = [
     fd_algebra("ground"),
     fd_algebra("dual"),
     fd_algebra("split"),
     matrix_algebra(2),
     fd_algebra("upper"),
-    fd_algebra("zero3"),
 ]
+SAMPLES = UNITAL + [fd_algebra("zero3")]
 
 
 def bar_report(algebra, degree):
     """The degree-0 slice of the current algebra's complex: the bar complex."""
-    cur = current_algebra(algebra)
     return cohomology_dimensions(
-        cur, BimoduleStructure.regular(cur), degree, TruncationWindow(0)
+        algebra, BimoduleStructure.regular(algebra), degree, TruncationWindow(0)
     )
 
 
@@ -45,43 +48,30 @@ def hh(algebra, degree):
 
 def test_constructors_are_associative():
     for algebra in SAMPLES:
-        assert check_associativity(current_algebra(algebra)) is None
+        assert check_associativity(algebra) is None
 
 
 def test_non_associative_detected():
-    constants = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-    constants[0][0][1] = Fraction(1)  # a*a = b
-    constants[0][1][0] = Fraction(1)  # a*b = a
-    crooked = FDAlgebra(("a", "b"),
-                        tuple(tuple(tuple(r) for r in p) for p in constants))
-    assert check_associativity(current_algebra(crooked)) is not None
+    crooked = parse_fd_algebra(
+        "kind: fd_algebra\ngenerators: a b\nproduct a a -> 1 * b\nproduct a b -> 1 * a\n"
+    )
+    assert check_associativity(crooked) is not None
 
 
 def test_unit_validation():
-    with pytest.raises(ValueError):
-        FDAlgebra(
-            ("z",),
-            (((Fraction(0),),),),
-            unit=(Fraction(1),),
-        )
-    with pytest.raises(ValueError):
-        FDAlgebra(("a",), (((Fraction(1),),),), unit=(Fraction(2),))
-
-
-def test_multiply():
-    mat2 = matrix_algebra(2)
-    e11 = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    e12 = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    e21 = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-    assert mat2.multiply(e12, e21) == e11
-    assert mat2.multiply(e21, e21) == (Fraction(0),) * 4
-    assert mat2.multiply(mat2.unit, e12) == e12
-    assert mat2.multiply(e12, mat2.unit) == e12
+    for text in (
+        "kind: fd_algebra\ngenerators: z\nunit: 1\n",  # z*z = 0
+        "kind: fd_algebra\ngenerators: a\nunit: 2\nproduct a a -> 1 * a\n",
+    ):
+        with pytest.raises(DefinitionError) as info:
+            parse_fd_algebra(text)
+        assert info.value.line == 3
+        assert "claimed unit is not an identity" in str(info.value)
 
 
 def test_matrix_algebra_dimensions():
-    assert matrix_algebra(2).dimension == 4
-    assert matrix_algebra(3).dimension == 9
+    assert matrix_algebra(2).rank == 4
+    assert matrix_algebra(3).rank == 9
     assert hh(matrix_algebra(3), 0) == 1
 
 
@@ -115,15 +105,12 @@ def test_degree_zero_slice_stabilizes_in_two_rounds():
 
 
 def test_h0_equals_center_for_unital_samples():
-    for algebra in SAMPLES:
-        if algebra.unit is not None:
-            assert hh(algebra, 0) == center_dimension(algebra)
+    for algebra in UNITAL:
+        assert hh(algebra, 0) == center_dimension(algebra)
 
 
 def test_h1_equals_outer_derivations():
-    for algebra in SAMPLES:
-        if algebra.unit is None:
-            continue
+    for algebra in UNITAL:
         outer = derivation_space_dimension(algebra) - inner_derivation_space_dimension(
             algebra
         )
@@ -138,31 +125,31 @@ def test_derivation_dimensions_mat2():
 
 
 def test_degree_bounds():
-    ground = current_algebra(fd_algebra("ground"))
+    ground = fd_algebra("ground")
     with pytest.raises(ValueError):
         cohomology_dimensions(
             ground, BimoduleStructure.regular(ground), -1, TruncationWindow(0)
         )
 
 
-def test_current_algebra_bridge(mat2):
-    lifted = current_algebra(matrix_algebra(2))
-    assert lifted.generators == mat2.generators
-    assert lifted.structure == mat2.structure
-    assert check_associativity(lifted) is None
-    tiny = current_algebra(fd_algebra("ground"))
-    assert tiny.rank == 1 and check_associativity(tiny) is None
+def test_current_algebra_bridge():
+    """M_2 built, read as an fd_algebra and read as an algebra file is one
+    current algebra."""
+    mat2_alg = parse_algebra((INPUTS / "mat2.alg").read_text(encoding="utf-8"))
+    assert matrix_algebra(2) == fd_algebra("mat2") == mat2_alg
 
 
 @st.composite
 def constant_tables(draw):
-    """A random FDAlgebra of rank 1 to 3, associative or not."""
+    """A random constant table of rank 1 to 3, associative or not."""
     n = draw(st.integers(1, 3))
     entry = st.one_of(st.just(Fraction(0)), rationals(2, 2))
-    constants = tuple(
-        tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
-    return FDAlgebra(tuple(f"x{i}" for i in range(n)), constants)
+    structure = {
+        (i, j): [(k, Poly.const(PRODUCT_VARS, draw(entry))) for k in range(n)]
+        for i in range(n)
+        for j in range(n)
+    }
+    return ConformalAlgebra(tuple(f"x{i}" for i in range(n)), structure)
 
 
 @given(constant_tables())
@@ -172,10 +159,11 @@ def test_oracles_match_the_degree_zero_slice(algebra):
     assumed, so cohomology_dimensions (whose d after d = 0 guard needs it)
     is not used: its two halves, the kernel of d and the coboundary slice,
     are called directly."""
-    cur = current_algebra(algebra)
-    reg = BimoduleStructure.regular(cur)
-    assert center_dimension(algebra) == kernel_basis(differential_matrix(cur, reg, 0, 0, 0)).dim
-    derivations = kernel_basis(differential_matrix(cur, reg, 1, 0, 0))
-    inner, _, _ = _coboundary_slice(cur, reg, 1, TruncationWindow(0), 1)
+    reg = BimoduleStructure.regular(algebra)
+    assert center_dimension(algebra) == kernel_basis(
+        differential_matrix(algebra, reg, 0, 0, 0)
+    ).dim
+    derivations = kernel_basis(differential_matrix(algebra, reg, 1, 0, 0))
+    inner, _, _ = _coboundary_slice(algebra, reg, 1, TruncationWindow(0), 1)
     assert derivation_space_dimension(algebra) == derivations.dim
     assert inner_derivation_space_dimension(algebra) == inner.dim

@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from pseudo.cli import REPORT_SCHEMA
+from pseudo.cli import REPORT_SCHEMA, main
 from pseudo.exactla import ContainmentError
 from pseudo.polyring import VariableMismatchError
 
@@ -203,6 +203,34 @@ def test_max_margin_env():
     assert good.returncode == 0
 
 
+def test_unstabilized_cohomology_report(monkeypatch, capsys):
+    # PSEUDO_MAX_MARGIN=1 allows one widening round, and its two rounds disagree
+    monkeypatch.chdir(INPUTS.parent)
+    monkeypatch.setenv("PSEUDO_MAX_MARGIN", "1")
+    argv = ["cohomology", "inputs/plateau.alg", "--n", "3", "--deg", "1", "--margin", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:10] == [
+        "truncation: deg=1 margin=2 stabilized=no",
+        "results:",
+        "  degree: 3",
+        "  dim_cocycles_slice: 3",
+        "  dim_coboundaries_slice: 3",
+        "  dim_cohomology_slice: 0",
+        "  stabilization_rounds: 2",
+    ]
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["truncation"] == {"deg": 1, "margin": 2, "stabilized": False}
+    assert report["results"] == {
+        "degree": 3,
+        "dim_cocycles_slice": 3,
+        "dim_coboundaries_slice": 3,
+        "dim_cohomology_slice": 0,
+        "stabilization_rounds": 2,
+    }
+
+
 def test_console_script_entry_point():
     from pseudo import cli
 
@@ -311,11 +339,9 @@ CLASSICAL_EXPECTED = {
 
 def classical_digest(capsys, argvs) -> str:
     """Run `pseudo classical` in-process on each argv; digest codes and stdout."""
-    from pseudo import cli
-
     digest = hashlib.sha256()
     for argv in argvs:
-        code = cli.main(["classical", *argv])
+        code = main(["classical", *argv])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     return digest.hexdigest()
 

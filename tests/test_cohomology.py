@@ -187,9 +187,9 @@ def test_d_after_d_is_zero_degree_two(q):
 
 @given(st.lists(rationals(), min_size=4, max_size=4))
 def test_d1_after_d0_is_zero_on_mat2(mat2_coords):
-    from pseudo.classical import current_algebra, matrix_algebra
+    from pseudo.classical import matrix_algebra
 
-    alg = current_algebra(matrix_algebra(2))
+    alg = matrix_algebra(2)
     reg = BimoduleStructure.regular(alg)
     assert apply_dn(apply_dn(zero_class(alg, reg, mat2_coords))).is_zero()
 
@@ -385,6 +385,16 @@ def test_plateau_h3_with_margin_three(inputs_dir):
     short = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
     assert short.dim_cocycles == 3
     assert short.dim_coboundaries <= rep.dim_coboundaries
+
+
+def test_plateau_h3_unstabilized_within_max_rounds(inputs_dir):
+    # one widening round after the first: the two rounds disagree, so the
+    # slice is reported as not stabilized after max_rounds + 1 rounds
+    plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(plateau)
+    rep = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 2), max_rounds=1)
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (3, 3, 0)
+    assert not rep.stabilized and rep.rounds == 2
 
 
 @pytest.mark.parametrize("degree, pinned", [(1, (2, 2, 0)), (2, (5, 5, 0))])

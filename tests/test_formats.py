@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from conftest import INPUTS, polys, rationals
 from pseudo.cfmodule import BimoduleStructure, CLinearMap, check_module_axioms
-from pseudo.classical import FDAlgebra
+from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, check_associativity
 from pseudo.formats import (
@@ -63,10 +63,11 @@ def test_parse_gamma_files(inputs_dir, cur1, cur1_regular):
 
 def test_parse_fd_algebra_files(inputs_dir):
     mat2 = parse_fd_algebra(read(inputs_dir, "mat2.fda"))
-    assert mat2.dimension == 4 and mat2.unit is not None
+    assert mat2 == matrix_algebra(2)
     dual = parse_fd_algebra(read(inputs_dir, "dual.fda"))
-    assert dual.dimension == 2
-    assert dual.multiply((0, 1), (0, 1)) == (0, 0)
+    assert dual.generators == ("one", "x")
+    assert dual.products(0, 1) == ((1, Poly.const(PRODUCT_VARS, 1)),)
+    assert dual.products(1, 1) == ()  # x squares to zero
 
 
 def test_comments_and_blank_lines_ignored(cur1):
@@ -187,6 +188,16 @@ def test_fd_algebra_errors():
         parse_fd_algebra(
             "kind: fd_algebra\ngenerators: a\nunit: 1\n"  # unit fails a*a = 0
         )
+    # unit coordinates follow the grammar of product coefficients
+    for coordinate in ("0.5", "1e3", "1/0", "x"):
+        with pytest.raises(DefinitionError) as info:
+            parse_fd_algebra(
+                f"kind: fd_algebra\ngenerators: a\nunit: {coordinate}\nproduct a a -> 2 * a\n"
+            )
+        assert info.value.line == 3
+        assert "unit coordinates must be rationals" in str(info.value)
+    half = parse_fd_algebra("kind: fd_algebra\ngenerators: a\nunit: 1/2\nproduct a a -> 2 * a\n")
+    assert half.products(0, 0) == ((0, Poly.const(PRODUCT_VARS, 2)),)
 
 
 def test_rational_coefficients_parse(cur1):
@@ -338,18 +349,6 @@ def _definition(obj, algebra=None) -> tuple[str, list[str], list[str]]:
             for k, poly in enumerate(vec)
             if not poly.is_zero
         ]
-    if isinstance(obj, FDAlgebra):
-        g = obj.basis_names
-        headers = [f"generators: {' '.join(g)}"]
-        if obj.unit is not None:
-            headers.append("unit: " + " ".join(map(str, obj.unit)))
-        return "fd_algebra", headers, [
-            _statement("product", (g[i], g[j]), Poly.const((), c), g[k])
-            for i, plane in enumerate(obj.constants)
-            for j, row in enumerate(plane)
-            for k, c in enumerate(row)
-            if c
-        ]
     return "cochain", ["degree: 1", "coefficients: chom"], [
         _statement("value", (algebra.generators[i], cmap.source[t]), poly, cmap.target[s])
         for i, cmap in obj.items()
@@ -417,8 +416,12 @@ def _random_case(kind, draw):
     only) and the parser that reads the text back."""
     if kind == "fd_algebra":
         g = draw(_NAMES)
-        constants = [[[draw(rationals()) for _ in g] for _ in g] for _ in g]
-        return FDAlgebra(g, constants), None, parse_fd_algebra
+        structure = {
+            (i, j): [(k, Poly.const(PRODUCT_VARS, draw(rationals()))) for k in range(len(g))]
+            for i in range(len(g))
+            for j in range(len(g))
+        }
+        return ConformalAlgebra(g, structure), None, parse_fd_algebra
     g = draw(_NAMES)
     algebra = ConformalAlgebra(g, _random_table(draw, len(g), len(g), len(g)))
     if kind == "algebra":
@@ -453,7 +456,10 @@ def _random_case(kind, draw):
 @given(data=st.data())
 def test_definition_text_round_trip(kind, data):
     expected, algebra, parse = _random_case(kind, data.draw)
-    text = _render(*_definition(expected, algebra), data.draw)
+    written, headers, statements = _definition(expected, algebra)
+    if kind == "fd_algebra":  # a constant table written as fd_algebra text
+        written = kind
+    text = _render(written, headers, statements, data.draw)
     assert parse(text) == expected
 
 
@@ -485,5 +491,5 @@ def test_committed_definition_file_parses(name, cur1, cur1_regular, inputs_dir):
     else:
         parse = lambda t: parse_cochain(t, cur1, module, 2)
     parsed = parse(text)
-    kind, headers, statements = _definition(parsed, algebra)
+    _, headers, statements = _definition(parsed, algebra)
     assert parse("\n".join([f"kind: {kind}", *headers, *statements])) == parsed
