@@ -42,7 +42,7 @@ from .exactla import (
     kernel_basis,
     quotient_dimension,
 )
-from .polyring import Poly, iter_monomials, sort_variables
+from .polyring import Poly, _coeff, iter_monomials, sort_variables
 
 
 class ComplexInconsistencyError(RuntimeError):
@@ -213,7 +213,7 @@ class CochainIndex:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def decompose(self, cochain: Cochain) -> list[Fraction]:
+    def decompose(self, cochain: Cochain) -> list[int | Fraction]:
         """Coordinates of a cochain in this basis; overflow if it escapes."""
         if (
             cochain.degree != self.degree
@@ -221,7 +221,7 @@ class CochainIndex:
             or cochain.module != self.module
         ):
             raise ValueError("cochain does not match this index")
-        out = [Fraction(0)] * self.dimension
+        out = [0] * self.dimension
         for tup, vec in cochain.values.items():
             for k, poly in enumerate(vec):
                 for mono, coeff in poly.terms.items():
@@ -237,7 +237,7 @@ class CochainIndex:
             raise ValueError("coordinate count does not match this index")
         values: dict[tuple[int, ...], list[Poly]] = {}
         for coeff, (tup, k, mono) in zip(coords, self.labels):
-            coeff = Fraction(coeff)
+            coeff = _coeff(coeff)
             if not coeff:
                 continue
             vec = values.get(tup)
@@ -288,7 +288,7 @@ def _spread(acc: dict, before: tuple, after: tuple, image: list) -> None:
         target = before + ins + after
         for exp, coeff in terms.items():
             key = (target, s, exp)
-            acc[key] = acc[key] + coeff if key in acc else coeff
+            acc[key] = _coeff(acc[key] + coeff) if key in acc else coeff
 
 
 def differential_matrix(
@@ -308,7 +308,7 @@ def differential_matrix(
     source = CochainIndex(algebra, module, degree, max_degree_in)
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
     stencil = _Stencil(algebra, module, degree)
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(target.dimension)]
+    rows: list[dict[int, int | Fraction]] = [dict() for _ in range(target.dimension)]
     for col, label in enumerate(source.labels):
         for image, coeff in stencil.column(label, max_degree_out).items():
             rows[target.position[image]][col] = coeff

@@ -266,17 +266,17 @@ def find_extension_witness(
         for k in range(sub.rank)
         for e in range(max_degree + 1)
     ]
-    columns: list[dict[tuple[int, int, int, tuple[int, ...]], Fraction]] = []
+    columns: list[dict[tuple[int, int, int, tuple[int, ...]], int | Fraction]] = []
     for t, k, e in unknowns:
         basis_b = {(t, k): Poly.monomial(DEL_ONLY, (e,), 1)}
         family = gamma_coboundary(sub, quotient, basis_b)
-        col: dict[tuple[int, int, int, tuple[int, ...]], Fraction] = {}
+        col: dict[tuple[int, int, int, tuple[int, ...]], int | Fraction] = {}
         for i, gmap in family.items():
             for (tt, ss), poly in gmap.matrix.items():
                 for exp, coeff in poly.terms.items():
                     col[(i, tt, ss, exp)] = coeff
         columns.append(col)
-    target: dict[tuple[int, int, int, tuple[int, ...]], Fraction] = {}
+    target: dict[tuple[int, int, int, tuple[int, ...]], int | Fraction] = {}
     for i, gmap in gamma_diff.items():
         if gmap.is_zero():
             continue
@@ -285,12 +285,12 @@ def find_extension_witness(
                 target[(i, tt, ss, exp)] = coeff
     positions = sorted(set(target) | {key for col in columns for key in col})
     index = {key: row for row, key in enumerate(positions)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in positions]
+    rows: list[dict[int, int | Fraction]] = [dict() for _ in positions]
     for c, col in enumerate(columns):
         for key, coeff in col.items():
             rows[index[key]][c] = coeff
     matrix = QMatrix(len(positions), len(unknowns), rows)
-    rhs = [target.get(key, Fraction(0)) for key in positions]
+    rhs = [target.get(key, 0) for key in positions]
     coords = solve(matrix, rhs)
     if coords is None:
         return None

@@ -1,12 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices keep sparse rows (dict column -> Fraction).  Every elimination
-goes through one sparse echelon (``Echelon``): a dict from pivot column to
-a row that is 1 at its pivot, its smallest column, and 0 at every other
-pivot column.  Such rows are the reduced row echelon basis of their span,
-which is unique, so the order rows are inserted in never shows in a
-result and equality of subspaces is plain equality of their echelons.
-Everything is exact: no pivot is ever chosen for numerical reasons.
+Matrices keep sparse rows (dict column -> nonzero entry).  Entries take
+the coefficient form of ``pseudo.polyring``: an ``int`` when integral,
+otherwise a reduced ``Fraction`` with denominator above 1, never a float.
+``polyring._coeff`` takes in a right-hand side and normalizes every sum;
+``polyring._quotient``, the one division, scales a new echelon row to 1
+at its pivot.
+
+Every elimination goes through one sparse echelon (``Echelon``): a dict
+from pivot column to a row that is 1 at its pivot, its smallest column,
+and 0 at every other pivot column.  Such rows are the reduced row echelon
+basis of their span, which is unique, so the order rows are inserted in
+never shows in a result and equality of subspaces is plain equality of
+their echelons.  Everything is exact: no pivot is ever chosen for
+numerical reasons.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
+from .polyring import _coeff, _quotient
 
 
 class ContainmentError(ValueError):
@@ -23,11 +30,11 @@ class ContainmentError(ValueError):
 
 
 class QMatrix:
-    """Rational matrix with sparse rows."""
+    """Rational matrix with sparse rows, entries in the coefficient form."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, Fraction]]):
+    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, int | Fraction]]):
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
@@ -42,7 +49,7 @@ class Echelon(dict):
     before others number those lower.
     """
 
-    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         """Subtract from ``row``, in place, its part along the pivot rows.
 
         One pass over the pivot columns ``row`` holds suffices: a pivot row
@@ -53,7 +60,7 @@ class Echelon(dict):
             _subtract(row, row[col], self[col])
         return row
 
-    def insert(self, row: dict[int, Fraction]) -> None:
+    def insert(self, row: dict[int, int | Fraction]) -> None:
         """Add ``row`` (consumed) to the span.
 
         The reduced row, unless 0, is scaled to 1 at its smallest column,
@@ -65,24 +72,26 @@ class Echelon(dict):
         lead = min(row)
         piv = row[lead]
         if piv != 1:
-            row = {j: v / piv for j, v in row.items()}
+            row = {j: _quotient(v, piv) for j, v in row.items()}
         for other in self.values():
             if lead in other:
                 _subtract(other, other[lead], row)
         self[lead] = row
 
 
-def _subtract(target: dict[int, Fraction], factor: Fraction, row: dict[int, Fraction]) -> None:
+def _subtract(
+    target: dict[int, int | Fraction], factor: int | Fraction, row: dict[int, int | Fraction]
+) -> None:
     """target -= factor * row, in place, keeping only nonzero entries."""
     for j, v in row.items():
-        acc = target.get(j, _ZERO) - factor * v
+        acc = target.get(j, 0) - factor * v
         if acc:
-            target[j] = acc
+            target[j] = _coeff(acc)
         else:
             del target[j]
 
 
-def _span(rows: Iterable[dict[int, Fraction]]) -> Echelon:
+def _span(rows: Iterable[dict[int, int | Fraction]]) -> Echelon:
     """The echelon of copies of ``rows``."""
     echelon = Echelon()
     for row in rows:
@@ -106,10 +115,10 @@ class SubspaceBasis:
         return len(self.rows)
 
     @property
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+    def vectors(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """The basis rows as dense tuples, in pivot order."""
         return tuple(
-            tuple(self.rows[p].get(j, _ZERO) for j in range(self.ambient_dimension))
+            tuple(self.rows[p].get(j, 0) for j in range(self.ambient_dimension))
             for p in sorted(self.rows)
         )
 
@@ -125,7 +134,7 @@ def kernel_basis(m: QMatrix) -> SubspaceBasis:
     pivot rows placed at their pivots.
     """
     echelon = _span(m.rows)
-    kernel = {f: {f: Fraction(1)} for f in range(m.ncols) if f not in echelon}
+    kernel = {f: {f: 1} for f in range(m.ncols) if f not in echelon}
     for pivot, row in echelon.items():
         for j, v in row.items():
             if j != pivot:
@@ -133,20 +142,20 @@ def kernel_basis(m: QMatrix) -> SubspaceBasis:
     return SubspaceBasis(m.ncols, _span(kernel.values()))
 
 
-def solve(m: QMatrix, rhs: Sequence) -> list[Fraction] | None:
+def solve(m: QMatrix, rhs: Sequence) -> list[int | Fraction] | None:
     """One exact solution of m @ x = rhs, or None if inconsistent.
 
     The right-hand side rides as column ncols; free unknowns are 0.
     """
-    rhs = [Fraction(v) for v in rhs]
+    rhs = [_coeff(v) for v in rhs]
     if len(rhs) != m.nrows:
         raise ValueError("right-hand side length does not match row count")
     echelon = _span({**row, m.ncols: b} if b else row for row, b in zip(m.rows, rhs))
     if m.ncols in echelon:
         return None
-    solution = [_ZERO] * m.ncols
+    solution = [0] * m.ncols
     for pivot, row in echelon.items():
-        solution[pivot] = row.get(m.ncols, _ZERO)
+        solution[pivot] = row.get(m.ncols, 0)
     return solution
 
 

@@ -16,6 +16,14 @@ operators refuse mismatched operands instead of guessing.
 
 Zero is the empty term map; no operation ever stores a zero coefficient.
 Instances are immutable by convention and safe to share.
+
+A coefficient is an ``int`` when it is integral and otherwise a reduced
+``Fraction`` with denominator above 1; it is never a float.  Integer
+arithmetic is what keeps exact work cheap: the coefficients the package
+meets are small and mostly integral.  Every coefficient that enters goes
+through ``_coeff``, which refuses anything inexact, and every division
+through ``_quotient``.  ``exactla`` keeps its matrix and echelon entries
+in the same form.
 """
 
 from __future__ import annotations
@@ -24,10 +32,6 @@ import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
-
-# Coefficients are fractions.Fraction: arbitrary precision, always
-# reduced, denominators positive, which is exactly the required normal form.
-_ZERO = Fraction(0)
 
 _FIXED_ORDER = {"del": (0, 0), "lam": (1, 0), "mu": (2, 0)}
 _NUMBERED = re.compile(r"^lam([1-9][0-9]*)$")
@@ -43,6 +47,28 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+def _coeff(value) -> int | Fraction:
+    """``value`` as a coefficient: an int when integral, else the reduced
+    Fraction.  Anything but an int or a Fraction is refused, so a float's
+    binary approximation never passes for an exact number."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool
+        return int(value)
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(value).__name__}")
+
+
+def _quotient(num: int | Fraction, den: int | Fraction) -> int | Fraction:
+    """num / den as a coefficient; the only division of the package, so
+    that an int quotient is never a float."""
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return _coeff(num / den)
 
 
 def variable_key(name: str) -> tuple[int, int]:
@@ -80,7 +106,8 @@ class Poly:
     """Polynomial with exact rational coefficients.
 
     ``variables`` is the sorted variable tuple; ``terms`` maps exponent
-    tuples (aligned with ``variables``) to nonzero Fractions.
+    tuples (aligned with ``variables``) to nonzero coefficients (see the
+    module docstring).
     """
 
     __slots__ = ("variables", "terms")
@@ -88,15 +115,14 @@ class Poly:
     def __init__(self, variables: Iterable[str], terms: Mapping | Iterable = ()):
         variables = _canonical(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coeff in items:
             exp = tuple(int(e) for e in exp)
             if len(exp) != len(variables):
                 raise ValueError(f"exponent {exp} does not match variables {variables}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            coeff = Fraction(coeff)
-            acc = clean.get(exp, _ZERO) + coeff
+            acc = _coeff(clean.get(exp, 0) + _coeff(coeff))
             if acc:
                 clean[exp] = acc
             else:
@@ -121,7 +147,7 @@ class Poly:
     @classmethod
     def const(cls, variables: Iterable[str], value) -> "Poly":
         variables = _canonical(variables)
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return cls._raw(variables, {})
         return cls._raw(variables, {(0,) * len(variables): value})
@@ -132,11 +158,11 @@ class Poly:
         if name not in variables:
             raise VariableMismatchError(f"{name!r} not among variables {variables}")
         exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exp: Fraction(1)})
+        return cls(variables, {exp: 1})
 
     @classmethod
     def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coeff=1) -> "Poly":
-        return cls(variables, {tuple(exponents): Fraction(coeff)})
+        return cls(variables, {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------
 
@@ -150,8 +176,8 @@ class Poly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), _ZERO)
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     # -- ring operations ---------------------------------------------
 
@@ -162,19 +188,15 @@ class Poly:
                     f"variable sets differ: {self.variables} vs {other.variables}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.variables, other)
-        return NotImplemented  # type: ignore[return-value]
+        return Poly.const(self.variables, other)
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            acc = terms.get(exp, _ZERO) + coeff
+            acc = terms.get(exp, 0) + coeff
             if acc:
-                terms[exp] = acc
+                terms[exp] = _coeff(acc)
             else:
                 terms.pop(exp, None)
         return Poly._raw(self.variables, terms)
@@ -185,24 +207,18 @@ class Poly:
         return Poly._raw(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return Poly.zero(self.variables)
-            return Poly._raw(self.variables, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.variables, _mul_terms(self.terms, other.terms))
+        if isinstance(other, Poly):
+            return Poly._raw(self.variables, _mul_terms(self.terms, self._coerce(other).terms))
+        other = _coeff(other)
+        if not other:
+            return Poly.zero(self.variables)
+        return Poly._raw(self.variables, {e: _coeff(c * other) for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -252,7 +268,7 @@ class Poly:
             )
         tvars = targets.pop()
         origin = (0,) * len(tvars)
-        one = {origin: Fraction(1)}
+        one = {origin: 1}
         # powers[i][e]: terms of the i-th image to the e-th power, grown on
         # demand and kept for this call only
         powers: list[list[dict]] = []
@@ -260,12 +276,12 @@ class Poly:
             if v in bindings:
                 powers.append([one, bindings[v].terms])
             elif v in tvars:
-                powers.append([one, {tuple(int(w == v) for w in tvars): Fraction(1)}])
+                powers.append([one, {tuple(int(w == v) for w in tvars): 1}])
             else:
                 raise VariableMismatchError(
                     f"unbound variable {v!r} missing from target variables {tvars}"
                 )
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coeff in self.terms.items():
             term = {origin: coeff}
             for table, e in zip(powers, exp):
@@ -275,7 +291,7 @@ class Poly:
                     term = _mul_terms(term, table[e])
             for m, c in term.items():
                 out[m] = out[m] + c if m in out else c
-        return Poly._raw(tvars, {m: c for m, c in out.items() if c})
+        return Poly._raw(tvars, {m: _coeff(c) for m, c in out.items() if c})
 
     def rename_vars(
         self, mapping: Mapping[str, str], target: Iterable[str] | None = None
@@ -310,13 +326,13 @@ class Poly:
 
 def _mul_terms(left: dict, right: dict) -> dict:
     """Product of two term maps, zero coefficients dropped."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             exp = tuple(map(add, e1, e2))
             c = c1 * c2
             out[exp] = out[exp] + c if exp in out else c
-    return {e: c for e, c in out.items() if c}
+    return {e: _coeff(c) for e, c in out.items() if c}
 
 
 def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[int, ...]]:
@@ -341,19 +357,14 @@ def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[
         yield from parts(d, n)
 
 
-# term order for printing: high degree first, ties broken by the reversed
-# variable order so lam-heavy monomials come before del-heavy ones
-def _print_key(variables: tuple[str, ...], exp: tuple[int, ...]):
-    rev = tuple(reversed(exp))
-    return (sum(exp), rev)
-
-
 def poly_to_str(p: Poly) -> str:
     if not p.terms:
         return "0"
     rev_vars = tuple(reversed(p.variables))
     pieces: list[str] = []
-    ordered = sorted(p.terms.items(), key=lambda kv: _print_key(p.variables, kv[0]), reverse=True)
+    # high degree first, ties broken by the reversed variable order so
+    # lam-heavy monomials come before del-heavy ones
+    ordered = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0][::-1]), reverse=True)
     for idx, (exp, coeff) in enumerate(ordered):
         factors = []
         for v, e in zip(rev_vars, reversed(exp)):
@@ -470,7 +481,7 @@ class _Parser:
                 den = int(val3)
                 if den == 0:
                     raise PolyParseError("zero denominator", pos3)
-                return Poly.const(self.variables, Fraction(num, den))
+                return Poly.const(self.variables, _quotient(num, den))
             return Poly.const(self.variables, num)
         if kind == "name":
             if val not in self.variables:

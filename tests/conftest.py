@@ -282,6 +282,100 @@ def reference_dn(cochain: Cochain) -> Cochain:
     return Cochain(n + 1, algebra, module, values)
 
 
+# A Fraction-only reference for the coefficient arithmetic: every value is
+# converted to a Fraction on the way in and every result stays one, so the
+# tests can compare the package's int-when-integral values against it.
+
+
+def fraction_terms(p: Poly) -> dict[tuple[int, ...], Fraction]:
+    return {exp: Fraction(c) for exp, c in p.terms.items()}
+
+
+def fraction_add(left: dict, right: dict) -> dict:
+    out = dict(left)
+    for exp, c in right.items():
+        out[exp] = out.get(exp, Fraction(0)) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def fraction_mul(left: dict, right: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
+
+
+def fraction_pow(terms: dict, n: int, width: int) -> dict:
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(n):
+        out = fraction_mul(out, terms)
+    return out
+
+
+def fraction_substitute(p: Poly, bindings: dict[str, Poly], target: tuple[str, ...]) -> dict:
+    """Terms of p with each bound variable replaced by its image and each
+    unbound one by itself in ``target``, expanded term by term."""
+    images = []
+    for v in p.variables:
+        if v in bindings:
+            images.append(fraction_terms(bindings[v]))
+        else:
+            images.append({tuple(int(w == v) for w in target): Fraction(1)})
+    total: dict = {}
+    for exp, c in fraction_terms(p).items():
+        term = {(0,) * len(target): c}
+        for image, e in zip(images, exp):
+            term = fraction_mul(term, fraction_pow(image, e, len(target)))
+        total = fraction_add(total, term)
+    return total
+
+
+def fraction_rref(rows, ncols):
+    """Textbook dense reduced row echelon form, pivot search column by
+    column; returns (nonzero rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def fraction_kernel(rows, ncols):
+    """The RREF basis rows of the null space of the dense matrix ``rows``."""
+    basis, pivots = fraction_rref(rows, ncols)
+    vectors = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(basis, pivots):
+            vec[pc] = -row[free]
+        vectors.append(vec)
+    return fraction_rref(vectors, ncols)[0]
+
+
+def fraction_solve(rows, rhs, ncols):
+    """The solution of rows @ x = rhs with free unknowns 0, or None."""
+    augmented, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for row, pc in zip(augmented, pivots):
+        solution[pc] = row[ncols]
+    return solution
+
+
 @pytest.fixture(scope="session")
 def inputs_dir() -> pathlib.Path:
     return INPUTS

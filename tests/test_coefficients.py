@@ -1,0 +1,160 @@
+"""Every coefficient is an int when integral, else a reduced Fraction with
+denominator above 1, and never a float; inexact input is refused."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import (
+    fraction_add,
+    fraction_kernel,
+    fraction_mul,
+    fraction_pow,
+    fraction_rref,
+    fraction_solve,
+    fraction_substitute,
+    fraction_terms,
+)
+from pseudo.cfmodule import BimoduleStructure
+from pseudo.cohomology import CochainIndex, apply_dn
+from pseudo.conformal import free_rank_one
+from pseudo.exactla import Echelon, QMatrix, kernel_basis, solve
+from pseudo.polyring import Poly, poly_to_str
+
+PL = ("del", "lam")
+ALL3 = ("del", "lam", "mu")
+
+
+def assert_normal(values):
+    for value in values:
+        assert type(value) is int or (type(value) is Fraction and value.denominator > 1), value
+
+
+# integers and half-integers, already in normal form, as matrix entries
+# arrive from the program
+normal = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-4, max_value=3).map(lambda n: Fraction(2 * n + 1, 2)),
+)
+# what a caller may hand in: integers also as Fraction(n, 1)
+coefficients = st.one_of(normal, st.integers(min_value=-4, max_value=4).map(Fraction))
+
+
+def exact_polys(variables, max_degree=2, max_terms=4):
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=max_degree) for _ in variables])
+    return st.lists(st.tuples(exponents, coefficients), max_size=max_terms).map(
+        lambda pairs: Poly(variables, pairs)
+    )
+
+
+HALVES = Poly(PL, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+MU = Poly.var(ALL3, "mu")
+
+
+# degree <= 1 over (del, lam): four monomials, so terms often meet; the
+# example makes half-integers add up to an integer in a sum, a scalar
+# multiple and a substitution's accumulator
+@given(exact_polys(PL, max_degree=1), exact_polys(PL, max_degree=1), coefficients,
+       st.integers(min_value=0, max_value=3), exact_polys(ALL3), exact_polys(ALL3))
+@example(p=HALVES, q=HALVES, c=2, n=2, image_del=MU, image_lam=MU)
+def test_poly_arithmetic_keeps_the_invariant(p, q, c, n, image_del, image_lam):
+    fp, fq = fraction_terms(p), fraction_terms(q)
+    minus_q = {e: -v for e, v in fq.items()}
+    bindings = {"del": image_del, "lam": image_lam}
+    at_point = {"del": Poly.const(PL, 1), "lam": Poly.const(PL, c)}
+    cases = [
+        (p, fp),
+        (p + q, fraction_add(fp, fq)),
+        (p - q, fraction_add(fp, minus_q)),
+        (p * q, fraction_mul(fp, fq)),
+        (p * c, fraction_mul(fp, {(0, 0): Fraction(c)})),
+        (p ** n, fraction_pow(fp, n, len(PL))),
+        (p.substitute(bindings), fraction_substitute(p, bindings, ALL3)),
+        (p.substitute(at_point), fraction_substitute(p, at_point, PL)),
+    ]
+    for got, want in cases:
+        assert_normal(got.terms.values())
+        assert fraction_terms(got) == want
+
+
+@given(exact_polys(ALL3, max_degree=3, max_terms=6))
+def test_poly_to_str_ignores_the_coefficient_type(p):
+    twin = Poly._raw(p.variables, fraction_terms(p))
+    assert poly_to_str(twin) == poly_to_str(p)
+    assert repr(twin) == repr(p)
+
+
+def dense_rows(draw, nrows, ncols, entry=st.one_of(st.just(0), normal)):
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@given(st.data())
+def test_elimination_keeps_the_invariant(data):
+    nrows = data.draw(st.integers(min_value=1, max_value=5))
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    entries = dense_rows(data.draw, nrows, ncols)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in entries]
+    basis, pivots = fraction_rref(entries, ncols)
+
+    echelon = Echelon()
+    for row in sparse:
+        echelon.insert(dict(row))
+        for pivot_row in echelon.values():
+            assert_normal(pivot_row.values())
+    assert sorted(echelon) == pivots
+    assert [[echelon[p].get(j, 0) for j in range(ncols)] for p in pivots] == basis
+
+    m = QMatrix(nrows, ncols, sparse)
+    kernel = kernel_basis(m)
+    for row in kernel.rows.values():
+        assert_normal(row.values())
+    assert [list(vec) for vec in kernel.vectors] == fraction_kernel(entries, ncols)
+
+    rhs = [b for b, in dense_rows(data.draw, nrows, 1, coefficients)]
+    solution = solve(m, rhs)
+    assert solution == fraction_solve(entries, rhs, ncols)
+    if solution is not None:
+        assert_normal(solution)
+
+
+@given(st.lists(st.one_of(st.just(0), normal), min_size=32, max_size=32))
+def test_differential_keeps_the_invariant(mat2, mat2_regular, coords):
+    # half-integer coordinates: the slots' contributions to one target
+    # term often add up to an integer
+    index = CochainIndex(mat2, mat2_regular, 1, 1)
+    for vec in apply_dn(index.reconstruct(coords)).values.values():
+        for poly in vec:
+            assert_normal(poly.terms.values())
+
+
+def _reconstruct(value):
+    algebra = free_rank_one()
+    index = CochainIndex(algebra, BimoduleStructure.regular(algebra), 1, 0)
+    return index.reconstruct([value] * index.dimension)
+
+
+ENTRY_POINTS = {
+    "Poly": lambda v: Poly(PL, {(1, 0): v}),
+    "Poly.const": lambda v: Poly.const(("del",), v),
+    "Poly.monomial": lambda v: Poly.monomial(PL, (0, 2), v),
+    "Poly * scalar": lambda v: Poly.var(PL, "lam") * v,
+    "Poly + scalar": lambda v: Poly.var(PL, "lam") + v,
+    "solve rhs": lambda v: solve(QMatrix(1, 1, [{0: 2}]), [v]),
+    "CochainIndex.reconstruct": _reconstruct,
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 0.0, Decimal("0.3"), "1"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_inexact_coefficients_are_refused(entry, value):
+    with pytest.raises(TypeError, match="coefficient must be an int or a Fraction"):
+        ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_exact_coefficients_are_accepted(entry):
+    for value in (3, Fraction(6, 2), Fraction(-1, 2)):
+        ENTRY_POINTS[entry](value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rationals, subspace
+from conftest import fraction_kernel, fraction_rref, fraction_solve, rationals, subspace
 from pseudo.exactla import (
     ContainmentError,
     QMatrix,
@@ -139,26 +139,6 @@ def test_quotient_dimension_containment_matches_rank(data):
             quotient_dimension(big, small)
 
 
-def gauss_jordan(rows, ncols):
-    """Textbook dense reduced row echelon form, pivot search column by
-    column; returns (nonzero rows, pivot columns)."""
-    rows = [list(row) for row in rows]
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[top], rows[found] = rows[found], rows[top]
-        rows[top] = [x / rows[top][col] for x in rows[top]]
-        for i in range(len(rows)):
-            if i != top and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals())
 
 
@@ -170,32 +150,17 @@ def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
     entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
     order = data.draw(st.permutations(range(nrows)))
     shuffled = dense([entries[i] for i in order])
-    basis, pivots = gauss_jordan(entries, ncols)
+    basis, pivots = fraction_rref(entries, ncols)
 
     spanned = subspace(ncols, [entries[i] for i in order])
     assert sorted(spanned.rows) == pivots
     assert [list(vec) for vec in spanned.vectors] == basis
     assert rank(shuffled) == len(pivots)
 
-    kernel = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(basis, pivots):
-            vec[pc] = -row[free]
-        kernel.append(vec)
-    assert [list(vec) for vec in kernel_basis(shuffled).vectors] == gauss_jordan(kernel, ncols)[0]
+    assert [list(vec) for vec in kernel_basis(shuffled).vectors] == fraction_kernel(entries, ncols)
 
     if data.draw(st.booleans()):
         rhs = times(dense(entries), data.draw(vector))
     else:
         rhs = data.draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
-    augmented, aug_pivots = gauss_jordan([row + [b] for row, b in zip(entries, rhs)], ncols + 1)
-    solution = solve(shuffled, [rhs[i] for i in order])
-    if ncols in aug_pivots:
-        assert solution is None
-    else:
-        expected = [Fraction(0)] * ncols
-        for row, pc in zip(augmented, aug_pivots):
-            expected[pc] = row[ncols]
-        assert solution == expected
+    assert solve(shuffled, [rhs[i] for i in order]) == fraction_solve(entries, rhs, ncols)

@@ -36,3 +36,19 @@ def test_every_definition_has_a_caller_outside_tests():
                     continue
             unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_division_goes_through_the_quotient_helper():
+    """An int / int is a float, so the coefficients' one division is
+    ``polyring._quotient``; any other ``/`` in the package is a stray."""
+    found, stray = False, []
+    for path, tree in _trees("src/pseudo"):
+        helper = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("polyring.py", "_quotient"):
+                found, helper = True, {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div) \
+                    and id(node) not in helper:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert found and stray == []
