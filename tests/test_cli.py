@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
@@ -337,11 +338,11 @@ CLASSICAL_EXPECTED = {
 }
 
 
-def classical_digest(capsys, argvs) -> str:
-    """Run `pseudo classical` in-process on each argv; digest codes and stdout."""
+def report_digest(capsys, argvs) -> str:
+    """Run `pseudo` in-process on each argv; digest codes and stdout."""
     digest = hashlib.sha256()
     for argv in argvs:
-        code = main(["classical", *argv])
+        code = main(list(argv))
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     return digest.hexdigest()
 
@@ -350,11 +351,46 @@ def classical_digest(capsys, argvs) -> str:
 def test_classical_report_bytes(monkeypatch, capsys, name):
     monkeypatch.chdir(INPUTS.parent)
     argvs = [
-        (f"inputs/{name}.fda", "--n", str(n), *flags)
+        ("classical", f"inputs/{name}.fda", "--n", str(n), *flags)
         for n in range(4)
         for flags in ((), ("--json",))
     ]
-    assert classical_digest(capsys, argvs) == CLASSICAL_EXPECTED[name]
+    assert report_digest(capsys, argvs) == CLASSICAL_EXPECTED[name]
+
+
+# sha256 over "<exit code>\n<stdout>" of each run below, in text and then
+# --json, from a copy of inputs/ that also holds the broken modules: every
+# way a command aborts on a broken axiom, and an extension whose sub and
+# quotient modules differ
+ABORT_EXPECTED = [
+    (("derivations", "inputs/bad_lam.alg"),
+     "ca6c3026a3f032b769fb530cdb7d81cca4c6aa7da02966065cfafb317a48f1cb"),
+    (("deform", "inputs/bad_del.alg", "--cocycle", "inputs/f_lam.coc"),
+     "d8e3029077f531d128d68502dfe6d0ed66aea85b07600bd7220eff9470744bec"),
+    (("extend", "inputs/bad_lam.alg", "--cocycle", "inputs/gamma_lam.coc"),
+     "90833cf9e687cdee57f9953ee1674123ff8e4e6b4082a8625f89319df8c89a64"),
+    (("cohomology", "inputs/cur1.alg", "--module", "inputs/right_law.mod"),
+     "b4e87a40ba07ef78cb4be0bf352fbe51636cde457fceecf87cab6c037a4dde80"),
+    (("derivations", "inputs/cur1.alg", "--module", "inputs/right_law.mod"),
+     "b365050ef4ca3d392d9e3b45c4fbb91e8bc15e39394cc709ef0c2ad175f010b6"),
+    (("check", "inputs/cur1.alg", "--module", "inputs/compat_law.mod"),
+     "0af43cbadded3ab6e4e8c9a09309206b473eb6840e9877d1cb68163273ab4c24"),
+    (("extend", "inputs/cur1.alg", "--module", "inputs/uboth.mod",
+      "--module", "inputs/uleft.mod", "--cocycle", "inputs/gamma_zero_u.coc"),
+     "a4dc1c09f976291bcec2a493e85cb90d762990e576d96c15bc27a60123848a20"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", ABORT_EXPECTED, ids=[" ".join(a) for a, _ in ABORT_EXPECTED]
+)
+def test_abort_report_bytes(monkeypatch, capsys, tmp_path, argv, digest):
+    copy = tmp_path / "inputs"
+    shutil.copytree(INPUTS, copy)
+    (copy / "right_law.mod").write_text(RIGHT_LAW_MODULE)
+    (copy / "compat_law.mod").write_text(COMPAT_LAW_MODULE)
+    monkeypatch.chdir(tmp_path)
+    assert report_digest(capsys, [argv, (*argv, "--json")]) == digest
 
 
 SCRATCH_INPUTS = {
@@ -422,8 +458,9 @@ def test_classical_non_associative_exit_2(tmp_path):
 def test_classical_non_associative_report_bytes(monkeypatch, capsys, tmp_path):
     (tmp_path / "crooked.fda").write_text(SCRATCH_INPUTS["crooked.fda"])
     monkeypatch.chdir(tmp_path)
-    argvs = [("crooked.fda", "--n", "1"), ("crooked.fda", "--n", "1", "--json")]
-    assert classical_digest(capsys, argvs) == (
+    argv = ("classical", "crooked.fda", "--n", "1")
+    argvs = [argv, (*argv, "--json")]
+    assert report_digest(capsys, argvs) == (
         "ebb6164aa31fb12cab681fe80ade795c1dfaacefe69c47892c5059f2946334c8"
     )
 
