@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .cfmodule import (
     BimoduleStructure,
     CLinearMap,
+    UnfitModuleError,
     check_module_axioms,
 )
 from .cohomology import (
@@ -66,6 +67,7 @@ __all__ = [
     "PolyParseError",
     "TruncationOverflowError",
     "TruncationWindow",
+    "UnfitModuleError",
     "build_abelian_extension",
     "build_extension",
     "check_associativity",

@@ -53,6 +53,11 @@ from .conformal import (
 from .polyring import Poly, VariableMismatchError
 
 
+class UnfitModuleError(ValueError):
+    """A module lacks an action, or breaks a law, that a construction on it
+    needs: a fault of the input, not of the program."""
+
+
 @dataclass(frozen=True)
 class BimoduleStructure:
     """Module generators plus left/right action tables (either may be None).

@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: check, cohomology, derivations, deform, extend, classical.
-``classical`` reads a finite-dimensional algebra A straight into its
-current algebra (``formats.parse_fd_algebra``) and runs the same cochain
-complex as ``cohomology`` on it at polynomial degree 0, where it is the
-bar complex of A (see ``pseudo.classical``).  Reports go to
-stdout and are byte-identical across runs for identical inputs and flags;
-wall-clock timing goes to stderr so it never perturbs the report.  Exit
-codes: 0 success, 1 bad input (usage, a file that does not parse or read,
-or a module unfit for the command), 2 a mathematical counterexample (the
-inputs fail the property under test), 3 any other error, which can only
-be a bug.
+The CLI is a thin shell: each command reads its files, calls the library
+and returns the parts of its report, and ``main`` alone assembles the
+report, writes it to stdout (text, or JSON with --json) and maps it to
+an exit code.  ``classical`` reads a finite-dimensional algebra A straight
+into its current algebra (``formats.parse_fd_algebra``) and runs the
+cochain complex at polynomial degree 0, where it is the bar complex of A
+(see ``pseudo.classical``).  Reports are byte-identical across runs for
+identical inputs and flags; wall-clock timing goes to stderr.  Exit codes:
+0 success, 1 bad input (usage, a file that does not parse or read, or a
+module the library finds unfit, ``UnfitModuleError``), 2 a mathematical
+counterexample (the inputs fail the property under test), 3 any other
+error, which can only be a bug.
 
 The JSON report always carries the keys command, inputs, truncation,
 results, residuals and version; truncation fields are null for commands
@@ -28,7 +30,7 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__
-from .cfmodule import BimoduleStructure, check_module_axioms
+from .cfmodule import BimoduleStructure, UnfitModuleError, check_module_axioms
 from .cohomology import (
     DEFAULT_MAX_ROUNDS,
     Cochain,
@@ -152,25 +154,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> tuple[str, dict]:
+def _read(inputs: dict, name: str, path: str) -> str:
+    """The text of ``path``; records its path and sha256 as ``inputs[name]``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8"), {"path": path, "sha256": digest}
-
-
-def _report(command: str, inputs: dict, results: dict, residuals: list,
-            truncation: Optional[dict] = None) -> dict:
-    if truncation is None:
-        truncation = {"deg": None, "margin": None, "stabilized": None}
-    return {
-        "command": command,
-        "inputs": inputs,
-        "truncation": truncation,
-        "results": results,
-        "residuals": residuals,
-        "version": __version__,
-    }
+    inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return data.decode("utf-8")
 
 
 def _render_text(report: dict) -> str:
@@ -201,21 +190,10 @@ def _render_text(report: dict) -> str:
                 lines.append(f"  {key}: (none)")
         else:
             lines.append(f"  {key}: {value}")
-    if report["residuals"]:
-        lines.append("residuals:")
-        for item in report["residuals"]:
-            lines.append(f"  - {item}")
-    else:
-        lines.append("residuals: none")
+    lines.append("residuals:" if report["residuals"] else "residuals: none")
+    lines.extend(f"  - {item}" for item in report["residuals"])
     lines.append(f"version: {report['version']}")
     return "\n".join(lines) + "\n"
-
-
-def _emit(report: dict, as_json: bool):
-    if as_json:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_render_text(report))
 
 
 def _max_rounds() -> int:
@@ -229,18 +207,6 @@ def _max_rounds() -> int:
     if value < 1:
         raise _UsageError("PSEUDO_MAX_MARGIN must be at least 1")
     return value
-
-
-def _load_algebra(path: str):
-    text, info = _read_input(path)
-    return parse_algebra(text), info
-
-
-def _load_module(path, algebra) -> tuple[BimoduleStructure, Optional[dict]]:
-    if path is None:
-        return BimoduleStructure.regular(algebra), None
-    text, info = _read_input(path)
-    return parse_module(text, algebra), info
 
 
 def _names(axes, indices) -> str:
@@ -291,46 +257,35 @@ def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
     return cex.law, _names(axes, cex.triple), lines
 
 
-def _axiom_precheck(algebra, module, inputs, command, as_json) -> Optional[int]:
-    """Shared abort path: report the first broken axiom and exit 2."""
+def _precheck(algebra, module=None) -> Optional[tuple]:
+    """The parts of the abort report on the first broken axiom of the
+    algebra, then of ``module``; None when both hold."""
     cex = check_associativity(algebra)
     if cex is not None:
         _, names, residuals = _axiom_failure(cex, algebra)
-        precheck = "associativity failed"
-    elif module is not None and (cex := check_module_axioms(module)) is not None:
+        return {"precheck": "associativity failed", "triple": names}, residuals, None, False
+    if module is not None and (cex := check_module_axioms(module)) is not None:
         law, names, residuals = _axiom_failure(cex, algebra, module)
-        precheck = f"module {law} law failed"
-    else:
-        return None
-    results = {"precheck": precheck, "triple": names}
-    _emit(_report(command, inputs, results, residuals), as_json)
-    return EXIT_COUNTEREXAMPLE
+        results = {"precheck": f"module {law} law failed", "triple": names}
+        return results, residuals, None, False
+    return None
 
 
-def _complex_inputs(args, command: str, n: int):
-    """Algebra, module and inputs of a command on the degree-n differential,
-    plus the precheck's exit code when it reported a broken axiom."""
-    algebra, alg_info = _load_algebra(args.algebra)
-    module, mod_info = _load_module(args.module, algebra)
-    inputs = {"algebra": alg_info}
-    if mod_info is not None:
-        inputs["module"] = mod_info
-    aborted = _axiom_precheck(algebra, module, inputs, command, args.json)
-    # the differential uses both actions, so a missing one is bad input
-    if aborted is None and not (module.has_left and module.has_right):
-        if n == 0:
-            raise _UsageError("degree-0 differential needs both module actions")
-        side = "right" if module.has_left else "left"
-        raise _UsageError(f"the differential needs a {side} action")
-    return algebra, module, inputs, aborted
+def _complex_inputs(args, inputs: dict):
+    """Algebra and module (regular unless given) of a command on the
+    differential, and the precheck's abort report or None."""
+    algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
+    module = BimoduleStructure.regular(algebra)
+    if args.module is not None:
+        module = parse_module(_read(inputs, "module", args.module), algebra)
+    return algebra, module, _precheck(algebra, module)
 
 
-def _cmd_check(args) -> int:
-    algebra, alg_info = _load_algebra(args.algebra)
-    inputs = {"algebra": alg_info}
+def _cmd_check(args, inputs: dict):
+    algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
     module = None
     if args.module is not None:
-        module, inputs["module"] = _load_module(args.module, algebra)
+        module = parse_module(_read(inputs, "module", args.module), algebra)
     results: dict = {}
     residuals: list[str] = []
     cex = check_associativity(algebra)
@@ -347,44 +302,37 @@ def _cmd_check(args) -> int:
             law, names, lines = _axiom_failure(mex, algebra, module)
             results["module_counterexample"] = f"{law} {names}"
             residuals.extend(lines)
-    _emit(_report("check", inputs, results, residuals), args.json)
-    return EXIT_OK if cex is None and mex is None else EXIT_COUNTEREXAMPLE
+    return results, residuals, None, cex is None and mex is None
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args, inputs: dict):
     if args.n < 0 or args.deg < 0 or args.margin < 1:
         raise _UsageError("need --n >= 0, --deg >= 0, --margin >= 1")
     max_rounds = _max_rounds()
-    algebra, module, inputs, aborted = _complex_inputs(args, "cohomology", args.n)
+    algebra, module, aborted = _complex_inputs(args, inputs)
     if aborted is not None:
         return aborted
     window = TruncationWindow(args.deg, args.margin)
     rep = cohomology_dimensions(algebra, module, args.n, window, max_rounds=max_rounds)
-    report = _report(
-        "cohomology",
-        inputs,
-        {
-            "degree": rep.degree,
-            "dim_cocycles_slice": rep.dim_cocycles,
-            "dim_coboundaries_slice": rep.dim_coboundaries,
-            "dim_cohomology_slice": rep.dim_cohomology,
-            "stabilization_rounds": rep.rounds,
-        },
-        [],
-        truncation={
-            "deg": rep.degree_bound,
-            "margin": rep.stabilization_margin,
-            "stabilized": rep.stabilized,
-        },
-    )
-    _emit(report, args.json)
-    return EXIT_OK
+    results = {
+        "degree": rep.degree,
+        "dim_cocycles_slice": rep.dim_cocycles,
+        "dim_coboundaries_slice": rep.dim_coboundaries,
+        "dim_cohomology_slice": rep.dim_cohomology,
+        "stabilization_rounds": rep.rounds,
+    }
+    truncation = {
+        "deg": rep.degree_bound,
+        "margin": rep.stabilization_margin,
+        "stabilized": rep.stabilized,
+    }
+    return results, [], truncation, True
 
 
-def _cmd_derivations(args) -> int:
+def _cmd_derivations(args, inputs: dict):
     if args.deg < 0:
         raise _UsageError("need --deg >= 0")
-    algebra, module, inputs, aborted = _complex_inputs(args, "derivations", 1)
+    algebra, module, aborted = _complex_inputs(args, inputs)
     if aborted is not None:
         return aborted
     # Z^1 and B^1 of the slice: B^1's sources are constant classes, all
@@ -392,29 +340,21 @@ def _cmd_derivations(args) -> int:
     rep = cohomology_dimensions(algebra, module, 1, TruncationWindow(args.deg))
     der, inner = rep.cocycles, rep.coboundaries
     index = CochainIndex(algebra, module, 1, args.deg)
-    der_lines = [_render_cochain(index.reconstruct(vec)) for vec in der.vectors]
-    inner_lines = [_render_cochain(index.reconstruct(vec)) for vec in inner.vectors]
-    report = _report(
-        "derivations",
-        inputs,
-        {
-            "dim_derivations_slice": der.dim,
-            "dim_inner_derivations_slice": inner.dim,
-            "derivation_basis": der_lines,
-            "inner_derivation_basis": inner_lines,
-        },
-        [],
-        truncation={"deg": args.deg, "margin": None, "stabilized": None},
-    )
-    _emit(report, args.json)
-    return EXIT_OK
+    results = {
+        "dim_derivations_slice": der.dim,
+        "dim_inner_derivations_slice": inner.dim,
+        "derivation_basis": [_render_cochain(index.reconstruct(v)) for v in der.vectors],
+        "inner_derivation_basis": [
+            _render_cochain(index.reconstruct(v)) for v in inner.vectors
+        ],
+    }
+    return results, [], {"deg": args.deg, "margin": None, "stabilized": None}, True
 
 
-def _cmd_deform(args) -> int:
-    algebra, alg_info = _load_algebra(args.algebra)
-    cocycle_text, coc_info = _read_input(args.cocycle)
-    inputs = {"algebra": alg_info, "cocycle": coc_info}
-    aborted = _axiom_precheck(algebra, None, inputs, "deform", args.json)
+def _cmd_deform(args, inputs: dict):
+    algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
+    cocycle_text = _read(inputs, "cocycle", args.cocycle)
+    aborted = _precheck(algebra)
     if aborted is not None:
         return aborted
     module = BimoduleStructure.regular(algebra)
@@ -422,73 +362,45 @@ def _cmd_deform(args) -> int:
     residual_map, flat = deform(DeformationDatum(algebra, cochain))
     alg = algebra.generators
     residuals = _residual_lines(residual_map, (alg, alg, alg), alg)
-    report = _report(
-        "deform",
-        inputs,
-        {"first_order_associative": flat},
-        residuals,
-    )
-    _emit(report, args.json)
-    return EXIT_OK if flat else EXIT_COUNTEREXAMPLE
+    return {"first_order_associative": flat}, residuals, None, flat
 
 
-def _cmd_extend(args) -> int:
-    algebra, alg_info = _load_algebra(args.algebra)
-    inputs = {"algebra": alg_info}
+def _cmd_extend(args, inputs: dict):
+    algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
     paths = args.module or []
     if len(paths) > 2:
         raise _UsageError("extend takes at most two --module files")
-    sub, info = _load_module(paths[0] if paths else None, algebra)
-    quotient = sub
-    if len(paths) == 1:
-        inputs["module"] = info
-    elif len(paths) == 2:
-        inputs["sub_module"] = info
-        quotient, inputs["quotient_module"] = _load_module(paths[1], algebra)
-    cocycle_text, coc_info = _read_input(args.cocycle)
-    inputs["cocycle"] = coc_info
-    aborted = _axiom_precheck(algebra, None, inputs, "extend", args.json)
+    names = ("module",) if len(paths) == 1 else ("sub_module", "quotient_module")
+    modules = [
+        parse_module(_read(inputs, name, path), algebra) for name, path in zip(names, paths)
+    ] or [BimoduleStructure.regular(algebra)]
+    sub, quotient = modules[0], modules[-1]
+    cocycle_text = _read(inputs, "cocycle", args.cocycle)
+    aborted = _precheck(algebra)
     if aborted is not None:
         return aborted
     gamma = parse_gamma(cocycle_text, algebra, sub, quotient)
-    try:
-        datum = ExtensionDatum(algebra, sub, quotient, gamma)
-    except ValueError as exc:
-        # the datum's own checks of its modules raise plain ValueError;
-        # a subclass comes from deeper down and is not an input problem
-        if type(exc) is not ValueError:
-            raise
-        raise _UsageError(str(exc)) from None
-    extension, passed, residual_map = build_extension(datum)
+    extension, passed, residual_map = build_extension(
+        ExtensionDatum(algebra, sub, quotient, gamma)
+    )
     alg = algebra.generators
     residuals = _residual_lines(residual_map, (alg, alg, quotient.generators),
                                 sub.generators)
-    report = _report(
-        "extend",
-        inputs,
-        {
-            "left_module_law": passed,
-            "extension_generators": " ".join(extension.generators),
-        },
-        residuals,
-    )
-    _emit(report, args.json)
-    return EXIT_OK if passed else EXIT_COUNTEREXAMPLE
+    results = {
+        "left_module_law": passed,
+        "extension_generators": " ".join(extension.generators),
+    }
+    return results, residuals, None, passed
 
 
-def _cmd_classical(args) -> int:
+def _cmd_classical(args, inputs: dict):
     if args.n < 0:
         raise _UsageError("need --n >= 0")
     if args.n > 3:
         raise _UsageError("only degrees 0..3 are supported")
-    text, info = _read_input(args.algebra)
-    algebra = parse_fd_algebra(text)
-    inputs = {"algebra": info}
+    algebra = parse_fd_algebra(_read(inputs, "algebra", args.algebra))
     if check_associativity(algebra) is not None:
-        report = _report("classical", inputs,
-                         {"precheck": "structure constants not associative"}, [])
-        _emit(report, args.json)
-        return EXIT_COUNTEREXAMPLE
+        return {"precheck": "structure constants not associative"}, [], None, False
     # the degree-0 slice of the current algebra's complex is the bar complex
     module = BimoduleStructure.regular(algebra)
     window = TruncationWindow(0)
@@ -500,10 +412,12 @@ def _cmd_classical(args) -> int:
         "dim_derivations": reports[1].dim_cocycles,
         "dim_inner_derivations": reports[1].dim_coboundaries,
     }
-    _emit(_report("classical", inputs, results, []), args.json)
-    return EXIT_OK
+    return results, [], None, True
 
 
+# each command returns (results, residuals, truncation, ok): truncation is
+# None for a command that does not truncate, and ok is False exactly when
+# the inputs fail the property under test
 _COMMANDS = {
     "check": _cmd_check,
     "cohomology": _cmd_cohomology,
@@ -515,7 +429,8 @@ _COMMANDS = {
 
 
 # input problems exit 1; any other exception is a bug and exits 3
-_INPUT_ERRORS = (_UsageError, DefinitionError, PolyParseError, OSError, UnicodeDecodeError)
+_INPUT_ERRORS = (_UsageError, DefinitionError, PolyParseError, UnfitModuleError, OSError,
+                 UnicodeDecodeError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -524,7 +439,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         command = args.command
-        return _COMMANDS[command](args)
+        inputs: dict = {}
+        results, residuals, truncation, ok = _COMMANDS[command](args, inputs)
+        report = {
+            "command": command,
+            "inputs": inputs,
+            "truncation": truncation or {"deg": None, "margin": None, "stabilized": None},
+            "results": results,
+            "residuals": residuals,
+            "version": __version__,
+        }
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n" if args.json
+                         else _render_text(report))
+        return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

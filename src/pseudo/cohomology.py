@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .cfmodule import BimoduleStructure
+from .cfmodule import BimoduleStructure, UnfitModuleError
 from .conformal import ConformalAlgebra
 from .exactla import (
     ContainmentError,
@@ -331,10 +331,11 @@ class _Stencil:
     """
 
     def __init__(self, algebra: ConformalAlgebra, module: BimoduleStructure, n: int):
-        if not module.has_left:
-            raise ValueError("the differential needs a left action")
-        if not module.has_right:
-            raise ValueError("the differential needs a right action")
+        if not (module.has_left and module.has_right):
+            if n == 0:
+                raise UnfitModuleError("degree-0 differential needs both module actions")
+            side = "right" if module.has_left else "left"
+            raise UnfitModuleError(f"the differential needs a {side} action")
         self.src_vars = cochain_variables(n) or ("del",)
         dst_vars = cochain_variables(n + 1)
         dl = Poly.var(dst_vars, "del")

@@ -31,6 +31,7 @@ from typing import Mapping, Optional
 from .cfmodule import (
     BimoduleStructure,
     CLinearMap,
+    UnfitModuleError,
     check_module_axioms,
     chom_left_action,
     chom_right_action,
@@ -88,10 +89,10 @@ class ExtensionDatum:
             if module.algebra != self.algebra:
                 raise ValueError(f"{name} module is over a different algebra")
             if not module.has_left:
-                raise ValueError(f"{name} module needs a left action")
+                raise UnfitModuleError(f"{name} module needs a left action")
             # a module on both sides has its left law checked once
             if (name == "sub" or module != self.sub) and not _left_law_holds(module):
-                raise ValueError(f"{name} module violates its own left law")
+                raise UnfitModuleError(f"{name} module violates its own left law")
         clean: dict[int, CLinearMap] = {}
         for i, gmap in self.gamma.items():
             i = int(i)
@@ -104,12 +105,6 @@ class ExtensionDatum:
             if not gmap.is_zero():
                 clean[i] = gmap
         object.__setattr__(self, "gamma", clean)
-
-    def gamma_entry(self, i: int, t: int, s: int) -> Poly:
-        gmap = self.gamma.get(i)
-        if gmap is None:
-            return Poly.zero(PRODUCT_VARS)
-        return gmap.entry(t, s)
 
 
 # gamma_{a_i lam a_j} acts with the total variable mu, so the del of the
@@ -180,15 +175,14 @@ def build_extension(
             entries = [(k, poly) for k, poly in sub.left_entries(i, s)]
             if entries:
                 left[(i, s)] = entries
+        # the twisted part gamma[i]: quotient generator t -> sub generator s
+        glued: dict[int, list[tuple[int, Poly]]] = {}
+        if i in datum.gamma:
+            for (t, s), g in sorted(datum.gamma[i].matrix.items()):
+                glued.setdefault(t, []).append((s, g))
         for t in range(quo.rank):
-            entries = []
-            for s in range(r_sub):
-                g = datum.gamma_entry(i, t, s)
-                if not g.is_zero:
-                    entries.append((s, g))
-            entries.extend(
-                (r_sub + k, poly) for k, poly in quo.left_entries(i, t)
-            )
+            entries = glued.get(t, [])
+            entries.extend((r_sub + k, poly) for k, poly in quo.left_entries(i, t))
             if entries:
                 left[(i, r_sub + t)] = entries
     extension = BimoduleStructure(
@@ -246,6 +240,18 @@ def gamma_coboundary(
     return out
 
 
+def _family_terms(family: Mapping[int, CLinearMap]) -> dict:
+    """The coefficients of a family of maps quotient -> sub, keyed (algebra
+    generator i, quotient generator t, sub generator s, exponent); two
+    families are equal exactly when these dicts are."""
+    return {
+        (i, t, s, exp): coeff
+        for i, gmap in family.items()
+        for (t, s), poly in gmap.matrix.items()
+        for exp, coeff in poly.terms.items()
+    }
+
+
 def find_extension_witness(
     sub: BimoduleStructure,
     quotient: BimoduleStructure,
@@ -266,23 +272,11 @@ def find_extension_witness(
         for k in range(sub.rank)
         for e in range(max_degree + 1)
     ]
-    columns: list[dict[tuple[int, int, int, tuple[int, ...]], int | Fraction]] = []
-    for t, k, e in unknowns:
-        basis_b = {(t, k): Poly.monomial(DEL_ONLY, (e,), 1)}
-        family = gamma_coboundary(sub, quotient, basis_b)
-        col: dict[tuple[int, int, int, tuple[int, ...]], int | Fraction] = {}
-        for i, gmap in family.items():
-            for (tt, ss), poly in gmap.matrix.items():
-                for exp, coeff in poly.terms.items():
-                    col[(i, tt, ss, exp)] = coeff
-        columns.append(col)
-    target: dict[tuple[int, int, int, tuple[int, ...]], int | Fraction] = {}
-    for i, gmap in gamma_diff.items():
-        if gmap.is_zero():
-            continue
-        for (tt, ss), poly in gmap.matrix.items():
-            for exp, coeff in poly.terms.items():
-                target[(i, tt, ss, exp)] = coeff
+    columns = [
+        _family_terms(gamma_coboundary(sub, quotient, {(t, k): Poly.monomial(DEL_ONLY, (e,), 1)}))
+        for t, k, e in unknowns
+    ]
+    target = _family_terms(gamma_diff)
     positions = sorted(set(target) | {key for col in columns for key in col})
     index = {key: row for row, key in enumerate(positions)}
     rows: list[dict[int, int | Fraction]] = [dict() for _ in positions]
@@ -301,11 +295,7 @@ def find_extension_witness(
         key = (t, k)
         mono = Poly.monomial(DEL_ONLY, (e,), c)
         witness[key] = witness.get(key, Poly.zero(DEL_ONLY)) + mono
-    produced = gamma_coboundary(sub, quotient, witness)
-    want = {i: g for i, g in gamma_diff.items() if not g.is_zero()}
-    if set(produced) != set(want) or any(
-        not (produced[i] - want[i]).is_zero() for i in produced
-    ):
+    if _family_terms(gamma_coboundary(sub, quotient, witness)) != target:
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness
 
@@ -338,11 +328,8 @@ def equivalent_extensions(
     True exactly when the gamma difference equals the coboundary of B as
     polynomials; a False here only rules out this particular witness.
     """
-    diff = _gamma_difference(first, second)
     produced = gamma_coboundary(first.sub, first.quotient, b_matrix)
-    if set(diff) != set(produced):
-        return False
-    return all((diff[i] - produced[i]).is_zero() for i in diff)
+    return _family_terms(produced) == _family_terms(_gamma_difference(first, second))
 
 
 def search_extension_witness(

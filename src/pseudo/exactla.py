@@ -30,7 +30,11 @@ class ContainmentError(ValueError):
 
 
 class QMatrix:
-    """Rational matrix with sparse rows, entries in the coefficient form."""
+    """Rational matrix with sparse rows, entries in the coefficient form.
+
+    Each entry is taken in through ``polyring._coeff``, so a float is
+    refused, and a zero is dropped, so it never becomes a pivot.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -39,6 +43,9 @@ class QMatrix:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         self.nrows = nrows
         self.ncols = ncols
+        # a nonzero int is already in the coefficient form
+        if not all(type(v) is int and v for row in rows for v in row.values()):
+            rows = [{j: c for j, v in row.items() if (c := _coeff(v))} for row in rows]
         self.rows = rows
 
 

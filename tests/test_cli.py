@@ -465,27 +465,33 @@ def test_classical_non_associative_report_bytes(monkeypatch, capsys, tmp_path):
     )
 
 
+COHOMOLOGY_ARGV = ("cohomology", path("cur1.alg"), "--n", "1", "--deg", "1")
+EXTEND_ARGV = ("extend", path("cur1.alg"), "--cocycle", path("gamma_lam.coc"))
+
+
 @pytest.mark.parametrize(
-    "error",
+    "target, argv, error",
     [
-        VariableMismatchError("variables differ"),
-        ContainmentError("not a subspace"),
-        KeyError("missing"),
+        ("cohomology_dimensions", COHOMOLOGY_ARGV, VariableMismatchError("variables differ")),
+        ("cohomology_dimensions", COHOMOLOGY_ARGV, ContainmentError("not a subspace")),
+        ("cohomology_dimensions", COHOMOLOGY_ARGV, KeyError("missing")),
+        # only UnfitModuleError marks a datum's module as bad input
+        ("ExtensionDatum", EXTEND_ARGV, ValueError("gamma index 7 out of range")),
     ],
-    ids=lambda exc: type(exc).__name__,
+    ids=["VariableMismatchError", "ContainmentError", "KeyError", "ExtensionDatum-ValueError"],
 )
-def test_internal_errors_exit_3(monkeypatch, capsys, error):
+def test_internal_errors_exit_3(monkeypatch, capsys, target, argv, error):
     from pseudo import cli
 
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "cohomology_dimensions", broken)
-    code = cli.main(["cohomology", path("cur1.alg"), "--n", "1", "--deg", "1"])
+    monkeypatch.setattr(cli, target, broken)
+    code = cli.main(list(argv))
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert (
-        f"internal inconsistency in cohomology: {type(error).__name__}: {error}"
+        f"internal inconsistency in {argv[0]}: {type(error).__name__}: {error}"
         in captured.err
     )

@@ -20,7 +20,7 @@ from conftest import (
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import CochainIndex, apply_dn
 from pseudo.conformal import free_rank_one
-from pseudo.exactla import Echelon, QMatrix, kernel_basis, solve
+from pseudo.exactla import Echelon, QMatrix, kernel_basis, rank, solve
 from pseudo.polyring import Poly, poly_to_str
 
 PL = ("del", "lam")
@@ -143,6 +143,7 @@ ENTRY_POINTS = {
     "Poly * scalar": lambda v: Poly.var(PL, "lam") * v,
     "Poly + scalar": lambda v: Poly.var(PL, "lam") + v,
     "solve rhs": lambda v: solve(QMatrix(1, 1, [{0: 2}]), [v]),
+    "QMatrix entry": lambda v: QMatrix(1, 2, [{0: 1, 1: v}]),
     "CochainIndex.reconstruct": _reconstruct,
 }
 
@@ -158,3 +159,14 @@ def test_inexact_coefficients_are_refused(entry, value):
 def test_exact_coefficients_are_accepted(entry):
     for value in (3, Fraction(6, 2), Fraction(-1, 2)):
         ENTRY_POINTS[entry](value)
+
+
+def test_explicit_zero_entries_are_dropped():
+    # an explicit 0 kept in a row would be taken for its pivot
+    for row in ({0: 0, 1: 1}, {0: Fraction(0), 1: Fraction(4, 2)}):
+        m = QMatrix(1, 2, [row])
+        assert m.rows == [{1: row[1]}]
+        assert_normal(m.rows[0].values())
+        assert rank(m) == 1
+        assert kernel_basis(m).vectors == ((1, 0),)
+        assert solve(m, [3]) == [0, Fraction(3, row[1])]

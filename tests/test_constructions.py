@@ -9,7 +9,12 @@ import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from conftest import polys
-from pseudo.cfmodule import BimoduleStructure, CLinearMap, check_module_axioms
+from pseudo.cfmodule import (
+    BimoduleStructure,
+    CLinearMap,
+    UnfitModuleError,
+    check_module_axioms,
+)
 from pseudo.cohomology import Cochain, apply_dn, cochain_variables
 from pseudo.conformal import (
     ASSOC_VARS,
@@ -34,7 +39,7 @@ from pseudo.constructions import (
     search_deformation_witness,
     search_extension_witness,
 )
-from pseudo.formats import parse_algebra, parse_cochain, parse_gamma
+from pseudo.formats import parse_algebra, parse_cochain, parse_gamma, parse_module
 from pseudo.polyring import Poly, parse_poly, poly_to_str
 
 D1 = cochain_variables(1)
@@ -71,6 +76,32 @@ def test_extension_datum_validation(cur1, mat2, cur1_regular, mat2_regular):
     bad_shape = {0: CLinearMap(("u", "v"), ("e",), {})}
     with pytest.raises(ValueError):
         ExtensionDatum(cur1, cur1_regular, cur1_regular, bad_shape)
+
+
+def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
+    def module(actions, *lines):
+        return parse_module("\n".join(["kind: module", "generators: u", f"actions: {actions}",
+                                       *lines]), cur1)
+
+    left_only = module("left", "left e u -> 1 * u")
+    right_only = module("right", "right u e -> 1 * u")
+    broken_left = module("left", "left e u -> del * u")
+    for unfit, n, message in [
+        (left_only, 0, "degree-0 differential needs both module actions"),
+        (right_only, 0, "degree-0 differential needs both module actions"),
+        (left_only, 1, "the differential needs a right action"),
+        (right_only, 2, "the differential needs a left action"),
+    ]:
+        with pytest.raises(UnfitModuleError, match=message):
+            cohomology._Stencil(cur1, unfit, n)
+    for sub, quotient, message in [
+        (right_only, cur1_regular, "sub module needs a left action"),
+        (cur1_regular, right_only, "quotient module needs a left action"),
+        (broken_left, cur1_regular, "sub module violates its own left law"),
+        (cur1_regular, broken_left, "quotient module violates its own left law"),
+    ]:
+        with pytest.raises(UnfitModuleError, match=message):
+            ExtensionDatum(cur1, sub, quotient, {})
 
 
 def test_extension_datum_checks_one_module_once(cur1, cur1_regular, monkeypatch):

@@ -52,3 +52,20 @@ def test_every_division_goes_through_the_quotient_helper():
                     and id(node) not in helper:
                 stray.append(f"{path.name}:{node.lineno}")
     assert found and stray == []
+
+
+def test_only_main_writes_to_stdout():
+    """A report reaches stdout from ``cli.main`` alone: nothing else in
+    cli.py names ``sys.stdout``, and no ``print`` there lacks a file."""
+    tree = ast.parse((ROOT / "src/pseudo/cli.py").read_text(encoding="utf-8"))
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "stdout" and id(node) not in in_main \
+                and isinstance(node.value, ast.Name) and node.value.id == "sys":
+            stray.append(node.lineno)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print" \
+                and not any(k.arg == "file" for k in node.keywords):
+            stray.append(node.lineno)
+    assert stray == []
