@@ -23,19 +23,18 @@ algebra generators
     (f lam a_i) mu u = f lam (a_i (mu-lam) u)
 
 returned here as polynomial families in (del, lam, mu), with lam the
-action variable and mu the variable of the resulting map.  Generators
-suffice: a general element acts through its coefficients by
-sesquilinearity.
+action variable and mu the variable of the resulting map, for every
+generator and every map of a family in one call.  Generators suffice: a
+general element acts through its coefficients by sesquilinearity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .conformal import (
-    ASSOC_VARS,
     PRODUCT_VARS,
     ConformalAlgebra,
     LawCounterexample,
@@ -45,6 +44,7 @@ from .conformal import (
     _MU,
     _OUTER,
     _dense,
+    _kept,
     _law_sides,
     _law_tables,
     _table_degree,
@@ -64,13 +64,16 @@ class BimoduleStructure:
 
     ``left[(i, j)]`` lists (k, L) for a_i lam u_j; ``right[(j, i)]`` lists
     (k, R) for u_j lam a_i.  A present-but-empty table is the zero action;
-    None means the structure genuinely lacks that side.
+    None means the structure genuinely lacks that side.  ``_memo`` holds
+    what is derived from this object once and kept on it, as on
+    `ConformalAlgebra`; it takes no part in ``==``, the hash or ``repr``.
     """
 
     algebra: ConformalAlgebra
     generators: tuple[str, ...]
     left: Optional[StructureMap]
     right: Optional[StructureMap]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -118,13 +121,15 @@ class BimoduleStructure:
 
     @classmethod
     def regular(cls, algebra: ConformalAlgebra) -> "BimoduleStructure":
-        """The algebra acting on itself on both sides."""
-        return cls(
+        """The algebra acting on itself on both sides: one module per
+        algebra object, kept on it, so what is kept on the module serves
+        every caller."""
+        return _kept(algebra, "regular", lambda algebra: cls(
             algebra=algebra,
             generators=algebra.generators,
             left=dict(algebra.structure),
             right=dict(algebra.structure),
-        )
+        ))
 
 
 def check_module_axioms(module: BimoduleStructure) -> LawCounterexample | None:
@@ -219,53 +224,77 @@ FamilyMatrix = dict[tuple[int, int], Poly]
 _SHIFTED = {"lam": _MU - _LAM, "del": _LAM + _DEL}
 
 
-def chom_left_action(
-    i: int, f: CLinearMap, target_module: BimoduleStructure
-) -> FamilyMatrix:
-    """(a_i lam f) as a family: entry (j, s) of a_i lam (f_{mu-lam} u_j).
+def _add_term(out: FamilyMatrix, key: tuple[int, int], term: Poly) -> None:
+    out[key] = out[key] + term if key in out else term
 
-    Requires a left action of the algebra on the target module of f.
+
+def _nonzero(family: FamilyMatrix) -> FamilyMatrix:
+    return {key: poly for key, poly in family.items() if not poly.is_zero}
+
+
+def chom_left_action(
+    family: Mapping[int, CLinearMap], target_module: BimoduleStructure
+) -> dict[tuple[int, int], FamilyMatrix]:
+    """(a_i lam f_j) for every algebra generator a_i and every map f_j of
+    the family, keyed (i, j); entry (t, s) of a family is the coefficient
+    of v_s in a_i lam ((f_j)_{mu-lam} u_t).  Empty families are left out.
+
+    Requires a left action of the algebra on the target module of the
+    maps.  Each map entry and each action polynomial is substituted once
+    per call.
     """
-    if target_module.generators != f.target:
+    if any(f.target != target_module.generators for f in family.values()):
         raise ValueError("target module does not match the map's target")
     if not target_module.has_left:
         raise ValueError("target module has no left action")
-    # each action polynomial of a_i, substituted once per call
-    moved = {k: [(s, l.substitute(_OUTER)) for s, l in entries]
-             for (g, k), entries in target_module.left.items() if g == i}
-    out: FamilyMatrix = {}
-    for (j, k), f_jk in f.matrix.items():
-        if k not in moved:
-            continue
-        shifted = f_jk.substitute(_SHIFTED)
-        for s, l_iks in moved[k]:
-            key = (j, s)
-            out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + shifted * l_iks
-    return {k: v for k, v in out.items() if not v.is_zero}
+    # i -> k -> ((s, L_iks at the outer variable), ...)
+    moved: dict[int, dict[int, list[tuple[int, Poly]]]] = {}
+    for (i, k), entries in target_module.left.items():
+        moved.setdefault(i, {})[k] = [(s, l.substitute(_OUTER)) for s, l in entries]
+    out = {}
+    for j, f in family.items():
+        shifted = [(t, k, f_tk.substitute(_SHIFTED)) for (t, k), f_tk in f.matrix.items()]
+        for i, rows in moved.items():
+            acc: FamilyMatrix = {}
+            for t, k, f_tk in shifted:
+                for s, l_iks in rows.get(k, ()):
+                    _add_term(acc, (t, s), f_tk * l_iks)
+            if acc := _nonzero(acc):
+                out[(i, j)] = acc
+    return out
 
 
 def chom_right_action(
-    f: CLinearMap, i: int, source_module: BimoduleStructure
-) -> FamilyMatrix:
-    """(f lam a_i) as a family: entry (j, s) of f_lam(a_i (mu-lam) u_j).
+    family: Mapping[int, CLinearMap], source_module: BimoduleStructure
+) -> dict[tuple[int, int], FamilyMatrix]:
+    """(f_i lam a_j) for every map f_i of the family and every algebra
+    generator a_j, keyed (i, j); entry (t, s) of a family is the
+    coefficient of v_s in (f_i)_lam (a_j (mu-lam) u_t).  Empty families
+    are left out.
 
-    Requires a left action of the algebra on the source module of f.
+    Requires a left action of the algebra on the source module of the
+    maps.  Each map entry and each action polynomial is substituted once
+    per call.
     """
-    if source_module.generators != f.source:
+    if any(f.source != source_module.generators for f in family.values()):
         raise ValueError("source module does not match the map's source")
     if not source_module.has_left:
         raise ValueError("source module has no left action")
-    # each map entry, substituted once per call
-    rows: dict[int, list[tuple[int, Poly]]] = {}
-    for (k, s), f_ks in f.matrix.items():
-        rows.setdefault(k, []).append((s, f_ks.substitute(_OUTER)))
-    out: FamilyMatrix = {}
-    for j in range(source_module.rank):
-        for k, l_ijk in source_module.left_entries(i, j):
-            if k not in rows:
-                continue
-            inner = l_ijk.substitute(_SHIFTED)
-            for s, f_ks in rows[k]:
-                key = (j, s)
-                out[key] = out.get(key, Poly.zero(ASSOC_VARS)) + inner * f_ks
-    return {k: v for k, v in out.items() if not v.is_zero}
+    # j -> ((t, k, L_jtk at mu - lam), ...)
+    inner: dict[int, list[tuple[int, int, Poly]]] = {}
+    for (j, t), entries in source_module.left.items():
+        inner.setdefault(j, []).extend((t, k, l.substitute(_SHIFTED)) for k, l in entries)
+    out = {}
+    for i, f in family.items():
+        # k -> ((s, f_ks at the outer variable), ...)
+        rows: dict[int, list[tuple[int, Poly]]] = {}
+        for (k, s), f_ks in f.matrix.items():
+            rows.setdefault(k, []).append((s, f_ks.substitute(_OUTER)))
+        for j, entries in inner.items():
+            acc: FamilyMatrix = {}
+            for t, k, l_jtk in entries:
+                for s, f_ks in rows.get(k, ()):
+                    _add_term(acc, (t, s), l_jtk * f_ks)
+            if acc := _nonzero(acc):
+                out[(i, j)] = acc
+    return out

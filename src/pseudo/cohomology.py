@@ -17,7 +17,12 @@ where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
 For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
 slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
-degree, 0 included) and ``differential_matrix`` both run on.
+degree, 0 included) and ``differential_matrix`` both run on.  What lives
+on the module: its compiled stencil for each degree n, built on first use
+(`_stencil`) and freed with the module (for a regular module, which forms
+a reference cycle with its algebra, when the cycle collector reclaims
+the pair).  What lives for one call: the memo of slot images of basis
+monomials, so no image outlives the call that computed it.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -33,7 +38,7 @@ from itertools import product as iter_product
 from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, UnfitModuleError
-from .conformal import ConformalAlgebra
+from .conformal import ConformalAlgebra, _kept
 from .exactla import (
     ContainmentError,
     Echelon,
@@ -254,20 +259,17 @@ class CochainIndex:
 
 
 def apply_dn(cochain: Cochain) -> Cochain:
-    """d of an n-cochain, n >= 0 (see module docstring), on the stencil:
-    every nonzero coordinate polynomial goes whole through each slot, at
-    that slot's cut of its tuple."""
+    """d of an n-cochain, n >= 0 (see module docstring), on the module's
+    stencil: each term c*m of the value on (tuple t, generator k) adds c
+    times d of the basis cochain (t, k, m)."""
     n, module = cochain.degree, cochain.module
-    stencil = _Stencil(cochain.algebra, module, n)
+    stencil = _stencil(module, n)
     acc: dict = {}
+    images: dict = {}
     for tup, vec in cochain.values.items():
         for k, value in enumerate(vec):
-            if value.is_zero:
-                continue
-            value = value.embed(stencil.src_vars)
-            for slot, (lo, hi, _, _) in enumerate(stencil.slots):
-                image = stencil.image(slot, tup[lo:hi], k, value)
-                _spread(acc, tup[:lo], tup[hi:], image)
+            for mono, coeff in value.terms.items():
+                stencil.add(acc, (tup, k, mono), images, coeff)
     dst_vars = cochain_variables(n + 1)
     values: dict = {}
     for (target, s, exp), coeff in acc.items():
@@ -282,15 +284,6 @@ def apply_dn(cochain: Cochain) -> Cochain:
     )
 
 
-def _spread(acc: dict, before: tuple, after: tuple, image: list) -> None:
-    """Add one slot's image into acc, keyed (target tuple, s, exponent)."""
-    for ins, s, terms in image:
-        target = before + ins + after
-        for exp, coeff in terms.items():
-            key = (target, s, exp)
-            acc[key] = _coeff(acc[key] + coeff) if key in acc else coeff
-
-
 def differential_matrix(
     algebra: ConformalAlgebra,
     module: BimoduleStructure,
@@ -299,6 +292,8 @@ def differential_matrix(
     max_degree_out: int,
 ) -> QMatrix:
     """Matrix of d_n from the degree-<=D_in slice to the degree-<=D_out slice."""
+    if module.algebra != algebra:
+        raise ValueError("module is over a different algebra")
     bound = module.structure_degree()
     needed = (max_degree_in if degree > 0 else 0) + bound
     if max_degree_out < needed:
@@ -307,30 +302,34 @@ def differential_matrix(
         )
     source = CochainIndex(algebra, module, degree, max_degree_in)
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
-    stencil = _Stencil(algebra, module, degree)
+    stencil = _stencil(module, degree)
+    images: dict = {}
     rows: list[dict[int, int | Fraction]] = [dict() for _ in range(target.dimension)]
     for col, label in enumerate(source.labels):
-        for image, coeff in stencil.column(label, max_degree_out).items():
+        for image, coeff in stencil.column(label, max_degree_out, images).items():
             rows[target.position[image]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
 
 
 class _Stencil:
-    """d_n compiled for one call: the only definition of its slot rules.
+    """d_n compiled for one module: the only definition of its slot rules.
 
     A cochain value p on (tuple t, module generator k) reaches only n + 2
     kinds of target tuple: the head (g,) + t, the middle slot i
     t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
     t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
     generators in its place; its image depends on t only through the cut.
-    The structure tables are substituted once here.  ``apply_dn`` feeds
-    whole values through ``image``; ``column`` feeds basis monomials and
-    remembers each image of a (slot, cut, k, m).
+    The structure tables are substituted once here, and `_stencil` keeps
+    the compiled slots on the module, one stencil per (module, n).  The
+    image of a basis monomial m at a slot depends on (slot, cut, k, m)
+    alone; ``add`` remembers it in a memo that its caller (``apply_dn``,
+    ``differential_matrix``, ``_coboundary_slice``) holds for one call,
+    so the stencil kept on the module holds no images.
     For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
     and a constant value is read in ("del",).
     """
 
-    def __init__(self, algebra: ConformalAlgebra, module: BimoduleStructure, n: int):
+    def __init__(self, module: BimoduleStructure, n: int):
         if not (module.has_left and module.has_right):
             if n == 0:
                 raise UnfitModuleError("degree-0 differential needs both module actions")
@@ -371,7 +370,7 @@ class _Stencil:
                 coeff_sub = {"lam": lam[n], "del": dl + lam_total - lam[n]}
             value_sub["del"] = dl
             table = {}
-            for (a, b), entries in algebra.structure.items():
+            for (a, b), entries in module.algebra.structure.items():
                 for l, poly in entries:
                     moved = sign * poly.substitute(coeff_sub)
                     for k in range(module.rank):
@@ -387,30 +386,41 @@ class _Stencil:
                 moved = sign_last * poly.substitute({"lam": lam_total, "del": dl})
                 table.setdefault(((), k), []).append(((g,), s, moved))
         self.slots.append((n, n, tail, table))
-        self._images: dict = {}
 
-    def image(self, slot: int, cut: tuple, k: int, value: Poly) -> list:
-        """((inserted generators, s, terms), ...): a value over src_vars on
-        module generator k, fed into the slot where the tuple's cut is."""
-        _, _, value_sub, table = self.slots[slot]
-        entries = table.get((cut, k))
-        if not entries:
-            return []
-        moved = value.substitute(value_sub)
-        return [(ins, s, (moved * poly).terms) for ins, s, poly in entries]
+    def add(self, acc: dict, label: tuple, images: dict, coeff=1) -> None:
+        """Add coeff times d of the basis cochain ``label`` into acc, keyed
+        (target tuple, s, exponent).  ``images`` is the caller's memo of
+        the image of each (slot, cut, k, monomial), and of the monomial
+        moved by each slot's substitution, keyed (slot, monomial); it is
+        kept for one call."""
+        tup, k, mono = label
+        for slot, (lo, hi, value_sub, table) in enumerate(self.slots):
+            cut = tup[lo:hi]
+            key = (slot, cut, k, mono)
+            image = images.get(key)
+            if image is None:
+                image = images[key] = []
+                entries = table.get((cut, k))
+                if entries:
+                    moved = images.get((slot, mono))
+                    if moved is None:
+                        value = Poly.monomial(self.src_vars, mono or (0,))
+                        moved = images[(slot, mono)] = value.substitute(value_sub)
+                    image.extend((ins, s, (moved * poly).terms) for ins, s, poly in entries)
+            before, after = tup[:lo], tup[hi:]
+            for ins, s, terms in image:
+                target = before + ins + after
+                for exp, c in terms.items():
+                    if coeff != 1:
+                        c = _coeff(c * coeff)
+                    key = (target, s, exp)
+                    acc[key] = _coeff(acc[key] + c) if key in acc else c
 
-    def column(self, label: tuple, max_degree: int) -> dict:
+    def column(self, label: tuple, max_degree: int, images: dict) -> dict:
         """d of the basis cochain ``label`` as sparse target-label
         coordinates; overflow if a monomial exceeds max_degree."""
-        tup, k, mono = label
         acc: dict = {}
-        for slot, (lo, hi, _, _) in enumerate(self.slots):
-            key = (slot, tup[lo:hi], k, mono)
-            image = self._images.get(key)
-            if image is None:
-                value = Poly.monomial(self.src_vars, mono or (0,))
-                image = self._images[key] = self.image(slot, tup[lo:hi], k, value)
-            _spread(acc, tup[:lo], tup[hi:], image)
+        self.add(acc, label, images)
         out = {}
         for key, coeff in acc.items():
             if coeff:
@@ -420,6 +430,12 @@ class _Stencil:
                     )
                 out[key] = coeff
         return out
+
+
+def _stencil(module: BimoduleStructure, n: int) -> _Stencil:
+    """The module's d_n: compiled on first use and kept on the module, the
+    one way every caller reaches the stencil."""
+    return _kept(module, ("stencil", n), lambda module: _Stencil(module, n))
 
 
 @dataclass(frozen=True)
@@ -500,7 +516,8 @@ def _coboundary_slice(
     slice_labels = CochainIndex(algebra, module, degree, d).labels
     if degree == 0:
         return SubspaceBasis.zero(len(slice_labels)), True, 0
-    stencil = _Stencil(algebra, module, degree - 1)
+    stencil = _stencil(module, degree - 1)
+    images: dict = {}
     span = _SliceSpan(slice_labels)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
@@ -509,7 +526,7 @@ def _coboundary_slice(
         source = CochainIndex(algebra, module, degree - 1, source_bound)
         for label in source.labels:
             if sum(label[2]) > covered:
-                span.insert(stencil.column(label, source_bound + bound))
+                span.insert(stencil.column(label, source_bound + bound, images))
         covered = source_bound
         coboundaries = span.basis()
         if previous is not None and coboundaries.dim == previous:

@@ -22,8 +22,8 @@ from those tables with multiplication and addition alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .polyring import Poly, VariableMismatchError
 
@@ -75,10 +75,15 @@ def _table_degree(table: StructureMap) -> int:
 
 @dataclass(frozen=True)
 class ConformalAlgebra:
-    """Generator names plus the structure polynomial table."""
+    """Generator names plus the structure polynomial table.
+
+    ``_memo`` holds what is derived from this object once and kept on it
+    (see `_kept`); it takes no part in ``==``, the hash or ``repr``.
+    """
 
     generators: tuple[str, ...]
     structure: StructureMap
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -97,6 +102,19 @@ class ConformalAlgebra:
     def structure_degree(self) -> int:
         """Largest total degree among structure polynomials (0 if none)."""
         return _table_degree(self.structure)
+
+
+def _kept(owner, key, derive: Callable):
+    """``derive(owner)``, computed on the first request for ``key`` and
+    kept in ``owner._memo``, so it is freed with that one object and an
+    equal but distinct object derives it again.  The regular module kept
+    on an algebra points back to it, so such an algebra, its module and
+    what is kept on both are reclaimed together by the cycle collector,
+    not when the last outside reference goes."""
+    memo = owner._memo
+    if key not in memo:
+        memo[key] = derive(owner)
+    return memo[key]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,16 @@ system, and the assembled object is independently re-checked with the
 axiom checkers.  Disagreement between the two routes raises
 ComplexInconsistencyError, since it can only come from a bug here.
 
+Checks on the base objects a datum is built over are kept on those
+objects (`conformal._kept`), so each runs once per object however many
+data share it: the associativity of the algebra, and the axiom verdict
+and left-law verdict of a module.  The checks that are routes of a
+verdict run every time, each on an object built fresh for it: the
+associativity checker on the algebra `build_abelian_extension` assembles,
+`check_module_axioms` on the module `build_extension` glues, and the
+cochain differential in `deform` (whose compiled stencil is kept on the
+module, but whose images are computed anew in every call).
+
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
 variable, so the inner action carries mu - lam, as in the Chom actions of
@@ -43,6 +53,7 @@ from .conformal import (
     _DEL,
     _LAM,
     _MU,
+    _kept,
     _law_sides,
     _law_tables,
     check_associativity,
@@ -61,14 +72,19 @@ DEL_ONLY = ("del",)
 
 
 def _left_law_holds(module: BimoduleStructure) -> bool:
-    """Check just the left module law, ignoring any right table."""
-    probe = BimoduleStructure(
-        algebra=module.algebra,
-        generators=module.generators,
-        left=dict(module.left or {}),
-        right=None,
-    )
-    return check_module_axioms(probe) is None
+    """Just the left module law, ignoring any right table; checked once
+    per module object and kept on it."""
+
+    def check(module: BimoduleStructure) -> bool:
+        probe = BimoduleStructure(
+            algebra=module.algebra,
+            generators=module.generators,
+            left=dict(module.left or {}),
+            right=None,
+        )
+        return check_module_axioms(probe) is None
+
+    return _kept(module, "left law", check)
 
 
 @dataclass(frozen=True)
@@ -90,8 +106,7 @@ class ExtensionDatum:
                 raise ValueError(f"{name} module is over a different algebra")
             if not module.has_left:
                 raise UnfitModuleError(f"{name} module needs a left action")
-            # a module on both sides has its left law checked once
-            if (name == "sub" or module != self.sub) and not _left_law_holds(module):
+            if not _left_law_holds(module):
                 raise UnfitModuleError(f"{name} module violates its own left law")
         clean: dict[int, CLinearMap] = {}
         for i, gmap in self.gamma.items():
@@ -128,19 +143,19 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     """
     algebra, gamma = datum.algebra, datum.gamma
     zero = Poly.zero(ASSOC_VARS)
-    # each gamma entry at the total variable, substituted once per call
+    # every gamma entry and action polynomial is substituted once per call:
+    # by the Chom actions, and here at the total variable
+    left = chom_left_action(gamma, datum.sub)
+    right = chom_right_action(gamma, datum.quotient)
     total = {
         l: [(key, g.substitute(_GAMMA_TOTAL)) for key, g in gmap.matrix.items()]
         for l, gmap in gamma.items()
     }
     out: dict[tuple[int, int, int, int], Poly] = {}
     for i, j in itertools.product(range(algebra.rank), repeat=2):
-        acc: dict[tuple[int, int], Poly] = {}
-        if j in gamma:
-            acc.update(chom_left_action(i, gamma[j], datum.sub))
-        if i in gamma:
-            for key, poly in chom_right_action(gamma[i], j, datum.quotient).items():
-                acc[key] = acc.get(key, zero) + poly
+        acc = dict(left.get((i, j), {}))
+        for key, poly in right.get((i, j), {}).items():
+            acc[key] = acc.get(key, zero) + poly
         # minus the twisted action of the product a_i lam a_j
         for l, p_ijl in algebra.products(i, j):
             if l not in gamma:
@@ -365,15 +380,15 @@ class AbelianExtensionDatum:
         if self.module.algebra != self.algebra:
             raise ValueError("module is over a different algebra")
         if not (self.module.has_left and self.module.has_right):
-            raise ValueError("abelian extension needs a two-sided module")
+            raise UnfitModuleError("abelian extension needs a two-sided module")
         if self.cocycle.degree != 2:
             raise ValueError("abelian extension twist must be a degree-2 cochain")
         if self.cocycle.algebra != self.algebra or self.cocycle.module != self.module:
             raise ValueError("cochain is not over this algebra and module")
-        if check_associativity(self.algebra) is not None:
+        if _kept(self.algebra, "associativity", check_associativity) is not None:
             raise ValueError("base algebra is not associative")
-        if check_module_axioms(self.module) is not None:
-            raise ValueError("module violates its axiom system")
+        if _kept(self.module, "axioms", check_module_axioms) is not None:
+            raise UnfitModuleError("module violates its axiom system")
 
 
 def build_abelian_extension(
@@ -431,7 +446,7 @@ class DeformationDatum:
             raise ValueError("cochain is over a different algebra")
         if self.cocycle.module != BimoduleStructure.regular(self.algebra):
             raise ValueError("deformation cochain must take values in the algebra")
-        if check_associativity(self.algebra) is not None:
+        if _kept(self.algebra, "associativity", check_associativity) is not None:
             raise ValueError("base algebra is not associative")
 
 

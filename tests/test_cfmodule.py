@@ -120,29 +120,29 @@ def test_clinear_map_arithmetic():
 
 def test_chom_left_action_families(cur1, cur1_regular):
     ident = CLinearMap(("e",), ("e",), {(0, 0): ONE})
-    fam = chom_left_action(0, ident, cur1_regular)
-    assert fam == {(0, 0): Poly.const(ASSOC_VARS, 1)}
+    fam = chom_left_action({0: ident}, cur1_regular)
+    assert fam == {(0, 0): {(0, 0): Poly.const(ASSOC_VARS, 1)}}
     shift = CLinearMap(("e",), ("e",), {(0, 0): DEL})
-    fam2 = chom_left_action(0, shift, cur1_regular)
-    assert fam2 == {(0, 0): parse_poly("lam + del", ASSOC_VARS)}
+    fam2 = chom_left_action({0: shift}, cur1_regular)
+    assert fam2 == {(0, 0): {(0, 0): parse_poly("lam + del", ASSOC_VARS)}}
 
 
 def test_chom_right_action_families(cur1, cur1_regular):
     ident = CLinearMap(("e",), ("e",), {(0, 0): ONE})
-    fam = chom_right_action(ident, 0, cur1_regular)
-    assert fam == {(0, 0): Poly.const(ASSOC_VARS, 1)}
+    fam = chom_right_action({0: ident}, cur1_regular)
+    assert fam == {(0, 0): {(0, 0): Poly.const(ASSOC_VARS, 1)}}
     shift = CLinearMap(("e",), ("e",), {(0, 0): DEL})
-    fam2 = chom_right_action(shift, 0, cur1_regular)
-    assert fam2 == {(0, 0): Poly.var(ASSOC_VARS, "del")}
+    fam2 = chom_right_action({0: shift}, cur1_regular)
+    assert fam2 == {(0, 0): {(0, 0): Poly.var(ASSOC_VARS, "del")}}
 
 
 def test_chom_requires_left_action(cur1):
     right_only = rank_one_module(cur1, None, ONE)
     f = CLinearMap(("u",), ("u",), {(0, 0): ONE})
     with pytest.raises(ValueError):
-        chom_left_action(0, f, right_only)
+        chom_left_action({0: f}, right_only)
     with pytest.raises(ValueError):
-        chom_right_action(f, 0, right_only)
+        chom_right_action({0: f}, right_only)
 
 
 def test_broken_right_law(cur1):

@@ -468,7 +468,8 @@ def test_coboundary_slice_differentiates_each_source_once(
     monkeypatch.setattr(
         cohomology._Stencil,
         "column",
-        lambda self, label, bound: calls.append(label) or original(self, label, bound),
+        lambda self, label, bound, images: calls.append(label)
+        or original(self, label, bound, images),
     )
     monkeypatch.setattr(cohomology, "apply_dn", None)
     _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
@@ -480,6 +481,25 @@ def test_coboundary_slice_differentiates_each_source_once(
     assert calls == CochainIndex(mat2, mat2_regular, 0, 0).labels
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
+
+
+def test_stencil_kept_on_the_module_holds_no_images(inputs_dir):
+    # the compiled slots are kept on the module; the images of basis
+    # monomials live in a memo of one call
+    mat2 = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(mat2)
+    rep = cohomology_dimensions(mat2, module, 1, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
+    kept = {key: value for key, value in module._memo.items() if key[0] == "stencil"}
+    assert set(kept) == {("stencil", 0), ("stencil", 1)}
+    for (_, n), stencil in kept.items():
+        assert set(vars(stencil)) == {"src_vars", "slots"}
+        assert cohomology._stencil(module, n) is stencil
+    # the stencil reads the module's own algebra, so a mismatched pair is
+    # refused at the public entry
+    other = parse_algebra((inputs_dir / "cur1.alg").read_text(encoding="utf-8"))
+    with pytest.raises(ValueError, match="different algebra"):
+        differential_matrix(other, module, 1, 0, 0)
 
 
 def test_back_to_back_calls_keep_their_own_answers(inputs_dir):

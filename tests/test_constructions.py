@@ -86,6 +86,7 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
     left_only = module("left", "left e u -> 1 * u")
     right_only = module("right", "right u e -> 1 * u")
     broken_left = module("left", "left e u -> del * u")
+    broken_both = module("left right", "left e u -> del * u", "right u e -> 1 * u")
     for unfit, n, message in [
         (left_only, 0, "degree-0 differential needs both module actions"),
         (right_only, 0, "degree-0 differential needs both module actions"),
@@ -93,7 +94,7 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
         (right_only, 2, "the differential needs a left action"),
     ]:
         with pytest.raises(UnfitModuleError, match=message):
-            cohomology._Stencil(cur1, unfit, n)
+            cohomology._Stencil(unfit, n)
     for sub, quotient, message in [
         (right_only, cur1_regular, "sub module needs a left action"),
         (cur1_regular, right_only, "quotient module needs a left action"),
@@ -102,18 +103,85 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
     ]:
         with pytest.raises(UnfitModuleError, match=message):
             ExtensionDatum(cur1, sub, quotient, {})
+    for unfit, message in [
+        (left_only, "abelian extension needs a two-sided module"),
+        (broken_both, "module violates its axiom system"),
+    ]:
+        with pytest.raises(UnfitModuleError, match=message):
+            AbelianExtensionDatum(cur1, unfit, Cochain.zero(cur1, unfit, 2))
 
 
-def test_extension_datum_checks_one_module_once(cur1, cur1_regular, monkeypatch):
+def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
-    original = constructions.check_module_axioms
-    monkeypatch.setattr(
-        constructions,
-        "check_module_axioms",
-        lambda module: calls.append(module) or original(module),
-    )
-    datum_of(cur1, cur1_regular, "lam")
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_extension_datum_checks_one_module_once(cur1, inputs_dir, monkeypatch):
+    # a module parsed here, so no earlier test has checked it
+    module = parse_module((inputs_dir / "uboth.mod").read_text(), cur1)
+    calls = _count_calls(monkeypatch, constructions, "check_module_axioms")
+    datum_of(cur1, module, "lam")
     assert len(calls) == 1
+    # the left-law verdict is kept on the module for the next datum
+    datum_of(cur1, module, "1")
+    assert len(calls) == 1
+
+
+def test_equal_but_distinct_algebras_are_checked_again(inputs_dir, monkeypatch):
+    text = (inputs_dir / "cur1.alg").read_text()
+    first, second = parse_algebra(text), parse_algebra(text)
+    assert first == second and first is not second
+    calls = _count_calls(monkeypatch, constructions, "check_associativity")
+    module_calls = _count_calls(monkeypatch, constructions, "check_module_axioms")
+    for algebra in (first, first, second, second):
+        module = BimoduleStructure.regular(algebra)
+        DeformationDatum(algebra, Cochain.zero(algebra, module, 2))
+        AbelianExtensionDatum(algebra, module, Cochain.zero(algebra, module, 2))
+    assert len(calls) == 2 and calls[0][0] is first and calls[1][0] is second
+    assert [args[0].algebra for args in module_calls] == [first, second]
+
+
+def test_kept_verdicts_leave_equality_and_repr_alone(inputs_dir):
+    text = (inputs_dir / "cur1.alg").read_text()
+    used, fresh = parse_algebra(text), parse_algebra(text)
+    before = repr(used)
+    module = BimoduleStructure.regular(used)
+    module_before = repr(module)
+    flat = two_cochain(used, module, "1")
+    build_abelian_extension(AbelianExtensionDatum(used, module, flat))
+    deform(DeformationDatum(used, flat))
+    build_extension(datum_of(used, module, "lam"))
+    assert used._memo and module._memo
+    assert "_memo" not in before + module_before
+    assert repr(used) == before == repr(fresh)
+    assert repr(module) == module_before == repr(BimoduleStructure.regular(fresh))
+    assert used == fresh and module == BimoduleStructure.regular(fresh)
+
+
+def test_one_abelian_datum_built_twice_checks_its_assembly_twice(cur1, cur1_regular, monkeypatch):
+    datum = AbelianExtensionDatum(cur1, cur1_regular, two_cochain(cur1, cur1_regular, "lam1"))
+    calls = _count_calls(monkeypatch, constructions, "check_associativity")
+    first, ok = build_abelian_extension(datum)
+    second, again = build_abelian_extension(datum)
+    assert not ok and not again
+    assert first == second and first is not second
+    assert len(calls) == 2 and calls[0][0] is first and calls[1][0] is second
+
+
+def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regular, monkeypatch):
+    # every gamma entry is moved by the two Chom maps and the total-variable
+    # map, every action and product entry by one map, once per call
+    b_matrix = {(t, k): parse_poly("del + 1", DEL) for t in range(4) for k in range(4)}
+    gamma = gamma_coboundary(mat2_regular, mat2_regular, b_matrix)
+    datum = ExtensionDatum(mat2, mat2_regular, mat2_regular, gamma)
+    gamma_entries = sum(len(gmap.matrix) for gmap in gamma.values())
+    assert gamma_entries == 48
+    calls = _count_calls(monkeypatch, Poly, "substitute")
+    assert extension_residuals(datum) == {}
+    table = sum(len(entries) for entries in mat2.structure.values())
+    assert 0 < len(calls) <= 3 * gamma_entries + 3 * table
 
 
 def test_extension_residuals_oracles(cur1, cur1_regular):
@@ -306,7 +374,9 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
     and apply_dn never reach the law kernel (_law_tables, _law_sides and
     _dense), the axiom checker never reaches the Chom actions the
     extension residuals are built from, and no route but the cochain
-    differential reaches the compiled stencil."""
+    differential reaches the compiled stencil.  apply_dn runs under the
+    first patch on a module whose stencil is not compiled yet, so the
+    compilation is covered too."""
     cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text())
     module = BimoduleStructure.regular(cur1)
     gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
@@ -315,19 +385,24 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
     extension, verdict, _ = build_extension(datum)
     _, flat = deform(DeformationDatum(cur1, cochain))
     abelian, associative = build_abelian_extension(AbelianExtensionDatum(cur1, module, cochain))
+    fresh = parse_algebra((inputs_dir / "cur1.alg").read_text())
+    fresh_module = BimoduleStructure.regular(fresh)
+    fresh_cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), fresh, fresh_module, 2)
+    assert ("stencil", 2) not in fresh_module._memo
     with monkeypatch.context() as patch:
         for owner in (conformal, cfmodule, constructions):
             for name in ("_law_tables", "_law_sides", "_dense"):
                 patch.setattr(owner, name, _refuse, raising=False)
         assert (not extension_residuals(datum)) == verdict
-        assert apply_dn(cochain).is_zero() == flat
+        assert apply_dn(fresh_cochain).is_zero() == flat
+        assert ("stencil", 2) in fresh_module._memo
     with monkeypatch.context() as patch:
         for owner in (cfmodule, constructions):
             patch.setattr(owner, "chom_left_action", _refuse, raising=False)
             patch.setattr(owner, "chom_right_action", _refuse, raising=False)
         assert (check_module_axioms(extension) is None) == verdict
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_Stencil", _refuse)
+        patch.setattr(cohomology, "_stencil", _refuse)
         with pytest.raises(AssertionError, match="one verification route"):
             apply_dn(cochain)
         assert (not deformation_residuals(DeformationDatum(cur1, cochain))) == flat

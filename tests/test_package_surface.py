@@ -69,3 +69,22 @@ def test_only_main_writes_to_stdout():
                 and not any(k.arg == "file" for k in node.keywords):
             stray.append(node.lineno)
     assert stray == []
+
+
+def test_no_global_or_identity_keyed_cache():
+    """What is derived once is kept on the object it belongs to and dies
+    with it: no ``functools`` cache, which outlives every argument, and no
+    ``id(...)``, which a later object can reuse."""
+    banned = {"lru_cache", "cache"}
+    stray = []
+    for path, tree in _trees("src/pseudo"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                    and any(alias.name in banned for alias in node.names):
+                stray.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr in banned \
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                stray.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id":
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
