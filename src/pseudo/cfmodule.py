@@ -10,9 +10,9 @@ Either table may be absent.  `check_module_axioms` verifies the left
 axiom, the right axiom and the two-sided compatibility law, each as an
 exact polynomial identity in (del, lam, mu) on generator triples.  Every
 law composes two tables the way associativity does, so it shares the law
-kernel with `check_associativity`: `conformal._law_tables` substitutes the
-law's four tables once per law, and `conformal._law_sides` multiplies and
-adds them on each triple.
+kernel with `check_associativity`: `conformal._law_tables` moves the
+law's four tables once per law, one ring map each, and
+`conformal._law_sides` multiplies and adds them on each triple.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
@@ -50,7 +50,7 @@ from .conformal import (
     _table_degree,
     _validate_structure,
 )
-from .polyring import Poly, VariableMismatchError
+from .polyring import Poly, VariableMismatchError, _RingMap
 
 
 class UnfitModuleError(ValueError):
@@ -240,20 +240,21 @@ def chom_left_action(
     of v_s in a_i lam ((f_j)_{mu-lam} u_t).  Empty families are left out.
 
     Requires a left action of the algebra on the target module of the
-    maps.  Each map entry and each action polynomial is substituted once
+    maps.  The family and the action table are each moved by one ring map
     per call.
     """
     if any(f.target != target_module.generators for f in family.values()):
         raise ValueError("target module does not match the map's target")
     if not target_module.has_left:
         raise ValueError("target module has no left action")
+    outer, shift = _RingMap(PRODUCT_VARS, _OUTER), _RingMap(PRODUCT_VARS, _SHIFTED)
     # i -> k -> ((s, L_iks at the outer variable), ...)
     moved: dict[int, dict[int, list[tuple[int, Poly]]]] = {}
     for (i, k), entries in target_module.left.items():
-        moved.setdefault(i, {})[k] = [(s, l.substitute(_OUTER)) for s, l in entries]
+        moved.setdefault(i, {})[k] = [(s, outer(l)) for s, l in entries]
     out = {}
     for j, f in family.items():
-        shifted = [(t, k, f_tk.substitute(_SHIFTED)) for (t, k), f_tk in f.matrix.items()]
+        shifted = [(t, k, shift(f_tk)) for (t, k), f_tk in f.matrix.items()]
         for i, rows in moved.items():
             acc: FamilyMatrix = {}
             for t, k, f_tk in shifted:
@@ -273,23 +274,24 @@ def chom_right_action(
     are left out.
 
     Requires a left action of the algebra on the source module of the
-    maps.  Each map entry and each action polynomial is substituted once
+    maps.  The family and the action table are each moved by one ring map
     per call.
     """
     if any(f.source != source_module.generators for f in family.values()):
         raise ValueError("source module does not match the map's source")
     if not source_module.has_left:
         raise ValueError("source module has no left action")
+    outer, shift = _RingMap(PRODUCT_VARS, _OUTER), _RingMap(PRODUCT_VARS, _SHIFTED)
     # j -> ((t, k, L_jtk at mu - lam), ...)
     inner: dict[int, list[tuple[int, int, Poly]]] = {}
     for (j, t), entries in source_module.left.items():
-        inner.setdefault(j, []).extend((t, k, l.substitute(_SHIFTED)) for k, l in entries)
+        inner.setdefault(j, []).extend((t, k, shift(l)) for k, l in entries)
     out = {}
     for i, f in family.items():
         # k -> ((s, f_ks at the outer variable), ...)
         rows: dict[int, list[tuple[int, Poly]]] = {}
         for (k, s), f_ks in f.matrix.items():
-            rows.setdefault(k, []).append((s, f_ks.substitute(_OUTER)))
+            rows.setdefault(k, []).append((s, outer(f_ks)))
         for j, entries in inner.items():
             acc: FamilyMatrix = {}
             for t, k, l_jtk in entries:

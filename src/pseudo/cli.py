@@ -38,7 +38,7 @@ from .cohomology import (
     TruncationWindow,
     cohomology_dimensions,
 )
-from .conformal import check_associativity
+from .conformal import _kept, check_associativity
 from .constructions import (
     DeformationDatum,
     ExtensionDatum,
@@ -259,12 +259,13 @@ def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
 
 def _precheck(algebra, module=None) -> Optional[tuple]:
     """The parts of the abort report on the first broken axiom of the
-    algebra, then of ``module``; None when both hold."""
-    cex = check_associativity(algebra)
+    algebra, then of ``module``; None when both hold.  Each verdict is
+    kept on its object, where the library's data read it again."""
+    cex = _kept(algebra, "associativity", check_associativity)
     if cex is not None:
         _, names, residuals = _axiom_failure(cex, algebra)
         return {"precheck": "associativity failed", "triple": names}, residuals, None, False
-    if module is not None and (cex := check_module_axioms(module)) is not None:
+    if module is not None and (cex := _kept(module, "axioms", check_module_axioms)) is not None:
         law, names, residuals = _axiom_failure(cex, algebra, module)
         results = {"precheck": f"module {law} law failed", "triple": names}
         return results, residuals, None, False
@@ -288,7 +289,7 @@ def _cmd_check(args, inputs: dict):
         module = parse_module(_read(inputs, "module", args.module), algebra)
     results: dict = {}
     residuals: list[str] = []
-    cex = check_associativity(algebra)
+    cex = _kept(algebra, "associativity", check_associativity)
     results["associativity"] = cex is None
     if cex is not None:
         _, names, lines = _axiom_failure(cex, algebra)
@@ -296,7 +297,7 @@ def _cmd_check(args, inputs: dict):
         residuals.extend(lines)
     mex = None
     if module is not None:
-        mex = check_module_axioms(module)
+        mex = _kept(module, "axioms", check_module_axioms)
         results["module_axioms"] = mex is None
         if mex is not None:
             law, names, lines = _axiom_failure(mex, algebra, module)
@@ -399,7 +400,7 @@ def _cmd_classical(args, inputs: dict):
     if args.n > 3:
         raise _UsageError("only degrees 0..3 are supported")
     algebra = parse_fd_algebra(_read(inputs, "algebra", args.algebra))
-    if check_associativity(algebra) is not None:
+    if _kept(algebra, "associativity", check_associativity) is not None:
         return {"precheck": "structure constants not associative"}, [], None, False
     # the degree-0 slice of the current algebra's complex is the bar complex
     module = BimoduleStructure.regular(algebra)

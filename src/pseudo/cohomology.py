@@ -19,10 +19,12 @@ For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
 slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
 degree, 0 included) and ``differential_matrix`` both run on.  What lives
 on the module: its compiled stencil for each degree n, built on first use
-(`_stencil`) and freed with the module (for a regular module, which forms
-a reference cycle with its algebra, when the cycle collector reclaims
-the pair).  What lives for one call: the memo of slot images of basis
-monomials, so no image outlives the call that computed it.
+(`_stencil`), with the ring map of each slot and the slot image of every
+basis monomial a call has asked for.  A later call on the same module
+forms only the images no earlier call formed.  All of it is freed with
+the module (for a regular module, which forms a reference cycle with its
+algebra, when the cycle collector reclaims the pair); an equal but
+distinct module forms its own.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -47,7 +49,7 @@ from .exactla import (
     kernel_basis,
     quotient_dimension,
 )
-from .polyring import Poly, _coeff, iter_monomials, sort_variables
+from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials, sort_variables
 
 
 class ComplexInconsistencyError(RuntimeError):
@@ -265,11 +267,10 @@ def apply_dn(cochain: Cochain) -> Cochain:
     n, module = cochain.degree, cochain.module
     stencil = _stencil(module, n)
     acc: dict = {}
-    images: dict = {}
     for tup, vec in cochain.values.items():
         for k, value in enumerate(vec):
             for mono, coeff in value.terms.items():
-                stencil.add(acc, (tup, k, mono), images, coeff)
+                stencil.add(acc, (tup, k, mono), coeff)
     dst_vars = cochain_variables(n + 1)
     values: dict = {}
     for (target, s, exp), coeff in acc.items():
@@ -303,10 +304,9 @@ def differential_matrix(
     source = CochainIndex(algebra, module, degree, max_degree_in)
     target = CochainIndex(algebra, module, degree + 1, max_degree_out)
     stencil = _stencil(module, degree)
-    images: dict = {}
     rows: list[dict[int, int | Fraction]] = [dict() for _ in range(target.dimension)]
     for col, label in enumerate(source.labels):
-        for image, coeff in stencil.column(label, max_degree_out, images).items():
+        for image, coeff in stencil.column(label, max_degree_out).items():
             rows[target.position[image]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
 
@@ -319,12 +319,14 @@ class _Stencil:
     t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
     t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
     generators in its place; its image depends on t only through the cut.
-    The structure tables are substituted once here, and `_stencil` keeps
-    the compiled slots on the module, one stencil per (module, n).  The
-    image of a basis monomial m at a slot depends on (slot, cut, k, m)
-    alone; ``add`` remembers it in a memo that its caller (``apply_dn``,
-    ``differential_matrix``, ``_coboundary_slice``) holds for one call,
-    so the stencil kept on the module holds no images.
+    The structure tables are substituted once here, and each slot keeps
+    the `polyring._RingMap` of its value substitution.
+    The image of a basis monomial m at a slot depends on (slot, cut, k, m)
+    alone, so ``add`` forms it once and the stencil keeps it in
+    ``images``.  `_stencil` keeps the stencil on the module, one per
+    (module, n), so the images serve every later call on that module and
+    are freed with it.  They number at most (n + 2) * rank(A) * rank(M)
+    times the basis monomials up to the largest degree a call asked for.
     For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
     and a constant value is read in ("del",).
     """
@@ -344,10 +346,12 @@ class _Stencil:
         lam_total = Poly.zero(dst_vars)
         for i in range(1, n + 1):
             lam_total = lam_total + lam[i]
-        # slot -> (lo, hi, value substitution, table), where the table maps
+        # slot -> (lo, hi, value ring map, table), where the table maps
         # (cut, k) to ((inserted generators, target module generator,
-        # substituted structure polynomial with the slot's sign), ...)
-        self.slots: list[tuple[int, int, dict, dict]] = []
+        # moved structure polynomial with the slot's sign), ...)
+        self.slots: list[tuple[int, int, _RingMap, dict]] = []
+        # (slot, cut, k, monomial) -> ((inserted, s, terms), ...)
+        self.images: dict = {}
 
         head = {f"lam{i}": lam[i + 1] for i in range(1, n)}
         head["del"] = dl + lam[1]
@@ -356,7 +360,7 @@ class _Stencil:
             for s, poly in entries:
                 moved = poly.substitute({"lam": lam[1], "del": dl})
                 table.setdefault(((), k), []).append(((g,), s, moved))
-        self.slots.append((0, 0, head, table))
+        self.slots.append((0, 0, _RingMap(self.src_vars, head), table))
 
         for i in range(1, n + 1):
             sign = -1 if i % 2 else 1
@@ -375,7 +379,7 @@ class _Stencil:
                     moved = sign * poly.substitute(coeff_sub)
                     for k in range(module.rank):
                         table.setdefault(((l,), k), []).append(((a, b), k, moved))
-            self.slots.append((i - 1, i, value_sub, table))
+            self.slots.append((i - 1, i, _RingMap(self.src_vars, value_sub), table))
 
         tail = {f"lam{j}": lam[j] for j in range(1, n)}
         tail["del"] = -lam_total
@@ -385,28 +389,23 @@ class _Stencil:
             for s, poly in entries:
                 moved = sign_last * poly.substitute({"lam": lam_total, "del": dl})
                 table.setdefault(((), k), []).append(((g,), s, moved))
-        self.slots.append((n, n, tail, table))
+        self.slots.append((n, n, _RingMap(self.src_vars, tail), table))
 
-    def add(self, acc: dict, label: tuple, images: dict, coeff=1) -> None:
+    def add(self, acc: dict, label: tuple, coeff=1) -> None:
         """Add coeff times d of the basis cochain ``label`` into acc, keyed
-        (target tuple, s, exponent).  ``images`` is the caller's memo of
-        the image of each (slot, cut, k, monomial), and of the monomial
-        moved by each slot's substitution, keyed (slot, monomial); it is
-        kept for one call."""
+        (target tuple, s, exponent), from the kept image at each slot."""
         tup, k, mono = label
-        for slot, (lo, hi, value_sub, table) in enumerate(self.slots):
+        images = self.images
+        for slot, (lo, hi, ring, table) in enumerate(self.slots):
             cut = tup[lo:hi]
             key = (slot, cut, k, mono)
             image = images.get(key)
             if image is None:
-                image = images[key] = []
-                entries = table.get((cut, k))
-                if entries:
-                    moved = images.get((slot, mono))
-                    if moved is None:
-                        value = Poly.monomial(self.src_vars, mono or (0,))
-                        moved = images[(slot, mono)] = value.substitute(value_sub)
-                    image.extend((ins, s, (moved * poly).terms) for ins, s, poly in entries)
+                entries = table.get((cut, k), ())
+                moved = ring.image(mono or (0,)) if entries else None
+                image = images[key] = tuple(
+                    (ins, s, _mul_terms(moved, poly.terms)) for ins, s, poly in entries
+                )
             before, after = tup[:lo], tup[hi:]
             for ins, s, terms in image:
                 target = before + ins + after
@@ -416,11 +415,11 @@ class _Stencil:
                     key = (target, s, exp)
                     acc[key] = _coeff(acc[key] + c) if key in acc else c
 
-    def column(self, label: tuple, max_degree: int, images: dict) -> dict:
+    def column(self, label: tuple, max_degree: int) -> dict:
         """d of the basis cochain ``label`` as sparse target-label
         coordinates; overflow if a monomial exceeds max_degree."""
         acc: dict = {}
-        self.add(acc, label, images)
+        self.add(acc, label)
         out = {}
         for key, coeff in acc.items():
             if coeff:
@@ -517,7 +516,6 @@ def _coboundary_slice(
     if degree == 0:
         return SubspaceBasis.zero(len(slice_labels)), True, 0
     stencil = _stencil(module, degree - 1)
-    images: dict = {}
     span = _SliceSpan(slice_labels)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
@@ -526,7 +524,7 @@ def _coboundary_slice(
         source = CochainIndex(algebra, module, degree - 1, source_bound)
         for label in source.labels:
             if sum(label[2]) > covered:
-                span.insert(stencil.column(label, source_bound + bound, images))
+                span.insert(stencil.column(label, source_bound + bound))
         covered = source_bound
         coboundaries = span.basis()
         if previous is not None and coboundaries.dim == previous:

@@ -14,9 +14,10 @@ argument's coefficient turns into lam + del.  Associativity
 is then a polynomial identity in lam, mu, del for every generator triple,
 which `check_associativity` verifies exactly.  The module laws in
 `cfmodule` have the same shape, so both checkers share one kernel in two
-steps: `_law_tables` substitutes each table a law reads into (del, lam,
-mu) once per call, and `_law_sides` composes the two orders on a triple
-from those tables with multiplication and addition alone.
+steps: `_law_tables` moves each table a law reads into (del, lam, mu)
+through one ring map per law map and call, and `_law_sides` composes
+the two orders on a triple from those tables with multiplication and
+addition alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .polyring import Poly, VariableMismatchError
+from .polyring import Poly, VariableMismatchError, _RingMap
 
 # arenas: structure polynomials live in (del, lam); both sides of the
 # associativity identity live in (del, lam, mu)
@@ -149,16 +150,18 @@ _OUTER = {"lam": _LAM, "del": _DEL}
 def _law_tables(
     first: StructureMap, second: StructureMap, inner: StructureMap, outer: StructureMap
 ) -> tuple:
-    """The four tables of one law, each substituted by its map once per call.
+    """The four tables of one law, each moved by its map once per call.
 
     Each table maps an index pair (a, b) to the (target, poly) entries of
     x_a lam x_b, so one kernel serves associativity and every module law.
+    Each map is one `polyring._RingMap` built for this call, so a monomial
+    shared by several entries of its table is expanded once.
     """
-    maps = ((first, _FIRST), (second, _SECOND), (inner, _INNER), (outer, _OUTER))
-    return tuple(
-        {key: [(k, p.substitute(sub)) for k, p in entries] for key, entries in table.items()}
-        for table, sub in maps
-    )
+    moved = []
+    for table, sub in ((first, _FIRST), (second, _SECOND), (inner, _INNER), (outer, _OUTER)):
+        ring = _RingMap(PRODUCT_VARS, sub)
+        moved.append({key: [(k, ring(p)) for k, p in entries] for key, entries in table.items()})
+    return tuple(moved)
 
 
 def _law_sides(

@@ -21,8 +21,9 @@ and left-law verdict of a module.  The checks that are routes of a
 verdict run every time, each on an object built fresh for it: the
 associativity checker on the algebra `build_abelian_extension` assembles,
 `check_module_axioms` on the module `build_extension` glues, and the
-cochain differential in `deform` (whose compiled stencil is kept on the
-module, but whose images are computed anew in every call).
+cochain differential in `deform`.  That differential runs on the stencil
+kept on the module, with the slot images that earlier calls on the
+module formed: the images are part of the compiled d, not a verdict.
 
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
@@ -66,7 +67,7 @@ from .cohomology import (
     differential_matrix,
 )
 from .exactla import QMatrix, solve
-from .polyring import Poly
+from .polyring import Poly, _RingMap
 
 DEL_ONLY = ("del",)
 
@@ -143,12 +144,15 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     """
     algebra, gamma = datum.algebra, datum.gamma
     zero = Poly.zero(ASSOC_VARS)
-    # every gamma entry and action polynomial is substituted once per call:
-    # by the Chom actions, and here at the total variable
+    # every gamma entry and action polynomial is moved once per call by
+    # each map it meets: by the Chom actions, and here at the total
+    # variable; one ring map per table
     left = chom_left_action(gamma, datum.sub)
     right = chom_right_action(gamma, datum.quotient)
+    at_total = _RingMap(PRODUCT_VARS, _GAMMA_TOTAL)
+    product_outer = _RingMap(PRODUCT_VARS, _PRODUCT_OUTER)
     total = {
-        l: [(key, g.substitute(_GAMMA_TOTAL)) for key, g in gmap.matrix.items()]
+        l: [(key, at_total(g)) for key, g in gmap.matrix.items()]
         for l, gmap in gamma.items()
     }
     out: dict[tuple[int, int, int, int], Poly] = {}
@@ -160,7 +164,7 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
         for l, p_ijl in algebra.products(i, j):
             if l not in gamma:
                 continue
-            outer = p_ijl.substitute(_PRODUCT_OUTER)
+            outer = product_outer(p_ijl)
             for key, g_lts in total[l]:
                 acc[key] = acc.get(key, zero) - outer * g_lts
         for (t, s), poly in sorted(acc.items()):
@@ -230,10 +234,11 @@ def gamma_coboundary(
             raise ValueError(f"B index {(t, k)} out of range")
         if poly.variables != DEL_ONLY:
             raise ValueError("B entries must be polynomials in del alone")
-    # each entry of B moved once per call: shifted for a . B(n), widened
-    # for B(a . n)
+    # each entry of B moved once per call, by one ring map: shifted for
+    # a . B(n), widened for B(a . n)
     entries = sorted((key, poly) for key, poly in b_matrix.items() if not poly.is_zero)
-    shifted = [(t, k, poly.substitute({"del": lam + dl})) for (t, k), poly in entries]
+    shift = _RingMap(DEL_ONLY, {"del": lam + dl})
+    shifted = [(t, k, shift(poly)) for (t, k), poly in entries]
     widened: dict[int, list[tuple[int, Poly]]] = {}
     for (k, s), poly in entries:
         widened.setdefault(k, []).append((s, poly.embed(PRODUCT_VARS)))

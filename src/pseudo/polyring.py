@@ -252,46 +252,11 @@ class Poly:
         Every bound name must occur in this polynomial's variable set.  All
         replacement polynomials must share a single target variable set,
         which must also contain every unbound variable: unbound variables
-        map to themselves.
+        map to themselves.  One `_RingMap`, built for this call.
         """
         if not bindings:
             return self
-        for name in bindings:
-            if name not in self.variables:
-                raise VariableMismatchError(
-                    f"cannot substitute {name!r}: not among {self.variables}"
-                )
-        targets = {p.variables for p in bindings.values()}
-        if len(targets) != 1:
-            raise VariableMismatchError(
-                f"replacement polynomials disagree on variables: {sorted(targets)}"
-            )
-        tvars = targets.pop()
-        origin = (0,) * len(tvars)
-        one = {origin: 1}
-        # powers[i][e]: terms of the i-th image to the e-th power, grown on
-        # demand and kept for this call only
-        powers: list[list[dict]] = []
-        for v in self.variables:
-            if v in bindings:
-                powers.append([one, bindings[v].terms])
-            elif v in tvars:
-                powers.append([one, {tuple(int(w == v) for w in tvars): 1}])
-            else:
-                raise VariableMismatchError(
-                    f"unbound variable {v!r} missing from target variables {tvars}"
-                )
-        out: dict[tuple[int, ...], int | Fraction] = {}
-        for exp, coeff in self.terms.items():
-            term = {origin: coeff}
-            for table, e in zip(powers, exp):
-                if e:
-                    while len(table) <= e:
-                        table.append(_mul_terms(table[-1], table[1]))
-                    term = _mul_terms(term, table[e])
-            for m, c in term.items():
-                out[m] = out[m] + c if m in out else c
-        return Poly._raw(tvars, {m: _coeff(c) for m, c in out.items() if c})
+        return _RingMap(self.variables, bindings)(self)
 
     def rename_vars(
         self, mapping: Mapping[str, str], target: Iterable[str] | None = None
@@ -333,6 +298,78 @@ def _mul_terms(left: dict, right: dict) -> dict:
             c = c1 * c2
             out[exp] = out[exp] + c if exp in out else c
     return {e: _coeff(c) for e, c in out.items() if c}
+
+
+class _RingMap:
+    """A substitution compiled once and applied to many polynomials.
+
+    Built from the source variables and the bindings (see
+    `Poly.substitute`, which builds one per call): the bindings are
+    checked here once, and the map keeps the power tables of each image
+    and the image of every monomial it has moved, for as long as the map
+    itself lives.  A caller that moves a whole table builds one map for
+    it, so a monomial shared by many entries is expanded once.  Applying
+    it to a polynomial over other variables raises VariableMismatchError.
+    """
+
+    __slots__ = ("source", "target", "_powers", "_images")
+
+    def __init__(self, source: Iterable[str], bindings: Mapping[str, Poly]):
+        source = _canonical(source)
+        for name in bindings:
+            if name not in source:
+                raise VariableMismatchError(f"cannot substitute {name!r}: not among {source}")
+        targets = {p.variables for p in bindings.values()}
+        if len(targets) != 1:
+            raise VariableMismatchError(
+                f"replacement polynomials disagree on variables: {sorted(targets)}"
+            )
+        tvars = targets.pop()
+        one = {(0,) * len(tvars): 1}
+        # powers[i][e]: terms of the i-th image to the e-th power, grown on demand
+        powers: list[list[dict]] = []
+        for v in source:
+            if v in bindings:
+                powers.append([one, bindings[v].terms])
+            elif v in tvars:
+                powers.append([one, {tuple(int(w == v) for w in tvars): 1}])
+            else:
+                raise VariableMismatchError(
+                    f"unbound variable {v!r} missing from target variables {tvars}"
+                )
+        self.source = source
+        self.target = tvars
+        self._powers = powers
+        # exponent tuple -> terms of its image; shared, so never mutated
+        self._images: dict[tuple[int, ...], dict] = {}
+
+    def image(self, exp: tuple[int, ...]) -> dict:
+        """Terms of the image of the monomial ``exp``, formed on first use."""
+        got = self._images.get(exp)
+        if got is None:
+            got = self._images[exp] = self._form(exp)
+        return got
+
+    def _form(self, exp: tuple[int, ...]) -> dict:
+        term = None
+        for table, e in zip(self._powers, exp):
+            if e:
+                while len(table) <= e:
+                    table.append(_mul_terms(table[-1], table[1]))
+                term = table[e] if term is None else _mul_terms(term, table[e])
+        return self._powers[0][0] if term is None else term
+
+    def __call__(self, p: Poly) -> Poly:
+        if p.variables != self.source:
+            raise VariableMismatchError(
+                f"ring map from {self.source} applied to a polynomial over {p.variables}"
+            )
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for exp, coeff in p.terms.items():
+            for m, c in self.image(exp).items():
+                c = c * coeff
+                out[m] = out[m] + c if m in out else c
+        return Poly._raw(self.target, {m: _coeff(c) for m, c in out.items() if c})
 
 
 def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ConformalAlgebra, free_rank_one
 from pseudo.exactla import QMatrix, SubspaceBasis, _span, kernel_basis
 from pseudo.formats import parse_fd_algebra
-from pseudo.polyring import Poly
+from pseudo.polyring import Poly, _RingMap
 
 settings.register_profile(
     "exact",
@@ -280,6 +280,23 @@ def reference_dn(cochain: Cochain) -> Cochain:
         if any(not p.is_zero for p in acc):
             values[gens] = tuple(acc)
     return Cochain(n + 1, algebra, module, values)
+
+
+def record_images(monkeypatch) -> list:
+    """Every monomial image a ring map forms from here on, as (ring map,
+    exponent); a repeat would mean a map expanded one monomial twice."""
+    formed = []
+    original = _RingMap._form
+    monkeypatch.setattr(
+        _RingMap, "_form", lambda ring, exp: formed.append((ring, exp)) or original(ring, exp)
+    )
+    return formed
+
+
+def table_monomials(*tables) -> set:
+    """The distinct exponents among the polynomials of structure tables."""
+    return {exp for table in tables for entries in table.values()
+            for _, poly in entries for exp in poly.terms}
 
 
 # A Fraction-only reference for the coefficient arithmetic: every value is

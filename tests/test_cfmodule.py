@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import INPUTS, record_images, table_monomials
 from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
@@ -8,9 +9,12 @@ from pseudo.cfmodule import (
     chom_right_action,
 )
 from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, check_associativity
+from pseudo.formats import parse_algebra
 from pseudo.polyring import Poly, parse_poly
 
 ONE = Poly.const(PRODUCT_VARS, 1)
+# rank two, structure polynomials of degree 0 and 1
+U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
 DEL = Poly.var(PRODUCT_VARS, "del")
 
 
@@ -37,23 +41,25 @@ def _entries(table) -> int:
 
 
 def test_checkers_substitute_each_table_entry_once_per_map(monkeypatch, mat2):
-    # each table a law reads is substituted at most once by each of the
-    # four law maps per call, not once per generator triple
-    calls = []
-    substitute = Poly.substitute
-
-    def counted(poly, bindings):
-        calls.append(1)
-        return substitute(poly, bindings)
-
-    monkeypatch.setattr(Poly, "substitute", counted)
-    reg = BimoduleStructure.regular(mat2)
-    assert check_associativity(mat2) is None
-    assert 0 < len(calls) <= 4 * _entries(mat2.structure)
-    calls.clear()
-    assert check_module_axioms(reg) is None
-    read = _entries(mat2.structure) + _entries(reg.left) + _entries(reg.right)
-    assert 0 < len(calls) <= 4 * read
+    # each of the four law maps is one ring map per law and call, and it
+    # expands each distinct monomial of the tables it moves at most once,
+    # not once per entry or per generator triple
+    u2 = parse_algebra(U2_PATH.read_text(encoding="utf-8"))
+    for algebra in (mat2, u2):
+        reg = BimoduleStructure.regular(algebra)
+        formed = record_images(monkeypatch)
+        assert check_associativity(algebra) is None
+        monomials = len(table_monomials(algebra.structure))
+        assert len(set(formed)) == len(formed)
+        assert len({ring for ring, _ in formed}) <= 4
+        assert 0 < len(formed) <= 4 * monomials <= 4 * _entries(algebra.structure)
+        formed.clear()
+        assert check_module_axioms(reg) is None
+        read = _entries(algebra.structure) + _entries(reg.left) + _entries(reg.right)
+        monomials = len(table_monomials(algebra.structure, reg.left, reg.right))
+        assert len(set(formed)) == len(formed)
+        assert len({ring for ring, _ in formed}) <= 3 * 4
+        assert 0 < len(formed) <= 3 * 4 * monomials <= 4 * read
 
 
 def test_two_sided_unit_module(cur1):

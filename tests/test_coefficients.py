@@ -21,7 +21,7 @@ from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import CochainIndex, apply_dn
 from pseudo.conformal import free_rank_one
 from pseudo.exactla import Echelon, QMatrix, kernel_basis, rank, solve
-from pseudo.polyring import Poly, poly_to_str
+from pseudo.polyring import Poly, VariableMismatchError, _RingMap, poly_to_str
 
 PL = ("del", "lam")
 ALL3 = ("del", "lam", "mu")
@@ -77,6 +77,35 @@ def test_poly_arithmetic_keeps_the_invariant(p, q, c, n, image_del, image_lam):
     for got, want in cases:
         assert_normal(got.terms.values())
         assert fraction_terms(got) == want
+
+
+# the bindings of one ring map: del, lam or both bound, the rest left to
+# map to themselves in (del, lam, mu)
+bound_names = st.sampled_from([("del",), ("lam",), ("del", "lam")])
+
+
+@given(bound_names, st.lists(exact_polys(PL), max_size=6), exact_polys(ALL3), exact_polys(ALL3))
+def test_one_ring_map_moves_many_polys_like_the_reference(names, ps, image_del, image_lam):
+    images = {"del": image_del, "lam": image_lam}
+    bindings = {name: images[name] for name in names}
+    ring = _RingMap(PL, bindings)
+    # the second pass reads every monomial's image from the map's memo
+    for p in ps + ps:
+        got = ring(p)
+        assert got.variables == ALL3
+        assert_normal(got.terms.values())
+        assert fraction_terms(got) == fraction_substitute(p, bindings, ALL3)
+        assert got == p.substitute(bindings)
+
+
+others = st.sampled_from([(), ("del",), ("lam",), ALL3, ("del", "lam1"), ("del", "lam", "lam1")])
+
+
+@given(others.flatmap(exact_polys), exact_polys(ALL3))
+def test_ring_map_refuses_a_poly_over_other_variables(p, image):
+    ring = _RingMap(PL, {"del": image})
+    with pytest.raises(VariableMismatchError):
+        ring(p)
 
 
 @given(exact_polys(ALL3, max_degree=3, max_terms=6))

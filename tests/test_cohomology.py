@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -11,6 +13,7 @@ from conftest import (
     check_h0_representative,
     polys,
     rationals,
+    record_images,
     reference_d0,
     reference_dn,
     subspace,
@@ -266,22 +269,62 @@ def test_differential_matrix_matches_apply_on_random_tables(data):
     assert entries(differential_matrix(algebra, module, degree, bound, out)) == entries(expected)
 
 
+def draw_cochain(data, module: BimoduleStructure, degree: int) -> Cochain:
+    """A cochain on ``module`` whose values have several terms of degree
+    <= 3, with zero coordinates beside them."""
+    variables = cochain_variables(degree)
+    term = st.tuples(st.sampled_from(list(iter_monomials(variables, 3))), rationals())
+    value = st.lists(term, max_size=4).map(lambda pairs: _poly_from_pairs(variables, pairs))
+    tuples = iter_product(range(module.algebra.rank), repeat=degree)
+    vector = st.tuples(*[value] * module.rank)
+    values = data.draw(st.fixed_dictionaries({tup: vector for tup in tuples}), label="values")
+    return Cochain(degree, module.algebra, module, values)
+
+
 @given(st.data())
 def test_apply_matches_oracle_on_random_cochains(data):
     # apply_dn feeds each value whole through a slot, so values with several
     # terms, and zero coordinates beside them, are drawn here
     module = draw_random_module(data)
-    algebra = module.algebra
     degree = data.draw(st.integers(0, 3), label="degree")
-    variables = cochain_variables(degree)
-    term = st.tuples(st.sampled_from(list(iter_monomials(variables, 3))), rationals())
-    value = st.lists(term, max_size=4).map(lambda pairs: _poly_from_pairs(variables, pairs))
-    tuples = iter_product(range(algebra.rank), repeat=degree)
-    vector = st.tuples(*[value] * module.rank)
-    values = data.draw(st.fixed_dictionaries({tup: vector for tup in tuples}), label="values")
-    cochain = Cochain(degree, algebra, module, values)
+    cochain = draw_cochain(data, module, degree)
     reference = reference_d0 if degree == 0 else reference_dn
     assert apply_dn(cochain) == reference(cochain)
+
+
+@given(st.data())
+def test_apply_on_one_module_matches_oracle_in_any_order(data):
+    # the slot images kept on the module serve every later call: cochains
+    # of mixed degree, in a drawn order, all on one module
+    module = draw_random_module(data)
+    degrees = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=5), label="degrees")
+    for degree in degrees:
+        cochain = draw_cochain(data, module, degree)
+        reference = reference_d0 if degree == 0 else reference_dn
+        assert apply_dn(cochain) == reference(cochain)
+
+
+@given(st.data())
+def test_differential_matrix_on_a_warmed_module_matches_a_fresh_one(data):
+    # images formed by earlier calls, at other degrees and bounds, change
+    # no entry: an equal module that has kept nothing gives the same matrix
+    module = draw_random_module(data)
+    algebra = module.algebra
+    calls = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    for degree, bound in data.draw(st.lists(calls, min_size=1, max_size=3), label="warm"):
+        differential_matrix(algebra, module, degree, bound, bound + module.structure_degree())
+        apply_dn(draw_cochain(data, module, degree))
+    fresh = BimoduleStructure(
+        algebra=ConformalAlgebra(algebra.generators, algebra.structure),
+        generators=module.generators,
+        left=module.left,
+        right=module.right,
+    )
+    assert fresh == module and fresh._memo == {}
+    degree, bound = data.draw(calls, label="asked")
+    out = bound + module.structure_degree()
+    warmed = differential_matrix(algebra, module, degree, bound, out)
+    assert entries(warmed) == entries(differential_matrix(fresh.algebra, fresh, degree, bound, out))
 
 
 def test_differential_matrix_bound_check(cur1, cur1_regular):
@@ -468,8 +511,7 @@ def test_coboundary_slice_differentiates_each_source_once(
     monkeypatch.setattr(
         cohomology._Stencil,
         "column",
-        lambda self, label, bound, images: calls.append(label)
-        or original(self, label, bound, images),
+        lambda self, label, bound: calls.append(label) or original(self, label, bound),
     )
     monkeypatch.setattr(cohomology, "apply_dn", None)
     _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
@@ -483,23 +525,55 @@ def test_coboundary_slice_differentiates_each_source_once(
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
 
 
-def test_stencil_kept_on_the_module_holds_no_images(inputs_dir):
-    # the compiled slots are kept on the module; the images of basis
-    # monomials live in a memo of one call
-    mat2 = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
+def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):
+    # the compiled slots and the slot images of basis monomials are kept
+    # on the module: a second call forms none, an equal but distinct
+    # module forms its own, and they are freed with the module
+    text = (inputs_dir / "mat2.alg").read_text(encoding="utf-8")
+    mat2 = parse_algebra(text)
     module = BimoduleStructure.regular(mat2)
-    rep = cohomology_dimensions(mat2, module, 1, TruncationWindow(1, 1))
+    window = TruncationWindow(1, 1)
+    # a slot image is formed by multiplying a moved monomial into each
+    # entry of its slot's table, the one product the stencil takes
+    formed = []
+    multiply = cohomology._mul_terms
+    monkeypatch.setattr(
+        cohomology, "_mul_terms", lambda *terms: formed.append(terms) or multiply(*terms)
+    )
+    moved = record_images(monkeypatch)
+    rep = cohomology_dimensions(mat2, module, 1, window)
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
-    kept = {key: value for key, value in module._memo.items() if key[0] == "stencil"}
-    assert set(kept) == {("stencil", 0), ("stencil", 1)}
-    for (_, n), stencil in kept.items():
-        assert set(vars(stencil)) == {"src_vars", "slots"}
-        assert cohomology._stencil(module, n) is stencil
+    kept = {key[1]: value for key, value in module._memo.items() if key[0] == "stencil"}
+    assert set(kept) == {0, 1}
+    for n, stencil in kept.items():
+        assert set(vars(stencil)) == {"src_vars", "slots", "images"}
+        assert stencil.images and cohomology._stencil(module, n) is stencil
+    assert formed and moved
+    sizes = {n: len(stencil.images) for n, stencil in kept.items()}
+    formed.clear()
+    moved.clear()
+    assert cohomology_dimensions(mat2, module, 1, window) == rep
+    assert formed == [] and moved == []
+    assert {n: len(stencil.images) for n, stencil in kept.items()} == sizes
+
+    twin = parse_algebra(text)
+    other = BimoduleStructure.regular(twin)
+    assert other == module and other is not module
+    assert cohomology_dimensions(twin, other, 1, window) == rep
+    assert formed and moved
+    assert all(cohomology._stencil(other, n) is not kept[n] for n in kept)
+    assert {n: len(stencil.images) for n, stencil in kept.items()} == sizes
+
     # the stencil reads the module's own algebra, so a mismatched pair is
     # refused at the public entry
-    other = parse_algebra((inputs_dir / "cur1.alg").read_text(encoding="utf-8"))
+    cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text(encoding="utf-8"))
     with pytest.raises(ValueError, match="different algebra"):
-        differential_matrix(other, module, 1, 0, 0)
+        differential_matrix(cur1, module, 1, 0, 0)
+
+    refs = [weakref.ref(module), *map(weakref.ref, kept.values())]
+    del mat2, module, kept, stencil
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_back_to_back_calls_keep_their_own_answers(inputs_dir):

@@ -8,7 +8,7 @@ import pseudo.cfmodule as cfmodule
 import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
-from conftest import polys
+from conftest import polys, record_images, table_monomials
 from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
@@ -171,17 +171,23 @@ def test_one_abelian_datum_built_twice_checks_its_assembly_twice(cur1, cur1_regu
 
 
 def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regular, monkeypatch):
-    # every gamma entry is moved by the two Chom maps and the total-variable
-    # map, every action and product entry by one map, once per call
+    # gamma is moved by the two Chom maps and the total-variable map, the
+    # action and product tables by one map each: six ring maps per call,
+    # each expanding a distinct monomial of what it moves at most once
     b_matrix = {(t, k): parse_poly("del + 1", DEL) for t in range(4) for k in range(4)}
     gamma = gamma_coboundary(mat2_regular, mat2_regular, b_matrix)
     datum = ExtensionDatum(mat2, mat2_regular, mat2_regular, gamma)
     gamma_entries = sum(len(gmap.matrix) for gmap in gamma.values())
     assert gamma_entries == 48
-    calls = _count_calls(monkeypatch, Poly, "substitute")
+    formed = record_images(monkeypatch)
     assert extension_residuals(datum) == {}
     table = sum(len(entries) for entries in mat2.structure.values())
-    assert 0 < len(calls) <= 3 * gamma_entries + 3 * table
+    gamma_monomials = len({exp for gmap in gamma.values()
+                           for poly in gmap.matrix.values() for exp in poly.terms})
+    bound = 3 * gamma_monomials + 3 * len(table_monomials(mat2.structure))
+    assert len(set(formed)) == len(formed)
+    assert len({ring for ring, _ in formed}) <= 6
+    assert 0 < len(formed) <= bound < 3 * gamma_entries + 3 * table
 
 
 def test_extension_residuals_oracles(cur1, cur1_regular):

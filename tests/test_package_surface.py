@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import pkgutil
 from collections import defaultdict
 from pathlib import Path
+
+import pseudo
+from pseudo.polyring import _RingMap
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,3 +92,61 @@ def test_no_global_or_identity_keyed_cache():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id":
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def _package_state():
+    """Each ``pseudo.*`` module global and each class attribute of the
+    package, walked through the containers that hold them."""
+    modules = [importlib.import_module(f"pseudo.{info.name}")
+               for info in pkgutil.iter_modules(pseudo.__path__) if info.name != "__main__"]
+    stack = [(f"{m.__name__}.{name}", value) for m in modules for name, value in vars(m).items()]
+    seen = set()
+    while stack:
+        where, value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield where, value
+        if isinstance(value, dict):
+            stack.extend((f"{where}[{key!r}]", item) for key, item in value.items())
+            stack.extend((f"{where} key", key) for key in value)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend((f"{where} item", item) for item in value)
+        elif isinstance(value, type) and value.__module__.startswith("pseudo."):
+            stack.extend((f"{where}.{name}", item) for name, item in vars(value).items())
+
+
+def _derive_everything():
+    """Checkers, the differential, a cohomology slice, a deformation and an
+    extension with its witness search, all on objects made here."""
+    from pseudo import (BimoduleStructure, Cochain, DeformationDatum, ExtensionDatum,
+                        TruncationWindow, build_extension, check_associativity,
+                        check_module_axioms, cohomology_dimensions, deform,
+                        find_extension_witness, gamma_coboundary)
+    from pseudo.formats import parse_algebra
+
+    algebra = parse_algebra((ROOT / "inputs" / "mat2.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(algebra)
+    check_associativity(algebra)
+    check_module_axioms(module)
+    cohomology_dimensions(algebra, module, 2, TruncationWindow(1, 1))
+    deform(DeformationDatum(algebra, Cochain.zero(algebra, module, 2)))
+    one = pseudo.Poly.const(("del",), 1)
+    gamma = gamma_coboundary(module, module, {(0, 1): one, (2, 3): one})
+    build_extension(ExtensionDatum(algebra, module, module, gamma))
+    find_extension_witness(module, module, gamma, 1)
+
+
+def test_no_module_global_keeps_a_ring_map_or_images():
+    """Ring maps and slot images live on the object they were derived
+    from: no module global or class attribute is or holds a ring map,
+    and none grows when equal but fresh objects derive it all again."""
+    _derive_everything()
+    sizes = {where: len(value) for where, value in _package_state()
+             if isinstance(value, (dict, list, set))}
+    _derive_everything()
+    state = list(_package_state())
+    assert [where for where, value in state if isinstance(value, _RingMap)] == []
+    grown = [where for where, value in state
+             if isinstance(value, (dict, list, set)) and len(value) != sizes.get(where)]
+    assert grown == []
