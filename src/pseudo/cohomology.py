@@ -17,7 +17,10 @@ where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
 For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
 slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
-degree, 0 included) and ``differential_matrix`` both run on.  What lives
+degree, 0 included), ``differential_matrix`` and the deformation witness
+search all run on.  A cochain becomes label-keyed terms
+((tuple, k, monomial), coeff) in ``_terms`` and is built back from them
+in ``_from_terms``, the one way each direction is written.  What lives
 on the module: its compiled stencil for each degree n, built on first use
 (`_stencil`), with the ring map of each slot and the slot image of every
 basis monomial a call has asked for.  A later call on the same module
@@ -49,7 +52,7 @@ from .exactla import (
     kernel_basis,
     quotient_dimension,
 )
-from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials, sort_variables
+from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials
 
 
 class ComplexInconsistencyError(RuntimeError):
@@ -65,12 +68,12 @@ DEFAULT_MAX_ROUNDS = 4
 
 
 def cochain_variables(degree: int) -> tuple[str, ...]:
+    """del, lam1, ..., lam(n-1): already the canonical variable order."""
     if degree < 0:
         raise ValueError("cochain degree must be nonnegative")
     if degree == 0:
         return ()
-    names = ["del"] + [f"lam{i}" for i in range(1, degree)]
-    return sort_variables(names)
+    return ("del",) + tuple(f"lam{i}" for i in range(1, degree))
 
 
 @dataclass(frozen=True)
@@ -138,15 +141,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.values
 
-    def max_value_degree(self) -> int:
-        best = 0
-        for vec in self.values.values():
-            for poly in vec:
-                d = poly.total_degree()
-                if d is not None and d > best:
-                    best = d
-        return best
-
     def _same_shape(self, other: "Cochain"):
         if (
             self.degree != other.degree
@@ -198,21 +192,12 @@ class CochainIndex:
         self.algebra = algebra
         self.module = module
         self.degree = degree
-        self.max_degree = max_degree
-        self.variables = cochain_variables(degree)
-        if degree == 0:
-            self.monomials = [()]
-            self.tuples = [()]
-        else:
-            self.monomials = list(iter_monomials(self.variables, max_degree))
-            self.tuples = [
-                tup for tup in iter_product(range(algebra.rank), repeat=degree)
-            ]
+        monomials = list(iter_monomials(cochain_variables(degree), max_degree))
         self.labels: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [
             (tup, k, mono)
-            for tup in self.tuples
+            for tup in iter_product(range(algebra.rank), repeat=degree)
             for k in range(module.rank)
-            for mono in self.monomials
+            for mono in monomials
         ]
         self.position = {label: i for i, label in enumerate(self.labels)}
 
@@ -220,44 +205,37 @@ class CochainIndex:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def decompose(self, cochain: Cochain) -> list[int | Fraction]:
-        """Coordinates of a cochain in this basis; overflow if it escapes."""
-        if (
-            cochain.degree != self.degree
-            or cochain.algebra != self.algebra
-            or cochain.module != self.module
-        ):
-            raise ValueError("cochain does not match this index")
-        out = [0] * self.dimension
-        for tup, vec in cochain.values.items():
-            for k, poly in enumerate(vec):
-                for mono, coeff in poly.terms.items():
-                    if sum(mono) > self.max_degree:
-                        raise TruncationOverflowError(
-                            f"monomial {mono} on tuple {tup} exceeds degree {self.max_degree}"
-                        )
-                    out[self.position[(tup, k, mono)]] = coeff
-        return out
-
     def reconstruct(self, coords: Sequence) -> Cochain:
         if len(coords) != self.dimension:
             raise ValueError("coordinate count does not match this index")
-        values: dict[tuple[int, ...], list[Poly]] = {}
-        for coeff, (tup, k, mono) in zip(coords, self.labels):
-            coeff = _coeff(coeff)
-            if not coeff:
-                continue
-            vec = values.get(tup)
-            if vec is None:
-                vec = [Poly.zero(self.variables) for _ in range(self.module.rank)]
-                values[tup] = vec
-            vec[k] = vec[k] + Poly.monomial(self.variables, mono, coeff)
-        return Cochain(
-            self.degree,
-            self.algebra,
-            self.module,
-            {tup: tuple(vec) for tup, vec in values.items()},
-        )
+        return _from_terms(self.degree, self.module, zip(self.labels, coords))
+
+
+def _terms(cochain: Cochain):
+    """The cochain's terms as ((tuple, k, monomial), coeff), keyed by the
+    labels of `CochainIndex`."""
+    for tup, vec in cochain.values.items():
+        for k, poly in enumerate(vec):
+            for mono, coeff in poly.terms.items():
+                yield (tup, k, mono), coeff
+
+
+def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
+    """The degree-n cochain with the given ((tuple, k, monomial), coeff)
+    terms, each label at most once; every coeff is normalized and a zero
+    one dropped."""
+    values: dict = {}
+    for (tup, k, mono), coeff in terms:
+        coeff = _coeff(coeff)
+        if coeff:
+            values.setdefault(tup, [{} for _ in range(module.rank)])[k][mono] = coeff
+    variables = cochain_variables(degree)
+    return Cochain(
+        degree,
+        module.algebra,
+        module,
+        {t: tuple(Poly._raw(variables, terms) for terms in values[t]) for t in sorted(values)},
+    )
 
 
 def apply_dn(cochain: Cochain) -> Cochain:
@@ -267,22 +245,9 @@ def apply_dn(cochain: Cochain) -> Cochain:
     n, module = cochain.degree, cochain.module
     stencil = _stencil(module, n)
     acc: dict = {}
-    for tup, vec in cochain.values.items():
-        for k, value in enumerate(vec):
-            for mono, coeff in value.terms.items():
-                stencil.add(acc, (tup, k, mono), coeff)
-    dst_vars = cochain_variables(n + 1)
-    values: dict = {}
-    for (target, s, exp), coeff in acc.items():
-        if coeff:
-            vec = values.setdefault(target, [{} for _ in range(module.rank)])
-            vec[s][exp] = coeff
-    return Cochain(
-        n + 1,
-        cochain.algebra,
-        module,
-        {t: tuple(Poly._raw(dst_vars, terms) for terms in values[t]) for t in sorted(values)},
-    )
+    for label, coeff in _terms(cochain):
+        stencil.add(acc, label, coeff)
+    return _from_terms(n + 1, module, acc.items())
 
 
 def differential_matrix(
@@ -393,7 +358,8 @@ class _Stencil:
 
     def add(self, acc: dict, label: tuple, coeff=1) -> None:
         """Add coeff times d of the basis cochain ``label`` into acc, keyed
-        (target tuple, s, exponent), from the kept image at each slot."""
+        (target tuple, s, exponent), from the kept image at each slot.
+        The sums are raw: a reader normalizes each through ``_coeff``."""
         tup, k, mono = label
         images = self.images
         for slot, (lo, hi, ring, table) in enumerate(self.slots):
@@ -411,9 +377,9 @@ class _Stencil:
                 target = before + ins + after
                 for exp, c in terms.items():
                     if coeff != 1:
-                        c = _coeff(c * coeff)
+                        c = c * coeff
                     key = (target, s, exp)
-                    acc[key] = _coeff(acc[key] + c) if key in acc else c
+                    acc[key] = acc[key] + c if key in acc else c
 
     def column(self, label: tuple, max_degree: int) -> dict:
         """d of the basis cochain ``label`` as sparse target-label
@@ -427,7 +393,7 @@ class _Stencil:
                     raise TruncationOverflowError(
                         f"monomial {key[2]} on tuple {key[0]} exceeds degree {max_degree}"
                     )
-                out[key] = coeff
+                out[key] = _coeff(coeff)
         return out
 
 

@@ -25,6 +25,12 @@ cochain differential in `deform`.  That differential runs on the stencil
 kept on the module, with the slot images that earlier calls on the
 module formed: the images are part of the compiled d, not a verdict.
 
+Both witness searches are one exact solve, `exactla.solve_columns`, on
+columns keyed by the terms they produce: the terms of `gamma_coboundary`
+of each monomial of B, and the stencil columns of d_1 on the degree-
+bounded basis of 1-cochains.  A target term no column reaches makes the
+system inconsistent, so the target needs no window of its own.
+
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
 variable, so the inner action carries mu - lam, as in the Chom actions of
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .cfmodule import (
@@ -63,10 +68,12 @@ from .cohomology import (
     Cochain,
     CochainIndex,
     ComplexInconsistencyError,
+    _from_terms,
+    _stencil,
+    _terms,
     apply_dn,
-    differential_matrix,
 )
-from .exactla import QMatrix, solve
+from .exactla import solve_columns
 from .polyring import Poly, _RingMap
 
 DEL_ONLY = ("del",)
@@ -297,15 +304,7 @@ def find_extension_witness(
         for t, k, e in unknowns
     ]
     target = _family_terms(gamma_diff)
-    positions = sorted(set(target) | {key for col in columns for key in col})
-    index = {key: row for row, key in enumerate(positions)}
-    rows: list[dict[int, int | Fraction]] = [dict() for _ in positions]
-    for c, col in enumerate(columns):
-        for key, coeff in col.items():
-            rows[index[key]][c] = coeff
-    matrix = QMatrix(len(positions), len(unknowns), rows)
-    rhs = [target.get(key, 0) for key in positions]
-    coords = solve(matrix, rhs)
+    coords = solve_columns(columns, target)
     if coords is None:
         return None
     witness: dict[tuple[int, int], Poly] = {}
@@ -512,14 +511,14 @@ def find_deformation_witness(
     module = BimoduleStructure.regular(algebra)
     if target.degree != 2 or target.module != module:
         raise ValueError("target must be a degree-2 cochain valued in the algebra")
-    bound = module.structure_degree()
-    out_degree = max(max_degree + bound, target.max_value_degree())
-    matrix = differential_matrix(algebra, module, 1, max_degree, out_degree)
-    rhs = CochainIndex(algebra, module, 2, out_degree).decompose(target)
-    coords = solve(matrix, rhs)
+    stencil = _stencil(module, 1)
+    out_degree = max_degree + module.structure_degree()
+    labels = CochainIndex(algebra, module, 1, max_degree).labels
+    columns = [stencil.column(label, out_degree) for label in labels]
+    coords = solve_columns(columns, dict(_terms(target)))
     if coords is None:
         return None
-    witness = CochainIndex(algebra, module, 1, max_degree).reconstruct(coords)
+    witness = _from_terms(1, module, zip(labels, coords))
     if not (apply_dn(witness) - target).is_zero():
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness

@@ -14,13 +14,18 @@ basis of their span, which is unique, so the order rows are inserted in
 never shows in a result and equality of subspaces is plain equality of
 their echelons.  Everything is exact: no pivot is ever chosen for
 numerical reasons.
+
+A caller whose rows are named by labels (terms of a cochain or of a
+family of maps) hands sparse label-keyed columns and target to
+``solve_columns``, which alone numbers the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .polyring import _coeff, _quotient
 
@@ -164,6 +169,25 @@ def solve(m: QMatrix, rhs: Sequence) -> list[int | Fraction] | None:
     for pivot, row in echelon.items():
         solution[pivot] = row.get(m.ncols, 0)
     return solution
+
+
+def solve_columns(columns: Sequence[Mapping], target: Mapping) -> list[int | Fraction] | None:
+    """``solve`` for sparse columns and a target keyed by row labels.
+
+    This is the one place labels become rows, in order of first
+    appearance.  The solution is read off the unique RREF of the
+    augmented rows, so no row order shows; a target label that no column
+    reaches leaves an inconsistent row.
+    """
+    row_of = {label: r for r, label in enumerate(dict.fromkeys(chain(*columns, target)))}
+    rows: list[dict[int, int | Fraction]] = [{} for _ in row_of]
+    for col, column in enumerate(columns):
+        for label, coeff in column.items():
+            rows[row_of[label]][col] = coeff
+    rhs = [0] * len(rows)
+    for label, coeff in target.items():
+        rhs[row_of[label]] = coeff
+    return solve(QMatrix(len(rows), len(columns), rows), rhs)
 
 
 def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:

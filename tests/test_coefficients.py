@@ -18,10 +18,10 @@ from conftest import (
     fraction_terms,
 )
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.cohomology import CochainIndex, apply_dn
-from pseudo.conformal import free_rank_one
+from pseudo.cohomology import CochainIndex, _stencil, apply_dn
+from pseudo.conformal import ConformalAlgebra, free_rank_one
 from pseudo.exactla import Echelon, QMatrix, kernel_basis, rank, solve
-from pseudo.polyring import Poly, VariableMismatchError, _RingMap, poly_to_str
+from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
 
 PL = ("del", "lam")
 ALL3 = ("del", "lam", "mu")
@@ -149,6 +149,15 @@ def test_elimination_keeps_the_invariant(data):
         assert_normal(solution)
 
 
+# half-integer structure coefficients: the slots' contributions to one
+# term of a basis cochain's image often add up to an integer
+HALVES = ConformalAlgebra(("a", "b"), {
+    (0, 0): [(0, parse_poly("1/2", PL)), (1, parse_poly("1/2*lam", PL))],
+    (0, 1): [(1, parse_poly("3/2", PL))],
+    (1, 0): [(1, parse_poly("1/2 + 1/2*del", PL))],
+})
+
+
 @given(st.lists(st.one_of(st.just(0), normal), min_size=32, max_size=32))
 def test_differential_keeps_the_invariant(mat2, mat2_regular, coords):
     # half-integer coordinates: the slots' contributions to one target
@@ -157,6 +166,16 @@ def test_differential_keeps_the_invariant(mat2, mat2_regular, coords):
     for vec in apply_dn(index.reconstruct(coords)).values.values():
         for poly in vec:
             assert_normal(poly.terms.values())
+
+
+def test_stencil_columns_keep_the_invariant():
+    # read straight off the stencil: a QMatrix built from the columns
+    # would normalize a stray entry and hide it
+    module = BimoduleStructure.regular(HALVES)
+    for n in (0, 1, 2):
+        stencil = _stencil(module, n)
+        for label in CochainIndex(HALVES, module, n, 1).labels:
+            assert_normal(stencil.column(label, 2).values())
 
 
 def _reconstruct(value):

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -472,3 +473,58 @@ def test_residuals_and_verdicts_are_pinned(cur1, cur1_regular, mat2, mat2_regula
     verdicts = [entry[2] for entry in rendered]
     assert 20 <= sum(verdicts) < len(verdicts)
     assert hashlib.sha256(repr(rendered).encode()).hexdigest() == RESIDUAL_DIGEST
+
+
+def _rendered_witness(witness):
+    if witness is None:
+        return None
+    if isinstance(witness, Cochain):
+        return sorted((key, [poly_to_str(p) for p in vec]) for key, vec in witness.values.items())
+    return _rendered(witness)
+
+
+def _top_degree(cochain: Cochain) -> int:
+    return max((p.total_degree() or 0 for vec in cochain.values.values() for p in vec), default=0)
+
+
+# sha256 of the rendered witnesses of the seeded searches below
+WITNESS_DIGEST = "4db8382eb309a020ff424a0b6556035dac33688552163073225030778077eb6f"
+
+
+def test_witnesses_are_pinned(cur1, cur1_regular, mat2, mat2_regular):
+    """Witnesses of 24 seeded deformation and 24 seeded extension searches
+    over cur1 and mat2: a coboundary of degree up to 4 searched for at a
+    bound of 0 to 2, plus an obstructed part in every other case, so the
+    answers mix found and None and some targets lie above the bound plus
+    the structure degree."""
+    rng = Random(20261019)
+    rendered, above = [], 0
+    for case in range(24):
+        algebra, module = ((cur1, cur1_regular), (mat2, mat2_regular))[case % 2]
+        gens = module.generators
+        obstructed = case % 4 >= 2
+        degree, bound = rng.randint(0, 4), rng.randint(0, 2)
+        scale = Fraction(rng.choice((1, 3)), rng.choice((1, 2))) * rng.choice((1, -1))
+        picked = rng.sample(range(algebra.rank), min(2, algebra.rank))
+        g = {(i,): tuple(_seeded_poly(rng, D1, degree) for _ in gens) for i in picked}
+        target = apply_dn(Cochain(1, algebra, module, g)).scaled(scale)
+        if obstructed:
+            bent = Poly.monomial(D2, (0, 1), scale)
+            target = target + Cochain(2, algebra, module, {(0, 0): (bent,) * module.rank})
+        above += _top_degree(target) > bound + module.structure_degree()
+        witness = find_deformation_witness(algebra, target, bound)
+        rendered.append(("deformation", case, _rendered_witness(witness)))
+
+        pairs = [(t, s) for t in range(module.rank) for s in range(module.rank)]
+        picked = rng.sample(pairs, min(2, len(pairs)))
+        b_matrix = {pair: _seeded_poly(rng, DEL, degree) for pair in picked}
+        gamma = gamma_coboundary(module, module, b_matrix)
+        if obstructed:
+            one = Poly.const(PRODUCT_VARS, scale)
+            kick = CLinearMap(gens, gens, {(0, 0): one})
+            gamma = {**gamma, 0: gamma[0] + kick if 0 in gamma else kick}
+        witness = find_extension_witness(module, module, gamma, bound)
+        rendered.append(("extension", case, _rendered_witness(witness)))
+    found = [entry[2] is not None for entry in rendered]
+    assert any(found) and not all(found) and above
+    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == WITNESS_DIGEST

@@ -58,6 +58,27 @@ def test_every_division_goes_through_the_quotient_helper():
     assert found and stray == []
 
 
+def test_only_exactla_and_the_differential_build_a_matrix():
+    """A linear system over labelled rows goes through
+    ``exactla.solve_columns``: ``QMatrix(...)`` is called only inside
+    ``exactla`` and ``cohomology.differential_matrix``."""
+    stray = []
+    for path, tree in _trees("src/pseudo"):
+        if path.name == "exactla.py":
+            continue
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) \
+                    and (path.name, node.name) == ("cohomology.py", "differential_matrix"):
+                allowed = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and "QMatrix" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
 def test_only_main_writes_to_stdout():
     """A report reaches stdout from ``cli.main`` alone: nothing else in
     cli.py names ``sys.stdout``, and no ``print`` there lacks a file."""
