@@ -11,8 +11,9 @@ axiom, the right axiom and the two-sided compatibility law, each as an
 exact polynomial identity in (del, lam, mu) on generator triples.  Every
 law composes two tables the way associativity does, so it shares the law
 kernel with `check_associativity`: `conformal._law_tables` moves the
-law's four tables once per law, one ring map each, and
-`conformal._law_sides` multiplies and adds them on each triple.
+law's four tables once per law, one ring map each, into raw term maps,
+and `conformal._first_failure` sums each triple's residual from them
+without building a `Poly` per term.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
@@ -43,9 +44,8 @@ from .conformal import (
     _LAM,
     _MU,
     _OUTER,
-    _dense,
+    _first_failure,
     _kept,
-    _law_sides,
     _law_tables,
     _table_degree,
     _validate_structure,
@@ -153,13 +153,11 @@ def check_module_axioms(module: BimoduleStructure) -> LawCounterexample | None:
     for law, applies, sizes, tables in laws:
         if not applies:
             continue
-        moved = _law_tables(*tables)
-        for triple in itertools.product(*map(range, sizes)):
-            left_nested, right_nested = _law_sides(moved, *triple)
-            if left_nested != right_nested:
-                return LawCounterexample(
-                    law, triple, _dense(right_nested, nm), _dense(left_nested, nm)
-                )
+        triples = itertools.product(*map(range, sizes))
+        failure = _first_failure(_law_tables(*tables), triples, nm)
+        if failure is not None:
+            triple, left_nested, right_nested = failure
+            return LawCounterexample(law, triple, right_nested, left_nested)
     return None
 
 

@@ -13,11 +13,15 @@ argument's coefficient turns into lam + del.  Associativity
 
 is then a polynomial identity in lam, mu, del for every generator triple,
 which `check_associativity` verifies exactly.  The module laws in
-`cfmodule` have the same shape, so both checkers share one kernel in two
-steps: `_law_tables` moves each table a law reads into (del, lam, mu)
-through one ring map per law map and call, and `_law_sides` composes
-the two orders on a triple from those tables with multiplication and
-addition alone.
+`cfmodule` have the same shape, so both checkers share one kernel:
+`_law_tables` moves each table a law reads into raw term maps over
+(del, lam, mu), through one ring map per law map and call, and
+`_law_sides` composes the two orders on a triple from those term maps
+into raw sums keyed (target generator, exponent), the right-nested order
+subtracted.  No `Poly` is built per term: `_finish` turns each surviving
+sum into a coefficient once.  A checker fills one accumulator, the
+residual, per triple, and runs only the first failing triple again into
+two, for the sides of its counterexample (`_first_failure`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .polyring import Poly, VariableMismatchError, _RingMap
+from .polyring import Poly, VariableMismatchError, _RingMap, _coeff
 
 # arenas: structure polynomials live in (del, lam); both sides of the
 # associativity identity live in (del, lam, mu)
@@ -152,47 +156,83 @@ def _law_tables(
 ) -> tuple:
     """The four tables of one law, each moved by its map once per call.
 
-    Each table maps an index pair (a, b) to the (target, poly) entries of
-    x_a lam x_b, so one kernel serves associativity and every module law.
-    Each map is one `polyring._RingMap` built for this call, so a monomial
-    shared by several entries of its table is expanded once.
+    Each table maps an index pair (a, b) to the (target, terms) entries of
+    x_a lam x_b, the terms the raw (exponent, coeff) items of
+    `polyring._RingMap.raw` over ASSOC_VARS, so one kernel serves
+    associativity and every module law.  Each map is
+    one `polyring._RingMap` built for this call, so a monomial shared by
+    several entries of its table is expanded once.
     """
     moved = []
     for table, sub in ((first, _FIRST), (second, _SECOND), (inner, _INNER), (outer, _OUTER)):
         ring = _RingMap(PRODUCT_VARS, sub)
-        moved.append({key: [(k, ring(p)) for k, p in entries] for key, entries in table.items()})
+        moved.append(
+            {key: [(k, ring.raw(p).items()) for k, p in entries] for key, entries in table.items()}
+        )
     return tuple(moved)
 
 
-def _law_sides(
-    tables: tuple, i: int, j: int, k: int, sides: tuple[dict, dict] | None = None
-) -> tuple[dict, dict]:
+def _law_sides(tables: tuple, i: int, j: int, k: int, left: dict, right: dict) -> None:
     """Both association orders on (x_i, x_j, x_k) from `_law_tables`.
 
-    Returns ``(x_i lam x_j) (lam+mu) x_k``, composed from ``first`` then
-    ``second``, and ``x_i lam (x_j mu x_k)``, composed from ``inner`` then
-    ``outer``, as sparse {target: poly} maps with no zero entry.  The
-    tables are already substituted, so this only multiplies and adds;
-    given ``sides``, it adds into them.
+    Adds ``(x_i lam x_j) (lam+mu) x_k``, composed from ``first`` then
+    ``second``, into ``left`` and subtracts ``x_i lam (x_j mu x_k)``,
+    composed from ``inner`` then ``outer``, from ``right``, as raw sums
+    keyed (target generator, exponent).  Given one dict for both, it
+    accumulates the residual; `_finish` reads the sums.
     """
     first, second, inner, outer = tables
-    left_nested, right_nested = sides or ({}, {})
-    for l, coeff in first.get((i, j), ()):
-        for m, poly in second.get((l, k), ()):
-            term = coeff * poly
-            left_nested[m] = left_nested[m] + term if m in left_nested else term
-    for l, coeff in inner.get((j, k), ()):
-        for m, poly in outer.get((i, l), ()):
-            term = coeff * poly
-            right_nested[m] = right_nested[m] + term if m in right_nested else term
-    for side in (left_nested, right_nested):
-        for m in [m for m, poly in side.items() if poly.is_zero]:
-            del side[m]
-    return left_nested, right_nested
+    for l, head in first.get((i, j), ()):
+        for m, tail in second.get((l, k), ()):
+            _add_product(left, m, head, tail, 1)
+    for l, head in inner.get((j, k), ()):
+        for m, tail in outer.get((i, l), ()):
+            _add_product(right, m, head, tail, -1)
 
 
-def _dense(side: dict, rank: int) -> tuple[Poly, ...]:
-    return tuple(side.get(m, Poly.zero(ASSOC_VARS)) for m in range(rank))
+def _add_product(acc: dict, m: int, head, tail, sign: int) -> None:
+    """Add sign * head * tail, two raw term items over ASSOC_VARS, into
+    the sums of acc keyed (m, exponent)."""
+    for (e0, e1, e2), c1 in head:
+        c1 = sign * c1
+        for (f0, f1, f2), c2 in tail:
+            key = (m, (e0 + f0, e1 + f1, e2 + f2))
+            c = c1 * c2
+            acc[key] = acc[key] + c if key in acc else c
+
+
+def _finish(acc: dict) -> dict[int, Poly]:
+    """The nonzero sums of an accumulator keyed (target, exponent) as
+    {target: poly} in target order, each coefficient normalized once."""
+    terms: dict[int, dict] = {}
+    for (m, exp), c in acc.items():
+        if c:
+            terms.setdefault(m, {})[exp] = _coeff(c)
+    return {m: Poly._raw(ASSOC_VARS, terms[m]) for m in sorted(terms)}
+
+
+def _first_failure(tables: tuple, triples, rank: int):
+    """The first triple whose residual is nonzero, with its left-nested and
+    right-nested sides as dense tuples of polys; None if every one holds.
+
+    Each triple fills one accumulator; only the failing one is run again
+    into two, to read its sides apart.
+    """
+    for triple in triples:
+        acc: dict = {}
+        _law_sides(tables, *triple, acc, acc)
+        if any(acc.values()):
+            left: dict = {}
+            right: dict = {}
+            _law_sides(tables, *triple, left, right)
+            right = {key: -c for key, c in right.items()}
+            return triple, _dense(left, rank), _dense(right, rank)
+    return None
+
+
+def _dense(acc: dict, rank: int) -> tuple[Poly, ...]:
+    sides = _finish(acc)
+    return tuple(sides.get(m, Poly.zero(ASSOC_VARS)) for m in range(rank))
 
 
 def check_associativity(algebra: ConformalAlgebra) -> LawCounterexample | None:
@@ -202,13 +242,11 @@ def check_associativity(algebra: ConformalAlgebra) -> LawCounterexample | None:
     """
     rank, table = algebra.rank, algebra.structure
     tables = _law_tables(table, table, table, table)
-    for i, j, k in itertools.product(range(rank), repeat=3):
-        lhs, rhs = _law_sides(tables, i, j, k)
-        if lhs != rhs:
-            return LawCounterexample(
-                "associativity", (i, j, k), _dense(lhs, rank), _dense(rhs, rank)
-            )
-    return None
+    failure = _first_failure(tables, itertools.product(range(rank), repeat=3), rank)
+    if failure is None:
+        return None
+    triple, left_nested, right_nested = failure
+    return LawCounterexample("associativity", triple, left_nested, right_nested)
 
 
 def free_rank_one(product: Poly | None = None, name: str = "e") -> ConformalAlgebra:

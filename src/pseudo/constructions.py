@@ -59,6 +59,7 @@ from .conformal import (
     _DEL,
     _LAM,
     _MU,
+    _finish,
     _kept,
     _law_sides,
     _law_tables,
@@ -463,22 +464,22 @@ def deformation_residuals(
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
     the two products: P and F are each moved by all four law maps once per
-    call (`_law_tables`), and `_law_sides` adds both placements of F into
-    one pair of sides per triple.  Empty dict means the perturbation is
-    flat to first order.
+    call (`_law_tables`), and `_law_sides` adds both placements of F, left
+    orders minus right orders, into one accumulator of raw sums per triple,
+    which `_finish` reads once.  Empty dict means the perturbation is flat
+    to first order.
     """
     n, products = datum.algebra.rank, datum.algebra.structure
     twist = _cochain_table(datum.cocycle)
     pf = _law_tables(products, twist, products, twist)
     fp = _law_tables(twist, products, twist, products)
-    zero = Poly.zero(ASSOC_VARS)
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
-        left, right = _law_sides(fp, a, b, c, _law_sides(pf, a, b, c))
-        for s in sorted(left.keys() | right.keys()):
-            residual = left.get(s, zero) - right.get(s, zero)
-            if not residual.is_zero:
-                out[(a, b, c, s)] = residual
+        acc: dict = {}
+        _law_sides(pf, a, b, c, acc, acc)
+        _law_sides(fp, a, b, c, acc, acc)
+        for s, residual in _finish(acc).items():
+            out[(a, b, c, s)] = residual
     return out
 
 

@@ -308,8 +308,10 @@ class _RingMap:
     checked here once, and the map keeps the power tables of each image
     and the image of every monomial it has moved, for as long as the map
     itself lives.  A caller that moves a whole table builds one map for
-    it, so a monomial shared by many entries is expanded once.  Applying
-    it to a polynomial over other variables raises VariableMismatchError.
+    it, so a monomial shared by many entries is expanded once; one that
+    sums the images further takes them unnormalized from ``raw``.
+    Applying it to a polynomial over other variables raises
+    VariableMismatchError.
     """
 
     __slots__ = ("source", "target", "_powers", "_images")
@@ -359,7 +361,9 @@ class _RingMap:
                 term = table[e] if term is None else _mul_terms(term, table[e])
         return self._powers[0][0] if term is None else term
 
-    def __call__(self, p: Poly) -> Poly:
+    def raw(self, p: Poly) -> dict:
+        """Terms of the image of ``p`` as raw sums: a sum is not
+        normalized, and one that cancels stays in as a zero."""
         if p.variables != self.source:
             raise VariableMismatchError(
                 f"ring map from {self.source} applied to a polynomial over {p.variables}"
@@ -369,7 +373,10 @@ class _RingMap:
             for m, c in self.image(exp).items():
                 c = c * coeff
                 out[m] = out[m] + c if m in out else c
-        return Poly._raw(self.target, {m: _coeff(c) for m, c in out.items() if c})
+        return out
+
+    def __call__(self, p: Poly) -> Poly:
+        return Poly._raw(self.target, {m: _coeff(c) for m, c in self.raw(p).items() if c})
 
 
 def iter_monomials(variables: Iterable[str], max_degree: int) -> Iterator[tuple[int, ...]]:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
-from pseudo.conformal import ConformalAlgebra, free_rank_one
+from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, ConformalAlgebra, free_rank_one
 from pseudo.exactla import QMatrix, SubspaceBasis, _span, kernel_basis
 from pseudo.formats import parse_fd_algebra
 from pseudo.polyring import Poly, _RingMap
@@ -280,6 +280,102 @@ def reference_dn(cochain: Cochain) -> Cochain:
         if any(not p.is_zero for p in acc):
             values[gens] = tuple(acc)
     return Cochain(n + 1, algebra, module, values)
+
+
+# The law kernel term by term: every table entry moved by Poly.substitute
+# and the two association orders composed with Poly * and +, apart from
+# the raw-term kernel the checkers share, so the tests can compare the two.
+
+_LAM3, _MU3, _DEL3 = (Poly.var(ASSOC_VARS, v) for v in ("lam", "mu", "del"))
+# (x_i lam x_j) (lam+mu) x_k from first then second; x_i lam (x_j mu x_k)
+# from inner then outer
+REFERENCE_LAW_MAPS = (
+    {"lam": _LAM3, "del": -(_LAM3 + _MU3)},
+    {"lam": _LAM3 + _MU3, "del": _DEL3},
+    {"lam": _MU3, "del": _LAM3 + _DEL3},
+    {"lam": _LAM3, "del": _DEL3},
+)
+
+
+def reference_law_sides(tables, rank: int):
+    """The function (i, j, k) -> (left-nested, right-nested) of one law,
+    each side a tuple of ``rank`` polys; ``tables`` is (first, second,
+    inner, outer), each entry substituted once here."""
+    first, second, inner, outer = (
+        {key: [(t, poly.substitute(bindings)) for t, poly in entries]
+         for key, entries in table.items()}
+        for table, bindings in zip(tables, REFERENCE_LAW_MAPS)
+    )
+
+    def sides(i, j, k):
+        left = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
+        right = [Poly.zero(ASSOC_VARS) for _ in range(rank)]
+        for l, p in first.get((i, j), ()):
+            for m, q in second.get((l, k), ()):
+                left[m] = left[m] + p * q
+        for l, p in inner.get((j, k), ()):
+            for m, q in outer.get((i, l), ()):
+                right[m] = right[m] + p * q
+        return tuple(left), tuple(right)
+
+    return sides
+
+
+def reference_law_failure(tables, triples, rank: int):
+    """(triple, left-nested, right-nested) of the first triple whose two
+    orders differ, or None."""
+    sides = reference_law_sides(tables, rank)
+    for triple in triples:
+        left, right = sides(*triple)
+        if left != right:
+            return triple, left, right
+    return None
+
+
+def reference_check_associativity(algebra: ConformalAlgebra):
+    """(law, triple, lhs, rhs) of the first failing triple, or None."""
+    table = algebra.structure
+    triples = iter_product(range(algebra.rank), repeat=3)
+    failure = reference_law_failure((table,) * 4, triples, algebra.rank)
+    return None if failure is None else ("associativity", *failure)
+
+
+def reference_check_module_axioms(module: BimoduleStructure):
+    """(law, triple, lhs, rhs) of the first failing module law, its lhs
+    right-nested, or None."""
+    na, nm = module.algebra.rank, module.rank
+    P, L, R = module.algebra.structure, module.left, module.right
+    laws = (
+        ("left", module.has_left, (na, na, nm), (P, L, L, L)),
+        ("right", module.has_right, (nm, na, na), (R, R, P, R)),
+        ("compat", module.has_left and module.has_right, (na, nm, na), (L, R, R, L)),
+    )
+    for law, applies, sizes, tables in laws:
+        if applies:
+            failure = reference_law_failure(tables, iter_product(*map(range, sizes)), nm)
+            if failure is not None:
+                triple, left, right = failure
+                return law, triple, right, left
+    return None
+
+
+def reference_deformation_residuals(algebra: ConformalAlgebra, cocycle: Cochain) -> dict:
+    """{(a, b, c, s): poly}: both placements of the twist F in the law of
+    P + eps F, left-nested minus right-nested, zeros dropped."""
+    n, products = algebra.rank, algebra.structure
+    twist = {key: [(k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
+                   for k, poly in enumerate(vec) if not poly.is_zero]
+             for key, vec in cocycle.values.items()}
+    pf = reference_law_sides((products, twist, products, twist), n)
+    fp = reference_law_sides((twist, products, twist, products), n)
+    out = {}
+    for triple in iter_product(range(n), repeat=3):
+        (l1, r1), (l2, r2) = pf(*triple), fp(*triple)
+        for s in range(n):
+            residual = l1[s] + l2[s] - r1[s] - r2[s]
+            if not residual.is_zero:
+                out[(*triple, s)] = residual
+    return out
 
 
 def record_images(monkeypatch) -> list:

@@ -8,7 +8,9 @@ from pseudo.cfmodule import (
     chom_left_action,
     chom_right_action,
 )
+from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, check_associativity
+from pseudo.constructions import DeformationDatum, deformation_residuals
 from pseudo.formats import parse_algebra
 from pseudo.polyring import Poly, parse_poly
 
@@ -60,6 +62,36 @@ def test_checkers_substitute_each_table_entry_once_per_map(monkeypatch, mat2):
         assert len(set(formed)) == len(formed)
         assert len({ring for ring, _ in formed}) <= 3 * 4
         assert 0 < len(formed) <= 3 * 4 * monomials <= 4 * read
+
+
+def test_law_kernel_builds_no_poly_per_term(monkeypatch):
+    # the kernel sums raw terms and reads each sum once: no Poly product,
+    # sum or difference is formed while a law is checked, whether it
+    # holds or fails
+    read = lambda name: parse_algebra((INPUTS / name).read_text(encoding="utf-8"))
+    algebras = [read("mat2.alg"), parse_algebra(U2_PATH.read_text(encoding="utf-8"))]
+    d2 = cochain_variables(2)
+    runs = []
+    for algebra in algebras:
+        module = BimoduleStructure.regular(algebra)
+        value = (Poly.var(d2, "lam1"),) + (Poly.zero(d2),) * (algebra.rank - 1)
+        datum = DeformationDatum(algebra, Cochain(2, algebra, module, {(0, 0): value}))
+        runs.append((algebra, module, datum))
+    bad = read("bad_del.alg")
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__"):
+        original = getattr(Poly, name)
+        monkeypatch.setattr(
+            Poly, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    residuals = []
+    for algebra, module, datum in runs:
+        assert check_associativity(algebra) is None
+        assert check_module_axioms(module) is None
+        residuals.append(deformation_residuals(datum))
+    assert check_associativity(bad) is not None
+    assert calls == []
+    assert all(residuals)
 
 
 def test_two_sided_unit_module(cur1):

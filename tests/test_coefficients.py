@@ -17,9 +17,10 @@ from conftest import (
     fraction_substitute,
     fraction_terms,
 )
-from pseudo.cfmodule import BimoduleStructure
-from pseudo.cohomology import CochainIndex, _stencil, apply_dn
-from pseudo.conformal import ConformalAlgebra, free_rank_one
+from pseudo.cfmodule import BimoduleStructure, check_module_axioms
+from pseudo.cohomology import Cochain, CochainIndex, _stencil, apply_dn, cochain_variables
+from pseudo.conformal import ConformalAlgebra, check_associativity, free_rank_one
+from pseudo.constructions import DeformationDatum, deformation_residuals
 from pseudo.exactla import Echelon, QMatrix, kernel_basis, rank, solve
 from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
 
@@ -176,6 +177,34 @@ def test_stencil_columns_keep_the_invariant():
         stencil = _stencil(module, n)
         for label in CochainIndex(HALVES, module, n, 1).labels:
             assert_normal(stencil.column(label, 2).values())
+
+
+# half-integer coefficients against 2s: the law kernel's products and
+# sums are often integral before its reader normalizes them
+DOUBLES = ConformalAlgebra(("a", "b"), {
+    (0, 0): [(0, parse_poly("2", PL)), (1, parse_poly("1/2*lam", PL))],
+    (0, 1): [(1, parse_poly("1/2 + 1/2*del", PL))],
+    (1, 0): [(0, parse_poly("2*del", PL)), (1, parse_poly("3/2", PL))],
+})
+
+
+def test_law_kernel_keeps_the_invariant():
+    scaled = free_rank_one(Poly.const(PL, 2))
+    twist = Cochain(2, scaled, BimoduleStructure.regular(scaled), {
+        (0, 0): (parse_poly("1/2*lam1 + 3/2*del^2", cochain_variables(2)),),
+    })
+    right_only = BimoduleStructure(DOUBLES, DOUBLES.generators, None, dict(DOUBLES.structure))
+    counterexamples = [
+        check_associativity(DOUBLES),
+        check_module_axioms(BimoduleStructure.regular(DOUBLES)),
+        check_module_axioms(right_only),
+    ]
+    assert [cex.law for cex in counterexamples] == ["associativity", "left", "right"]
+    polys = [p for cex in counterexamples for p in cex.lhs + cex.rhs + cex.residual]
+    polys += deformation_residuals(DeformationDatum(scaled, twist)).values()
+    values = [c for poly in polys for c in poly.terms.values()]
+    assert_normal(values)
+    assert any(type(c) is int for c in values)
 
 
 def _reconstruct(value):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from fractions import Fraction
 from random import Random
 
@@ -375,15 +376,28 @@ def _refuse(*args):
     raise AssertionError("one verification route called into the other")
 
 
+# the law kernel in conformal, and its helpers that are not part of it
+LAW_KERNEL = ("_law_tables", "_law_sides", "_add_product", "_finish", "_first_failure", "_dense")
+NOT_KERNEL = {"_validate_structure", "_table_degree", "_kept"}
+
+
 @pytest.mark.parametrize("gamma_file", ["gamma_lam.coc", "gamma_const.coc"])
 def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_file):
     """Each verdict's two routes stay independent: the extension residuals
-    and apply_dn never reach the law kernel (_law_tables, _law_sides and
-    _dense), the axiom checker never reaches the Chom actions the
-    extension residuals are built from, and no route but the cochain
-    differential reaches the compiled stencil.  apply_dn runs under the
-    first patch on a module whose stencil is not compiled yet, so the
-    compilation is covered too."""
+    and apply_dn never reach the law kernel (every name of LAW_KERNEL),
+    the axiom checker never reaches the Chom actions the extension
+    residuals are built from, and no route but the cochain differential
+    reaches the compiled stencil.  apply_dn runs under the first patch on
+    a module whose stencil is not compiled yet, so the compilation is
+    covered too.  A private function added to conformal must be named in
+    LAW_KERNEL or NOT_KERNEL, and a kernel name conformal no longer
+    defines fails the patch."""
+    private = {
+        name for name, obj in vars(conformal).items()
+        if inspect.isfunction(obj) and obj.__module__ == conformal.__name__
+        and name.startswith("_")
+    }
+    assert private == set(LAW_KERNEL) | NOT_KERNEL
     cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text())
     module = BimoduleStructure.regular(cur1)
     gamma = parse_gamma((inputs_dir / gamma_file).read_text(), cur1, module, module)
@@ -397,8 +411,9 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
     fresh_cochain = parse_cochain((inputs_dir / "f_lam.coc").read_text(), fresh, fresh_module, 2)
     assert ("stencil", 2) not in fresh_module._memo
     with monkeypatch.context() as patch:
-        for owner in (conformal, cfmodule, constructions):
-            for name in ("_law_tables", "_law_sides", "_dense"):
+        for name in LAW_KERNEL:
+            patch.setattr(conformal, name, _refuse)
+            for owner in (cfmodule, constructions):
                 patch.setattr(owner, name, _refuse, raising=False)
         assert (not extension_residuals(datum)) == verdict
         assert apply_dn(fresh_cochain).is_zero() == flat
