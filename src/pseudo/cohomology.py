@@ -20,14 +20,20 @@ slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
 degree, 0 included), ``differential_matrix`` and the deformation witness
 search all run on.  A cochain becomes label-keyed terms
 ((tuple, k, monomial), coeff) in ``_terms`` and is built back from them
-in ``_from_terms``, the one way each direction is written.  What lives
-on the module: its compiled stencil for each degree n, built on first use
-(`_stencil`), with the ring map of each slot and the slot image of every
-basis monomial a call has asked for.  A later call on the same module
-forms only the images no earlier call formed.  All of it is freed with
-the module (for a regular module, which forms a reference cycle with its
-algebra, when the cycle collector reclaims the pair); an equal but
-distinct module forms its own.
+in ``_from_terms``, the one way each direction is written.  Inside the
+stencil a target label is one integer code (see ``_Stencil``), laid out
+so that a degree bound is one comparison and a row of the degree-D
+target slice is (code % span) * extent(D) + code // span; only
+``apply_dn`` and the overflow message decode codes back to labels.
+What lives on the module: its compiled stencil for each degree n, built
+on first use (`_stencil`), with the ring map of each slot, the slot
+image of every basis monomial a call has asked for, the numbering of the
+target monomials up to the largest degree asked for and the (tuple, s)
+pairs decoded so far.  A later call on the same module forms only what
+no earlier call formed.  All of it is freed with the module (for a
+regular module, which forms a reference cycle with its algebra, when the
+cycle collector reclaims the pair); an equal but distinct module forms
+its own.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -39,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
+from math import comb
 from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, UnfitModuleError
@@ -199,7 +206,6 @@ class CochainIndex:
             for k in range(module.rank)
             for mono in monomials
         ]
-        self.position = {label: i for i, label in enumerate(self.labels)}
 
     @property
     def dimension(self) -> int:
@@ -247,7 +253,8 @@ def apply_dn(cochain: Cochain) -> Cochain:
     acc: dict = {}
     for label, coeff in _terms(cochain):
         stencil.add(acc, label, coeff)
-    return _from_terms(n + 1, module, acc.items())
+    label = stencil.label
+    return _from_terms(n + 1, module, ((label(code), c) for code, c in acc.items() if c))
 
 
 def differential_matrix(
@@ -267,13 +274,15 @@ def differential_matrix(
             f"output degree bound {max_degree_out} below required {needed}"
         )
     source = CochainIndex(algebra, module, degree, max_degree_in)
-    target = CochainIndex(algebra, module, degree + 1, max_degree_out)
     stencil = _stencil(module, degree)
-    rows: list[dict[int, int | Fraction]] = [dict() for _ in range(target.dimension)]
+    # a target code's row is its place in CochainIndex(degree + 1, D_out)
+    span, extent = stencil.span, stencil.extent(max_degree_out)
+    rows: list[dict[int, int | Fraction]] = [dict() for _ in range(span * extent)]
     for col, label in enumerate(source.labels):
-        for image, coeff in stencil.column(label, max_degree_out).items():
-            rows[target.position[image]][col] = coeff
-    return QMatrix(target.dimension, source.dimension, rows)
+        for code, coeff in stencil.column(label, max_degree_out).items():
+            place, rest = divmod(code, span)
+            rows[rest * extent + place][col] = coeff
+    return QMatrix(len(rows), source.dimension, rows)
 
 
 class _Stencil:
@@ -286,14 +295,35 @@ class _Stencil:
     generators in its place; its image depends on t only through the cut.
     The structure tables are substituted once here, and each slot keeps
     the `polyring._RingMap` of its value substitution.
+
+    A target label (tuple t, module generator s, exponent e) is one
+    integer, its code (``code`` encodes, ``label`` decodes):
+
+        code = rank(e) * span + index(t) * rank(M) + s,
+
+    with span = rank(A)^(n+1) * rank(M), index(t) the tuple read as a
+    base-rank(A) numeral (the lex order of tuples) and rank(e) the place
+    of e in ``iter_monomials`` over the n + 1 target variables.  That
+    order is graded, so the labels of degree <= D are exactly the codes
+    below ``extent(D) * span``, and a label's place in
+    ``CochainIndex(n + 1, D)`` is (code % span) * extent(D) + code // span.
+    A column is a sparse dict from codes to coefficients: no target label
+    is built, hashed or looked up on the way to a matrix row.
+
     The image of a basis monomial m at a slot depends on (slot, cut, k, m)
     alone, so ``add`` forms it once and the stencil keeps it in
-    ``images``.  `_stencil` keeps the stencil on the module, one per
-    (module, n), so the images serve every later call on that module and
-    are freed with it.  They number at most (n + 2) * rank(A) * rank(M)
-    times the basis monomials up to the largest degree a call asked for.
-    For n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del
-    and a constant value is read in ("del",).
+    ``images`` as (offset, coeff) pairs.  An offset is the code of an
+    image term with the tuple parts outside the cut left 0; ``add`` adds
+    one base, worked out from the source tuple, to every offset.  The
+    stencil also keeps the numbering of target monomials (``monomials``
+    and its inverse ``numbering``), extended to the largest degree asked
+    for, and the (tuple, s) pairs ``label`` has decoded (``pairs``).
+    `_stencil` keeps the stencil on the module, one per (module, n), so
+    all of it serves every later call on that module and is freed with
+    it.  The images number at most (n + 2) * rank(A) * rank(M) times the
+    basis monomials up to the largest degree a call asked for, and the
+    pairs at most span.  For n = 0 the head is a_{-del} u and the tail
+    -u_0 a: lam1 is -del and a constant value is read in ("del",).
     """
 
     def __init__(self, module: BimoduleStructure, n: int):
@@ -303,7 +333,15 @@ class _Stencil:
             side = "right" if module.has_left else "left"
             raise UnfitModuleError(f"the differential needs a {side} action")
         self.src_vars = cochain_variables(n) or ("del",)
-        dst_vars = cochain_variables(n + 1)
+        self.dst_vars = dst_vars = cochain_variables(n + 1)
+        radix, rank_m = module.algebra.rank, module.rank
+        self.radix, self.rank_m = radix, rank_m
+        self.span = radix ** (n + 1) * rank_m
+        # target monomials in iter_monomials order, and monomial -> place
+        self.monomials: list[tuple[int, ...]] = []
+        self.numbering: dict[tuple[int, ...], int] = {}
+        # code % span -> (target tuple, s), decoded on first use
+        self.pairs: dict[int, tuple[tuple[int, ...], int]] = {}
         dl = Poly.var(dst_vars, "del")
         lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
         if n == 0:
@@ -311,12 +349,25 @@ class _Stencil:
         lam_total = Poly.zero(dst_vars)
         for i in range(1, n + 1):
             lam_total = lam_total + lam[i]
-        # slot -> (lo, hi, value ring map, table), where the table maps
-        # (cut, k) to ((inserted generators, target module generator,
+
+        def shift(inserted: tuple[int, ...], hi: int, s: int) -> int:
+            """The code part of generators inserted by a slot whose cut
+            ends at hi, and of the target module generator s."""
+            index = 0
+            for g in inserted:
+                index = index * radix + g
+            return index * radix ** (n - hi) * rank_m + s
+
+        # slot -> (lo, hi, value ring map, table, rank(A)^(n+1-lo),
+        # rank(A)^(n-hi)), where the table maps (cut, k) to ((shift,
         # moved structure polynomial with the slot's sign), ...)
-        self.slots: list[tuple[int, int, _RingMap, dict]] = []
-        # (slot, cut, k, monomial) -> ((inserted, s, terms), ...)
+        self.slots: list[tuple[int, int, _RingMap, dict, int, int]] = []
+        # (slot, cut, k, monomial) -> ((offset, coeff), ...)
         self.images: dict = {}
+
+        def add_slot(lo: int, hi: int, value_sub: dict, table: dict) -> None:
+            ring = _RingMap(self.src_vars, value_sub)
+            self.slots.append((lo, hi, ring, table, radix ** (n + 1 - lo), radix ** (n - hi)))
 
         head = {f"lam{i}": lam[i + 1] for i in range(1, n)}
         head["del"] = dl + lam[1]
@@ -324,8 +375,8 @@ class _Stencil:
         for (g, k), entries in module.left.items():
             for s, poly in entries:
                 moved = poly.substitute({"lam": lam[1], "del": dl})
-                table.setdefault(((), k), []).append(((g,), s, moved))
-        self.slots.append((0, 0, _RingMap(self.src_vars, head), table))
+                table.setdefault(((), k), []).append((shift((g,), 0, s), moved))
+        add_slot(0, 0, head, table)
 
         for i in range(1, n + 1):
             sign = -1 if i % 2 else 1
@@ -342,9 +393,9 @@ class _Stencil:
             for (a, b), entries in module.algebra.structure.items():
                 for l, poly in entries:
                     moved = sign * poly.substitute(coeff_sub)
-                    for k in range(module.rank):
-                        table.setdefault(((l,), k), []).append(((a, b), k, moved))
-            self.slots.append((i - 1, i, _RingMap(self.src_vars, value_sub), table))
+                    for k in range(rank_m):
+                        table.setdefault(((l,), k), []).append((shift((a, b), i, k), moved))
+            add_slot(i - 1, i, value_sub, table)
 
         tail = {f"lam{j}": lam[j] for j in range(1, n)}
         tail["del"] = -lam_total
@@ -353,47 +404,99 @@ class _Stencil:
         for (k, g), entries in module.right.items():
             for s, poly in entries:
                 moved = sign_last * poly.substitute({"lam": lam_total, "del": dl})
-                table.setdefault(((), k), []).append(((g,), s, moved))
-        self.slots.append((n, n, _RingMap(self.src_vars, tail), table))
+                table.setdefault(((), k), []).append((shift((g,), n, s), moved))
+        add_slot(n, n, tail, table)
+
+    def extent(self, max_degree: int) -> int:
+        """The number of target monomials of degree <= max_degree."""
+        width = len(self.dst_vars)
+        return comb(max_degree + width, width)
+
+    def _rank(self, exp: tuple[int, ...]) -> int:
+        """The place of a target monomial in the numbering, which is
+        extended through the monomial's degree on first need."""
+        place = self.numbering.get(exp)
+        if place is None:
+            known = len(self.monomials)
+            for mono in islice(iter_monomials(self.dst_vars, sum(exp)), known, None):
+                self.numbering[mono] = len(self.monomials)
+                self.monomials.append(mono)
+            place = self.numbering[exp]
+        return place
+
+    def code(self, label: tuple) -> int:
+        """The code of a target label (tuple, s, exponent)."""
+        tup, s, exp = label
+        index = 0
+        for g in tup:
+            index = index * self.radix + g
+        return self._rank(exp) * self.span + index * self.rank_m + s
+
+    def label(self, code: int) -> tuple:
+        """The target label (tuple, s, exponent) of a code that ``code`` or
+        ``add`` has formed."""
+        place, rest = divmod(code, self.span)
+        pair = self.pairs.get(rest)
+        if pair is None:
+            index, s = divmod(rest, self.rank_m)
+            digits = []
+            for _ in self.dst_vars:  # a target tuple has n + 1 entries, as many as variables
+                index, g = divmod(index, self.radix)
+                digits.append(g)
+            pair = self.pairs[rest] = (tuple(reversed(digits)), s)
+        return (*pair, self.monomials[place])
+
+    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> tuple:
+        """The (offset, coeff) pairs of the basis monomial ``mono`` on
+        generator k at one slot, for a source tuple with that cut."""
+        _, _, ring, table, _, _ = self.slots[slot]
+        entries = table.get((cut, k), ())
+        if not entries:
+            return ()
+        moved = ring.image(mono or (0,))
+        span = self.span
+        return tuple(
+            (self._rank(exp) * span + shift, c)
+            for shift, poly in entries
+            for exp, c in _mul_terms(moved, poly.terms).items()
+        )
 
     def add(self, acc: dict, label: tuple, coeff=1) -> None:
         """Add coeff times d of the basis cochain ``label`` into acc, keyed
-        (target tuple, s, exponent), from the kept image at each slot.
-        The sums are raw: a reader normalizes each through ``_coeff``."""
+        by target code, from the kept image at each slot.  The sums are
+        raw: a reader normalizes each through ``_coeff``."""
         tup, k, mono = label
-        images = self.images
-        for slot, (lo, hi, ring, table) in enumerate(self.slots):
+        images, radix = self.images, self.radix
+        # prefix[j] = index(tup[:j]); index(tup[hi:]) = whole - prefix[hi] * narrow
+        prefix = [0]
+        for g in tup:
+            prefix.append(prefix[-1] * radix + g)
+        whole = prefix[-1]
+        for slot, (lo, hi, _, _, wide, narrow) in enumerate(self.slots):
             cut = tup[lo:hi]
             key = (slot, cut, k, mono)
             image = images.get(key)
             if image is None:
-                entries = table.get((cut, k), ())
-                moved = ring.image(mono or (0,)) if entries else None
-                image = images[key] = tuple(
-                    (ins, s, _mul_terms(moved, poly.terms)) for ins, s, poly in entries
-                )
-            before, after = tup[:lo], tup[hi:]
-            for ins, s, terms in image:
-                target = before + ins + after
-                for exp, c in terms.items():
-                    if coeff != 1:
-                        c = c * coeff
-                    key = (target, s, exp)
-                    acc[key] = acc[key] + c if key in acc else c
+                image = images[key] = self._image(slot, cut, k, mono)
+            base = (prefix[lo] * wide + whole - prefix[hi] * narrow) * self.rank_m
+            for offset, c in image:
+                if coeff != 1:
+                    c = c * coeff
+                code = base + offset
+                acc[code] = acc[code] + c if code in acc else c
 
-    def column(self, label: tuple, max_degree: int) -> dict:
-        """d of the basis cochain ``label`` as sparse target-label
+    def column(self, label: tuple, max_degree: int) -> dict[int, int | Fraction]:
+        """d of the basis cochain ``label`` as sparse target-code
         coordinates; overflow if a monomial exceeds max_degree."""
         acc: dict = {}
         self.add(acc, label)
-        out = {}
-        for key, coeff in acc.items():
-            if coeff:
-                if sum(key[2]) > max_degree:
-                    raise TruncationOverflowError(
-                        f"monomial {key[2]} on tuple {key[0]} exceeds degree {max_degree}"
-                    )
-                out[key] = _coeff(coeff)
+        out = {code: _coeff(c) for code, c in acc.items() if c}
+        limit = self.extent(max_degree) * self.span
+        if out and max(out) >= limit:
+            tup, _, exp = self.label(next(code for code in out if code >= limit))
+            raise TruncationOverflowError(
+                f"monomial {exp} on tuple {tup} exceeds degree {max_degree}"
+            )
         return out
 
 
@@ -478,11 +581,16 @@ def _coboundary_slice(
     """
     d = window.degree_bound
     bound = module.structure_degree()
-    slice_labels = CochainIndex(algebra, module, degree, d).labels
     if degree == 0:
-        return SubspaceBasis.zero(len(slice_labels)), True, 0
+        # one degree-0 basis cochain per module generator
+        return SubspaceBasis.zero(module.rank), True, 0
     stencil = _stencil(module, degree - 1)
-    span = _SliceSpan(slice_labels)
+    # the slice's target codes, in CochainIndex(degree, D) order
+    extent = stencil.extent(d)
+    slice_codes = [
+        place * stencil.span + rest for rest in range(stencil.span) for place in range(extent)
+    ]
+    image = _SliceSpan(slice_codes)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
     for k in range(max_rounds + 1):
@@ -490,9 +598,9 @@ def _coboundary_slice(
         source = CochainIndex(algebra, module, degree - 1, source_bound)
         for label in source.labels:
             if sum(label[2]) > covered:
-                span.insert(stencil.column(label, source_bound + bound))
+                image.insert(stencil.column(label, source_bound + bound))
         covered = source_bound
-        coboundaries = span.basis()
+        coboundaries = image.basis()
         if previous is not None and coboundaries.dim == previous:
             return coboundaries, True, k + 1
         previous = coboundaries.dim

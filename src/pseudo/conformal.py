@@ -152,20 +152,28 @@ _OUTER = {"lam": _LAM, "del": _DEL}
 
 
 def _law_tables(
-    first: StructureMap, second: StructureMap, inner: StructureMap, outer: StructureMap
+    first: StructureMap,
+    second: StructureMap,
+    inner: StructureMap,
+    outer: StructureMap,
+    sources: tuple = (PRODUCT_VARS,) * 4,
 ) -> tuple:
     """The four tables of one law, each moved by its map once per call.
 
     Each table maps an index pair (a, b) to the (target, terms) entries of
     x_a lam x_b, the terms the raw (exponent, coeff) items of
     `polyring._RingMap.raw` over ASSOC_VARS, so one kernel serves
-    associativity and every module law.  Each map is
-    one `polyring._RingMap` built for this call, so a monomial shared by
+    associativity and every module law.  ``sources`` names the variables
+    of each table's polynomials as a pair (del, x): x is lam in a
+    structure table and lam1 in a degree-2 cochain read as one, and the
+    table's map binds x where it binds lam.  Each map is one
+    `polyring._RingMap` built for this call, so a monomial shared by
     several entries of its table is expanded once.
     """
     moved = []
-    for table, sub in ((first, _FIRST), (second, _SECOND), (inner, _INNER), (outer, _OUTER)):
-        ring = _RingMap(PRODUCT_VARS, sub)
+    tables = (first, second, inner, outer)
+    for table, sub, (dl, x) in zip(tables, (_FIRST, _SECOND, _INNER, _OUTER), sources):
+        ring = _RingMap((dl, x), {dl: sub["del"], x: sub["lam"]})
         moved.append(
             {key: [(k, ring.raw(p).items()) for k, p in entries] for key, entries in table.items()}
         )

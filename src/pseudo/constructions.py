@@ -73,6 +73,7 @@ from .cohomology import (
     _stencil,
     _terms,
     apply_dn,
+    cochain_variables,
 )
 from .exactla import solve_columns
 from .polyring import Poly, _RingMap
@@ -361,15 +362,20 @@ def search_extension_witness(
     )
 
 
-def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
-    """A degree-2 cochain read as a structure table, its lam1 renamed lam."""
+def _cochain_entries(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
+    """A degree-2 cochain read as a structure table over its own (del, lam1)."""
     return {
-        key: tuple(
-            (k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
-            for k, poly in enumerate(vec)
-            if not poly.is_zero
-        )
+        key: tuple((k, poly) for k, poly in enumerate(vec) if not poly.is_zero)
         for key, vec in phi.values.items()
+    }
+
+
+def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
+    """A degree-2 cochain read as a structure table, its lam1 renamed lam,
+    as the product of an assembled algebra needs it."""
+    return {
+        key: tuple((k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS)) for k, poly in entries)
+        for key, entries in _cochain_entries(phi).items()
     }
 
 
@@ -464,15 +470,15 @@ def deformation_residuals(
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
     the two products: P and F are each moved by all four law maps once per
-    call (`_law_tables`), and `_law_sides` adds both placements of F, left
-    orders minus right orders, into one accumulator of raw sums per triple,
-    which `_finish` reads once.  Empty dict means the perturbation is flat
-    to first order.
+    call (`_law_tables`), F straight from its own (del, lam1), and
+    `_law_sides` adds both placements of F, left orders minus right
+    orders, into one accumulator of raw sums per triple, which `_finish`
+    reads once.  Empty dict means the perturbation is flat to first order.
     """
     n, products = datum.algebra.rank, datum.algebra.structure
-    twist = _cochain_table(datum.cocycle)
-    pf = _law_tables(products, twist, products, twist)
-    fp = _law_tables(twist, products, twist, products)
+    twist, twist_vars = _cochain_entries(datum.cocycle), cochain_variables(2)
+    pf = _law_tables(products, twist, products, twist, (PRODUCT_VARS, twist_vars) * 2)
+    fp = _law_tables(twist, products, twist, products, (twist_vars, PRODUCT_VARS) * 2)
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
         acc: dict = {}
@@ -516,7 +522,7 @@ def find_deformation_witness(
     out_degree = max_degree + module.structure_degree()
     labels = CochainIndex(algebra, module, 1, max_degree).labels
     columns = [stencil.column(label, out_degree) for label in labels]
-    coords = solve_columns(columns, dict(_terms(target)))
+    coords = solve_columns(columns, {stencil.code(label): c for label, c in _terms(target)})
     if coords is None:
         return None
     witness = _from_terms(1, module, zip(labels, coords))

@@ -142,10 +142,13 @@ class SubspaceBasis:
 def kernel_basis(m: QMatrix) -> SubspaceBasis:
     """Null space of m, as an RREF basis of Q^ncols.
 
-    Each free column f gives the vector e_f minus the f-entries of the
-    pivot rows placed at their pivots.
+    The rows go in shortest first, empty ones dropped (Markowitz's order:
+    a short pivot row adds few entries to the rows it clears); the RREF is
+    unique, so the order never shows.  Each free column f gives the
+    vector e_f minus the f-entries of the pivot rows placed at their
+    pivots.
     """
-    echelon = _span(m.rows)
+    echelon = _span(sorted(filter(None, m.rows), key=len))
     kernel = {f: {f: 1} for f in range(m.ncols) if f not in echelon}
     for pivot, row in echelon.items():
         for j, v in row.items():

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 from itertools import product as iter_product
@@ -204,6 +205,7 @@ def _reference_matrix(algebra, module, degree, max_in, max_out) -> QMatrix:
     source = CochainIndex(algebra, module, degree, max_in)
     target = CochainIndex(algebra, module, degree + 1, max_out)
     reference = reference_d0 if degree == 0 else reference_dn
+    position = {label: i for i, label in enumerate(target.labels)}
     rows = [dict() for _ in range(target.dimension)]
     for col in range(source.dimension):
         image = reference(unit_cochain(source, col))
@@ -211,7 +213,7 @@ def _reference_matrix(algebra, module, degree, max_in, max_out) -> QMatrix:
             for k, poly in enumerate(vec):
                 for mono, coeff in poly.terms.items():
                     assert sum(mono) <= max_out, (tup, k, mono)
-                    rows[target.position[(tup, k, mono)]][col] = coeff
+                    rows[position[(tup, k, mono)]][col] = coeff
     return QMatrix(target.dimension, source.dimension, rows)
 
 
@@ -329,6 +331,32 @@ def test_differential_matrix_on_a_warmed_module_matches_a_fresh_one(data):
     out = bound + module.structure_degree()
     warmed = differential_matrix(algebra, module, degree, bound, out)
     assert entries(warmed) == entries(differential_matrix(fresh.algebra, fresh, degree, bound, out))
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3), st.randoms()
+)
+def test_stencil_codes_follow_the_cochain_index(radix, rank_m, n, bound, rng):
+    # the stencil of d_n numbers the labels of degree n + 1 by one integer
+    # each; labels are encoded in a drawn order on a fresh stencil, so the
+    # monomial numbering grows in that order
+    algebra = ConformalAlgebra(("a", "b", "c")[:radix], {})
+    module = BimoduleStructure(algebra, ("u", "v", "w")[:rank_m], left={}, right={})
+    stencil = cohomology._stencil(module, n)
+    assert stencil.src_vars == (cochain_variables(n) or ("del",))
+    labels = CochainIndex(algebra, module, n + 1, bound).labels
+    position = {label: i for i, label in enumerate(labels)}
+    wider = CochainIndex(algebra, module, n + 1, bound + 1).labels
+    rng.shuffle(wider)
+    extent = stencil.extent(bound)
+    assert extent * stencil.span == len(position)
+    for label in wider:
+        code = stencil.code(label)
+        assert stencil.label(code) == label
+        assert (code < extent * stencil.span) == (sum(label[2]) <= bound)
+        if sum(label[2]) <= bound:
+            place, rest = divmod(code, stencil.span)
+            assert rest * extent + place == position[label]
 
 
 def test_differential_matrix_bound_check(cur1, cur1_regular):
@@ -497,12 +525,19 @@ def test_coboundary_slice_matches_rank_oracle(request, name, degree, bound):
 def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
     # with the structure degree understated, some image must overflow its window
     monkeypatch.setattr(BimoduleStructure, "structure_degree", lambda self: 0)
+    # the messages name the first overflowing monomial and its tuple
     window = TruncationWindow(1, 1)
-    with pytest.raises(TruncationOverflowError):
+    with pytest.raises(TruncationOverflowError, match=re.escape(
+        "monomial (1, 0, 1) on tuple (0, 0, 0) exceeds degree 1"
+    )):
         cohomology_dimensions(u2, u2_regular, 2, window)
-    with pytest.raises(TruncationOverflowError):
+    with pytest.raises(TruncationOverflowError, match=re.escape(
+        "monomial (2, 0) on tuple (0, 0) exceeds degree 1"
+    )):
         _coboundary_slice(u2, u2_regular, 2, window, 4)
-    with pytest.raises(TruncationOverflowError):
+    with pytest.raises(TruncationOverflowError, match=re.escape(
+        "monomial (1, 0, 1) on tuple (0, 0, 0) exceeds degree 1"
+    )):
         differential_matrix(u2, u2_regular, 2, 1, 1)
 
 
@@ -550,15 +585,23 @@ def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):
     kept = {key[1]: value for key, value in module._memo.items() if key[0] == "stencil"}
     assert set(kept) == {0, 1}
     for n, stencil in kept.items():
-        assert set(vars(stencil)) == {"src_vars", "slots", "images"}
+        assert set(vars(stencil)) == {
+            "src_vars", "dst_vars", "radix", "rank_m", "span",
+            "monomials", "numbering", "pairs", "slots", "images",
+        }
         assert stencil.images and cohomology._stencil(module, n) is stencil
+        assert stencil.monomials and len(stencil.numbering) == len(stencil.monomials)
     assert formed and moved
-    sizes = {n: len(stencil.images) for n, stencil in kept.items()}
+
+    def kept_sizes():
+        return {n: (len(s.images), len(s.monomials), len(s.pairs)) for n, s in kept.items()}
+
+    sizes = kept_sizes()
     formed.clear()
     moved.clear()
     assert cohomology_dimensions(mat2, module, 1, window) == rep
     assert formed == [] and moved == []
-    assert {n: len(stencil.images) for n, stencil in kept.items()} == sizes
+    assert kept_sizes() == sizes
 
     twin = parse_algebra(text)
     other = BimoduleStructure.regular(twin)
@@ -566,7 +609,8 @@ def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):
     assert cohomology_dimensions(twin, other, 1, window) == rep
     assert formed and moved
     assert all(cohomology._stencil(other, n) is not kept[n] for n in kept)
-    assert {n: len(stencil.images) for n, stencil in kept.items()} == sizes
+    assert all(cohomology._stencil(other, n).monomials is not kept[n].monomials for n in kept)
+    assert kept_sizes() == sizes
 
     # the stencil reads the module's own algebra, so a mismatched pair is
     # refused at the public entry

@@ -42,7 +42,7 @@ from pseudo.constructions import (
     search_extension_witness,
 )
 from pseudo.formats import parse_algebra, parse_cochain, parse_gamma, parse_module
-from pseudo.polyring import Poly, parse_poly, poly_to_str
+from pseudo.polyring import Poly, VariableMismatchError, parse_poly, poly_to_str
 
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
@@ -342,6 +342,34 @@ def test_deformation_residual_is_minus_the_differential(q):
                     {"lam1": "lam", "lam2": "mu"}, ASSOC_VARS
                 )
     assert residuals == collected
+
+
+def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regular, monkeypatch):
+    # the law maps read the twist in its own (del, lam1): no value of it is
+    # renamed first, and a table over variables its map does not bind is
+    # refused by the one substitution path
+    zero = Poly.zero(D2)
+    values = {
+        (0, 1): (parse_poly("lam1 + del^2", D2), zero, parse_poly("-1/2*del*lam1", D2), zero),
+        (3, 2): (zero, parse_poly("2 + lam1^2", D2), zero, parse_poly("del", D2)),
+    }
+    cochain = Cochain(2, mat2, mat2_regular, values)
+    expected = {}
+    for (a, b, c), vec in apply_dn(cochain).values.items():
+        for s, poly in enumerate(vec):
+            if not poly.is_zero:
+                expected[(a, b, c, s)] = -poly.rename_vars({"lam1": "lam", "lam2": "mu"}, ASSOC_VARS)
+    assert expected
+    datum = DeformationDatum(mat2, cochain)
+
+    def refuse(*args):
+        raise AssertionError("a twist value was renamed")
+
+    monkeypatch.setattr(Poly, "rename_vars", refuse)
+    assert deformation_residuals(datum) == expected
+    twist = constructions._cochain_entries(cochain)
+    with pytest.raises(VariableMismatchError):
+        conformal._law_tables(mat2.structure, twist, mat2.structure, twist)
 
 
 def test_deformation_witness_search(cur1, cur1_regular):

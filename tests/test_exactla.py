@@ -164,3 +164,17 @@ def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
     else:
         rhs = data.draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
     assert solve(shuffled, [rhs[i] for i in order]) == fraction_solve(entries, rhs, ncols)
+
+
+@given(st.data())
+def test_kernel_basis_is_the_same_echelon_for_any_row_order(data):
+    # kernel_basis inserts the rows shortest first; rows of mixed sparsity,
+    # empty ones among them, must give one echelon whatever their order
+    nrows = data.draw(st.integers(min_value=1, max_value=7))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    vector = st.lists(sparse_rationals, min_size=ncols, max_size=ncols)
+    entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    expected = kernel_basis(dense(entries))
+    got = kernel_basis(dense([entries[i] for i in order]))
+    assert got == expected
