@@ -11,7 +11,8 @@ from the same seed, and run alternately: every operation of BASE, then
 the same one of CHANGE, with the order of the two flipped on each rep.
 One untimed pass per package first checks every answer.  Prints the
 median milliseconds of each operation for both, their sums and the
-ratio CHANGE / BASE.
+ratio CHANGE / BASE, then, as its last line, in how many reps the sum
+of CHANGE's operations took less time than the sum of BASE's.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -129,6 +130,9 @@ def main(argv=None) -> int:
     total_base, total_change = sum(medians[0]), sum(medians[1])
     print(f"{'sum of medians':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
           f"{total_change / total_base:5.3f}")
+    base_reps, change_reps = ([sum(rep) for rep in zip(*side)] for side in times)
+    wins = sum(change < base for base, change in zip(base_reps, change_reps))
+    print(f"change faster in {wins} of {args.reps} reps")
     return 0
 
 

@@ -115,9 +115,12 @@ class BimoduleStructure:
         return self.right.get((j, i), ())
 
     def structure_degree(self) -> int:
-        """Largest total degree among the algebra's and both actions' polynomials."""
-        tables = [t for t in (self.left, self.right) if t is not None]
-        return max([self.algebra.structure_degree(), *map(_table_degree, tables)])
+        """Largest total degree among the algebra's and both actions'
+        polynomials, found on the first call and kept on the module."""
+        return _kept(self, "structure_degree", lambda module: max([
+            module.algebra.structure_degree(),
+            *(_table_degree(t) for t in (module.left, module.right) if t is not None),
+        ]))
 
     @classmethod
     def regular(cls, algebra: ConformalAlgebra) -> "BimoduleStructure":

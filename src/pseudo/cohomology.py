@@ -490,7 +490,7 @@ class _Stencil:
         coordinates; overflow if a monomial exceeds max_degree."""
         acc: dict = {}
         self.add(acc, label)
-        out = {code: _coeff(c) for code, c in acc.items() if c}
+        out = {code: c if type(c) is int else _coeff(c) for code, c in acc.items() if c}
         limit = self.extent(max_degree) * self.span
         if out and max(out) >= limit:
             tup, _, exp = self.label(next(code for code in out if code >= limit))

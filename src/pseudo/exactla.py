@@ -13,7 +13,10 @@ and 0 at every other pivot column.  Such rows are the reduced row echelon
 basis of their span, which is unique, so the order rows are inserted in
 never shows in a result and equality of subspaces is plain equality of
 their echelons.  Everything is exact: no pivot is ever chosen for
-numerical reasons.
+numerical reasons.  The echelon also indexes its rows by column (the
+pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
+is cleared from just the rows that hold its column rather than from
+every stored row.
 
 A caller whose rows are named by labels (terms of a cochain or of a
 family of maps) hands sparse label-keyed columns and target to
@@ -58,8 +61,20 @@ class Echelon(dict):
     """Pivot column -> sparse row, kept fully reduced (see module docstring).
 
     Columns are any integers; callers that want some columns eliminated
-    before others number those lower.
+    before others number those lower.  ``holders`` indexes the rows by
+    the columns they hold: it maps each non-pivot column to the set of
+    pivots whose rows are nonzero there, and a column no row holds has
+    no entry.  A new pivot then clears only the rows the index names,
+    not every stored row.  The index costs one set entry per off-pivot
+    entry of the rows and takes no part in ``==``.  Only an echelon that
+    starts empty keeps one: an echelon made from given rows, and the rows
+    of a ``SubspaceBasis``, are finished, so ``holders`` is None there and
+    an insert fails rather than run on a missing index.
     """
+
+    def __init__(self, rows: Mapping[int, dict[int, int | Fraction]] = ()):
+        super().__init__(rows)
+        self.holders: dict[int, set[int]] | None = None if self else {}
 
     def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
         """Subtract from ``row``, in place, its part along the pivot rows.
@@ -76,7 +91,8 @@ class Echelon(dict):
         """Add ``row`` (consumed) to the span.
 
         The reduced row, unless 0, is scaled to 1 at its smallest column,
-        which then is cleared from every other row.
+        which then is cleared from the rows that ``holders`` says hold it;
+        the index follows each entry those subtractions create or cancel.
         """
         row = self._reduce(row)
         if not row:
@@ -85,9 +101,30 @@ class Echelon(dict):
         piv = row[lead]
         if piv != 1:
             row = {j: _quotient(v, piv) for j, v in row.items()}
-        for other in self.values():
-            if lead in other:
-                _subtract(other, other[lead], row)
+        # the reduced row is 0 at every pivot, so each column it holds but
+        # its lead is a non-pivot column; indexed first, such a column's
+        # set keeps the new pivot and never empties in the loop below
+        holders = self.holders
+        for j in row:
+            if j != lead:
+                holders.setdefault(j, set()).add(lead)
+        for pivot in holders.pop(lead, ()):
+            other = self[pivot]
+            factor = other.pop(lead)
+            for j, v in row.items():
+                if j == lead:
+                    continue
+                if j in other:
+                    acc = other[j] - factor * v
+                    if acc:
+                        other[j] = acc if type(acc) is int else _coeff(acc)
+                    else:
+                        del other[j]
+                        holders[j].discard(pivot)
+                else:
+                    acc = -factor * v
+                    other[j] = acc if type(acc) is int else _coeff(acc)
+                    holders[j].add(pivot)
         self[lead] = row
 
 
@@ -98,7 +135,7 @@ def _subtract(
     for j, v in row.items():
         acc = target.get(j, 0) - factor * v
         if acc:
-            target[j] = _coeff(acc)
+            target[j] = acc if type(acc) is int else _coeff(acc)
         else:
             del target[j]
 
@@ -117,10 +154,17 @@ def rank(m: QMatrix) -> int:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Subspace of Q^n held as the echelon of its RREF basis rows."""
+    """Subspace of Q^n held as the echelon of its RREF basis rows.
+
+    A basis takes no inserts, so its echelon's index is dropped: only
+    the rows are kept for as long as the basis lives.
+    """
 
     ambient_dimension: int
     rows: Echelon
+
+    def __post_init__(self):
+        self.rows.holders = None
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_inproc.py: the checkout against itself."""
 
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ def test_checkout_against_itself():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    header, *rows, total = result.stdout.splitlines()
+    header, *rows, total, wins = result.stdout.splitlines()
     assert header.split() == ["operation", "base", "ms", "change", "ms", "ratio"]
     assert [row.rsplit(None, 3)[0] for row in rows] == [
         "mat2 H^2 D=1", "mat2 H^2 D=0", "mat2 H^1 D=3",
@@ -26,3 +27,4 @@ def test_checkout_against_itself():
     assert total.startswith("sum of medians")
     sums = [float(x) for x in total.split()[-3:-1]]
     assert all(value > 0 for value in sums)
+    assert re.fullmatch(r"change faster in [01] of 1 reps", wins)

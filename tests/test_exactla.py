@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import fraction_kernel, fraction_rref, fraction_solve, rationals, subspace
 from pseudo.exactla import (
     ContainmentError,
+    Echelon,
     QMatrix,
     SubspaceBasis,
     kernel_basis,
@@ -164,6 +165,50 @@ def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
     else:
         rhs = data.draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
     assert solve(shuffled, [rhs[i] for i in order]) == fraction_solve(entries, rhs, ncols)
+
+
+def recomputed_index(echelon) -> dict:
+    """Each non-pivot column -> the pivots whose rows hold it, read off
+    the rows themselves."""
+    index: dict = {}
+    for pivot, row in echelon.items():
+        for j in row:
+            if j != pivot:
+                index.setdefault(j, set()).add(pivot)
+    return index
+
+
+@given(st.data())
+def test_echelon_index_follows_every_insert(data):
+    # the column -> pivot-rows index must name exactly the rows holding
+    # each column after every insert, in any row order; entries of 0 and
+    # +-1 make clearing cancel entries, which the index must drop.  An
+    # echelon made from given rows, and a basis's rows, keep no index and
+    # refuse an insert that would need one
+    nrows = data.draw(st.integers(min_value=1, max_value=7))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))), rationals())
+    vector = st.lists(entry, min_size=ncols, max_size=ncols)
+    entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
+    order = data.draw(st.permutations(range(nrows)))
+    basis, pivots = fraction_rref(entries, ncols)
+
+    echelon = Echelon()
+    for i in order:
+        echelon.insert({j: x for j, x in enumerate(entries[i]) if x})
+        assert echelon.holders == recomputed_index(echelon)
+        assert not set(echelon.holders) & set(echelon)
+    assert sorted(echelon) == pivots
+    assert [[echelon[p].get(j, 0) for j in range(ncols)] for p in pivots] == basis
+
+    built = Echelon({p: dict(row) for p, row in echelon.items()})
+    assert built == echelon and built.holders == (None if built else {})
+    finished = SubspaceBasis(ncols + 1, echelon)
+    assert finished.rows == built and echelon.holders is None
+    outside = {next(j for j in range(ncols + 1) if j not in echelon): Fraction(1)}
+    for rows in (built, finished.rows) if built else (finished.rows,):
+        with pytest.raises(AttributeError):
+            rows.insert(dict(outside))
 
 
 @given(st.data())
