@@ -23,7 +23,6 @@ from .cohomology import (
     TruncationOverflowError,
     TruncationWindow,
     cohomology_dimensions,
-    differential_matrix,
 )
 from .conformal import (
     ConformalAlgebra,
@@ -75,7 +74,6 @@ __all__ = [
     "cohomology_dimensions",
     "deform",
     "deformation_residuals",
-    "differential_matrix",
     "equivalent_deformations",
     "equivalent_extensions",
     "extension_residuals",

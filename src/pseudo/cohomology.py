@@ -17,13 +17,14 @@ where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
 For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
 slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
-degree, 0 included), ``differential_matrix`` and the deformation witness
-search all run on.  A cochain becomes label-keyed terms
+degree, 0 included), the cocycle and coboundary slices and the
+deformation witness search all run on; the last three hand its sparse
+columns straight to ``exactla``.  A cochain becomes label-keyed terms
 ((tuple, k, monomial), coeff) in ``_terms`` and is built back from them
 in ``_from_terms``, the one way each direction is written.  Inside the
 stencil a target label is one integer code (see ``_Stencil``), laid out
-so that a degree bound is one comparison and a row of the degree-D
-target slice is (code % span) * extent(D) + code // span; only
+so that a degree bound is one comparison and a label's place in the
+degree-D target slice is (code % span) * extent(D) + code // span; only
 ``apply_dn`` and the overflow message decode codes back to labels.
 What lives on the module: its compiled stencil for each degree n, built
 on first use (`_stencil`), with the ring map of each slot, the slot
@@ -51,14 +52,7 @@ from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, UnfitModuleError
 from .conformal import ConformalAlgebra, _kept
-from .exactla import (
-    ContainmentError,
-    Echelon,
-    QMatrix,
-    SubspaceBasis,
-    kernel_basis,
-    quotient_dimension,
-)
+from .exactla import ContainmentError, SubspaceBasis, _SliceSpan, kernel, quotient_dimension
 from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials
 
 
@@ -257,34 +251,6 @@ def apply_dn(cochain: Cochain) -> Cochain:
     return _from_terms(n + 1, module, ((label(code), c) for code, c in acc.items() if c))
 
 
-def differential_matrix(
-    algebra: ConformalAlgebra,
-    module: BimoduleStructure,
-    degree: int,
-    max_degree_in: int,
-    max_degree_out: int,
-) -> QMatrix:
-    """Matrix of d_n from the degree-<=D_in slice to the degree-<=D_out slice."""
-    if module.algebra != algebra:
-        raise ValueError("module is over a different algebra")
-    bound = module.structure_degree()
-    needed = (max_degree_in if degree > 0 else 0) + bound
-    if max_degree_out < needed:
-        raise ValueError(
-            f"output degree bound {max_degree_out} below required {needed}"
-        )
-    source = CochainIndex(algebra, module, degree, max_degree_in)
-    stencil = _stencil(module, degree)
-    # a target code's row is its place in CochainIndex(degree + 1, D_out)
-    span, extent = stencil.span, stencil.extent(max_degree_out)
-    rows: list[dict[int, int | Fraction]] = [dict() for _ in range(span * extent)]
-    for col, label in enumerate(source.labels):
-        for code, coeff in stencil.column(label, max_degree_out).items():
-            place, rest = divmod(code, span)
-            rows[rest * extent + place][col] = coeff
-    return QMatrix(len(rows), source.dimension, rows)
-
-
 class _Stencil:
     """d_n compiled for one module: the only definition of its slot rules.
 
@@ -308,7 +274,7 @@ class _Stencil:
     below ``extent(D) * span``, and a label's place in
     ``CochainIndex(n + 1, D)`` is (code % span) * extent(D) + code // span.
     A column is a sparse dict from codes to coefficients: no target label
-    is built, hashed or looked up on the way to a matrix row.
+    is built, hashed or looked up on the way to an echelon row.
 
     The image of a basis monomial m at a slot depends on (slot, cut, k, m)
     alone, so ``add`` forms it once and the stencil keeps it in
@@ -535,33 +501,16 @@ class CohomologyReport:
         return self.cocycles.dim - self.coboundaries.dim
 
 
-class _SliceSpan:
-    """The span of the images inserted so far, intersected with a slice.
-
-    Slice label j is column j; every other label gets a negative column
-    (-1, -2, ...) as it first appears.  An echelon row's lead is its
-    smallest column, so a row whose lead is >= 0 lies wholly in the slice,
-    and those rows are the RREF basis of the intersection, already in
-    slice coordinates.  Images inserted later extend the same echelon.
-    """
-
-    def __init__(self, slice_labels: Sequence):
-        self.size = len(slice_labels)
-        self.position = {label: j for j, label in enumerate(slice_labels)}
-        self.echelon = Echelon()
-
-    def insert(self, image: Mapping) -> None:
-        position = self.position
-        row = {}
-        for label, coeff in image.items():
-            if label not in position:
-                position[label] = self.size - len(position) - 1
-            row[position[label]] = coeff
-        self.echelon.insert(row)
-
-    def basis(self) -> SubspaceBasis:
-        inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}
-        return SubspaceBasis(self.size, Echelon(inside))
+def _cocycle_slice(
+    algebra: ConformalAlgebra, module: BimoduleStructure, degree: int, d: int
+) -> SubspaceBasis:
+    """Z intersected with the degree-<=D slice: the kernel of the stencil
+    columns of the slice's basis cochains, each of which must land within
+    degree D plus the module's structure degree."""
+    stencil = _stencil(module, degree)
+    out = d + module.structure_degree()
+    labels = CochainIndex(algebra, module, degree, d).labels
+    return kernel([stencil.column(label, out) for label in labels])
 
 
 def _coboundary_slice(
@@ -624,11 +573,10 @@ def cohomology_dimensions(
         raise ValueError("degree must be nonnegative")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if module.algebra != algebra:
+        raise ValueError("module is over a different algebra")
     d = window.degree_bound
-    bound = module.structure_degree()
-
-    z_matrix = differential_matrix(algebra, module, degree, d, d + bound)
-    cocycles = kernel_basis(z_matrix)
+    cocycles = _cocycle_slice(algebra, module, degree, d)
     coboundaries, stabilized, rounds = _coboundary_slice(
         algebra, module, degree, window, max_rounds
     )

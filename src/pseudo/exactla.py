@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices keep sparse rows (dict column -> nonzero entry).  Entries take
-the coefficient form of ``pseudo.polyring``: an ``int`` when integral,
-otherwise a reduced ``Fraction`` with denominator above 1, never a float.
-``polyring._coeff`` takes in a right-hand side and normalizes every sum;
-``polyring._quotient``, the one division, scales a new echelon row to 1
-at its pivot.
+A linear map comes in as its columns, one per unknown: each a sparse
+dict from row label (any hashable, such as a term of a cochain or of a
+family of maps) to entry.  ``kernel`` and ``solve_columns`` take nothing
+else, and ``_rows`` alone turns the columns into sparse rows (dict
+column number -> nonzero entry).  Entries take the coefficient form
+of ``pseudo.polyring``: an ``int`` when integral, otherwise a reduced
+``Fraction`` with denominator above 1, never a float.  ``polyring._coeff``
+takes each entry in and normalizes every sum; ``polyring._quotient``,
+the one division, scales a new echelon row to 1 at its pivot.
 
 Every elimination goes through one sparse echelon (``Echelon``): a dict
 from pivot column to a row that is 1 at its pivot, its smallest column,
@@ -16,18 +19,14 @@ their echelons.  Everything is exact: no pivot is ever chosen for
 numerical reasons.  The echelon also indexes its rows by column (the
 pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
-every stored row.
-
-A caller whose rows are named by labels (terms of a cochain or of a
-family of maps) hands sparse label-keyed columns and target to
-``solve_columns``, which alone numbers the rows.
+every stored row.  The lead convention (smallest column) is what
+``_SliceSpan`` reads a slice off, which is why it lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import _coeff, _quotient
@@ -35,26 +34,6 @@ from .polyring import _coeff, _quotient
 
 class ContainmentError(ValueError):
     """A claimed subspace inclusion failed; callers treat this as a bug."""
-
-
-class QMatrix:
-    """Rational matrix with sparse rows, entries in the coefficient form.
-
-    Each entry is taken in through ``polyring._coeff``, so a float is
-    refused, and a zero is dropped, so it never becomes a pivot.
-    """
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: list[dict[int, int | Fraction]]):
-        if len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        self.nrows = nrows
-        self.ncols = ncols
-        # a nonzero int is already in the coefficient form
-        if not all(type(v) is int and v for row in rows for v in row.values()):
-            rows = [{j: c for j, v in row.items() if (c := _coeff(v))} for row in rows]
-        self.rows = rows
 
 
 class Echelon(dict):
@@ -141,15 +120,11 @@ def _subtract(
 
 
 def _span(rows: Iterable[dict[int, int | Fraction]]) -> Echelon:
-    """The echelon of copies of ``rows``."""
+    """The echelon of ``rows``, each consumed."""
     echelon = Echelon()
     for row in rows:
-        echelon.insert(dict(row))
+        echelon.insert(row)
     return echelon
-
-
-def rank(m: QMatrix) -> int:
-    return len(_span(m.rows))
 
 
 @dataclass(frozen=True)
@@ -183,58 +158,94 @@ class SubspaceBasis:
         return cls(ambient_dimension, Echelon())
 
 
-def kernel_basis(m: QMatrix) -> SubspaceBasis:
-    """Null space of m, as an RREF basis of Q^ncols.
+def _rows(columns: Sequence[Mapping]) -> dict:
+    """Row label -> {column number: entry} of sparse columns keyed by row
+    labels: the one place columns become rows.
 
-    The rows go in shortest first, empty ones dropped (Markowitz's order:
-    a short pivot row adds few entries to the rows it clears); the RREF is
-    unique, so the order never shows.  Each free column f gives the
-    vector e_f minus the f-entries of the pivot rows placed at their
-    pivots.
+    Each entry is taken in through ``polyring._coeff`` (a nonzero int is
+    already in the coefficient form), so a float is refused, and a zero is
+    dropped, so it never becomes a pivot; a label no column reaches with a
+    nonzero entry gets no row.
     """
-    echelon = _span(sorted(filter(None, m.rows), key=len))
-    kernel = {f: {f: 1} for f in range(m.ncols) if f not in echelon}
+    rows: dict = {}
+    for col, column in enumerate(columns):
+        for label, v in column.items():
+            if type(v) is not int:
+                v = _coeff(v)
+            if v:
+                row = rows.get(label)
+                if row is None:
+                    rows[label] = {col: v}
+                else:
+                    row[col] = v
+    return rows
+
+
+def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
+    """Null space of the map with these columns, as an RREF basis of
+    Q^len(columns).
+
+    The rows go in shortest first (Markowitz's order: a short pivot row
+    adds few entries to the rows it clears); the RREF is unique, so the
+    order never shows.  Each free column f gives the vector e_f minus the
+    f-entries of the pivot rows placed at their pivots.
+    """
+    ncols = len(columns)
+    echelon = _span(sorted(_rows(columns).values(), key=len))
+    basis = {f: {f: 1} for f in range(ncols) if f not in echelon}
     for pivot, row in echelon.items():
         for j, v in row.items():
             if j != pivot:
-                kernel[j][pivot] = -v
-    return SubspaceBasis(m.ncols, _span(kernel.values()))
-
-
-def solve(m: QMatrix, rhs: Sequence) -> list[int | Fraction] | None:
-    """One exact solution of m @ x = rhs, or None if inconsistent.
-
-    The right-hand side rides as column ncols; free unknowns are 0.
-    """
-    rhs = [_coeff(v) for v in rhs]
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    echelon = _span({**row, m.ncols: b} if b else row for row, b in zip(m.rows, rhs))
-    if m.ncols in echelon:
-        return None
-    solution = [0] * m.ncols
-    for pivot, row in echelon.items():
-        solution[pivot] = row.get(m.ncols, 0)
-    return solution
+                basis[j][pivot] = -v
+    return SubspaceBasis(ncols, _span(basis.values()))
 
 
 def solve_columns(columns: Sequence[Mapping], target: Mapping) -> list[int | Fraction] | None:
-    """``solve`` for sparse columns and a target keyed by row labels.
+    """One exact solution x of sum_j x_j * columns[j] = target, or None if
+    there is none; columns and target are sparse, keyed by row labels.
 
-    This is the one place labels become rows, in order of first
-    appearance.  The solution is read off the unique RREF of the
-    augmented rows, so no row order shows; a target label that no column
-    reaches leaves an inconsistent row.
+    The target rides as column len(columns), and the solution is read off
+    the unique RREF of the augmented rows, so no row order shows; free
+    unknowns are 0.  A target label that no column reaches leaves an
+    inconsistent row.
     """
-    row_of = {label: r for r, label in enumerate(dict.fromkeys(chain(*columns, target)))}
-    rows: list[dict[int, int | Fraction]] = [{} for _ in row_of]
-    for col, column in enumerate(columns):
-        for label, coeff in column.items():
-            rows[row_of[label]][col] = coeff
-    rhs = [0] * len(rows)
-    for label, coeff in target.items():
-        rhs[row_of[label]] = coeff
-    return solve(QMatrix(len(rows), len(columns), rows), rhs)
+    ncols = len(columns)
+    echelon = _span(_rows([*columns, target]).values())
+    if ncols in echelon:
+        return None
+    solution = [0] * ncols
+    for pivot, row in echelon.items():
+        solution[pivot] = row.get(ncols, 0)
+    return solution
+
+
+class _SliceSpan:
+    """The span of the images inserted so far, intersected with a slice.
+
+    Slice label j is column j; every other label gets a negative column
+    (-1, -2, ...) as it first appears.  An echelon row's lead is its
+    smallest column, so a row whose lead is >= 0 lies wholly in the slice,
+    and those rows are the RREF basis of the intersection, already in
+    slice coordinates.  Images inserted later extend the same echelon.
+    """
+
+    def __init__(self, slice_labels: Sequence):
+        self.size = len(slice_labels)
+        self.position = {label: j for j, label in enumerate(slice_labels)}
+        self.echelon = Echelon()
+
+    def insert(self, image: Mapping) -> None:
+        position = self.position
+        row = {}
+        for label, coeff in image.items():
+            if label not in position:
+                position[label] = self.size - len(position) - 1
+            row[position[label]] = coeff
+        self.echelon.insert(row)
+
+    def basis(self) -> SubspaceBasis:
+        inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}
+        return SubspaceBasis(self.size, Echelon(inside))
 
 
 def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:

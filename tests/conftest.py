@@ -11,7 +11,7 @@ from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, ConformalAlgebra, free_rank_one
-from pseudo.exactla import QMatrix, SubspaceBasis, _span, kernel_basis
+from pseudo.exactla import SubspaceBasis, _span
 from pseudo.formats import parse_fd_algebra
 from pseudo.polyring import Poly, _RingMap
 
@@ -104,45 +104,29 @@ def center_dimension(algebra: ConformalAlgebra) -> int:
     bar complex, so it cross-checks HH^0 with regular coefficients."""
     n = algebra.rank
     c = structure_constants(algebra)
-    rows: list[dict[int, Fraction]] = []
-    for a in range(n):
-        for k in range(n):
-            row: dict[int, Fraction] = {}
-            for z in range(n):
-                val = c[z][a][k] - c[a][z][k]
-                if val:
-                    row[z] = val
-            rows.append(row)
-    matrix = QMatrix(len(rows), n, rows)
-    return kernel_basis(matrix).dim
+    rows = [[c[z][a][k] - c[a][z][k] for z in range(n)] for a in range(n) for k in range(n)]
+    return len(fraction_kernel(rows, n))
 
 
 def derivation_space_dimension(algebra: ConformalAlgebra) -> int:
     """Linear maps D with D(ab) = D(a)b + a D(b), by brute-force solve."""
     n = algebra.rank
     c = structure_constants(algebra)
-    # unknowns D[p][q] (column q*n+p? keep (p, q): D(e_p) = sum_q D[p][q] e_q)
-    cols = {(p, q): p * n + q for p in range(n) for q in range(n)}
-    rows: list[dict[int, Fraction]] = []
+    # unknowns D[p][q], in column p * n + q: D(e_p) = sum_q D[p][q] e_q
+    rows = []
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                row: dict[int, Fraction] = {}
-
-                def bump(key, val):
-                    if val:
-                        row[key] = row.get(key, Fraction(0)) + val
-
+                row = [Fraction(0)] * (n * n)
                 for l in range(n):
                     # D applied to the product
-                    bump(cols[(l, m)], c[i][j][l])
+                    row[l * n + m] += c[i][j][l]
                     # minus D(e_i) e_j
-                    bump(cols[(i, l)], -c[l][j][m])
+                    row[i * n + l] -= c[l][j][m]
                     # minus e_i D(e_j)
-                    bump(cols[(j, l)], -c[i][l][m])
-                rows.append({k: v for k, v in row.items() if v})
-    matrix = QMatrix(len(rows), n * n, rows)
-    return kernel_basis(matrix).dim
+                    row[j * n + l] -= c[i][l][m]
+                rows.append(row)
+    return len(fraction_kernel(rows, n * n))
 
 
 def inner_derivation_space_dimension(algebra: ConformalAlgebra) -> int:
@@ -156,12 +140,12 @@ def inner_derivation_space_dimension(algebra: ConformalAlgebra) -> int:
             for q in range(n):
                 vec[p * n + q] = c[a][p][q] - c[p][a][q]
         vectors.append(vec)
-    return subspace(n * n, vectors).dim
+    return len(fraction_rref(vectors, n * n)[1])
 
 
 # The term-by-term differential: each slot's substitutions are written out
-# again here, apart from the compiled stencil that apply_dn and
-# differential_matrix share, so the tests can compare the two.
+# again here, apart from the compiled stencil that apply_dn and the slices
+# share, so the tests can compare the two.
 
 
 def reference_d0(cochain: Cochain) -> Cochain:

@@ -21,7 +21,7 @@ from pseudo.cfmodule import BimoduleStructure, check_module_axioms
 from pseudo.cohomology import Cochain, CochainIndex, _stencil, apply_dn, cochain_variables
 from pseudo.conformal import ConformalAlgebra, check_associativity, free_rank_one
 from pseudo.constructions import DeformationDatum, deformation_residuals
-from pseudo.exactla import Echelon, QMatrix, kernel_basis, rank, solve
+from pseudo.exactla import Echelon, _rows, kernel, solve_columns
 from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
 
 PL = ("del", "lam")
@@ -137,14 +137,14 @@ def test_elimination_keeps_the_invariant(data):
     assert sorted(echelon) == pivots
     assert [[echelon[p].get(j, 0) for j in range(ncols)] for p in pivots] == basis
 
-    m = QMatrix(nrows, ncols, sparse)
-    kernel = kernel_basis(m)
-    for row in kernel.rows.values():
+    columns = [{i: row[j] for i, row in enumerate(sparse) if j in row} for j in range(ncols)]
+    null_space = kernel(columns)
+    for row in null_space.rows.values():
         assert_normal(row.values())
-    assert [list(vec) for vec in kernel.vectors] == fraction_kernel(entries, ncols)
+    assert [list(vec) for vec in null_space.vectors] == fraction_kernel(entries, ncols)
 
     rhs = [b for b, in dense_rows(data.draw, nrows, 1, coefficients)]
-    solution = solve(m, rhs)
+    solution = solve_columns(columns, dict(enumerate(rhs)))
     assert solution == fraction_solve(entries, rhs, ncols)
     if solution is not None:
         assert_normal(solution)
@@ -170,8 +170,8 @@ def test_differential_keeps_the_invariant(mat2, mat2_regular, coords):
 
 
 def test_stencil_columns_keep_the_invariant():
-    # read straight off the stencil: a QMatrix built from the columns
-    # would normalize a stray entry and hide it
+    # read straight off the stencil: the rows exactla builds from the
+    # columns would normalize a stray entry and hide it
     module = BimoduleStructure.regular(HALVES)
     for n in (0, 1, 2):
         stencil = _stencil(module, n)
@@ -219,8 +219,9 @@ ENTRY_POINTS = {
     "Poly.monomial": lambda v: Poly.monomial(PL, (0, 2), v),
     "Poly * scalar": lambda v: Poly.var(PL, "lam") * v,
     "Poly + scalar": lambda v: Poly.var(PL, "lam") + v,
-    "solve rhs": lambda v: solve(QMatrix(1, 1, [{0: 2}]), [v]),
-    "QMatrix entry": lambda v: QMatrix(1, 2, [{0: 1, 1: v}]),
+    "solve rhs": lambda v: solve_columns([{"r": 2}], {"r": v}),
+    "solve_columns column entry": lambda v: solve_columns([{"r": 1}, {"r": v}], {"r": 1}),
+    "kernel column entry": lambda v: kernel([{"r": 1}, {"r": v}]),
     "CochainIndex.reconstruct": _reconstruct,
 }
 
@@ -239,11 +240,12 @@ def test_exact_coefficients_are_accepted(entry):
 
 
 def test_explicit_zero_entries_are_dropped():
-    # an explicit 0 kept in a row would be taken for its pivot
-    for row in ({0: 0, 1: 1}, {0: Fraction(0), 1: Fraction(4, 2)}):
-        m = QMatrix(1, 2, [row])
-        assert m.rows == [{1: row[1]}]
-        assert_normal(m.rows[0].values())
-        assert rank(m) == 1
-        assert kernel_basis(m).vectors == ((1, 0),)
-        assert solve(m, [3]) == [0, Fraction(3, row[1])]
+    # an explicit 0 kept in a row would be taken for its pivot, and one
+    # kept in the target for an inconsistent row
+    for zero, entry in ((0, 1), (Fraction(0), Fraction(4, 2))):
+        columns = [{"r": zero, "s": zero}, {"r": entry}]
+        rows = _rows(columns)
+        assert rows == {"r": {1: entry}}
+        assert_normal(rows["r"].values())
+        assert kernel(columns).vectors == ((1, 0),)
+        assert solve_columns(columns, {"r": 3, "s": zero}) == [0, Fraction(3, entry)]

@@ -7,25 +7,37 @@ from conftest import fraction_kernel, fraction_rref, fraction_solve, rationals, 
 from pseudo.exactla import (
     ContainmentError,
     Echelon,
-    QMatrix,
     SubspaceBasis,
-    kernel_basis,
+    _rows,
+    kernel,
     quotient_dimension,
-    rank,
-    solve,
+    solve_columns,
 )
 
 
-def dense(rows):
-    sparse = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
-    return QMatrix(len(rows), len(rows[0]) if rows else 0, sparse)
+def columns_of(rows, order=None):
+    """The columns of the dense matrix ``rows``, each a dict from row
+    number to nonzero entry; ``order`` is the order the rows are entered
+    in, so the order row labels first appear in."""
+    ncols = len(rows[0]) if rows else 0
+    order = range(len(rows)) if order is None else order
+    return [{i: Fraction(rows[i][j]) for i in order if rows[i][j]} for j in range(ncols)]
 
 
-def times(m, vec):
-    return [sum((v * vec[j] for j, v in row.items()), Fraction(0)) for row in m.rows]
+def times(rows, vec):
+    return [sum((Fraction(v) * x for v, x in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def rank(rows, ncols):
+    return len(fraction_rref(rows, ncols)[1])
+
+
+def target_of(rhs):
+    return {i: b for i, b in enumerate(rhs) if b}
 
 
 def matrices(max_rows=4, max_cols=4):
+    """Dense matrices as lists of rows of rationals."""
     shape = st.tuples(
         st.integers(min_value=1, max_value=max_rows),
         st.integers(min_value=1, max_value=max_cols),
@@ -35,7 +47,7 @@ def matrices(max_rows=4, max_cols=4):
             st.lists(rationals(), min_size=rc[1], max_size=rc[1]),
             min_size=rc[0],
             max_size=rc[0],
-        ).map(dense)
+        )
     )
 
 
@@ -45,25 +57,24 @@ def test_rref_example():
         0: {0: Fraction(1), 2: Fraction(1)},
         1: {1: Fraction(1), 2: Fraction(1)},
     }
-    assert rank(dense(rows)) == 2
+    assert kernel(columns_of(rows)).dim == 3 - 2
 
 
 def test_kernel_and_image_example():
-    m = dense([[1, 2, 3], [2, 4, 6]])
-    ker = kernel_basis(m)
+    rows = [[1, 2, 3], [2, 4, 6]]
+    ker = kernel(columns_of(rows))
     assert ker.dim == 2
     for vec in ker.vectors:
-        assert times(m, vec) == [Fraction(0), Fraction(0)]
-    assert rank(m) == 1
-    assert solve(m, [Fraction(1), Fraction(2)]) is not None
-    assert solve(m, [Fraction(1), Fraction(0)]) is None
+        assert times(rows, vec) == [Fraction(0), Fraction(0)]
+    assert solve_columns(columns_of(rows), target_of([1, 2])) is not None
+    assert solve_columns(columns_of(rows), target_of([1, 0])) is None
 
 
 def test_solve():
-    m = dense([[1, 1], [0, 1], [1, 0]])
-    sol = solve(m, [Fraction(3), Fraction(1), Fraction(2)])
+    rows = [[1, 1], [0, 1], [1, 0]]
+    sol = solve_columns(columns_of(rows), target_of([3, 1, 2]))
     assert sol == [Fraction(2), Fraction(1)]
-    assert solve(m, [Fraction(1), Fraction(1), Fraction(1)]) is None
+    assert solve_columns(columns_of(rows), target_of([1, 1, 1])) is None
 
 
 def test_quotient_dimension_and_containment():
@@ -77,45 +88,59 @@ def test_quotient_dimension_and_containment():
 
 
 def test_matrix_helpers():
-    m = dense([[0, 1], [2, 0]])
-    assert (m.nrows, m.ncols, m.rows) == (2, 2, [{1: Fraction(1)}, {0: Fraction(2)}])
-    assert times(m, [Fraction(1), Fraction(3)]) == [Fraction(3), Fraction(2)]
-    with pytest.raises(ValueError):
-        QMatrix(3, 2, m.rows)
+    # columns become rows keyed by label; a zero entry and a label no
+    # column reaches with a nonzero entry make no row
+    columns = [{"b": 2, ("a", 1): Fraction(3, 2)}, {"b": 0, "c": Fraction(4, 2)}, {}]
+    assert _rows(columns) == {"b": {0: 2}, ("a", 1): {0: Fraction(3, 2)}, "c": {1: 2}}
+    assert type(_rows(columns)["c"][1]) is int
+    assert times([[0, 1], [2, 0]], [Fraction(1), Fraction(3)]) == [Fraction(3), Fraction(2)]
+
+
+def test_empty_and_zero_columns():
+    assert kernel([]).dim == 0 and kernel([]).ambient_dimension == 0
+    assert kernel([{}]).vectors == ((1,),)
+    assert kernel([{0: 1}, {}, {0: 0}]).vectors == ((0, 1, 0), (0, 0, 1))
+    assert solve_columns([], {}) == []
+    assert solve_columns([{}], {}) == [0]
+    # a target label that no column reaches is an inconsistent row
+    assert solve_columns([], {"x": 1}) is None
+    assert solve_columns([{"x": 1}, {"y": 2}], {"x": 1, "z": 1}) is None
+    assert solve_columns([{"x": 1}, {"y": 2}], {"y": 1}) == [0, Fraction(1, 2)]
 
 
 @given(matrices())
-def test_rank_nullity(m):
-    assert rank(m) + kernel_basis(m).dim == m.ncols
+def test_rank_nullity(rows):
+    ncols = len(rows[0])
+    assert rank(rows, ncols) + kernel(columns_of(rows)).dim == ncols
 
 
 @given(matrices())
-def test_kernel_vectors_annihilate(m):
-    for vec in kernel_basis(m).vectors:
-        assert all(x == 0 for x in times(m, vec))
+def test_kernel_vectors_annihilate(rows):
+    for vec in kernel(columns_of(rows)).vectors:
+        assert all(x == 0 for x in times(rows, vec))
 
 
 @given(matrices(max_rows=3, max_cols=3))
-def test_solve_round_trip(m):
-    coords = [Fraction(1), Fraction(-2), Fraction(3)][: m.ncols]
-    rhs = times(m, coords)
-    sol = solve(m, rhs)
+def test_solve_round_trip(rows):
+    coords = [Fraction(1), Fraction(-2), Fraction(3)][: len(rows[0])]
+    rhs = times(rows, coords)
+    sol = solve_columns(columns_of(rows), target_of(rhs))
     assert sol is not None
-    assert times(m, sol) == rhs
+    assert times(rows, sol) == rhs
 
 
 @given(matrices(max_rows=4, max_cols=6))
-def test_kernel_basis_matches_dense_route(m):
-    entries = [[row.get(j, 0) for j in range(m.ncols)] for row in m.rows]
-    echelon = subspace(m.ncols, entries).rows
+def test_kernel_basis_matches_dense_route(rows):
+    ncols = len(rows[0])
+    echelon = subspace(ncols, rows).rows
     vectors = []
-    for free in (c for c in range(m.ncols) if c not in echelon):
-        vec = [Fraction(0)] * m.ncols
+    for free in (c for c in range(ncols) if c not in echelon):
+        vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for pc, row in echelon.items():
             vec[pc] = -row.get(free, Fraction(0))
         vectors.append(vec)
-    assert kernel_basis(m) == subspace(m.ncols, vectors)
+    assert kernel(columns_of(rows)) == subspace(ncols, vectors)
 
 
 @given(st.data())
@@ -133,7 +158,7 @@ def test_quotient_dimension_containment_matches_rank(data):
     small_vectors += data.draw(st.lists(vector, max_size=1))
     big = subspace(ncols, big_vectors)
     small = subspace(ncols, small_vectors)
-    if rank(dense(big_vectors + small_vectors)) == big.dim:
+    if rank(big_vectors + small_vectors, ncols) == big.dim:
         assert quotient_dimension(big, small) == big.dim - small.dim
     else:
         with pytest.raises(ContainmentError):
@@ -150,21 +175,27 @@ def test_echelon_matches_dense_gauss_jordan_in_any_row_order(data):
     vector = st.lists(sparse_rationals, min_size=ncols, max_size=ncols)
     entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
     order = data.draw(st.permutations(range(nrows)))
-    shuffled = dense([entries[i] for i in order])
     basis, pivots = fraction_rref(entries, ncols)
 
     spanned = subspace(ncols, [entries[i] for i in order])
     assert sorted(spanned.rows) == pivots
     assert [list(vec) for vec in spanned.vectors] == basis
-    assert rank(shuffled) == len(pivots)
 
-    assert [list(vec) for vec in kernel_basis(shuffled).vectors] == fraction_kernel(entries, ncols)
+    # kernel and solve_columns take rows named by tuples, entered in the
+    # drawn order, and the columns in a drawn order too: their answers are
+    # the reference's on the matrix with its columns permuted the same way
+    cols_in = data.draw(st.permutations(range(ncols)))
+    label = [(i % 2, (i, "row")) for i in range(nrows)]
+    columns = [{label[i]: entries[i][j] for i in order if entries[i][j]} for j in cols_in]
+    permuted = [[row[j] for j in cols_in] for row in entries]
+    assert [list(vec) for vec in kernel(columns).vectors] == fraction_kernel(permuted, ncols)
 
     if data.draw(st.booleans()):
-        rhs = times(dense(entries), data.draw(vector))
+        rhs = times(permuted, data.draw(vector))
     else:
         rhs = data.draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows))
-    assert solve(shuffled, [rhs[i] for i in order]) == fraction_solve(entries, rhs, ncols)
+    target = {label[i]: rhs[i] for i in order}  # zeros kept: the solve drops them
+    assert solve_columns(columns, target) == fraction_solve(permuted, rhs, ncols)
 
 
 def recomputed_index(echelon) -> dict:
@@ -213,13 +244,12 @@ def test_echelon_index_follows_every_insert(data):
 
 @given(st.data())
 def test_kernel_basis_is_the_same_echelon_for_any_row_order(data):
-    # kernel_basis inserts the rows shortest first; rows of mixed sparsity,
-    # empty ones among them, must give one echelon whatever their order
+    # kernel inserts the rows shortest first; rows of mixed sparsity,
+    # empty ones among them, must give one echelon whatever order their
+    # labels first appear in
     nrows = data.draw(st.integers(min_value=1, max_value=7))
     ncols = data.draw(st.integers(min_value=1, max_value=6))
     vector = st.lists(sparse_rationals, min_size=ncols, max_size=ncols)
     entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
     order = data.draw(st.permutations(range(nrows)))
-    expected = kernel_basis(dense(entries))
-    got = kernel_basis(dense([entries[i] for i in order]))
-    assert got == expected
+    assert kernel(columns_of(entries, order)) == kernel(columns_of(entries))

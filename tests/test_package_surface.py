@@ -58,22 +58,18 @@ def test_every_division_goes_through_the_quotient_helper():
     assert found and stray == []
 
 
-def test_only_exactla_and_the_differential_build_a_matrix():
-    """A linear system over labelled rows goes through
-    ``exactla.solve_columns``: ``QMatrix(...)`` is called only inside
-    ``exactla`` and ``cohomology.differential_matrix``."""
+def test_only_exactla_names_the_echelon():
+    """Every elimination reaches ``exactla.Echelon`` through ``exactla``'s
+    own entries, which take sparse columns: its lead convention (smallest
+    column, and the slice reading built on it) stays behind that one
+    module, so no other module of the package names ``Echelon``."""
     stray = []
     for path, tree in _trees("src/pseudo"):
         if path.name == "exactla.py":
             continue
-        allowed = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) \
-                    and (path.name, node.name) == ("cohomology.py", "differential_matrix"):
-                allowed = {id(inner) for inner in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed and "QMatrix" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            if "Echelon" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.alias) and "Echelon" in (node.name, node.asname)
             ):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []

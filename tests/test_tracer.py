@@ -1,9 +1,9 @@
 """The benchmark's tracer still fits the package it wraps.
 
-perfbench/tracer.py reaches into ``pseudo`` by name, for instance
-``exactla.rank`` for the ``exactla.solve.rank`` counter, so a deletion in
-the package can break ``perfbench/run.py --trace 1`` while every other
-test passes.  This runs a few benchmark operations under the tracer.
+perfbench/tracer.py reaches into ``pseudo`` by name, and reads the
+arguments and results of the functions it counts, so a deletion in the
+package can break ``perfbench/run.py --trace 1`` while every other test
+passes.  This runs a few benchmark operations under the tracer.
 """
 
 import importlib.util
@@ -41,7 +41,7 @@ def test_traced_operations_pass_their_checks(monkeypatch):
     finally:
         tracer.uninstall()
     assert [op.check(result) for op, result in zip(ops, results)] == [True] * 3
-    assert tracer.calls["exactla.solve"] > 0
-    assert tracer.counts["exactla.solve.rank"] > 0
+    assert tracer.calls["exactla.solve_columns"] > 0
+    assert tracer.counts["constructions.witness_searches"] > 0
     assert tracer.calls["cohomology.cohomology_dimensions"] == 1
     assert not any(tracer.errors.values())
