@@ -1,6 +1,6 @@
 """Compare two checkouts of pseudo in one process, operation by operation.
 
-    python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60
+    python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
 Each checkout's package is copied into a temporary directory under its
@@ -9,7 +9,11 @@ The operations of an in-process workload of perfbench/workloads.py (the
 copy next to this script, only read) are built once for each package,
 from the same seed, and run alternately: every operation of BASE, then
 the same one of CHANGE, with the order of the two flipped on each rep.
-One untimed pass per package first checks every answer.  Prints the
+One untimed pass per package first checks every answer.  With --fresh
+every operation of both packages is built again, untimed, before each
+rep, so no rep reuses what an earlier one kept on its algebra or module
+objects: the timings are then those of a one-shot run, and a gain that
+shows without the flag but not with it comes from what is kept.  Prints the
 median milliseconds of each operation for both, their sums and the
 ratio CHANGE / BASE, then, as its last line, in how many reps the sum
 of CHANGE's operations took less time than the sum of BASE's.
@@ -91,6 +95,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=IN_PROCESS)
     parser.add_argument("--reps", required=True, type=int)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--fresh", action="store_true",
+                        help="rebuild every operation, untimed, before each rep")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -117,6 +123,8 @@ def main(argv=None) -> int:
             return 1
         times: list[list[list[float]]] = [[[] for _ in labels] for _ in sides]
         for rep in range(args.reps):
+            if args.fresh:
+                sides = [build_ops(workloads, p, args.workload, args.seed) for p in packages]
             order = (0, 1) if rep % 2 == 0 else (1, 0)
             for index in range(len(labels)):
                 for side in order:

@@ -26,8 +26,9 @@ stencil a target label is one integer code (see ``_Stencil``), laid out
 so that a degree bound is one comparison and a label's place in the
 degree-D target slice is (code % span) * extent(D) + code // span; only
 ``apply_dn`` and the overflow message decode codes back to labels.
-What lives on the module: its compiled stencil for each degree n, built
-on first use (`_stencil`), with the ring map of each slot, the slot
+What lives on the module: its grading (`grading`), and its compiled
+stencil for each degree n, built on first use (`_stencil`), with the
+ring map of each slot, the slot
 image of every basis monomial a call has asked for, the numbering of the
 target monomials up to the largest degree asked for and the (tuple, s)
 pairs decoded so far.  A later call on the same module forms only what
@@ -39,7 +40,9 @@ its own.
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
 lower bound obtained by widening the source degree in steps of K until
-the intersection with the slice stops growing.
+the intersection with the slice stops growing; on a graded input the
+widening differentiates only the sources whose weight can reach the
+slice.
 """
 
 from __future__ import annotations
@@ -52,7 +55,14 @@ from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, UnfitModuleError
 from .conformal import ConformalAlgebra, _kept
-from .exactla import ContainmentError, SubspaceBasis, _SliceSpan, kernel, quotient_dimension
+from .exactla import (
+    ContainmentError,
+    SubspaceBasis,
+    _SliceSpan,
+    kernel,
+    quotient_dimension,
+    solve_columns,
+)
 from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials
 
 
@@ -378,6 +388,11 @@ class _Stencil:
         width = len(self.dst_vars)
         return comb(max_degree + width, width)
 
+    def limit(self, max_degree: int) -> int:
+        """The smallest code of a target label above degree max_degree:
+        the bound ``column`` holds its codes below."""
+        return self.extent(max_degree) * self.span
+
     def _rank(self, exp: tuple[int, ...]) -> int:
         """The place of a target monomial in the numbering, which is
         extended through the monomial's degree on first need."""
@@ -451,15 +466,18 @@ class _Stencil:
                 code = base + offset
                 acc[code] = acc[code] + c if code in acc else c
 
-    def column(self, label: tuple, max_degree: int) -> dict[int, int | Fraction]:
+    def column(self, label: tuple, limit: int) -> dict[int, int | Fraction]:
         """d of the basis cochain ``label`` as sparse target-code
-        coordinates; overflow if a monomial exceeds max_degree."""
+        coordinates; overflow if a code reaches ``limit``, which the
+        caller works out once as ``limit(max_degree)``."""
         acc: dict = {}
         self.add(acc, label)
         out = {code: c if type(c) is int else _coeff(c) for code, c in acc.items() if c}
-        limit = self.extent(max_degree) * self.span
         if out and max(out) >= limit:
             tup, _, exp = self.label(next(code for code in out if code >= limit))
+            # the last monomial below the limit has degree max_degree; the
+            # numbering reaches past it, since it numbered ``exp``
+            max_degree = sum(self.monomials[limit // self.span - 1])
             raise TruncationOverflowError(
                 f"monomial {exp} on tuple {tup} exceeds degree {max_degree}"
             )
@@ -472,12 +490,66 @@ def _stencil(module: BimoduleStructure, n: int) -> _Stencil:
     return _kept(module, ("stencil", n), lambda module: _Stencil(module, n))
 
 
+def grading(module: BimoduleStructure) -> tuple[tuple, tuple, int | Fraction] | None:
+    """Weights (w, u, b) that grade the complex, or None if none do.
+
+    The input is graded when every term c*del^p*lam^q of every structure
+    polynomial for x_i lam x_j -> x_k has p + q + w(k) - w(i) - w(j) = b,
+    and likewise for both actions with u on the module side.  Then d maps
+    a basis cochain (t, k, m) of weight |m| + u(k) - sum(w(t)) to labels
+    of that weight plus b, so blocks of different weight never mix
+    (Bakalov, Kac and Voronov, Cohomology of conformal algebras, 1999).
+    One exact solve finds the weights, with one row per structure term;
+    free unknowns are 0, and the module weights keep a free uniform
+    shift.  Found on the first call and kept on the module.
+    """
+    return _kept(module, "grading", _solve_grading)
+
+
+def _solve_grading(module: BimoduleStructure):
+    rank_a = module.algebra.rank
+    last = rank_a + module.rank  # unknowns: w(i) at i, u(k) at rank_a + k, b last
+    # (table entry, output unknown, input unknowns, structure polynomial)
+    entries = [
+        (("product", i, j, k), k, (i, j), poly)
+        for (i, j), out in module.algebra.structure.items()
+        for k, poly in out
+    ]
+    entries += [
+        (("left", g, k, s), rank_a + s, (g, rank_a + k), poly)
+        for (g, k), out in (module.left or {}).items()
+        for s, poly in out
+    ]
+    entries += [
+        (("right", k, g, s), rank_a + s, (rank_a + k, g), poly)
+        for (k, g), out in (module.right or {}).items()
+        for s, poly in out
+    ]
+    columns: list[dict] = [{} for _ in range(last + 1)]
+    target: dict = {}
+    for entry, out, (first, second), poly in entries:
+        for exp in poly.terms:
+            row = (entry, exp)
+            for col, c in ((out, 1), (first, -1), (second, -1), (last, -1)):
+                columns[col][row] = columns[col].get(row, 0) + c
+            target[row] = -sum(exp)
+    solution = solve_columns(columns, target)
+    if solution is None:
+        return None
+    return tuple(solution[:rank_a]), tuple(solution[rank_a:last]), solution[last]
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     """The degree-<=D slice of Z and B at one degree n, as RREF bases in
     ``CochainIndex(algebra, module, n, D)`` coordinates; every dimension
     is read off them.  At n = 1 they are the derivations and the inner
     derivations in the slice.
+
+    ``proof`` names why the coboundary slice is exact, not just a
+    stabilized lower bound: ``"cocycles"`` when it fills the cocycle
+    slice it lies in, ``"degree"`` at n <= 1, where round 0 already
+    admits every source (each a constant class), else None.
     """
 
     degree: int
@@ -487,6 +559,7 @@ class CohomologyReport:
     coboundaries: SubspaceBasis
     stabilized: bool
     rounds: int
+    proof: str | None
 
     @property
     def dim_cocycles(self) -> int:
@@ -508,9 +581,9 @@ def _cocycle_slice(
     columns of the slice's basis cochains, each of which must land within
     degree D plus the module's structure degree."""
     stencil = _stencil(module, degree)
-    out = d + module.structure_degree()
+    limit = stencil.limit(d + module.structure_degree())
     labels = CochainIndex(algebra, module, degree, d).labels
-    return kernel([stencil.column(label, out) for label in labels])
+    return kernel([stencil.column(label, limit) for label in labels])
 
 
 def _coboundary_slice(
@@ -523,10 +596,16 @@ def _coboundary_slice(
     """B intersected with the degree-<=D slice, widened until stable.
 
     Round k takes sources of degree <= D + k*K.  Each source basis cochain
-    is differentiated once, in the round that first admits it, and must
-    land within that round's target window; its image is inserted into
-    one ``_SliceSpan`` kept across all rounds.  Returns (coboundaries,
-    stabilized, rounds); degree 0 has no coboundaries and no rounds.
+    that can reach the slice is differentiated once, in the round that
+    first admits it, and must land within that round's target window;
+    its image is inserted into one ``_SliceSpan`` kept across all rounds.
+    On a graded input (see ``grading``) a source whose weight plus b is
+    no slice label's weight is skipped: its image lies in blocks outside
+    the slice, so it cannot change B cap slice.  A round that admits no
+    source still runs and counts toward ``rounds``, so every basis, flag
+    and count is the one the unpruned widening gives.  Returns
+    (coboundaries, stabilized, rounds); degree 0 has no coboundaries and
+    no rounds.
     """
     d = window.degree_bound
     bound = module.structure_degree()
@@ -540,14 +619,41 @@ def _coboundary_slice(
         place * stencil.span + rest for rest in range(stencil.span) for place in range(extent)
     ]
     image = _SliceSpan(slice_codes)
+    sources = [
+        (t, s)
+        for t in iter_product(range(algebra.rank), repeat=degree - 1)
+        for s in range(module.rank)
+    ]
+    # (t, s) -> the source degrees whose labels can reach the slice, or
+    # None for every degree on an ungraded input
+    reach: dict = dict.fromkeys(sources)
+    grades = grading(module)
+    if grades is not None:
+        w, u, b = grades
+        # sum(w(t)) over the slice's target tuples, and the slice's weights
+        sums = {0}
+        for _ in range(degree):
+            sums = {total + weight for total in sums for weight in w}
+        slice_weights = {j + us - total for total in sums for us in u for j in range(d + 1)}
+        for t, s in sources:
+            shift = u[s] - sum(w[g] for g in t) + b
+            reach[t, s] = {weight - shift for weight in slice_weights}
+    variables = cochain_variables(degree - 1)
     covered = -1  # sources of degree <= covered are already differentiated
     previous: int | None = None
     for k in range(max_rounds + 1):
         source_bound = d + k * window.stabilization_margin
-        source = CochainIndex(algebra, module, degree - 1, source_bound)
-        for label in source.labels:
-            if sum(label[2]) > covered:
-                image.insert(stencil.column(label, source_bound + bound))
+        limit = stencil.limit(source_bound + bound)
+        fresh = [
+            (m, size)
+            for m in iter_monomials(variables, source_bound)
+            if (size := sum(m)) > covered
+        ]
+        for t, s in sources:
+            degrees = reach[t, s]
+            for m, size in fresh:
+                if degrees is None or size in degrees:
+                    image.insert(stencil.column((t, s, m), limit))
         covered = source_bound
         coboundaries = image.basis()
         if previous is not None and coboundaries.dim == previous:
@@ -581,7 +687,7 @@ def cohomology_dimensions(
         algebra, module, degree, window, max_rounds
     )
     try:
-        quotient_dimension(cocycles, coboundaries)
+        exact = quotient_dimension(cocycles, coboundaries) == 0
     except ContainmentError as exc:
         raise ComplexInconsistencyError(
             "coboundary slice escapes the cocycle space: d after d is not zero"
@@ -594,4 +700,5 @@ def cohomology_dimensions(
         coboundaries=coboundaries,
         stabilized=stabilized,
         rounds=rounds,
+        proof="cocycles" if exact else "degree" if degree <= 1 else None,
     )

@@ -519,9 +519,9 @@ def find_deformation_witness(
     if target.degree != 2 or target.module != module:
         raise ValueError("target must be a degree-2 cochain valued in the algebra")
     stencil = _stencil(module, 1)
-    out_degree = max_degree + module.structure_degree()
+    limit = stencil.limit(max_degree + module.structure_degree())
     labels = CochainIndex(algebra, module, 1, max_degree).labels
-    columns = [stencil.column(label, out_degree) for label in labels]
+    columns = [stencil.column(label, limit) for label in labels]
     coords = solve_columns(columns, {stencil.code(label): c for label, c in _terms(target)})
     if coords is None:
         return None

@@ -19,7 +19,9 @@ their echelons.  Everything is exact: no pivot is ever chosen for
 numerical reasons.  The echelon also indexes its rows by column (the
 pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
-every stored row.  The lead convention (smallest column) is what
+every stored row.  ``kernel`` first peels off the columns that
+one-entry rows force to 0 and eliminates only what remains.  The lead
+convention (smallest column) is what
 ``_SliceSpan`` reads a slice off, which is why it lives here too.
 """
 
@@ -181,18 +183,45 @@ def _rows(columns: Sequence[Mapping]) -> dict:
     return rows
 
 
+def _peel(rows: list[dict]) -> tuple[list[dict], set[int]]:
+    """The singleton peel of structured Gaussian elimination (LaMacchia
+    and Odlyzko): a row with one entry forces its column to 0 in every
+    kernel vector.  Each pass sets aside the columns of the one-entry
+    rows, deletes them from every row (in place) and drops the rows left
+    empty; rows that a pass leaves with one entry feed the next.  Returns
+    the rows that remain and the forced columns, which none of them
+    holds."""
+    forced: set[int] = set()
+    while True:
+        new = {next(iter(row)) for row in rows if len(row) == 1}
+        if not new:
+            return rows, forced
+        forced |= new
+        kept = []
+        for row in rows:
+            for j in new.intersection(row):
+                del row[j]
+            if row:
+                kept.append(row)
+        rows = kept
+
+
 def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
     """Null space of the map with these columns, as an RREF basis of
     Q^len(columns).
 
-    The rows go in shortest first (Markowitz's order: a short pivot row
-    adds few entries to the rows it clears); the RREF is unique, so the
-    order never shows.  Each free column f gives the vector e_f minus the
-    f-entries of the pivot rows placed at their pivots.
+    The singleton peel (``_peel``) first sets aside every column a
+    one-entry row forces to 0, and only the rows that remain are
+    eliminated.  They go in shortest first (Markowitz's order: a short
+    pivot row adds few entries to the rows it clears); the RREF is
+    unique, so the order never shows.  Each free column f, neither a
+    pivot nor forced, gives the vector e_f minus the f-entries of the
+    pivot rows placed at their pivots.
     """
     ncols = len(columns)
-    echelon = _span(sorted(_rows(columns).values(), key=len))
-    basis = {f: {f: 1} for f in range(ncols) if f not in echelon}
+    rows, forced = _peel(list(_rows(columns).values()))
+    echelon = _span(sorted(rows, key=len))
+    basis = {f: {f: 1} for f in range(ncols) if f not in echelon and f not in forced}
     for pivot, row in echelon.items():
         for j, v in row.items():
             if j != pivot:

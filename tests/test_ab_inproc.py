@@ -3,23 +3,16 @@
 import re
 import subprocess
 import sys
+import textwrap
 
 from conftest import INPUTS
 
 ROOT = INPUTS.parent
+SCRIPT = ROOT / "scripts" / "ab_inproc.py"
 
 
-def test_checkout_against_itself():
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ab_inproc.py"), str(ROOT), str(ROOT),
-         "--workload", "cohom-graded", "--reps", "1"],
-        capture_output=True,
-        text=True,
-        cwd=str(ROOT),
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    header, *rows, total, wins = result.stdout.splitlines()
+def check_table(stdout: str, reps: int) -> None:
+    header, *rows, total, wins = stdout.splitlines()
     assert header.split() == ["operation", "base", "ms", "change", "ms", "ratio"]
     assert [row.rsplit(None, 3)[0] for row in rows] == [
         "mat2 H^2 D=1", "mat2 H^2 D=0", "mat2 H^1 D=3",
@@ -27,4 +20,57 @@ def test_checkout_against_itself():
     assert total.startswith("sum of medians")
     sums = [float(x) for x in total.split()[-3:-1]]
     assert all(value > 0 for value in sums)
-    assert re.fullmatch(r"change faster in [01] of 1 reps", wins)
+    assert re.fullmatch(rf"change faster in \d+ of {reps} reps", wins)
+    assert int(wins.split()[3]) <= reps
+
+
+def test_checkout_against_itself():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT),
+         "--workload", "cohom-graded", "--reps", "1"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    check_table(result.stdout, 1)
+
+
+def builds_and_table(*flags: str) -> tuple[int, str]:
+    """Run the script's ``main`` in a child interpreter with ``build_ops``
+    wrapped to count its calls: (number of builds, the printed table)."""
+    code = textwrap.dedent(f"""
+        import importlib.util, sys
+        spec = importlib.util.spec_from_file_location("ab_inproc", {str(SCRIPT)!r})
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+        builds = []
+        build = ab.build_ops
+        ab.build_ops = lambda *args: builds.append(args[2]) or build(*args)
+        status = ab.main(sys.argv[1:])
+        print(len(builds))
+        sys.exit(status)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT), str(ROOT),
+         "--workload", "cohom-graded", "--reps", "2", *flags],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    table, count = result.stdout.rstrip("\n").rsplit("\n", 1)
+    return int(count), table
+
+
+def test_fresh_rebuilds_every_operation_before_each_rep():
+    # one build per package for the checking pass, then with --fresh one
+    # more per package before each of the two reps
+    count, table = builds_and_table("--fresh")
+    assert count == 2 + 2 * 2
+    check_table(table, 2)
+    count, table = builds_and_table()
+    assert count == 2
+    check_table(table, 2)

@@ -34,9 +34,9 @@ from pseudo.cohomology import (
     _cocycle_slice,
     _coboundary_slice,
 )
-from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, free_rank_one
 from pseudo.exactla import _SliceSpan, quotient_dimension
-from pseudo.formats import parse_algebra, parse_module
+from pseudo.formats import parse_algebra, parse_fd_algebra, parse_module
 from pseudo.polyring import Poly, iter_monomials, parse_poly, sort_variables
 
 ONE = Poly.const(PRODUCT_VARS, 1)
@@ -62,8 +62,9 @@ def stencil_columns(module, degree: int, bound: int, out: int) -> list[dict]:
     hands them to the elimination, each code decoded back to its target
     label through ``_Stencil.label``; every image must fit degree out."""
     stencil = cohomology._stencil(module, degree)
+    limit = stencil.limit(out)
     return [
-        {stencil.label(code): c for code, c in stencil.column(label, out).items()}
+        {stencil.label(code): c for code, c in stencil.column(label, limit).items()}
         for label in CochainIndex(module.algebra, module, degree, bound).labels
     ]
 
@@ -550,24 +551,187 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
 def test_coboundary_slice_differentiates_each_source_once(
     u2, u2_regular, mat2, mat2_regular, monkeypatch
 ):
-    # every column comes from the compiled stencil, one call per source label
+    # every column comes from the compiled stencil, one call per source
+    # label that can reach the slice
     calls = []
     original = cohomology._Stencil.column
     monkeypatch.setattr(
         cohomology._Stencil,
         "column",
-        lambda self, label, bound: calls.append(label) or original(self, label, bound),
+        lambda self, label, limit: calls.append(label) or original(self, label, limit),
     )
     monkeypatch.setattr(cohomology, "apply_dn", None)
     _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
     assert stabilized and rounds == 3
-    assert sorted(calls) == sorted(CochainIndex(u2, u2_regular, 2, 3).labels)
+    # U2 takes w = (0, -1), u = (1, 0) and b = 0, so the slice's labels
+    # (degree <= 1 on 3-tuples) weigh 0 .. 5; a source weighs |m| + u(k) -
+    # sum(w(t)) <= 6, and exactly the degree-3 ones on ((b, b), a) weigh 6
+    assert cohomology.grading(u2_regular) == ((0, -1), (1, 0), 0)
+    pruned = [((1, 1), 0, mono) for mono in iter_monomials(("del", "lam1"), 3) if sum(mono) == 3]
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(CochainIndex(u2, u2_regular, 2, 3).labels) - set(pruned)
+    assert len(pruned) == 4
     # degree 0 takes the same route: d_0 columns and the coboundaries of H^1
     calls.clear()
     _cocycle_slice(mat2, mat2_regular, 0, 0)
     assert calls == CochainIndex(mat2, mat2_regular, 0, 0).labels
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
+
+
+def committed_modules():
+    """(file, module) for every committed definition: the regular module
+    of each algebra (fd algebras as their current algebras) and each
+    module file over cur1."""
+    cur1 = parse_algebra((INPUTS / "cur1.alg").read_text(encoding="utf-8"))
+    for path in sorted(INPUTS.glob("*.alg")) + [U1_PATH, U2_PATH]:
+        algebra = parse_algebra(path.read_text(encoding="utf-8"))
+        yield path.name, BimoduleStructure.regular(algebra)
+    for path in sorted(INPUTS.glob("*.fda")):
+        algebra = parse_fd_algebra(path.read_text(encoding="utf-8"))
+        yield path.name, BimoduleStructure.regular(algebra)
+    for path in sorted(INPUTS.glob("*.mod")):
+        yield path.name, parse_module(path.read_text(encoding="utf-8"), cur1)
+
+
+def test_grading_holds_on_every_committed_input():
+    # every term c*del^p*lam^q of x_i lam x_j -> x_k weighs p + q + w(k)
+    # - w(i) - w(j) = b, and likewise for both actions with u on the
+    # module side; the weights are kept on the module
+    names = []
+    for name, module in committed_modules():
+        found = cohomology.grading(module)
+        assert found is not None, name
+        assert cohomology.grading(module) is found
+        w, u, b = found
+        terms = [
+            (poly, w[k] - w[i] - w[j])
+            for (i, j), entries in module.algebra.structure.items()
+            for k, poly in entries
+        ]
+        terms += [
+            (poly, u[s] - w[g] - u[k])
+            for (g, k), entries in module.left.items()
+            for s, poly in entries
+        ]
+        terms += [
+            (poly, u[s] - u[k] - w[g])
+            for (k, g), entries in module.right.items()
+            for s, poly in entries
+        ]
+        for poly, shift in terms:
+            assert all(sum(exp) + shift == b for exp in poly.terms), name
+        names.append(name)
+    assert {"mat2.alg", "plateau.alg", "u2.alg", "mat2.fda", "uboth.mod"} <= set(names)
+
+
+def test_ungraded_table_differentiates_every_source(monkeypatch):
+    # e lam e = (1 + lam) e has terms of degree 0 and 1 on one product, so
+    # no weights grade it, and every source basis cochain is differentiated
+    algebra = free_rank_one(parse_poly("1 + lam", PRODUCT_VARS))
+    module = BimoduleStructure.regular(algebra)
+    assert cohomology.grading(module) is None
+    calls = []
+    original = cohomology._Stencil.column
+    monkeypatch.setattr(
+        cohomology._Stencil,
+        "column",
+        lambda self, label, limit: calls.append(label) or original(self, label, limit),
+    )
+    window = TruncationWindow(1, 1)
+    _, _, rounds = _coboundary_slice(algebra, module, 2, window, 3)
+    last = window.degree_bound + (rounds - 1) * window.stabilization_margin
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(CochainIndex(algebra, module, 1, last).labels)
+
+
+def draw_graded_module(data) -> BimoduleStructure:
+    """A two-sided module of rank 1 or 2 over an algebra of rank 1 or 2
+    whose tables are homogeneous for drawn weights w, u and b: every term
+    of x lam y -> z has degree b + w(x) + w(y) - w(z), with u in place of
+    w on the module side."""
+    rank = data.draw(st.integers(1, 2), label="algebra rank")
+    module_rank = data.draw(st.integers(1, 2), label="module rank")
+    weight = st.sampled_from((-1, 0, 1, Fraction(1, 2)))
+    w = data.draw(st.lists(weight, min_size=rank, max_size=rank), label="w")
+    u = data.draw(st.lists(weight, min_size=module_rank, max_size=module_rank), label="u")
+    b = data.draw(st.sampled_from((0, 1)), label="b")
+
+    def table(first, second, out):
+        entries = {}
+        for (i, wi), (j, wj) in iter_product(enumerate(first), enumerate(second)):
+            for k, wk in enumerate(out):
+                degree = b + wi + wj - wk
+                if degree not in (0, 1, 2):
+                    continue
+                degree = int(degree)
+                coeffs = data.draw(st.lists(
+                    st.sampled_from((0, 0, 1, -1, 2)), min_size=degree + 1, max_size=degree + 1
+                ))
+                poly = Poly(PRODUCT_VARS, {(p, degree - p): c for p, c in enumerate(coeffs)})
+                if not poly.is_zero:
+                    entries.setdefault((i, j), []).append((k, poly))
+        return entries
+
+    algebra = ConformalAlgebra(("a", "b")[:rank], table(w, w, w))
+    return BimoduleStructure(
+        algebra=algebra,
+        generators=("u", "v")[:module_rank],
+        left=table(w, u, u),
+        right=table(u, w, u),
+    )
+
+
+@given(st.data())
+def test_weight_pruning_keeps_the_coboundary_slice(data):
+    # a pruned source adds only rows of weights outside the slice, so the
+    # basis, the flag and the round count are those of the full widening
+    module = draw_graded_module(data)
+    algebra = module.algebra
+    degree = data.draw(st.integers(1, 3), label="degree")
+    window = TruncationWindow(data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2)))
+    max_rounds = data.draw(st.integers(1, 2), label="max rounds")
+    assert cohomology.grading(module) is not None
+    pruned = _coboundary_slice(algebra, module, degree, window, max_rounds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "grading", lambda module: None)
+        assert _coboundary_slice(algebra, module, degree, window, max_rounds) == pruned
+
+
+def test_report_names_its_proof(inputs_dir):
+    # B = Z proves the coboundary slice exact; at n <= 1 round 0 admits
+    # every source; the plateau's margin-1 B is a lower bound, unproven
+    mat2 = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(mat2)
+    rep = cohomology_dimensions(mat2, module, 2, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (28, 28, "cocycles")
+    rep = cohomology_dimensions(mat2, module, 1, TruncationWindow(3, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (4, 3, "degree")
+    plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(plateau)
+    rep = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (3, 1, None)
+
+
+PROOF_JOBS = [
+    (name, n, bound)
+    for name in ("cur1.alg", "uboth.mod", "lam_c.alg", "plateau.alg", "plateau3.alg",
+                 "u1.alg", "u2.alg", "mat2.alg")
+    for n in range(4)
+    for bound in range(2)
+    if name != "mat2.alg" or n <= 2
+]
+
+
+@given(st.sampled_from(PROOF_JOBS))
+def test_a_proven_coboundary_slice_survives_a_wider_margin(job):
+    name, n, bound = job
+    module = dict(committed_modules())[name]
+    algebra = module.algebra
+    rep = cohomology_dimensions(algebra, module, n, TruncationWindow(bound, 1))
+    if rep.proof is not None:
+        wide = cohomology_dimensions(algebra, module, n, TruncationWindow(bound, 3), max_rounds=4)
+        assert wide.coboundaries == rep.coboundaries
 
 
 def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):

@@ -8,6 +8,7 @@ from pseudo.exactla import (
     ContainmentError,
     Echelon,
     SubspaceBasis,
+    _peel,
     _rows,
     kernel,
     quotient_dimension,
@@ -253,3 +254,26 @@ def test_kernel_basis_is_the_same_echelon_for_any_row_order(data):
     entries = data.draw(st.lists(vector, min_size=nrows, max_size=nrows))
     order = data.draw(st.permutations(range(nrows)))
     assert kernel(columns_of(entries, order)) == kernel(columns_of(entries))
+
+
+@given(st.data())
+def test_kernel_peels_one_entry_rows_and_their_cascades(data):
+    # one-entry rows force their columns to 0, and two-entry rows become
+    # one-entry rows once a column is forced; the peeled kernel is the
+    # textbook one, the forced columns are 0 in it and no row left to
+    # eliminate holds one or has one entry
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    column = st.integers(min_value=0, max_value=ncols - 1)
+    nonzero = rationals().filter(bool)
+    single = st.builds(lambda j, x: {j: x}, column, nonzero)
+    pair = st.builds(lambda i, j, x, y: {i: x, j: y}, column, column, nonzero, nonzero)
+    dense = st.lists(sparse_rationals, min_size=ncols, max_size=ncols).map(
+        lambda vec: {j: x for j, x in enumerate(vec) if x}
+    )
+    rows = data.draw(st.lists(st.one_of(single, pair, pair, dense), min_size=1, max_size=9))
+    entries = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    got = kernel(columns_of(entries))
+    assert [list(vec) for vec in got.vectors] == fraction_kernel(entries, ncols)
+    left, forced = _peel([dict(row) for row in rows if row])
+    assert all(len(row) > 1 and forced.isdisjoint(row) for row in left)
+    assert all(vec[j] == 0 for vec in got.vectors for j in forced)
