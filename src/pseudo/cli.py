@@ -337,7 +337,9 @@ def _cmd_derivations(args, inputs: dict):
     if aborted is not None:
         return aborted
     # Z^1 and B^1 of the slice: B^1's sources are constant classes, all
-    # admitted in the first round, and a B^1 outside Z^1 raises (exit 3)
+    # admitted in the first round; a differentiated source whose image
+    # leaves Z^1 raises (exit 3), though the sources left once B^1 fills
+    # Z^1 are not differentiated
     rep = cohomology_dimensions(algebra, module, 1, TruncationWindow(args.deg))
     der, inner = rep.cocycles, rep.coboundaries
     index = CochainIndex(algebra, module, 1, args.deg)

@@ -42,7 +42,13 @@ cocycle space is exact there, while the coboundary space is a stabilized
 lower bound obtained by widening the source degree in steps of K until
 the intersection with the slice stops growing; on a graded input the
 widening differentiates only the sources whose weight can reach the
-slice.
+slice.  The widening also stops differentiating once B fills Z in the
+slice, which assumes d after d = 0 (an associative algebra and a module
+satisfying its axioms): the rounds still run and count, so nothing
+reported moves, but the guard that B lies in Z then sees only the images
+it differentiated.  On the non-associative rank-1 tables del, lam,
+1 + lam and lam^2 at n 1-3 and D 0-3, the guard fires in 8 of the 48
+jobs rather than 24.
 """
 
 from __future__ import annotations
@@ -592,6 +598,7 @@ def _coboundary_slice(
     degree: int,
     window: TruncationWindow,
     max_rounds: int,
+    ceiling: int,
 ) -> tuple[SubspaceBasis, bool, int]:
     """B intersected with the degree-<=D slice, widened until stable.
 
@@ -601,9 +608,16 @@ def _coboundary_slice(
     its image is inserted into one ``_SliceSpan`` kept across all rounds.
     On a graded input (see ``grading``) a source whose weight plus b is
     no slice label's weight is skipped: its image lies in blocks outside
-    the slice, so it cannot change B cap slice.  A round that admits no
-    source still runs and counts toward ``rounds``, so every basis, flag
-    and count is the one the unpruned widening gives.  Returns
+    the slice, so it cannot change B cap slice.
+
+    ``ceiling`` is the dimension of a space known to contain B cap slice:
+    the slice's own dimension, or dim(Z cap slice) when d after d = 0,
+    which holds for an associative algebra and a module satisfying its
+    axioms.  Once the span holds that many rows of the slice it is all of
+    B cap slice, since the RREF is unique, and no further source is
+    differentiated.  A round that admits or differentiates no source
+    still runs and counts toward ``rounds``, so every basis, flag and
+    count is the one the full widening, skipping no source, gives.  Returns
     (coboundaries, stabilized, rounds); degree 0 has no coboundaries and
     no rounds.
     """
@@ -640,6 +654,7 @@ def _coboundary_slice(
             reach[t, s] = {weight - shift for weight in slice_weights}
     variables = cochain_variables(degree - 1)
     covered = -1  # sources of degree <= covered are already differentiated
+    filled = 0  # rows of B cap slice found so far
     previous: int | None = None
     for k in range(max_rounds + 1):
         source_bound = d + k * window.stabilization_margin
@@ -652,8 +667,10 @@ def _coboundary_slice(
         for t, s in sources:
             degrees = reach[t, s]
             for m, size in fresh:
+                if filled == ceiling:
+                    break
                 if degrees is None or size in degrees:
-                    image.insert(stencil.column((t, s, m), limit))
+                    filled += image.insert(stencil.column((t, s, m), limit))
         covered = source_bound
         coboundaries = image.basis()
         if previous is not None and coboundaries.dim == previous:
@@ -674,6 +691,12 @@ def cohomology_dimensions(
     Cocycles are exact within the slice.  Coboundaries are accumulated
     from sources of degree <= D + k*K for k = 0, 1, ...; once two
     consecutive rounds agree the dimension is reported as stabilized.
+    The cocycles come first, and their dimension is the ceiling of the
+    widening: once B cap slice has as many rows, no further source is
+    differentiated, though every round still runs and counts.  That
+    assumes d after d = 0, so on an input that breaks the axioms the
+    check that B lies in Z (ComplexInconsistencyError) sees only the
+    sources differentiated before B filled Z, and may not fire.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -684,7 +707,7 @@ def cohomology_dimensions(
     d = window.degree_bound
     cocycles = _cocycle_slice(algebra, module, degree, d)
     coboundaries, stabilized, rounds = _coboundary_slice(
-        algebra, module, degree, window, max_rounds
+        algebra, module, degree, window, max_rounds, cocycles.dim
     )
     try:
         exact = quotient_dimension(cocycles, coboundaries) == 0

@@ -68,16 +68,18 @@ class Echelon(dict):
             _subtract(row, row[col], self[col])
         return row
 
-    def insert(self, row: dict[int, int | Fraction]) -> None:
-        """Add ``row`` (consumed) to the span.
+    def insert(self, row: dict[int, int | Fraction]) -> int | None:
+        """Add ``row`` (consumed) to the span; return its new pivot column,
+        or None when it reduces to 0.
 
         The reduced row, unless 0, is scaled to 1 at its smallest column,
         which then is cleared from the rows that ``holders`` says hold it;
         the index follows each entry those subtractions create or cancel.
+        No other row's lead moves: a row holding the new lead leads below it.
         """
         row = self._reduce(row)
         if not row:
-            return
+            return None
         lead = min(row)
         piv = row[lead]
         if piv != 1:
@@ -107,6 +109,7 @@ class Echelon(dict):
                     other[j] = acc if type(acc) is int else _coeff(acc)
                     holders[j].add(pivot)
         self[lead] = row
+        return lead
 
 
 def _subtract(
@@ -255,7 +258,9 @@ class _SliceSpan:
     (-1, -2, ...) as it first appears.  An echelon row's lead is its
     smallest column, so a row whose lead is >= 0 lies wholly in the slice,
     and those rows are the RREF basis of the intersection, already in
-    slice coordinates.  Images inserted later extend the same echelon.
+    slice coordinates.  Images inserted later extend the same echelon, and
+    since no insert moves an old lead, an image adds a row to the
+    intersection exactly when its new lead is >= 0.
     """
 
     def __init__(self, slice_labels: Sequence):
@@ -263,14 +268,16 @@ class _SliceSpan:
         self.position = {label: j for j, label in enumerate(slice_labels)}
         self.echelon = Echelon()
 
-    def insert(self, image: Mapping) -> None:
+    def insert(self, image: Mapping) -> bool:
+        """Insert ``image``; True exactly when the intersection grows."""
         position = self.position
         row = {}
         for label, coeff in image.items():
             if label not in position:
                 position[label] = self.size - len(position) - 1
             row[position[label]] = coeff
-        self.echelon.insert(row)
+        lead = self.echelon.insert(row)
+        return lead is not None and lead >= 0
 
     def basis(self) -> SubspaceBasis:
         inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}

@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_inproc.py: the checkout against itself."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -74,3 +75,25 @@ def test_fresh_rebuilds_every_operation_before_each_rep():
     count, table = builds_and_table()
     assert count == 2
     check_table(table, 2)
+
+
+def test_grid_of_the_checkout_against_itself():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--grid"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "grid: 1032 jobs, 0 differences\n"
+
+
+def test_grid_names_every_job_that_differs():
+    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    base = {"a": (1, {}), "b": ("ValueError", "no"), "c": (2, {})}
+    change = {"a": (1, {}), "b": ("ValueError", "yes"), "d": (2, {})}
+    assert sorted(ab.differences(base, change)) == ["b", "c", "d"]
+    assert ab.differences(base, dict(base)) == []

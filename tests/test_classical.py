@@ -14,6 +14,7 @@ from conftest import (
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.classical import matrix_algebra
 from pseudo.cohomology import (
+    CochainIndex,
     TruncationWindow,
     cohomology_dimensions,
     _cocycle_slice,
@@ -161,6 +162,7 @@ def test_oracles_match_the_degree_zero_slice(algebra):
     reg = BimoduleStructure.regular(algebra)
     assert center_dimension(algebra) == _cocycle_slice(algebra, reg, 0, 0).dim
     derivations = _cocycle_slice(algebra, reg, 1, 0)
-    inner, _, _ = _coboundary_slice(algebra, reg, 1, TruncationWindow(0), 1)
+    whole = CochainIndex(algebra, reg, 1, 0).dimension
+    inner, _, _ = _coboundary_slice(algebra, reg, 1, TruncationWindow(0), 1, whole)
     assert derivation_space_dimension(algebra) == derivations.dim
     assert inner_derivation_space_dimension(algebra) == inner.dim

@@ -69,6 +69,12 @@ def stencil_columns(module, degree: int, bound: int, out: int) -> list[dict]:
     ]
 
 
+def slice_dimension(module, degree: int, bound: int) -> int:
+    """The dimension of the degree-<=bound slice of n-cochains: the
+    ceiling under which ``_coboundary_slice`` widens in full."""
+    return CochainIndex(module.algebra, module, degree, bound).dimension
+
+
 def test_cochain_variables():
     assert cochain_variables(0) == ()
     assert cochain_variables(1) == ("del",)
@@ -454,6 +460,21 @@ def test_u2_h3_needs_three_widening_rounds(u2, u2_regular):
     assert rep.stabilized and rep.rounds == 3
 
 
+@pytest.mark.parametrize("path", [U1_PATH, U2_PATH], ids=["u1", "u2"])
+def test_differentials_compose_to_zero_where_the_ceiling_skips(path):
+    # the coboundary slice stops differentiating once B fills Z, so its
+    # containment check no longer sees the images of the sources it skips;
+    # on U1 and U2, where it skips most, d after d is checked directly on
+    # every basis cochain of degree <= 3, which covers every skipped source
+    # of U1 H^3 D=2 and U2 H^3 D=1
+    algebra = parse_algebra(path.read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(algebra)
+    for n in (0, 1, 2):
+        index = CochainIndex(algebra, module, n, 3)
+        for i in range(index.dimension):
+            assert apply_dn(apply_dn(unit_cochain(index, i))).is_zero(), (n, index.labels[i])
+
+
 def test_plateau_h3_with_margin_three(inputs_dir):
     # "stabilized" means two rounds agreed, not a proof: with margin 1 the
     # widening stops on a plateau below the answer pinned here
@@ -545,7 +566,7 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
     with pytest.raises(TruncationOverflowError, match=re.escape(
         "monomial (2, 0) on tuple (0, 0) exceeds degree 1"
     )):
-        _coboundary_slice(u2, u2_regular, 2, window, 4)
+        _coboundary_slice(u2, u2_regular, 2, window, 4, slice_dimension(u2_regular, 2, 1))
 
 
 def test_coboundary_slice_differentiates_each_source_once(
@@ -561,16 +582,40 @@ def test_coboundary_slice_differentiates_each_source_once(
         lambda self, label, limit: calls.append(label) or original(self, label, limit),
     )
     monkeypatch.setattr(cohomology, "apply_dn", None)
-    _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, TruncationWindow(1, 1), 4)
+    window = TruncationWindow(1, 1)
+    whole = slice_dimension(u2_regular, 3, 1)
+    _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, window, 4, whole)
     assert stabilized and rounds == 3
     # U2 takes w = (0, -1), u = (1, 0) and b = 0, so the slice's labels
     # (degree <= 1 on 3-tuples) weigh 0 .. 5; a source weighs |m| + u(k) -
     # sum(w(t)) <= 6, and exactly the degree-3 ones on ((b, b), a) weigh 6
     assert cohomology.grading(u2_regular) == ((0, -1), (1, 0), 0)
     pruned = [((1, 1), 0, mono) for mono in iter_monomials(("del", "lam1"), 3) if sum(mono) == 3]
-    assert len(calls) == len(set(calls))
+    assert len(calls) == len(set(calls)) == 76
     assert set(calls) == set(CochainIndex(u2, u2_regular, 2, 3).labels) - set(pruned)
     assert len(pruned) == 4
+    # under the ceiling dim(Z cap slice) = 8, B fills Z before any
+    # degree-3 source is admitted, and the last two rounds differentiate
+    # nothing yet still count
+    cocycles = _cocycle_slice(u2, u2_regular, 3, 1)
+    calls.clear()
+    assert _coboundary_slice(u2, u2_regular, 3, window, 4, cocycles.dim) == (cocycles, True, 3)
+    assert len(calls) == len(set(calls)) == 28
+    assert max(sum(mono) for _, _, mono in calls) < 3
+    # U1 H^3 D=2 (22/22/0 in 2 rounds) takes 80 sources under the whole
+    # slice and 45 under dim Z, none of degree 3
+    u1 = parse_algebra(U1_PATH.read_text(encoding="utf-8"))
+    u1_regular = BimoduleStructure.regular(u1)
+    window = TruncationWindow(2, 1)
+    cocycles = _cocycle_slice(u1, u1_regular, 3, 2)
+    results, counts = [], []
+    for ceiling in (slice_dimension(u1_regular, 3, 2), cocycles.dim):
+        calls.clear()
+        results.append(_coboundary_slice(u1, u1_regular, 3, window, 4, ceiling))
+        counts.append(len(calls))
+    assert results == [(cocycles, True, 2)] * 2
+    assert counts == [80, 45]
+    assert max(sum(mono) for _, _, mono in calls) < 3
     # degree 0 takes the same route: d_0 columns and the coboundaries of H^1
     calls.clear()
     _cocycle_slice(mat2, mat2_regular, 0, 0)
@@ -639,7 +684,9 @@ def test_ungraded_table_differentiates_every_source(monkeypatch):
         lambda self, label, limit: calls.append(label) or original(self, label, limit),
     )
     window = TruncationWindow(1, 1)
-    _, _, rounds = _coboundary_slice(algebra, module, 2, window, 3)
+    _, _, rounds = _coboundary_slice(
+        algebra, module, 2, window, 3, slice_dimension(module, 2, 1)
+    )
     last = window.degree_bound + (rounds - 1) * window.stabilization_margin
     assert len(calls) == len(set(calls))
     assert set(calls) == set(CochainIndex(algebra, module, 1, last).labels)
@@ -692,10 +739,11 @@ def test_weight_pruning_keeps_the_coboundary_slice(data):
     window = TruncationWindow(data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2)))
     max_rounds = data.draw(st.integers(1, 2), label="max rounds")
     assert cohomology.grading(module) is not None
-    pruned = _coboundary_slice(algebra, module, degree, window, max_rounds)
+    whole = slice_dimension(module, degree, window.degree_bound)
+    pruned = _coboundary_slice(algebra, module, degree, window, max_rounds, whole)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "grading", lambda module: None)
-        assert _coboundary_slice(algebra, module, degree, window, max_rounds) == pruned
+        assert _coboundary_slice(algebra, module, degree, window, max_rounds, whole) == pruned
 
 
 def test_report_names_its_proof(inputs_dir):
@@ -721,6 +769,22 @@ PROOF_JOBS = [
     for bound in range(2)
     if name != "mat2.alg" or n <= 2
 ]
+
+
+@given(st.sampled_from(PROOF_JOBS), st.integers(1, 2), st.sampled_from((1, 2, 4)))
+def test_the_cocycle_ceiling_keeps_the_coboundary_slice(job, margin, max_rounds):
+    # B cap slice lies in Z cap slice, and the RREF is unique, so once the
+    # span fills Z it is all of B cap slice: stopping there moves no
+    # basis, flag or round count
+    name, n, bound = job
+    module = dict(committed_modules())[name]
+    algebra = module.algebra
+    window = TruncationWindow(bound, margin)
+    ceiling = _cocycle_slice(algebra, module, n, bound).dim
+    whole = slice_dimension(module, n, bound)
+    assert _coboundary_slice(
+        algebra, module, n, window, max_rounds, ceiling
+    ) == _coboundary_slice(algebra, module, n, window, max_rounds, whole)
 
 
 @given(st.sampled_from(PROOF_JOBS))

@@ -8,6 +8,7 @@ from pseudo.exactla import (
     ContainmentError,
     Echelon,
     SubspaceBasis,
+    _SliceSpan,
     _peel,
     _rows,
     kernel,
@@ -227,7 +228,10 @@ def test_echelon_index_follows_every_insert(data):
 
     echelon = Echelon()
     for i in order:
-        echelon.insert({j: x for j, x in enumerate(entries[i]) if x})
+        before = set(echelon)
+        pivot = echelon.insert({j: x for j, x in enumerate(entries[i]) if x})
+        # the new pivot, or None for a row already in the span
+        assert set(echelon) - before == (set() if pivot is None else {pivot})
         assert echelon.holders == recomputed_index(echelon)
         assert not set(echelon.holders) & set(echelon)
     assert sorted(echelon) == pivots
@@ -241,6 +245,31 @@ def test_echelon_index_follows_every_insert(data):
     for rows in (built, finished.rows) if built else (finished.rows,):
         with pytest.raises(AttributeError):
             rows.insert(dict(outside))
+
+
+def test_insert_returns_the_new_pivot():
+    echelon = Echelon()
+    assert echelon.insert({2: Fraction(3), 4: Fraction(1)}) == 2
+    assert echelon.insert({1: Fraction(1), 2: Fraction(1)}) == 1
+    assert echelon.insert({1: Fraction(2), 4: Fraction(-2, 3)}) is None
+    assert echelon.insert({}) is None
+    assert sorted(echelon) == [1, 2]
+
+
+@given(st.data())
+def test_slice_span_insert_reports_growth_of_the_intersection(data):
+    # labels 0 .. size-1 are the slice, and any other label lies outside
+    # it; an insert says True exactly when the intersection's basis grows,
+    # and then by one row
+    size = data.draw(st.integers(min_value=0, max_value=4))
+    label = st.sampled_from([*range(size), "x", "y", "z"])
+    entry = st.one_of(st.sampled_from((1, -1, 2)), rationals().filter(bool))
+    images = data.draw(st.lists(st.dictionaries(label, entry, max_size=4), max_size=8))
+    span = _SliceSpan(range(size))
+    for image in images:
+        before = span.basis().dim
+        grew = span.insert(image)
+        assert span.basis().dim == before + grew
 
 
 @given(st.data())
