@@ -28,8 +28,8 @@ degree-D target slice is (code % span) * extent(D) + code // span; only
 ``apply_dn`` and the overflow message decode codes back to labels.
 What lives on the module: its grading (`grading`), and its compiled
 stencil for each degree n, built on first use (`_stencil`), with the
-ring map of each slot, the slot
-image of every basis monomial a call has asked for, the numbering of the
+ring map of each slot, the images a call has asked for, one table of
+basis monomial -> image per (slot, cut, generator), the numbering of the
 target monomials up to the largest degree asked for and the (tuple, s)
 pairs decoded so far.  A later call on the same module forms only what
 no earlier call formed.  All of it is freed with the module (for a
@@ -209,12 +209,14 @@ class CochainIndex:
         self.algebra = algebra
         self.module = module
         self.degree = degree
-        monomials = list(iter_monomials(cochain_variables(degree), max_degree))
-        self.labels: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [
-            (tup, k, mono)
+        self.monomials = list(iter_monomials(cochain_variables(degree), max_degree))
+        self.sources = [
+            (tup, k)
             for tup in iter_product(range(algebra.rank), repeat=degree)
             for k in range(module.rank)
-            for mono in monomials
+        ]
+        self.labels: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [
+            (tup, k, mono) for tup, k in self.sources for mono in self.monomials
         ]
 
     @property
@@ -261,8 +263,9 @@ def apply_dn(cochain: Cochain) -> Cochain:
     n, module = cochain.degree, cochain.module
     stencil = _stencil(module, n)
     acc: dict = {}
-    for label, coeff in _terms(cochain):
-        stencil.add(acc, label, coeff)
+    for tup, vec in cochain.values.items():
+        for k, poly in enumerate(vec):
+            stencil.add(acc, tup, k, poly.terms)
     label = stencil.label
     return _from_terms(n + 1, module, ((label(code), c) for code, c in acc.items() if c))
 
@@ -293,18 +296,20 @@ class _Stencil:
     is built, hashed or looked up on the way to an echelon row.
 
     The image of a basis monomial m at a slot depends on (slot, cut, k, m)
-    alone, so ``add`` forms it once and the stencil keeps it in
-    ``images`` as (offset, coeff) pairs.  An offset is the code of an
-    image term with the tuple parts outside the cut left 0; ``add`` adds
-    one base, worked out from the source tuple, to every offset.  The
-    stencil also keeps the numbering of target monomials (``monomials``
-    and its inverse ``numbering``), extended to the largest degree asked
-    for, and the (tuple, s) pairs ``label`` has decoded (``pairs``).
-    `_stencil` keeps the stencil on the module, one per (module, n), so
-    all of it serves every later call on that module and is freed with
-    it.  The images number at most (n + 2) * rank(A) * rank(M) times the
-    basis monomials up to the largest degree a call asked for, and the
-    pairs at most span.  For n = 0 the head is a_{-del} u and the tail
+    alone, so it is formed once and kept as ``images[slot, cut, k][m]``,
+    (offset, coeff) pairs.  An offset is the code of an image term with
+    the tuple parts outside the cut left 0.  ``_slots`` works out each
+    slot's cut, table and base (added to every offset) once per source
+    (tuple, k), for ``add`` (``apply_dn``) and for ``columns``, which
+    yields one column per monomial and forms none a caller does not ask
+    for, so the coboundary slice stops at its ceiling.  The stencil keeps
+    the numbering of target monomials (``monomials`` and its inverse
+    ``numbering``), extended to the largest degree asked for, and the
+    (tuple, s) pairs ``label`` has decoded (``pairs``).  `_stencil` keeps
+    it on the module, one per (module, n), so all of it serves every
+    later call on that module and is freed with it.  The images number
+    at most (n + 2) * rank(A) * rank(M) times the basis monomials up to
+    the largest degree a call asked for, and the pairs at most span.  For n = 0 the head is a_{-del} u and the tail
     -u_0 a: lam1 is -del and a constant value is read in ("del",).
     """
 
@@ -344,10 +349,13 @@ class _Stencil:
         # rank(A)^(n-hi)), where the table maps (cut, k) to ((shift,
         # moved structure polynomial with the slot's sign), ...)
         self.slots: list[tuple[int, int, _RingMap, dict, int, int]] = []
-        # (slot, cut, k, monomial) -> ((offset, coeff), ...)
+        # (slot, cut, k) -> {monomial: ((offset, coeff), ...)}, one entry
+        # for each (cut, k) the slot's table holds, filled as asked for
         self.images: dict = {}
 
         def add_slot(lo: int, hi: int, value_sub: dict, table: dict) -> None:
+            for cut, k in table:
+                self.images[len(self.slots), cut, k] = {}
             ring = _RingMap(self.src_vars, value_sub)
             self.slots.append((lo, hi, ring, table, radix ** (n + 1 - lo), radix ** (n - hi)))
 
@@ -433,61 +441,83 @@ class _Stencil:
             pair = self.pairs[rest] = (tuple(reversed(digits)), s)
         return (*pair, self.monomials[place])
 
-    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> tuple:
-        """The (offset, coeff) pairs of the basis monomial ``mono`` on
-        generator k at one slot, for a source tuple with that cut."""
-        _, _, ring, table, _, _ = self.slots[slot]
-        entries = table.get((cut, k), ())
-        if not entries:
-            return ()
-        moved = ring.image(mono or (0,))
-        span = self.span
-        return tuple(
-            (self._rank(exp) * span + shift, c)
-            for shift, poly in entries
-            for exp, c in _mul_terms(moved, poly.terms).items()
-        )
-
-    def add(self, acc: dict, label: tuple, coeff=1) -> None:
-        """Add coeff times d of the basis cochain ``label`` into acc, keyed
-        by target code, from the kept image at each slot.  The sums are
-        raw: a reader normalizes each through ``_coeff``."""
-        tup, k, mono = label
-        images, radix = self.images, self.radix
+    def _slots(self, tup: tuple, k: int) -> list:
+        """(slot, cut, kept images, base added to every offset) at each
+        slot where a source on (tup, generator k) has an image."""
+        radix, rank_m, images = self.radix, self.rank_m, self.images
         # prefix[j] = index(tup[:j]); index(tup[hi:]) = whole - prefix[hi] * narrow
         prefix = [0]
         for g in tup:
             prefix.append(prefix[-1] * radix + g)
         whole = prefix[-1]
+        out = []
         for slot, (lo, hi, _, _, wide, narrow) in enumerate(self.slots):
             cut = tup[lo:hi]
-            key = (slot, cut, k, mono)
-            image = images.get(key)
-            if image is None:
-                image = images[key] = self._image(slot, cut, k, mono)
-            base = (prefix[lo] * wide + whole - prefix[hi] * narrow) * self.rank_m
-            for offset, c in image:
-                if coeff != 1:
-                    c = c * coeff
-                code = base + offset
-                acc[code] = acc[code] + c if code in acc else c
-
-    def column(self, label: tuple, limit: int) -> dict[int, int | Fraction]:
-        """d of the basis cochain ``label`` as sparse target-code
-        coordinates; overflow if a code reaches ``limit``, which the
-        caller works out once as ``limit(max_degree)``."""
-        acc: dict = {}
-        self.add(acc, label)
-        out = {code: c if type(c) is int else _coeff(c) for code, c in acc.items() if c}
-        if out and max(out) >= limit:
-            tup, _, exp = self.label(next(code for code in out if code >= limit))
-            # the last monomial below the limit has degree max_degree; the
-            # numbering reaches past it, since it numbered ``exp``
-            max_degree = sum(self.monomials[limit // self.span - 1])
-            raise TruncationOverflowError(
-                f"monomial {exp} on tuple {tup} exceeds degree {max_degree}"
-            )
+            kept = images.get((slot, cut, k))
+            if kept is not None:
+                base = (prefix[lo] * wide + whole - prefix[hi] * narrow) * rank_m
+                out.append((slot, cut, kept, base))
         return out
+
+    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> tuple:
+        """The (offset, coeff) pairs of the basis monomial ``mono`` on
+        generator k at one slot, for a source tuple with that cut."""
+        _, _, ring, table, _, _ = self.slots[slot]
+        moved = ring.image(mono or (0,))
+        span = self.span
+        return tuple(
+            (self._rank(exp) * span + shift, c)
+            for shift, poly in table[cut, k]
+            for exp, c in _mul_terms(moved, poly.terms).items()
+        )
+
+    def add(self, acc: dict, tup: tuple, k: int, terms: dict) -> None:
+        """Add d of the cochain valued ``terms`` {monomial: coeff} on (tup,
+        generator k) into acc, keyed by target code, from the kept image at
+        each slot.  The sums are raw: a reader normalizes each (``_coeff``)."""
+        slots = self._slots(tup, k) if terms else ()
+        for mono, coeff in terms.items():
+            for slot, cut, kept, base in slots:
+                image = kept.get(mono)
+                if image is None:
+                    image = kept[mono] = self._image(slot, cut, k, mono)
+                for offset, c in image:
+                    if coeff != 1:
+                        c = c * coeff
+                    code = base + offset
+                    acc[code] = acc[code] + c if code in acc else c
+
+    def columns(self, tup: tuple, k: int, monomials, limit: int):
+        """d of each basis cochain (tup, k, m), m in ``monomials``, as sparse
+        target-code coordinates, formed only when asked for; overflow if a
+        code reaches ``limit``, worked out once as ``limit(max_degree)``."""
+        slots = self._slots(tup, k) if monomials else ()
+        for mono in monomials:
+            acc: dict = {}
+            for slot, cut, kept, base in slots:
+                image = kept.get(mono)
+                if image is None:
+                    image = kept[mono] = self._image(slot, cut, k, mono)
+                for offset, c in image:
+                    code = base + offset
+                    acc[code] = acc[code] + c if code in acc else c
+            out = {}
+            for code, c in acc.items():
+                if c:
+                    if code >= limit:
+                        target, _, exp = self.label(code)
+                        # the last monomial below the limit has degree
+                        # max_degree; the numbering reaches past it
+                        max_degree = sum(self.monomials[limit // self.span - 1])
+                        raise TruncationOverflowError(
+                            f"monomial {exp} on tuple {target} exceeds degree {max_degree}"
+                        )
+                    out[code] = c if type(c) is int else _coeff(c)
+            yield out
+
+    def basis_columns(self, index: CochainIndex, limit: int) -> list[dict]:
+        """The ``columns`` of every basis cochain of ``index``, in its order."""
+        return [c for t, k in index.sources for c in self.columns(t, k, index.monomials, limit)]
 
 
 def _stencil(module: BimoduleStructure, n: int) -> _Stencil:
@@ -588,8 +618,7 @@ def _cocycle_slice(
     degree D plus the module's structure degree."""
     stencil = _stencil(module, degree)
     limit = stencil.limit(d + module.structure_degree())
-    labels = CochainIndex(algebra, module, degree, d).labels
-    return kernel([stencil.column(label, limit) for label in labels])
+    return kernel(stencil.basis_columns(CochainIndex(algebra, module, degree, d), limit))
 
 
 def _coboundary_slice(
@@ -614,12 +643,12 @@ def _coboundary_slice(
     the slice's own dimension, or dim(Z cap slice) when d after d = 0,
     which holds for an associative algebra and a module satisfying its
     axioms.  Once the span holds that many rows of the slice it is all of
-    B cap slice, since the RREF is unique, and no further source is
-    differentiated.  A round that admits or differentiates no source
-    still runs and counts toward ``rounds``, so every basis, flag and
-    count is the one the full widening, skipping no source, gives.  Returns
-    (coboundaries, stabilized, rounds); degree 0 has no coboundaries and
-    no rounds.
+    B cap slice, since the RREF is unique: the stencil's lazy columns form
+    no further source.  The count of those rows is each round's dimension.
+    A round that admits or differentiates no source still runs and counts
+    toward ``rounds``, so every basis, flag and count is the one the full
+    widening, skipping no source, gives.  Returns (coboundaries,
+    stabilized, rounds); degree 0 has no coboundaries and no rounds.
     """
     d = window.degree_bound
     bound = module.structure_degree()
@@ -633,11 +662,7 @@ def _coboundary_slice(
         place * stencil.span + rest for rest in range(stencil.span) for place in range(extent)
     ]
     image = _SliceSpan(slice_codes)
-    sources = [
-        (t, s)
-        for t in iter_product(range(algebra.rank), repeat=degree - 1)
-        for s in range(module.rank)
-    ]
+    sources = CochainIndex(algebra, module, degree - 1, 0).sources
     # (t, s) -> the source degrees whose labels can reach the slice, or
     # None for every degree on an ungraded input
     reach: dict = dict.fromkeys(sources)
@@ -654,7 +679,7 @@ def _coboundary_slice(
             reach[t, s] = {weight - shift for weight in slice_weights}
     variables = cochain_variables(degree - 1)
     covered = -1  # sources of degree <= covered are already differentiated
-    filled = 0  # rows of B cap slice found so far
+    filled = 0  # rows of B cap slice found so far, its dimension
     previous: int | None = None
     for k in range(max_rounds + 1):
         source_bound = d + k * window.stabilization_margin
@@ -665,18 +690,19 @@ def _coboundary_slice(
             if (size := sum(m)) > covered
         ]
         for t, s in sources:
+            if filled == ceiling:
+                break
             degrees = reach[t, s]
-            for m, size in fresh:
+            monomials = [m for m, size in fresh if degrees is None or size in degrees]
+            for column in stencil.columns(t, s, monomials, limit):
+                filled += image.insert(column)
                 if filled == ceiling:
                     break
-                if degrees is None or size in degrees:
-                    filled += image.insert(stencil.column((t, s, m), limit))
         covered = source_bound
-        coboundaries = image.basis()
-        if previous is not None and coboundaries.dim == previous:
-            return coboundaries, True, k + 1
-        previous = coboundaries.dim
-    return coboundaries, False, max_rounds + 1
+        if filled == previous:
+            return image.basis(), True, k + 1
+        previous = filled
+    return image.basis(), False, max_rounds + 1
 
 
 def cohomology_dimensions(

@@ -520,12 +520,12 @@ def find_deformation_witness(
         raise ValueError("target must be a degree-2 cochain valued in the algebra")
     stencil = _stencil(module, 1)
     limit = stencil.limit(max_degree + module.structure_degree())
-    labels = CochainIndex(algebra, module, 1, max_degree).labels
-    columns = [stencil.column(label, limit) for label in labels]
+    index = CochainIndex(algebra, module, 1, max_degree)
+    columns = stencil.basis_columns(index, limit)
     coords = solve_columns(columns, {stencil.code(label): c for label, c in _terms(target)})
     if coords is None:
         return None
-    witness = _from_terms(1, module, zip(labels, coords))
+    witness = _from_terms(1, module, zip(index.labels, coords))
     if not (apply_dn(witness) - target).is_zero():
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness

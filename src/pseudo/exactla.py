@@ -20,9 +20,9 @@ numerical reasons.  The echelon also indexes its rows by column (the
 pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
 every stored row.  ``kernel`` first peels off the columns that
-one-entry rows force to 0 and eliminates only what remains.  The lead
-convention (smallest column) is what
-``_SliceSpan`` reads a slice off, which is why it lives here too.
+one-entry rows force to 0, reading the columns as its column -> rows
+index, and eliminates only what remains.  The lead convention (smallest
+column) is what ``_SliceSpan`` reads a slice off, hence it lives here.
 """
 
 from __future__ import annotations
@@ -186,27 +186,29 @@ def _rows(columns: Sequence[Mapping]) -> dict:
     return rows
 
 
-def _peel(rows: list[dict]) -> tuple[list[dict], set[int]]:
+def _peel(columns: Sequence[Mapping], rows: dict) -> tuple[list[dict], set[int]]:
     """The singleton peel of structured Gaussian elimination (LaMacchia
     and Odlyzko): a row with one entry forces its column to 0 in every
-    kernel vector.  Each pass sets aside the columns of the one-entry
-    rows, deletes them from every row (in place) and drops the rows left
-    empty; rows that a pass leaves with one entry feed the next.  Returns
-    the rows that remain and the forced columns, which none of them
-    holds."""
+    kernel vector.  ``rows`` are the rows ``_rows`` made of ``columns``,
+    and column j's labels name the rows that can hold j, so the columns
+    are the index: a forced column is deleted (in place) from just those
+    rows, and a row left with one entry goes on the stack of rows to
+    peel.  Returns the nonempty rows that remain and the forced columns,
+    which none of them holds."""
     forced: set[int] = set()
-    while True:
-        new = {next(iter(row)) for row in rows if len(row) == 1}
-        if not new:
-            return rows, forced
-        forced |= new
-        kept = []
-        for row in rows:
-            for j in new.intersection(row):
-                del row[j]
-            if row:
-                kept.append(row)
-        rows = kept
+    stack = [row for row in rows.values() if len(row) == 1]
+    while stack:
+        row = stack.pop()
+        if not row:  # its column was forced since it was stacked
+            continue
+        (j,) = row
+        forced.add(j)
+        for label in columns[j]:
+            other = rows.get(label)
+            # entries are nonzero, so a pop that finds j returns truth
+            if other and other.pop(j, 0) and len(other) == 1:
+                stack.append(other)
+    return [row for row in rows.values() if row], forced
 
 
 def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
@@ -222,7 +224,7 @@ def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
     pivot rows placed at their pivots.
     """
     ncols = len(columns)
-    rows, forced = _peel(list(_rows(columns).values()))
+    rows, forced = _peel(columns, _rows(columns))
     echelon = _span(sorted(rows, key=len))
     basis = {f: {f: 1} for f in range(ncols) if f not in echelon and f not in forced}
     for pivot, row in echelon.items():

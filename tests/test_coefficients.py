@@ -176,8 +176,10 @@ def test_stencil_columns_keep_the_invariant():
     for n in (0, 1, 2):
         stencil = _stencil(module, n)
         limit = stencil.limit(2)
-        for label in CochainIndex(HALVES, module, n, 1).labels:
-            assert_normal(stencil.column(label, limit).values())
+        index = CochainIndex(HALVES, module, n, 1)
+        for tup, k in index.sources:
+            for column in stencil.columns(tup, k, index.monomials, limit):
+                assert_normal(column.values())
 
 
 # half-integer coefficients against 2s: the law kernel's products and

@@ -37,7 +37,7 @@ from pseudo.cohomology import (
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, free_rank_one
 from pseudo.exactla import _SliceSpan, quotient_dimension
 from pseudo.formats import parse_algebra, parse_fd_algebra, parse_module
-from pseudo.polyring import Poly, iter_monomials, parse_poly, sort_variables
+from pseudo.polyring import Poly, _coeff, iter_monomials, parse_poly, sort_variables
 
 ONE = Poly.const(PRODUCT_VARS, 1)
 # U1 and U2: rank two, structure polynomials of mixed degree; U2 is
@@ -63,10 +63,27 @@ def stencil_columns(module, degree: int, bound: int, out: int) -> list[dict]:
     label through ``_Stencil.label``; every image must fit degree out."""
     stencil = cohomology._stencil(module, degree)
     limit = stencil.limit(out)
+    index = CochainIndex(module.algebra, module, degree, bound)
     return [
-        {stencil.label(code): c for code, c in stencil.column(label, limit).items()}
-        for label in CochainIndex(module.algebra, module, degree, bound).labels
+        {stencil.label(code): c for code, c in column.items()}
+        for tup, k in index.sources
+        for column in stencil.columns(tup, k, index.monomials, limit)
     ]
+
+
+def record_columns(monkeypatch) -> list:
+    """The source label of every column ``_Stencil.columns`` yields from
+    here on, recorded as the column is handed over."""
+    calls = []
+    original = cohomology._Stencil.columns
+
+    def columns(self, tup, k, monomials, limit):
+        for mono, column in zip(monomials, original(self, tup, k, monomials, limit)):
+            calls.append((tup, k, mono))
+            yield column
+
+    monkeypatch.setattr(cohomology._Stencil, "columns", columns)
+    return calls
 
 
 def slice_dimension(module, degree: int, bound: int) -> int:
@@ -569,18 +586,33 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
         _coboundary_slice(u2, u2_regular, 2, window, 4, slice_dimension(u2_regular, 2, 1))
 
 
+def test_stencil_columns_overflow_with_the_message_of_one_column_at_a_time(u2):
+    # a batch yields every column below the limit before it raises, and
+    # names the first overflowing code of the column in the order the
+    # slots add it, as a single column did
+    module = BimoduleStructure.regular(u2)
+    stencil = cohomology._stencil(module, 1)
+    columns = stencil.columns((1,), 0, [(0,), (2,)], stencil.limit(1))
+    assert len(next(columns)) == 5
+    with pytest.raises(TruncationOverflowError, match=re.escape(
+        "monomial (2, 0) on tuple (0, 1) exceeds degree 1"
+    )):
+        next(columns)
+    stencil = cohomology._stencil(module, 2)
+    columns = stencil.columns((0, 1), 1, [(0, 0), (1, 1)], stencil.limit(1))
+    assert len(next(columns)) == 3
+    with pytest.raises(TruncationOverflowError, match=re.escape(
+        "monomial (1, 1, 0) on tuple (0, 0, 1) exceeds degree 1"
+    )):
+        next(columns)
+
+
 def test_coboundary_slice_differentiates_each_source_once(
     u2, u2_regular, mat2, mat2_regular, monkeypatch
 ):
-    # every column comes from the compiled stencil, one call per source
-    # label that can reach the slice
-    calls = []
-    original = cohomology._Stencil.column
-    monkeypatch.setattr(
-        cohomology._Stencil,
-        "column",
-        lambda self, label, limit: calls.append(label) or original(self, label, limit),
-    )
+    # every column comes from the compiled stencil, one per source label
+    # that can reach the slice
+    calls = record_columns(monkeypatch)
     monkeypatch.setattr(cohomology, "apply_dn", None)
     window = TruncationWindow(1, 1)
     whole = slice_dimension(u2_regular, 3, 1)
@@ -676,13 +708,7 @@ def test_ungraded_table_differentiates_every_source(monkeypatch):
     algebra = free_rank_one(parse_poly("1 + lam", PRODUCT_VARS))
     module = BimoduleStructure.regular(algebra)
     assert cohomology.grading(module) is None
-    calls = []
-    original = cohomology._Stencil.column
-    monkeypatch.setattr(
-        cohomology._Stencil,
-        "column",
-        lambda self, label, limit: calls.append(label) or original(self, label, limit),
-    )
+    calls = record_columns(monkeypatch)
     window = TruncationWindow(1, 1)
     _, _, rounds = _coboundary_slice(
         algebra, module, 2, window, 3, slice_dimension(module, 2, 1)
@@ -744,6 +770,29 @@ def test_weight_pruning_keeps_the_coboundary_slice(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "grading", lambda module: None)
         assert _coboundary_slice(algebra, module, degree, window, max_rounds, whole) == pruned
+
+
+@given(st.data())
+def test_stencil_columns_match_adding_each_label(data):
+    # one batch per source tuple gives, column by column, what the
+    # per-label definition gives on a stencil of its own: d of the basis
+    # cochain added into an empty accumulator, normalized, zeros dropped
+    module = draw_graded_module(data)
+    n = data.draw(st.integers(0, 2), label="degree")
+    stencil = cohomology._stencil(module, n)
+    single = cohomology._Stencil(module, n)
+    index = CochainIndex(module.algebra, module, n, 2)
+    limit = stencil.limit(2 + module.structure_degree())
+    for tup, k in index.sources:
+        monomials = data.draw(
+            st.lists(st.sampled_from(index.monomials), unique=True), label="monomials"
+        )
+        expected = []
+        for mono in monomials:
+            acc: dict = {}
+            single.add(acc, tup, k, {mono: 1})
+            expected.append({code: _coeff(c) for code, c in acc.items() if c})
+        assert list(stencil.columns(tup, k, monomials, limit)) == expected
 
 
 def test_report_names_its_proof(inputs_dir):

@@ -285,6 +285,27 @@ def test_kernel_basis_is_the_same_echelon_for_any_row_order(data):
     assert kernel(columns_of(entries, order)) == kernel(columns_of(entries))
 
 
+def test_peel_reads_its_index_off_the_columns():
+    # rows a and b each hold column 0 alone; column 1 holds an explicit 0
+    # at a, which matches no row entry, and column 3 holds only a 0, so no
+    # row holds it; e forces column 2, which leaves d and then c with one
+    # entry (a cascade), and once column 0 is forced a and b are empty
+    columns = [
+        {"a": 2, "b": -1, "c": 1},
+        {"a": 0, "c": 3, "d": 1},
+        {"c": 1, "d": 1, "e": 5},
+        {"d": 0, "f": 1},
+        {"f": -1},
+    ]
+    left, forced = _peel(columns, _rows(columns))
+    assert left == [{3: 1, 4: -1}]
+    assert forced == {0, 1, 2}
+    labels = "abcdef"
+    dense = [[column.get(label, 0) for column in columns] for label in labels]
+    assert [list(vec) for vec in kernel(columns).vectors] == fraction_kernel(dense, 5)
+    assert fraction_kernel(dense, 5) == [[0, 0, 0, 1, 1]]
+
+
 @given(st.data())
 def test_kernel_peels_one_entry_rows_and_their_cascades(data):
     # one-entry rows force their columns to 0, and two-entry rows become
@@ -303,6 +324,7 @@ def test_kernel_peels_one_entry_rows_and_their_cascades(data):
     entries = [[row.get(j, 0) for j in range(ncols)] for row in rows]
     got = kernel(columns_of(entries))
     assert [list(vec) for vec in got.vectors] == fraction_kernel(entries, ncols)
-    left, forced = _peel([dict(row) for row in rows if row])
+    columns = columns_of(entries)
+    left, forced = _peel(columns, _rows(columns))
     assert all(len(row) > 1 and forced.isdisjoint(row) for row in left)
     assert all(vec[j] == 0 for vec in got.vectors for j in forced)
