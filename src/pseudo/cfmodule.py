@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .conformal import (
+    LAW_SLOTS,
     PRODUCT_VARS,
     ConformalAlgebra,
     LawCounterexample,
@@ -139,29 +140,37 @@ def check_module_axioms(module: BimoduleStructure) -> LawCounterexample | None:
     """Verify every applicable module law; None means all pass.
 
     The laws run in the order left, right, compat, each over its triples in
-    lexicographic order; the residual is right-nested minus left-nested.
-    Assumes the underlying algebra is associative (run check_associativity
-    first); the verdict on a non-associative algebra is not meaningful.
+    lexicographic order, whose slots `conformal.LAW_SLOTS` names; the
+    residual is right-nested minus left-nested.  The left law runs first,
+    so a module breaks it exactly when the verdict names "left".  Assumes
+    the underlying algebra is associative (run check_associativity first);
+    the verdict on a non-associative algebra is not meaningful.
     """
-    na, nm = module.algebra.rank, module.rank
+    sizes = {"a": module.algebra.rank, "m": module.rank}
     P, L, R = module.algebra.structure, module.left, module.right
     laws = (
         # a_i lam (a_j mu u_t)  vs  (a_i lam a_j) (lam+mu) u_t
-        ("left", module.has_left, (na, na, nm), (P, L, L, L)),
+        ("left", module.has_left, (P, L, L, L)),
         # u_t lam (a_i mu a_j)  vs  (u_t lam a_i) (lam+mu) a_j
-        ("right", module.has_right, (nm, na, na), (R, R, P, R)),
+        ("right", module.has_right, (R, R, P, R)),
         # a_i lam (u_t mu a_j)  vs  (a_i lam u_t) (lam+mu) a_j
-        ("compat", module.has_left and module.has_right, (na, nm, na), (L, R, R, L)),
+        ("compat", module.has_left and module.has_right, (L, R, R, L)),
     )
-    for law, applies, sizes, tables in laws:
+    for law, applies, tables in laws:
         if not applies:
             continue
-        triples = itertools.product(*map(range, sizes))
-        failure = _first_failure(_law_tables(*tables), triples, nm)
+        triples = itertools.product(*(range(sizes[slot]) for slot in LAW_SLOTS[law]))
+        failure = _first_failure(_law_tables(*tables), triples, module.rank)
         if failure is not None:
             triple, left_nested, right_nested = failure
             return LawCounterexample(law, triple, right_nested, left_nested)
     return None
+
+
+def axiom_failure(module: BimoduleStructure) -> LawCounterexample | None:
+    """`check_module_axioms` on ``module``, run on the first call and kept
+    on it: the one verdict every check of a module's fitness reads."""
+    return _kept(module, "axioms", check_module_axioms)
 
 
 @dataclass(frozen=True)

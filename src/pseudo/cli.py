@@ -30,7 +30,7 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__
-from .cfmodule import BimoduleStructure, UnfitModuleError, check_module_axioms
+from .cfmodule import BimoduleStructure, UnfitModuleError, axiom_failure
 from .cohomology import (
     DEFAULT_MAX_ROUNDS,
     Cochain,
@@ -38,7 +38,7 @@ from .cohomology import (
     TruncationWindow,
     cohomology_dimensions,
 )
-from .conformal import _kept, check_associativity
+from .conformal import LAW_SLOTS, associativity_failure
 from .constructions import (
     DeformationDatum,
     ExtensionDatum,
@@ -243,15 +243,10 @@ def _render_cochain(cochain: Cochain) -> str:
 def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
     """Law, triple names and residual lines of a law failure; ``module`` is
     the failing module of a module law."""
-    a = algebra.generators
-    m = () if module is None else module.generators
-    # law -> (generator names of each triple slot, names of the targets)
-    axes, targets = {
-        "associativity": ((a, a, a), a),
-        "left": ((a, a, m), m),
-        "right": ((m, a, a), m),
-        "compat": ((a, m, a), m),
-    }[cex.law]
+    # the law's own object: its generators are the targets and the "m" slots
+    targets = (algebra if module is None else module).generators
+    names = {"a": algebra.generators, "m": targets}
+    axes = tuple(names[slot] for slot in LAW_SLOTS[cex.law])
     residuals = {(*cex.triple, s): poly for s, poly in enumerate(cex.residual)}
     lines = _residual_lines(residuals, axes, targets, f"{cex.law} ")
     return cex.law, _names(axes, cex.triple), lines
@@ -259,13 +254,14 @@ def _axiom_failure(cex, algebra, module=None) -> tuple[str, str, list[str]]:
 
 def _precheck(algebra, module=None) -> Optional[tuple]:
     """The parts of the abort report on the first broken axiom of the
-    algebra, then of ``module``; None when both hold.  Each verdict is
-    kept on its object, where the library's data read it again."""
-    cex = _kept(algebra, "associativity", check_associativity)
+    algebra, then of ``module``; None when both hold.  Each verdict is the
+    one kept on its object (`associativity_failure`, `axiom_failure`),
+    which the library's data read again."""
+    cex = associativity_failure(algebra)
     if cex is not None:
         _, names, residuals = _axiom_failure(cex, algebra)
         return {"precheck": "associativity failed", "triple": names}, residuals, None, False
-    if module is not None and (cex := _kept(module, "axioms", check_module_axioms)) is not None:
+    if module is not None and (cex := axiom_failure(module)) is not None:
         law, names, residuals = _axiom_failure(cex, algebra, module)
         results = {"precheck": f"module {law} law failed", "triple": names}
         return results, residuals, None, False
@@ -289,7 +285,7 @@ def _cmd_check(args, inputs: dict):
         module = parse_module(_read(inputs, "module", args.module), algebra)
     results: dict = {}
     residuals: list[str] = []
-    cex = _kept(algebra, "associativity", check_associativity)
+    cex = associativity_failure(algebra)
     results["associativity"] = cex is None
     if cex is not None:
         _, names, lines = _axiom_failure(cex, algebra)
@@ -297,7 +293,7 @@ def _cmd_check(args, inputs: dict):
         residuals.extend(lines)
     mex = None
     if module is not None:
-        mex = _kept(module, "axioms", check_module_axioms)
+        mex = axiom_failure(module)
         results["module_axioms"] = mex is None
         if mex is not None:
             law, names, lines = _axiom_failure(mex, algebra, module)
@@ -402,7 +398,7 @@ def _cmd_classical(args, inputs: dict):
     if args.n > 3:
         raise _UsageError("only degrees 0..3 are supported")
     algebra = parse_fd_algebra(_read(inputs, "algebra", args.algebra))
-    if _kept(algebra, "associativity", check_associativity) is not None:
+    if associativity_failure(algebra) is not None:
         return {"precheck": "structure constants not associative"}, [], None, False
     # the degree-0 slice of the current algebra's complex is the bar complex
     module = BimoduleStructure.regular(algebra)

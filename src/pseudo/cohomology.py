@@ -309,8 +309,9 @@ class _Stencil:
     it on the module, one per (module, n), so all of it serves every
     later call on that module and is freed with it.  The images number
     at most (n + 2) * rank(A) * rank(M) times the basis monomials up to
-    the largest degree a call asked for, and the pairs at most span.  For n = 0 the head is a_{-del} u and the tail
-    -u_0 a: lam1 is -del and a constant value is read in ("del",).
+    the largest degree a call asked for, and the pairs at most span.  For
+    n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del and a
+    constant value is read in ("del",).
     """
 
     def __init__(self, module: BimoduleStructure, n: int):
@@ -404,7 +405,7 @@ class _Stencil:
 
     def limit(self, max_degree: int) -> int:
         """The smallest code of a target label above degree max_degree:
-        the bound ``column`` holds its codes below."""
+        the bound ``columns`` holds its codes below."""
         return self.extent(max_degree) * self.span
 
     def _rank(self, exp: tuple[int, ...]) -> int:

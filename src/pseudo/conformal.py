@@ -140,6 +140,12 @@ class LawCounterexample:
         return tuple(l - r for l, r in zip(self.lhs, self.rhs))
 
 
+# law -> the generators each slot of its triple runs over: "a" the
+# algebra's, "m" the module's.  `check_module_axioms` takes its triple
+# ranges from it, and a report its generator names
+LAW_SLOTS = {"associativity": "aaa", "left": "aam", "right": "maa", "compat": "ama"}
+
+
 # (x_i lam x_j) (lam+mu) x_k: the del inside the first product rides on
 # the intermediate generator, so it becomes -(lam+mu) in the second one
 _LAM, _MU, _DEL = (Poly.var(ASSOC_VARS, v) for v in ("lam", "mu", "del"))
@@ -255,6 +261,12 @@ def check_associativity(algebra: ConformalAlgebra) -> LawCounterexample | None:
         return None
     triple, left_nested, right_nested = failure
     return LawCounterexample("associativity", triple, left_nested, right_nested)
+
+
+def associativity_failure(algebra: ConformalAlgebra) -> LawCounterexample | None:
+    """`check_associativity` on ``algebra``, run on the first call and kept
+    on it: the one verdict every check of an algebra's fitness reads."""
+    return _kept(algebra, "associativity", check_associativity)
 
 
 def free_rank_one(product: Poly | None = None, name: str = "e") -> ConformalAlgebra:

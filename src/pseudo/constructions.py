@@ -15,15 +15,17 @@ axiom checkers.  Disagreement between the two routes raises
 ComplexInconsistencyError, since it can only come from a bug here.
 
 Checks on the base objects a datum is built over are kept on those
-objects (`conformal._kept`), so each runs once per object however many
-data share it: the associativity of the algebra, and the axiom verdict
-and left-law verdict of a module.  The checks that are routes of a
-verdict run every time, each on an object built fresh for it: the
-associativity checker on the algebra `build_abelian_extension` assembles,
-`check_module_axioms` on the module `build_extension` glues, and the
-cochain differential in `deform`.  That differential runs on the stencil
-kept on the module, with the slot images that earlier calls on the
-module formed: the images are part of the compiled d, not a verdict.
+objects, so each runs once per object however many data share it: the
+associativity of the algebra (`conformal.associativity_failure`) and
+the axiom verdict of a module (`cfmodule.axiom_failure`), which also
+tells whether the module breaks its left law, the law it checks first.
+The checks that are routes of a verdict run every time, each on an
+object built fresh for it: the associativity checker on the algebra
+`build_abelian_extension` assembles, `check_module_axioms` on the module
+`build_extension` glues, and the cochain differential in `deform`.
+That differential runs on the stencil kept on the module, with the slot
+images that earlier calls on the module formed: the images are part of
+the compiled d, not a verdict.
 
 Both witness searches are one exact solve, `exactla.solve_columns`, on
 columns keyed by the terms they produce: the terms of `gamma_coboundary`
@@ -48,6 +50,7 @@ from .cfmodule import (
     BimoduleStructure,
     CLinearMap,
     UnfitModuleError,
+    axiom_failure,
     check_module_axioms,
     chom_left_action,
     chom_right_action,
@@ -60,9 +63,9 @@ from .conformal import (
     _LAM,
     _MU,
     _finish,
-    _kept,
     _law_sides,
     _law_tables,
+    associativity_failure,
     check_associativity,
 )
 from .cohomology import (
@@ -79,22 +82,6 @@ from .exactla import solve_columns
 from .polyring import Poly, _RingMap
 
 DEL_ONLY = ("del",)
-
-
-def _left_law_holds(module: BimoduleStructure) -> bool:
-    """Just the left module law, ignoring any right table; checked once
-    per module object and kept on it."""
-
-    def check(module: BimoduleStructure) -> bool:
-        probe = BimoduleStructure(
-            algebra=module.algebra,
-            generators=module.generators,
-            left=dict(module.left or {}),
-            right=None,
-        )
-        return check_module_axioms(probe) is None
-
-    return _kept(module, "left law", check)
 
 
 @dataclass(frozen=True)
@@ -116,7 +103,8 @@ class ExtensionDatum:
                 raise ValueError(f"{name} module is over a different algebra")
             if not module.has_left:
                 raise UnfitModuleError(f"{name} module needs a left action")
-            if not _left_law_holds(module):
+            # the left law is checked first: it fails iff the verdict names it
+            if (cex := axiom_failure(module)) is not None and cex.law == "left":
                 raise UnfitModuleError(f"{name} module violates its own left law")
         clean: dict[int, CLinearMap] = {}
         for i, gmap in self.gamma.items():
@@ -396,9 +384,9 @@ class AbelianExtensionDatum:
             raise ValueError("abelian extension twist must be a degree-2 cochain")
         if self.cocycle.algebra != self.algebra or self.cocycle.module != self.module:
             raise ValueError("cochain is not over this algebra and module")
-        if _kept(self.algebra, "associativity", check_associativity) is not None:
+        if associativity_failure(self.algebra) is not None:
             raise ValueError("base algebra is not associative")
-        if _kept(self.module, "axioms", check_module_axioms) is not None:
+        if axiom_failure(self.module) is not None:
             raise UnfitModuleError("module violates its axiom system")
 
 
@@ -457,7 +445,7 @@ class DeformationDatum:
             raise ValueError("cochain is over a different algebra")
         if self.cocycle.module != BimoduleStructure.regular(self.algebra):
             raise ValueError("deformation cochain must take values in the algebra")
-        if _kept(self.algebra, "associativity", check_associativity) is not None:
+        if associativity_failure(self.algebra) is not None:
             raise ValueError("base algebra is not associative")
 
 

@@ -38,35 +38,34 @@ class ContainmentError(ValueError):
     """A claimed subspace inclusion failed; callers treat this as a bug."""
 
 
+def _reduce(rows: Mapping[int, dict], row: dict[int, int | Fraction]) -> dict:
+    """Subtract from ``row``, in place, its part along the pivot rows ``rows``.
+
+    One pass over the pivot columns ``row`` holds suffices: a pivot row
+    is 0 at every other pivot column, so no subtraction changes another
+    pivot entry of ``row``.  The result is 0 iff ``row`` lay in the span.
+    """
+    for col in [c for c in row if c in rows]:
+        _subtract(row, row[col], rows[col])
+    return row
+
+
 class Echelon(dict):
     """Pivot column -> sparse row, kept fully reduced (see module docstring).
 
-    Columns are any integers; callers that want some columns eliminated
-    before others number those lower.  ``holders`` indexes the rows by
-    the columns they hold: it maps each non-pivot column to the set of
-    pivots whose rows are nonzero there, and a column no row holds has
-    no entry.  A new pivot then clears only the rows the index names,
-    not every stored row.  The index costs one set entry per off-pivot
-    entry of the rows and takes no part in ``==``.  Only an echelon that
-    starts empty keeps one: an echelon made from given rows, and the rows
-    of a ``SubspaceBasis``, are finished, so ``holders`` is None there and
-    an insert fails rather than run on a missing index.
+    It starts empty and grows by ``insert``.  Columns are any integers;
+    callers that want some columns eliminated before others number those
+    lower.  ``holders`` indexes the rows by the columns they hold: it maps
+    each non-pivot column to the set of pivots whose rows are nonzero
+    there, and a column no row holds has no entry.  A new pivot then
+    clears only the rows the index names, not every stored row.  The
+    index costs one set entry per off-pivot entry of the rows and takes
+    no part in ``==``.
     """
 
-    def __init__(self, rows: Mapping[int, dict[int, int | Fraction]] = ()):
-        super().__init__(rows)
-        self.holders: dict[int, set[int]] | None = None if self else {}
-
-    def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
-        """Subtract from ``row``, in place, its part along the pivot rows.
-
-        One pass over the pivot columns ``row`` holds suffices: a pivot row
-        is 0 at every other pivot column, so no subtraction changes another
-        pivot entry of ``row``.  The result is 0 iff ``row`` lay in the span.
-        """
-        for col in [c for c in row if c in self]:
-            _subtract(row, row[col], self[col])
-        return row
+    def __init__(self):
+        super().__init__()
+        self.holders: dict[int, set[int]] = {}
 
     def insert(self, row: dict[int, int | Fraction]) -> int | None:
         """Add ``row`` (consumed) to the span; return its new pivot column,
@@ -77,7 +76,7 @@ class Echelon(dict):
         the index follows each entry those subtractions create or cancel.
         No other row's lead moves: a row holding the new lead leads below it.
         """
-        row = self._reduce(row)
+        row = _reduce(self, row)
         if not row:
             return None
         lead = min(row)
@@ -124,27 +123,21 @@ def _subtract(
             del target[j]
 
 
-def _span(rows: Iterable[dict[int, int | Fraction]]) -> Echelon:
-    """The echelon of ``rows``, each consumed."""
+def _span(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict]:
+    """The RREF rows of the span of ``rows`` (each consumed), pivot column
+    -> row: the echelon's rows, without the index that built them."""
     echelon = Echelon()
     for row in rows:
         echelon.insert(row)
-    return echelon
+    return dict(echelon)
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Subspace of Q^n held as the echelon of its RREF basis rows.
-
-    A basis takes no inserts, so its echelon's index is dropped: only
-    the rows are kept for as long as the basis lives.
-    """
+    """Subspace of Q^n held as its RREF basis rows, pivot column -> row."""
 
     ambient_dimension: int
-    rows: Echelon
-
-    def __post_init__(self):
-        self.rows.holders = None
+    rows: dict[int, dict[int, int | Fraction]]
 
     @property
     def dim(self) -> int:
@@ -160,7 +153,7 @@ class SubspaceBasis:
 
     @classmethod
     def zero(cls, ambient_dimension: int) -> "SubspaceBasis":
-        return cls(ambient_dimension, Echelon())
+        return cls(ambient_dimension, {})
 
 
 def _rows(columns: Sequence[Mapping]) -> dict:
@@ -283,7 +276,7 @@ class _SliceSpan:
 
     def basis(self) -> SubspaceBasis:
         inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}
-        return SubspaceBasis(self.size, Echelon(inside))
+        return SubspaceBasis(self.size, inside)
 
 
 def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:
@@ -291,6 +284,6 @@ def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:
     if big.ambient_dimension != small.ambient_dimension:
         raise ValueError("ambient dimensions differ")
     for row in small.rows.values():
-        if big.rows._reduce(dict(row)):
+        if _reduce(big.rows, dict(row)):
             raise ContainmentError("claimed subspace is not contained in the larger one")
     return big.dim - small.dim

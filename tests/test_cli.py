@@ -500,17 +500,16 @@ def test_internal_errors_exit_3(monkeypatch, capsys, target, argv, error):
 def test_deform_checks_its_algebra_once(monkeypatch, capsys):
     # the precheck keeps its verdict on the algebra, where DeformationDatum
     # reads it again instead of checking the same object a second time
-    from pseudo import cli, constructions
+    from pseudo import cli, conformal
 
     calls = []
-    original = constructions.check_associativity
+    original = conformal.check_associativity
 
     def counted(algebra):
         calls.append(algebra)
         return original(algebra)
 
-    monkeypatch.setattr(cli, "check_associativity", counted)
-    monkeypatch.setattr(constructions, "check_associativity", counted)
+    monkeypatch.setattr(conformal, "check_associativity", counted)
     monkeypatch.chdir(INPUTS.parent)
     assert cli.main(["deform", "inputs/cur1.alg", "--cocycle", "inputs/f_const.coc"]) == 0
     assert "first_order_associative: PASS" in capsys.readouterr().out

@@ -26,6 +26,7 @@ from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import (
     Cochain,
     CochainIndex,
+    ComplexInconsistencyError,
     TruncationOverflowError,
     TruncationWindow,
     apply_dn,
@@ -250,7 +251,7 @@ def _reference_columns(algebra, module, degree, max_in, max_out) -> list[dict]:
     return columns
 
 
-def test_differential_matrix_matches_apply(cur1, cur1_regular, mat2, mat2_regular, inputs_dir):
+def test_stencil_columns_match_the_oracle(cur1, cur1_regular, mat2, mat2_regular, inputs_dir):
     u1 = parse_algebra(U1_PATH.read_text(encoding="utf-8"))
     u2 = parse_algebra(U2_PATH.read_text(encoding="utf-8"))
     uboth = parse_module((inputs_dir / "uboth.mod").read_text(encoding="utf-8"), cur1)
@@ -296,7 +297,7 @@ def draw_random_module(data) -> BimoduleStructure:
 
 
 @given(st.data())
-def test_differential_matrix_matches_apply_on_random_tables(data):
+def test_stencil_columns_match_the_oracle_on_random_tables(data):
     # d is defined whether or not the tables are associative or satisfy the
     # module laws, so arbitrary tables exercise every slot of the stencil
     module = draw_random_module(data)
@@ -344,7 +345,7 @@ def test_apply_on_one_module_matches_oracle_in_any_order(data):
 
 
 @given(st.data())
-def test_differential_matrix_on_a_warmed_module_matches_a_fresh_one(data):
+def test_stencil_columns_on_a_warmed_module_match_a_fresh_one(data):
     # images formed by earlier calls, at other degrees and bounds, change
     # no entry: an equal module that has kept nothing gives the same columns
     module = draw_random_module(data)
@@ -503,6 +504,25 @@ def test_plateau_h3_with_margin_three(inputs_dir):
     short = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
     assert short.dim_cocycles == 3
     assert short.dim_coboundaries <= rep.dim_coboundaries
+
+
+def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
+    # the head slot's images negated, d after d is no longer 0, and B
+    # escapes Z on plateau at n = 2, D = 0.  The same patch leaves Z = 0 on
+    # cur1 and mat2, so there B fills Z at once, no source is
+    # differentiated and the guard stays silent: the price of the
+    # widening's dim-Z ceiling
+    original = cohomology._Stencil._image
+
+    def negated_head(self, slot, cut, k, mono):
+        image = original(self, slot, cut, k, mono)
+        return tuple((offset, -c) for offset, c in image) if slot == 0 else image
+
+    monkeypatch.setattr(cohomology._Stencil, "_image", negated_head)
+    plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(plateau)
+    with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
+        cohomology_dimensions(plateau, module, 2, TruncationWindow(0))
 
 
 def test_plateau_h3_unstabilized_within_max_rounds(inputs_dir):

@@ -89,6 +89,7 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
     right_only = module("right", "right u e -> 1 * u")
     broken_left = module("left", "left e u -> del * u")
     broken_both = module("left right", "left e u -> del * u", "right u e -> 1 * u")
+    broken_right = module("left right", "left e u -> 1 * u", "right u e -> del * u")
     for unfit, n, message in [
         (left_only, 0, "degree-0 differential needs both module actions"),
         (right_only, 0, "degree-0 differential needs both module actions"),
@@ -105,9 +106,13 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
     ]:
         with pytest.raises(UnfitModuleError, match=message):
             ExtensionDatum(cur1, sub, quotient, {})
+    # an extension reads only the left law, though the module's verdict
+    # names the right law it breaks
+    assert ExtensionDatum(cur1, broken_right, broken_right, {}).gamma == {}
     for unfit, message in [
         (left_only, "abelian extension needs a two-sided module"),
         (broken_both, "module violates its axiom system"),
+        (broken_right, "module violates its axiom system"),
     ]:
         with pytest.raises(UnfitModuleError, match=message):
             AbelianExtensionDatum(cur1, unfit, Cochain.zero(cur1, unfit, 2))
@@ -123,10 +128,10 @@ def _count_calls(monkeypatch, owner, name) -> list:
 def test_extension_datum_checks_one_module_once(cur1, inputs_dir, monkeypatch):
     # a module parsed here, so no earlier test has checked it
     module = parse_module((inputs_dir / "uboth.mod").read_text(), cur1)
-    calls = _count_calls(monkeypatch, constructions, "check_module_axioms")
+    calls = _count_calls(monkeypatch, cfmodule, "check_module_axioms")
     datum_of(cur1, module, "lam")
     assert len(calls) == 1
-    # the left-law verdict is kept on the module for the next datum
+    # the axiom verdict is kept on the module for the next datum
     datum_of(cur1, module, "1")
     assert len(calls) == 1
 
@@ -135,8 +140,8 @@ def test_equal_but_distinct_algebras_are_checked_again(inputs_dir, monkeypatch):
     text = (inputs_dir / "cur1.alg").read_text()
     first, second = parse_algebra(text), parse_algebra(text)
     assert first == second and first is not second
-    calls = _count_calls(monkeypatch, constructions, "check_associativity")
-    module_calls = _count_calls(monkeypatch, constructions, "check_module_axioms")
+    calls = _count_calls(monkeypatch, conformal, "check_associativity")
+    module_calls = _count_calls(monkeypatch, cfmodule, "check_module_axioms")
     for algebra in (first, first, second, second):
         module = BimoduleStructure.regular(algebra)
         DeformationDatum(algebra, Cochain.zero(algebra, module, 2))

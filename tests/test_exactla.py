@@ -132,7 +132,7 @@ def test_solve_round_trip(rows):
 
 
 @given(matrices(max_rows=4, max_cols=6))
-def test_kernel_basis_matches_dense_route(rows):
+def test_kernel_matches_dense_route(rows):
     ncols = len(rows[0])
     echelon = subspace(ncols, rows).rows
     vectors = []
@@ -216,8 +216,7 @@ def test_echelon_index_follows_every_insert(data):
     # the column -> pivot-rows index must name exactly the rows holding
     # each column after every insert, in any row order; entries of 0 and
     # +-1 make clearing cancel entries, which the index must drop.  An
-    # echelon made from given rows, and a basis's rows, keep no index and
-    # refuse an insert that would need one
+    # echelon starts empty with its index, and a basis keeps only its rows
     nrows = data.draw(st.integers(min_value=1, max_value=7))
     ncols = data.draw(st.integers(min_value=1, max_value=6))
     entry = st.one_of(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))), rationals())
@@ -237,14 +236,10 @@ def test_echelon_index_follows_every_insert(data):
     assert sorted(echelon) == pivots
     assert [[echelon[p].get(j, 0) for j in range(ncols)] for p in pivots] == basis
 
-    built = Echelon({p: dict(row) for p, row in echelon.items()})
-    assert built == echelon and built.holders == (None if built else {})
-    finished = SubspaceBasis(ncols + 1, echelon)
-    assert finished.rows == built and echelon.holders is None
-    outside = {next(j for j in range(ncols + 1) if j not in echelon): Fraction(1)}
-    for rows in (built, finished.rows) if built else (finished.rows,):
-        with pytest.raises(AttributeError):
-            rows.insert(dict(outside))
+    # a basis keeps the rows alone, a plain dict without the index
+    finished = subspace(ncols, entries)
+    assert type(finished.rows) is dict and finished.rows == echelon
+    assert Echelon() == {} and Echelon().holders == {}
 
 
 def test_insert_returns_the_new_pivot():
@@ -273,7 +268,7 @@ def test_slice_span_insert_reports_growth_of_the_intersection(data):
 
 
 @given(st.data())
-def test_kernel_basis_is_the_same_echelon_for_any_row_order(data):
+def test_kernel_is_the_same_echelon_for_any_row_order(data):
     # kernel inserts the rows shortest first; rows of mixed sparsity,
     # empty ones among them, must give one echelon whatever order their
     # labels first appear in

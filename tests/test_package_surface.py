@@ -75,6 +75,27 @@ def test_only_exactla_names_the_echelon():
     assert stray == []
 
 
+def test_only_the_owners_of_kept_values_name_kept():
+    """What is kept on an algebra or a module is kept by the module that
+    derives it: the axiom verdicts by ``conformal.associativity_failure``
+    and ``cfmodule.axiom_failure``, the stencil and the grading by
+    ``cohomology``.  Every other module reads a verdict through those two
+    functions, so no other module names ``_kept``, nor the ``_memo`` it
+    keeps values in."""
+    owners = {"conformal.py", "cfmodule.py", "cohomology.py"}
+    private = {"_kept", "_memo"}
+    stray = []
+    for path, tree in _trees("src/pseudo"):
+        if path.name in owners:
+            continue
+        for node in ast.walk(tree):
+            if private & {getattr(node, "id", None), getattr(node, "attr", None)} or (
+                isinstance(node, ast.alias) and private & {node.name, node.asname}
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
 def test_only_main_writes_to_stdout():
     """A report reaches stdout from ``cli.main`` alone: nothing else in
     cli.py names ``sys.stdout``, and no ``print`` there lacks a file."""
