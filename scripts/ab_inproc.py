@@ -2,6 +2,7 @@
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
     python3 scripts/ab_inproc.py BASE CHANGE --grid
+    python3 scripts/ab_inproc.py BASE CHANGE --verdicts
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
 Each checkout's package is copied into a temporary directory under its
@@ -32,6 +33,17 @@ job's Z and B rows, stabilized flag, rounds and proof, or the type and
 message of what it raised, must be the same in both.  Prints each job
 that differs, then the number of jobs and of differences, and exits 1
 on any difference.
+
+With --verdicts nothing is timed either: the results of the verdict
+routes and witness searches of the two packages are compared.  They are
+the return value of each operation of the verdict-batch workload for
+seeds 1-5 (the verdict, or the witness a search returns, polynomials as
+text), and the full results of ``build_extension``, ``deform`` and
+``build_abelian_extension`` on every inputs/*.coc over cur1, read against
+its regular module and every inputs/*.mod: residual polynomials, the
+assembled tables and the verdict, or the type and message of what parsing
+or building raised.  Prints each result that differs, then the number of
+results and of differences, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -53,6 +65,8 @@ INPUTS = ROOT / "inputs"
 BENCH_ALGEBRAS = [ROOT / "perfbench" / "algebras" / name for name in ("u1.alg", "u2.alg")]
 # n, D, margin and max_rounds of every grid job
 GRID = list(product(range(4), range(3), (1, 2), (1, 2, 4)))
+# the verdict-batch seeds --verdicts compares
+VERDICT_SEEDS = range(1, 6)
 
 
 def load_workloads():
@@ -143,6 +157,77 @@ def grid_reports(package) -> dict:
     return reports
 
 
+def rendered(value):
+    """A result as plain data that two packages' copies compare by: a
+    polynomial as its variables and text, a cochain, algebra or module
+    by what defines it, containers item by item."""
+    kind = type(value).__name__
+    if kind == "Poly":
+        return value.variables, str(value)
+    if kind == "Cochain":
+        return kind, value.degree, rendered(value.values)
+    if kind == "ConformalAlgebra":
+        return kind, value.generators, rendered(value.structure)
+    if kind == "BimoduleStructure":
+        return kind, value.generators, rendered(value.left), rendered(value.right)
+    if isinstance(value, dict):
+        return tuple(sorted((key, rendered(item)) for key, item in value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(rendered(item) for item in value)
+    return value
+
+
+def answer(compute):
+    """``compute()`` rendered, or the type and message of what it raised."""
+    try:
+        return rendered(compute())
+    except Exception as exc:  # an exception is part of the answer
+        return type(exc).__name__, str(exc)
+
+
+def verdict_answers(workloads, package) -> dict:
+    """Result label -> what the verdict routes of ``package`` give: each
+    verdict-batch operation's result for every seed of VERDICT_SEEDS (a
+    witness search's result ends with its witness), then every
+    construction on every committed cocycle file over cur1."""
+    answers = {}
+    for seed in VERDICT_SEEDS:
+        for op in build_ops(workloads, package, "verdict-batch", seed):
+            run = op.run
+            if op.label.split()[0].endswith("-witness"):
+                run = lambda run=run: run()[-1]  # (first datum, second datum, witness)
+            answers[f"seed {seed}: {op.label}"] = answer(run)
+    formats, con = package.formats, package.constructions
+    read = lambda path: path.read_text(encoding="utf-8")
+    cur1 = formats.parse_algebra(read(INPUTS / "cur1.alg"))
+    modules = [("regular", package.cfmodule.BimoduleStructure.regular(cur1))]
+    modules += [(p.name, formats.parse_module(read(p), cur1))
+                for p in sorted(INPUTS.glob("*.mod"))]
+    for path in sorted(INPUTS.glob("*.coc")):
+        text = read(path)
+        for name, module in modules:
+            label = f"{path.name} over {name}"
+
+            def gamma(module=module):
+                return formats.parse_gamma(text, cur1, module, module)
+
+            def cochain(module=module):
+                return formats.parse_cochain(text, cur1, module, 2)
+
+            answers[f"{label}: build_extension"] = answer(
+                lambda: con.build_extension(con.ExtensionDatum(cur1, module, module, gamma()))
+            )
+            answers[f"{label}: deform"] = answer(
+                lambda: con.deform(con.DeformationDatum(cur1, cochain()))
+            )
+            answers[f"{label}: build_abelian_extension"] = answer(
+                lambda: con.build_abelian_extension(
+                    con.AbelianExtensionDatum(cur1, module, cochain())
+                )
+            )
+    return answers
+
+
 def differences(base: dict, change: dict) -> list[str]:
     """The labels of the jobs whose reports differ, or that only one side ran."""
     return [label for label in {**base, **change} if base.get(label) != change.get(label)]
@@ -165,10 +250,12 @@ def main(argv=None) -> int:
                         help="rebuild every operation, untimed, before each rep")
     parser.add_argument("--grid", action="store_true",
                         help="compare every report on the committed-input grid, untimed")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="compare every verdict, witness and construction result, untimed")
     args = parser.parse_args(argv)
-    if not args.grid:
+    if not (args.grid or args.verdicts):
         if args.workload is None or args.reps is None:
-            parser.error("--workload and --reps are required without --grid")
+            parser.error("--workload and --reps are required without --grid or --verdicts")
         if args.reps < 1:
             parser.error("--reps must be at least 1")
 
@@ -179,13 +266,21 @@ def main(argv=None) -> int:
             import_copy(args.base.resolve(), "pseudo_base", Path(workdir)),
             import_copy(args.change.resolve(), "pseudo_change", Path(workdir)),
         ]
-        if args.grid:
-            base, change = (grid_reports(p) for p in packages)
-            differing = differences(base, change)
-            for label in differing:
-                print(f"differs: {label}")
-            print(f"grid: {len(base)} jobs, {len(differing)} differences")
-            return 1 if differing else 0
+        if args.grid or args.verdicts:
+            status = 0
+            comparisons = [("grid", "jobs", grid_reports)] if args.grid else []
+            if args.verdicts:
+                comparisons.append(
+                    ("verdicts", "results", lambda p: verdict_answers(workloads, p))
+                )
+            for name, unit, collect in comparisons:
+                base, change = (collect(p) for p in packages)
+                differing = differences(base, change)
+                for label in differing:
+                    print(f"differs: {label}")
+                print(f"{name}: {len(base)} {unit}, {len(differing)} differences")
+                status = 1 if differing else status
+            return status
         sides = [build_ops(workloads, p, args.workload, args.seed) for p in packages]
         labels = [op.label for op in sides[0]]
         if labels != [op.label for op in sides[1]]:

@@ -27,6 +27,7 @@ from .cohomology import (
 from .conformal import (
     ConformalAlgebra,
     LawCounterexample,
+    NonAssociativeError,
     check_associativity,
     free_rank_one,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "DeformationDatum",
     "ExtensionDatum",
     "LawCounterexample",
+    "NonAssociativeError",
     "Poly",
     "PolyParseError",
     "TruncationOverflowError",

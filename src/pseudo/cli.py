@@ -10,7 +10,8 @@ cochain complex at polynomial degree 0, where it is the bar complex of A
 (see ``pseudo.classical``).  Reports are byte-identical across runs for
 identical inputs and flags; wall-clock timing goes to stderr.  Exit codes:
 0 success, 1 bad input (usage, a file that does not parse or read, or a
-module the library finds unfit, ``UnfitModuleError``), 2 a mathematical
+module or algebra the library finds unfit, ``UnfitModuleError`` or
+``NonAssociativeError``), 2 a mathematical
 counterexample (the inputs fail the property under test), 3 any other
 error, which can only be a bug.
 
@@ -38,7 +39,7 @@ from .cohomology import (
     TruncationWindow,
     cohomology_dimensions,
 )
-from .conformal import LAW_SLOTS, associativity_failure
+from .conformal import LAW_SLOTS, NonAssociativeError, associativity_failure
 from .constructions import (
     DeformationDatum,
     ExtensionDatum,
@@ -428,8 +429,8 @@ _COMMANDS = {
 
 
 # input problems exit 1; any other exception is a bug and exits 3
-_INPUT_ERRORS = (_UsageError, DefinitionError, PolyParseError, UnfitModuleError, OSError,
-                 UnicodeDecodeError)
+_INPUT_ERRORS = (_UsageError, DefinitionError, PolyParseError, UnfitModuleError,
+                 NonAssociativeError, OSError, UnicodeDecodeError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

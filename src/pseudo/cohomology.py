@@ -43,12 +43,11 @@ lower bound obtained by widening the source degree in steps of K until
 the intersection with the slice stops growing; on a graded input the
 widening differentiates only the sources whose weight can reach the
 slice.  The widening also stops differentiating once B fills Z in the
-slice, which assumes d after d = 0 (an associative algebra and a module
-satisfying its axioms): the rounds still run and count, so nothing
-reported moves, but the guard that B lies in Z then sees only the images
-it differentiated.  On the non-associative rank-1 tables del, lam,
-1 + lam and lam^2 at n 1-3 and D 0-3, the guard fires in 8 of the 48
-jobs rather than 24.
+slice, which d after d = 0 makes exact: the rounds still run and count,
+so nothing reported moves.  `cohomology_dimensions` refuses a
+non-associative algebra (`NonAssociativeError`) and a module that breaks
+its laws (`UnfitModuleError`) before computing, reading the verdicts kept
+on them, so the guard that B lies in Z flags only a bug here.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from itertools import islice, product as iter_product
 from math import comb
 from typing import Mapping, Sequence
 
-from .cfmodule import BimoduleStructure, UnfitModuleError
-from .conformal import ConformalAlgebra, _kept
+from .cfmodule import BimoduleStructure, UnfitModuleError, axiom_failure
+from .conformal import ConformalAlgebra, NonAssociativeError, _kept, associativity_failure
 from .exactla import (
     ContainmentError,
     SubspaceBasis,
@@ -167,16 +166,20 @@ class Cochain:
             raise ValueError("cochain shapes differ")
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._same_shape(other)
-        keys = set(self.values) | set(other.values)
-        merged = {
-            key: tuple(a + b for a, b in zip(self.value(key), other.value(key)))
-            for key in keys
-        }
-        return Cochain(self.degree, self.algebra, self.module, merged)
+        return self._merged(other, 1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scaled(-1)
+        return self._merged(other, -1)
+
+    def _merged(self, other: "Cochain", sign: int) -> "Cochain":
+        """self + sign * other: the label terms of both merged in one pass
+        and the sum built once, by `_from_terms`."""
+        self._same_shape(other)
+        terms = dict(_terms(self))
+        for label, c in _terms(other):
+            c = sign * c
+            terms[label] = terms[label] + c if label in terms else c
+        return _from_terms(self.degree, self.module, terms.items())
 
     def scaled(self, factor) -> "Cochain":
         return Cochain(
@@ -246,7 +249,10 @@ def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
     for (tup, k, mono), coeff in terms:
         coeff = _coeff(coeff)
         if coeff:
-            values.setdefault(tup, [{} for _ in range(module.rank)])[k][mono] = coeff
+            vec = values.get(tup)
+            if vec is None:
+                vec = values[tup] = [{} for _ in range(module.rank)]
+            vec[k][mono] = coeff
     variables = cochain_variables(degree)
     return Cochain(
         degree,
@@ -256,18 +262,41 @@ def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
     )
 
 
-def apply_dn(cochain: Cochain) -> Cochain:
-    """d of an n-cochain, n >= 0 (see module docstring), on the module's
-    stencil: each term c*m of the value on (tuple t, generator k) adds c
-    times d of the basis cochain (t, k, m)."""
-    n, module = cochain.degree, cochain.module
-    stencil = _stencil(module, n)
+def _differential_codes(stencil: "_Stencil", cochain: Cochain) -> dict:
+    """d of the cochain on its module's stencil as raw sums keyed by target
+    code: each term c*m of the value on (tuple t, generator k) adds c times
+    d of the basis cochain (t, k, m)."""
     acc: dict = {}
     for tup, vec in cochain.values.items():
         for k, poly in enumerate(vec):
             stencil.add(acc, tup, k, poly.terms)
+    return acc
+
+
+def apply_dn(cochain: Cochain) -> Cochain:
+    """d of an n-cochain, n >= 0 (see module docstring), on the module's
+    stencil, decoded into a cochain."""
+    n, module = cochain.degree, cochain.module
+    stencil = _stencil(module, n)
+    acc = _differential_codes(stencil, cochain)
     label = stencil.label
     return _from_terms(n + 1, module, ((label(code), c) for code, c in acc.items() if c))
+
+
+def _differential_equals(cochain: Cochain, target: Cochain | None = None) -> bool:
+    """Whether d of the cochain is ``target``, a cochain one degree up on
+    the same module (zero when None): the stencil's raw sums of d, minus
+    the target's terms at their codes, all vanish.  `apply_dn` then
+    ``is_zero`` gives the same answer, but this decodes no label and
+    builds no cochain."""
+    stencil = _stencil(cochain.module, cochain.degree)
+    acc = _differential_codes(stencil, cochain)
+    if target is not None:
+        code = stencil.code
+        for label, c in _terms(target):
+            key = code(label)
+            acc[key] = acc[key] - c if key in acc else -c
+    return not any(acc.values())
 
 
 class _Stencil:
@@ -641,14 +670,14 @@ def _coboundary_slice(
     the slice, so it cannot change B cap slice.
 
     ``ceiling`` is the dimension of a space known to contain B cap slice:
-    the slice's own dimension, or dim(Z cap slice) when d after d = 0,
-    which holds for an associative algebra and a module satisfying its
-    axioms.  Once the span holds that many rows of the slice it is all of
-    B cap slice, since the RREF is unique: the stencil's lazy columns form
-    no further source.  The count of those rows is each round's dimension.
-    A round that admits or differentiates no source still runs and counts
-    toward ``rounds``, so every basis, flag and count is the one the full
-    widening, skipping no source, gives.  Returns (coboundaries,
+    the slice's own dimension, or dim(Z cap slice), since d after d = 0
+    on every input `cohomology_dimensions` accepts.  Once the span holds
+    that many rows of the slice it is all of B cap slice, since the RREF
+    is unique: the stencil's lazy columns form no further source.  The
+    count of those rows is each round's dimension.  A round that admits
+    or differentiates no source still runs and counts toward ``rounds``,
+    so every basis, flag and count is the one the full widening, skipping
+    no source, gives.  Returns (coboundaries,
     stabilized, rounds); degree 0 has no coboundaries and no rounds.
     """
     d = window.degree_bound
@@ -720,10 +749,11 @@ def cohomology_dimensions(
     consecutive rounds agree the dimension is reported as stabilized.
     The cocycles come first, and their dimension is the ceiling of the
     widening: once B cap slice has as many rows, no further source is
-    differentiated, though every round still runs and counts.  That
-    assumes d after d = 0, so on an input that breaks the axioms the
-    check that B lies in Z (ComplexInconsistencyError) sees only the
-    sources differentiated before B filled Z, and may not fire.
+    differentiated, though every round still runs and counts.  A
+    non-associative algebra raises NonAssociativeError and a two-sided
+    module that breaks its laws UnfitModuleError, before anything is
+    computed, so d after d = 0 holds and ComplexInconsistencyError, if B
+    escapes Z, means a bug.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -731,6 +761,11 @@ def cohomology_dimensions(
         raise ValueError("max_rounds must be at least 1")
     if module.algebra != algebra:
         raise ValueError("module is over a different algebra")
+    if associativity_failure(algebra) is not None:
+        raise NonAssociativeError("algebra is not associative")
+    # a module that lacks an action is refused by its stencil
+    if module.has_left and module.has_right and axiom_failure(module) is not None:
+        raise UnfitModuleError("module violates its axiom system")
     d = window.degree_bound
     cocycles = _cocycle_slice(algebra, module, degree, d)
     coboundaries, stabilized, rounds = _coboundary_slice(

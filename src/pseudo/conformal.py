@@ -15,7 +15,8 @@ is then a polynomial identity in lam, mu, del for every generator triple,
 which `check_associativity` verifies exactly.  The module laws in
 `cfmodule` have the same shape, so both checkers share one kernel:
 `_law_tables` moves each table a law reads into raw term maps over
-(del, lam, mu), through one ring map per law map and call, and
+(del, lam, mu), through the four law maps of `_law_maps`, one ring map
+each, built once per call and shared by every law the call checks, and
 `_law_sides` composes the two orders on a triple from those term maps
 into raw sums keyed (target generator, exponent), the right-nested order
 subtracted.  No `Poly` is built per term: `_finish` turns each surviving
@@ -157,33 +158,40 @@ _INNER = {"lam": _MU, "del": _LAM + _DEL}
 _OUTER = {"lam": _LAM, "del": _DEL}
 
 
+def _law_maps(sources: tuple = (PRODUCT_VARS,) * 4) -> tuple:
+    """The four law maps, one `polyring._RingMap` each, built for one call.
+
+    ``sources`` names the variables of the tables each map moves as a pair
+    (del, x): x is lam in a structure table and lam1 in a degree-2 cochain
+    read as one, and the map binds x where it binds lam.  A map expands a
+    monomial once however many entries, tables or laws of the call share it.
+    """
+    return tuple(
+        _RingMap((dl, x), {dl: sub["del"], x: sub["lam"]})
+        for sub, (dl, x) in zip((_FIRST, _SECOND, _INNER, _OUTER), sources)
+    )
+
+
 def _law_tables(
     first: StructureMap,
     second: StructureMap,
     inner: StructureMap,
     outer: StructureMap,
-    sources: tuple = (PRODUCT_VARS,) * 4,
+    maps: tuple | None = None,
 ) -> tuple:
-    """The four tables of one law, each moved by its map once per call.
+    """The four tables of one law, each moved by its law map.
 
     Each table maps an index pair (a, b) to the (target, terms) entries of
     x_a lam x_b, the terms the raw (exponent, coeff) items of
     `polyring._RingMap.raw` over ASSOC_VARS, so one kernel serves
-    associativity and every module law.  ``sources`` names the variables
-    of each table's polynomials as a pair (del, x): x is lam in a
-    structure table and lam1 in a degree-2 cochain read as one, and the
-    table's map binds x where it binds lam.  Each map is one
-    `polyring._RingMap` built for this call, so a monomial shared by
-    several entries of its table is expanded once.
+    associativity and every module law.  ``maps`` are the caller's
+    `_law_maps`, built once for all the laws of its call; by default,
+    those of four structure tables, built for this one.
     """
-    moved = []
-    tables = (first, second, inner, outer)
-    for table, sub, (dl, x) in zip(tables, (_FIRST, _SECOND, _INNER, _OUTER), sources):
-        ring = _RingMap((dl, x), {dl: sub["del"], x: sub["lam"]})
-        moved.append(
-            {key: [(k, ring.raw(p).items()) for k, p in entries] for key, entries in table.items()}
-        )
-    return tuple(moved)
+    return tuple(
+        {key: [(k, ring.raw(p).items()) for k, p in entries] for key, entries in table.items()}
+        for ring, table in zip(maps or _law_maps(), (first, second, inner, outer))
+    )
 
 
 def _law_sides(tables: tuple, i: int, j: int, k: int, left: dict, right: dict) -> None:
@@ -261,6 +269,11 @@ def check_associativity(algebra: ConformalAlgebra) -> LawCounterexample | None:
         return None
     triple, left_nested, right_nested = failure
     return LawCounterexample("associativity", triple, left_nested, right_nested)
+
+
+class NonAssociativeError(ValueError):
+    """An algebra breaks associativity where a computation on it needs
+    it: a fault of the input, not of the program."""
 
 
 def associativity_failure(algebra: ConformalAlgebra) -> LawCounterexample | None:

@@ -19,19 +19,26 @@ objects, so each runs once per object however many data share it: the
 associativity of the algebra (`conformal.associativity_failure`) and
 the axiom verdict of a module (`cfmodule.axiom_failure`), which also
 tells whether the module breaks its left law, the law it checks first.
-The checks that are routes of a verdict run every time, each on an
-object built fresh for it: the associativity checker on the algebra
-`build_abelian_extension` assembles, `check_module_axioms` on the module
-`build_extension` glues, and the cochain differential in `deform`.
-That differential runs on the stencil kept on the module, with the slot
-images that earlier calls on the module formed: the images are part of
-the compiled d, not a verdict.
+A non-associative algebra raises `NonAssociativeError`.  The checks that
+are routes of a verdict run every time and keep nothing across calls:
+the associativity checker on the algebra `build_abelian_extension`
+assembles, `check_module_axioms` on the module `build_extension` glues,
+and the cochain differential in `deform` and `build_abelian_extension`.
+That differential's verdict is read off the stencil's raw sums
+(`cohomology._differential_equals`), with no cochain built; the stencil
+is the one kept on the module, with the slot images that earlier calls
+on the module formed: the images are part of the compiled d, not a
+verdict.
 
 Both witness searches are one exact solve, `exactla.solve_columns`, on
-columns keyed by the terms they produce: the terms of `gamma_coboundary`
-of each monomial of B, and the stencil columns of d_1 on the degree-
+columns keyed by the terms they produce: the coboundary terms of each
+monomial of B from `_coboundary_terms`, the raw-term builder behind
+`gamma_coboundary`, and the stencil columns of d_1 on the degree-
 bounded basis of 1-cochains.  A target term no column reaches makes the
-system inconsistent, so the target needs no window of its own.
+system inconsistent, so the target needs no window of its own.  Each
+found witness is checked without building a family or a cochain from
+it: B's coboundary by the same builder, d of a 1-cochain minus the
+target on the stencil's raw sums.
 
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
@@ -59,10 +66,12 @@ from .conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
     ConformalAlgebra,
+    NonAssociativeError,
     _DEL,
     _LAM,
     _MU,
     _finish,
+    _law_maps,
     _law_sides,
     _law_tables,
     associativity_failure,
@@ -72,6 +81,7 @@ from .cohomology import (
     Cochain,
     CochainIndex,
     ComplexInconsistencyError,
+    _differential_equals,
     _from_terms,
     _stencil,
     _terms,
@@ -79,7 +89,7 @@ from .cohomology import (
     cochain_variables,
 )
 from .exactla import solve_columns
-from .polyring import Poly, _RingMap
+from .polyring import Poly, _RingMap, _coeff
 
 DEL_ONLY = ("del",)
 
@@ -213,6 +223,48 @@ def build_extension(
     return extension, checker_verdict, residuals
 
 
+# a . B(n) moves B's del onto the action's total variable
+_SHIFT = {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+
+
+def _coboundary_terms(
+    sub: BimoduleStructure, quotient: BimoduleStructure, entries, shift: _RingMap
+) -> dict:
+    """The coboundary a |-> a . B(n) - B(a . n) of the B whose nonzero
+    entries are ``entries``, ((t, k), B_tk) with B_tk a polynomial in del
+    read over (del, lam), as its nonzero coefficients keyed (i, t, s,
+    exponent), as `_family_terms` keys a family.  ``shift`` is the ring
+    map of `_SHIFT`, built once per call by the caller.  Products are
+    summed raw and normalized once: no `Poly` or `CLinearMap` of the
+    coboundary is built."""
+    moved = []  # (t, k, raw terms of B_tk(lam + del))
+    rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
+    for (t, k), poly in entries:
+        moved.append((t, k, shift.raw(poly).items()))
+        rows.setdefault(t, []).append((k, poly.terms.items()))
+    acc: dict = {}
+    for i in range(sub.algebra.rank):
+        for t, k, image in moved:
+            for s, l_iks in sub.left_entries(i, k):
+                _add_terms(acc, i, t, s, image, l_iks.terms.items(), 1)
+        for t in range(quotient.rank):
+            for k, l_itk in quotient.left_entries(i, t):
+                for s, b_ks in rows.get(k, ()):
+                    _add_terms(acc, i, t, s, l_itk.terms.items(), b_ks, -1)
+    return {key: _coeff(c) for key, c in acc.items() if c}
+
+
+def _add_terms(acc: dict, i: int, t: int, s: int, first, second, sign: int) -> None:
+    """Add sign times the product of two raw term items over (del, lam)
+    into the sums of acc keyed (i, t, s, exponent)."""
+    for (e0, e1), c1 in first:
+        c1 = sign * c1
+        for (f0, f1), c2 in second:
+            key = (i, t, s, (e0 + f0, e1 + f1))
+            c = c1 * c2
+            acc[key] = acc[key] + c if key in acc else c
+
+
 def gamma_coboundary(
     sub: BimoduleStructure,
     quotient: BimoduleStructure,
@@ -222,39 +274,28 @@ def gamma_coboundary(
 
     ``b_matrix[(t, k)]`` is the coefficient of sub generator k in B of
     quotient generator t, a polynomial in del alone.  The result is the
-    family a |-> a . B(n) - B(a . n).
+    family a |-> a . B(n) - B(a . n), read off `_coboundary_terms`.
     """
-    lam = Poly.var(PRODUCT_VARS, "lam")
-    dl = Poly.var(PRODUCT_VARS, "del")
     for (t, k), poly in b_matrix.items():
         if not (0 <= t < quotient.rank and 0 <= k < sub.rank):
             raise ValueError(f"B index {(t, k)} out of range")
         if poly.variables != DEL_ONLY:
             raise ValueError("B entries must be polynomials in del alone")
-    # each entry of B moved once per call, by one ring map: shifted for
-    # a . B(n), widened for B(a . n)
-    entries = sorted((key, poly) for key, poly in b_matrix.items() if not poly.is_zero)
-    shift = _RingMap(DEL_ONLY, {"del": lam + dl})
-    shifted = [(t, k, shift(poly)) for (t, k), poly in entries]
-    widened: dict[int, list[tuple[int, Poly]]] = {}
-    for (k, s), poly in entries:
-        widened.setdefault(k, []).append((s, poly.embed(PRODUCT_VARS)))
-
-    zero = Poly.zero(PRODUCT_VARS)
-    out: dict[int, CLinearMap] = {}
-    for i in range(sub.algebra.rank):
-        matrix: dict[tuple[int, int], Poly] = {}
-        for t, k, b_tk in shifted:
-            for s, l_iks in sub.left_entries(i, k):
-                matrix[(t, s)] = matrix.get((t, s), zero) + b_tk * l_iks
-        for t in range(quotient.rank):
-            for k, l_itk in quotient.left_entries(i, t):
-                for s, b_ks in widened.get(k, ()):
-                    matrix[(t, s)] = matrix.get((t, s), zero) - l_itk * b_ks
-        gmap = CLinearMap(quotient.generators, sub.generators, dict(sorted(matrix.items())))
-        if not gmap.is_zero():
-            out[i] = gmap
-    return out
+    entries = sorted(
+        (key, poly.embed(PRODUCT_VARS)) for key, poly in b_matrix.items() if not poly.is_zero
+    )
+    shift = _RingMap(PRODUCT_VARS, _SHIFT)
+    matrices: dict[int, dict] = {}
+    for (i, t, s, exp), c in _coboundary_terms(sub, quotient, entries, shift).items():
+        matrices.setdefault(i, {}).setdefault((t, s), {})[exp] = c
+    return {
+        i: CLinearMap(
+            quotient.generators,
+            sub.generators,
+            {key: Poly._raw(PRODUCT_VARS, terms) for key, terms in sorted(matrices[i].items())},
+        )
+        for i in sorted(matrices)
+    }
 
 
 def _family_terms(family: Mapping[int, CLinearMap]) -> dict:
@@ -277,9 +318,9 @@ def find_extension_witness(
 ) -> Optional[dict[tuple[int, int], Poly]]:
     """Search for B with deg <= max_degree whose coboundary equals gamma_diff.
 
-    The search is an exact linear solve over the coefficients of B; None
-    means no witness exists within the degree bound (a larger bound may
-    still succeed).
+    The search is an exact linear solve over the coefficients of B, one
+    column of `_coboundary_terms` per monomial of B; None means no witness
+    exists within the degree bound (a larger bound may still succeed).
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -289,22 +330,22 @@ def find_extension_witness(
         for k in range(sub.rank)
         for e in range(max_degree + 1)
     ]
+    shift = _RingMap(PRODUCT_VARS, _SHIFT)
+    monomials = [Poly.monomial(PRODUCT_VARS, (e, 0)) for e in range(max_degree + 1)]
     columns = [
-        _family_terms(gamma_coboundary(sub, quotient, {(t, k): Poly.monomial(DEL_ONLY, (e,), 1)}))
-        for t, k, e in unknowns
+        _coboundary_terms(sub, quotient, [((t, k), monomials[e])], shift) for t, k, e in unknowns
     ]
     target = _family_terms(gamma_diff)
     coords = solve_columns(columns, target)
     if coords is None:
         return None
-    witness: dict[tuple[int, int], Poly] = {}
+    found: dict[tuple[int, int], dict] = {}
     for (t, k, e), c in zip(unknowns, coords):
-        if not c:
-            continue
-        key = (t, k)
-        mono = Poly.monomial(DEL_ONLY, (e,), c)
-        witness[key] = witness.get(key, Poly.zero(DEL_ONLY)) + mono
-    if _family_terms(gamma_coboundary(sub, quotient, witness)) != target:
+        if c:
+            found.setdefault((t, k), {})[(e,)] = _coeff(c)
+    witness = {key: Poly._raw(DEL_ONLY, terms) for key, terms in found.items()}
+    entries = [(key, poly.embed(PRODUCT_VARS)) for key, poly in witness.items()]
+    if _coboundary_terms(sub, quotient, entries, shift) != target:
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness
 
@@ -360,9 +401,10 @@ def _cochain_entries(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Pol
 
 def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
     """A degree-2 cochain read as a structure table, its lam1 renamed lam,
-    as the product of an assembled algebra needs it."""
+    as the product of an assembled algebra needs it: (del, lam1) and
+    (del, lam) order their exponents alike, so each value keeps its terms."""
     return {
-        key: tuple((k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS)) for k, poly in entries)
+        key: tuple((k, Poly._raw(PRODUCT_VARS, poly.terms)) for k, poly in entries)
         for key, entries in _cochain_entries(phi).items()
     }
 
@@ -385,7 +427,7 @@ class AbelianExtensionDatum:
         if self.cocycle.algebra != self.algebra or self.cocycle.module != self.module:
             raise ValueError("cochain is not over this algebra and module")
         if associativity_failure(self.algebra) is not None:
-            raise ValueError("base algebra is not associative")
+            raise NonAssociativeError("base algebra is not associative")
         if axiom_failure(self.module) is not None:
             raise UnfitModuleError("module violates its axiom system")
 
@@ -421,7 +463,7 @@ def build_abelian_extension(
             if right:
                 structure[(na + t, i)] = right
     extension = ConformalAlgebra(names, structure)
-    cochain_verdict = apply_dn(phi).is_zero()
+    cochain_verdict = _differential_equals(phi)
     checker_verdict = check_associativity(extension) is None
     if cochain_verdict != checker_verdict:
         raise ComplexInconsistencyError(
@@ -446,7 +488,7 @@ class DeformationDatum:
         if self.cocycle.module != BimoduleStructure.regular(self.algebra):
             raise ValueError("deformation cochain must take values in the algebra")
         if associativity_failure(self.algebra) is not None:
-            raise ValueError("base algebra is not associative")
+            raise NonAssociativeError("base algebra is not associative")
 
 
 def deformation_residuals(
@@ -458,15 +500,15 @@ def deformation_residuals(
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
     the two products: P and F are each moved by all four law maps once per
-    call (`_law_tables`), F straight from its own (del, lam1), and
-    `_law_sides` adds both placements of F, left orders minus right
-    orders, into one accumulator of raw sums per triple, which `_finish`
-    reads once.  Empty dict means the perturbation is flat to first order.
+    call (`_law_maps`, `_law_tables`), F straight from its own (del,
+    lam1), and `_law_sides` adds both placements of F, left orders minus
+    right orders, into one accumulator of raw sums per triple, which
+    `_finish` reads once.  Empty dict means the perturbation is flat to first order.
     """
     n, products = datum.algebra.rank, datum.algebra.structure
     twist, twist_vars = _cochain_entries(datum.cocycle), cochain_variables(2)
-    pf = _law_tables(products, twist, products, twist, (PRODUCT_VARS, twist_vars) * 2)
-    fp = _law_tables(twist, products, twist, products, (twist_vars, PRODUCT_VARS) * 2)
+    pf = _law_tables(products, twist, products, twist, _law_maps((PRODUCT_VARS, twist_vars) * 2))
+    fp = _law_tables(twist, products, twist, products, _law_maps((twist_vars, PRODUCT_VARS) * 2))
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
         acc: dict = {}
@@ -485,7 +527,7 @@ def deform(datum: DeformationDatum) -> tuple[dict[tuple[int, int, int, int], Pol
     """
     residuals = deformation_residuals(datum)
     direct_verdict = not residuals
-    cochain_verdict = apply_dn(datum.cocycle).is_zero()
+    cochain_verdict = _differential_equals(datum.cocycle)
     if direct_verdict != cochain_verdict:
         raise ComplexInconsistencyError(
             "deformation residuals disagree with the cochain differential"
@@ -514,7 +556,7 @@ def find_deformation_witness(
     if coords is None:
         return None
     witness = _from_terms(1, module, zip(index.labels, coords))
-    if not (apply_dn(witness) - target).is_zero():
+    if not _differential_equals(witness, target):
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness
 

@@ -362,6 +362,31 @@ def reference_deformation_residuals(algebra: ConformalAlgebra, cocycle: Cochain)
     return out
 
 
+def reference_gamma_coboundary(sub: BimoduleStructure, quotient: BimoduleStructure,
+                               b_matrix: dict) -> dict:
+    """{(i, t, s, exponent): Fraction}: a_i . B(n_t) - B(a_i . n_t) summed
+    term by term with the fraction helpers, no ring map; B's del moves to
+    lam + del in the first term and stays del in the second."""
+    shift = {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+    out = {}
+    for i, t in iter_product(range(sub.algebra.rank), range(quotient.rank)):
+        acc = {s: {} for s in range(sub.rank)}
+        for k in range(sub.rank):
+            if (t, k) in b_matrix:
+                moved = fraction_substitute(b_matrix[t, k], shift, PRODUCT_VARS)
+                for s, l_iks in sub.left_entries(i, k):
+                    acc[s] = fraction_add(acc[s], fraction_mul(moved, fraction_terms(l_iks)))
+        for k, l_itk in quotient.left_entries(i, t):
+            for s in range(sub.rank):
+                if (k, s) in b_matrix:
+                    widened = {(e, 0): c for (e,), c in fraction_terms(b_matrix[k, s]).items()}
+                    product = fraction_mul(fraction_terms(l_itk), widened)
+                    acc[s] = fraction_add(acc[s], {exp: -c for exp, c in product.items()})
+        for s, terms in acc.items():
+            out.update({(i, t, s, exp): c for exp, c in terms.items()})
+    return out
+
+
 def record_images(monkeypatch) -> list:
     """Every monomial image a ring map forms from here on, as (ring map,
     exponent); a repeat would mean a map expanded one monomial twice."""

@@ -97,3 +97,32 @@ def test_grid_names_every_job_that_differs():
     change = {"a": (1, {}), "b": ("ValueError", "yes"), "d": (2, {})}
     assert sorted(ab.differences(base, change)) == ["b", "c", "d"]
     assert ab.differences(base, dict(base)) == []
+
+
+def test_verdicts_of_the_checkout_against_itself():
+    # 158 operations for each of the five seeds, and three constructions
+    # for each of the five cocycle files over three modules
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--verdicts"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "verdicts: 835 results, 0 differences\n"
+
+
+def test_verdicts_render_results_as_plain_data():
+    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    from pseudo.polyring import parse_poly
+
+    # a polynomial keeps its variables, so equal text over other variables differs
+    one, wide = parse_poly("del", ("del",)), parse_poly("del", ("del", "lam"))
+    assert ab.rendered({(1,): one, (0,): wide}) == (
+        ((0,), (("del", "lam"), "del")), ((1,), (("del",), "del")),
+    )
+    assert ab.rendered([True, None]) == (True, None)
+    assert ab.answer(lambda: 1 // 0) == ("ZeroDivisionError", "integer division or modulo by zero")

@@ -22,7 +22,7 @@ from conftest import (
     subspace,
     unit_cochain,
 )
-from pseudo.cfmodule import BimoduleStructure
+from pseudo.cfmodule import BimoduleStructure, UnfitModuleError
 from pseudo.cohomology import (
     Cochain,
     CochainIndex,
@@ -35,7 +35,7 @@ from pseudo.cohomology import (
     _cocycle_slice,
     _coboundary_slice,
 )
-from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, free_rank_one
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, NonAssociativeError, free_rank_one
 from pseudo.exactla import _SliceSpan, quotient_dimension
 from pseudo.formats import parse_algebra, parse_fd_algebra, parse_module
 from pseudo.polyring import Poly, _coeff, iter_monomials, parse_poly, sort_variables
@@ -333,6 +333,31 @@ def test_apply_matches_oracle_on_random_cochains(data):
 
 
 @given(st.data())
+def test_differential_equals_reads_what_apply_dn_gives(data):
+    # the zero test on the stencil's raw sums against decoding d into a
+    # cochain and subtracting: at the image itself, the image plus one
+    # term, a drawn cochain and no target at all
+    module = draw_random_module(data)
+    degree = data.draw(st.integers(0, 2), label="degree")
+    cochain = draw_cochain(data, module, degree)
+    image = apply_dn(cochain)
+    variables = cochain_variables(degree + 1)
+    tup = data.draw(st.tuples(*[st.integers(0, module.algebra.rank - 1)] * (degree + 1)))
+    k = data.draw(st.integers(0, module.rank - 1), label="generator")
+    mono = data.draw(st.sampled_from(list(iter_monomials(variables, 3))), label="monomial")
+    coeff = data.draw(rationals().filter(bool), label="coefficient")
+    vec = tuple(Poly(variables, {mono: coeff} if s == k else {}) for s in range(module.rank))
+    extra = image + Cochain(degree + 1, module.algebra, module, {tup: vec})
+    drawn = draw_cochain(data, module, degree + 1)
+    for target in (image, extra, drawn):
+        expected = (apply_dn(cochain) - target).is_zero()
+        assert cohomology._differential_equals(cochain, target) == expected
+    assert cohomology._differential_equals(cochain, image)
+    assert not cohomology._differential_equals(cochain, extra)
+    assert cohomology._differential_equals(cochain) == image.is_zero()
+
+
+@given(st.data())
 def test_apply_on_one_module_matches_oracle_in_any_order(data):
     # the slot images kept on the module serve every later call: cochains
     # of mixed degree, in a drawn order, all on one module
@@ -523,6 +548,37 @@ def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
     module = BimoduleStructure.regular(plateau)
     with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
         cohomology_dimensions(plateau, module, 2, TruncationWindow(0))
+
+
+def test_non_associative_algebra_is_refused_before_computing(inputs_dir, monkeypatch):
+    # the kept associativity verdict is read first: no slice is formed
+    monkeypatch.setattr(cohomology, "_cocycle_slice", lambda *args: pytest.fail("computed"))
+    bad = parse_algebra((inputs_dir / "bad_del.alg").read_text(encoding="utf-8"))
+    with pytest.raises(NonAssociativeError, match="algebra is not associative"):
+        cohomology_dimensions(bad, BimoduleStructure.regular(bad), 1, TruncationWindow(1))
+
+
+def test_module_breaking_its_laws_is_refused_before_computing(inputs_dir, monkeypatch):
+    # a two-sided module whose kept verdict fails is bad input; a module
+    # that lacks an action keeps its stencil's message, even when the one
+    # law it has fails
+    cur1 = parse_algebra((inputs_dir / "cur1.alg").read_text(encoding="utf-8"))
+
+    def module(actions, *lines):
+        return parse_module("\n".join(["kind: module", "generators: u", f"actions: {actions}",
+                                       *lines]), cur1)
+
+    broken_right = module("left right", "left e u -> 1 * u", "right u e -> del * u")
+    broken_left_only = module("left", "left e u -> del * u")
+    window = TruncationWindow(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_cocycle_slice", lambda *args: pytest.fail("computed"))
+        with pytest.raises(UnfitModuleError, match="module violates its axiom system"):
+            cohomology_dimensions(cur1, broken_right, 1, window)
+    for n, message in [(0, "degree-0 differential needs both module actions"),
+                       (1, "the differential needs a right action")]:
+        with pytest.raises(UnfitModuleError, match=message):
+            cohomology_dimensions(cur1, broken_left_only, n, window)
 
 
 def test_plateau_h3_unstabilized_within_max_rounds(inputs_dir):

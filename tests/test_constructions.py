@@ -4,13 +4,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import pseudo.cfmodule as cfmodule
 import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
-from conftest import polys, record_images, table_monomials
+from conftest import polys, record_images, reference_gamma_coboundary, table_monomials
 from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
@@ -21,6 +21,8 @@ from pseudo.cohomology import Cochain, apply_dn, cochain_variables
 from pseudo.conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
+    ConformalAlgebra,
+    NonAssociativeError,
     check_associativity,
     free_rank_one,
 )
@@ -116,6 +118,19 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
     ]:
         with pytest.raises(UnfitModuleError, match=message):
             AbelianExtensionDatum(cur1, unfit, Cochain.zero(cur1, unfit, 2))
+
+
+def test_non_associative_algebras_raise_non_associative_error(inputs_dir):
+    # both data over an algebra read its kept associativity verdict and
+    # refuse a failing one with the same named error, a ValueError
+    bad = parse_algebra((inputs_dir / "bad_del.alg").read_text())
+    module = BimoduleStructure.regular(bad)
+    zero = Cochain.zero(bad, module, 2)
+    for build in (lambda: DeformationDatum(bad, zero),
+                  lambda: AbelianExtensionDatum(bad, module, zero)):
+        with pytest.raises(NonAssociativeError, match="base algebra is not associative"):
+            build()
+    assert issubclass(NonAssociativeError, ValueError)
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
@@ -377,6 +392,37 @@ def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regula
         conformal._law_tables(mat2.structure, twist, mat2.structure, twist)
 
 
+def draw_left_module(data, algebra: ConformalAlgebra, name: str) -> BimoduleStructure:
+    """A module of rank 1 or 2 with a random left action and no right one."""
+    rank = data.draw(st.integers(1, 2), label=f"{name} rank")
+    entry = st.tuples(st.integers(0, rank - 1), polys(PRODUCT_VARS, max_degree=2, max_terms=2))
+    entries = st.lists(entry, max_size=rank, unique_by=lambda e: e[0])
+    left = {(i, j): data.draw(entries, label=f"{name} left")
+            for i in range(algebra.rank) for j in range(rank)}
+    return BimoduleStructure(algebra, tuple(f"{name}{t}" for t in range(rank)), left, None)
+
+
+@given(st.data())
+def test_gamma_coboundary_matches_the_term_by_term_reference(data):
+    # the raw-term coboundary against the fraction-only reference, on
+    # random left actions (no law is assumed) and B of degree <= 3; the
+    # search finds a B of degree <= 3 whose coboundary is the same family
+    rank = data.draw(st.integers(1, 2), label="algebra rank")
+    algebra = ConformalAlgebra(("a", "b")[:rank], {})
+    sub, quotient = draw_left_module(data, algebra, "m"), draw_left_module(data, algebra, "n")
+    b_matrix = {(t, k): data.draw(polys(DEL, max_degree=3, max_terms=3), label="B")
+                for t in range(quotient.rank) for k in range(sub.rank)}
+    family = gamma_coboundary(sub, quotient, b_matrix)
+    expected = reference_gamma_coboundary(sub, quotient, b_matrix)
+    assert constructions._family_terms(family) == expected
+    assert list(family) == sorted(family)
+    assert all(list(gmap.matrix) == sorted(gmap.matrix) for gmap in family.values())
+    witness = find_extension_witness(sub, quotient, family, 3)
+    assert witness is not None
+    assert all(poly.variables == DEL and not poly.is_zero for poly in witness.values())
+    assert reference_gamma_coboundary(sub, quotient, witness) == expected
+
+
 def test_deformation_witness_search(cur1, cur1_regular):
     phi = Cochain(1, cur1, cur1_regular, {(0,): (parse_poly("del^2", D1),)})
     target = apply_dn(phi)
@@ -410,7 +456,8 @@ def _refuse(*args):
 
 
 # the law kernel in conformal, and its helpers that are not part of it
-LAW_KERNEL = ("_law_tables", "_law_sides", "_add_product", "_finish", "_first_failure", "_dense")
+LAW_KERNEL = ("_law_maps", "_law_tables", "_law_sides", "_add_product", "_finish",
+              "_first_failure", "_dense")
 NOT_KERNEL = {"_validate_structure", "_table_degree", "_kept"}
 
 
