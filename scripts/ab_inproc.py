@@ -42,8 +42,13 @@ text), and the full results of ``build_extension``, ``deform`` and
 ``build_abelian_extension`` on every inputs/*.coc over cur1, read against
 its regular module and every inputs/*.mod: residual polynomials, the
 assembled tables and the verdict, or the type and message of what parsing
-or building raised.  Prints each result that differs, then the number of
-results and of differences, and exits 1 on any difference.
+or building raised.  Last come the full results of ``build_extension`` on
+seeded gluing data between two different modules over cur1, for every
+ordered pair of its regular module, every inputs/*.mod and a rank-two
+module whose action differs from theirs, and every seed: the coboundary
+of a seeded B, plus a seeded family on odd seeds.  Prints each result
+that differs, then the number of results and of differences, and exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ import shutil
 import statistics
 import sys
 import tempfile
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
+from random import Random
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,8 +71,15 @@ INPUTS = ROOT / "inputs"
 BENCH_ALGEBRAS = [ROOT / "perfbench" / "algebras" / name for name in ("u1.alg", "u2.alg")]
 # n, D, margin and max_rounds of every grid job
 GRID = list(product(range(4), range(3), (1, 2), (1, 2, 4)))
-# the verdict-batch seeds --verdicts compares
+# the verdict-batch seeds --verdicts compares, also the seeds of its gluing data
 VERDICT_SEEDS = range(1, 6)
+# a rank-two module over cur1, glued to and from the committed ones by --verdicts
+SPLIT_MODULE = """kind: module
+generators: u v
+actions: left
+left e u -> 1 * u
+left e v -> (lam + del) * u
+"""
 
 
 def load_workloads():
@@ -225,7 +238,41 @@ def verdict_answers(workloads, package) -> dict:
                     con.AbelianExtensionDatum(cur1, module, cochain())
                 )
             )
+    modules.append(("split", formats.parse_module(SPLIT_MODULE, cur1)))
+    for (sub_name, sub), (quotient_name, quotient) in permutations(modules, 2):
+        for seed in VERDICT_SEEDS:
+            label = f"seed {seed}: gluing {quotient_name} to {sub_name}: build_extension"
+            answers[label] = answer(lambda: con.build_extension(
+                con.ExtensionDatum(cur1, sub, quotient, gluing_data(package, sub, quotient, seed))
+            ))
     return answers
+
+
+def gluing_data(package, sub, quotient, seed: int) -> dict:
+    """Seeded gamma from ``quotient`` to ``sub``: the coboundary of a B of
+    degree <= 1, plus on odd seeds a family of degree <= 2 on the first
+    generator."""
+    Poly, con = package.polyring.Poly, package.constructions
+    rng = Random(seed)
+
+    def poly(variables, degree):
+        total = Poly.zero(variables)
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(variables)
+            for _ in range(rng.randint(0, degree)):
+                exps[rng.randrange(len(variables))] += 1
+            total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
+        return total
+
+    b_matrix = {(t, k): poly(("del",), 1) for t in range(quotient.rank) for k in range(sub.rank)}
+    gamma = con.gamma_coboundary(sub, quotient, b_matrix)
+    if seed % 2:
+        variables = package.conformal.PRODUCT_VARS
+        bend = package.cfmodule.CLinearMap(quotient.generators, sub.generators, {
+            (t, s): poly(variables, 2) for t in range(quotient.rank) for s in range(sub.rank)
+        })
+        gamma[0] = gamma[0] + bend if 0 in gamma else bend
+    return gamma
 
 
 def differences(base: dict, change: dict) -> list[str]:

@@ -18,16 +18,9 @@ without building a `Poly` per term.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
-(lam + del) f_lam(u).  The space of such maps carries actions of the
-algebra generators
-
-    (a_i lam f) mu u = a_i lam (f_{mu-lam} u)
-    (f lam a_i) mu u = f lam (a_i (mu-lam) u)
-
-returned here as polynomial families in (del, lam, mu), with lam the
-action variable and mu the variable of the resulting map, for every
-generator and every map of a family in one call.  Generators suffice: a
-general element acts through its coefficients by sesquilinearity.
+(lam + del) f_lam(u).  A family of them, one per algebra generator, is
+the gluing data of a module extension; its Chom differential is
+`constructions.extension_residuals`.
 """
 
 from __future__ import annotations
@@ -42,10 +35,6 @@ from .conformal import (
     ConformalAlgebra,
     LawCounterexample,
     StructureMap,
-    _DEL,
-    _LAM,
-    _MU,
-    _OUTER,
     _first_failure,
     _kept,
     _law_maps,
@@ -53,7 +42,7 @@ from .conformal import (
     _table_degree,
     _validate_structure,
 )
-from .polyring import Poly, VariableMismatchError, _RingMap
+from .polyring import Poly, VariableMismatchError
 
 
 class UnfitModuleError(ValueError):
@@ -228,88 +217,3 @@ class CLinearMap:
         return CLinearMap(
             self.source, self.target, {k: p * factor for k, p in self.matrix.items()}
         )
-
-
-# family arena: lam = algebra action variable, mu = resulting map variable
-FamilyMatrix = dict[tuple[int, int], Poly]
-
-# a map or an action evaluated at mu - lam, its del riding on the outer lam
-_SHIFTED = {"lam": _MU - _LAM, "del": _LAM + _DEL}
-
-
-def _add_term(out: FamilyMatrix, key: tuple[int, int], term: Poly) -> None:
-    out[key] = out[key] + term if key in out else term
-
-
-def _nonzero(family: FamilyMatrix) -> FamilyMatrix:
-    return {key: poly for key, poly in family.items() if not poly.is_zero}
-
-
-def chom_left_action(
-    family: Mapping[int, CLinearMap], target_module: BimoduleStructure
-) -> dict[tuple[int, int], FamilyMatrix]:
-    """(a_i lam f_j) for every algebra generator a_i and every map f_j of
-    the family, keyed (i, j); entry (t, s) of a family is the coefficient
-    of v_s in a_i lam ((f_j)_{mu-lam} u_t).  Empty families are left out.
-
-    Requires a left action of the algebra on the target module of the
-    maps.  The family and the action table are each moved by one ring map
-    per call.
-    """
-    if any(f.target != target_module.generators for f in family.values()):
-        raise ValueError("target module does not match the map's target")
-    if not target_module.has_left:
-        raise ValueError("target module has no left action")
-    outer, shift = _RingMap(PRODUCT_VARS, _OUTER), _RingMap(PRODUCT_VARS, _SHIFTED)
-    # i -> k -> ((s, L_iks at the outer variable), ...)
-    moved: dict[int, dict[int, list[tuple[int, Poly]]]] = {}
-    for (i, k), entries in target_module.left.items():
-        moved.setdefault(i, {})[k] = [(s, outer(l)) for s, l in entries]
-    out = {}
-    for j, f in family.items():
-        shifted = [(t, k, shift(f_tk)) for (t, k), f_tk in f.matrix.items()]
-        for i, rows in moved.items():
-            acc: FamilyMatrix = {}
-            for t, k, f_tk in shifted:
-                for s, l_iks in rows.get(k, ()):
-                    _add_term(acc, (t, s), f_tk * l_iks)
-            if acc := _nonzero(acc):
-                out[(i, j)] = acc
-    return out
-
-
-def chom_right_action(
-    family: Mapping[int, CLinearMap], source_module: BimoduleStructure
-) -> dict[tuple[int, int], FamilyMatrix]:
-    """(f_i lam a_j) for every map f_i of the family and every algebra
-    generator a_j, keyed (i, j); entry (t, s) of a family is the
-    coefficient of v_s in (f_i)_lam (a_j (mu-lam) u_t).  Empty families
-    are left out.
-
-    Requires a left action of the algebra on the source module of the
-    maps.  The family and the action table are each moved by one ring map
-    per call.
-    """
-    if any(f.source != source_module.generators for f in family.values()):
-        raise ValueError("source module does not match the map's source")
-    if not source_module.has_left:
-        raise ValueError("source module has no left action")
-    outer, shift = _RingMap(PRODUCT_VARS, _OUTER), _RingMap(PRODUCT_VARS, _SHIFTED)
-    # j -> ((t, k, L_jtk at mu - lam), ...)
-    inner: dict[int, list[tuple[int, int, Poly]]] = {}
-    for (j, t), entries in source_module.left.items():
-        inner.setdefault(j, []).extend((t, k, shift(l)) for k, l in entries)
-    out = {}
-    for i, f in family.items():
-        # k -> ((s, f_ks at the outer variable), ...)
-        rows: dict[int, list[tuple[int, Poly]]] = {}
-        for (k, s), f_ks in f.matrix.items():
-            rows.setdefault(k, []).append((s, outer(f_ks)))
-        for j, entries in inner.items():
-            acc: FamilyMatrix = {}
-            for t, k, l_jtk in entries:
-                for s, f_ks in rows.get(k, ()):
-                    _add_term(acc, (t, s), l_jtk * f_ks)
-            if acc := _nonzero(acc):
-                out[(i, j)] = acc
-    return out

@@ -147,13 +147,6 @@ class Cochain:
     def zero(cls, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int) -> "Cochain":
         return cls(degree, algebra, module, {})
 
-    def value(self, key: tuple[int, ...]) -> tuple[Poly, ...]:
-        got = self.values.get(tuple(key))
-        if got is not None:
-            return got
-        zero = Poly.zero(cochain_variables(self.degree))
-        return tuple(zero for _ in range(self.module.rank))
-
     def is_zero(self) -> bool:
         return not self.values
 

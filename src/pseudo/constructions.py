@@ -40,11 +40,18 @@ found witness is checked without building a family or a cochain from
 it: B's coboundary by the same builder, d of a 1-cochain minus the
 target on the stencil's raw sums.
 
+The two differentials of the Chom complex of gluing data are written
+side by side in one representation: raw terms summed into one
+accumulator and normalized once.  d0, `_coboundary_terms`, keys them (i,
+t, s, exponent); d1, `extension_residuals`, keys them ((i, j, t, s),
+exponent) and reaches nothing of the law kernel the axiom checker on the
+glued module runs on, so the two routes of its verdict stay apart.
+
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
-variable, so the inner action carries mu - lam, as in the Chom actions of
-`cfmodule`.  In deformation residuals mu is the inner product's variable
-and lam + mu the total one, as in `conformal._law_sides`.
+variable, so the inner action carries mu - lam.  In deformation
+residuals mu is the inner product's variable and lam + mu the total one,
+as in `conformal._law_sides`.
 """
 
 from __future__ import annotations
@@ -59,8 +66,6 @@ from .cfmodule import (
     UnfitModuleError,
     axiom_failure,
     check_module_axioms,
-    chom_left_action,
-    chom_right_action,
 )
 from .conformal import (
     ASSOC_VARS,
@@ -130,10 +135,17 @@ class ExtensionDatum:
         object.__setattr__(self, "gamma", clean)
 
 
-# gamma_{a_i lam a_j} acts with the total variable mu, so the del of the
-# product a_i lam a_j turns into -mu
-_PRODUCT_OUTER = {"lam": _LAM, "del": -_MU}
-_GAMMA_TOTAL = {"lam": _MU, "del": _DEL}
+# the four maps of the Chom differential, each binding a table over (del,
+# lam): an entry at the outer variable; a map or an inner action at mu -
+# lam, its del riding on the outer lam; the product a_i lam a_j, whose del
+# turns into -mu since gamma of it acts with the total variable; and gamma
+# of that product at the total variable mu
+_CHOM_MAPS = (
+    {"lam": _LAM, "del": _DEL},
+    {"lam": _MU - _LAM, "del": _LAM + _DEL},
+    {"lam": _LAM, "del": -_MU},
+    {"lam": _MU, "del": _DEL},
+)
 
 
 def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int], Poly]:
@@ -144,40 +156,109 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
 
         a_i lam gamma_j  +  gamma_i lam a_j  -  gamma_{a_i lam a_j},
 
-    the first two terms being the Chom actions of `cfmodule`.  Key
-    (i, j, t, s): generators a_i (outer, variable lam) and a_j (inner,
-    variable mu - lam) acting on quotient generator t, read off the
-    coefficient of sub generator s.  Empty dict means gamma is a cocycle.
+    with (a lam f)_mu n = a lam (f_{mu-lam} n) and (f lam a)_mu n =
+    f_lam (a_{mu-lam} n).  Key (i, j, t, s): generators a_i (outer,
+    variable lam) and a_j (inner, variable mu - lam) acting on quotient
+    generator t, read off the coefficient of sub generator s.  Every
+    gamma, action and product entry is moved once per call by each of the
+    four maps of `_CHOM_MAPS` it meets, and the products are summed raw
+    into one accumulator, normalized once, as `_coboundary_terms` sums
+    d0.  Empty dict means gamma is a cocycle.
     """
     algebra, gamma = datum.algebra, datum.gamma
-    zero = Poly.zero(ASSOC_VARS)
-    # every gamma entry and action polynomial is moved once per call by
-    # each map it meets: by the Chom actions, and here at the total
-    # variable; one ring map per table
-    left = chom_left_action(gamma, datum.sub)
-    right = chom_right_action(gamma, datum.quotient)
-    at_total = _RingMap(PRODUCT_VARS, _GAMMA_TOTAL)
-    product_outer = _RingMap(PRODUCT_VARS, _PRODUCT_OUTER)
-    total = {
-        l: [(key, at_total(g)) for key, g in gmap.matrix.items()]
-        for l, gmap in gamma.items()
+    outer, shifted, product, total = (_RingMap(PRODUCT_VARS, b) for b in _CHOM_MAPS)
+    # gamma_l's raw terms, by l: at lam as k -> ((s, terms), ...), at mu -
+    # lam as ((t, k, terms), ...) and at mu as ((t, s, terms), ...)
+    g_shifted, g_outer, g_total = {}, {}, {}
+    for l, gmap in gamma.items():
+        rows = g_outer[l] = {}
+        for (k, s), g in gmap.matrix.items():
+            rows.setdefault(k, []).append((s, outer.raw(g).items()))
+        g_shifted[l] = [(t, k, shifted.raw(g).items()) for (t, k), g in gmap.matrix.items()]
+        g_total[l] = [(t, s, total.raw(g).items()) for (t, s), g in gmap.matrix.items()]
+    # i -> k -> ((s, sub's L_iks at lam), ...)
+    sub_rows: dict[int, dict] = {}
+    for (i, k), entries in datum.sub.left.items():
+        sub_rows.setdefault(i, {})[k] = [(s, outer.raw(p).items()) for s, p in entries]
+    # j -> ((t, k, quotient's L_jtk at mu - lam), ...)
+    inner: dict[int, list] = {}
+    for (j, t), entries in datum.quotient.left.items():
+        inner.setdefault(j, []).extend((t, k, shifted.raw(p).items()) for k, p in entries)
+    products = {
+        key: [(l, product.raw(p).items()) for l, p in entries if l in gamma]
+        for key, entries in algebra.structure.items()
     }
-    out: dict[tuple[int, int, int, int], Poly] = {}
+    acc: dict = {}
     for i, j in itertools.product(range(algebra.rank), repeat=2):
-        acc = dict(left.get((i, j), {}))
-        for key, poly in right.get((i, j), {}).items():
-            acc[key] = acc.get(key, zero) + poly
-        # minus the twisted action of the product a_i lam a_j
-        for l, p_ijl in algebra.products(i, j):
-            if l not in gamma:
-                continue
-            outer = product_outer(p_ijl)
-            for key, g_lts in total[l]:
-                acc[key] = acc.get(key, zero) - outer * g_lts
-        for (t, s), poly in sorted(acc.items()):
-            if not poly.is_zero:
-                out[(i, j, t, s)] = poly
-    return out
+        rows = sub_rows.get(i, {})
+        for t, k, g in g_shifted.get(j, ()):  # a_i lam gamma_j
+            for s, l_iks in rows.get(k, ()):
+                _add_chom_terms(acc, (i, j, t, s), g, l_iks, 1)
+        rows = g_outer.get(i, {})
+        for t, k, l_jtk in inner.get(j, ()):  # gamma_i lam a_j
+            for s, g in rows.get(k, ()):
+                _add_chom_terms(acc, (i, j, t, s), l_jtk, g, 1)
+        for l, p_ijl in products.get((i, j), ()):  # minus gamma_{a_i lam a_j}
+            for t, s, g in g_total[l]:
+                _add_chom_terms(acc, (i, j, t, s), p_ijl, g, -1)
+    terms: dict = {}
+    for (key, exp), c in acc.items():
+        if c:
+            terms.setdefault(key, {})[exp] = _coeff(c)
+    return {key: Poly._raw(ASSOC_VARS, terms[key]) for key in sorted(terms)}
+
+
+def _add_chom_terms(acc: dict, key: tuple, first, second, sign: int) -> None:
+    """Add sign times the product of two raw term items over (del, lam,
+    mu) into the sums of acc keyed (key, exponent)."""
+    for (e0, e1, e2), c1 in first:
+        c1 = sign * c1
+        for (f0, f1, f2), c2 in second:
+            k = (key, (e0 + f0, e1 + f1, e2 + f2))
+            c = c1 * c2
+            acc[k] = acc[k] + c if k in acc else c
+
+
+# a . B(n) moves B's del onto the action's total variable
+_SHIFT = {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+
+
+def _coboundary_terms(
+    sub: BimoduleStructure, quotient: BimoduleStructure, entries, shift: _RingMap
+) -> dict:
+    """The coboundary a |-> a . B(n) - B(a . n) of the B whose nonzero
+    entries are ``entries``, ((t, k), B_tk) with B_tk a polynomial in del
+    read over (del, lam), as its nonzero coefficients keyed (i, t, s,
+    exponent), as `_family_terms` keys a family.  ``shift`` is the ring
+    map of `_SHIFT`, built once per call by the caller.  Products are
+    summed raw and normalized once: no `Poly` or `CLinearMap` of the
+    coboundary is built."""
+    moved = []  # (t, k, raw terms of B_tk(lam + del))
+    rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
+    for (t, k), poly in entries:
+        moved.append((t, k, shift.raw(poly).items()))
+        rows.setdefault(t, []).append((k, poly.terms.items()))
+    acc: dict = {}
+    for i in range(sub.algebra.rank):
+        for t, k, image in moved:
+            for s, l_iks in sub.left_entries(i, k):
+                _add_terms(acc, i, t, s, image, l_iks.terms.items(), 1)
+        for t in range(quotient.rank):
+            for k, l_itk in quotient.left_entries(i, t):
+                for s, b_ks in rows.get(k, ()):
+                    _add_terms(acc, i, t, s, l_itk.terms.items(), b_ks, -1)
+    return {key: _coeff(c) for key, c in acc.items() if c}
+
+
+def _add_terms(acc: dict, i: int, t: int, s: int, first, second, sign: int) -> None:
+    """Add sign times the product of two raw term items over (del, lam)
+    into the sums of acc keyed (i, t, s, exponent)."""
+    for (e0, e1), c1 in first:
+        c1 = sign * c1
+        for (f0, f1), c2 in second:
+            key = (i, t, s, (e0 + f0, e1 + f1))
+            c = c1 * c2
+            acc[key] = acc[key] + c if key in acc else c
 
 
 def build_extension(
@@ -221,48 +302,6 @@ def build_extension(
             "extension residuals disagree with the axiom checker on E"
         )
     return extension, checker_verdict, residuals
-
-
-# a . B(n) moves B's del onto the action's total variable
-_SHIFT = {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
-
-
-def _coboundary_terms(
-    sub: BimoduleStructure, quotient: BimoduleStructure, entries, shift: _RingMap
-) -> dict:
-    """The coboundary a |-> a . B(n) - B(a . n) of the B whose nonzero
-    entries are ``entries``, ((t, k), B_tk) with B_tk a polynomial in del
-    read over (del, lam), as its nonzero coefficients keyed (i, t, s,
-    exponent), as `_family_terms` keys a family.  ``shift`` is the ring
-    map of `_SHIFT`, built once per call by the caller.  Products are
-    summed raw and normalized once: no `Poly` or `CLinearMap` of the
-    coboundary is built."""
-    moved = []  # (t, k, raw terms of B_tk(lam + del))
-    rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
-    for (t, k), poly in entries:
-        moved.append((t, k, shift.raw(poly).items()))
-        rows.setdefault(t, []).append((k, poly.terms.items()))
-    acc: dict = {}
-    for i in range(sub.algebra.rank):
-        for t, k, image in moved:
-            for s, l_iks in sub.left_entries(i, k):
-                _add_terms(acc, i, t, s, image, l_iks.terms.items(), 1)
-        for t in range(quotient.rank):
-            for k, l_itk in quotient.left_entries(i, t):
-                for s, b_ks in rows.get(k, ()):
-                    _add_terms(acc, i, t, s, l_itk.terms.items(), b_ks, -1)
-    return {key: _coeff(c) for key, c in acc.items() if c}
-
-
-def _add_terms(acc: dict, i: int, t: int, s: int, first, second, sign: int) -> None:
-    """Add sign times the product of two raw term items over (del, lam)
-    into the sums of acc keyed (i, t, s, exponent)."""
-    for (e0, e1), c1 in first:
-        c1 = sign * c1
-        for (f0, f1), c2 in second:
-            key = (i, t, s, (e0 + f0, e1 + f1))
-            c = c1 * c2
-            acc[key] = acc[key] + c if key in acc else c
 
 
 def gamma_coboundary(

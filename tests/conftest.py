@@ -156,7 +156,7 @@ def reference_d0(cochain: Cochain) -> Cochain:
     if not (module.has_left and module.has_right):
         raise ValueError("degree-0 differential needs both module actions")
     algebra = cochain.algebra
-    u = [p.constant_term() for p in cochain.value(())]
+    u = [p.constant_term() for p in cochain.values.get((), ())]
     dl = Poly.var(("del",), "del")
     values: dict[tuple[int, ...], tuple[Poly, ...]] = {}
     for i in range(algebra.rank):
@@ -384,6 +384,38 @@ def reference_gamma_coboundary(sub: BimoduleStructure, quotient: BimoduleStructu
                     acc[s] = fraction_add(acc[s], {exp: -c for exp, c in product.items()})
         for s, terms in acc.items():
             out.update({(i, t, s, exp): c for exp, c in terms.items()})
+    return out
+
+
+def reference_extension_residuals(datum) -> dict:
+    """{(i, j, t, s): Poly}: a_i lam gamma_j + gamma_i lam a_j -
+    gamma_{a_i lam a_j} read at quotient generator t and sub generator s,
+    summed term by term with `Poly.substitute` and ``*``.  mu is the total
+    variable: gamma_j and the inner action a_j run at mu - lam with their
+    del on lam + del, the product's del turns into -mu, and gamma of the
+    product acts at mu."""
+    algebra, sub, quotient = datum.algebra, datum.sub, datum.quotient
+    lam, mu, dl = (Poly.var(ASSOC_VARS, v) for v in ("lam", "mu", "del"))
+    shifted = {"lam": mu - lam, "del": lam + dl}
+
+    def gamma(i, t, s):
+        return datum.gamma[i].entry(t, s) if i in datum.gamma else Poly.zero(PRODUCT_VARS)
+
+    out = {}
+    for i, j in iter_product(range(algebra.rank), repeat=2):
+        for t, s in iter_product(range(quotient.rank), range(sub.rank)):
+            total = Poly.zero(ASSOC_VARS)
+            for k in range(sub.rank):  # a_i lam ((gamma_j)_{mu-lam} n_t)
+                for m, l_ikm in sub.left_entries(i, k):
+                    if m == s:
+                        total = total + gamma(j, t, k).substitute(shifted) * l_ikm.embed(ASSOC_VARS)
+            for k, l_jtk in quotient.left_entries(j, t):  # (gamma_i)_lam (a_j (mu-lam) n_t)
+                total = total + l_jtk.substitute(shifted) * gamma(i, k, s).embed(ASSOC_VARS)
+            for l, p_ijl in algebra.products(i, j):  # gamma_{a_i lam a_j} at mu
+                total = total - p_ijl.substitute({"lam": lam, "del": -mu}) \
+                    * gamma(l, t, s).substitute({"lam": mu, "del": dl})
+            if not total.is_zero:
+                out[(i, j, t, s)] = total
     return out
 
 

@@ -138,7 +138,7 @@ def test_criterion_3_derivations_of_rank_one(cur1, cur1_regular):
     assert der.dim == 1
     index = CochainIndex(cur1, cur1_regular, 1, 3)
     generator = index.reconstruct(der.vectors[0])
-    assert generator.value((0,))[0] == Poly.var(D1, "del")
+    assert generator.values[(0,)][0] == Poly.var(D1, "del")
     assert report.coboundaries.dim == 0
     assert report.dim_cohomology == 1 and report.stabilized
     finish("criterion 3: derivation basis {e -> del e}, no inner part, H1 slice dim 1")

@@ -5,8 +5,6 @@ from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
     check_module_axioms,
-    chom_left_action,
-    chom_right_action,
 )
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, check_associativity
@@ -154,33 +152,6 @@ def test_clinear_map_arithmetic():
         f + CLinearMap(("u", "w"), ("v",), {})
     with pytest.raises(ValueError):
         CLinearMap(("u",), ("v",), {(1, 0): ONE})
-
-
-def test_chom_left_action_families(cur1, cur1_regular):
-    ident = CLinearMap(("e",), ("e",), {(0, 0): ONE})
-    fam = chom_left_action({0: ident}, cur1_regular)
-    assert fam == {(0, 0): {(0, 0): Poly.const(ASSOC_VARS, 1)}}
-    shift = CLinearMap(("e",), ("e",), {(0, 0): DEL})
-    fam2 = chom_left_action({0: shift}, cur1_regular)
-    assert fam2 == {(0, 0): {(0, 0): parse_poly("lam + del", ASSOC_VARS)}}
-
-
-def test_chom_right_action_families(cur1, cur1_regular):
-    ident = CLinearMap(("e",), ("e",), {(0, 0): ONE})
-    fam = chom_right_action({0: ident}, cur1_regular)
-    assert fam == {(0, 0): {(0, 0): Poly.const(ASSOC_VARS, 1)}}
-    shift = CLinearMap(("e",), ("e",), {(0, 0): DEL})
-    fam2 = chom_right_action({0: shift}, cur1_regular)
-    assert fam2 == {(0, 0): {(0, 0): Poly.var(ASSOC_VARS, "del")}}
-
-
-def test_chom_requires_left_action(cur1):
-    right_only = rank_one_module(cur1, None, ONE)
-    f = CLinearMap(("u",), ("u",), {(0, 0): ONE})
-    with pytest.raises(ValueError):
-        chom_left_action({0: f}, right_only)
-    with pytest.raises(ValueError):
-        chom_right_action({0: f}, right_only)
 
 
 def test_broken_right_law(cur1):

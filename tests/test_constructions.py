@@ -10,7 +10,13 @@ import pseudo.cfmodule as cfmodule
 import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
-from conftest import polys, record_images, reference_gamma_coboundary, table_monomials
+from conftest import (
+    polys,
+    record_images,
+    reference_extension_residuals,
+    reference_gamma_coboundary,
+    table_monomials,
+)
 from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
@@ -193,9 +199,10 @@ def test_one_abelian_datum_built_twice_checks_its_assembly_twice(cur1, cur1_regu
 
 
 def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regular, monkeypatch):
-    # gamma is moved by the two Chom maps and the total-variable map, the
-    # action and product tables by one map each: six ring maps per call,
-    # each expanding a distinct monomial of what it moves at most once
+    # gamma is moved by the outer, shifted and total-variable maps, the
+    # sub and quotient actions by the outer and the shifted one and the
+    # product table by its own: four ring maps per call, each expanding a
+    # distinct monomial of what it moves at most once
     b_matrix = {(t, k): parse_poly("del + 1", DEL) for t in range(4) for k in range(4)}
     gamma = gamma_coboundary(mat2_regular, mat2_regular, b_matrix)
     datum = ExtensionDatum(mat2, mat2_regular, mat2_regular, gamma)
@@ -208,7 +215,7 @@ def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regul
                            for poly in gmap.matrix.values() for exp in poly.terms})
     bound = 3 * gamma_monomials + 3 * len(table_monomials(mat2.structure))
     assert len(set(formed)) == len(formed)
-    assert len({ring for ring, _ in formed}) <= 6
+    assert len({ring for ring, _ in formed}) <= 4
     assert 0 < len(formed) <= bound < 3 * gamma_entries + 3 * table
 
 
@@ -423,6 +430,74 @@ def test_gamma_coboundary_matches_the_term_by_term_reference(data):
     assert reference_gamma_coboundary(sub, quotient, witness) == expected
 
 
+def draw_fit_left_module(data, algebra: ConformalAlgebra, name: str) -> BimoduleStructure:
+    """A module of rank 1 or 2 with a left action that keeps the left law
+    and no right one.  Over generators that multiply to zero, each a_i
+    sends u1 to a random p_i(lam, del) u0 and kills u0; over orthogonal
+    idempotents e_i lam e_j = delta_ij e_i, each generator is fixed by
+    the idempotent of its drawn colour or by none, and when u0 has a
+    colour and u1 none, that idempotent sends u1 to f(lam + del) u0."""
+    rank = data.draw(st.integers(1, 2), label=f"{name} rank")
+    left: dict = {}
+    if not algebra.structure:
+        for i in range(algebra.rank if rank == 2 else 0):
+            p_i = data.draw(polys(PRODUCT_VARS, max_degree=2, max_terms=2), label=f"{name} left")
+            left[(i, 1)] = [(0, p_i)]
+    else:
+        colours = st.sampled_from((None, *range(algebra.rank)))
+        colour = [data.draw(colours, label=f"{name} colour") for _ in range(rank)]
+        for t, i in enumerate(colour):
+            if i is not None:
+                left[(i, t)] = [(t, Poly.const(PRODUCT_VARS, 1))]
+        if rank == 2 and colour[0] is not None and colour[1] is None:
+            f = data.draw(polys(DEL, max_degree=2, max_terms=2), label=f"{name} cross")
+            shift = Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")
+            left[(colour[0], 1)] = [(0, f.substitute({"del": shift}))]
+    return BimoduleStructure(algebra, tuple(f"{name}{t}" for t in range(rank)), left, None)
+
+
+# algebras the fit modules above are drawn over: zero products of rank 1
+# and 2, the current algebra of C and that of C + C
+FIT_ALGEBRAS = (
+    ConformalAlgebra(("a",), {}),
+    ConformalAlgebra(("a", "b"), {}),
+    free_rank_one(),
+    ConformalAlgebra(("e", "f"), {(0, 0): ((0, Poly.const(PRODUCT_VARS, 1)),),
+                                  (1, 1): ((1, Poly.const(PRODUCT_VARS, 1)),)}),
+)
+
+
+@given(st.data())
+def test_extension_residuals_match_the_term_by_term_reference(data):
+    # the raw-term Chom differential against the reference built from
+    # Poly.substitute and *, gluing two independently drawn modules so
+    # that a swap of sub and quotient shows; gamma is a coboundary, so a
+    # cocycle, plus on a drawn flag a random family with exponents <= 2.
+    # The residuals vanish exactly when the glued module keeps its law
+    algebra = data.draw(st.sampled_from(FIT_ALGEBRAS), label="algebra")
+    sub = draw_fit_left_module(data, algebra, "m")
+    quotient = draw_fit_left_module(data, algebra, "n")
+    b_matrix = {(t, k): data.draw(polys(DEL, max_degree=2, max_terms=2), label="B")
+                for t in range(quotient.rank) for k in range(sub.rank)}
+    gamma = gamma_coboundary(sub, quotient, b_matrix)
+    if data.draw(st.booleans(), label="bent"):
+        entry = polys(PRODUCT_VARS, max_degree=2, max_terms=2)
+        for i in range(algebra.rank):
+            bend = CLinearMap(quotient.generators, sub.generators, {
+                (t, s): data.draw(entry, label="gamma")
+                for t in range(quotient.rank) for s in range(sub.rank)
+            })
+            gamma[i] = gamma[i] + bend if i in gamma else bend
+    datum = ExtensionDatum(algebra, sub, quotient, gamma)
+    residuals = extension_residuals(datum)
+    assert residuals == reference_extension_residuals(datum)
+    assert list(residuals) == sorted(residuals)
+    assert all(poly.variables == ASSOC_VARS for poly in residuals.values())
+    extension, verdict, again = build_extension(datum)
+    assert again == residuals
+    assert (not residuals) == (check_module_axioms(extension) is None) == verdict
+
+
 def test_deformation_witness_search(cur1, cur1_regular):
     phi = Cochain(1, cur1, cur1_regular, {(0,): (parse_poly("del^2", D1),)})
     target = apply_dn(phi)
@@ -459,19 +534,21 @@ def _refuse(*args):
 LAW_KERNEL = ("_law_maps", "_law_tables", "_law_sides", "_add_product", "_finish",
               "_first_failure", "_dense")
 NOT_KERNEL = {"_validate_structure", "_table_degree", "_kept"}
+# the extension residuals' own Chom differential and its product helper
+CHOM_DIFFERENTIAL = ("extension_residuals", "_add_chom_terms")
 
 
 @pytest.mark.parametrize("gamma_file", ["gamma_lam.coc", "gamma_const.coc"])
 def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_file):
     """Each verdict's two routes stay independent: the extension residuals
     and apply_dn never reach the law kernel (every name of LAW_KERNEL),
-    the axiom checker never reaches the Chom actions the extension
-    residuals are built from, and no route but the cochain differential
-    reaches the compiled stencil.  apply_dn runs under the first patch on
-    a module whose stencil is not compiled yet, so the compilation is
-    covered too.  A private function added to conformal must be named in
-    LAW_KERNEL or NOT_KERNEL, and a kernel name conformal no longer
-    defines fails the patch."""
+    the axiom checker never reaches the Chom differential the extension
+    residuals are summed by (every name of CHOM_DIFFERENTIAL), and no
+    route but the cochain differential reaches the compiled stencil.
+    apply_dn runs under the first patch on a module whose stencil is not
+    compiled yet, so the compilation is covered too.  A private function
+    added to conformal must be named in LAW_KERNEL or NOT_KERNEL, and a
+    kernel or Chom name its module no longer defines fails the patch."""
     private = {
         name for name, obj in vars(conformal).items()
         if inspect.isfunction(obj) and obj.__module__ == conformal.__name__
@@ -499,9 +576,8 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
         assert apply_dn(fresh_cochain).is_zero() == flat
         assert ("stencil", 2) in fresh_module._memo
     with monkeypatch.context() as patch:
-        for owner in (cfmodule, constructions):
-            patch.setattr(owner, "chom_left_action", _refuse, raising=False)
-            patch.setattr(owner, "chom_right_action", _refuse, raising=False)
+        for name in CHOM_DIFFERENTIAL:
+            patch.setattr(constructions, name, _refuse)
         assert (check_module_axioms(extension) is None) == verdict
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "_stencil", _refuse)

@@ -48,9 +48,9 @@ def test_module_sides_inferred_when_undeclared(cur1):
 def test_parse_cochain_files(inputs_dir, cur1, cur1_regular):
     const = parse_cochain(read(inputs_dir, "f_const.coc"), cur1, cur1_regular, 2)
     assert const.degree == 2
-    assert const.value((0, 0))[0] == Poly.const(cochain_variables(2), 1)
+    assert const.values[(0, 0)][0] == Poly.const(cochain_variables(2), 1)
     lam = parse_cochain(read(inputs_dir, "f_lam.coc"), cur1, cur1_regular, 2)
-    assert lam.value((0, 0))[0] == Poly.var(cochain_variables(2), "lam1")
+    assert lam.values[(0, 0)][0] == Poly.var(cochain_variables(2), "lam1")
 
 
 def test_parse_gamma_files(inputs_dir, cur1, cur1_regular):

@@ -19,11 +19,14 @@ def _trees(*folders):
 
 
 def test_every_definition_has_a_caller_outside_tests():
-    uses = defaultdict(list)  # name -> (path, line) of each Name and Attribute
+    # name -> (path, line, whether it is an attribute) of each Name and
+    # Attribute; a method is called as x.name, so only attributes count for it
+    uses = defaultdict(list)
     for path, tree in _trees("src/pseudo", "scripts", "perfbench"):
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
-                uses[getattr(node, "id", None) or node.attr].append((path, node.lineno))
+                attribute = isinstance(node, ast.Attribute)
+                uses[node.attr if attribute else node.id].append((path, node.lineno, attribute))
     unused = []
     for path, tree in _trees("src/pseudo"):
         owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
@@ -32,7 +35,8 @@ def test_every_definition_has_a_caller_outside_tests():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or (name.startswith("__") and name.endswith("__")) \
                     or any(p != path or not node.lineno <= line <= node.end_lineno
-                           for p, line in uses[name]):
+                           for p, line, attribute in uses[name]
+                           if attribute or id(node) not in owner):
                 continue
             if id(node) in owner:  # a base calls its override, as argparse _Parser.error
                 cls = getattr(importlib.import_module(f"pseudo.{path.stem}"), owner[id(node)].name)
