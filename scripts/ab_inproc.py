@@ -38,7 +38,9 @@ With --verdicts nothing is timed either: the results of the verdict
 routes and witness searches of the two packages are compared.  They are
 the return value of each operation of the verdict-batch workload for
 seeds 1-5 (the verdict, or the witness a search returns, polynomials as
-text), and the full results of ``build_extension``, ``deform`` and
+text), and for each search that finds a witness the verdict of
+``equivalent_deformations`` or ``equivalent_extensions`` on that witness
+and on the witness doubled; then the full results of ``build_extension``, ``deform`` and
 ``build_abelian_extension`` on every inputs/*.coc over cur1, read against
 its regular module and every inputs/*.mod: residual polynomials, the
 assembled tables and the verdict, or the type and message of what parsing
@@ -201,16 +203,32 @@ def answer(compute):
 def verdict_answers(workloads, package) -> dict:
     """Result label -> what the verdict routes of ``package`` give: each
     verdict-batch operation's result for every seed of VERDICT_SEEDS (a
-    witness search's result ends with its witness), then every
+    witness search's result is its witness, and a found witness adds the
+    equivalence verdicts on it and on it doubled), then every
     construction on every committed cocycle file over cur1."""
     answers = {}
+    formats, con = package.formats, package.constructions
+    equivalent = {
+        "deformation-witness": con.equivalent_deformations,
+        "extension-witness": con.equivalent_extensions,
+    }
     for seed in VERDICT_SEEDS:
         for op in build_ops(workloads, package, "verdict-batch", seed):
-            run = op.run
-            if op.label.split()[0].endswith("-witness"):
-                run = lambda run=run: run()[-1]  # (first datum, second datum, witness)
-            answers[f"seed {seed}: {op.label}"] = answer(run)
-    formats, con = package.formats, package.constructions
+            label, kind = f"seed {seed}: {op.label}", op.label.split()[0]
+            if kind not in equivalent:
+                answers[label] = answer(op.run)
+                continue
+            try:
+                first, second, witness = op.run()
+            except Exception as exc:  # an exception is part of the answer
+                answers[label] = type(exc).__name__, str(exc)
+                continue
+            answers[label] = rendered(witness)
+            if witness is not None:
+                for name, candidate in (("witness", witness), ("doubled", doubled(witness))):
+                    answers[f"{label}: equivalent on the {name}"] = answer(
+                        lambda: equivalent[kind](first, second, candidate)
+                    )
     read = lambda path: path.read_text(encoding="utf-8")
     cur1 = formats.parse_algebra(read(INPUTS / "cur1.alg"))
     modules = [("regular", package.cfmodule.BimoduleStructure.regular(cur1))]
@@ -246,6 +264,13 @@ def verdict_answers(workloads, package) -> dict:
                 con.ExtensionDatum(cur1, sub, quotient, gluing_data(package, sub, quotient, seed))
             ))
     return answers
+
+
+def doubled(witness):
+    """Twice a witness: a degree-1 cochain, or a map B as {(t, k): Poly}."""
+    if isinstance(witness, dict):
+        return {key: poly + poly for key, poly in witness.items()}
+    return witness.scaled(2)
 
 
 def gluing_data(package, sub, quotient, seed: int) -> dict:

@@ -26,6 +26,7 @@ the gluing data of a module extension; its Chom differential is
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -180,6 +181,7 @@ class CLinearMap:
     def __post_init__(self):
         clean = {}
         for (j, k), poly in self.matrix.items():
+            j, k = operator.index(j), operator.index(k)
             if not (0 <= j < len(self.source) and 0 <= k < len(self.target)):
                 raise ValueError(f"matrix index {(j, k)} out of range")
             if poly.variables != PRODUCT_VARS:

@@ -17,25 +17,25 @@ where the i-th middle term merges lam_i and lam_{i+1} into one cochain
 variable when i < n, and lands in the last slot (shift rule) when i = n.
 For n = 0 the differential is u -> (a |-> a_{-del} u - u_0 a).  These
 slot rules are written once, in ``_Stencil``, which ``apply_dn`` (every
-degree, 0 included), the cocycle and coboundary slices and the
-deformation witness search all run on; the last three hand its sparse
-columns straight to ``exactla``.  A cochain becomes label-keyed terms
-((tuple, k, monomial), coeff) in ``_terms`` and is built back from them
-in ``_from_terms``, the one way each direction is written.  Inside the
-stencil a target label is one integer code (see ``_Stencil``), laid out
-so that a degree bound is one comparison and a label's place in the
-degree-D target slice is (code % span) * extent(D) + code // span; only
-``apply_dn`` and the overflow message decode codes back to labels.
+degree, 0 included), the cocycle and coboundary slices and the preimage
+solve behind the deformation witness search (``_preimage``) all run on;
+the last three hand its sparse columns straight to ``exactla``.  A
+cochain becomes label-keyed terms ((tuple, k, monomial), coeff) in
+``_terms`` and is built back from them in ``_from_terms``, the one way
+each direction is written.  Inside the stencil a target label is one
+integer code (see ``_Stencil``), laid out so that a degree bound is one
+comparison and a label's place in the degree-D target slice is (code %
+span) * extent(D) + code // span; only ``apply_dn`` and the overflow
+message decode codes back to labels, and no other module sees a code.
 What lives on the module: its grading (`grading`), and its compiled
 stencil for each degree n, built on first use (`_stencil`), with the
 ring map of each slot, the images a call has asked for, one table of
-basis monomial -> image per (slot, cut, generator), the numbering of the
-target monomials up to the largest degree asked for and the (tuple, s)
-pairs decoded so far.  A later call on the same module forms only what
-no earlier call formed.  All of it is freed with the module (for a
-regular module, which forms a reference cycle with its algebra, when the
-cycle collector reclaims the pair); an equal but distinct module forms
-its own.
+basis monomial -> image per (slot, cut, generator) and the numbering of
+the target monomials up to the largest degree asked for.  A later call
+on the same module forms only what no earlier call formed.  All of it is
+freed with the module (for a regular module, which forms a reference
+cycle with its algebra, when the cycle collector reclaims the pair); an
+equal but distinct module forms its own.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is a stabilized
@@ -52,6 +52,7 @@ on them, so the guard that B lies in Z flags only a bug here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as iter_product
@@ -125,7 +126,7 @@ class Cochain:
         variables = cochain_variables(self.degree)
         clean = {}
         for key, vec in self.values.items():
-            key = tuple(key)
+            key = tuple(map(operator.index, key))
             if len(key) != self.degree:
                 raise ValueError(f"tuple {key} has wrong length for degree {self.degree}")
             if any(not (0 <= i < self.algebra.rank) for i in key):
@@ -175,11 +176,9 @@ class Cochain:
         return _from_terms(self.degree, self.module, terms.items())
 
     def scaled(self, factor) -> "Cochain":
-        return Cochain(
-            self.degree,
-            self.algebra,
-            self.module,
-            {key: tuple(p * factor for p in vec) for key, vec in self.values.items()},
+        factor = _coeff(factor)
+        return _from_terms(
+            self.degree, self.module, ((label, c * factor) for label, c in _terms(self))
         )
 
 
@@ -237,7 +236,7 @@ def _terms(cochain: Cochain):
 def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
     """The degree-n cochain with the given ((tuple, k, monomial), coeff)
     terms, each label at most once; every coeff is normalized and a zero
-    one dropped."""
+    one dropped; its labels are valid, so no constructor check is run."""
     values: dict = {}
     for (tup, k, mono), coeff in terms:
         coeff = _coeff(coeff)
@@ -247,12 +246,11 @@ def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
                 vec = values[tup] = [{} for _ in range(module.rank)]
             vec[k][mono] = coeff
     variables = cochain_variables(degree)
-    return Cochain(
-        degree,
-        module.algebra,
-        module,
-        {t: tuple(Poly._raw(variables, terms) for terms in values[t]) for t in sorted(values)},
-    )
+    vecs = {t: tuple(Poly._raw(variables, terms) for terms in values[t]) for t in sorted(values)}
+    cochain = object.__new__(Cochain)
+    # the fields of a frozen instance, set past its __setattr__
+    vars(cochain).update(degree=degree, algebra=module.algebra, module=module, values=vecs)
+    return cochain
 
 
 def _differential_codes(stencil: "_Stencil", cochain: Cochain) -> dict:
@@ -279,10 +277,12 @@ def apply_dn(cochain: Cochain) -> Cochain:
 def _differential_equals(cochain: Cochain, target: Cochain | None = None) -> bool:
     """Whether d of the cochain is ``target``, a cochain one degree up on
     the same module (zero when None): the stencil's raw sums of d, minus
-    the target's terms at their codes, all vanish.  `apply_dn` then
-    ``is_zero`` gives the same answer, but this decodes no label and
-    builds no cochain."""
-    stencil = _stencil(cochain.module, cochain.degree)
+    the target's terms at their codes, all vanish; it refuses what
+    `apply_dn` and a difference refuse, but decodes no label."""
+    n, module = cochain.degree, cochain.module
+    stencil = _stencil(module, n)
+    if target is not None and (target.degree, target.module) != (n + 1, module):
+        raise ValueError("cochain shapes differ")
     acc = _differential_codes(stencil, cochain)
     if target is not None:
         code = stencil.code
@@ -326,14 +326,13 @@ class _Stencil:
     yields one column per monomial and forms none a caller does not ask
     for, so the coboundary slice stops at its ceiling.  The stencil keeps
     the numbering of target monomials (``monomials`` and its inverse
-    ``numbering``), extended to the largest degree asked for, and the
-    (tuple, s) pairs ``label`` has decoded (``pairs``).  `_stencil` keeps
-    it on the module, one per (module, n), so all of it serves every
-    later call on that module and is freed with it.  The images number
-    at most (n + 2) * rank(A) * rank(M) times the basis monomials up to
-    the largest degree a call asked for, and the pairs at most span.  For
-    n = 0 the head is a_{-del} u and the tail -u_0 a: lam1 is -del and a
-    constant value is read in ("del",).
+    ``numbering``), extended to the largest degree asked for.  `_stencil`
+    keeps it on the module, one per (module, n), so all of it serves
+    every later call on that module and is freed with it.  The images
+    number at most (n + 2) * rank(A) * rank(M) times the basis monomials
+    up to the largest degree a call asked for.  For n = 0 the head is
+    a_{-del} u and the tail -u_0 a: lam1 is -del and a constant value is
+    read in ("del",).
     """
 
     def __init__(self, module: BimoduleStructure, n: int):
@@ -350,8 +349,6 @@ class _Stencil:
         # target monomials in iter_monomials order, and monomial -> place
         self.monomials: list[tuple[int, ...]] = []
         self.numbering: dict[tuple[int, ...], int] = {}
-        # code % span -> (target tuple, s), decoded on first use
-        self.pairs: dict[int, tuple[tuple[int, ...], int]] = {}
         dl = Poly.var(dst_vars, "del")
         lam = [None] + [Poly.var(dst_vars, f"lam{i}") for i in range(1, n + 1)]
         if n == 0:
@@ -454,15 +451,12 @@ class _Stencil:
         """The target label (tuple, s, exponent) of a code that ``code`` or
         ``add`` has formed."""
         place, rest = divmod(code, self.span)
-        pair = self.pairs.get(rest)
-        if pair is None:
-            index, s = divmod(rest, self.rank_m)
-            digits = []
-            for _ in self.dst_vars:  # a target tuple has n + 1 entries, as many as variables
-                index, g = divmod(index, self.radix)
-                digits.append(g)
-            pair = self.pairs[rest] = (tuple(reversed(digits)), s)
-        return (*pair, self.monomials[place])
+        index, s = divmod(rest, self.rank_m)
+        digits = []
+        for _ in self.dst_vars:  # a target tuple has n + 1 entries, as many as variables
+            index, g = divmod(index, self.radix)
+            digits.append(g)
+        return tuple(reversed(digits)), s, self.monomials[place]
 
     def _slots(self, tup: tuple, k: int) -> list:
         """(slot, cut, kept images, base added to every offset) at each
@@ -537,10 +531,6 @@ class _Stencil:
                         )
                     out[code] = c if type(c) is int else _coeff(c)
             yield out
-
-    def basis_columns(self, index: CochainIndex, limit: int) -> list[dict]:
-        """The ``columns`` of every basis cochain of ``index``, in its order."""
-        return [c for t, k in index.sources for c in self.columns(t, k, index.monomials, limit)]
 
 
 def _stencil(module: BimoduleStructure, n: int) -> _Stencil:
@@ -633,15 +623,37 @@ class CohomologyReport:
         return self.cocycles.dim - self.coboundaries.dim
 
 
+def _slice_columns(module: BimoduleStructure, n: int, d: int) -> tuple[CochainIndex, list]:
+    """The degree-<=D slice of n-cochains and the stencil column of d_n on
+    each basis cochain, in order, within D plus the structure degree."""
+    stencil = _stencil(module, n)
+    limit = stencil.limit(d + module.structure_degree())
+    index = CochainIndex(module.algebra, module, n, d)
+    columns = [c for t, k in index.sources for c in stencil.columns(t, k, index.monomials, limit)]
+    return index, columns
+
+
 def _cocycle_slice(
     algebra: ConformalAlgebra, module: BimoduleStructure, degree: int, d: int
 ) -> SubspaceBasis:
     """Z intersected with the degree-<=D slice: the kernel of the stencil
-    columns of the slice's basis cochains, each of which must land within
-    degree D plus the module's structure degree."""
-    stencil = _stencil(module, degree)
-    limit = stencil.limit(d + module.structure_degree())
-    return kernel(stencil.basis_columns(CochainIndex(algebra, module, degree, d), limit))
+    columns of the slice's basis cochains."""
+    return kernel(_slice_columns(module, degree, d)[1])
+
+
+def _preimage(target: Cochain, max_degree: int) -> Cochain | None:
+    """A cochain of value degree <= max_degree whose d is the target, or
+    None: one exact solve on the slice's columns, checked on the raw sums."""
+    module, n = target.module, target.degree - 1
+    index, columns = _slice_columns(module, n, max_degree)
+    code = _stencil(module, n).code
+    coords = solve_columns(columns, {code(label): c for label, c in _terms(target)})
+    if coords is None:
+        return None
+    found = _from_terms(n, module, zip(index.labels, coords))
+    if not _differential_equals(found, target):
+        raise ComplexInconsistencyError("witness reconstruction failed to verify")
+    return found
 
 
 def _coboundary_slice(

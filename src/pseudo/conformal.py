@@ -28,6 +28,7 @@ two, for the sides of its counterexample (`_first_failure`).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -50,11 +51,13 @@ def _validate_structure(
     """
     clean: dict[tuple[int, int], tuple[tuple[int, Poly], ...]] = {}
     for (i, j), entries in structure.items():
+        i, j = operator.index(i), operator.index(j)
         if not (0 <= i < first and 0 <= j < second):
             raise ValueError(f"generator index out of range in {(i, j)}")
         seen = set()
         kept = []
         for k, poly in entries:
+            k = operator.index(k)
             if not (0 <= k < target):
                 raise ValueError(f"target index {k} out of range")
             if k in seen:

@@ -33,12 +33,12 @@ verdict.
 Both witness searches are one exact solve, `exactla.solve_columns`, on
 columns keyed by the terms they produce: the coboundary terms of each
 monomial of B from `_coboundary_terms`, the raw-term builder behind
-`gamma_coboundary`, and the stencil columns of d_1 on the degree-
-bounded basis of 1-cochains.  A target term no column reaches makes the
-system inconsistent, so the target needs no window of its own.  Each
-found witness is checked without building a family or a cochain from
-it: B's coboundary by the same builder, d of a 1-cochain minus the
-target on the stencil's raw sums.
+`gamma_coboundary`, and the stencil columns of d_1 on the degree-bounded
+1-cochains, solved by `cohomology._preimage`.  A target term no column
+reaches makes the system inconsistent.  Each found witness is checked
+without building a family or a cochain from it: B's coboundary by the
+same builder, d of a 1-cochain minus the target on the stencil's raw
+sums, which also decide `equivalent_deformations`.
 
 The two differentials of the Chom complex of gluing data are written
 side by side in one representation: raw terms summed into one
@@ -57,6 +57,7 @@ as in `conformal._law_sides`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -84,13 +85,9 @@ from .conformal import (
 )
 from .cohomology import (
     Cochain,
-    CochainIndex,
     ComplexInconsistencyError,
     _differential_equals,
-    _from_terms,
-    _stencil,
-    _terms,
-    apply_dn,
+    _preimage,
     cochain_variables,
 )
 from .exactla import solve_columns
@@ -123,7 +120,7 @@ class ExtensionDatum:
                 raise UnfitModuleError(f"{name} module violates its own left law")
         clean: dict[int, CLinearMap] = {}
         for i, gmap in self.gamma.items():
-            i = int(i)
+            i = operator.index(i)
             if not (0 <= i < self.algebra.rank):
                 raise ValueError(f"gamma index {i} out of range")
             if gmap.source != self.quotient.generators:
@@ -315,14 +312,16 @@ def gamma_coboundary(
     quotient generator t, a polynomial in del alone.  The result is the
     family a |-> a . B(n) - B(a . n), read off `_coboundary_terms`.
     """
+    entries = []
     for (t, k), poly in b_matrix.items():
+        t, k = operator.index(t), operator.index(k)
         if not (0 <= t < quotient.rank and 0 <= k < sub.rank):
             raise ValueError(f"B index {(t, k)} out of range")
         if poly.variables != DEL_ONLY:
             raise ValueError("B entries must be polynomials in del alone")
-    entries = sorted(
-        (key, poly.embed(PRODUCT_VARS)) for key, poly in b_matrix.items() if not poly.is_zero
-    )
+        if not poly.is_zero:
+            entries.append(((t, k), poly.embed(PRODUCT_VARS)))
+    entries.sort()
     shift = _RingMap(PRODUCT_VARS, _SHIFT)
     matrices: dict[int, dict] = {}
     for (i, t, s, exp), c in _coboundary_terms(sub, quotient, entries, shift).items():
@@ -579,25 +578,15 @@ def find_deformation_witness(
 ) -> Optional[Cochain]:
     """Degree-1 cochain whose differential equals the target, or None.
 
-    The unknown cochain has value degree <= max_degree; the solve is
-    exact, so None is a definitive answer within that bound.
+    The unknown cochain has value degree <= max_degree; `_preimage`
+    solves exactly, so None is a definitive answer within that bound.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     module = BimoduleStructure.regular(algebra)
     if target.degree != 2 or target.module != module:
         raise ValueError("target must be a degree-2 cochain valued in the algebra")
-    stencil = _stencil(module, 1)
-    limit = stencil.limit(max_degree + module.structure_degree())
-    index = CochainIndex(algebra, module, 1, max_degree)
-    columns = stencil.basis_columns(index, limit)
-    coords = solve_columns(columns, {stencil.code(label): c for label, c in _terms(target)})
-    if coords is None:
-        return None
-    witness = _from_terms(1, module, zip(index.labels, coords))
-    if not _differential_equals(witness, target):
-        raise ComplexInconsistencyError("witness reconstruction failed to verify")
-    return witness
+    return _preimage(target, max_degree)
 
 
 def equivalent_deformations(
@@ -606,13 +595,13 @@ def equivalent_deformations(
     """Does the degree-1 cochain identify the two deformations?
 
     True exactly when the difference of the perturbations equals the
-    differential of the witness.
+    differential of the witness, read off the stencil's raw sums.
     """
     if first.algebra != second.algebra:
         raise ValueError("deformations live over different algebras")
     if witness.degree != 1:
         raise ValueError("witness must be a degree-1 cochain")
-    return (first.cocycle - second.cocycle - apply_dn(witness)).is_zero()
+    return _differential_equals(witness, first.cocycle - second.cocycle)
 
 
 def search_deformation_witness(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Iterable, Iterator, Mapping
 
 _FIXED_ORDER = {"del": (0, 0), "lam": (1, 0), "mu": (2, 0)}
@@ -117,7 +117,7 @@ class Poly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[tuple[int, ...], int | Fraction] = {}
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != len(variables):
                 raise ValueError(f"exponent {exp} does not match variables {variables}")
             if any(e < 0 for e in exp):

@@ -100,9 +100,11 @@ def test_grid_names_every_job_that_differs():
 
 
 def test_verdicts_of_the_checkout_against_itself():
-    # 158 operations for each of the five seeds, three constructions for
-    # each of the five cocycle files over three modules, and five seeded
-    # gluings for each of the 12 ordered pairs of four modules
+    # 158 operations for each of the five seeds, two equivalence verdicts
+    # for each of the 155 witnesses their searches find, three
+    # constructions for each of the five cocycle files over three modules,
+    # and five seeded gluings for each of the 12 ordered pairs of four
+    # modules
     result = subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--verdicts"],
         capture_output=True,
@@ -111,7 +113,7 @@ def test_verdicts_of_the_checkout_against_itself():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "verdicts: 895 results, 0 differences\n"
+    assert result.stdout == "verdicts: 1205 results, 0 differences\n"
 
 
 def test_verdicts_render_results_as_plain_data():

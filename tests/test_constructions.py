@@ -520,6 +520,68 @@ def test_equivalent_deformations_with_witness(cur1, cur1_regular):
     assert found is not None and equivalent_deformations(first, second, found)
 
 
+def test_equivalent_deformations_refuses_a_witness_over_another_module(
+    cur1, cur1_regular, mat2, mat2_regular, inputs_dir
+):
+    # a module of the same rank over the same algebra numbers its labels
+    # as the regular one does, so only the shape check tells them apart
+    g = Cochain(1, cur1, cur1_regular, {(0,): (parse_poly("del^2 - del", D1),)})
+    first = DeformationDatum(cur1, apply_dn(g))
+    second = DeformationDatum(cur1, Cochain.zero(cur1, cur1_regular, 2))
+    uleft = parse_module((inputs_dir / "uleft.mod").read_text(encoding="utf-8"), cur1)
+    for witness in (
+        Cochain(1, cur1, uleft, g.values),
+        Cochain.zero(cur1, uleft, 1),
+        Cochain(1, mat2, mat2_regular, {(0,): (parse_poly("del", D1),) * 4}),
+    ):
+        with pytest.raises(ValueError, match="cochain shapes differ"):
+            equivalent_deformations(first, second, witness)
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_equivalent_deformations_refuses_a_witness_not_of_degree_one(
+    cur1, cur1_regular, degree
+):
+    flat = DeformationDatum(cur1, Cochain.zero(cur1, cur1_regular, 2))
+    with pytest.raises(ValueError, match="witness must be a degree-1 cochain"):
+        equivalent_deformations(flat, flat, Cochain.zero(cur1, cur1_regular, degree))
+
+
+ONE_DEL = Poly.var(DEL, "del")
+ONE_PRODUCT = Poly.const(PRODUCT_VARS, 1)
+# constructors handed a generator index or an exponent that is not an int
+NOT_AN_INT = {
+    "exponent 1.5": lambda cur1, reg: Poly(DEL, {(1.5,): 1}),
+    "exponent '2'": lambda cur1, reg: Poly(DEL, [(("2",), 1)]),
+    "product key": lambda cur1, reg: ConformalAlgebra(("e",), {(0.0, 0): [(0, ONE_PRODUCT)]}),
+    "product target": lambda cur1, reg: ConformalAlgebra(("e",), {(0, 0): [(0.0, ONE_PRODUCT)]}),
+    "action key": lambda cur1, reg: BimoduleStructure(
+        cur1, ("u",), left={(0, 0.0): [(0, ONE_PRODUCT)]}, right=None
+    ),
+    "cochain tuple": lambda cur1, reg: Cochain(1, cur1, reg, {(0.0,): (Poly.const(D1, 1),)}),
+    "map entry": lambda cur1, reg: CLinearMap(("u",), ("u",), {(0, 0.0): ONE_PRODUCT}),
+    "gamma index": lambda cur1, reg: ExtensionDatum(
+        cur1, reg, reg, {0.5: CLinearMap(reg.generators, reg.generators, {(0, 0): ONE_PRODUCT})}
+    ),
+    "B index": lambda cur1, reg: gamma_coboundary(reg, reg, {(0.0, 0): ONE_DEL}),
+}
+
+
+@pytest.mark.parametrize("build", NOT_AN_INT.values(), ids=NOT_AN_INT.keys())
+def test_indices_and_exponents_must_be_ints(cur1, cur1_regular, build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build(cur1, cur1_regular)
+
+
+def test_a_bool_index_or_exponent_reads_as_its_int(cur1, cur1_regular):
+    assert Poly(DEL, {(True,): 1}) == ONE_DEL
+    value = (Poly.const(D1, 1),)
+    assert Cochain(1, cur1, cur1_regular, {(False,): value}).values == {(0,): value}
+    assert gamma_coboundary(cur1_regular, cur1_regular, {(False, False): ONE_DEL}) == (
+        gamma_coboundary(cur1_regular, cur1_regular, {(0, 0): ONE_DEL})
+    )
+
+
 def test_search_deformation_witness_none_when_inequivalent(cur1, cur1_regular):
     bent = DeformationDatum(cur1, two_cochain(cur1, cur1_regular, "lam1"))
     flat = DeformationDatum(cur1, Cochain.zero(cur1, cur1_regular, 2))

@@ -79,6 +79,24 @@ def test_only_exactla_names_the_echelon():
     assert stray == []
 
 
+def test_only_cohomology_names_the_stencil_and_its_labels():
+    """The stencil's codes, the index labels and the raw term form of a
+    cochain stay behind ``cohomology``: every other module asks it for a
+    d-verdict (``_differential_equals``) or a preimage (``_preimage``),
+    so no other module names the stencil or the term builders."""
+    private = {"_stencil", "_Stencil", "_from_terms", "_terms"}
+    stray = []
+    for path, tree in _trees("src/pseudo"):
+        if path.name == "cohomology.py":
+            continue
+        for node in ast.walk(tree):
+            if private & {getattr(node, "id", None), getattr(node, "attr", None)} or (
+                isinstance(node, ast.alias) and private & {node.name, node.asname}
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
 def test_only_the_owners_of_kept_values_name_kept():
     """What is kept on an algebra or a module is kept by the module that
     derives it: the axiom verdicts by ``conformal.associativity_failure``
