@@ -38,13 +38,14 @@ cycle with its algebra, when the cycle collector reclaims the pair); an
 equal but distinct module forms its own.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
-cocycle space is exact there, while the coboundary space is a stabilized
-lower bound obtained by widening the source degree in steps of K until
-the intersection with the slice stops growing; on a graded input the
-widening differentiates only the sources whose weight can reach the
-slice.  The widening also stops differentiating once B fills Z in the
-slice, which d after d = 0 makes exact: the rounds still run and count,
-so nothing reported moves.  `cohomology_dimensions` refuses a
+cocycle space is exact there, while the coboundary space is obtained by
+widening the source degree in steps of K until the intersection with the
+slice stops growing, a stabilized lower bound in general.  On a graded
+input the widening differentiates only the sources whose weight can
+reach the slice, and a last pass takes those the rounds left, so there
+the coboundary space is exact.  The widening also stops differentiating
+once B fills Z in the slice, which d after d = 0 makes exact: the rounds
+still run and count, so nothing reported moves.  `cohomology_dimensions` refuses a
 non-associative algebra (`NonAssociativeError`) and a module that breaks
 its laws (`UnfitModuleError`) before computing, reading the verdicts kept
 on them, so the guard that B lies in Z flags only a bug here.
@@ -598,7 +599,10 @@ class CohomologyReport:
     ``proof`` names why the coboundary slice is exact, not just a
     stabilized lower bound: ``"cocycles"`` when it fills the cocycle
     slice it lies in, ``"degree"`` at n <= 1, where round 0 already
-    admits every source (each a constant class), else None.
+    admits every source (each a constant class), ``"weights"`` on a
+    graded input, where every source that can reach the slice is
+    differentiated, else None.  ``stabilized`` and ``rounds`` describe
+    the widening rounds alone.
     """
 
     degree: int
@@ -633,9 +637,7 @@ def _slice_columns(module: BimoduleStructure, n: int, d: int) -> tuple[CochainIn
     return index, columns
 
 
-def _cocycle_slice(
-    algebra: ConformalAlgebra, module: BimoduleStructure, degree: int, d: int
-) -> SubspaceBasis:
+def _cocycle_slice(module: BimoduleStructure, degree: int, d: int) -> SubspaceBasis:
     """Z intersected with the degree-<=D slice: the kernel of the stencil
     columns of the slice's basis cochains."""
     return kernel(_slice_columns(module, degree, d)[1])
@@ -657,7 +659,6 @@ def _preimage(target: Cochain, max_degree: int) -> Cochain | None:
 
 
 def _coboundary_slice(
-    algebra: ConformalAlgebra,
     module: BimoduleStructure,
     degree: int,
     window: TruncationWindow,
@@ -672,7 +673,12 @@ def _coboundary_slice(
     its image is inserted into one ``_SliceSpan`` kept across all rounds.
     On a graded input (see ``grading``) a source whose weight plus b is
     no slice label's weight is skipped: its image lies in blocks outside
-    the slice, so it cannot change B cap slice.
+    the slice, so it cannot change B cap slice.  There d maps each weight
+    block into one block, so B cap slice is spanned by the images of the
+    sources that can reach it, and those have finitely many degrees, the
+    largest S.  After the rounds the same span takes every such source
+    up to degree S that no round admitted: on a graded input the basis
+    returned is B cap slice exactly, whatever the rounds found.
 
     ``ceiling`` is the dimension of a space known to contain B cap slice:
     the slice's own dimension, or dim(Z cap slice), since d after d = 0
@@ -682,8 +688,9 @@ def _coboundary_slice(
     count of those rows is each round's dimension.  A round that admits
     or differentiates no source still runs and counts toward ``rounds``,
     so every basis, flag and count is the one the full widening, skipping
-    no source, gives.  Returns (coboundaries,
-    stabilized, rounds); degree 0 has no coboundaries and no rounds.
+    no source, gives.  Returns (coboundaries, stabilized, rounds), the
+    flag and count those of the rounds alone; degree 0 has no
+    coboundaries and no rounds.
     """
     d = window.degree_bound
     bound = module.structure_degree()
@@ -697,7 +704,7 @@ def _coboundary_slice(
         place * stencil.span + rest for rest in range(stencil.span) for place in range(extent)
     ]
     image = _SliceSpan(slice_codes)
-    sources = CochainIndex(algebra, module, degree - 1, 0).sources
+    sources = CochainIndex(module.algebra, module, degree - 1, 0).sources
     # (t, s) -> the source degrees whose labels can reach the slice, or
     # None for every degree on an ungraded input
     reach: dict = dict.fromkeys(sources)
@@ -713,31 +720,40 @@ def _coboundary_slice(
             shift = u[s] - sum(w[g] for g in t) + b
             reach[t, s] = {weight - shift for weight in slice_weights}
     variables = cochain_variables(degree - 1)
-    covered = -1  # sources of degree <= covered are already differentiated
     filled = 0  # rows of B cap slice found so far, its dimension
-    previous: int | None = None
-    for k in range(max_rounds + 1):
-        source_bound = d + k * window.stabilization_margin
-        limit = stencil.limit(source_bound + bound)
-        fresh = [
-            (m, size)
-            for m in iter_monomials(variables, source_bound)
-            if (size := sum(m)) > covered
-        ]
+
+    def admit(covered: int, top: int) -> None:
+        """Differentiate the sources of degree in (covered, top] that can
+        reach the slice, until the span holds ``ceiling`` rows."""
+        nonlocal filled
+        limit = stencil.limit(top + bound)
+        fresh = [(m, size) for m in iter_monomials(variables, top) if (size := sum(m)) > covered]
         for t, s in sources:
             if filled == ceiling:
-                break
+                return
             degrees = reach[t, s]
             monomials = [m for m, size in fresh if degrees is None or size in degrees]
             for column in stencil.columns(t, s, monomials, limit):
                 filled += image.insert(column)
                 if filled == ceiling:
-                    break
+                    return
+
+    covered = -1  # sources of degree <= covered are already differentiated
+    previous: int | None = None
+    stabilized, rounds = False, max_rounds + 1
+    for k in range(max_rounds + 1):
+        source_bound = d + k * window.stabilization_margin
+        admit(covered, source_bound)
         covered = source_bound
         if filled == previous:
-            return image.basis(), True, k + 1
+            stabilized, rounds = True, k + 1
+            break
         previous = filled
-    return image.basis(), False, max_rounds + 1
+    if grades is not None and filled < ceiling:
+        top = max((x for degrees in reach.values() for x in degrees if x == int(x)), default=-1)
+        if top > covered:
+            admit(covered, int(top))
+    return image.basis(), stabilized, rounds
 
 
 def cohomology_dimensions(
@@ -752,6 +768,8 @@ def cohomology_dimensions(
     Cocycles are exact within the slice.  Coboundaries are accumulated
     from sources of degree <= D + k*K for k = 0, 1, ...; once two
     consecutive rounds agree the dimension is reported as stabilized.
+    On a graded input the sources that can still reach the slice are
+    then taken as well, so B is exact whatever the flag reads.
     The cocycles come first, and their dimension is the ceiling of the
     widening: once B cap slice has as many rows, no further source is
     differentiated, though every round still runs and counts.  A
@@ -772,9 +790,9 @@ def cohomology_dimensions(
     if module.has_left and module.has_right and axiom_failure(module) is not None:
         raise UnfitModuleError("module violates its axiom system")
     d = window.degree_bound
-    cocycles = _cocycle_slice(algebra, module, degree, d)
+    cocycles = _cocycle_slice(module, degree, d)
     coboundaries, stabilized, rounds = _coboundary_slice(
-        algebra, module, degree, window, max_rounds, cocycles.dim
+        module, degree, window, max_rounds, cocycles.dim
     )
     try:
         exact = quotient_dimension(cocycles, coboundaries) == 0
@@ -790,5 +808,8 @@ def cohomology_dimensions(
         coboundaries=coboundaries,
         stabilized=stabilized,
         rounds=rounds,
-        proof="cocycles" if exact else "degree" if degree <= 1 else None,
+        proof="cocycles" if exact
+        else "degree" if degree <= 1
+        else "weights" if grading(module) is not None
+        else None,
     )

@@ -160,9 +160,9 @@ def test_oracles_match_the_degree_zero_slice(algebra):
     is not used: its two halves, the kernel of d and the coboundary slice,
     are called directly."""
     reg = BimoduleStructure.regular(algebra)
-    assert center_dimension(algebra) == _cocycle_slice(algebra, reg, 0, 0).dim
-    derivations = _cocycle_slice(algebra, reg, 1, 0)
+    assert center_dimension(algebra) == _cocycle_slice(reg, 0, 0).dim
+    derivations = _cocycle_slice(reg, 1, 0)
     whole = CochainIndex(algebra, reg, 1, 0).dimension
-    inner, _, _ = _coboundary_slice(algebra, reg, 1, TruncationWindow(0), 1, whole)
+    inner, _, _ = _coboundary_slice(reg, 1, TruncationWindow(0), 1, whole)
     assert derivation_space_dimension(algebra) == derivations.dim
     assert inner_derivation_space_dimension(algebra) == inner.dim

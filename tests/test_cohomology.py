@@ -536,7 +536,8 @@ def test_differentials_compose_to_zero_where_the_ceiling_skips(path):
 
 def test_plateau_h3_with_margin_three(inputs_dir):
     # "stabilized" means two rounds agreed, not a proof: with margin 1 the
-    # widening stops on a plateau below the answer pinned here
+    # widening stops on a plateau after 2 rounds, and the weight pass then
+    # takes the degree-3 sources, so B is the margin-3 answer pinned here
     plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
     module = BimoduleStructure.regular(plateau)
     rep = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 3))
@@ -544,7 +545,8 @@ def test_plateau_h3_with_margin_three(inputs_dir):
     assert rep.stabilized and rep.rounds == 3
     short = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
     assert short.dim_cocycles == 3
-    assert short.dim_coboundaries <= rep.dim_coboundaries
+    assert short.dim_coboundaries == rep.dim_coboundaries
+    assert short.stabilized and short.rounds == 2
 
 
 def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
@@ -609,8 +611,8 @@ def test_plateau_h3_unstabilized_within_max_rounds(inputs_dir):
 
 @pytest.mark.parametrize("degree, pinned", [(1, (2, 2, 0)), (2, (5, 5, 0))])
 def test_plateau_del3_twin_with_margin_three(inputs_dir, degree, pinned):
-    # B = Z, so the margin-3 answer is exact; the default margin stops on a
-    # plateau below it, so its B is only held to that upper bound here
+    # B = Z, so the margin-3 answer is exact; the default margin's rounds
+    # stop on a plateau below it, and the weight pass reaches it
     twin = parse_algebra((inputs_dir / "plateau3.alg").read_text(encoding="utf-8"))
     module = BimoduleStructure.regular(twin)
     rep = cohomology_dimensions(twin, module, 3, TruncationWindow(degree, 3))
@@ -618,7 +620,8 @@ def test_plateau_del3_twin_with_margin_three(inputs_dir, degree, pinned):
     assert rep.stabilized and rep.rounds == 3
     short = cohomology_dimensions(twin, module, 3, TruncationWindow(degree, 1))
     assert short.dim_cocycles == pinned[0]
-    assert short.dim_coboundaries <= pinned[1]
+    assert short.dim_coboundaries == pinned[1]
+    assert short.stabilized and short.rounds == 2
 
 
 def test_u2_h2_is_nonzero(u2, u2_regular):
@@ -675,7 +678,7 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
     with pytest.raises(TruncationOverflowError, match=re.escape(
         "monomial (2, 0) on tuple (0, 0) exceeds degree 1"
     )):
-        _coboundary_slice(u2, u2_regular, 2, window, 4, slice_dimension(u2_regular, 2, 1))
+        _coboundary_slice(u2_regular, 2, window, 4, slice_dimension(u2_regular, 2, 1))
 
 
 def test_stencil_columns_overflow_with_the_message_of_one_column_at_a_time(u2):
@@ -708,41 +711,49 @@ def test_coboundary_slice_differentiates_each_source_once(
     monkeypatch.setattr(cohomology, "apply_dn", None)
     window = TruncationWindow(1, 1)
     whole = slice_dimension(u2_regular, 3, 1)
-    _, stabilized, rounds = _coboundary_slice(u2, u2_regular, 3, window, 4, whole)
+    _, stabilized, rounds = _coboundary_slice(u2_regular, 3, window, 4, whole)
     assert stabilized and rounds == 3
     # U2 takes w = (0, -1), u = (1, 0) and b = 0, so the slice's labels
-    # (degree <= 1 on 3-tuples) weigh 0 .. 5; a source weighs |m| + u(k) -
-    # sum(w(t)) <= 6, and exactly the degree-3 ones on ((b, b), a) weigh 6
+    # (degree <= 1 on 3-tuples) weigh 0 .. 5, and a source reaches the
+    # slice exactly when its weight |m| + u(k) - sum(w(t)) lies in 0 .. 5.
+    # B never reaches this ceiling, so after the rounds (sources up to
+    # degree 3) the weight pass takes every other reaching source, up to
+    # degree 5: 102 columns in all, where the rounds alone took 76
     assert cohomology.grading(u2_regular) == ((0, -1), (1, 0), 0)
-    pruned = [((1, 1), 0, mono) for mono in iter_monomials(("del", "lam1"), 3) if sum(mono) == 3]
-    assert len(calls) == len(set(calls)) == 76
-    assert set(calls) == set(CochainIndex(u2, u2_regular, 2, 3).labels) - set(pruned)
-    assert len(pruned) == 4
+    reaching = {
+        (t, k, mono)
+        for t, k, mono in CochainIndex(u2, u2_regular, 2, 6).labels
+        if 0 <= sum(mono) + (1 - k) + sum(t) <= 5
+    }
+    assert len(calls) == len(set(calls)) == 102
+    assert set(calls) == reaching
+    assert max(sum(mono) for _, _, mono in calls) == 5
     # under the ceiling dim(Z cap slice) = 8, B fills Z before any
     # degree-3 source is admitted, and the last two rounds differentiate
     # nothing yet still count
-    cocycles = _cocycle_slice(u2, u2_regular, 3, 1)
+    cocycles = _cocycle_slice(u2_regular, 3, 1)
     calls.clear()
-    assert _coboundary_slice(u2, u2_regular, 3, window, 4, cocycles.dim) == (cocycles, True, 3)
+    assert _coboundary_slice(u2_regular, 3, window, 4, cocycles.dim) == (cocycles, True, 3)
     assert len(calls) == len(set(calls)) == 28
     assert max(sum(mono) for _, _, mono in calls) < 3
-    # U1 H^3 D=2 (22/22/0 in 2 rounds) takes 80 sources under the whole
-    # slice and 45 under dim Z, none of degree 3
+    # U1 H^3 D=2 (22/22/0 in 2 rounds) takes 146 sources under the whole
+    # slice, 80 in the rounds and 66 in the weight pass, and 45 under dim
+    # Z, none of degree 3
     u1 = parse_algebra(U1_PATH.read_text(encoding="utf-8"))
     u1_regular = BimoduleStructure.regular(u1)
     window = TruncationWindow(2, 1)
-    cocycles = _cocycle_slice(u1, u1_regular, 3, 2)
+    cocycles = _cocycle_slice(u1_regular, 3, 2)
     results, counts = [], []
     for ceiling in (slice_dimension(u1_regular, 3, 2), cocycles.dim):
         calls.clear()
-        results.append(_coboundary_slice(u1, u1_regular, 3, window, 4, ceiling))
+        results.append(_coboundary_slice(u1_regular, 3, window, 4, ceiling))
         counts.append(len(calls))
     assert results == [(cocycles, True, 2)] * 2
-    assert counts == [80, 45]
+    assert counts == [146, 45]
     assert max(sum(mono) for _, _, mono in calls) < 3
     # degree 0 takes the same route: d_0 columns and the coboundaries of H^1
     calls.clear()
-    _cocycle_slice(mat2, mat2_regular, 0, 0)
+    _cocycle_slice(mat2_regular, 0, 0)
     assert calls == CochainIndex(mat2, mat2_regular, 0, 0).labels
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
@@ -802,9 +813,7 @@ def test_ungraded_table_differentiates_every_source(monkeypatch):
     assert cohomology.grading(module) is None
     calls = record_columns(monkeypatch)
     window = TruncationWindow(1, 1)
-    _, _, rounds = _coboundary_slice(
-        algebra, module, 2, window, 3, slice_dimension(module, 2, 1)
-    )
+    _, _, rounds = _coboundary_slice(module, 2, window, 3, slice_dimension(module, 2, 1))
     last = window.degree_bound + (rounds - 1) * window.stabilization_margin
     assert len(calls) == len(set(calls))
     assert set(calls) == set(CochainIndex(algebra, module, 1, last).labels)
@@ -850,18 +859,30 @@ def draw_graded_module(data) -> BimoduleStructure:
 @given(st.data())
 def test_weight_pruning_keeps_the_coboundary_slice(data):
     # a pruned source adds only rows of weights outside the slice, so the
-    # basis, the flag and the round count are those of the full widening
+    # flag and the round count are those of the full widening; the weight
+    # pass then takes every source that can reach the slice, all of degree
+    # <= S, so B is that of a full widening whose round 1 reaches S
     module = draw_graded_module(data)
-    algebra = module.algebra
     degree = data.draw(st.integers(1, 3), label="degree")
-    window = TruncationWindow(data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2)))
+    bound = data.draw(st.integers(0, 1), label="bound")
+    window = TruncationWindow(bound, data.draw(st.integers(1, 2), label="margin"))
     max_rounds = data.draw(st.integers(1, 2), label="max rounds")
-    assert cohomology.grading(module) is not None
-    whole = slice_dimension(module, degree, window.degree_bound)
-    pruned = _coboundary_slice(algebra, module, degree, window, max_rounds, whole)
+    w, u, b = cohomology.grading(module)
+    # a source on (t, s) of degree |m| weighs |m| + u(s) - sum(w(t)), and
+    # d adds b; the slice's labels weigh j + u(s) - sum(w(t)), j <= D
+    slice_weights = {j + us - sum(t) for t in iter_product(w, repeat=degree)
+                     for us in u for j in range(bound + 1)}
+    shifts = {us - sum(t) + b for t in iter_product(w, repeat=degree - 1) for us in u}
+    top = max((int(e - shift) for e in slice_weights for shift in shifts
+               if e - shift == int(e - shift)), default=bound)
+    whole = slice_dimension(module, degree, bound)
+    basis, stabilized, rounds = _coboundary_slice(module, degree, window, max_rounds, whole)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "grading", lambda module: None)
-        assert _coboundary_slice(algebra, module, degree, window, max_rounds, whole) == pruned
+        full = _coboundary_slice(module, degree, window, max_rounds, whole)
+        assert full[1:] == (stabilized, rounds)
+        reaching = TruncationWindow(bound, max(top - bound, 1))
+        assert _coboundary_slice(module, degree, reaching, 1, whole)[0] == basis
 
 
 @given(st.data())
@@ -889,7 +910,9 @@ def test_stencil_columns_match_adding_each_label(data):
 
 def test_report_names_its_proof(inputs_dir):
     # B = Z proves the coboundary slice exact; at n <= 1 round 0 admits
-    # every source; the plateau's margin-1 B is a lower bound, unproven
+    # every source; on a graded input the weight pass takes every source
+    # that can reach the slice; an ungraded input at n >= 2 with B below
+    # Z has no proof
     mat2 = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
     module = BimoduleStructure.regular(mat2)
     rep = cohomology_dimensions(mat2, module, 2, TruncationWindow(1, 1))
@@ -899,6 +922,20 @@ def test_report_names_its_proof(inputs_dir):
     plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
     module = BimoduleStructure.regular(plateau)
     rep = cohomology_dimensions(plateau, module, 3, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (3, 3, "cocycles")
+    lam_c = parse_algebra((inputs_dir / "lam_c.alg").read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(lam_c)
+    rep = cohomology_dimensions(lam_c, module, 2, TruncationWindow(1, 1))
+    assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (5, 2, "weights")
+    # e lam u = (1 + lam) v has terms of degree 0 and 1 on one action, so
+    # no weights grade this module; the algebra has no products, so every
+    # module law holds
+    zero1 = ConformalAlgebra(("e",), {})
+    module = parse_module("\n".join([
+        "kind: module", "generators: u v", "actions: left right", "left e u -> (1 + lam) * v",
+    ]), zero1)
+    assert cohomology.grading(module) is None
+    rep = cohomology_dimensions(zero1, module, 2, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.proof) == (3, 1, None)
 
 
@@ -921,11 +958,11 @@ def test_the_cocycle_ceiling_keeps_the_coboundary_slice(job, margin, max_rounds)
     module = dict(committed_modules())[name]
     algebra = module.algebra
     window = TruncationWindow(bound, margin)
-    ceiling = _cocycle_slice(algebra, module, n, bound).dim
+    ceiling = _cocycle_slice(module, n, bound).dim
     whole = slice_dimension(module, n, bound)
-    assert _coboundary_slice(
-        algebra, module, n, window, max_rounds, ceiling
-    ) == _coboundary_slice(algebra, module, n, window, max_rounds, whole)
+    assert _coboundary_slice(module, n, window, max_rounds, ceiling) == _coboundary_slice(
+        module, n, window, max_rounds, whole
+    )
 
 
 @given(st.sampled_from(PROOF_JOBS))
