@@ -1,7 +1,6 @@
 """Compare two checkouts of pseudo in one process, operation by operation.
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
-    python3 scripts/ab_inproc.py BASE CHANGE --grid
     python3 scripts/ab_inproc.py BASE CHANGE --verdicts
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
@@ -23,22 +22,15 @@ of CHANGE's operations took less time than the sum of BASE's.
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
 
-With --grid nothing is timed: every ``cohomology_dimensions`` report of
-the two packages is compared on a grid of committed inputs.  The grid
-takes the regular module of every inputs/*.alg but bad_*, of the U1 and
-U2 benchmark algebras and of every inputs/*.fda, and every inputs/*.mod
-over cur1; at n 0-3, D 0-2, margin 1-2 and max_rounds 1, 2 and 4, leaving
-out n = 3 with D >= 1 on an algebra of rank above 2 (1032 jobs).  Each
-job's Z and B rows, stabilized flag, rounds and proof, or the type and
-message of what it raised, must be the same in both.  Prints each job
-that differs, then the number of jobs and of differences, and exits 1
-on any difference.
+The cohomology answers on the committed inputs are not compared here:
+tests/grid_answers.json pins them, and tests/test_grid.py checks one
+checkout against that file.
 
-With --verdicts nothing is timed either: the results of the verdict
-routes and witness searches of the two packages are compared.  They are
-the return value of each operation of the verdict-batch workload for
-seeds 1-5 (the verdict, or the witness a search returns, polynomials as
-text), and for each search that finds a witness the verdict of
+With --verdicts nothing is timed: the results of the verdict routes and
+witness searches of the two packages are compared.  They are the return
+value of each operation of the verdict-batch workload for seeds 1-5 (the
+verdict, or the witness a search returns, polynomials as text), and for
+each search that finds a witness the verdict of
 ``equivalent_deformations`` or ``equivalent_extensions`` on that witness
 and on the witness doubled; then the full results of ``build_extension``, ``deform`` and
 ``build_abelian_extension`` on every inputs/*.coc over cur1, read against
@@ -62,7 +54,7 @@ import shutil
 import statistics
 import sys
 import tempfile
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 from random import Random
 from time import perf_counter
@@ -70,9 +62,6 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 IN_PROCESS = ("cohom-graded", "cohom-ungraded", "verdict-batch")
 INPUTS = ROOT / "inputs"
-BENCH_ALGEBRAS = [ROOT / "perfbench" / "algebras" / name for name in ("u1.alg", "u2.alg")]
-# n, D, margin and max_rounds of every grid job
-GRID = list(product(range(4), range(3), (1, 2), (1, 2, 4)))
 # the verdict-batch seeds --verdicts compares, also the seeds of its gluing data
 VERDICT_SEEDS = range(1, 6)
 # a rank-two module over cur1, glued to and from the committed ones by --verdicts
@@ -126,50 +115,6 @@ def build_ops(workloads, package, workload: str, seed: int):
         for name in [n for n in sys.modules if n.split(".")[0] == "pseudo"]:
             del sys.modules[name]
         sys.modules.update(saved)
-
-
-def grid_modules(package):
-    """(file name, module) for every input of the grid, parsed by
-    ``package``."""
-    formats, regular = package.formats, package.cfmodule.BimoduleStructure.regular
-
-    def read(path: Path) -> str:
-        return path.read_text(encoding="utf-8")
-
-    algebras = [p for p in sorted(INPUTS.glob("*.alg")) if not p.name.startswith("bad_")]
-    for path in algebras + BENCH_ALGEBRAS:
-        yield path.name, regular(formats.parse_algebra(read(path)))
-    for path in sorted(INPUTS.glob("*.fda")):
-        yield path.name, regular(formats.parse_fd_algebra(read(path)))
-    cur1 = formats.parse_algebra(read(INPUTS / "cur1.alg"))
-    for path in sorted(INPUTS.glob("*.mod")):
-        yield path.name, formats.parse_module(read(path), cur1)
-
-
-def grid_reports(package) -> dict:
-    """Job label -> what ``cohomology_dimensions`` of ``package`` gives on
-    it: the Z and B rows, flag, rounds and proof, or the type and message
-    of the exception it raised."""
-    cohomology = package.cohomology
-    reports = {}
-    for name, module in grid_modules(package):
-        for n, bound, margin, max_rounds in GRID:
-            if n == 3 and bound >= 1 and module.algebra.rank > 2:
-                continue
-            label = f"{name} H^{n} D={bound} margin={margin} max_rounds={max_rounds}"
-            window = cohomology.TruncationWindow(bound, margin)
-            try:
-                rep = cohomology.cohomology_dimensions(
-                    module.algebra, module, n, window, max_rounds
-                )
-            except Exception as exc:  # an exception is part of the answer
-                reports[label] = (type(exc).__name__, str(exc))
-            else:
-                reports[label] = tuple(
-                    (basis.ambient_dimension, dict(basis.rows))
-                    for basis in (rep.cocycles, rep.coboundaries)
-                ) + (rep.stabilized, rep.rounds, rep.proof)
-    return reports
 
 
 def rendered(value):
@@ -301,7 +246,7 @@ def gluing_data(package, sub, quotient, seed: int) -> dict:
 
 
 def differences(base: dict, change: dict) -> list[str]:
-    """The labels of the jobs whose reports differ, or that only one side ran."""
+    """The labels of the results that differ, or that only one side has."""
     return [label for label in {**base, **change} if base.get(label) != change.get(label)]
 
 
@@ -320,14 +265,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--fresh", action="store_true",
                         help="rebuild every operation, untimed, before each rep")
-    parser.add_argument("--grid", action="store_true",
-                        help="compare every report on the committed-input grid, untimed")
     parser.add_argument("--verdicts", action="store_true",
                         help="compare every verdict, witness and construction result, untimed")
     args = parser.parse_args(argv)
-    if not (args.grid or args.verdicts):
+    if not args.verdicts:
         if args.workload is None or args.reps is None:
-            parser.error("--workload and --reps are required without --grid or --verdicts")
+            parser.error("--workload and --reps are required without --verdicts")
         if args.reps < 1:
             parser.error("--reps must be at least 1")
 
@@ -338,21 +281,13 @@ def main(argv=None) -> int:
             import_copy(args.base.resolve(), "pseudo_base", Path(workdir)),
             import_copy(args.change.resolve(), "pseudo_change", Path(workdir)),
         ]
-        if args.grid or args.verdicts:
-            status = 0
-            comparisons = [("grid", "jobs", grid_reports)] if args.grid else []
-            if args.verdicts:
-                comparisons.append(
-                    ("verdicts", "results", lambda p: verdict_answers(workloads, p))
-                )
-            for name, unit, collect in comparisons:
-                base, change = (collect(p) for p in packages)
-                differing = differences(base, change)
-                for label in differing:
-                    print(f"differs: {label}")
-                print(f"{name}: {len(base)} {unit}, {len(differing)} differences")
-                status = 1 if differing else status
-            return status
+        if args.verdicts:
+            base, change = (verdict_answers(workloads, p) for p in packages)
+            differing = differences(base, change)
+            for label in differing:
+                print(f"differs: {label}")
+            print(f"verdicts: {len(base)} results, {len(differing)} differences")
+            return 1 if differing else 0
         sides = [build_ops(workloads, p, args.workload, args.seed) for p in packages]
         labels = [op.label for op in sides[0]]
         if labels != [op.label for op in sides[1]]:

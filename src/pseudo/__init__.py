@@ -29,7 +29,6 @@ from .conformal import (
     LawCounterexample,
     NonAssociativeError,
     check_associativity,
-    free_rank_one,
 )
 from .constructions import (
     AbelianExtensionDatum,
@@ -81,7 +80,6 @@ __all__ = [
     "extension_residuals",
     "find_deformation_witness",
     "find_extension_witness",
-    "free_rank_one",
     "gamma_coboundary",
     "parse_poly",
     "poly_to_str",

@@ -21,27 +21,5 @@ classical`` therefore reads HH^n(A), the center (Z^0), the derivations
 Cur A: one differential serves both theories.
 
 A itself is never stored apart from Cur A: ``formats.parse_fd_algebra``
-reads an ``.fda`` file straight into it, and `matrix_algebra` builds
-Cur M_n.
+reads an ``.fda`` file straight into it.
 """
-
-from __future__ import annotations
-
-from .conformal import PRODUCT_VARS, ConformalAlgebra
-from .polyring import Poly
-
-
-def matrix_algebra(size: int) -> ConformalAlgebra:
-    """Current algebra of the full matrix algebra M_size, on the matrix
-    units e_pq (row-major): e_pq lam e_qs = e_ps."""
-    if size < 1:
-        raise ValueError("size must be positive")
-    names = tuple(f"e{p + 1}{q + 1}" for p in range(size) for q in range(size))
-    one = Poly.const(PRODUCT_VARS, 1)
-    structure = {
-        (p * size + q, q * size + s): [(p * size + s, one)]
-        for p in range(size)
-        for q in range(size)
-        for s in range(size)
-    }
-    return ConformalAlgebra(names, structure)

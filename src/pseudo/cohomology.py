@@ -45,10 +45,11 @@ input the widening differentiates only the sources whose weight can
 reach the slice, and a last pass takes those the rounds left, so there
 the coboundary space is exact.  The widening also stops differentiating
 once B fills Z in the slice, which d after d = 0 makes exact: the rounds
-still run and count, so nothing reported moves.  `cohomology_dimensions` refuses a
-non-associative algebra (`NonAssociativeError`) and a module that breaks
-its laws (`UnfitModuleError`) before computing, reading the verdicts kept
-on them, so the guard that B lies in Z flags only a bug here.
+still run and count, so nothing reported moves.  `cohomology_dimensions`
+refuses a non-associative algebra (`NonAssociativeError`) and a module
+that breaks its laws (`UnfitModuleError`) before computing, reading the
+verdicts kept on them, so the guard that B lies in Z flags only a bug
+here.
 """
 
 from __future__ import annotations
@@ -750,6 +751,7 @@ def _coboundary_slice(
             break
         previous = filled
     if grades is not None and filled < ceiling:
+        # the weight pass, up to S: the largest degree a source reaches by
         top = max((x for degrees in reach.values() for x in degrees if x == int(x)), default=-1)
         if top > covered:
             admit(covered, int(top))

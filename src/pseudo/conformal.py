@@ -284,10 +284,3 @@ def associativity_failure(algebra: ConformalAlgebra) -> LawCounterexample | None
     on it: the one verdict every check of an algebra's fitness reads."""
     return _kept(algebra, "associativity", check_associativity)
 
-
-def free_rank_one(product: Poly | None = None, name: str = "e") -> ConformalAlgebra:
-    """Rank-one algebra with e lam e = product (default: the unit current algebra)."""
-    if product is None:
-        product = Poly.const(PRODUCT_VARS, 1)
-    structure = {(0, 0): ((0, product),)} if not product.is_zero else {}
-    return ConformalAlgebra((name,), structure)

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
-from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, ConformalAlgebra, free_rank_one
+from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, ConformalAlgebra
 from pseudo.exactla import SubspaceBasis, _span
-from pseudo.formats import parse_fd_algebra
+from pseudo.formats import parse_algebra, parse_fd_algebra, parse_module
 from pseudo.polyring import Poly, _RingMap
 
 settings.register_profile(
@@ -24,6 +23,10 @@ settings.register_profile(
 settings.load_profile("exact")
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+# U1 and U2: rank two, structure polynomials of mixed degree; U2 is
+# a lam a = a + del b
+U1_PATH = INPUTS.parent / "perfbench" / "algebras" / "u1.alg"
+U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
 
 
 def src_env() -> dict[str, str]:
@@ -39,6 +42,45 @@ def src_env() -> dict[str, str]:
 def fd_algebra(name: str) -> ConformalAlgebra:
     """The current algebra of the finite-dimensional algebra in inputs/<name>.fda."""
     return parse_fd_algebra((INPUTS / f"{name}.fda").read_text(encoding="utf-8"))
+
+
+def committed_modules():
+    """(file, module) for every committed definition: the regular module
+    of each algebra (fd algebras as their current algebras) and each
+    module file over cur1."""
+    cur1 = parse_algebra((INPUTS / "cur1.alg").read_text(encoding="utf-8"))
+    for path in sorted(INPUTS.glob("*.alg")) + [U1_PATH, U2_PATH]:
+        algebra = parse_algebra(path.read_text(encoding="utf-8"))
+        yield path.name, BimoduleStructure.regular(algebra)
+    for path in sorted(INPUTS.glob("*.fda")):
+        algebra = parse_fd_algebra(path.read_text(encoding="utf-8"))
+        yield path.name, BimoduleStructure.regular(algebra)
+    for path in sorted(INPUTS.glob("*.mod")):
+        yield path.name, parse_module(path.read_text(encoding="utf-8"), cur1)
+
+
+def free_rank_one(product: Poly | None = None) -> ConformalAlgebra:
+    """Rank-one algebra with e lam e = product (default: the unit current algebra)."""
+    if product is None:
+        product = Poly.const(PRODUCT_VARS, 1)
+    structure = {(0, 0): ((0, product),)} if not product.is_zero else {}
+    return ConformalAlgebra(("e",), structure)
+
+
+def matrix_algebra(size: int) -> ConformalAlgebra:
+    """Current algebra of the full matrix algebra M_size, on the matrix
+    units e_pq (row-major): e_pq lam e_qs = e_ps."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    names = tuple(f"e{p + 1}{q + 1}" for p in range(size) for q in range(size))
+    one = Poly.const(PRODUCT_VARS, 1)
+    structure = {
+        (p * size + q, q * size + s): [(p * size + s, one)]
+        for p in range(size)
+        for q in range(size)
+        for s in range(size)
+    }
+    return ConformalAlgebra(names, structure)
 
 
 def subspace(ambient_dimension: int, vectors) -> SubspaceBasis:

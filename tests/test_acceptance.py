@@ -20,12 +20,13 @@ from conftest import (
     check_h0_representative,
     derivation_space_dimension,
     fd_algebra,
+    free_rank_one,
     inner_derivation_space_dimension,
+    matrix_algebra,
     src_env,
     unit_cochain,
 )
 from pseudo.cfmodule import BimoduleStructure, CLinearMap
-from pseudo.classical import matrix_algebra
 from pseudo.cli import REPORT_SCHEMA
 from pseudo.cohomology import (
     Cochain,
@@ -40,7 +41,6 @@ from pseudo.conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
     check_associativity,
-    free_rank_one,
 )
 from pseudo.constructions import (
     AbelianExtensionDatum,

@@ -9,10 +9,10 @@ from conftest import (
     derivation_space_dimension,
     fd_algebra,
     inner_derivation_space_dimension,
+    matrix_algebra,
     rationals,
 )
 from pseudo.cfmodule import BimoduleStructure
-from pseudo.classical import matrix_algebra
 from pseudo.cohomology import (
     CochainIndex,
     TruncationWindow,

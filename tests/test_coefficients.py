@@ -16,10 +16,11 @@ from conftest import (
     fraction_solve,
     fraction_substitute,
     fraction_terms,
+    free_rank_one,
 )
 from pseudo.cfmodule import BimoduleStructure, check_module_axioms
 from pseudo.cohomology import Cochain, CochainIndex, _stencil, apply_dn, cochain_variables
-from pseudo.conformal import ConformalAlgebra, check_associativity, free_rank_one
+from pseudo.conformal import ConformalAlgebra, check_associativity
 from pseudo.constructions import DeformationDatum, deformation_residuals
 from pseudo.exactla import Echelon, _rows, kernel, solve_columns
 from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str

@@ -9,11 +9,15 @@ from hypothesis import given, strategies as st
 
 import pseudo.cohomology as cohomology
 from conftest import (
-    INPUTS,
+    U1_PATH,
+    U2_PATH,
     _poly_from_pairs,
     check_h0_representative,
+    committed_modules,
     fraction_rref,
     fraction_solve,
+    free_rank_one,
+    matrix_algebra,
     polys,
     rationals,
     record_images,
@@ -35,16 +39,12 @@ from pseudo.cohomology import (
     _cocycle_slice,
     _coboundary_slice,
 )
-from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, NonAssociativeError, free_rank_one
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, NonAssociativeError
 from pseudo.exactla import _SliceSpan, quotient_dimension
-from pseudo.formats import parse_algebra, parse_fd_algebra, parse_module
+from pseudo.formats import parse_algebra, parse_module
 from pseudo.polyring import Poly, _coeff, iter_monomials, parse_poly, sort_variables
 
 ONE = Poly.const(PRODUCT_VARS, 1)
-# U1 and U2: rank two, structure polynomials of mixed degree; U2 is
-# a lam a = a + del b
-U1_PATH = INPUTS.parent / "perfbench" / "algebras" / "u1.alg"
-U2_PATH = INPUTS.parent / "perfbench" / "algebras" / "u2.alg"
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
 
@@ -205,8 +205,6 @@ def test_derivation_cocycle_and_identity_obstruction(cur1, cur1_regular):
 
 @given(polys(D1, max_degree=3, max_terms=3))
 def test_d_after_d_is_zero_degree_one(p):
-    from pseudo.conformal import free_rank_one
-
     alg = free_rank_one()
     reg = BimoduleStructure.regular(alg)
     phi = Cochain(1, alg, reg, {(0,): (p,)})
@@ -215,8 +213,6 @@ def test_d_after_d_is_zero_degree_one(p):
 
 @given(polys(D2, max_degree=2, max_terms=3))
 def test_d_after_d_is_zero_degree_two(q):
-    from pseudo.conformal import free_rank_one
-
     alg = free_rank_one()
     reg = BimoduleStructure.regular(alg)
     psi = Cochain(2, alg, reg, {(0, 0): (q,)})
@@ -225,8 +221,6 @@ def test_d_after_d_is_zero_degree_two(q):
 
 @given(st.lists(rationals(), min_size=4, max_size=4))
 def test_d1_after_d0_is_zero_on_mat2(mat2_coords):
-    from pseudo.classical import matrix_algebra
-
     alg = matrix_algebra(2)
     reg = BimoduleStructure.regular(alg)
     assert apply_dn(apply_dn(zero_class(alg, reg, mat2_coords))).is_zero()
@@ -757,21 +751,6 @@ def test_coboundary_slice_differentiates_each_source_once(
     assert calls == CochainIndex(mat2, mat2_regular, 0, 0).labels
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
-
-
-def committed_modules():
-    """(file, module) for every committed definition: the regular module
-    of each algebra (fd algebras as their current algebras) and each
-    module file over cur1."""
-    cur1 = parse_algebra((INPUTS / "cur1.alg").read_text(encoding="utf-8"))
-    for path in sorted(INPUTS.glob("*.alg")) + [U1_PATH, U2_PATH]:
-        algebra = parse_algebra(path.read_text(encoding="utf-8"))
-        yield path.name, BimoduleStructure.regular(algebra)
-    for path in sorted(INPUTS.glob("*.fda")):
-        algebra = parse_fd_algebra(path.read_text(encoding="utf-8"))
-        yield path.name, BimoduleStructure.regular(algebra)
-    for path in sorted(INPUTS.glob("*.mod")):
-        yield path.name, parse_module(path.read_text(encoding="utf-8"), cur1)
 
 
 def test_grading_holds_on_every_committed_input():

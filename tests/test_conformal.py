@@ -1,11 +1,11 @@
 import pytest
 
+from conftest import free_rank_one
 from pseudo.conformal import (
     ASSOC_VARS,
     PRODUCT_VARS,
     ConformalAlgebra,
     check_associativity,
-    free_rank_one,
 )
 from pseudo.polyring import Poly, parse_poly
 

@@ -11,6 +11,7 @@ import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from conftest import (
+    free_rank_one,
     polys,
     record_images,
     reference_extension_residuals,
@@ -30,7 +31,6 @@ from pseudo.conformal import (
     ConformalAlgebra,
     NonAssociativeError,
     check_associativity,
-    free_rank_one,
 )
 from pseudo.constructions import (
     AbelianExtensionDatum,

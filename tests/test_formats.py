@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import INPUTS, polys, rationals
+from conftest import INPUTS, matrix_algebra, polys, rationals
 from pseudo.cfmodule import BimoduleStructure, CLinearMap, check_module_axioms
-from pseudo.classical import matrix_algebra
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, check_associativity
 from pseudo.formats import (

@@ -12,13 +12,14 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     INPUTS,
+    free_rank_one,
     reference_check_associativity,
     reference_check_module_axioms,
     reference_deformation_residuals,
 )
 from pseudo.cfmodule import BimoduleStructure, check_module_axioms
 from pseudo.cohomology import Cochain, cochain_variables
-from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, check_associativity, free_rank_one
+from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, check_associativity
 from pseudo.constructions import DeformationDatum, deformation_residuals
 from pseudo.formats import parse_algebra
 from pseudo.polyring import Poly, iter_monomials
