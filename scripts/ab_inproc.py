@@ -78,7 +78,7 @@ def load_workloads():
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("ab_workloads", path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
+    sys.modules[spec.name] = module  # its dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
 

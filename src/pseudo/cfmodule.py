@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .conformal import (
@@ -43,7 +42,7 @@ from .conformal import (
     _table_degree,
     _validate_structure,
 )
-from .polyring import Poly, VariableMismatchError
+from .polyring import Poly, VariableMismatchError, _frozen
 
 
 class UnfitModuleError(ValueError):
@@ -51,7 +50,7 @@ class UnfitModuleError(ValueError):
     needs: a fault of the input, not of the program."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class BimoduleStructure:
     """Module generators plus left/right action tables (either may be None).
 
@@ -66,7 +65,7 @@ class BimoduleStructure:
     generators: tuple[str, ...]
     left: Optional[StructureMap]
     right: Optional[StructureMap]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -166,7 +165,7 @@ def axiom_failure(module: BimoduleStructure) -> LawCounterexample | None:
     return _kept(module, "axioms", check_module_axioms)
 
 
-@dataclass(frozen=True)
+@_frozen
 class CLinearMap:
     """Conformal linear map between free modules, as a generator matrix.
 

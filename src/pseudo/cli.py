@@ -18,13 +18,15 @@ error, which can only be a bug.
 The JSON report always carries the keys command, inputs, truncation,
 results, residuals and version; truncation fields are null for commands
 that do not truncate.
+
+A command imports the ``cohomology`` or ``constructions`` names it calls
+when it runs, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -32,20 +34,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cfmodule import BimoduleStructure, UnfitModuleError, axiom_failure
-from .cohomology import (
-    DEFAULT_MAX_ROUNDS,
-    Cochain,
-    CochainIndex,
-    TruncationWindow,
-    cohomology_dimensions,
-)
 from .conformal import LAW_SLOTS, NonAssociativeError, associativity_failure
-from .constructions import (
-    DeformationDatum,
-    ExtensionDatum,
-    build_extension,
-    deform,
-)
 from .formats import (
     DefinitionError,
     parse_algebra,
@@ -197,10 +186,10 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _max_rounds() -> int:
+def _max_rounds(default: int) -> int:
     raw = os.environ.get("PSEUDO_MAX_MARGIN")
     if raw is None:
-        return DEFAULT_MAX_ROUNDS
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -225,8 +214,9 @@ def _residual_lines(residuals: dict, axes, targets, prefix: str = "") -> list[st
     ]
 
 
-def _render_cochain(cochain: Cochain) -> str:
-    """Canonical one-line form: 'a b -> P * m; ...' over sorted tuples."""
+def _render_cochain(cochain) -> str:
+    """A `cohomology.Cochain` in canonical one-line form: 'a b -> P * m;
+    ...' over sorted tuples."""
     module = cochain.module
     algebra = cochain.algebra
     parts = []
@@ -304,9 +294,11 @@ def _cmd_check(args, inputs: dict):
 
 
 def _cmd_cohomology(args, inputs: dict):
+    from .cohomology import DEFAULT_MAX_ROUNDS, TruncationWindow, cohomology_dimensions
+
     if args.n < 0 or args.deg < 0 or args.margin < 1:
         raise _UsageError("need --n >= 0, --deg >= 0, --margin >= 1")
-    max_rounds = _max_rounds()
+    max_rounds = _max_rounds(DEFAULT_MAX_ROUNDS)
     algebra, module, aborted = _complex_inputs(args, inputs)
     if aborted is not None:
         return aborted
@@ -328,6 +320,8 @@ def _cmd_cohomology(args, inputs: dict):
 
 
 def _cmd_derivations(args, inputs: dict):
+    from .cohomology import CochainIndex, TruncationWindow, cohomology_dimensions
+
     if args.deg < 0:
         raise _UsageError("need --deg >= 0")
     algebra, module, aborted = _complex_inputs(args, inputs)
@@ -352,6 +346,8 @@ def _cmd_derivations(args, inputs: dict):
 
 
 def _cmd_deform(args, inputs: dict):
+    from .constructions import DeformationDatum, deform
+
     algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
     cocycle_text = _read(inputs, "cocycle", args.cocycle)
     aborted = _precheck(algebra)
@@ -366,6 +362,8 @@ def _cmd_deform(args, inputs: dict):
 
 
 def _cmd_extend(args, inputs: dict):
+    from .constructions import ExtensionDatum, build_extension
+
     algebra = parse_algebra(_read(inputs, "algebra", args.algebra))
     paths = args.module or []
     if len(paths) > 2:
@@ -394,6 +392,8 @@ def _cmd_extend(args, inputs: dict):
 
 
 def _cmd_classical(args, inputs: dict):
+    from .cohomology import TruncationWindow, cohomology_dimensions
+
     if args.n < 0:
         raise _UsageError("need --n >= 0")
     if args.n > 3:
@@ -449,6 +449,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "residuals": residuals,
             "version": __version__,
         }
+        if args.json:
+            import json  # only --json pays for it
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n" if args.json
                          else _render_text(report))
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE

@@ -55,7 +55,6 @@ here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product as iter_product
 from math import comb
@@ -71,7 +70,7 @@ from .exactla import (
     quotient_dimension,
     solve_columns,
 )
-from .polyring import Poly, _RingMap, _coeff, _mul_terms, iter_monomials
+from .polyring import Poly, _RingMap, _coeff, _frozen, _mul_terms, iter_monomials
 
 
 class ComplexInconsistencyError(RuntimeError):
@@ -95,7 +94,7 @@ def cochain_variables(degree: int) -> tuple[str, ...]:
     return ("del",) + tuple(f"lam{i}" for i in range(1, degree))
 
 
-@dataclass(frozen=True)
+@_frozen
 class TruncationWindow:
     """Degree bound D for the reported slice and widening step K."""
 
@@ -109,7 +108,7 @@ class TruncationWindow:
             raise ValueError("stabilization margin must be at least 1")
 
 
-@dataclass(frozen=True)
+@_frozen
 class Cochain:
     """Alternating-free multilinear cochain given on generator tuples.
 
@@ -590,7 +589,7 @@ def _solve_grading(module: BimoduleStructure):
     return tuple(solution[:rank_a]), tuple(solution[rank_a:last]), solution[last]
 
 
-@dataclass(frozen=True)
+@_frozen
 class CohomologyReport:
     """The degree-<=D slice of Z and B at one degree n, as RREF bases in
     ``CochainIndex(algebra, module, n, D)`` coordinates; every dimension

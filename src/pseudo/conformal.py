@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .polyring import Poly, VariableMismatchError, _RingMap, _coeff
+from .polyring import Poly, VariableMismatchError, _RingMap, _coeff, _frozen
 
 # arenas: structure polynomials live in (del, lam); both sides of the
 # associativity identity live in (del, lam, mu)
@@ -82,7 +81,7 @@ def _table_degree(table: StructureMap) -> int:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConformalAlgebra:
     """Generator names plus the structure polynomial table.
 
@@ -92,7 +91,7 @@ class ConformalAlgebra:
 
     generators: tuple[str, ...]
     structure: StructureMap
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
@@ -126,7 +125,7 @@ def _kept(owner, key, derive: Callable):
     return memo[key]
 
 
-@dataclass(frozen=True)
+@_frozen
 class LawCounterexample:
     """First generator triple on which a law's two association orders differ.
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .cfmodule import (
@@ -91,12 +90,12 @@ from .cohomology import (
     cochain_variables,
 )
 from .exactla import solve_columns
-from .polyring import Poly, _RingMap, _coeff
+from .polyring import Poly, _RingMap, _coeff, _frozen
 
 DEL_ONLY = ("del",)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExtensionDatum:
     """Gluing data for a left-module extension of ``quotient`` by ``sub``.
 
@@ -447,7 +446,7 @@ def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly]
     }
 
 
-@dataclass(frozen=True)
+@_frozen
 class AbelianExtensionDatum:
     """Square-zero extension data: a bimodule and a degree-2 cochain."""
 
@@ -510,7 +509,7 @@ def build_abelian_extension(
     return extension, checker_verdict
 
 
-@dataclass(frozen=True)
+@_frozen
 class DeformationDatum:
     """First-order product perturbation, recorded as a degree-2 cochain
     over the algebra acting on itself."""

@@ -27,11 +27,10 @@ column) is what ``_SliceSpan`` reads a slice off, hence it lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .polyring import _coeff, _quotient
+from .polyring import _coeff, _frozen, _quotient
 
 
 class ContainmentError(ValueError):
@@ -132,7 +131,7 @@ def _span(rows: Iterable[dict[int, int | Fraction]]) -> dict[int, dict]:
     return dict(echelon)
 
 
-@dataclass(frozen=True)
+@_frozen
 class SubspaceBasis:
     """Subspace of Q^n held as its RREF basis rows, pivot column -> row."""
 

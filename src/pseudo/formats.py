@@ -42,7 +42,6 @@ import re
 from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, CLinearMap
-from .cohomology import Cochain, cochain_variables
 from .conformal import PRODUCT_VARS, ConformalAlgebra
 from .polyring import Poly, PolyParseError, parse_poly, variable_key
 
@@ -255,11 +254,9 @@ def _read_cochain(text: str, shape: str) -> tuple[int, int, bool, int, list[_Sta
     return int(degree), degree_line, marker == "chom", marker_line, statements
 
 
-def parse_cochain(
-    text: str, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int
-) -> Cochain:
-    """The cochain a file defines; an error at the ``degree:`` line unless
-    the file's degree is ``degree``."""
+def parse_cochain(text: str, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int):
+    """The `cohomology.Cochain` a file defines; an error at the
+    ``degree:`` line unless the file's degree is ``degree``."""
     found, degree_line, chom, marker_line, statements = _read_cochain(text, "... -> P * m")
     if chom:
         raise DefinitionError(
@@ -269,6 +266,8 @@ def parse_cochain(
         raise DefinitionError(
             f"expected a degree-{degree} cochain, found degree {found}", degree_line
         )
+    from .cohomology import Cochain, cochain_variables
+
     variables = cochain_variables(degree)
     axes = [(algebra.generators, "algebra generator")] * degree
     axes.append((module.generators, "module generator"))

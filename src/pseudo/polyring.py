@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, index
+from operator import add, attrgetter, index
 from typing import Iterable, Iterator, Mapping
 
 _FIXED_ORDER = {"del": (0, 0), "lam": (1, 0), "mu": (2, 0)}
@@ -69,6 +69,64 @@ def _quotient(num: int | Fraction, den: int | Fraction) -> int | Fraction:
         q, r = divmod(num, den)
         return Fraction(num, den) if r else q
     return _coeff(num / den)
+
+
+def _frozen(cls):
+    """Class decorator for an immutable record, built from closures, so
+    nothing is compiled at import.  The fields are the class annotations
+    in order, a class attribute of the same name being the default.
+    ``__init__`` takes them by position or keyword, then calls
+    ``__post_init__`` if the class has one; ``==``, the hash and ``repr``
+    (``Name(field=value, ...)``) read them; setting or deleting an
+    attribute raises AttributeError.  An annotated ``_memo`` is no field:
+    each instance gets a fresh dict there."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(name for name in annotations if name != "_memo")
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    key = attrgetter(*names)  # C-level reads for == and the hash
+    setter = object.__setattr__  # writing self.__dict__ would slow every later read
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        for name, value in zip(names, args):
+            setter(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                setter(self, name, kwargs.pop(name))
+            elif name in defaults:
+                setter(self, name, defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+        if "_memo" in annotations:
+            setter(self, "_memo", {})
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
 
 
 def variable_key(name: str) -> tuple[int, int]:

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudo.cli import REPORT_SCHEMA, main
 from pseudo.exactla import ContainmentError
@@ -469,14 +473,17 @@ COHOMOLOGY_ARGV = ("cohomology", path("cur1.alg"), "--n", "1", "--deg", "1")
 EXTEND_ARGV = ("extend", path("cur1.alg"), "--cocycle", path("gamma_lam.coc"))
 
 
+# each command imports the library names it calls when it runs, so a
+# patch on their home module reaches it
 @pytest.mark.parametrize(
     "target, argv, error",
     [
-        ("cohomology_dimensions", COHOMOLOGY_ARGV, VariableMismatchError("variables differ")),
-        ("cohomology_dimensions", COHOMOLOGY_ARGV, ContainmentError("not a subspace")),
-        ("cohomology_dimensions", COHOMOLOGY_ARGV, KeyError("missing")),
+        ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV,
+         VariableMismatchError("variables differ")),
+        ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV, ContainmentError("not a subspace")),
+        ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV, KeyError("missing")),
         # only UnfitModuleError marks a datum's module as bad input
-        ("ExtensionDatum", EXTEND_ARGV, ValueError("gamma index 7 out of range")),
+        ("constructions.ExtensionDatum", EXTEND_ARGV, ValueError("gamma index 7 out of range")),
     ],
     ids=["VariableMismatchError", "ContainmentError", "KeyError", "ExtensionDatum-ValueError"],
 )
@@ -486,7 +493,7 @@ def test_internal_errors_exit_3(monkeypatch, capsys, target, argv, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.setattr(f"pseudo.{target}", broken)
     code = cli.main(list(argv))
     assert code == 3
     captured = capsys.readouterr()
@@ -514,3 +521,65 @@ def test_deform_checks_its_algebra_once(monkeypatch, capsys):
     assert cli.main(["deform", "inputs/cur1.alg", "--cocycle", "inputs/f_const.coc"]) == 0
     assert "first_order_associative: PASS" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+# a committed input as tokens: whitespace, an arrow, a word or number, or
+# any other single character; a mutation inserts, replaces or deletes one
+TOKEN = re.compile(r"\s+|->|\w+|\S")
+INPUT_TEXTS = {path.name: path.read_text(encoding="utf-8") for path in sorted(INPUTS.iterdir())}
+TOKEN_POOL = sorted({token for text in INPUT_TEXTS.values() for token in TOKEN.findall(text)})
+
+
+def _inputs(suffix: str) -> list[str]:
+    return [name for name in INPUT_TEXTS if name.endswith(suffix)]
+
+
+def _mutated(data, name: str) -> str:
+    tokens = TOKEN.findall(INPUT_TEXTS[name])
+    for _ in range(data.draw(st.integers(0, 3), label=f"{name} mutations")):
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete")), label="edit")
+        at = data.draw(st.integers(0, len(tokens)), label="at")
+        token = data.draw(st.sampled_from(TOKEN_POOL), label="token")
+        if edit == "insert" or not tokens:
+            tokens.insert(at, token)
+        elif edit == "replace":
+            tokens[at % len(tokens)] = token
+        else:
+            del tokens[at % len(tokens)]
+    return "".join(tokens)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_mutated_inputs_exit_0_1_or_2(tmp_path_factory, data):
+    """Token-level mutations of the committed inputs, across the six
+    subcommands: bad input exits 1, and nothing is reported as a bug."""
+    command = data.draw(st.sampled_from(
+        ("check", "cohomology", "derivations", "deform", "extend", "classical")
+    ), label="command")
+    names = [data.draw(st.sampled_from(_inputs(".fda" if command == "classical" else ".alg")),
+                       label="algebra")]
+    options = []
+    if command in ("check", "cohomology", "derivations", "extend"):
+        modules = data.draw(st.lists(st.sampled_from(_inputs(".mod")),
+                                     max_size=2 if command == "extend" else 1), label="modules")
+        names += modules
+        options += [opt for name in modules for opt in ("--module", name)]
+    if command in ("deform", "extend"):
+        names.append(data.draw(st.sampled_from(_inputs(".coc")), label="cocycle"))
+        options += ["--cocycle", names[-1]]
+    if command in ("cohomology", "classical"):
+        options += ["--n", str(data.draw(st.integers(-1, 3 if command == "classical" else 2)))]
+    if command in ("cohomology", "derivations"):
+        options += ["--deg", str(data.draw(st.integers(-1, 1)))]
+    folder = tmp_path_factory.getbasetemp() / "mutated"  # one folder, rewritten per draw
+    folder.mkdir(exist_ok=True)
+    for name in dict.fromkeys(names):
+        (folder / name).write_text(_mutated(data, name), encoding="utf-8")
+    argv = [command, names[0], *options]
+    argv = [str(folder / arg) if arg in INPUT_TEXTS else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "internal inconsistency" not in err.getvalue()

@@ -3,10 +3,13 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import pseudo
+from conftest import src_env
 from pseudo.polyring import _RingMap
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,3 +213,53 @@ def test_no_module_global_keeps_a_ring_map_or_images():
     grown = [where for where, value in state
              if isinstance(value, (dict, list, set)) and len(value) != sizes.get(where)]
     assert grown == []
+
+
+# run in a fresh interpreter: pytest itself has loaded the whole package
+# and the standard modules whose absence is checked
+STARTUP_PROBE = """
+import sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "pseudo")
+
+import pseudo
+package = loaded()
+listed = sorted(set(pseudo.__all__) - set(dir(pseudo)))
+import pseudo.cli
+cli = loaded()
+stdlib = sorted({"dataclasses", "inspect", "json"} & set(sys.modules))
+pseudo.cli.main(["check", "inputs/mat2.alg"])
+check = loaded()
+homes = [name for name in pseudo.__all__[1:]
+         if getattr(pseudo, name) is not getattr(sys.modules[getattr(pseudo, name).__module__], name)]
+try:
+    pseudo.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(repr((package, cli, stdlib, check, homes, listed, unknown)))
+"""
+
+
+def test_startup_loads_only_what_the_command_runs():
+    """``import pseudo`` loads no module of the package; ``pseudo.cli``
+    loads the four every command runs and none of ``dataclasses``,
+    ``inspect`` or ``json``; ``check`` loads no cohomology, construction
+    or elimination; and every public name resolves, on first use, to the
+    object in its home module."""
+    result = subprocess.run([sys.executable, "-c", STARTUP_PROBE], capture_output=True,
+                            text=True, env=src_env(), cwd=ROOT, timeout=60)
+    assert result.returncode == 0, result.stderr
+    package, cli, stdlib, check, homes, listed, unknown = ast.literal_eval(
+        result.stdout.splitlines()[-1]
+    )
+    assert package == ["pseudo"]
+    assert cli == ["pseudo", "pseudo.cfmodule", "pseudo.cli", "pseudo.conformal",
+                   "pseudo.formats", "pseudo.polyring"]
+    assert stdlib == []
+    assert check == cli
+    # each public name is listed once, in the table __all__ is built from
+    listings = sum(len(names.split()) for names in pseudo._PUBLIC.values())
+    assert listings == len(pseudo.__all__) - 1
+    assert (homes, listed, unknown) == ([], [], "AttributeError")
