@@ -12,9 +12,9 @@ exact polynomial identity in (del, lam, mu) on generator triples.  Every
 law composes two tables the way associativity does, so it shares the law
 kernel with `check_associativity`: `conformal._law_tables` moves each
 law's four tables into raw term maps through the four law maps of
-`conformal._law_maps`, built once per call and shared by all three laws,
-and `conformal._first_failure` sums each triple's residual from them
-without building a `Poly` per term.
+`conformal._LAW_MAPS`, built once per process and shared by all three
+laws and every call, and `conformal._first_failure` sums each triple's
+residual from them without building a `Poly` per term.
 
 A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
@@ -37,7 +37,6 @@ from .conformal import (
     StructureMap,
     _first_failure,
     _kept,
-    _law_maps,
     _law_tables,
     _table_degree,
     _validate_structure,
@@ -147,12 +146,14 @@ def check_module_axioms(module: BimoduleStructure) -> LawCounterexample | None:
         # a_i lam (u_t mu a_j)  vs  (a_i lam u_t) (lam+mu) a_j
         ("compat", module.has_left and module.has_right, (L, R, R, L)),
     )
-    maps = _law_maps()  # one set for all three laws: a monomial is expanded once per map
+    # every law reads the same four process-wide law maps, so a monomial
+    # any table shares with another, or with an earlier call, is expanded
+    # once per map
     for law, applies, tables in laws:
         if not applies:
             continue
         triples = itertools.product(*(range(sizes[slot]) for slot in LAW_SLOTS[law]))
-        failure = _first_failure(_law_tables(*tables, maps), triples, module.rank)
+        failure = _first_failure(_law_tables(*tables), triples, module.rank)
         if failure is not None:
             triple, left_nested, right_nested = failure
             return LawCounterexample(law, triple, right_nested, left_nested)

@@ -20,15 +20,19 @@ associativity of the algebra (`conformal.associativity_failure`) and
 the axiom verdict of a module (`cfmodule.axiom_failure`), which also
 tells whether the module breaks its left law, the law it checks first.
 A non-associative algebra raises `NonAssociativeError`.  The checks that
-are routes of a verdict run every time and keep nothing across calls:
-the associativity checker on the algebra `build_abelian_extension`
-assembles, `check_module_axioms` on the module `build_extension` glues,
-and the cochain differential in `deform` and `build_abelian_extension`.
-That differential's verdict is read off the stencil's raw sums
-(`cohomology._differential_equals`), with no cochain built; the stencil
-is the one kept on the module, with the slot images that earlier calls
-on the module formed: the images are part of the compiled d, not a
-verdict.
+are routes of a verdict run every time and keep nothing on an object
+across calls: the associativity checker on the algebra
+`build_abelian_extension` assembles, `check_module_axioms` on the module
+`build_extension` glues, and the cochain differential in `deform` and
+`build_abelian_extension`.  That differential's verdict is read off the
+stencil's raw sums (`cohomology._differential_equals`), with no cochain
+built; the stencil is the one kept on the module, with the slot images
+that earlier calls on the module formed: the images are part of the
+compiled d, not a verdict.  Likewise the ring maps that depend on no
+input (the law maps, the Chom maps and `_SHIFT`) are module constants,
+built once per process; each keeps the image of every monomial it has
+moved, keyed by the monomial's exponents alone, so that memo is bounded
+by the degrees of the tables read, not by the number of calls.
 
 Both witness searches are one exact solve, `exactla.solve_columns`, on
 columns keyed by the terms they produce: the coboundary terms of each
@@ -74,6 +78,7 @@ from .conformal import (
     NonAssociativeError,
     _DEL,
     _LAM,
+    _LAW_MAPS,
     _MU,
     _finish,
     _law_maps,
@@ -131,16 +136,21 @@ class ExtensionDatum:
         object.__setattr__(self, "gamma", clean)
 
 
-# the four maps of the Chom differential, each binding a table over (del,
-# lam): an entry at the outer variable; a map or an inner action at mu -
-# lam, its del riding on the outer lam; the product a_i lam a_j, whose del
-# turns into -mu since gamma of it acts with the total variable; and gamma
-# of that product at the total variable mu
-_CHOM_MAPS = (
-    {"lam": _LAM, "del": _DEL},
-    {"lam": _MU - _LAM, "del": _LAM + _DEL},
-    {"lam": _LAM, "del": -_MU},
-    {"lam": _MU, "del": _DEL},
+# the four ring maps of the Chom differential, built once per process,
+# each moving a table over (del, lam): an entry at the outer variable; a
+# map or an inner action at mu - lam, its del riding on the outer lam; the
+# product a_i lam a_j, whose del turns into -mu since gamma of it acts
+# with the total variable; and gamma of that product at the total
+# variable mu.  They are the law kernel's maps in nothing but bindings,
+# so the two routes of an extension verdict share no image
+_CHOM_MAPS = tuple(
+    _RingMap(PRODUCT_VARS, bindings)
+    for bindings in (
+        {"lam": _LAM, "del": _DEL},
+        {"lam": _MU - _LAM, "del": _LAM + _DEL},
+        {"lam": _LAM, "del": -_MU},
+        {"lam": _MU, "del": _DEL},
+    )
 )
 
 
@@ -156,13 +166,15 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     f_lam (a_{mu-lam} n).  Key (i, j, t, s): generators a_i (outer,
     variable lam) and a_j (inner, variable mu - lam) acting on quotient
     generator t, read off the coefficient of sub generator s.  Every
-    gamma, action and product entry is moved once per call by each of the
-    four maps of `_CHOM_MAPS` it meets, and the products are summed raw
-    into one accumulator, normalized once, as `_coboundary_terms` sums
-    d0.  Empty dict means gamma is a cocycle.
+    gamma, action and product entry is moved by each of the four maps of
+    `_CHOM_MAPS` it meets, built once per process, so each distinct
+    monomial is expanded once per map however many entries and calls
+    share it; the products are summed raw into one accumulator,
+    normalized once, as `_coboundary_terms` sums d0.  Empty dict means
+    gamma is a cocycle.
     """
     algebra, gamma = datum.algebra, datum.gamma
-    outer, shifted, product, total = (_RingMap(PRODUCT_VARS, b) for b in _CHOM_MAPS)
+    outer, shifted, product, total = _CHOM_MAPS
     # gamma_l's raw terms, by l: at lam as k -> ((s, terms), ...), at mu -
     # lam as ((t, k, terms), ...) and at mu as ((t, s, terms), ...)
     g_shifted, g_outer, g_total = {}, {}, {}
@@ -215,24 +227,25 @@ def _add_chom_terms(acc: dict, key: tuple, first, second, sign: int) -> None:
             acc[k] = acc[k] + c if k in acc else c
 
 
-# a . B(n) moves B's del onto the action's total variable
-_SHIFT = {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+# a . B(n) moves B's del onto the action's total variable: the ring map
+# del -> lam + del, built once per process
+_SHIFT = _RingMap(
+    PRODUCT_VARS, {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+)
 
 
-def _coboundary_terms(
-    sub: BimoduleStructure, quotient: BimoduleStructure, entries, shift: _RingMap
-) -> dict:
+def _coboundary_terms(sub: BimoduleStructure, quotient: BimoduleStructure, entries) -> dict:
     """The coboundary a |-> a . B(n) - B(a . n) of the B whose nonzero
     entries are ``entries``, ((t, k), B_tk) with B_tk a polynomial in del
     read over (del, lam), as its nonzero coefficients keyed (i, t, s,
-    exponent), as `_family_terms` keys a family.  ``shift`` is the ring
-    map of `_SHIFT`, built once per call by the caller.  Products are
-    summed raw and normalized once: no `Poly` or `CLinearMap` of the
-    coboundary is built."""
+    exponent), as `_family_terms` keys a family.  Each B_tk is moved by
+    `_SHIFT`, so a power of del is expanded once per process however many
+    calls and columns share it.  Products are summed raw and normalized
+    once: no `Poly` or `CLinearMap` of the coboundary is built."""
     moved = []  # (t, k, raw terms of B_tk(lam + del))
     rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
     for (t, k), poly in entries:
-        moved.append((t, k, shift.raw(poly).items()))
+        moved.append((t, k, _SHIFT.raw(poly).items()))
         rows.setdefault(t, []).append((k, poly.terms.items()))
     acc: dict = {}
     for i in range(sub.algebra.rank):
@@ -321,9 +334,8 @@ def gamma_coboundary(
         if not poly.is_zero:
             entries.append(((t, k), poly.embed(PRODUCT_VARS)))
     entries.sort()
-    shift = _RingMap(PRODUCT_VARS, _SHIFT)
     matrices: dict[int, dict] = {}
-    for (i, t, s, exp), c in _coboundary_terms(sub, quotient, entries, shift).items():
+    for (i, t, s, exp), c in _coboundary_terms(sub, quotient, entries).items():
         matrices.setdefault(i, {}).setdefault((t, s), {})[exp] = c
     return {
         i: CLinearMap(
@@ -367,11 +379,8 @@ def find_extension_witness(
         for k in range(sub.rank)
         for e in range(max_degree + 1)
     ]
-    shift = _RingMap(PRODUCT_VARS, _SHIFT)
     monomials = [Poly.monomial(PRODUCT_VARS, (e, 0)) for e in range(max_degree + 1)]
-    columns = [
-        _coboundary_terms(sub, quotient, [((t, k), monomials[e])], shift) for t, k, e in unknowns
-    ]
+    columns = [_coboundary_terms(sub, quotient, [((t, k), monomials[e])]) for t, k, e in unknowns]
     target = _family_terms(gamma_diff)
     coords = solve_columns(columns, target)
     if coords is None:
@@ -382,7 +391,7 @@ def find_extension_witness(
             found.setdefault((t, k), {})[(e,)] = _coeff(c)
     witness = {key: Poly._raw(DEL_ONLY, terms) for key, terms in found.items()}
     entries = [(key, poly.embed(PRODUCT_VARS)) for key, poly in witness.items()]
-    if _coboundary_terms(sub, quotient, entries, shift) != target:
+    if _coboundary_terms(sub, quotient, entries) != target:
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness
 
@@ -528,6 +537,14 @@ class DeformationDatum:
             raise NonAssociativeError("base algebra is not associative")
 
 
+# the law maps of a degree-2 twist F read over its own (del, lam1), and
+# the four maps of each placement of F in the product P + eps F: F in the
+# second product (P then F), or in the first (F then P)
+_TWIST_MAPS = _law_maps(cochain_variables(2))
+_PF_MAPS = (_LAW_MAPS[0], _TWIST_MAPS[1], _LAW_MAPS[2], _TWIST_MAPS[3])
+_FP_MAPS = (_TWIST_MAPS[0], _LAW_MAPS[1], _TWIST_MAPS[2], _LAW_MAPS[3])
+
+
 def deformation_residuals(
     datum: DeformationDatum,
 ) -> dict[tuple[int, int, int, int], Poly]:
@@ -536,16 +553,18 @@ def deformation_residuals(
     Key (a, b, c, s): the coefficient of generator s in the degree-one
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
-    the two products: P and F are each moved by all four law maps once per
-    call (`_law_maps`, `_law_tables`), F straight from its own (del,
-    lam1), and `_law_sides` adds both placements of F, left orders minus
-    right orders, into one accumulator of raw sums per triple, which
-    `_finish` reads once.  Empty dict means the perturbation is flat to first order.
+    the two products: P and F are each moved by all four law maps
+    (`_law_tables`), P by the checkers' `_LAW_MAPS` and F straight from
+    its own (del, lam1) by `_TWIST_MAPS`, all built once per process, so
+    a monomial is expanded once per map however many calls read it; and
+    `_law_sides` adds both placements of F, left orders minus right
+    orders, into one accumulator of raw sums per triple, which `_finish`
+    reads once.  Empty dict means the perturbation is flat to first order.
     """
     n, products = datum.algebra.rank, datum.algebra.structure
-    twist, twist_vars = _cochain_entries(datum.cocycle), cochain_variables(2)
-    pf = _law_tables(products, twist, products, twist, _law_maps((PRODUCT_VARS, twist_vars) * 2))
-    fp = _law_tables(twist, products, twist, products, _law_maps((twist_vars, PRODUCT_VARS) * 2))
+    twist = _cochain_entries(datum.cocycle)
+    pf = _law_tables(products, twist, products, twist, _PF_MAPS)
+    fp = _law_tables(twist, products, twist, products, _FP_MAPS)
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
         acc: dict = {}

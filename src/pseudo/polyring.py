@@ -366,8 +366,10 @@ class _RingMap:
     checked here once, and the map keeps the power tables of each image
     and the image of every monomial it has moved, for as long as the map
     itself lives.  A caller that moves a whole table builds one map for
-    it, so a monomial shared by many entries is expanded once; one that
-    sums the images further takes them unnormalized from ``raw``.
+    it, so a monomial shared by many entries is expanded once, and a map
+    whose bindings depend on no input is a module constant, so it expands
+    a monomial once per process; a caller that sums the images further
+    takes them unnormalized from ``raw``.
     Applying it to a polynomial over other variables raises
     VariableMismatchError.
     """

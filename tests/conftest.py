@@ -7,6 +7,8 @@ from typing import Sequence
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import pseudo.conformal as conformal
+import pseudo.constructions as constructions
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import Cochain, cochain_variables
 from pseudo.conformal import ASSOC_VARS, PRODUCT_VARS, ConformalAlgebra
@@ -470,6 +472,26 @@ def record_images(monkeypatch) -> list:
         _RingMap, "_form", lambda ring, exp: formed.append((ring, exp)) or original(ring, exp)
     )
     return formed
+
+
+def constant_ring_maps() -> dict:
+    """The ring maps built once per process, by the module constant that
+    holds them."""
+    groups = {"conformal._LAW_MAPS": conformal._LAW_MAPS,
+              "constructions._TWIST_MAPS": constructions._TWIST_MAPS,
+              "constructions._CHOM_MAPS": constructions._CHOM_MAPS}
+    maps = {f"{name}[{i}]": ring for name, group in groups.items() for i, ring in enumerate(group)}
+    maps["constructions._SHIFT"] = constructions._SHIFT
+    return maps
+
+
+def cold_images(monkeypatch) -> dict:
+    """Give every constant ring map an empty image memo for the rest of
+    the test, as a fresh process has it; the maps by name."""
+    maps = constant_ring_maps()
+    for ring in maps.values():
+        monkeypatch.setattr(ring, "_images", {})
+    return maps
 
 
 def table_monomials(*tables) -> set:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import INPUTS, record_images, table_monomials
+from conftest import INPUTS, cold_images, record_images, table_monomials
 from pseudo.cfmodule import (
     BimoduleStructure,
     CLinearMap,
@@ -40,26 +40,36 @@ def _entries(table) -> int:
     return sum(len(entries) for entries in table.values())
 
 
-def test_checkers_substitute_each_table_entry_once_per_map(monkeypatch, mat2):
-    # each of the four law maps is one ring map per call, shared by every
-    # law the call checks, and it expands each distinct monomial of the
-    # tables it moves at most once, not once per entry, triple or law
-    u2 = parse_algebra(U2_PATH.read_text(encoding="utf-8"))
-    for algebra in (mat2, u2):
+def test_checkers_substitute_each_table_entry_once_per_map(monkeypatch):
+    # the four law maps are built once per process and shared by every law
+    # and call: from cold images, a call expands each distinct monomial of
+    # the tables it moves at most once per map, not once per entry, triple
+    # or law, and the same call on fresh, equal objects expands none
+    formed = record_images(monkeypatch)
+    for path in (INPUTS / "mat2.alg", U2_PATH):
+        text = path.read_text(encoding="utf-8")
+        algebra, twin = parse_algebra(text), parse_algebra(text)
         reg = BimoduleStructure.regular(algebra)
-        formed = record_images(monkeypatch)
+        cold_images(monkeypatch)
+        formed.clear()
         assert check_associativity(algebra) is None
         monomials = len(table_monomials(algebra.structure))
         assert len(set(formed)) == len(formed)
         assert len({ring for ring, _ in formed}) <= 4
-        assert 0 < len(formed) <= 4 * monomials <= 4 * _entries(algebra.structure)
+        assert 0 < len(set(formed)) <= 4 * monomials <= 4 * _entries(algebra.structure)
         formed.clear()
+        assert check_associativity(twin) is None
+        assert formed == []
+        cold_images(monkeypatch)
         assert check_module_axioms(reg) is None
         read = _entries(algebra.structure) + _entries(reg.left) + _entries(reg.right)
         monomials = len(table_monomials(algebra.structure, reg.left, reg.right))
         assert len(set(formed)) == len(formed)
         assert len({ring for ring, _ in formed}) <= 4
-        assert 0 < len(formed) <= 4 * monomials <= 4 * read
+        assert 0 < len(set(formed)) <= 4 * monomials <= 4 * read
+        formed.clear()
+        assert check_module_axioms(BimoduleStructure.regular(twin)) is None
+        assert formed == []
 
 
 def test_law_kernel_builds_no_poly_per_term(monkeypatch):

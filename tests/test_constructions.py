@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import inspect
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from conftest import (
+    cold_images,
     free_rank_one,
     polys,
     record_images,
@@ -198,16 +200,23 @@ def test_one_abelian_datum_built_twice_checks_its_assembly_twice(cur1, cur1_regu
     assert len(calls) == 2 and calls[0][0] is first and calls[1][0] is second
 
 
-def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regular, monkeypatch):
+def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regular, inputs_dir,
+                                                               monkeypatch):
     # gamma is moved by the outer, shifted and total-variable maps, the
     # sub and quotient actions by the outer and the shifted one and the
-    # product table by its own: four ring maps per call, each expanding a
-    # distinct monomial of what it moves at most once
+    # product table by its own: the four Chom maps, built once per
+    # process; from cold images each expands a distinct monomial of what
+    # it moves at most once, and a call on fresh, equal data expands none
     b_matrix = {(t, k): parse_poly("del + 1", DEL) for t in range(4) for k in range(4)}
     gamma = gamma_coboundary(mat2_regular, mat2_regular, b_matrix)
     datum = ExtensionDatum(mat2, mat2_regular, mat2_regular, gamma)
+    twin = parse_algebra((inputs_dir / "mat2.alg").read_text(encoding="utf-8"))
+    twin_module = BimoduleStructure.regular(twin)
+    twin_datum = ExtensionDatum(twin, twin_module, twin_module,
+                                gamma_coboundary(twin_module, twin_module, b_matrix))
     gamma_entries = sum(len(gmap.matrix) for gmap in gamma.values())
     assert gamma_entries == 48
+    cold_images(monkeypatch)
     formed = record_images(monkeypatch)
     assert extension_residuals(datum) == {}
     table = sum(len(entries) for entries in mat2.structure.values())
@@ -216,7 +225,10 @@ def test_extension_residuals_substitute_each_entry_once_per_map(mat2, mat2_regul
     bound = 3 * gamma_monomials + 3 * len(table_monomials(mat2.structure))
     assert len(set(formed)) == len(formed)
     assert len({ring for ring, _ in formed}) <= 4
-    assert 0 < len(formed) <= bound < 3 * gamma_entries + 3 * table
+    assert 0 < len(set(formed)) <= bound < 3 * gamma_entries + 3 * table
+    formed.clear()
+    assert extension_residuals(twin_datum) == {}
+    assert formed == []
 
 
 def test_extension_residuals_oracles(cur1, cur1_regular):
@@ -761,3 +773,56 @@ def test_witnesses_are_pinned(cur1, cur1_regular, mat2, mat2_regular):
     found = [entry[2] is not None for entry in rendered]
     assert any(found) and not all(found) and above
     assert hashlib.sha256(repr(rendered).encode()).hexdigest() == WITNESS_DIGEST
+
+
+def _verdict_sequence(inputs_dir) -> tuple[list, int]:
+    """Deformations, abelian extensions, module extensions and both witness
+    searches, each flat and obstructed, on freshly read cur1 and mat2: what
+    they answer, and the largest degree among the tables they read."""
+    answers, degrees = [], []
+    for name in ("cur1.alg", "mat2.alg"):
+        algebra = parse_algebra((inputs_dir / name).read_text(encoding="utf-8"))
+        module = BimoduleStructure.regular(algebra)
+        gens = module.generators
+        rank = module.rank
+        g = {(0,): (parse_poly("del^2 - del", D1),) * rank}
+        flat = apply_dn(Cochain(1, algebra, module, g))
+        bent = flat + Cochain(2, algebra, module, {(0, 0): (parse_poly("-2*lam1", D2),) * rank})
+        zero = DeformationDatum(algebra, Cochain.zero(algebra, module, 2))
+        coboundary = gamma_coboundary(module, module, {(0, 0): parse_poly("3*del", DEL)})
+        kick = {0: CLinearMap(gens, gens, {(0, 0): Poly.const(PRODUCT_VARS, -2)})}
+        unglued = ExtensionDatum(algebra, module, module, {})
+        for cochain in (flat, bent):
+            residuals, verdict = deform(DeformationDatum(algebra, cochain))
+            abelian = AbelianExtensionDatum(algebra, module, cochain)
+            _, associative = build_abelian_extension(abelian)
+            witness = search_deformation_witness(DeformationDatum(algebra, cochain), zero, 2)
+            answers.append((verdict, associative, _rendered(residuals), _rendered_witness(witness)))
+        for gamma in (coboundary, kick):
+            datum = ExtensionDatum(algebra, module, module, gamma)
+            _, verdict, residuals = build_extension(datum)
+            witness = search_extension_witness(datum, unglued, 2)
+            answers.append((verdict, _rendered(residuals), _rendered_witness(witness)))
+        degrees += [algebra.structure_degree(), _top_degree(flat), _top_degree(bent), 2]
+        degrees += [p.total_degree() or 0 for gamma in (coboundary, kick)
+                    for gmap in gamma.values() for p in gmap.matrix.values()]
+    return answers, max(degrees)
+
+
+def test_shared_ring_map_images_stay_correct_and_bounded(inputs_dir, monkeypatch):
+    """The constant ring maps' images are shared by every call of the
+    process: running the same verdicts and searches again on fresh objects
+    gives the same answers and leaves every image as it was, so no caller
+    changed one, and no image is keyed by a monomial of higher degree than
+    the tables the calls read (the witness searches read the del powers
+    of their unknowns up to their bound)."""
+    maps = cold_images(monkeypatch)
+    answers, top = _verdict_sequence(inputs_dir)
+    assert [a[0] for a in answers] == [True, False, True, False] * 2
+    assert [a[-1] is None for a in answers] == [False, True, False, True] * 2
+    before = {name: copy.deepcopy(ring._images) for name, ring in maps.items()}
+    assert all(before.values())
+    assert _verdict_sequence(inputs_dir) == (answers, top)
+    assert {name: ring._images for name, ring in maps.items()} == before
+    assert [(name, exp) for name, ring in maps.items() for exp in ring._images
+            if sum(exp) > top] == []

@@ -9,7 +9,8 @@ from collections import defaultdict
 from pathlib import Path
 
 import pseudo
-from conftest import src_env
+from conftest import constant_ring_maps, src_env
+from pseudo.cohomology import _Stencil
 from pseudo.polyring import _RingMap
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,7 +182,8 @@ def _package_state():
 
 def _derive_everything():
     """Checkers, the differential, a cohomology slice, a deformation and an
-    extension with its witness search, all on objects made here."""
+    extension with its witness search, all on objects made here; the
+    module they share."""
     from pseudo import (BimoduleStructure, Cochain, DeformationDatum, ExtensionDatum,
                         TruncationWindow, build_extension, check_associativity,
                         check_module_axioms, cohomology_dimensions, deform,
@@ -198,21 +200,38 @@ def _derive_everything():
     gamma = gamma_coboundary(module, module, {(0, 1): one, (2, 3): one})
     build_extension(ExtensionDatum(algebra, module, module, gamma))
     find_extension_witness(module, module, gamma, 1)
+    return module
 
 
-def test_no_module_global_keeps_a_ring_map_or_images():
-    """Ring maps and slot images live on the object they were derived
-    from: no module global or class attribute is or holds a ring map,
-    and none grows when equal but fresh objects derive it all again."""
+def test_only_the_named_constants_keep_ring_maps_across_calls(monkeypatch):
+    """The ring maps that depend on no input are module constants, built
+    once per process, and are the only module-level ring maps; every other
+    one is built for a call or kept on the object it was derived from.
+    When equal but fresh objects derive it all again, no ring map is built
+    but the stencil maps of their fresh module, and no module global,
+    class attribute or constant map's image memo grows."""
     _derive_everything()
     sizes = {where: len(value) for where, value in _package_state()
              if isinstance(value, (dict, list, set))}
-    _derive_everything()
+    images = {name: len(ring._images) for name, ring in constant_ring_maps().items()}
+    built = []
+    original = _RingMap.__init__
+    monkeypatch.setattr(_RingMap, "__init__",
+                        lambda ring, *args: built.append(ring) or original(ring, *args))
+    module = _derive_everything()
+    derived = len(built)
+    built.clear()
+    for key in module._memo:
+        if isinstance(key, tuple) and key[0] == "stencil":
+            _Stencil(module, key[1])
+    assert derived == len(built) > 0
     state = list(_package_state())
-    assert [where for where, value in state if isinstance(value, _RingMap)] == []
+    assert {id(value) for _, value in state if isinstance(value, _RingMap)} \
+        == {id(ring) for ring in constant_ring_maps().values()}
     grown = [where for where, value in state
              if isinstance(value, (dict, list, set)) and len(value) != sizes.get(where)]
     assert grown == []
+    assert {name: len(ring._images) for name, ring in constant_ring_maps().items()} == images
 
 
 # run in a fresh interpreter: pytest itself has loaded the whole package
