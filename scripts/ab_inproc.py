@@ -16,8 +16,10 @@ rep, so no rep reuses what an earlier one kept on its algebra or module
 objects: the timings are then those of a one-shot run, and a gain that
 shows without the flag but not with it comes from what is kept.  Prints the
 median milliseconds of each operation for both, their sums and the
-ratio CHANGE / BASE, then, as its last line, in how many reps the sum
-of CHANGE's operations took less time than the sum of BASE's.
+ratio CHANGE / BASE, then the median of those ratios over the operations
+of each kind (the label up to its ``#``, so verdict-batch's 158
+operations fall into 16 kinds), then, as its last line, in how many reps
+the sum of CHANGE's operations took less time than the sum of BASE's.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -250,6 +252,15 @@ def differences(base: dict, change: dict) -> list[str]:
     return [label for label in {**base, **change} if base.get(label) != change.get(label)]
 
 
+def kind_ratios(labels, base, change) -> dict[str, float]:
+    """Operation kind (the label up to its ``#``) -> the median ratio
+    change / base over the operations of that kind, in first-seen order."""
+    ratios: dict[str, list[float]] = {}
+    for label, b, c in zip(labels, base, change):
+        ratios.setdefault(label.split("#")[0].strip(), []).append(c / b)
+    return {kind: statistics.median(r) for kind, r in ratios.items()}
+
+
 def timed(op) -> float:
     started = perf_counter()
     op.run()
@@ -318,6 +329,11 @@ def main(argv=None) -> int:
     total_base, total_change = sum(medians[0]), sum(medians[1])
     print(f"{'sum of medians':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
           f"{total_change / total_base:5.3f}")
+    kinds = kind_ratios(labels, *medians)
+    width = max(len(kind) for kind in kinds)
+    print(f"{'kind':<{width}}  median ratio")
+    for kind, ratio in kinds.items():
+        print(f"{kind:<{width}}  {ratio:12.3f}")
     base_reps, change_reps = ([sum(rep) for rep in zip(*side)] for side in times)
     wins = sum(change < base for base, change in zip(base_reps, change_reps))
     print(f"change faster in {wins} of {args.reps} reps")

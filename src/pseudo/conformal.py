@@ -13,11 +13,13 @@ argument's coefficient turns into lam + del.  Associativity
 
 is then a polynomial identity in lam, mu, del for every generator triple,
 which `check_associativity` verifies exactly.  The module laws in
-`cfmodule` have the same shape, so both checkers share one kernel:
-`_law_tables` moves each table a law reads into raw term maps over
-(del, lam, mu), through the four law maps of `_LAW_MAPS`, one ring map
-each, built once per process and shared by every law and every call, so
-a monomial's image under each map is formed once per process, and
+`cfmodule` have the same shape, and so does the first-order part of a
+deformed product in `constructions`, whose twist is read as one more
+structure table, so all of them share one kernel: `_law_tables` moves
+each table a law reads into raw term maps over (del, lam, mu), through
+the four law maps of `_LAW_MAPS`, one ring map each, built once per
+process and shared by every law, table and call, so a monomial's image
+under each map is formed once per process, and
 `_law_sides` composes the two orders on a triple from those term maps
 into raw sums keyed (target generator, exponent), the right-nested order
 subtracted.  No `Poly` is built per term: `_finish` turns each surviving
@@ -161,28 +163,10 @@ _INNER = {"lam": _MU, "del": _LAM + _DEL}
 _OUTER = {"lam": _LAM, "del": _DEL}
 
 
-def _law_maps(source: tuple[str, str]) -> tuple:
-    """The four law maps of tables over ``source``, one `polyring._RingMap`
-    each.
-
-    ``source`` names the variables of the tables the maps move as a pair
-    (del, x): x is lam in a structure table and lam1 in a degree-2 cochain
-    read as one, and a map binds x where it binds lam.  Built once per
-    process, as module constants: a map keeps the image of each monomial
-    it moves, keyed by its exponents alone, so however many entries,
-    tables, laws or calls share a monomial, it is expanded once, and the
-    memo holds no more than the monomials up to the largest degree of the
-    tables read.
-    """
-    dl, x = source
-    return tuple(
-        _RingMap(source, {dl: sub["del"], x: sub["lam"]})
-        for sub in (_FIRST, _SECOND, _INNER, _OUTER)
-    )
-
-
-# the law maps of structure tables: every checker's, for all its laws
-_LAW_MAPS = _law_maps(PRODUCT_VARS)
+# the law maps of structure tables: every checker's, for all its laws,
+# and those of both placements of a deformation's twist
+_LAW_MAPS = (_RingMap(PRODUCT_VARS, _FIRST), _RingMap(PRODUCT_VARS, _SECOND),
+             _RingMap(PRODUCT_VARS, _INNER), _RingMap(PRODUCT_VARS, _OUTER))
 
 
 def _law_tables(
@@ -190,20 +174,19 @@ def _law_tables(
     second: StructureMap,
     inner: StructureMap,
     outer: StructureMap,
-    maps: tuple = _LAW_MAPS,
 ) -> tuple:
     """The four tables of one law, each moved by its law map.
 
     Each table maps an index pair (a, b) to the (target, terms) entries of
     x_a lam x_b, the terms the raw (exponent, coeff) items of
     `polyring._RingMap.raw` over ASSOC_VARS, so one kernel serves
-    associativity and every module law.  ``maps`` are four law maps
-    built once per process (see `_law_maps`); by default, those of four
-    structure tables.
+    associativity, every module law and both placements of a deformation's
+    twist, each table moved by the `_LAW_MAPS` entry of its place; a table
+    over variables other than PRODUCT_VARS raises VariableMismatchError.
     """
     return tuple(
         {key: [(k, ring.raw(p).items()) for k, p in entries] for key, entries in table.items()}
-        for ring, table in zip(maps, (first, second, inner, outer))
+        for ring, table in zip(_LAW_MAPS, (first, second, inner, outer))
     )
 
 

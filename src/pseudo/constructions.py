@@ -13,6 +13,10 @@ In every case the datum is accepted or rejected by an explicit residual
 system, and the assembled object is independently re-checked with the
 axiom checkers.  Disagreement between the two routes raises
 ComplexInconsistencyError, since it can only come from a bug here.
+A degree-2 cochain has one reading as a product, `_cochain_table`, a
+structure table over (del, lam): the twist `build_abelian_extension`
+adds to the product it assembles, and the table `deformation_residuals`
+moves through the checkers' own law maps beside the algebra's.
 
 Checks on the base objects a datum is built over are kept on those
 objects, so each runs once per object however many data share it: the
@@ -78,10 +82,8 @@ from .conformal import (
     NonAssociativeError,
     _DEL,
     _LAM,
-    _LAW_MAPS,
     _MU,
     _finish,
-    _law_maps,
     _law_sides,
     _law_tables,
     associativity_failure,
@@ -92,7 +94,6 @@ from .cohomology import (
     ComplexInconsistencyError,
     _differential_equals,
     _preimage,
-    cochain_variables,
 )
 from .exactla import solve_columns
 from .polyring import Poly, _RingMap, _coeff, _frozen
@@ -437,21 +438,14 @@ def search_extension_witness(
     )
 
 
-def _cochain_entries(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
-    """A degree-2 cochain read as a structure table over its own (del, lam1)."""
-    return {
-        key: tuple((k, poly) for k, poly in enumerate(vec) if not poly.is_zero)
-        for key, vec in phi.values.items()
-    }
-
-
 def _cochain_table(phi: Cochain) -> dict[tuple[int, int], tuple[tuple[int, Poly], ...]]:
-    """A degree-2 cochain read as a structure table, its lam1 renamed lam,
-    as the product of an assembled algebra needs it: (del, lam1) and
-    (del, lam) order their exponents alike, so each value keeps its terms."""
+    """A degree-2 cochain read as a structure table, its nonzero values
+    over (del, lam): the twist of an assembled product and the table the
+    law maps move in `deformation_residuals`.  (del, lam1) and (del, lam)
+    order their exponents alike, so each value keeps its terms."""
     return {
-        key: tuple((k, Poly._raw(PRODUCT_VARS, poly.terms)) for k, poly in entries)
-        for key, entries in _cochain_entries(phi).items()
+        key: tuple((k, Poly._raw(PRODUCT_VARS, p.terms)) for k, p in enumerate(vec) if p.terms)
+        for key, vec in phi.values.items()
     }
 
 
@@ -537,14 +531,6 @@ class DeformationDatum:
             raise NonAssociativeError("base algebra is not associative")
 
 
-# the law maps of a degree-2 twist F read over its own (del, lam1), and
-# the four maps of each placement of F in the product P + eps F: F in the
-# second product (P then F), or in the first (F then P)
-_TWIST_MAPS = _law_maps(cochain_variables(2))
-_PF_MAPS = (_LAW_MAPS[0], _TWIST_MAPS[1], _LAW_MAPS[2], _TWIST_MAPS[3])
-_FP_MAPS = (_TWIST_MAPS[0], _LAW_MAPS[1], _TWIST_MAPS[2], _LAW_MAPS[3])
-
-
 def deformation_residuals(
     datum: DeformationDatum,
 ) -> dict[tuple[int, int, int, int], Poly]:
@@ -553,18 +539,18 @@ def deformation_residuals(
     Key (a, b, c, s): the coefficient of generator s in the degree-one
     part of (a lam b) (lam+mu) c - a lam (b mu c) for the product P + eps F,
     a polynomial in (del, lam, mu).  That part is the law with F in one of
-    the two products: P and F are each moved by all four law maps
-    (`_law_tables`), P by the checkers' `_LAW_MAPS` and F straight from
-    its own (del, lam1) by `_TWIST_MAPS`, all built once per process, so
-    a monomial is expanded once per map however many calls read it; and
-    `_law_sides` adds both placements of F, left orders minus right
-    orders, into one accumulator of raw sums per triple, which `_finish`
-    reads once.  Empty dict means the perturbation is flat to first order.
+    the two products, F read as a structure table (`_cochain_table`):
+    P and F are each moved by all four of the checkers' own law maps
+    (`_law_tables`), built once per process, so a monomial is expanded
+    once per map however many tables and calls read it; and `_law_sides`
+    adds both placements of F, left orders minus right orders, into one
+    accumulator of raw sums per triple, which `_finish` reads once.
+    Empty dict means the perturbation is flat to first order.
     """
     n, products = datum.algebra.rank, datum.algebra.structure
-    twist = _cochain_entries(datum.cocycle)
-    pf = _law_tables(products, twist, products, twist, _PF_MAPS)
-    fp = _law_tables(twist, products, twist, products, _FP_MAPS)
+    twist = _cochain_table(datum.cocycle)
+    pf = _law_tables(products, twist, products, twist)
+    fp = _law_tables(twist, products, twist, products)
     out: dict[tuple[int, int, int, int], Poly] = {}
     for a, b, c in itertools.product(range(n), repeat=3):
         acc: dict = {}

@@ -478,7 +478,6 @@ def constant_ring_maps() -> dict:
     """The ring maps built once per process, by the module constant that
     holds them."""
     groups = {"conformal._LAW_MAPS": conformal._LAW_MAPS,
-              "constructions._TWIST_MAPS": constructions._TWIST_MAPS,
               "constructions._CHOM_MAPS": constructions._CHOM_MAPS}
     maps = {f"{name}[{i}]": ring for name, group in groups.items() for i, ring in enumerate(group)}
     maps["constructions._SHIFT"] = constructions._SHIFT

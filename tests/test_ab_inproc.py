@@ -13,7 +13,7 @@ SCRIPT = ROOT / "scripts" / "ab_inproc.py"
 
 
 def check_table(stdout: str, reps: int) -> None:
-    header, *rows, total, wins = stdout.splitlines()
+    header, *rows, total, kind_header, k1, k2, k3, wins = stdout.splitlines()
     assert header.split() == ["operation", "base", "ms", "change", "ms", "ratio"]
     assert [row.rsplit(None, 3)[0] for row in rows] == [
         "mat2 H^2 D=1", "mat2 H^2 D=0", "mat2 H^1 D=3",
@@ -21,6 +21,11 @@ def check_table(stdout: str, reps: int) -> None:
     assert total.startswith("sum of medians")
     sums = [float(x) for x in total.split()[-3:-1]]
     assert all(value > 0 for value in sums)
+    # each operation is its own kind, so a kind's median ratio is its ratio
+    assert kind_header.split() == ["kind", "median", "ratio"]
+    assert [k.split() for k in (k1, k2, k3)] == [
+        row.split()[:-3] + row.split()[-1:] for row in rows
+    ]
     assert re.fullmatch(rf"change faster in \d+ of {reps} reps", wins)
     assert int(wins.split()[3]) <= reps
 
@@ -85,6 +90,17 @@ def test_differences_names_every_result_that_differs():
     change = {"a": (1, {}), "b": ("ValueError", "yes"), "d": (2, {})}
     assert sorted(ab.differences(base, change)) == ["b", "c", "d"]
     assert ab.differences(base, dict(base)) == []
+
+
+def test_kind_ratios_take_the_median_over_each_kind():
+    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    labels = ["deform mat2 yes #0", "abelian cur1 no #1", "deform mat2 yes #2",
+              "deform mat2 yes #3", "mat2 H^2 D=1"]
+    assert ab.kind_ratios(labels, [1, 2, 1, 4, 2], [2, 1, 1, 2, 3]) == {
+        "deform mat2 yes": 1, "abelian cur1 no": 0.5, "mat2 H^2 D=1": 1.5,
+    }
 
 
 def test_verdicts_of_the_checkout_against_itself():

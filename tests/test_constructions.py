@@ -12,8 +12,10 @@ import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from conftest import (
+    INPUTS,
     cold_images,
     free_rank_one,
+    matrix_algebra,
     polys,
     record_images,
     reference_extension_residuals,
@@ -52,7 +54,7 @@ from pseudo.constructions import (
     search_extension_witness,
 )
 from pseudo.formats import parse_algebra, parse_cochain, parse_gamma, parse_module
-from pseudo.polyring import Poly, VariableMismatchError, parse_poly, poly_to_str
+from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
 
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
@@ -365,11 +367,29 @@ def test_deformation_residual_oracles(cur1, cur1_regular):
     assert residuals[(0, 0, 0, 0)] == Poly.var(ASSOC_VARS, "lam")
 
 
-@given(polys(D2, max_degree=2, max_terms=3))
-def test_deformation_residual_is_minus_the_differential(q):
-    algebra = free_rank_one()
-    module = BimoduleStructure.regular(algebra)
-    cocycle = Cochain(2, algebra, module, {(0, 0): (q,)})
+# regular modules of the free rank-one algebra, where P then F and F then
+# P read the one triple alike, and of two algebras of rank 2 and 4
+DEFORMED = [BimoduleStructure.regular(algebra) for algebra in (
+    free_rank_one(),
+    parse_algebra((INPUTS / "lam_c.alg").read_text(encoding="utf-8")),
+    matrix_algebra(2),
+)]
+
+
+@given(st.sampled_from(DEFORMED), st.data())
+def test_deformation_residual_is_minus_the_differential(module, data):
+    # a sparse 2-cochain: at most three values, each on a drawn pair and target
+    algebra, rank = module.algebra, module.algebra.rank
+    index = st.integers(0, rank - 1)
+    entries = data.draw(st.lists(
+        st.tuples(index, index, index, polys(D2, max_degree=2, max_terms=3)),
+        min_size=1, max_size=3,
+    ))
+    values = {}
+    for a, b, s, q in entries:
+        vec = values.setdefault((a, b), [Poly.zero(D2)] * rank)
+        vec[s] = vec[s] + q
+    cocycle = Cochain(2, algebra, module, {key: tuple(vec) for key, vec in values.items()})
     datum = DeformationDatum(algebra, cocycle)
     residuals = deformation_residuals(datum)
     image = apply_dn(cocycle)
@@ -384,9 +404,12 @@ def test_deformation_residual_is_minus_the_differential(q):
 
 
 def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regular, monkeypatch):
-    # the law maps read the twist in its own (del, lam1): no value of it is
-    # renamed first, and a table over variables its map does not bind is
-    # refused by the one substitution path
+    # the twist is read as a structure table over (del, lam), no value of
+    # it renamed, and moved by the checkers' own law maps: from cold
+    # images, each of the four maps expands exactly the distinct monomials
+    # of the product table and the twist, and the call builds no ring map;
+    # the twist's values over their own (del, lam1) are a table the law
+    # maps refuse
     zero = Poly.zero(D2)
     values = {
         (0, 1): (parse_poly("lam1 + del^2", D2), zero, parse_poly("-1/2*del*lam1", D2), zero),
@@ -400,13 +423,24 @@ def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regula
                 expected[(a, b, c, s)] = -poly.rename_vars({"lam1": "lam", "lam2": "mu"}, ASSOC_VARS)
     assert expected
     datum = DeformationDatum(mat2, cochain)
+    twist = {key: tuple((k, poly) for k, poly in enumerate(vec) if not poly.is_zero)
+             for key, vec in values.items()}
 
     def refuse(*args):
         raise AssertionError("a twist value was renamed")
 
     monkeypatch.setattr(Poly, "rename_vars", refuse)
+    cold_images(monkeypatch)
+    formed = record_images(monkeypatch)
+    built = []
+    original = _RingMap.__init__
+    monkeypatch.setattr(_RingMap, "__init__",
+                        lambda ring, *args: built.append(ring) or original(ring, *args))
     assert deformation_residuals(datum) == expected
-    twist = constructions._cochain_entries(cochain)
+    assert built == []
+    monomials = table_monomials(mat2.structure, twist)
+    assert len(set(formed)) == len(formed)
+    assert set(formed) == {(ring, exp) for ring in conformal._LAW_MAPS for exp in monomials}
     with pytest.raises(VariableMismatchError):
         conformal._law_tables(mat2.structure, twist, mat2.structure, twist)
 
@@ -605,8 +639,8 @@ def _refuse(*args):
 
 
 # the law kernel in conformal, and its helpers that are not part of it
-LAW_KERNEL = ("_law_maps", "_law_tables", "_law_sides", "_add_product", "_finish",
-              "_first_failure", "_dense")
+LAW_KERNEL = ("_law_tables", "_law_sides", "_add_product", "_finish", "_first_failure",
+              "_dense")
 NOT_KERNEL = {"_validate_structure", "_table_degree", "_kept"}
 # the extension residuals' own Chom differential and its product helper
 CHOM_DIFFERENTIAL = ("extension_residuals", "_add_chom_terms")
