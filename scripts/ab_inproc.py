@@ -16,10 +16,12 @@ rep, so no rep reuses what an earlier one kept on its algebra or module
 objects: the timings are then those of a one-shot run, and a gain that
 shows without the flag but not with it comes from what is kept.  Prints the
 median milliseconds of each operation for both, their sums and the
-ratio CHANGE / BASE, then the median of those ratios over the operations
-of each kind (the label up to its ``#``, so verdict-batch's 158
-operations fall into 16 kinds), then, as its last line, in how many reps
-the sum of CHANGE's operations took less time than the sum of BASE's.
+ratio CHANGE / BASE, then for each kind of operation (the label up to its
+``#``, so verdict-batch's 158 operations fall into 16 kinds) the ratio
+CHANGE / BASE of the summed minimum times of its operations, so one
+noisy operation cannot swing a kind of three, then, as its last line, in
+how many reps the sum of CHANGE's operations took less time than the sum
+of BASE's.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -38,11 +40,15 @@ and on the witness doubled; then the full results of ``build_extension``, ``defo
 ``build_abelian_extension`` on every inputs/*.coc over cur1, read against
 its regular module and every inputs/*.mod: residual polynomials, the
 assembled tables and the verdict, or the type and message of what parsing
-or building raised.  Last come the full results of ``build_extension`` on
+or building raised.  Then come the full results of ``build_extension`` on
 seeded gluing data between two different modules over cur1, for every
 ordered pair of its regular module, every inputs/*.mod and a rank-two
 module whose action differs from theirs, and every seed: the coboundary
-of a seeded B, plus a seeded family on odd seeds.  Prints each result
+of a seeded B, plus a seeded family on odd seeds.  Last come the full
+results of ``deform`` and ``build_abelian_extension`` on a seeded
+2-cochain over mat2's regular module for every seed, so an assembled
+A (+) M of rank 8 is compared table by table: the differential of a
+seeded 1-cochain, plus seeded values on odd seeds.  Prints each result
 that differs, then the number of results and of differences, and exits 1
 on any difference.
 """
@@ -210,6 +216,17 @@ def verdict_answers(workloads, package) -> dict:
             answers[label] = answer(lambda: con.build_extension(
                 con.ExtensionDatum(cur1, sub, quotient, gluing_data(package, sub, quotient, seed))
             ))
+    mat2 = formats.parse_algebra(read(INPUTS / "mat2.alg"))
+    regular = package.cfmodule.BimoduleStructure.regular(mat2)
+    for seed in VERDICT_SEEDS:
+        label = f"seed {seed}: twist over mat2"
+        twist = twist_cochain(package, regular, seed)
+        answers[f"{label}: deform"] = answer(
+            lambda: con.deform(con.DeformationDatum(mat2, twist))
+        )
+        answers[f"{label}: build_abelian_extension"] = answer(
+            lambda: con.build_abelian_extension(con.AbelianExtensionDatum(mat2, regular, twist))
+        )
     return answers
 
 
@@ -220,31 +237,59 @@ def doubled(witness):
     return witness.scaled(2)
 
 
+def seeded_poly(package, rng: Random, variables: tuple[str, ...], degree: int):
+    """One to three seeded monomials over ``variables``, each of degree <=
+    ``degree``, summed."""
+    Poly = package.polyring.Poly
+    total = Poly.zero(variables)
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(variables))] += 1
+        total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
+    return total
+
+
 def gluing_data(package, sub, quotient, seed: int) -> dict:
     """Seeded gamma from ``quotient`` to ``sub``: the coboundary of a B of
     degree <= 1, plus on odd seeds a family of degree <= 2 on the first
     generator."""
-    Poly, con = package.polyring.Poly, package.constructions
+    con = package.constructions
     rng = Random(seed)
-
-    def poly(variables, degree):
-        total = Poly.zero(variables)
-        for _ in range(rng.randint(1, 3)):
-            exps = [0] * len(variables)
-            for _ in range(rng.randint(0, degree)):
-                exps[rng.randrange(len(variables))] += 1
-            total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
-        return total
-
-    b_matrix = {(t, k): poly(("del",), 1) for t in range(quotient.rank) for k in range(sub.rank)}
+    b_matrix = {(t, k): seeded_poly(package, rng, ("del",), 1)
+                for t in range(quotient.rank) for k in range(sub.rank)}
     gamma = con.gamma_coboundary(sub, quotient, b_matrix)
     if seed % 2:
         variables = package.conformal.PRODUCT_VARS
         bend = package.cfmodule.CLinearMap(quotient.generators, sub.generators, {
-            (t, s): poly(variables, 2) for t in range(quotient.rank) for s in range(sub.rank)
+            (t, s): seeded_poly(package, rng, variables, 2)
+            for t in range(quotient.rank) for s in range(sub.rank)
         })
         gamma[0] = gamma[0] + bend if 0 in gamma else bend
     return gamma
+
+
+def twist_cochain(package, module, seed: int):
+    """Seeded 2-cochain over ``module``: the differential of a 1-cochain
+    with one value of degree <= 1 on each generator, so a cocycle, plus on
+    odd seeds a value of degree <= 2 on each of two seeded pairs."""
+    Cochain, apply_dn = package.cohomology.Cochain, package.cohomology.apply_dn
+    algebra, rank = module.algebra, module.rank
+    rng = Random(seed)
+    one, two = package.cohomology.cochain_variables(1), package.cohomology.cochain_variables(2)
+
+    def vector(variables, degree):
+        vec = [package.polyring.Poly.zero(variables)] * rank
+        vec[rng.randrange(rank)] = seeded_poly(package, rng, variables, degree)
+        return tuple(vec)
+
+    phi = apply_dn(Cochain(1, algebra, module, {
+        (i,): vector(one, 1) for i in range(algebra.rank)
+    }))
+    if seed % 2:
+        pairs = [(rng.randrange(algebra.rank), rng.randrange(algebra.rank)) for _ in range(2)]
+        phi = phi + Cochain(2, algebra, module, {pair: vector(two, 2) for pair in pairs})
+    return phi
 
 
 def differences(base: dict, change: dict) -> list[str]:
@@ -253,12 +298,15 @@ def differences(base: dict, change: dict) -> list[str]:
 
 
 def kind_ratios(labels, base, change) -> dict[str, float]:
-    """Operation kind (the label up to its ``#``) -> the median ratio
-    change / base over the operations of that kind, in first-seen order."""
-    ratios: dict[str, list[float]] = {}
+    """Operation kind (the label up to its ``#``) -> the ratio of the
+    summed times, change over base, of the operations of that kind, in
+    first-seen order; ``base`` and ``change`` hold a time per operation."""
+    sums: dict[str, list[float]] = {}
     for label, b, c in zip(labels, base, change):
-        ratios.setdefault(label.split("#")[0].strip(), []).append(c / b)
-    return {kind: statistics.median(r) for kind, r in ratios.items()}
+        kind = sums.setdefault(label.split("#")[0].strip(), [0.0, 0.0])
+        kind[0] += b
+        kind[1] += c
+    return {kind: c / b for kind, (b, c) in sums.items()}
 
 
 def timed(op) -> float:
@@ -329,11 +377,11 @@ def main(argv=None) -> int:
     total_base, total_change = sum(medians[0]), sum(medians[1])
     print(f"{'sum of medians':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
           f"{total_change / total_base:5.3f}")
-    kinds = kind_ratios(labels, *medians)
+    kinds = kind_ratios(labels, *([min(t) for t in side] for side in times))
     width = max(len(kind) for kind in kinds)
-    print(f"{'kind':<{width}}  median ratio")
+    print(f"{'kind':<{width}}  ratio of summed minima")
     for kind, ratio in kinds.items():
-        print(f"{kind:<{width}}  {ratio:12.3f}")
+        print(f"{kind:<{width}}  {ratio:22.3f}")
     base_reps, change_reps = ([sum(rep) for rep in zip(*side)] for side in times)
     wins = sum(change < base for base, change in zip(base_reps, change_reps))
     print(f"change faster in {wins} of {args.reps} reps")

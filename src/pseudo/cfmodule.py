@@ -20,7 +20,8 @@ A conformal linear map f: M -> N is a matrix of polynomials in (del, lam):
 f_lam(u_j) = sum_k F_jk(lam, del) v_k, subject to f_lam(del u) =
 (lam + del) f_lam(u).  A family of them, one per algebra generator, is
 the gluing data of a module extension; its Chom differential is
-`constructions.extension_residuals`.
+`constructions.extension_residuals`.  Every reader takes the tables and
+matrices as the dicts they are: ``left``, ``right`` and ``matrix``.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ class BimoduleStructure:
     @property
     def has_right(self) -> bool:
         return self.right is not None
-
-    def left_entries(self, i: int, j: int) -> tuple[tuple[int, Poly], ...]:
-        if self.left is None:
-            raise ValueError("module has no left action")
-        return self.left.get((i, j), ())
-
-    def right_entries(self, j: int, i: int) -> tuple[tuple[int, Poly], ...]:
-        if self.right is None:
-            raise ValueError("module has no right action")
-        return self.right.get((j, i), ())
 
     def structure_degree(self) -> int:
         """Largest total degree among the algebra's and both actions'
@@ -196,21 +187,16 @@ class CLinearMap:
     def zero(cls, source: tuple[str, ...], target: tuple[str, ...]) -> "CLinearMap":
         return cls(source, target, {})
 
-    def entry(self, j: int, k: int) -> Poly:
-        return self.matrix.get((j, k), Poly.zero(PRODUCT_VARS))
-
     def is_zero(self) -> bool:
         return not self.matrix
 
     def __add__(self, other: "CLinearMap") -> "CLinearMap":
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("map shapes differ")
-        keys = set(self.matrix) | set(other.matrix)
-        return CLinearMap(
-            self.source,
-            self.target,
-            {key: self.entry(*key) + other.entry(*key) for key in keys},
-        )
+        matrix = dict(self.matrix)
+        for key, poly in other.matrix.items():
+            matrix[key] = matrix[key] + poly if key in matrix else poly
+        return CLinearMap(self.source, self.target, matrix)
 
     def __sub__(self, other: "CLinearMap") -> "CLinearMap":
         return self + other.scaled(-1)

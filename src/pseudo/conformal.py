@@ -107,9 +107,6 @@ class ConformalAlgebra:
     def rank(self) -> int:
         return len(self.generators)
 
-    def products(self, i: int, j: int) -> tuple[tuple[int, Poly], ...]:
-        return self.structure.get((i, j), ())
-
     def structure_degree(self) -> int:
         """Largest total degree among structure polynomials (0 if none)."""
         return _table_degree(self.structure)

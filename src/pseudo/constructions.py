@@ -9,6 +9,11 @@ verdict never rests on a single code path:
 * first-order deformations of the product by a 2-cochain over the
   algebra acting on itself.
 
+Both assembled objects are direct sums of their parts' tables, merged
+by `_direct_sum`: E's left action from the sub's, gamma's and the
+quotient's; the product of A (+) M from P, the twist, L and R, each part
+moved past the generators before it.
+
 In every case the datum is accepted or rejected by an explicit residual
 system, and the assembled object is independently re-checked with the
 axiom checkers.  Disagreement between the two routes raises
@@ -118,8 +123,7 @@ class ExtensionDatum:
         for name, module in (("sub", self.sub), ("quotient", self.quotient)):
             if module.algebra != self.algebra:
                 raise ValueError(f"{name} module is over a different algebra")
-            if not module.has_left:
-                raise UnfitModuleError(f"{name} module needs a left action")
+            _require_left(name, module)
             # the left law is checked first: it fails iff the verdict names it
             if (cex := axiom_failure(module)) is not None and cex.law == "left":
                 raise UnfitModuleError(f"{name} module violates its own left law")
@@ -135,6 +139,12 @@ class ExtensionDatum:
             if not gmap.is_zero():
                 clean[i] = gmap
         object.__setattr__(self, "gamma", clean)
+
+
+def _require_left(name: str, module: BimoduleStructure) -> None:
+    """Refuse a sub or quotient module with no left action to glue by."""
+    if not module.has_left:
+        raise UnfitModuleError(f"{name} module needs a left action")
 
 
 # the four ring maps of the Chom differential, built once per process,
@@ -242,7 +252,10 @@ def _coboundary_terms(sub: BimoduleStructure, quotient: BimoduleStructure, entri
     exponent), as `_family_terms` keys a family.  Each B_tk is moved by
     `_SHIFT`, so a power of del is expanded once per process however many
     calls and columns share it.  Products are summed raw and normalized
-    once: no `Poly` or `CLinearMap` of the coboundary is built."""
+    once: no `Poly` or `CLinearMap` of the coboundary is built.  A sub or
+    quotient without a left action raises UnfitModuleError, whatever B."""
+    _require_left("sub", sub)
+    _require_left("quotient", quotient)
     moved = []  # (t, k, raw terms of B_tk(lam + del))
     rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
     for (t, k), poly in entries:
@@ -251,12 +264,12 @@ def _coboundary_terms(sub: BimoduleStructure, quotient: BimoduleStructure, entri
     acc: dict = {}
     for i in range(sub.algebra.rank):
         for t, k, image in moved:
-            for s, l_iks in sub.left_entries(i, k):
+            for s, l_iks in sub.left.get((i, k), ()):
                 _add_terms(acc, i, t, s, image, l_iks.terms.items(), 1)
-        for t in range(quotient.rank):
-            for k, l_itk in quotient.left_entries(i, t):
-                for s, b_ks in rows.get(k, ()):
-                    _add_terms(acc, i, t, s, l_itk.terms.items(), b_ks, -1)
+    for (i, t), l_entries in quotient.left.items():
+        for k, l_itk in l_entries:
+            for s, b_ks in rows.get(k, ()):
+                _add_terms(acc, i, t, s, l_itk.terms.items(), b_ks, -1)
     return {key: _coeff(c) for key, c in acc.items() if c}
 
 
@@ -269,6 +282,18 @@ def _add_terms(acc: dict, i: int, t: int, s: int, first, second, sign: int) -> N
             key = (i, t, s, (e0 + f0, e1 + f1))
             c = c1 * c2
             acc[key] = acc[key] + c if key in acc else c
+
+
+def _direct_sum(*parts) -> dict[tuple[int, int], list[tuple[int, Poly]]]:
+    """One table from a direct sum's parts, each (table, (i shift, j
+    shift), target shift): its entry (k, p) at (i, j) lands as (k + target
+    shift, p) at (i + i shift, j + j shift).  The parts land on disjoint
+    targets, so no pair gets a target twice."""
+    table: dict = {}
+    for part, (di, dj), dk in parts:
+        for (i, j), entries in part.items():
+            table.setdefault((i + di, j + dj), []).extend((k + dk, p) for k, p in entries)
+    return table
 
 
 def build_extension(
@@ -286,22 +311,14 @@ def build_extension(
     names = tuple(f"m:{g}" for g in sub.generators) + tuple(
         f"n:{g}" for g in quo.generators
     )
-    left: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
-    for i in range(datum.algebra.rank):
-        for s in range(r_sub):
-            entries = [(k, poly) for k, poly in sub.left_entries(i, s)]
-            if entries:
-                left[(i, s)] = entries
-        # the twisted part gamma[i]: quotient generator t -> sub generator s
-        glued: dict[int, list[tuple[int, Poly]]] = {}
-        if i in datum.gamma:
-            for (t, s), g in sorted(datum.gamma[i].matrix.items()):
-                glued.setdefault(t, []).append((s, g))
-        for t in range(quo.rank):
-            entries = glued.get(t, [])
-            entries.extend((r_sub + k, poly) for k, poly in quo.left_entries(i, t))
-            if entries:
-                left[(i, r_sub + t)] = entries
+    # gamma read as a table: a_i on quotient generator t -> sub generator s
+    twist: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
+    for i, gmap in datum.gamma.items():
+        for (t, s), g in gmap.matrix.items():
+            twist.setdefault((i, t), []).append((s, g))
+    left = _direct_sum(
+        (sub.left, (0, 0), 0), (twist, (0, r_sub), 0), (quo.left, (0, r_sub), r_sub)
+    )
     extension = BimoduleStructure(
         algebra=datum.algebra, generators=names, left=left, right=None
     )
@@ -487,21 +504,12 @@ def build_abelian_extension(
     names = tuple(f"a:{g}" for g in algebra.generators) + tuple(
         f"m:{g}" for g in module.generators
     )
-    twists = _cochain_table(phi)
-    structure: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
-    for i in range(na):
-        for j in range(na):
-            entries: list[tuple[int, Poly]] = list(algebra.products(i, j))
-            entries.extend((na + s, poly) for s, poly in twists.get((i, j), ()))
-            if entries:
-                structure[(i, j)] = entries
-        for t in range(module.rank):
-            left = [(na + k, poly) for k, poly in module.left_entries(i, t)]
-            if left:
-                structure[(i, na + t)] = left
-            right = [(na + k, poly) for k, poly in module.right_entries(t, i)]
-            if right:
-                structure[(na + t, i)] = right
+    structure = _direct_sum(
+        (algebra.structure, (0, 0), 0),
+        (_cochain_table(phi), (0, 0), na),
+        (module.left, (0, na), na),
+        (module.right, (na, 0), na),
+    )
     extension = ConformalAlgebra(names, structure)
     cochain_verdict = _differential_equals(phi)
     checker_verdict = check_associativity(extension) is None

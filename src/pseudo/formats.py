@@ -332,12 +332,13 @@ def _check_unit(algebra: ConformalAlgebra, line: int, text: str) -> None:
         unit = [parse_poly(c, ()).constant_term() for c in coords]
     except PolyParseError:
         raise DefinitionError("unit coordinates must be rationals", line) from None
+    products = algebra.structure
     for j in range(n):
         left, right = [0] * n, [0] * n
         for i, u in enumerate(unit):
-            for k, poly in algebra.products(i, j):
+            for k, poly in products.get((i, j), ()):
                 left[k] += u * poly.constant_term()
-            for k, poly in algebra.products(j, i):
+            for k, poly in products.get((j, i), ()):
                 right[k] += u * poly.constant_term()
         basis_vector = [int(k == j) for k in range(n)]
         if left != basis_vector or right != basis_vector:

@@ -96,33 +96,6 @@ def unit_cochain(index, i: int):
     return index.reconstruct([int(j == i) for j in range(index.dimension)])
 
 
-def check_h0_representative(
-    algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
-) -> list[Poly]:
-    """Residuals a_{-del} u - u_0 a per generator, computed directly.
-
-    A representative of a degree-0 class is valid exactly when every
-    residual coordinate is zero.  This recomputes the defining identity
-    from the action tables rather than reusing the kernel arithmetic.
-    """
-    dl = Poly.var(("del",), "del")
-    residuals = []
-    for i in range(algebra.rank):
-        vec = [Poly.zero(("del",)) for _ in range(module.rank)]
-        for j, c in enumerate(coords):
-            c = Fraction(c)
-            if not c:
-                continue
-            for k, l_ijk in module.left_entries(i, j):
-                vec[k] = vec[k] + c * l_ijk.substitute({"lam": -dl, "del": dl})
-            for k, r_jik in module.right_entries(j, i):
-                vec[k] = vec[k] - c * r_jik.substitute(
-                    {"lam": Poly.zero(("del",)), "del": dl}
-                )
-        residuals.extend(vec)
-    return residuals
-
-
 # Classical oracles: each solves the defining equations of the center, the
 # derivations or the inner derivations of a finite-dimensional algebra A
 # directly from its structure constants, apart from the cochain complex
@@ -209,16 +182,32 @@ def reference_d0(cochain: Cochain) -> Cochain:
             if not coeff:
                 continue
             # expand a_i lam u_j fully, then substitute lam -> -del
-            for k, l_ijk in module.left_entries(i, j):
+            for k, l_ijk in module.left.get((i, j), ()):
                 vec[k] = vec[k] + coeff * l_ijk.substitute({"lam": -dl, "del": dl})
             # u_j lam a_i at lam = 0
-            for k, r_jik in module.right_entries(j, i):
+            for k, r_jik in module.right.get((j, i), ()):
                 vec[k] = vec[k] - coeff * r_jik.substitute(
                     {"lam": Poly.zero(("del",)), "del": dl}
                 )
         if any(not p.is_zero for p in vec):
             values[(i,)] = tuple(vec)
     return Cochain(1, algebra, module, values)
+
+
+def check_h0_representative(
+    algebra: ConformalAlgebra, module: BimoduleStructure, coords: Sequence
+) -> list[Poly]:
+    """Residuals a_{-del} u - u_0 a of the constant vector u, every
+    coordinate of every generator in turn, zeros included.
+
+    A representative of a degree-0 class is valid exactly when every
+    residual coordinate is zero.  They are read off `reference_d0`, the
+    term-by-term differential, rather than the kernel arithmetic.
+    """
+    u = Cochain(0, algebra, module, {(): tuple(Poly.const((), Fraction(c)) for c in coords)})
+    values = reference_d0(u).values
+    zero = (Poly.zero(("del",)),) * module.rank
+    return [p for i in range(algebra.rank) for p in values.get((i,), zero)]
 
 
 def reference_dn(cochain: Cochain) -> Cochain:
@@ -418,9 +407,9 @@ def reference_gamma_coboundary(sub: BimoduleStructure, quotient: BimoduleStructu
         for k in range(sub.rank):
             if (t, k) in b_matrix:
                 moved = fraction_substitute(b_matrix[t, k], shift, PRODUCT_VARS)
-                for s, l_iks in sub.left_entries(i, k):
+                for s, l_iks in sub.left.get((i, k), ()):
                     acc[s] = fraction_add(acc[s], fraction_mul(moved, fraction_terms(l_iks)))
-        for k, l_itk in quotient.left_entries(i, t):
+        for k, l_itk in quotient.left.get((i, t), ()):
             for s in range(sub.rank):
                 if (k, s) in b_matrix:
                     widened = {(e, 0): c for (e,), c in fraction_terms(b_matrix[k, s]).items()}
@@ -443,19 +432,21 @@ def reference_extension_residuals(datum) -> dict:
     shifted = {"lam": mu - lam, "del": lam + dl}
 
     def gamma(i, t, s):
-        return datum.gamma[i].entry(t, s) if i in datum.gamma else Poly.zero(PRODUCT_VARS)
+        zero = Poly.zero(PRODUCT_VARS)
+        return datum.gamma[i].matrix.get((t, s), zero) if i in datum.gamma else zero
 
     out = {}
     for i, j in iter_product(range(algebra.rank), repeat=2):
         for t, s in iter_product(range(quotient.rank), range(sub.rank)):
             total = Poly.zero(ASSOC_VARS)
             for k in range(sub.rank):  # a_i lam ((gamma_j)_{mu-lam} n_t)
-                for m, l_ikm in sub.left_entries(i, k):
+                for m, l_ikm in sub.left.get((i, k), ()):
                     if m == s:
                         total = total + gamma(j, t, k).substitute(shifted) * l_ikm.embed(ASSOC_VARS)
-            for k, l_jtk in quotient.left_entries(j, t):  # (gamma_i)_lam (a_j (mu-lam) n_t)
+            # (gamma_i)_lam (a_j (mu-lam) n_t)
+            for k, l_jtk in quotient.left.get((j, t), ()):
                 total = total + l_jtk.substitute(shifted) * gamma(i, k, s).embed(ASSOC_VARS)
-            for l, p_ijl in algebra.products(i, j):  # gamma_{a_i lam a_j} at mu
+            for l, p_ijl in algebra.structure.get((i, j), ()):  # gamma_{a_i lam a_j} at mu
                 total = total - p_ijl.substitute({"lam": lam, "del": -mu}) \
                     * gamma(l, t, s).substitute({"lam": mu, "del": dl})
             if not total.is_zero:

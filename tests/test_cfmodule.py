@@ -144,18 +144,18 @@ def test_structure_validation(cur1):
 
 def test_entry_lookup(mat2):
     reg = BimoduleStructure.regular(mat2)
-    assert reg.left_entries(0, 1) == ((1, ONE),)
-    assert reg.left_entries(0, 2) == ()
-    assert reg.right_entries(1, 2) == ((0, ONE),)
+    assert reg.left[(0, 1)] == ((1, ONE),)
+    assert (0, 2) not in reg.left
+    assert reg.right[(1, 2)] == ((0, ONE),)
     assert reg.structure_degree() == 0
 
 
 def test_clinear_map_arithmetic():
     f = CLinearMap(("u",), ("v",), {(0, 0): DEL})
     g = CLinearMap(("u",), ("v",), {(0, 0): ONE})
-    assert (f + g).entry(0, 0) == DEL + ONE
+    assert (f + g).matrix[(0, 0)] == DEL + ONE
     assert (f - f).is_zero()
-    assert f.scaled(2).entry(0, 0) == 2 * DEL
+    assert f.scaled(2).matrix[(0, 0)] == 2 * DEL
     zero = CLinearMap.zero(("u",), ("v",))
     assert zero.is_zero()
     with pytest.raises(ValueError):

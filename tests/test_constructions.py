@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import inspect
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -130,6 +131,22 @@ def test_unfit_modules_raise_unfit_module_error(cur1, cur1_regular):
             AbelianExtensionDatum(cur1, unfit, Cochain.zero(cur1, unfit, 2))
 
 
+def test_coboundaries_refuse_a_module_without_a_left_action(cur1, cur1_regular):
+    # the coboundary builder refuses as ExtensionDatum does, whatever B:
+    # a zero B over a right-only sub, and every search, raise the same error
+    right_only = parse_module("kind: module\ngenerators: u\nactions: right\n"
+                              "right u e -> 1 * u\n", cur1)
+    b_del = {(0, 0): Poly.var(DEL, "del")}
+    for sub, quotient, name in [(right_only, cur1_regular, "sub"),
+                                (cur1_regular, right_only, "quotient")]:
+        message = f"{name} module needs a left action"
+        for b_matrix in ({}, b_del):
+            with pytest.raises(UnfitModuleError, match=message):
+                gamma_coboundary(sub, quotient, b_matrix)
+        with pytest.raises(UnfitModuleError, match=message):
+            find_extension_witness(sub, quotient, {}, 1)
+
+
 def test_non_associative_algebras_raise_non_associative_error(inputs_dir):
     # both data over an algebra read its kept associativity verdict and
     # refuse a failing one with the same named error, a ValueError
@@ -255,8 +272,8 @@ def test_build_extension_verdicts(cur1, cur1_regular):
 def test_build_extension_glued_entries(cur1, cur1_regular):
     glued, _, _ = build_extension(datum_of(cur1, cur1_regular, "lam"))
     one = Poly.const(PRODUCT_VARS, 1)
-    assert glued.left_entries(0, 0) == ((0, one),)
-    assert glued.left_entries(0, 1) == (
+    assert glued.left[(0, 0)] == ((0, one),)
+    assert glued.left[(0, 1)] == (
         (0, Poly.var(PRODUCT_VARS, "lam")), (1, one),
     )
 
@@ -326,10 +343,10 @@ def test_build_abelian_extension_flat(cur1, cur1_regular):
     assert extension.generators == ("a:e", "m:e")
     assert check_associativity(extension) is None
     one = Poly.const(PRODUCT_VARS, 1)
-    assert extension.products(0, 0) == ((0, one), (1, one))
-    assert extension.products(0, 1) == ((1, one),)
-    assert extension.products(1, 0) == ((1, one),)
-    assert extension.products(1, 1) == ()
+    assert extension.structure[(0, 0)] == ((0, one), (1, one))
+    assert extension.structure[(0, 1)] == ((1, one),)
+    assert extension.structure[(1, 0)] == ((1, one),)
+    assert (1, 1) not in extension.structure
 
 
 def test_build_abelian_extension_obstructed(cur1, cur1_regular):
@@ -376,21 +393,26 @@ DEFORMED = [BimoduleStructure.regular(algebra) for algebra in (
 )]
 
 
-@given(st.sampled_from(DEFORMED), st.data())
-def test_deformation_residual_is_minus_the_differential(module, data):
-    # a sparse 2-cochain: at most three values, each on a drawn pair and target
-    algebra, rank = module.algebra, module.algebra.rank
-    index = st.integers(0, rank - 1)
+def draw_two_cochain(data, module) -> Cochain:
+    """A sparse 2-cochain over a module: one to three values, each on a
+    drawn pair and target."""
+    algebra, rank = module.algebra, module.rank
+    index, target = st.integers(0, algebra.rank - 1), st.integers(0, rank - 1)
     entries = data.draw(st.lists(
-        st.tuples(index, index, index, polys(D2, max_degree=2, max_terms=3)),
+        st.tuples(index, index, target, polys(D2, max_degree=2, max_terms=3)),
         min_size=1, max_size=3,
     ))
     values = {}
     for a, b, s, q in entries:
         vec = values.setdefault((a, b), [Poly.zero(D2)] * rank)
         vec[s] = vec[s] + q
-    cocycle = Cochain(2, algebra, module, {key: tuple(vec) for key, vec in values.items()})
-    datum = DeformationDatum(algebra, cocycle)
+    return Cochain(2, algebra, module, {key: tuple(vec) for key, vec in values.items()})
+
+
+@given(st.sampled_from(DEFORMED), st.data())
+def test_deformation_residual_is_minus_the_differential(module, data):
+    cocycle = draw_two_cochain(data, module)
+    datum = DeformationDatum(module.algebra, cocycle)
     residuals = deformation_residuals(datum)
     image = apply_dn(cocycle)
     collected = {}
@@ -401,6 +423,37 @@ def test_deformation_residual_is_minus_the_differential(module, data):
                     {"lam1": "lam", "lam2": "mu"}, ASSOC_VARS
                 )
     assert residuals == collected
+
+
+# over cur1, with a left action and a zero right one: L and R differ
+ONE_SIDED = parse_module((INPUTS / "uleft.mod").read_text(encoding="utf-8"), free_rank_one())
+
+
+@given(st.sampled_from([*DEFORMED[1:], ONE_SIDED]), st.data())
+def test_abelian_extension_is_the_direct_sum_of_its_parts(module, data):
+    # A (+) M over regular modules of rank 2 and 4, and over a module whose
+    # two actions differ, so a swap of L and R shows: the algebra block is P
+    # with the twist on the module generators, the mixed blocks are L and
+    # R moved past A's generators, M . M is zero, and the verdict is d phi = 0;
+    # on a drawn flag phi is the differential of a drawn 1-cochain, so a cocycle
+    algebra, na = module.algebra, module.algebra.rank
+    phi = draw_two_cochain(data, module)
+    if data.draw(st.booleans(), label="coboundary"):
+        vec = tuple(data.draw(polys(D1, max_degree=2, max_terms=2)) for _ in range(module.rank))
+        phi = apply_dn(Cochain(1, algebra, module, {(data.draw(st.integers(0, na - 1)),): vec}))
+    extension, associative = build_abelian_extension(AbelianExtensionDatum(algebra, module, phi))
+    table = extension.structure
+    for i, j in itertools.product(range(na), repeat=2):
+        twist = tuple((na + s, q.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
+                      for s, q in enumerate(phi.values.get((i, j), ())) if not q.is_zero)
+        assert table.get((i, j), ()) == algebra.structure.get((i, j), ()) + twist
+    for i, t in itertools.product(range(na), range(module.rank)):
+        assert table.get((i, na + t), ()) == tuple(
+            (na + k, p) for k, p in module.left.get((i, t), ()))
+        assert table.get((na + t, i), ()) == tuple(
+            (na + k, p) for k, p in module.right.get((t, i), ()))
+    assert not [key for key in table if min(key) >= na]
+    assert associative == apply_dn(phi).is_zero()
 
 
 def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regular, monkeypatch):

@@ -65,8 +65,8 @@ def test_parse_fd_algebra_files(inputs_dir):
     assert mat2 == matrix_algebra(2)
     dual = parse_fd_algebra(read(inputs_dir, "dual.fda"))
     assert dual.generators == ("one", "x")
-    assert dual.products(0, 1) == ((1, Poly.const(PRODUCT_VARS, 1)),)
-    assert dual.products(1, 1) == ()  # x squares to zero
+    assert dual.structure[(0, 1)] == ((1, Poly.const(PRODUCT_VARS, 1)),)
+    assert (1, 1) not in dual.structure  # x squares to zero
 
 
 def test_comments_and_blank_lines_ignored(cur1):
@@ -196,13 +196,13 @@ def test_fd_algebra_errors():
         assert info.value.line == 3
         assert "unit coordinates must be rationals" in str(info.value)
     half = parse_fd_algebra("kind: fd_algebra\ngenerators: a\nunit: 1/2\nproduct a a -> 2 * a\n")
-    assert half.products(0, 0) == ((0, Poly.const(PRODUCT_VARS, 2)),)
+    assert half.structure[(0, 0)] == ((0, Poly.const(PRODUCT_VARS, 2)),)
 
 
 def test_rational_coefficients_parse(cur1):
     text = "kind: algebra\ngenerators: e\nproduct e e -> 1/2*del - 3 * e\n"
     alg = parse_algebra(text)
-    assert alg.products(0, 0)[0][1] == parse_poly("1/2*del - 3", PRODUCT_VARS)
+    assert alg.structure[(0, 0)][0][1] == parse_poly("1/2*del - 3", PRODUCT_VARS)
 
 
 @pytest.mark.parametrize(
