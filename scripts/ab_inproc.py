@@ -1,6 +1,7 @@
 """Compare two checkouts of pseudo in one process, operation by operation.
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
+        [--seed N ...]
     python3 scripts/ab_inproc.py BASE CHANGE --verdicts
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
@@ -8,8 +9,9 @@ Each checkout's package is copied into a temporary directory under its
 own name (pseudo_base, pseudo_change), so both are imported side by side.
 The operations of an in-process workload of perfbench/workloads.py (the
 copy next to this script, only read) are built once for each package,
-from the same seed, and run alternately: every operation of BASE, then
-the same one of CHANGE, with the order of the two flipped on each rep.
+from the same seed (11 unless --seed says otherwise), and run
+alternately: every operation of BASE, then the same one of CHANGE, with
+the order of the two flipped on each rep.
 One untimed pass per package first checks every answer.  With --fresh
 every operation of both packages is built again, untimed, before each
 rep, so no rep reuses what an earlier one kept on its algebra or module
@@ -21,7 +23,11 @@ ratio CHANGE / BASE, then for each kind of operation (the label up to its
 CHANGE / BASE of the summed minimum times of its operations, so one
 noisy operation cannot swing a kind of three, then, as its last line, in
 how many reps the sum of CHANGE's operations took less time than the sum
-of BASE's.
+of BASE's.  --seed given more than once measures each seed in turn and
+prints, in place of that table, one line per seed with the two sums of
+medians and their ratio, then in how many seeds CHANGE's sum was the
+lower: a ratio that holds at one seed's isomorphic copies of the inputs
+need not hold at another's.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -315,13 +321,80 @@ def timed(op) -> float:
     return perf_counter() - started
 
 
+def timings(workloads, packages, workload: str, seed: int, reps: int, fresh: bool):
+    """The operations' labels and, per package, per operation, the time of
+    each rep, after one untimed pass that checks every answer; exits 1
+    on a wrong answer."""
+    sides = [build_ops(workloads, p, workload, seed) for p in packages]
+    labels = [op.label for op in sides[0]]
+    if labels != [op.label for op in sides[1]]:
+        raise SystemExit("the two checkouts built different operations")
+    wrong = [
+        f"{p.__name__}: {op.label}"
+        for p, ops in zip(packages, sides)
+        for op in ops
+        if not op.check(op.run())
+    ]
+    if wrong:
+        print("wrong answers:", *wrong, sep="\n  ", file=sys.stderr)
+        raise SystemExit(1)
+    times: list[list[list[float]]] = [[[] for _ in labels] for _ in sides]
+    for rep in range(reps):
+        if fresh:
+            sides = [build_ops(workloads, p, workload, seed) for p in packages]
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for index in range(len(labels)):
+            for side in order:
+                times[side][index].append(timed(sides[side][index]))
+    return labels, times
+
+
+def sums_of_medians(times) -> tuple[list[list[float]], float, float]:
+    """Each side's median milliseconds per operation, and the two sums."""
+    medians = [[statistics.median(t) * 1e3 for t in side] for side in times]
+    return medians, sum(medians[0]), sum(medians[1])
+
+
+def print_table(labels, times, reps: int) -> None:
+    medians, total_base, total_change = sums_of_medians(times)
+    width = max(len(label) for label in labels)
+    print(f"{'operation':<{width}}  {'base ms':>9}  {'change ms':>9}  ratio")
+    for label, base, change in zip(labels, *medians):
+        print(f"{label:<{width}}  {base:9.3f}  {change:9.3f}  {change / base:5.3f}")
+    print(f"{'sum of medians':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
+          f"{total_change / total_base:5.3f}")
+    kinds = kind_ratios(labels, *([min(t) for t in side] for side in times))
+    width = max(len(kind) for kind in kinds)
+    print(f"{'kind':<{width}}  ratio of summed minima")
+    for kind, ratio in kinds.items():
+        print(f"{kind:<{width}}  {ratio:22.3f}")
+    base_reps, change_reps = ([sum(rep) for rep in zip(*side)] for side in times)
+    wins = sum(change < base for base, change in zip(base_reps, change_reps))
+    print(f"change faster in {wins} of {reps} reps")
+
+
+def print_seeds(seeds, runs) -> None:
+    """One sum-of-medians line per seed, then in how many seeds CHANGE's
+    sum was the lower."""
+    width = max(len("sum of medians"), *(len(f"seed {seed}") for seed in seeds))
+    print(f"{'sum of medians':<{width}}  {'base ms':>9}  {'change ms':>9}  ratio")
+    lower = 0
+    for seed, times in zip(seeds, runs):
+        _, total_base, total_change = sums_of_medians(times)
+        lower += total_change < total_base
+        print(f"{f'seed {seed}':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
+              f"{total_change / total_base:5.3f}")
+    print(f"change summed lower in {lower} of {len(seeds)} seeds")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", choices=IN_PROCESS)
     parser.add_argument("--reps", type=int)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="repeatable; 11 when left out")
     parser.add_argument("--fresh", action="store_true",
                         help="rebuild every operation, untimed, before each rep")
     parser.add_argument("--verdicts", action="store_true",
@@ -332,6 +405,7 @@ def main(argv=None) -> int:
             parser.error("--workload and --reps are required without --verdicts")
         if args.reps < 1:
             parser.error("--reps must be at least 1")
+    seeds = args.seed or [11]
 
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as workdir:
@@ -347,44 +421,14 @@ def main(argv=None) -> int:
                 print(f"differs: {label}")
             print(f"verdicts: {len(base)} results, {len(differing)} differences")
             return 1 if differing else 0
-        sides = [build_ops(workloads, p, args.workload, args.seed) for p in packages]
-        labels = [op.label for op in sides[0]]
-        if labels != [op.label for op in sides[1]]:
-            raise SystemExit("the two checkouts built different operations")
-        wrong = [
-            f"{p.__name__}: {op.label}"
-            for p, ops in zip(packages, sides)
-            for op in ops
-            if not op.check(op.run())
-        ]
-        if wrong:
-            print("wrong answers:", *wrong, sep="\n  ", file=sys.stderr)
-            return 1
-        times: list[list[list[float]]] = [[[] for _ in labels] for _ in sides]
-        for rep in range(args.reps):
-            if args.fresh:
-                sides = [build_ops(workloads, p, args.workload, args.seed) for p in packages]
-            order = (0, 1) if rep % 2 == 0 else (1, 0)
-            for index in range(len(labels)):
-                for side in order:
-                    times[side][index].append(timed(sides[side][index]))
+        runs = [timings(workloads, packages, args.workload, seed, args.reps, args.fresh)
+                for seed in seeds]
 
-    medians = [[statistics.median(t) * 1e3 for t in side] for side in times]
-    width = max(len(label) for label in labels)
-    print(f"{'operation':<{width}}  {'base ms':>9}  {'change ms':>9}  ratio")
-    for label, base, change in zip(labels, *medians):
-        print(f"{label:<{width}}  {base:9.3f}  {change:9.3f}  {change / base:5.3f}")
-    total_base, total_change = sum(medians[0]), sum(medians[1])
-    print(f"{'sum of medians':<{width}}  {total_base:9.3f}  {total_change:9.3f}  "
-          f"{total_change / total_base:5.3f}")
-    kinds = kind_ratios(labels, *([min(t) for t in side] for side in times))
-    width = max(len(kind) for kind in kinds)
-    print(f"{'kind':<{width}}  ratio of summed minima")
-    for kind, ratio in kinds.items():
-        print(f"{kind:<{width}}  {ratio:22.3f}")
-    base_reps, change_reps = ([sum(rep) for rep in zip(*side)] for side in times)
-    wins = sum(change < base for base, change in zip(base_reps, change_reps))
-    print(f"change faster in {wins} of {args.reps} reps")
+    if len(seeds) == 1:
+        ((labels, times),) = runs
+        print_table(labels, times, args.reps)
+    else:
+        print_seeds(seeds, [times for _, times in runs])
     return 0
 
 

@@ -19,10 +19,12 @@ their echelons.  Everything is exact: no pivot is ever chosen for
 numerical reasons.  The echelon also indexes its rows by column (the
 pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
-every stored row.  ``kernel`` first peels off the columns that
-one-entry rows force to 0, reading the columns as its column -> rows
-index, and eliminates only what remains.  The lead convention (smallest
-column) is what ``_SliceSpan`` reads a slice off, hence it lives here.
+every stored row.  ``kernel`` numbers the columns sparsest first, peels
+off the columns that one-entry rows force to 0, reading the columns as
+its column -> rows index, and eliminates only what remains.
+``_SliceSpan`` keeps fully reduced only the rows that lie in its slice
+and forward-reduces the rows that lead outside it; the lead convention
+(smallest column) is what makes that exact, hence it lives here.
 """
 
 from __future__ import annotations
@@ -207,22 +209,28 @@ def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
     """Null space of the map with these columns, as an RREF basis of
     Q^len(columns).
 
-    The singleton peel (``_peel``) first sets aside every column a
-    one-entry row forces to 0, and only the rows that remain are
-    eliminated.  They go in shortest first (Markowitz's order: a short
-    pivot row adds few entries to the rows it clears); the RREF is
-    unique, so the order never shows.  Each free column f, neither a
+    The columns are first numbered sparsest first, a stable sort on
+    their lengths (Markowitz's rule: a pivot on a sparse column fills in
+    little), so the fill does not depend on the order the caller lists
+    its unknowns in.  The singleton peel (``_peel``) then sets
+    aside every column a one-entry row forces to 0, and only the rows
+    that remain are eliminated, shortest first (a short pivot row adds
+    few entries to the rows it clears).  Each free column f, neither a
     pivot nor forced, gives the vector e_f minus the f-entries of the
-    pivot rows placed at their pivots.
+    pivot rows placed at their pivots, read back in the caller's
+    numbering; their RREF is unique, so neither order ever shows.
     """
     ncols = len(columns)
-    rows, forced = _peel(columns, _rows(columns))
+    order = sorted(range(ncols), key=[len(column) for column in columns].__getitem__)
+    sparse_first = [columns[j] for j in order]
+    rows, forced = _peel(sparse_first, _rows(sparse_first))
     echelon = _span(sorted(rows, key=len))
-    basis = {f: {f: 1} for f in range(ncols) if f not in echelon and f not in forced}
+    basis = {f: {order[f]: 1} for f in range(ncols) if f not in echelon and f not in forced}
     for pivot, row in echelon.items():
+        at = order[pivot]
         for j, v in row.items():
             if j != pivot:
-                basis[j][pivot] = -v
+                basis[j][at] = -v
     return SubspaceBasis(ncols, _span(basis.values()))
 
 
@@ -249,17 +257,23 @@ class _SliceSpan:
     """The span of the images inserted so far, intersected with a slice.
 
     Slice label j is column j; every other label gets a negative column
-    (-1, -2, ...) as it first appears.  An echelon row's lead is its
-    smallest column, so a row whose lead is >= 0 lies wholly in the slice,
-    and those rows are the RREF basis of the intersection, already in
-    slice coordinates.  Images inserted later extend the same echelon, and
-    since no insert moves an old lead, an image adds a row to the
-    intersection exactly when its new lead is >= 0.
+    (-1, -2, ...) as it first appears.  A row leads with its smallest
+    column, and one whose lead is negative is only forward-reduced: it
+    is kept in ``outside``, lead -> row scaled to 1 there, and no later
+    pivot is ever cleared from it.  A row with no negative column goes
+    into the fully reduced ``echelon``.  The outside rows and the echelon
+    rows together are a triangular basis of the span, so a combination of
+    them with no entry outside the slice gives its smallest negative lead
+    a coefficient of 0 (no other row holds that column): the echelon rows
+    alone span the intersection, and they are its RREF basis, already in
+    slice coordinates.  An image adds a row to the intersection exactly
+    when it reaches the echelon and does not reduce to 0 there.
     """
 
     def __init__(self, slice_labels: Sequence):
         self.size = len(slice_labels)
         self.position = {label: j for j, label in enumerate(slice_labels)}
+        self.outside: dict[int, dict] = {}
         self.echelon = Echelon()
 
     def insert(self, image: Mapping) -> bool:
@@ -270,12 +284,21 @@ class _SliceSpan:
             if label not in position:
                 position[label] = self.size - len(position) - 1
             row[position[label]] = coeff
-        lead = self.echelon.insert(row)
-        return lead is not None and lead >= 0
+        outside = self.outside
+        while row:
+            lead = min(row)
+            if lead >= 0:
+                return self.echelon.insert(row) is not None
+            known = outside.get(lead)
+            if known is None:
+                piv = row[lead]
+                outside[lead] = row if piv == 1 else {j: _quotient(v, piv) for j, v in row.items()}
+                return False
+            _subtract(row, row[lead], known)
+        return False
 
     def basis(self) -> SubspaceBasis:
-        inside = {p: dict(row) for p, row in self.echelon.items() if p >= 0}
-        return SubspaceBasis(self.size, inside)
+        return SubspaceBasis(self.size, {p: dict(row) for p, row in self.echelon.items()})
 
 
 def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:

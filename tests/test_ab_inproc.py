@@ -167,3 +167,22 @@ def test_verdicts_assemble_mat2_twists_flat_and_obstructed(mat2, mat2_regular):
         assert associative == deform(DeformationDatum(mat2, phi))[1]
         verdicts.append(associative)
     assert verdicts == [False, True, False, True, False]
+
+
+def test_two_seeds_print_one_sum_per_seed():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT),
+         "--workload", "cohom-graded", "--reps", "1", "--seed", "1", "--seed", "2"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *seeds, last = result.stdout.splitlines()
+    assert header.split() == ["sum", "of", "medians", "base", "ms", "change", "ms", "ratio"]
+    assert [line.split()[:2] for line in seeds] == [["seed", "1"], ["seed", "2"]]
+    for line in seeds:
+        base, change, ratio = (float(x) for x in line.split()[2:])
+        assert base > 0 and change > 0 and abs(ratio - change / base) <= 0.002
+    assert re.fullmatch(r"change summed lower in [012] of 2 seeds", last)

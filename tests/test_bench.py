@@ -1,5 +1,6 @@
-"""Smoke test of scripts/bench.py: one pair of the checkout against itself."""
+"""Tests of scripts/bench.py: pairs of the checkout against itself, and its helpers."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,6 +24,7 @@ def test_one_pair_of_one_workload(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
     assert (record["pr"], record["pairs"], record["seconds"]) == (0, 1, 0.05)
+    assert record["first_seed"] == 1
     assert list(record["workloads"]) == ["cohom-graded"]
     summary = record["workloads"]["cohom-graded"]
     (pair,) = summary["pairs"]
@@ -37,6 +39,52 @@ def test_one_pair_of_one_workload(tmp_path):
     assert summary["ratio"]["wall_s"] == ratio
     assert set(summary["change_lower_in"]) == END_TO_END
     assert all(count in (0, 1) for count in summary["change_lower_in"].values())
+    # ops_per_s is better higher, every other metric lower
+    metrics = {side: pair[side]["metrics"] for side in ("base", "change")}
+    assert summary["change_better_in"] == {
+        name: int(metrics["change"][name] > metrics["base"][name]
+                  if name == "ops_per_s" else metrics["change"][name] < metrics["base"][name])
+        for name in END_TO_END
+    }
     assert summary["correct"] is True
     assert summary["failed"] == {"base": 0, "change": 0}
     assert result.stdout.splitlines()[-1] == "wrote BENCH_0.json"
+
+
+def test_first_seed_numbers_the_pairs_from_it(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--pr", "0", "--pairs", "2",
+         "--seconds", "0.05", "--workload", "cohom-graded", "--first-seed", "101"],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
+    assert record["first_seed"] == 101
+    summary = record["workloads"]["cohom-graded"]
+    # the order of the two sides still flips with the pair, not the seed
+    assert [(pair["seed"], pair["order"]) for pair in summary["pairs"]] == [
+        (101, ["base", "change"]), (102, ["change", "base"]),
+    ]
+    assert all(count in (0, 1, 2) for count in summary["change_better_in"].values())
+
+
+def test_better_in_reads_each_direction_from_the_benchmark():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    better = bench.directions()
+    assert set(better) == END_TO_END
+    assert better["ops_per_s"] == "higher" and better["wall_s"] == "lower"
+    # more ops per second in both pairs; less wall time in the first, and
+    # in the second a tie, which counts for neither side
+    runs = [
+        {"base": {"metrics": {"ops_per_s": 10, "wall_s": 2.0}},
+         "change": {"metrics": {"ops_per_s": 12, "wall_s": 1.5}}},
+        {"base": {"metrics": {"ops_per_s": 10, "wall_s": 2.0}},
+         "change": {"metrics": {"ops_per_s": 11, "wall_s": 2.0}}},
+    ]
+    directions = {"ops_per_s": "higher", "wall_s": "lower"}
+    assert bench.better_in(runs, directions) == {"ops_per_s": 2, "wall_s": 1}

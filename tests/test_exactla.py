@@ -323,3 +323,74 @@ def test_kernel_peels_one_entry_rows_and_their_cascades(data):
     left, forced = _peel(columns, _rows(columns))
     assert all(len(row) > 1 and forced.isdisjoint(row) for row in left)
     assert all(vec[j] == 0 for vec in got.vectors for j in forced)
+
+
+@given(st.data())
+def test_kernel_reads_its_sparsest_first_numbering_back(data):
+    # kernel numbers the columns sparsest first and reads each vector back
+    # in the caller's numbering: columns of every density, empty ones and
+    # ones a one-entry row forces to 0 among them, give the textbook
+    # kernel, and the kernel of the columns in any order, mapped back, is
+    # the same subspace
+    nrows = data.draw(st.integers(min_value=1, max_value=6))
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    nonzero = rationals().filter(bool)
+    column = st.dictionaries(st.integers(0, nrows - 1), nonzero, max_size=nrows)
+    columns = data.draw(st.lists(column, min_size=ncols, max_size=ncols))
+    # each row ("single", k) holds one entry, so it forces its column to 0
+    for k, j in enumerate(data.draw(st.lists(st.integers(0, ncols - 1), max_size=2))):
+        columns[j][("single", k)] = data.draw(nonzero)
+    labels = list(dict.fromkeys(label for col in columns for label in col))
+    dense = [[col.get(label, 0) for col in columns] for label in labels]
+    got = kernel(columns)
+    assert [list(vec) for vec in got.vectors] == fraction_kernel(dense, ncols)
+
+    perm = data.draw(st.permutations(range(ncols)))
+    mapped = []
+    for vec in kernel([columns[j] for j in perm]).vectors:
+        back = [0] * ncols
+        for i, x in enumerate(vec):
+            back[perm[i]] = x  # column i of the permuted map is column perm[i]
+        mapped.append(back)
+    assert subspace(ncols, mapped) == got
+
+
+@given(st.data())
+def test_slice_span_is_the_same_in_any_insert_order(data):
+    # most labels lie outside the slice, so most rows are kept
+    # forward-reduced only; the images in two drawn orders give one basis,
+    # the in-slice rows of the RREF with every outside column first, and
+    # the same number of inserts that report growth
+    size = data.draw(st.integers(min_value=0, max_value=3))
+    outside = ["x", "y", "z", ("w", 1), "v"]
+    label = st.sampled_from([*range(size), *outside, *outside])
+    entry = st.one_of(st.sampled_from((1, -1, 2)), rationals().filter(bool))
+    images = data.draw(st.lists(st.dictionaries(label, entry, max_size=5), max_size=8))
+    readings = []
+    for order in (data.draw(st.permutations(images)), data.draw(st.permutations(images))):
+        span = _SliceSpan(range(size))
+        grew = sum(span.insert(image) for image in order)
+        readings.append((span.basis(), grew))
+    assert readings[0] == readings[1]
+
+    columns = [*outside, *range(size)]
+    dense = [[image.get(label, 0) for label in columns] for image in images]
+    basis, pivots = fraction_rref(dense, len(columns))
+    inside = [row[len(outside):] for row, pivot in zip(basis, pivots) if pivot >= len(outside)]
+    assert [list(vec) for vec in readings[0][0].vectors] == inside
+    assert readings[0][1] == len(inside)
+
+
+def test_slice_span_subtracts_outside_rows_without_reducing_them():
+    # x and y lie outside the slice and take columns -1 and -2; the row
+    # led by y keeps its x entry, and an image reaches the slice, or
+    # cancels, only after both outside rows are subtracted from it
+    span = _SliceSpan(["a", "b"])
+    assert span.insert({"x": 1}) is False
+    assert span.insert({"x": 2, "y": 1}) is False
+    assert span.insert({"y": 3, "a": 1}) is True  # 3y + a - 3(y + 2x) + 6x = a
+    assert span.insert({"y": 1, "x": 5, "a": 4}) is False  # reduces to 4a
+    assert span.insert({"y": 2, "x": 4}) is False  # twice the row led by y
+    assert span.insert({}) is False
+    assert span.outside == {-1: {-1: 1}, -2: {-2: 1, -1: 2}}
+    assert span.basis() == SubspaceBasis(2, {0: {0: 1}})
