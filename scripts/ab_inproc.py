@@ -2,7 +2,6 @@
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
         [--seed N ...]
-    python3 scripts/ab_inproc.py BASE CHANGE --verdicts
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
 Each checkout's package is copied into a temporary directory under its
@@ -32,31 +31,9 @@ need not hold at another's.
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
 
-The cohomology answers on the committed inputs are not compared here:
-tests/grid_answers.json pins them, and tests/test_grid.py checks one
-checkout against that file.
-
-With --verdicts nothing is timed: the results of the verdict routes and
-witness searches of the two packages are compared.  They are the return
-value of each operation of the verdict-batch workload for seeds 1-5 (the
-verdict, or the witness a search returns, polynomials as text), and for
-each search that finds a witness the verdict of
-``equivalent_deformations`` or ``equivalent_extensions`` on that witness
-and on the witness doubled; then the full results of ``build_extension``, ``deform`` and
-``build_abelian_extension`` on every inputs/*.coc over cur1, read against
-its regular module and every inputs/*.mod: residual polynomials, the
-assembled tables and the verdict, or the type and message of what parsing
-or building raised.  Then come the full results of ``build_extension`` on
-seeded gluing data between two different modules over cur1, for every
-ordered pair of its regular module, every inputs/*.mod and a rank-two
-module whose action differs from theirs, and every seed: the coboundary
-of a seeded B, plus a seeded family on odd seeds.  Last come the full
-results of ``deform`` and ``build_abelian_extension`` on a seeded
-2-cochain over mat2's regular module for every seed, so an assembled
-A (+) M of rank 8 is compared table by table: the differential of a
-seeded 1-cochain, plus seeded values on odd seeds.  Prints each result
-that differs, then the number of results and of differences, and exits 1
-on any difference.
+Answers are not compared beyond that untimed check: the cohomology
+reports on the committed inputs and the results of the verdict routes
+are pinned in tests/grid_answers.json, which tests/test_grid.py checks.
 """
 
 from __future__ import annotations
@@ -68,23 +45,11 @@ import shutil
 import statistics
 import sys
 import tempfile
-from itertools import permutations
 from pathlib import Path
-from random import Random
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 IN_PROCESS = ("cohom-graded", "cohom-ungraded", "verdict-batch")
-INPUTS = ROOT / "inputs"
-# the verdict-batch seeds --verdicts compares, also the seeds of its gluing data
-VERDICT_SEEDS = range(1, 6)
-# a rank-two module over cur1, glued to and from the committed ones by --verdicts
-SPLIT_MODULE = """kind: module
-generators: u v
-actions: left
-left e u -> 1 * u
-left e v -> (lam + del) * u
-"""
 
 
 def load_workloads():
@@ -129,178 +94,6 @@ def build_ops(workloads, package, workload: str, seed: int):
         for name in [n for n in sys.modules if n.split(".")[0] == "pseudo"]:
             del sys.modules[name]
         sys.modules.update(saved)
-
-
-def rendered(value):
-    """A result as plain data that two packages' copies compare by: a
-    polynomial as its variables and text, a cochain, algebra or module
-    by what defines it, containers item by item."""
-    kind = type(value).__name__
-    if kind == "Poly":
-        return value.variables, str(value)
-    if kind == "Cochain":
-        return kind, value.degree, rendered(value.values)
-    if kind == "ConformalAlgebra":
-        return kind, value.generators, rendered(value.structure)
-    if kind == "BimoduleStructure":
-        return kind, value.generators, rendered(value.left), rendered(value.right)
-    if isinstance(value, dict):
-        return tuple(sorted((key, rendered(item)) for key, item in value.items()))
-    if isinstance(value, (tuple, list)):
-        return tuple(rendered(item) for item in value)
-    return value
-
-
-def answer(compute):
-    """``compute()`` rendered, or the type and message of what it raised."""
-    try:
-        return rendered(compute())
-    except Exception as exc:  # an exception is part of the answer
-        return type(exc).__name__, str(exc)
-
-
-def verdict_answers(workloads, package) -> dict:
-    """Result label -> what the verdict routes of ``package`` give: each
-    verdict-batch operation's result for every seed of VERDICT_SEEDS (a
-    witness search's result is its witness, and a found witness adds the
-    equivalence verdicts on it and on it doubled), then every
-    construction on every committed cocycle file over cur1."""
-    answers = {}
-    formats, con = package.formats, package.constructions
-    equivalent = {
-        "deformation-witness": con.equivalent_deformations,
-        "extension-witness": con.equivalent_extensions,
-    }
-    for seed in VERDICT_SEEDS:
-        for op in build_ops(workloads, package, "verdict-batch", seed):
-            label, kind = f"seed {seed}: {op.label}", op.label.split()[0]
-            if kind not in equivalent:
-                answers[label] = answer(op.run)
-                continue
-            try:
-                first, second, witness = op.run()
-            except Exception as exc:  # an exception is part of the answer
-                answers[label] = type(exc).__name__, str(exc)
-                continue
-            answers[label] = rendered(witness)
-            if witness is not None:
-                for name, candidate in (("witness", witness), ("doubled", doubled(witness))):
-                    answers[f"{label}: equivalent on the {name}"] = answer(
-                        lambda: equivalent[kind](first, second, candidate)
-                    )
-    read = lambda path: path.read_text(encoding="utf-8")
-    cur1 = formats.parse_algebra(read(INPUTS / "cur1.alg"))
-    modules = [("regular", package.cfmodule.BimoduleStructure.regular(cur1))]
-    modules += [(p.name, formats.parse_module(read(p), cur1))
-                for p in sorted(INPUTS.glob("*.mod"))]
-    for path in sorted(INPUTS.glob("*.coc")):
-        text = read(path)
-        for name, module in modules:
-            label = f"{path.name} over {name}"
-
-            def gamma(module=module):
-                return formats.parse_gamma(text, cur1, module, module)
-
-            def cochain(module=module):
-                return formats.parse_cochain(text, cur1, module, 2)
-
-            answers[f"{label}: build_extension"] = answer(
-                lambda: con.build_extension(con.ExtensionDatum(cur1, module, module, gamma()))
-            )
-            answers[f"{label}: deform"] = answer(
-                lambda: con.deform(con.DeformationDatum(cur1, cochain()))
-            )
-            answers[f"{label}: build_abelian_extension"] = answer(
-                lambda: con.build_abelian_extension(
-                    con.AbelianExtensionDatum(cur1, module, cochain())
-                )
-            )
-    modules.append(("split", formats.parse_module(SPLIT_MODULE, cur1)))
-    for (sub_name, sub), (quotient_name, quotient) in permutations(modules, 2):
-        for seed in VERDICT_SEEDS:
-            label = f"seed {seed}: gluing {quotient_name} to {sub_name}: build_extension"
-            answers[label] = answer(lambda: con.build_extension(
-                con.ExtensionDatum(cur1, sub, quotient, gluing_data(package, sub, quotient, seed))
-            ))
-    mat2 = formats.parse_algebra(read(INPUTS / "mat2.alg"))
-    regular = package.cfmodule.BimoduleStructure.regular(mat2)
-    for seed in VERDICT_SEEDS:
-        label = f"seed {seed}: twist over mat2"
-        twist = twist_cochain(package, regular, seed)
-        answers[f"{label}: deform"] = answer(
-            lambda: con.deform(con.DeformationDatum(mat2, twist))
-        )
-        answers[f"{label}: build_abelian_extension"] = answer(
-            lambda: con.build_abelian_extension(con.AbelianExtensionDatum(mat2, regular, twist))
-        )
-    return answers
-
-
-def doubled(witness):
-    """Twice a witness: a degree-1 cochain, or a map B as {(t, k): Poly}."""
-    if isinstance(witness, dict):
-        return {key: poly + poly for key, poly in witness.items()}
-    return witness.scaled(2)
-
-
-def seeded_poly(package, rng: Random, variables: tuple[str, ...], degree: int):
-    """One to three seeded monomials over ``variables``, each of degree <=
-    ``degree``, summed."""
-    Poly = package.polyring.Poly
-    total = Poly.zero(variables)
-    for _ in range(rng.randint(1, 3)):
-        exps = [0] * len(variables)
-        for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(len(variables))] += 1
-        total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
-    return total
-
-
-def gluing_data(package, sub, quotient, seed: int) -> dict:
-    """Seeded gamma from ``quotient`` to ``sub``: the coboundary of a B of
-    degree <= 1, plus on odd seeds a family of degree <= 2 on the first
-    generator."""
-    con = package.constructions
-    rng = Random(seed)
-    b_matrix = {(t, k): seeded_poly(package, rng, ("del",), 1)
-                for t in range(quotient.rank) for k in range(sub.rank)}
-    gamma = con.gamma_coboundary(sub, quotient, b_matrix)
-    if seed % 2:
-        variables = package.conformal.PRODUCT_VARS
-        bend = package.cfmodule.CLinearMap(quotient.generators, sub.generators, {
-            (t, s): seeded_poly(package, rng, variables, 2)
-            for t in range(quotient.rank) for s in range(sub.rank)
-        })
-        gamma[0] = gamma[0] + bend if 0 in gamma else bend
-    return gamma
-
-
-def twist_cochain(package, module, seed: int):
-    """Seeded 2-cochain over ``module``: the differential of a 1-cochain
-    with one value of degree <= 1 on each generator, so a cocycle, plus on
-    odd seeds a value of degree <= 2 on each of two seeded pairs."""
-    Cochain, apply_dn = package.cohomology.Cochain, package.cohomology.apply_dn
-    algebra, rank = module.algebra, module.rank
-    rng = Random(seed)
-    one, two = package.cohomology.cochain_variables(1), package.cohomology.cochain_variables(2)
-
-    def vector(variables, degree):
-        vec = [package.polyring.Poly.zero(variables)] * rank
-        vec[rng.randrange(rank)] = seeded_poly(package, rng, variables, degree)
-        return tuple(vec)
-
-    phi = apply_dn(Cochain(1, algebra, module, {
-        (i,): vector(one, 1) for i in range(algebra.rank)
-    }))
-    if seed % 2:
-        pairs = [(rng.randrange(algebra.rank), rng.randrange(algebra.rank)) for _ in range(2)]
-        phi = phi + Cochain(2, algebra, module, {pair: vector(two, 2) for pair in pairs})
-    return phi
-
-
-def differences(base: dict, change: dict) -> list[str]:
-    """The labels of the results that differ, or that only one side has."""
-    return [label for label in {**base, **change} if base.get(label) != change.get(label)]
 
 
 def kind_ratios(labels, base, change) -> dict[str, float]:
@@ -391,20 +184,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=IN_PROCESS)
-    parser.add_argument("--reps", type=int)
+    parser.add_argument("--workload", required=True, choices=IN_PROCESS)
+    parser.add_argument("--reps", required=True, type=int)
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; 11 when left out")
     parser.add_argument("--fresh", action="store_true",
                         help="rebuild every operation, untimed, before each rep")
-    parser.add_argument("--verdicts", action="store_true",
-                        help="compare every verdict, witness and construction result, untimed")
     args = parser.parse_args(argv)
-    if not args.verdicts:
-        if args.workload is None or args.reps is None:
-            parser.error("--workload and --reps are required without --verdicts")
-        if args.reps < 1:
-            parser.error("--reps must be at least 1")
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
     seeds = args.seed or [11]
 
     workloads = load_workloads()
@@ -414,13 +202,6 @@ def main(argv=None) -> int:
             import_copy(args.base.resolve(), "pseudo_base", Path(workdir)),
             import_copy(args.change.resolve(), "pseudo_change", Path(workdir)),
         ]
-        if args.verdicts:
-            base, change = (verdict_answers(workloads, p) for p in packages)
-            differing = differences(base, change)
-            for label in differing:
-                print(f"differs: {label}")
-            print(f"verdicts: {len(base)} results, {len(differing)} differences")
-            return 1 if differing else 0
         runs = [timings(workloads, packages, args.workload, seed, args.reps, args.fresh)
                 for seed in seeds]
 

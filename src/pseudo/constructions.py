@@ -127,17 +127,7 @@ class ExtensionDatum:
             # the left law is checked first: it fails iff the verdict names it
             if (cex := axiom_failure(module)) is not None and cex.law == "left":
                 raise UnfitModuleError(f"{name} module violates its own left law")
-        clean: dict[int, CLinearMap] = {}
-        for i, gmap in self.gamma.items():
-            i = operator.index(i)
-            if not (0 <= i < self.algebra.rank):
-                raise ValueError(f"gamma index {i} out of range")
-            if gmap.source != self.quotient.generators:
-                raise ValueError("gamma source must be the quotient module")
-            if gmap.target != self.sub.generators:
-                raise ValueError("gamma target must be the sub module")
-            if not gmap.is_zero():
-                clean[i] = gmap
+        clean = _checked_gamma(self.algebra, self.sub, self.quotient, self.gamma)
         object.__setattr__(self, "gamma", clean)
 
 
@@ -145,6 +135,29 @@ def _require_left(name: str, module: BimoduleStructure) -> None:
     """Refuse a sub or quotient module with no left action to glue by."""
     if not module.has_left:
         raise UnfitModuleError(f"{name} module needs a left action")
+
+
+def _checked_gamma(
+    algebra: ConformalAlgebra,
+    sub: BimoduleStructure,
+    quotient: BimoduleStructure,
+    gamma: Mapping[int, CLinearMap],
+) -> dict[int, CLinearMap]:
+    """The nonzero maps of a family quotient -> sub, by int index, after
+    checking that each index names a generator of the algebra and each
+    map runs from the quotient's generators to the sub's."""
+    clean: dict[int, CLinearMap] = {}
+    for i, gmap in gamma.items():
+        i = operator.index(i)
+        if not (0 <= i < algebra.rank):
+            raise ValueError(f"gamma index {i} out of range")
+        if gmap.source != quotient.generators:
+            raise ValueError("gamma source must be the quotient module")
+        if gmap.target != sub.generators:
+            raise ValueError("gamma target must be the sub module")
+        if not gmap.is_zero():
+            clean[i] = gmap
+    return clean
 
 
 # the four ring maps of the Chom differential, built once per process,
@@ -388,9 +401,13 @@ def find_extension_witness(
     The search is an exact linear solve over the coefficients of B, one
     column of `_coboundary_terms` per monomial of B; None means no witness
     exists within the degree bound (a larger bound may still succeed).
+    A gamma_diff index outside the algebra, or a map that does not run
+    from the quotient's generators to the sub's, raises ValueError, as
+    in `ExtensionDatum`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    target = _family_terms(_checked_gamma(sub.algebra, sub, quotient, gamma_diff))
     unknowns = [
         (t, k, e)
         for t in range(quotient.rank)
@@ -399,7 +416,6 @@ def find_extension_witness(
     ]
     monomials = [Poly.monomial(PRODUCT_VARS, (e, 0)) for e in range(max_degree + 1)]
     columns = [_coboundary_terms(sub, quotient, [((t, k), monomials[e])]) for t, k, e in unknowns]
-    target = _family_terms(gamma_diff)
     coords = solve_columns(columns, target)
     if coords is None:
         return None

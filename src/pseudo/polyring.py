@@ -11,7 +11,7 @@ sorted in the global order
 
 so that the exponent vectors of any two polynomials over the same
 variable set align position by position.  Alignment across *different*
-variable sets is an explicit step (`embed`, `rename_vars`); the arithmetic
+variable sets is an explicit step (`embed`, `substitute`); the arithmetic
 operators refuse mismatched operands instead of guessing.
 
 Zero is the empty term map; no operation ever stores a zero coefficient.
@@ -300,9 +300,22 @@ class Poly:
     # -- variable plumbing -------------------------------------------
 
     def embed(self, variables: Iterable[str]) -> "Poly":
-        """Reinterpret over a superset of the current variables."""
+        """Reinterpret over a superset of the current variables: each
+        exponent moves to its variable's position, no arithmetic is done."""
         variables = tuple(variables)
-        return self if variables == self.variables else self.rename_vars({}, variables)
+        if variables == self.variables:
+            return self
+        tvars = _canonical(variables)
+        if not set(self.variables) <= set(tvars):
+            raise VariableMismatchError(f"{tvars} does not contain {list(self.variables)}")
+        pos = [tvars.index(v) for v in self.variables]
+        terms = {}
+        for exp, coeff in self.terms.items():
+            new = [0] * len(tvars)
+            for p, e in zip(pos, exp):
+                new[p] = e
+            terms[tuple(new)] = coeff
+        return Poly._raw(tvars, terms)
 
     def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Simultaneously replace variables by polynomials (a ring map).
@@ -315,28 +328,6 @@ class Poly:
         if not bindings:
             return self
         return _RingMap(self.variables, bindings)(self)
-
-    def rename_vars(
-        self, mapping: Mapping[str, str], target: Iterable[str] | None = None
-    ) -> "Poly":
-        """Injectively rename variables; unmentioned names keep themselves.
-
-        A rename only moves exponent positions, so no arithmetic is done.
-        """
-        names = [mapping.get(v, v) for v in self.variables]
-        if len(set(names)) != len(names):
-            raise VariableMismatchError(f"rename collides: {mapping}")
-        tvars = sort_variables(names) if target is None else _canonical(target)
-        if not set(names) <= set(tvars):
-            raise VariableMismatchError(f"{tvars} does not contain {names}")
-        pos = [tvars.index(v) for v in names]
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(tvars)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return Poly._raw(tvars, terms)
 
     # -- printing and parsing ----------------------------------------
 

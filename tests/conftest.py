@@ -380,7 +380,8 @@ def reference_deformation_residuals(algebra: ConformalAlgebra, cocycle: Cochain)
     """{(a, b, c, s): poly}: both placements of the twist F in the law of
     P + eps F, left-nested minus right-nested, zeros dropped."""
     n, products = algebra.rank, algebra.structure
-    twist = {key: [(k, poly.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
+    lam = {"lam1": Poly.var(PRODUCT_VARS, "lam")}
+    twist = {key: [(k, poly.substitute(lam))
                    for k, poly in enumerate(vec) if not poly.is_zero]
              for key, vec in cocycle.values.items()}
     pf = reference_law_sides((products, twist, products, twist), n)
@@ -582,6 +583,42 @@ def fraction_solve(rows, rhs, ncols):
     for row, pc in zip(augmented, pivots):
         solution[pc] = row[ncols]
     return solution
+
+
+def rendered(value):
+    """A result as plain data: a polynomial as its variables and text, a
+    cochain, algebra or module by what defines it, containers item by
+    item, a dict's items sorted by key."""
+    if isinstance(value, Poly):
+        return value.variables, str(value)
+    if isinstance(value, Cochain):
+        return "Cochain", value.degree, rendered(value.values)
+    if isinstance(value, ConformalAlgebra):
+        return "ConformalAlgebra", value.generators, rendered(value.structure)
+    if isinstance(value, BimoduleStructure):
+        return "BimoduleStructure", value.generators, rendered(value.left), rendered(value.right)
+    if isinstance(value, dict):
+        return tuple(sorted((key, rendered(item)) for key, item in value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(rendered(item) for item in value)
+    return value
+
+
+def seeded_poly(rng, variables: tuple[str, ...], degree: int) -> Poly:
+    """One to three monomials drawn from ``rng`` over ``variables``, each
+    of degree <= ``degree`` with a coefficient of -2, -1, 1 or 2, summed."""
+    total = Poly.zero(variables)
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(len(variables))] += 1
+        total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
+    return total
+
+
+def top_degree(cochain: Cochain) -> int:
+    """The largest total degree among the cochain's values, 0 when all are zero."""
+    return max((p.total_degree() or 0 for vec in cochain.values.values() for p in vec), default=0)
 
 
 @pytest.fixture(scope="session")

