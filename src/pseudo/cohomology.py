@@ -29,13 +29,13 @@ span) * extent(D) + code // span; only ``apply_dn`` and the overflow
 message decode codes back to labels, and no other module sees a code.
 What lives on the module: its grading (`grading`), and its compiled
 stencil for each degree n, built on first use (`_stencil`), with the
-ring map of each slot, the images a call has asked for, one table of
-basis monomial -> image per (slot, cut, generator) and the numbering of
-the target monomials up to the largest degree asked for.  A later call
-on the same module forms only what no earlier call formed.  All of it is
-freed with the module (for a regular module, which forms a reference
-cycle with its algebra, when the cycle collector reclaims the pair); an
-equal but distinct module forms its own.
+ring map of each slot, its moved structure entries per (cut, generator)
+with the images a call has asked for kept beside them (basis monomial ->
+image), and the numbering of the target monomials up to the largest
+degree asked for.  A later call on the same module forms only what no
+earlier call formed.  All of it is freed with the module (for a regular
+module, which forms a reference cycle with its algebra, when the cycle
+collector reclaims the pair); an equal but distinct module forms its own.
 
 Cohomology is computed in the truncated slice of total degree <= D: the
 cocycle space is exact there, while the coboundary space is obtained by
@@ -202,6 +202,8 @@ class CochainIndex:
             raise ValueError("degree must be nonnegative")
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
+        if module.algebra != algebra:
+            raise ValueError("module is over a different algebra")
         self.algebra = algebra
         self.module = module
         self.degree = degree
@@ -254,23 +256,12 @@ def _from_terms(degree: int, module: BimoduleStructure, terms) -> Cochain:
     return cochain
 
 
-def _differential_codes(stencil: "_Stencil", cochain: Cochain) -> dict:
-    """d of the cochain on its module's stencil as raw sums keyed by target
-    code: each term c*m of the value on (tuple t, generator k) adds c times
-    d of the basis cochain (t, k, m)."""
-    acc: dict = {}
-    for tup, vec in cochain.values.items():
-        for k, poly in enumerate(vec):
-            stencil.add(acc, tup, k, poly.terms)
-    return acc
-
-
 def apply_dn(cochain: Cochain) -> Cochain:
     """d of an n-cochain, n >= 0 (see module docstring), on the module's
     stencil, decoded into a cochain."""
     n, module = cochain.degree, cochain.module
     stencil = _stencil(module, n)
-    acc = _differential_codes(stencil, cochain)
+    acc = stencil.differential(cochain.values)
     label = stencil.label
     return _from_terms(n + 1, module, ((label(code), c) for code, c in acc.items() if c))
 
@@ -284,7 +275,7 @@ def _differential_equals(cochain: Cochain, target: Cochain | None = None) -> boo
     stencil = _stencil(module, n)
     if target is not None and (target.degree, target.module) != (n + 1, module):
         raise ValueError("cochain shapes differ")
-    acc = _differential_codes(stencil, cochain)
+    acc = stencil.differential(cochain.values)
     if target is not None:
         code = stencil.code
         for label, c in _terms(target):
@@ -301,8 +292,10 @@ class _Stencil:
     t[:i-1] + (a, b) + t[i:] for every product a lam_i b with a term on
     t[i-1], and the tail t + (g,).  Slot s cuts t[lo:hi] out and inserts
     generators in its place; its image depends on t only through the cut.
-    The structure tables are substituted once here, and each slot keeps
-    the `polyring._RingMap` of its value substitution.
+    One loop builds every slot from its rule (lo, hi, value bindings,
+    coefficient bindings, sign, entries): it substitutes each structure
+    entry once, with the rule's coefficient bindings and sign, and the slot
+    keeps the `polyring._RingMap` of its value bindings.
 
     A target label (tuple t, module generator s, exponent e) is one
     integer, its code (``code`` encodes, ``label`` decodes):
@@ -319,13 +312,15 @@ class _Stencil:
     is built, hashed or looked up on the way to an echelon row.
 
     The image of a basis monomial m at a slot depends on (slot, cut, k, m)
-    alone, so it is formed once and kept as ``images[slot, cut, k][m]``,
-    (offset, coeff) pairs.  An offset is the code of an image term with
+    alone, so it is formed once, as (offset, coeff) pairs, and kept beside
+    the entries it is formed from: a slot's table maps (cut, k) to
+    (entries, {m: image}).  An offset is the code of an image term with
     the tuple parts outside the cut left 0.  ``_slots`` works out each
-    slot's cut, table and base (added to every offset) once per source
-    (tuple, k), for ``add`` (``apply_dn``) and for ``columns``, which
-    yields one column per monomial and forms none a caller does not ask
-    for, so the coboundary slice stops at its ceiling.  The stencil keeps
+    slot's ring map, entries, kept images and base (added to every
+    offset) once per source (tuple, k), for ``differential`` (``apply_dn``
+    and ``_differential_equals``) and for ``columns``, which yields one
+    column per monomial and forms none a caller does not ask for, so the
+    coboundary slice stops at its ceiling.  The stencil keeps
     the numbering of target monomials (``monomials`` and its inverse
     ``numbering``), extended to the largest degree asked for.  `_stencil`
     keeps it on the module, one per (module, n), so all of it serves
@@ -358,39 +353,21 @@ class _Stencil:
         for i in range(1, n + 1):
             lam_total = lam_total + lam[i]
 
-        def shift(inserted: tuple[int, ...], hi: int, s: int) -> int:
-            """The code part of generators inserted by a slot whose cut
-            ends at hi, and of the target module generator s."""
-            index = 0
-            for g in inserted:
-                index = index * radix + g
-            return index * radix ** (n - hi) * rank_m + s
-
-        # slot -> (lo, hi, value ring map, table, rank(A)^(n+1-lo),
-        # rank(A)^(n-hi)), where the table maps (cut, k) to ((shift,
-        # moved structure polynomial with the slot's sign), ...)
-        self.slots: list[tuple[int, int, _RingMap, dict, int, int]] = []
-        # (slot, cut, k) -> {monomial: ((offset, coeff), ...)}, one entry
-        # for each (cut, k) the slot's table holds, filled as asked for
-        self.images: dict = {}
-
-        def add_slot(lo: int, hi: int, value_sub: dict, table: dict) -> None:
-            for cut, k in table:
-                self.images[len(self.slots), cut, k] = {}
-            ring = _RingMap(self.src_vars, value_sub)
-            self.slots.append((lo, hi, ring, table, radix ** (n + 1 - lo), radix ** (n - hi)))
-
+        # one rule per slot (head, middle slots 1..n, tail): (lo, hi, value
+        # bindings, coefficient bindings, sign, entries), each entry
+        # (inserted generators, cut, structure polynomial, ((source k,
+        # target s), ...))
+        left = [((g,), (), p, ((k, s),)) for (g, k), out in module.left.items() for s, p in out]
+        right = [((g,), (), p, ((k, s),)) for (k, g), out in module.right.items() for s, p in out]
+        products = [
+            ((a, b), (l,), p, tuple((k, k) for k in range(rank_m)))
+            for (a, b), out in module.algebra.structure.items()
+            for l, p in out
+        ]
         head = {f"lam{i}": lam[i + 1] for i in range(1, n)}
         head["del"] = dl + lam[1]
-        table: dict = {}
-        for (g, k), entries in module.left.items():
-            for s, poly in entries:
-                moved = poly.substitute({"lam": lam[1], "del": dl})
-                table.setdefault(((), k), []).append((shift((g,), 0, s), moved))
-        add_slot(0, 0, head, table)
-
+        rules = [(0, 0, head, {"lam": lam[1], "del": dl}, 1, left)]
         for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
             value_sub = {f"lam{j}": lam[j] for j in range(1, i)}
             if i < n:
                 coeff_sub = {"lam": lam[i], "del": -(lam[i] + lam[i + 1])}
@@ -400,23 +377,29 @@ class _Stencil:
             else:
                 coeff_sub = {"lam": lam[n], "del": dl + lam_total - lam[n]}
             value_sub["del"] = dl
-            table = {}
-            for (a, b), entries in module.algebra.structure.items():
-                for l, poly in entries:
-                    moved = sign * poly.substitute(coeff_sub)
-                    for k in range(rank_m):
-                        table.setdefault(((l,), k), []).append((shift((a, b), i, k), moved))
-            add_slot(i - 1, i, value_sub, table)
-
+            rules.append((i - 1, i, value_sub, coeff_sub, (-1) ** i, products))
         tail = {f"lam{j}": lam[j] for j in range(1, n)}
         tail["del"] = -lam_total
-        sign_last = 1 if (n + 1) % 2 == 0 else -1
-        table = {}
-        for (k, g), entries in module.right.items():
-            for s, poly in entries:
-                moved = sign_last * poly.substitute({"lam": lam_total, "del": dl})
-                table.setdefault(((), k), []).append((shift((g,), n, s), moved))
-        add_slot(n, n, tail, table)
+        rules.append((n, n, tail, {"lam": lam_total, "del": dl}, (-1) ** (n + 1), right))
+
+        # slot -> (lo, hi, value ring map, table, rank(A)^(n+1-lo),
+        # rank(A)^(n-hi)); the table maps (cut, k) to ([(shift, moved
+        # structure polynomial with the rule's sign), ...], {monomial:
+        # image}), the images filled as asked for.  A shift is the code
+        # part of the inserted generators and of the target generator s.
+        self.slots: list[tuple[int, int, _RingMap, dict, int, int]] = []
+        for lo, hi, value_sub, coeff_sub, sign, entries in rules:
+            table: dict = {}
+            for inserted, cut, poly, pairs in entries:
+                moved = sign * poly.substitute(coeff_sub)
+                index = 0
+                for g in inserted:
+                    index = index * radix + g
+                for k, s in pairs:
+                    shift = index * radix ** (n - hi) * rank_m + s
+                    table.setdefault((cut, k), ([], {}))[0].append((shift, moved))
+            ring = _RingMap(self.src_vars, value_sub)
+            self.slots.append((lo, hi, ring, table, radix ** (n + 1 - lo), radix ** (n - hi)))
 
     def extent(self, max_degree: int) -> int:
         """The number of target monomials of degree <= max_degree."""
@@ -450,7 +433,7 @@ class _Stencil:
 
     def label(self, code: int) -> tuple:
         """The target label (tuple, s, exponent) of a code that ``code`` or
-        ``add`` has formed."""
+        ``differential`` has formed."""
         place, rest = divmod(code, self.span)
         index, s = divmod(rest, self.rank_m)
         digits = []
@@ -460,50 +443,56 @@ class _Stencil:
         return tuple(reversed(digits)), s, self.monomials[place]
 
     def _slots(self, tup: tuple, k: int) -> list:
-        """(slot, cut, kept images, base added to every offset) at each
-        slot where a source on (tup, generator k) has an image."""
-        radix, rank_m, images = self.radix, self.rank_m, self.images
+        """(value ring map, entries, kept images, base added to every
+        offset) at each slot where a source on (tup, generator k) has an
+        image."""
+        radix, rank_m = self.radix, self.rank_m
         # prefix[j] = index(tup[:j]); index(tup[hi:]) = whole - prefix[hi] * narrow
         prefix = [0]
         for g in tup:
             prefix.append(prefix[-1] * radix + g)
         whole = prefix[-1]
         out = []
-        for slot, (lo, hi, _, _, wide, narrow) in enumerate(self.slots):
-            cut = tup[lo:hi]
-            kept = images.get((slot, cut, k))
-            if kept is not None:
+        for lo, hi, ring, table, wide, narrow in self.slots:
+            found = table.get((tup[lo:hi], k))
+            if found is not None:
+                entries, kept = found
                 base = (prefix[lo] * wide + whole - prefix[hi] * narrow) * rank_m
-                out.append((slot, cut, kept, base))
+                out.append((ring, entries, kept, base))
         return out
 
-    def _image(self, slot: int, cut: tuple, k: int, mono: tuple) -> tuple:
-        """The (offset, coeff) pairs of the basis monomial ``mono`` on
-        generator k at one slot, for a source tuple with that cut."""
-        _, _, ring, table, _, _ = self.slots[slot]
+    def _image(self, ring: _RingMap, entries: list, mono: tuple) -> tuple:
+        """The (offset, coeff) pairs of the basis monomial ``mono`` at one
+        slot: its value moved by the slot's ring map times each entry."""
         moved = ring.image(mono or (0,))
         span = self.span
         return tuple(
             (self._rank(exp) * span + shift, c)
-            for shift, poly in table[cut, k]
+            for shift, poly in entries
             for exp, c in _mul_terms(moved, poly.terms).items()
         )
 
-    def add(self, acc: dict, tup: tuple, k: int, terms: dict) -> None:
-        """Add d of the cochain valued ``terms`` {monomial: coeff} on (tup,
-        generator k) into acc, keyed by target code, from the kept image at
-        each slot.  The sums are raw: a reader normalizes each (``_coeff``)."""
-        slots = self._slots(tup, k) if terms else ()
-        for mono, coeff in terms.items():
-            for slot, cut, kept, base in slots:
-                image = kept.get(mono)
-                if image is None:
-                    image = kept[mono] = self._image(slot, cut, k, mono)
-                for offset, c in image:
-                    if coeff != 1:
-                        c = c * coeff
-                    code = base + offset
-                    acc[code] = acc[code] + c if code in acc else c
+    def differential(self, values: Mapping) -> dict:
+        """d of the cochain with these values {tuple: coordinate vector} as
+        raw sums keyed by target code: each term c*m of the value on (tuple
+        t, generator k) adds c times the kept image of the basis cochain
+        (t, k, m) at each slot.  A reader normalizes each sum (``_coeff``)."""
+        acc: dict = {}
+        for tup, vec in values.items():
+            for k, poly in enumerate(vec):
+                terms = poly.terms
+                slots = self._slots(tup, k) if terms else ()
+                for mono, coeff in terms.items():
+                    for ring, entries, kept, base in slots:
+                        image = kept.get(mono)
+                        if image is None:
+                            image = kept[mono] = self._image(ring, entries, mono)
+                        for offset, c in image:
+                            if coeff != 1:
+                                c = c * coeff
+                            code = base + offset
+                            acc[code] = acc[code] + c if code in acc else c
+        return acc
 
     def columns(self, tup: tuple, k: int, monomials, limit: int):
         """d of each basis cochain (tup, k, m), m in ``monomials``, as sparse
@@ -512,10 +501,10 @@ class _Stencil:
         slots = self._slots(tup, k) if monomials else ()
         for mono in monomials:
             acc: dict = {}
-            for slot, cut, kept, base in slots:
+            for ring, entries, kept, base in slots:
                 image = kept.get(mono)
                 if image is None:
-                    image = kept[mono] = self._image(slot, cut, k, mono)
+                    image = kept[mono] = self._image(ring, entries, mono)
                 for offset, c in image:
                     code = base + offset
                     acc[code] = acc[code] + c if code in acc else c

@@ -248,10 +248,14 @@ def _read_cochain(text: str, shape: str) -> tuple[int, int, bool, int, list[_Sta
     degree_line, degree = found["degree"]
     if not degree.isdecimal():
         raise DefinitionError("degree must be a nonnegative integer", degree_line)
+    try:
+        value = int(degree)
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise DefinitionError(f"degree of {len(degree)} digits is too long", degree_line) from None
     marker_line, marker = found.get("coefficients", (found["kind"][0], None))
     if marker not in (None, "chom"):
         raise DefinitionError("the only supported coefficients marker is 'chom'", marker_line)
-    return int(degree), degree_line, marker == "chom", marker_line, statements
+    return value, degree_line, marker == "chom", marker_line, statements
 
 
 def parse_cochain(text: str, algebra: ConformalAlgebra, module: BimoduleStructure, degree: int):

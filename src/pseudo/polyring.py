@@ -500,16 +500,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# parentheses nested deeper than this are refused, not recursed into
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over: expr := term ((+|-) term)*;
-    term := factor (* factor)*; factor := - factor | atom (^ int)?;
+    term := factor (* factor)*; factor := -* atom (^ int)?;
     atom := rational | variable | ( expr ).  '^' binds tightest; '/' only
-    inside rational literals."""
+    inside rational literals.  Only parentheses recurse, at most
+    ``_MAX_NESTING`` deep, so no text exhausts the interpreter's stack."""
 
     def __init__(self, tokens, variables: tuple[str, ...]):
         self.tokens = tokens
         self.i = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -545,12 +551,21 @@ class _Parser:
             else:
                 return acc
 
+    def number(self, val: str, pos: int) -> int:
+        """A numeral's value; one past the interpreter's limit on digits
+        converted is refused at its offset."""
+        try:
+            return int(val)
+        except ValueError:
+            raise PolyParseError(f"integer literal of {len(val)} digits is too long", pos) from None
+
     def factor(self) -> Poly:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.next()
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        result = self.power()
+        return -result if negate else result
 
     def power(self) -> Poly:
         base = self.atom()
@@ -560,20 +575,20 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "num":
                 raise PolyParseError("exponent must be a nonnegative integer", pos)
-            return base ** int(val)
+            return base ** self.number(val, pos)
         return base
 
     def atom(self) -> Poly:
         kind, val, pos = self.next()
         if kind == "num":
-            num = int(val)
+            num = self.number(val, pos)
             kind2, val2, _ = self.peek()
             if kind2 == "op" and val2 == "/":
                 self.next()
                 kind3, val3, pos3 = self.next()
                 if kind3 != "num":
                     raise PolyParseError("expected denominator digits", pos3)
-                den = int(val3)
+                den = self.number(val3, pos3)
                 if den == 0:
                     raise PolyParseError("zero denominator", pos3)
                 return Poly.const(self.variables, _quotient(num, den))
@@ -585,7 +600,11 @@ class _Parser:
                 )
             return Poly.var(self.variables, val)
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise PolyParseError(f"unexpected token {val or 'end of input'!r}", pos)

@@ -397,6 +397,9 @@ def test_abort_report_bytes(monkeypatch, capsys, tmp_path, argv, digest):
     assert report_digest(capsys, [argv, (*argv, "--json")]) == digest
 
 
+LONG = "1" * 4301
+NESTED = "(" * 200 + "1" + ")" * 200
+TOO_LONG = "integer literal of 4301 digits is too long"
 SCRATCH_INPUTS = {
     "left_only.mod": "kind: module\ngenerators: u\nactions: left\nleft e u -> 1 * u\n",
     "right_only.mod": "kind: module\ngenerators: u\nactions: right\nright u e -> 1 * u\n",
@@ -405,6 +408,17 @@ SCRATCH_INPUTS = {
     ),
     "crooked.fda": "kind: fd_algebra\ngenerators: a b\nproduct a a -> 1 * b\nproduct a b -> 1 * a\n",
     "degree1.coc": "# a degree-1 cochain\nkind: cochain\n\ndegree: 1\nvalue e -> 1 * e\n",
+    # one digit past the interpreter's limit on digits converted to int,
+    # and parentheses nested past the parser's cap
+    "long_coeff.alg": f"kind: algebra\ngenerators: e\nproduct e e -> {LONG} * e\n",
+    "long_power.mod": (
+        f"kind: module\ngenerators: u\nleft e u -> lam^{LONG} * u\nright u e -> 1 * u\n"
+    ),
+    "long_denominator.coc": f"kind: cochain\ndegree: 2\nvalue e e -> 1/{LONG} * e\n",
+    "long_degree.coc": f"kind: cochain\ndegree: {LONG}\nvalue e e -> 1 * e\n",
+    "long_coeff.fda": f"kind: fd_algebra\ngenerators: one\nproduct one one -> {LONG} * one\n",
+    "long_unit.fda": f"kind: fd_algebra\ngenerators: one\nunit: {LONG}\nproduct one one -> 1 * one\n",
+    "nested.alg": f"kind: algebra\ngenerators: e\nproduct e e -> {NESTED} * e\n",
 }
 
 
@@ -431,10 +445,24 @@ SCRATCH_INPUTS = {
         # the error names the degree header, not the first line
         (("deform", "cur1.alg", "--cocycle", "degree1.coc"),
          "line 4: expected a degree-2 cochain, found degree 1"),
+        (("check", "long_coeff.alg"),
+         f"line 3: bad polynomial '{LONG}': {TOO_LONG} (at offset 0)"),
+        (("check", "cur1.alg", "--module", "long_power.mod"),
+         f"line 3: bad polynomial 'lam^{LONG}': {TOO_LONG} (at offset 4)"),
+        (("deform", "cur1.alg", "--cocycle", "long_denominator.coc"),
+         f"line 3: bad polynomial '1/{LONG}': {TOO_LONG} (at offset 2)"),
+        (("deform", "cur1.alg", "--cocycle", "long_degree.coc"),
+         "line 2: degree of 4301 digits is too long"),
+        (("classical", "long_coeff.fda", "--n", "1"),
+         f"line 3: bad polynomial '{LONG}': {TOO_LONG} (at offset 0)"),
+        (("classical", "long_unit.fda", "--n", "1"), "line 3: unit coordinates must be rationals"),
+        (("check", "nested.alg"),
+         f"line 3: bad polynomial '{NESTED}': parentheses nested deeper than 100 (at offset 100)"),
     ],
     ids=["cohomology-d0", "cohomology-d2", "derivations", "extend-sub",
          "extend-quotient", "classical-n4", "classical-n7-crooked", "max-margin-bad-lam",
-         "deform-degree"],
+         "deform-degree", "long-coefficient", "long-exponent", "long-denominator",
+         "long-degree", "long-fda-coefficient", "long-unit", "nested-parentheses"],
 )
 def test_input_problems_exit_1(tmp_path, argv, message):
     for name, text in SCRATCH_INPUTS.items():
@@ -449,6 +477,7 @@ def test_input_problems_exit_1(tmp_path, argv, message):
     assert result.returncode == 1
     assert result.stdout == ""
     assert f"error: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_classical_non_associative_exit_2(tmp_path):
@@ -527,7 +556,17 @@ def test_deform_checks_its_algebra_once(monkeypatch, capsys):
 # any other single character; a mutation inserts, replaces or deletes one
 TOKEN = re.compile(r"\s+|->|\w+|\S")
 INPUT_TEXTS = {path.name: path.read_text(encoding="utf-8") for path in sorted(INPUTS.iterdir())}
-TOKEN_POOL = sorted({token for text in INPUT_TEXTS.values() for token in TOKEN.findall(text)})
+# the tokens of every committed input, then two past a parser limit: a
+# numeral one digit past the interpreter's limit on digits converted to
+# int, and a run of parentheses past the nesting cap.  Each of the two is
+# listed 20 times, so together they are about a fifth of the draws: only a
+# mutation that lands inside a polynomial reaches the parser's limits, and
+# on a parser without those checks no run in 12 failed with each listed
+# once, while 5 runs in 15 failed with each listed 20 times
+LIMIT_TOKENS = (LONG, "(" * 200)
+TOKEN_POOL = sorted(
+    {token for text in INPUT_TEXTS.values() for token in TOKEN.findall(text)}
+) + [*LIMIT_TOKENS] * 20
 
 
 def _inputs(suffix: str) -> list[str]:

@@ -159,6 +159,13 @@ def test_cochain_index_order_and_round_trip(cur1, cur1_regular):
     assert index.reconstruct(coords) == combo
 
 
+def test_cochain_index_refuses_a_module_over_another_algebra(mat2, cur1, cur1_regular):
+    # mat2's rank would number sources that no cur1 cochain has
+    with pytest.raises(ValueError, match="module is over a different algebra"):
+        CochainIndex(mat2, cur1_regular, 1, 0)
+    assert CochainIndex(cur1, cur1_regular, 1, 0).sources == [((0,), 0)]
+
+
 @pytest.mark.parametrize("coords", [[1], [1, 2, 3, 4, 5]])
 def test_reconstruct_rejects_wrong_length(cur1, cur1_regular, coords):
     index = CochainIndex(cur1, cur1_regular, 1, 1)
@@ -548,12 +555,14 @@ def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
     # escapes Z on plateau at n = 2, D = 0.  The same patch leaves Z = 0 on
     # cur1 and mat2, so there B fills Z at once, no source is
     # differentiated and the guard stays silent: the price of the
-    # widening's dim-Z ceiling
+    # widening's dim-Z ceiling.  The head is the first slot, found by its
+    # ring map
     original = cohomology._Stencil._image
 
-    def negated_head(self, slot, cut, k, mono):
-        image = original(self, slot, cut, k, mono)
-        return tuple((offset, -c) for offset, c in image) if slot == 0 else image
+    def negated_head(self, ring, entries, mono):
+        image = original(self, ring, entries, mono)
+        head = ring is self.slots[0][2]
+        return tuple((offset, -c) for offset, c in image) if head else image
 
     monkeypatch.setattr(cohomology._Stencil, "_image", negated_head)
     plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
@@ -900,8 +909,8 @@ def test_stencil_columns_match_adding_each_label(data):
         )
         expected = []
         for mono in monomials:
-            acc: dict = {}
-            single.add(acc, tup, k, {mono: 1})
+            basis = cohomology._from_terms(n, module, [((tup, k, mono), 1)])
+            acc = single.differential(basis.values)
             expected.append({code: _coeff(c) for code, c in acc.items() if c})
         assert list(stencil.columns(tup, k, monomials, limit)) == expected
 
@@ -974,6 +983,12 @@ def test_a_proven_coboundary_slice_survives_a_wider_margin(job):
         assert wide.coboundaries == rep.coboundaries
 
 
+def kept_images(stencil) -> int:
+    """The images kept in the stencil's slot tables, over every slot and
+    (cut, k)."""
+    return sum(len(kept) for _, _, _, table, _, _ in stencil.slots for _, kept in table.values())
+
+
 def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):
     # the compiled slots and the slot images of basis monomials are kept
     # on the module: a second call forms none, an equal but distinct
@@ -997,14 +1012,14 @@ def test_stencil_keeps_its_slot_images_on_the_module(inputs_dir, monkeypatch):
     for n, stencil in kept.items():
         assert set(vars(stencil)) == {
             "src_vars", "dst_vars", "radix", "rank_m", "span",
-            "monomials", "numbering", "slots", "images",
+            "monomials", "numbering", "slots",
         }
-        assert stencil.images and cohomology._stencil(module, n) is stencil
+        assert kept_images(stencil) and cohomology._stencil(module, n) is stencil
         assert stencil.monomials and len(stencil.numbering) == len(stencil.monomials)
     assert formed and moved
 
     def kept_sizes():
-        return {n: (len(s.images), len(s.monomials)) for n, s in kept.items()}
+        return {n: (kept_images(s), len(s.monomials)) for n, s in kept.items()}
 
     sizes = kept_sizes()
     formed.clear()

@@ -135,6 +135,32 @@ def test_parse_errors_carry_position():
         parse_poly("", PL)
 
 
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("1" * 4301, 0, "integer literal of 4301 digits is too long"),
+        ("del^" + "1" * 4301, 4, "integer literal of 4301 digits is too long"),
+        ("1/" + "1" * 4301, 2, "integer literal of 4301 digits is too long"),
+        ("(" * 200 + "1" + ")" * 200, 100, "parentheses nested deeper than 100"),
+    ],
+)
+def test_parse_refuses_text_past_its_limits(text, position, message):
+    # a numeral past the interpreter's limit on digits converted, or
+    # parentheses past the nesting cap, is refused at its token
+    with pytest.raises(PolyParseError, match=message) as info:
+        parse_poly(text, PL)
+    assert info.value.position == position
+
+
+def test_parse_reads_deep_but_admitted_text():
+    # unary minus is read in a loop, so a long run needs no stack; the
+    # nesting cap itself is admitted, as are 4300 digits
+    assert parse_poly("-" * 1000 + "del", PL) == Poly.var(PL, "del")
+    assert parse_poly("-" * 1001 + "(del + 1)^2", PL) == -parse_poly("del^2 + 2*del + 1", PL)
+    assert parse_poly("(" * 100 + "lam" + ")" * 100, PL) == Poly.var(PL, "lam")
+    assert parse_poly("9" * 4300, ()) == Poly.const((), 10 ** 4300 - 1)
+
+
 def test_poly_to_str_canonical():
     p = parse_poly("lam^2 - del + 3", PL)
     assert poly_to_str(p) == "lam^2 - del + 3"
