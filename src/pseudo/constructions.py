@@ -38,10 +38,11 @@ stencil's raw sums (`cohomology._differential_equals`), with no cochain
 built; the stencil is the one kept on the module, with the slot images
 that earlier calls on the module formed: the images are part of the
 compiled d, not a verdict.  Likewise the ring maps that depend on no
-input (the law maps, the Chom maps and `_SHIFT`) are module constants,
-built once per process; each keeps the image of every monomial it has
-moved, keyed by the monomial's exponents alone, so that memo is bounded
-by the degrees of the tables read, not by the number of calls.
+input (the law maps, the Chom maps, `_SHIFT` and `_STAY`) are module
+constants, built once per process; each keeps the image of every
+monomial it has moved, keyed by the monomial's exponents alone, so that
+memo is bounded by the degrees of the tables read, not by the number of
+calls.
 
 Both witness searches are one exact solve, `exactla.solve_columns`, on
 columns keyed by the terms they produce: the coboundary terms of each
@@ -54,11 +55,17 @@ same builder, d of a 1-cochain minus the target on the stencil's raw
 sums, which also decide `equivalent_deformations`.
 
 The two differentials of the Chom complex of gluing data are written
-side by side in one representation: raw terms summed into one
-accumulator and normalized once.  d0, `_coboundary_terms`, keys them (i,
-t, s, exponent); d1, `extension_residuals`, keys them ((i, j, t, s),
-exponent) and reaches nothing of the law kernel the axiom checker on the
-glued module runs on, so the two routes of its verdict stay apart.
+side by side in one representation: each reads its data one way, moves
+it by module-constant ring maps, and sums raw terms into one accumulator
+normalized once.  d0, `_coboundary_terms`, takes B as it is given, {(t,
+k): B_tk} over del alone, moves each entry by `_SHIFT` and `_STAY`, and
+keys its terms (i, t, s, exponent).  d1, `extension_residuals`, reads
+gamma once as a table shaped like the actions, moves every table it
+composes by its map of `_CHOM_MAPS` (`_moved`), and keys its terms ((i,
+j, t, s), exponent).  It reaches nothing of the law kernel the axiom
+checker on the glued module runs on, and `build_extension` reads gamma
+for E on its own, so the two routes of its verdict share no reading: a
+misread index shows as a disagreement, not as the same wrong answer.
 
 Conventions for the residuals (all polynomials in del, lam, mu): lam is
 always the outer variable.  In extension residuals mu is the total
@@ -189,55 +196,53 @@ def extension_residuals(datum: ExtensionDatum) -> dict[tuple[int, int, int, int]
     with (a lam f)_mu n = a lam (f_{mu-lam} n) and (f lam a)_mu n =
     f_lam (a_{mu-lam} n).  Key (i, j, t, s): generators a_i (outer,
     variable lam) and a_j (inner, variable mu - lam) acting on quotient
-    generator t, read off the coefficient of sub generator s.  Every
-    gamma, action and product entry is moved by each of the four maps of
-    `_CHOM_MAPS` it meets, built once per process, so each distinct
-    monomial is expanded once per map however many entries and calls
-    share it; the products are summed raw into one accumulator,
+    generator t, read off the coefficient of sub generator s.  Gamma is
+    read once, as a table {(i, t): [(s, gamma_i entry)]} shaped like the
+    actions; every table the three terms compose (gamma, the sub's and
+    the quotient's left actions, the products) is moved by its map of
+    `_CHOM_MAPS` through `_moved`, so each distinct monomial is expanded
+    once per map per process however many entries and calls share it.
+    The products are summed raw into one accumulator over (i, j, t),
     normalized once, as `_coboundary_terms` sums d0.  Empty dict means
     gamma is a cocycle.
     """
-    algebra, gamma = datum.algebra, datum.gamma
+    algebra, rank_n = datum.algebra, datum.quotient.rank
     outer, shifted, product, total = _CHOM_MAPS
-    # gamma_l's raw terms, by l: at lam as k -> ((s, terms), ...), at mu -
-    # lam as ((t, k, terms), ...) and at mu as ((t, s, terms), ...)
-    g_shifted, g_outer, g_total = {}, {}, {}
-    for l, gmap in gamma.items():
-        rows = g_outer[l] = {}
-        for (k, s), g in gmap.matrix.items():
-            rows.setdefault(k, []).append((s, outer.raw(g).items()))
-        g_shifted[l] = [(t, k, shifted.raw(g).items()) for (t, k), g in gmap.matrix.items()]
-        g_total[l] = [(t, s, total.raw(g).items()) for (t, s), g in gmap.matrix.items()]
-    # i -> k -> ((s, sub's L_iks at lam), ...)
-    sub_rows: dict[int, dict] = {}
-    for (i, k), entries in datum.sub.left.items():
-        sub_rows.setdefault(i, {})[k] = [(s, outer.raw(p).items()) for s, p in entries]
-    # j -> ((t, k, quotient's L_jtk at mu - lam), ...)
-    inner: dict[int, list] = {}
-    for (j, t), entries in datum.quotient.left.items():
-        inner.setdefault(j, []).extend((t, k, shifted.raw(p).items()) for k, p in entries)
-    products = {
-        key: [(l, product.raw(p).items()) for l, p in entries if l in gamma]
-        for key, entries in algebra.structure.items()
-    }
+    gamma: dict[tuple[int, int], list[tuple[int, Poly]]] = {}
+    for i, gmap in datum.gamma.items():
+        for (t, s), g in gmap.matrix.items():
+            gamma.setdefault((i, t), []).append((s, g))
+    gamma_outer, gamma_shifted, gamma_total = (
+        _moved(gamma, ring) for ring in (outer, shifted, total)
+    )
+    sub_outer = _moved(datum.sub.left, outer)
+    quotient_shifted = _moved(datum.quotient.left, shifted)
+    products = _moved(algebra.structure, product)
     acc: dict = {}
-    for i, j in itertools.product(range(algebra.rank), repeat=2):
-        rows = sub_rows.get(i, {})
-        for t, k, g in g_shifted.get(j, ()):  # a_i lam gamma_j
-            for s, l_iks in rows.get(k, ()):
+    for i, j, t in itertools.product(range(algebra.rank), range(algebra.rank), range(rank_n)):
+        for k, g in gamma_shifted.get((j, t), ()):  # a_i lam gamma_j
+            for s, l_iks in sub_outer.get((i, k), ()):
                 _add_chom_terms(acc, (i, j, t, s), g, l_iks, 1)
-        rows = g_outer.get(i, {})
-        for t, k, l_jtk in inner.get(j, ()):  # gamma_i lam a_j
-            for s, g in rows.get(k, ()):
+        for k, l_jtk in quotient_shifted.get((j, t), ()):  # gamma_i lam a_j
+            for s, g in gamma_outer.get((i, k), ()):
                 _add_chom_terms(acc, (i, j, t, s), l_jtk, g, 1)
         for l, p_ijl in products.get((i, j), ()):  # minus gamma_{a_i lam a_j}
-            for t, s, g in g_total[l]:
+            for s, g in gamma_total.get((l, t), ()):
                 _add_chom_terms(acc, (i, j, t, s), p_ijl, g, -1)
     terms: dict = {}
     for (key, exp), c in acc.items():
         if c:
             terms.setdefault(key, {})[exp] = _coeff(c)
     return {key: Poly._raw(ASSOC_VARS, terms[key]) for key in sorted(terms)}
+
+
+def _moved(table: Mapping, ring: _RingMap) -> dict:
+    """A table {key: [(target, polynomial), ...]} with each polynomial
+    moved by ``ring``, as the raw term items of its image."""
+    return {
+        key: [(target, ring.raw(p).items()) for target, p in entries]
+        for key, entries in table.items()
+    }
 
 
 def _add_chom_terms(acc: dict, key: tuple, first, second, sign: int) -> None:
@@ -251,32 +256,38 @@ def _add_chom_terms(acc: dict, key: tuple, first, second, sign: int) -> None:
             acc[k] = acc[k] + c if k in acc else c
 
 
-# a . B(n) moves B's del onto the action's total variable: the ring map
-# del -> lam + del, built once per process
+# B's entries are over del alone; a . B(n) moves B's del onto the
+# action's total variable (del -> lam + del) and B(a . n) keeps it
+# (del -> del), each a ring map into (del, lam) built once per process
+_STAY = _RingMap(DEL_ONLY, {"del": Poly.var(PRODUCT_VARS, "del")})
 _SHIFT = _RingMap(
-    PRODUCT_VARS, {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
+    DEL_ONLY, {"del": Poly.var(PRODUCT_VARS, "lam") + Poly.var(PRODUCT_VARS, "del")}
 )
 
 
-def _coboundary_terms(sub: BimoduleStructure, quotient: BimoduleStructure, entries) -> dict:
-    """The coboundary a |-> a . B(n) - B(a . n) of the B whose nonzero
-    entries are ``entries``, ((t, k), B_tk) with B_tk a polynomial in del
-    read over (del, lam), as its nonzero coefficients keyed (i, t, s,
-    exponent), as `_family_terms` keys a family.  Each B_tk is moved by
-    `_SHIFT`, so a power of del is expanded once per process however many
-    calls and columns share it.  Products are summed raw and normalized
-    once: no `Poly` or `CLinearMap` of the coboundary is built.  A sub or
-    quotient without a left action raises UnfitModuleError, whatever B."""
+def _coboundary_terms(
+    sub: BimoduleStructure, quotient: BimoduleStructure, b: Mapping[tuple[int, int], Poly]
+) -> dict:
+    """The coboundary a |-> a . B(n) - B(a . n) of the B given as {(t, k):
+    B_tk}, each B_tk a polynomial in del alone, as its nonzero
+    coefficients keyed (i, t, s, exponent over (del, lam)), as
+    `_family_terms` keys a family.  Each B_tk is moved by `_SHIFT` for a .
+    B(n) and by `_STAY` for B(a . n), so a power of del is expanded once
+    per process however many calls and columns share it.  Products are
+    summed raw and normalized once: no `Poly` or `CLinearMap` of the
+    coboundary is built.  A sub or quotient without a left action raises
+    UnfitModuleError, and a sub and quotient over different algebras
+    ValueError, whatever B."""
     _require_left("sub", sub)
     _require_left("quotient", quotient)
-    moved = []  # (t, k, raw terms of B_tk(lam + del))
-    rows: dict[int, list[tuple[int, dict]]] = {}  # t -> ((k, B_tk terms), ...)
-    for (t, k), poly in entries:
-        moved.append((t, k, _SHIFT.raw(poly).items()))
-        rows.setdefault(t, []).append((k, poly.terms.items()))
+    if sub.algebra != quotient.algebra:
+        raise ValueError("sub and quotient modules are over different algebras")
+    rows: dict[int, list] = {}  # t -> ((k, B_tk at del), ...)
     acc: dict = {}
-    for i in range(sub.algebra.rank):
-        for t, k, image in moved:
+    for (t, k), poly in b.items():
+        rows.setdefault(t, []).append((k, _STAY.raw(poly).items()))
+        image = _SHIFT.raw(poly).items()
+        for i in range(sub.algebra.rank):
             for s, l_iks in sub.left.get((i, k), ()):
                 _add_terms(acc, i, t, s, image, l_iks.terms.items(), 1)
     for (i, t), l_entries in quotient.left.items():
@@ -355,18 +366,14 @@ def gamma_coboundary(
     quotient generator t, a polynomial in del alone.  The result is the
     family a |-> a . B(n) - B(a . n), read off `_coboundary_terms`.
     """
-    entries = []
     for (t, k), poly in b_matrix.items():
         t, k = operator.index(t), operator.index(k)
         if not (0 <= t < quotient.rank and 0 <= k < sub.rank):
             raise ValueError(f"B index {(t, k)} out of range")
         if poly.variables != DEL_ONLY:
             raise ValueError("B entries must be polynomials in del alone")
-        if not poly.is_zero:
-            entries.append(((t, k), poly.embed(PRODUCT_VARS)))
-    entries.sort()
     matrices: dict[int, dict] = {}
-    for (i, t, s, exp), c in _coboundary_terms(sub, quotient, entries).items():
+    for (i, t, s, exp), c in _coboundary_terms(sub, quotient, b_matrix).items():
         matrices.setdefault(i, {}).setdefault((t, s), {})[exp] = c
     return {
         i: CLinearMap(
@@ -401,9 +408,9 @@ def find_extension_witness(
     The search is an exact linear solve over the coefficients of B, one
     column of `_coboundary_terms` per monomial of B; None means no witness
     exists within the degree bound (a larger bound may still succeed).
-    A gamma_diff index outside the algebra, or a map that does not run
-    from the quotient's generators to the sub's, raises ValueError, as
-    in `ExtensionDatum`.
+    A gamma_diff index outside the algebra, a map that does not run from
+    the quotient's generators to the sub's, or a sub and quotient over
+    different algebras raise ValueError, as in `ExtensionDatum`.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -414,8 +421,8 @@ def find_extension_witness(
         for k in range(sub.rank)
         for e in range(max_degree + 1)
     ]
-    monomials = [Poly.monomial(PRODUCT_VARS, (e, 0)) for e in range(max_degree + 1)]
-    columns = [_coboundary_terms(sub, quotient, [((t, k), monomials[e])]) for t, k, e in unknowns]
+    monomials = [Poly.monomial(DEL_ONLY, (e,)) for e in range(max_degree + 1)]
+    columns = [_coboundary_terms(sub, quotient, {(t, k): monomials[e]}) for t, k, e in unknowns]
     coords = solve_columns(columns, target)
     if coords is None:
         return None
@@ -424,8 +431,7 @@ def find_extension_witness(
         if c:
             found.setdefault((t, k), {})[(e,)] = _coeff(c)
     witness = {key: Poly._raw(DEL_ONLY, terms) for key, terms in found.items()}
-    entries = [(key, poly.embed(PRODUCT_VARS)) for key, poly in witness.items()]
-    if _coboundary_terms(sub, quotient, entries) != target:
+    if _coboundary_terms(sub, quotient, witness) != target:
         raise ComplexInconsistencyError("witness reconstruction failed to verify")
     return witness
 

@@ -11,8 +11,8 @@ sorted in the global order
 
 so that the exponent vectors of any two polynomials over the same
 variable set align position by position.  Alignment across *different*
-variable sets is an explicit step (`embed`, `substitute`); the arithmetic
-operators refuse mismatched operands instead of guessing.
+variable sets is one explicit step, `substitute` (through `_RingMap`);
+the arithmetic operators refuse mismatched operands instead of guessing.
 
 Zero is the empty term map; no operation ever stores a zero coefficient.
 Instances are immutable by convention and safe to share.
@@ -298,24 +298,6 @@ class Poly:
         return self.variables == other.variables and self.terms == other.terms
 
     # -- variable plumbing -------------------------------------------
-
-    def embed(self, variables: Iterable[str]) -> "Poly":
-        """Reinterpret over a superset of the current variables: each
-        exponent moves to its variable's position, no arithmetic is done."""
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        tvars = _canonical(variables)
-        if not set(self.variables) <= set(tvars):
-            raise VariableMismatchError(f"{tvars} does not contain {list(self.variables)}")
-        pos = [tvars.index(v) for v in self.variables]
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(tvars)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return Poly._raw(tvars, terms)
 
     def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Simultaneously replace variables by polynomials (a ring map).

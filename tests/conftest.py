@@ -430,7 +430,7 @@ def reference_extension_residuals(datum) -> dict:
     product acts at mu."""
     algebra, sub, quotient = datum.algebra, datum.sub, datum.quotient
     lam, mu, dl = (Poly.var(ASSOC_VARS, v) for v in ("lam", "mu", "del"))
-    shifted = {"lam": mu - lam, "del": lam + dl}
+    outer, shifted = {"lam": lam, "del": dl}, {"lam": mu - lam, "del": lam + dl}
 
     def gamma(i, t, s):
         zero = Poly.zero(PRODUCT_VARS)
@@ -443,10 +443,10 @@ def reference_extension_residuals(datum) -> dict:
             for k in range(sub.rank):  # a_i lam ((gamma_j)_{mu-lam} n_t)
                 for m, l_ikm in sub.left.get((i, k), ()):
                     if m == s:
-                        total = total + gamma(j, t, k).substitute(shifted) * l_ikm.embed(ASSOC_VARS)
+                        total = total + gamma(j, t, k).substitute(shifted) * l_ikm.substitute(outer)
             # (gamma_i)_lam (a_j (mu-lam) n_t)
             for k, l_jtk in quotient.left.get((j, t), ()):
-                total = total + l_jtk.substitute(shifted) * gamma(i, k, s).embed(ASSOC_VARS)
+                total = total + l_jtk.substitute(shifted) * gamma(i, k, s).substitute(outer)
             for l, p_ijl in algebra.structure.get((i, j), ()):  # gamma_{a_i lam a_j} at mu
                 total = total - p_ijl.substitute({"lam": lam, "del": -mu}) \
                     * gamma(l, t, s).substitute({"lam": mu, "del": dl})
@@ -473,6 +473,7 @@ def constant_ring_maps() -> dict:
               "constructions._CHOM_MAPS": constructions._CHOM_MAPS}
     maps = {f"{name}[{i}]": ring for name, group in groups.items() for i, ring in enumerate(group)}
     maps["constructions._SHIFT"] = constructions._SHIFT
+    maps["constructions._STAY"] = constructions._STAY
     return maps
 
 

@@ -553,30 +553,50 @@ def test_deform_checks_its_algebra_once(monkeypatch, capsys):
 
 
 # a committed input as tokens: whitespace, an arrow, a word or number, or
-# any other single character; a mutation inserts, replaces or deletes one
+# any other single character; a mutation inserts, replaces or deletes one,
+# or puts a limit token into a polynomial
 TOKEN = re.compile(r"\s+|->|\w+|\S")
 INPUT_TEXTS = {path.name: path.read_text(encoding="utf-8") for path in sorted(INPUTS.iterdir())}
-# the tokens of every committed input, then two past a parser limit: a
-# numeral one digit past the interpreter's limit on digits converted to
-# int, and a run of parentheses past the nesting cap.  Each of the two is
-# listed 20 times, so together they are about a fifth of the draws: only a
-# mutation that lands inside a polynomial reaches the parser's limits, and
-# on a parser without those checks no run in 12 failed with each listed
-# once, while 5 runs in 15 failed with each listed 20 times
+# two tokens past a parser limit: a numeral one digit past the
+# interpreter's limit on digits converted to int, and a run of
+# parentheses past the nesting cap.  Only a mutation that lands inside a
+# polynomial reaches those limits, so besides joining the pool of every
+# committed input's tokens they have their own edit, "limit", which puts
+# one at the start of a statement line's polynomial text
 LIMIT_TOKENS = (LONG, "(" * 200)
 TOKEN_POOL = sorted(
     {token for text in INPUT_TEXTS.values() for token in TOKEN.findall(text)}
-) + [*LIMIT_TOKENS] * 20
+) + list(LIMIT_TOKENS)
 
 
 def _inputs(suffix: str) -> list[str]:
     return [name for name in INPUT_TEXTS if name.endswith(suffix)]
 
 
+def _polynomial_starts(tokens: list[str]) -> list[int]:
+    """The places right after each arrow outside a comment: where the
+    polynomial text of a statement line begins."""
+    places, comment = [], False
+    for i, token in enumerate(tokens):
+        if "\n" in token:
+            comment = False
+        elif token == "#":
+            comment = True
+        elif token == "->" and not comment:
+            places.append(i + 1)
+    return places
+
+
 def _mutated(data, name: str) -> str:
     tokens = TOKEN.findall(INPUT_TEXTS[name])
     for _ in range(data.draw(st.integers(0, 3), label=f"{name} mutations")):
-        edit = data.draw(st.sampled_from(("insert", "replace", "delete")), label="edit")
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete", "limit")), label="edit")
+        if edit == "limit":
+            if places := _polynomial_starts(tokens):
+                at = data.draw(st.sampled_from(places), label="polynomial")
+                limit = data.draw(st.sampled_from(LIMIT_TOKENS), label="limit")
+                tokens.insert(at, " " + limit)  # an arrow is a word of its own
+            continue
         at = data.draw(st.integers(0, len(tokens)), label="at")
         token = data.draw(st.sampled_from(TOKEN_POOL), label="token")
         if edit == "insert" or not tokens:

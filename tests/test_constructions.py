@@ -149,6 +149,20 @@ def test_coboundaries_refuse_a_module_without_a_left_action(cur1, cur1_regular):
             find_extension_witness(sub, quotient, {}, 1)
 
 
+def test_coboundaries_refuse_modules_over_different_algebras(cur1_regular, mat2_regular):
+    # d0 refuses a sub and a quotient over different algebras, as
+    # ExtensionDatum does, in either order and whatever B
+    message = "sub and quotient modules are over different algebras"
+    b_del = {(0, 0): Poly.var(DEL, "del")}
+    for sub, quotient in [(cur1_regular, mat2_regular), (mat2_regular, cur1_regular)]:
+        for b_matrix in ({}, b_del):
+            with pytest.raises(ValueError, match=message):
+                gamma_coboundary(sub, quotient, b_matrix)
+        for max_degree in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                find_extension_witness(sub, quotient, {}, max_degree)
+
+
 def test_non_associative_algebras_raise_non_associative_error(inputs_dir):
     # both data over an algebra read its kept associativity verdict and
     # refuse a failing one with the same named error, a ValueError
