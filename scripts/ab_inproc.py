@@ -2,6 +2,7 @@
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
         [--seed N ...]
+    python3 scripts/ab_inproc.py BASE CHANGE --job inputs/mat2.alg:3:2 --reps 20
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
 Each checkout's package is copied into a temporary directory under its
@@ -27,6 +28,16 @@ prints, in place of that table, one line per seed with the two sums of
 medians and their ratio, then in how many seeds CHANGE's sum was the
 lower: a ratio that holds at one seed's isomorphic copies of the inputs
 need not hold at another's.
+
+--job FILE:n:D, in place of --workload, times one cohomology job outside
+the workloads: ``cohomology_dimensions`` at degree n and bound D, with
+the workloads' margin, on the regular module of the algebra defined in
+FILE, read as it is (no seed).  It is built again before every rep, as
+with --fresh, so a job that takes a tenth of a second or more (mat2 H^3
+at D=2 or 3), bound by elimination, can be timed as a one-shot run pays
+for it; the workloads' jobs take a few milliseconds each.  The job has
+no known answer, so the untimed pass checks that the two checkouts agree
+on its dimensions, flag and round count.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -76,9 +87,42 @@ def import_copy(checkout: Path, name: str, workdir: Path):
     return package
 
 
+def job_setup(workloads, job: str) -> list:
+    """The one operation of ``job``, FILE:n:D (see the module docstring),
+    built through ``pseudo``; it has no check, and it returns the
+    report's dimensions, flag and round count."""
+    from pseudo import cohomology
+    from pseudo.cfmodule import BimoduleStructure
+    from pseudo.formats import parse_algebra
+
+    path, degree, bound = parse_job(job)
+    algebra = parse_algebra(path.read_text(encoding="utf-8"))
+    module = BimoduleStructure.regular(algebra)
+    window = cohomology.TruncationWindow(bound, workloads.MARGIN)
+
+    def run():
+        report = cohomology.cohomology_dimensions(algebra, module, degree, window)
+        return (report.dim_cocycles, report.dim_coboundaries, report.dim_cohomology,
+                report.stabilized, report.rounds)
+
+    return [workloads.Operation(f"{path.stem} H^{degree} D={bound}", run, None)]
+
+
+def parse_job(job: str) -> tuple[Path, int, int]:
+    """FILE:n:D as (path, n, D); ValueError names what is wrong."""
+    parts = job.rsplit(":", 2)
+    if len(parts) != 3 or not all(part.isdigit() for part in parts[1:]):
+        raise ValueError(f"{job!r} is not FILE:n:D with n and D nonnegative integers")
+    path = Path(parts[0])
+    if not path.is_file():
+        raise ValueError(f"{parts[0]}: no such file")
+    return path.resolve(), int(parts[1]), int(parts[2])
+
+
 def build_ops(workloads, package, workload: str, seed: int):
-    """The workload's operations, set up with ``package`` standing in for
-    ``pseudo``: the operations keep the module objects they imported."""
+    """The operations of the workload, or of the job when ``workload`` is
+    FILE:n:D, set up with ``package`` standing in for ``pseudo``: the
+    operations keep the module objects they imported."""
     alias = package.__name__
     saved = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "pseudo"}
     for name in saved:
@@ -89,7 +133,9 @@ def build_ops(workloads, package, workload: str, seed: int):
     try:
         if workload == "verdict-batch":
             return workloads.verdict_setup(seed)
-        return workloads.cohomology_setup(workload, seed)
+        if workload in IN_PROCESS:
+            return workloads.cohomology_setup(workload, seed)
+        return job_setup(workloads, workload)
     finally:
         for name in [n for n in sys.modules if n.split(".")[0] == "pseudo"]:
             del sys.modules[name]
@@ -116,17 +162,24 @@ def timed(op) -> float:
 
 def timings(workloads, packages, workload: str, seed: int, reps: int, fresh: bool):
     """The operations' labels and, per package, per operation, the time of
-    each rep, after one untimed pass that checks every answer; exits 1
-    on a wrong answer."""
+    each rep, after one untimed pass that checks every answer (an
+    operation without a check: that both packages give the same one);
+    exits 1 on a wrong answer."""
     sides = [build_ops(workloads, p, workload, seed) for p in packages]
     labels = [op.label for op in sides[0]]
     if labels != [op.label for op in sides[1]]:
         raise SystemExit("the two checkouts built different operations")
+    answers = [[op.run() for op in ops] for ops in sides]
     wrong = [
         f"{p.__name__}: {op.label}"
-        for p, ops in zip(packages, sides)
-        for op in ops
-        if not op.check(op.run())
+        for p, ops, got in zip(packages, sides, answers)
+        for op, answer in zip(ops, got)
+        if op.check is not None and not op.check(answer)
+    ]
+    wrong += [
+        f"the two checkouts differ: {op.label}: {base} against {change}"
+        for op, base, change in zip(sides[0], *answers)
+        if op.check is None and base != change
     ]
     if wrong:
         print("wrong answers:", *wrong, sep="\n  ", file=sys.stderr)
@@ -184,7 +237,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=IN_PROCESS)
+    chosen = parser.add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--workload", choices=IN_PROCESS)
+    chosen.add_argument("--job", metavar="FILE:n:D",
+                        help="one cohomology job, built again before every rep")
     parser.add_argument("--reps", required=True, type=int)
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; 11 when left out")
@@ -193,6 +249,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.job is not None:
+        if args.seed:
+            parser.error("--seed applies to a workload, not to --job")
+        try:
+            parse_job(args.job)
+        except ValueError as exc:
+            parser.error(str(exc))
     seeds = args.seed or [11]
 
     workloads = load_workloads()
@@ -202,7 +265,8 @@ def main(argv=None) -> int:
             import_copy(args.base.resolve(), "pseudo_base", Path(workdir)),
             import_copy(args.change.resolve(), "pseudo_change", Path(workdir)),
         ]
-        runs = [timings(workloads, packages, args.workload, seed, args.reps, args.fresh)
+        fresh = args.fresh or args.job is not None
+        runs = [timings(workloads, packages, args.workload or args.job, seed, args.reps, fresh)
                 for seed in seeds]
 
     if len(seeds) == 1:

@@ -327,10 +327,10 @@ def _cmd_derivations(args, inputs: dict):
     algebra, module, aborted = _complex_inputs(args, inputs)
     if aborted is not None:
         return aborted
-    # Z^1 and B^1 of the slice: B^1's sources are constant classes, all
-    # admitted in the first round; a differentiated source whose image
-    # leaves Z^1 raises (exit 3), though the sources left once B^1 fills
-    # Z^1 are not differentiated
+    # Z^1 and B^1 of the slice: B^1's sources are constant classes, each
+    # differentiated in round 0, before Z^1 is computed, and the kernel
+    # that computes Z^1 checks that d sends every row of B^1 to 0, so a
+    # broken d after d raises (exit 3)
     rep = cohomology_dimensions(algebra, module, 1, TruncationWindow(args.deg))
     der, inner = rep.cocycles, rep.coboundaries
     index = CochainIndex(algebra, module, 1, args.deg)

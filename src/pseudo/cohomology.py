@@ -43,13 +43,16 @@ widening the source degree in steps of K until the intersection with the
 slice stops growing, a stabilized lower bound in general.  On a graded
 input the widening differentiates only the sources whose weight can
 reach the slice, and a last pass takes those the rounds left, so there
-the coboundary space is exact.  The widening also stops differentiating
-once B fills Z in the slice, which d after d = 0 makes exact: the rounds
-still run and count, so nothing reported moves.  `cohomology_dimensions`
-refuses a non-associative algebra (`NonAssociativeError`) and a module
-that breaks its laws (`UnfitModuleError`) before computing, reading the
-verdicts kept on them, so the guard that B lies in Z flags only a bug
-here.
+the coboundary space is exact.  The widening's round 0 comes first:
+since d after d = 0 its rows lie in Z, so they seed the kernel that
+computes Z (`exactla.kernel`'s known rows), which checks that d sends
+each to 0 and eliminates only the columns off their pivots.  The later
+rounds stop differentiating once B fills Z in the slice, which the same
+identity makes exact: they still run and count, so nothing reported
+moves.  `cohomology_dimensions` refuses a non-associative algebra
+(`NonAssociativeError`) and a module that breaks its laws
+(`UnfitModuleError`) before computing, reading the verdicts kept on
+them, so the guard that B lies in Z flags only a bug here.
 """
 
 from __future__ import annotations
@@ -626,12 +629,6 @@ def _slice_columns(module: BimoduleStructure, n: int, d: int) -> tuple[CochainIn
     return index, columns
 
 
-def _cocycle_slice(module: BimoduleStructure, degree: int, d: int) -> SubspaceBasis:
-    """Z intersected with the degree-<=D slice: the kernel of the stencil
-    columns of the slice's basis cochains."""
-    return kernel(_slice_columns(module, degree, d)[1])
-
-
 def _preimage(target: Cochain, max_degree: int) -> Cochain | None:
     """A cochain of value degree <= max_degree whose d is the target, or
     None: one exact solve on the slice's columns, checked on the raw sums."""
@@ -652,40 +649,46 @@ def _coboundary_slice(
     degree: int,
     window: TruncationWindow,
     max_rounds: int,
-    ceiling: int,
-) -> tuple[SubspaceBasis, bool, int]:
-    """B intersected with the degree-<=D slice, widened until stable.
+    columns: Sequence[Mapping],
+) -> tuple[SubspaceBasis, SubspaceBasis, bool, int]:
+    """Z and B intersected with the degree-<=D slice, B widened until stable.
 
-    Round k takes sources of degree <= D + k*K.  Each source basis cochain
-    that can reach the slice is differentiated once, in the round that
-    first admits it, and must land within that round's target window;
-    its image is inserted into one ``_SliceSpan`` kept across all rounds.
-    On a graded input (see ``grading``) a source whose weight plus b is
-    no slice label's weight is skipped: its image lies in blocks outside
-    the slice, so it cannot change B cap slice.  There d maps each weight
-    block into one block, so B cap slice is spanned by the images of the
-    sources that can reach it, and those have finitely many degrees, the
-    largest S.  After the rounds the same span takes every such source
-    up to degree S that no round admitted: on a graded input the basis
-    returned is B cap slice exactly, whatever the rounds found.
+    Z cap slice is the kernel of ``columns``, d on the slice's basis
+    cochains (``_slice_columns``).  Round k takes sources of degree <=
+    D + k*K.  Each source basis cochain that can reach the slice is
+    differentiated once, in the round that first admits it, and must land
+    within that round's target window; its image is inserted into one
+    ``_SliceSpan`` kept across all rounds.  On a graded input (see
+    ``grading``) a source whose weight plus b is no slice label's weight
+    is skipped: its image lies in blocks outside the slice, so it cannot
+    change B cap slice.  There d maps each weight block into one block,
+    so B cap slice is spanned by the images of the sources that can reach
+    it, and those have finitely many degrees, the largest S.  After the
+    rounds the same span takes every such source up to degree S that no
+    round admitted: on a graded input the basis returned is B cap slice
+    exactly, whatever the rounds found.
 
-    ``ceiling`` is the dimension of a space known to contain B cap slice:
-    the slice's own dimension, or dim(Z cap slice), since d after d = 0
-    on every input `cohomology_dimensions` accepts.  Once the span holds
-    that many rows of the slice it is all of B cap slice, since the RREF
-    is unique: the stencil's lazy columns form no further source.  The
-    count of those rows is each round's dimension.  A round that admits
-    or differentiates no source still runs and counts toward ``rounds``,
-    so every basis, flag and count is the one the full widening, skipping
-    no source, gives.  Returns (coboundaries, stabilized, rounds), the
-    flag and count those of the rounds alone; degree 0 has no
-    coboundaries and no rounds.
+    Round 0 runs first, with the slice's own dimension as its only
+    ceiling.  Since d after d = 0 on every input `cohomology_dimensions`
+    accepts, its rows lie in Z, so they seed the kernel (``exactla.kernel``
+    with them as ``known``, which raises ContainmentError if one is not
+    sent to 0): Z cap slice is their span plus the null space of the
+    columns off their pivots, and only those columns are eliminated.
+    The later rounds and the weight pass run under dim(Z cap slice): once
+    the span holds that many rows of the slice it is all of B cap slice,
+    since the RREF is unique, and the stencil's lazy columns form no
+    further source.  The count of those rows is each round's dimension.
+    A round that admits or differentiates no source still runs and counts
+    toward ``rounds``, so every basis, flag and count is the one the full
+    widening, skipping no source, gives.  Returns (cocycles,
+    coboundaries, stabilized, rounds), the flag and count those of the
+    rounds alone; degree 0 has no coboundaries and no rounds.
     """
     d = window.degree_bound
     bound = module.structure_degree()
     if degree == 0:
         # one degree-0 basis cochain per module generator
-        return SubspaceBasis.zero(module.rank), True, 0
+        return kernel(columns), SubspaceBasis.zero(module.rank), True, 0
     stencil = _stencil(module, degree - 1)
     # the slice's target codes, in CochainIndex(degree, D) order
     extent = stencil.extent(d)
@@ -711,7 +714,7 @@ def _coboundary_slice(
     variables = cochain_variables(degree - 1)
     filled = 0  # rows of B cap slice found so far, its dimension
 
-    def admit(covered: int, top: int) -> None:
+    def admit(covered: int, top: int, ceiling: int) -> None:
         """Differentiate the sources of degree in (covered, top] that can
         reach the slice, until the span holds ``ceiling`` rows."""
         nonlocal filled
@@ -727,12 +730,14 @@ def _coboundary_slice(
                 if filled == ceiling:
                     return
 
-    covered = -1  # sources of degree <= covered are already differentiated
-    previous: int | None = None
+    admit(-1, d, len(slice_codes))  # round 0, whose rows seed the kernel
+    cocycles = kernel(columns, image.echelon)
+    ceiling = cocycles.dim
+    covered, previous = d, filled  # sources of degree <= covered are differentiated
     stabilized, rounds = False, max_rounds + 1
-    for k in range(max_rounds + 1):
+    for k in range(1, max_rounds + 1):
         source_bound = d + k * window.stabilization_margin
-        admit(covered, source_bound)
+        admit(covered, source_bound, ceiling)
         covered = source_bound
         if filled == previous:
             stabilized, rounds = True, k + 1
@@ -742,8 +747,8 @@ def _coboundary_slice(
         # the weight pass, up to S: the largest degree a source reaches by
         top = max((x for degrees in reach.values() for x in degrees if x == int(x)), default=-1)
         if top > covered:
-            admit(covered, int(top))
-    return image.basis(), stabilized, rounds
+            admit(covered, int(top), ceiling)
+    return cocycles, image.basis(), stabilized, rounds
 
 
 def cohomology_dimensions(
@@ -760,13 +765,14 @@ def cohomology_dimensions(
     consecutive rounds agree the dimension is reported as stabilized.
     On a graded input the sources that can still reach the slice are
     then taken as well, so B is exact whatever the flag reads.
-    The cocycles come first, and their dimension is the ceiling of the
-    widening: once B cap slice has as many rows, no further source is
+    Round 0 comes first, and its rows of B seed the kernel that computes
+    the cocycles; their dimension is the ceiling of the later rounds:
+    once B cap slice has as many rows, no further source is
     differentiated, though every round still runs and counts.  A
     non-associative algebra raises NonAssociativeError and a two-sided
     module that breaks its laws UnfitModuleError, before anything is
-    computed, so d after d = 0 holds and ComplexInconsistencyError, if B
-    escapes Z, means a bug.
+    computed, so d after d = 0 holds and ComplexInconsistencyError, if a
+    row of B escapes Z, means a bug.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -780,11 +786,11 @@ def cohomology_dimensions(
     if module.has_left and module.has_right and axiom_failure(module) is not None:
         raise UnfitModuleError("module violates its axiom system")
     d = window.degree_bound
-    cocycles = _cocycle_slice(module, degree, d)
-    coboundaries, stabilized, rounds = _coboundary_slice(
-        module, degree, window, max_rounds, cocycles.dim
-    )
+    columns = _slice_columns(module, degree, d)[1]
     try:
+        cocycles, coboundaries, stabilized, rounds = _coboundary_slice(
+            module, degree, window, max_rounds, columns
+        )
         exact = quotient_dimension(cocycles, coboundaries) == 0
     except ContainmentError as exc:
         raise ComplexInconsistencyError(

@@ -19,9 +19,12 @@ their echelons.  Everything is exact: no pivot is ever chosen for
 numerical reasons.  The echelon also indexes its rows by column (the
 pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
-every stored row.  ``kernel`` numbers the columns sparsest first, peels
-off the columns that one-entry rows force to 0, reading the columns as
-its column -> rows index, and eliminates only what remains.
+every stored row.  ``kernel`` can be handed RREF rows already known to
+lie in the null space (a cocycle slice is seeded with coboundaries);
+it checks each and sets their pivot columns aside.  It numbers the
+other columns sparsest first, peels off those that one-entry rows force
+to 0, reading the columns as its column -> rows index, and eliminates
+only what remains.
 ``_SliceSpan`` keeps fully reduced only the rows that lie in its slice
 and forward-reduces the rows that lead outside it; the lead convention
 (smallest column) is what makes that exact, hence it lives here.
@@ -205,33 +208,50 @@ def _peel(columns: Sequence[Mapping], rows: dict) -> tuple[list[dict], set[int]]
     return [row for row in rows.values() if row], forced
 
 
-def kernel(columns: Sequence[Mapping]) -> SubspaceBasis:
+def kernel(columns: Sequence[Mapping], known: Mapping[int, Mapping] = {}) -> SubspaceBasis:
     """Null space of the map with these columns, as an RREF basis of
     Q^len(columns).
 
-    The columns are first numbered sparsest first, a stable sort on
-    their lengths (Markowitz's rule: a pivot on a sparse column fills in
-    little), so the fill does not depend on the order the caller lists
-    its unknowns in.  The singleton peel (``_peel``) then sets
-    aside every column a one-entry row forces to 0, and only the rows
-    that remain are eliminated, shortest first (a short pivot row adds
-    few entries to the rows it clears).  Each free column f, neither a
-    pivot nor forced, gives the vector e_f minus the f-entries of the
-    pivot rows placed at their pivots, read back in the caller's
-    numbering; their RREF is unique, so neither order ever shows.
+    ``known`` (only read) holds the RREF rows, pivot column -> row, of a
+    subspace the caller claims lies in the null space; a known row the
+    columns do not send to 0 raises ContainmentError.  Subtracting known
+    rows makes a null vector 0 at every known pivot, so the null space is
+    the known span plus the null space of the other columns alone, and
+    only those are numbered, peeled and eliminated.  They are numbered
+    sparsest first, a stable sort on their lengths (Markowitz's rule: a
+    pivot on a sparse column fills in little), so the fill does not
+    depend on the order the caller lists its unknowns in.  The singleton
+    peel (``_peel``) then sets aside every column a one-entry row forces
+    to 0, and only the rows that remain are eliminated, shortest first (a
+    short pivot row adds few entries to the rows it clears).  Each free
+    column f, neither a pivot nor forced, gives the vector e_f minus the
+    f-entries of the pivot rows placed at their pivots, read back in the
+    caller's numbering.  The basis is the RREF of the known rows and
+    those vectors, which is unique, so no order ever shows; when no
+    column off the known pivots is free it is copies of the known rows.
+    No row of the result is one of the caller's.
     """
-    ncols = len(columns)
-    order = sorted(range(ncols), key=[len(column) for column in columns].__getitem__)
-    sparse_first = [columns[j] for j in order]
+    for row in known.values():
+        image: dict = {}
+        for j, v in row.items():
+            for label, c in columns[j].items():
+                image[label] = image.get(label, 0) + v * (c if type(c) is int else _coeff(c))
+        if any(image.values()):
+            raise ContainmentError("a row claimed to lie in the kernel is not sent to 0")
+    rest = sorted((j for j in range(len(columns)) if j not in known), key=lambda j: len(columns[j]))
+    sparse_first = [columns[j] for j in rest]
     rows, forced = _peel(sparse_first, _rows(sparse_first))
     echelon = _span(sorted(rows, key=len))
-    basis = {f: {order[f]: 1} for f in range(ncols) if f not in echelon and f not in forced}
+    found = {f: {rest[f]: 1} for f in range(len(rest)) if f not in echelon and f not in forced}
     for pivot, row in echelon.items():
-        at = order[pivot]
+        at = rest[pivot]
         for j, v in row.items():
             if j != pivot:
-                basis[j][at] = -v
-    return SubspaceBasis(ncols, _span(basis.values()))
+                found[j][at] = -v
+    basis = {p: dict(row) for p, row in known.items()}
+    if found:
+        basis = _span([*basis.values(), *found.values()])
+    return SubspaceBasis(len(columns), basis)
 
 
 def solve_columns(columns: Sequence[Mapping], target: Mapping) -> list[int | Fraction] | None:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from conftest import INPUTS
 
 ROOT = INPUTS.parent
@@ -47,8 +49,9 @@ def test_checkout_against_itself():
 
 
 def builds_and_table(*flags: str) -> tuple[int, str]:
-    """Run the script's ``main`` in a child interpreter with ``build_ops``
-    wrapped to count its calls: (number of builds, the printed table)."""
+    """Run the script's ``main`` over two reps in a child interpreter with
+    ``build_ops`` wrapped to count its calls: (number of builds, the
+    printed table).  ``flags`` choose the operations."""
     code = textwrap.dedent(f"""
         import importlib.util, sys
         spec = importlib.util.spec_from_file_location("ab_inproc", {str(SCRIPT)!r})
@@ -62,8 +65,7 @@ def builds_and_table(*flags: str) -> tuple[int, str]:
         sys.exit(status)
     """)
     result = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT), str(ROOT),
-         "--workload", "cohom-graded", "--reps", "2", *flags],
+        [sys.executable, "-c", code, str(ROOT), str(ROOT), "--reps", "2", *flags],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
@@ -77,12 +79,53 @@ def builds_and_table(*flags: str) -> tuple[int, str]:
 def test_fresh_rebuilds_every_operation_before_each_rep():
     # one build per package for the checking pass, then with --fresh one
     # more per package before each of the two reps
-    count, table = builds_and_table("--fresh")
+    count, table = builds_and_table("--workload", "cohom-graded", "--fresh")
     assert count == 2 + 2 * 2
     check_table(table, 2)
-    count, table = builds_and_table()
+    count, table = builds_and_table("--workload", "cohom-graded")
     assert count == 2
     check_table(table, 2)
+
+
+def test_one_job_outside_the_workloads_is_built_before_each_rep():
+    # --job FILE:n:D builds its one operation from the file, without
+    # --fresh, before each rep as well as for the checking pass
+    count, table = builds_and_table("--job", "inputs/cur1.alg:2:1")
+    assert count == 2 + 2 * 2
+    header, row, total, kind_header, kind, wins = table.splitlines()
+    assert header.split() == ["operation", "base", "ms", "change", "ms", "ratio"]
+    assert row.rsplit(None, 3)[0] == "cur1 H^2 D=1"
+    assert total.startswith("sum of medians")
+    assert kind.split()[:-1] == ["cur1", "H^2", "D=1"]
+    assert re.fullmatch(r"change faster in \d+ of 2 reps", wins)
+
+
+def test_a_job_is_refused_unless_it_reads_file_n_d():
+    for job, extra in [("inputs/cur1.alg:2", ()), ("inputs/cur1.alg:two:1", ()),
+                       ("inputs/none.alg:2:1", ()), ("inputs/cur1.alg:2:1", ("--seed", "3"))]:
+        result = subprocess.run(
+            [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--reps", "1", "--job", job, *extra],
+            capture_output=True,
+            text=True,
+            cwd=str(ROOT),
+            timeout=120,
+        )
+        assert result.returncode == 2 and "error:" in result.stderr, job
+
+
+def test_a_job_checks_that_the_two_checkouts_agree():
+    # the job has no known answer: the untimed pass compares the answers
+    # of the two packages and stops at the first disagreement
+    spec = importlib.util.spec_from_file_location("ab_inproc", SCRIPT)
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    workloads = ab.load_workloads()
+    answers = iter([(1, 0, 1, True, 2), (1, 1, 0, True, 2)])
+    op = workloads.Operation("job", lambda: next(answers), None)
+    ab.build_ops = lambda *args: [op]
+    with pytest.raises(SystemExit) as stopped:
+        ab.timings(workloads, [None, None], "job", 11, 1, True)
+    assert stopped.value.code == 1
 
 
 def test_kind_ratios_divide_the_summed_times_of_each_kind():

@@ -35,7 +35,6 @@ from pseudo.cohomology import (
     apply_dn,
     cochain_variables,
     cohomology_dimensions,
-    _cocycle_slice,
 )
 from pseudo.conformal import (
     ASSOC_VARS,
@@ -148,7 +147,7 @@ def test_criterion_4_h0_with_direct_representative(cur1, cur1_regular):
     finish = timed(1.0)
     report = cohomology_dimensions(cur1, cur1_regular, 0, TruncationWindow(2, 1))
     assert report.dim_cohomology == 1
-    kernel = _cocycle_slice(cur1_regular, 0, 0)
+    kernel = report.cocycles
     assert kernel.dim == 1
     coords = list(kernel.vectors[0])
     residuals = check_h0_representative(cur1, cur1_regular, coords)

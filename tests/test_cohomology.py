@@ -36,11 +36,10 @@ from pseudo.cohomology import (
     apply_dn,
     cochain_variables,
     cohomology_dimensions,
-    _cocycle_slice,
     _coboundary_slice,
 )
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, NonAssociativeError
-from pseudo.exactla import _SliceSpan, _span, quotient_dimension
+from pseudo.exactla import _SliceSpan, _span, kernel, quotient_dimension
 from pseudo.formats import parse_algebra, parse_module
 from pseudo.polyring import Poly, _coeff, iter_monomials, parse_poly, sort_variables
 
@@ -87,10 +86,18 @@ def record_columns(monkeypatch) -> list:
     return calls
 
 
-def slice_dimension(module, degree: int, bound: int) -> int:
-    """The dimension of the degree-<=bound slice of n-cochains: the
-    ceiling under which ``_coboundary_slice`` widens in full."""
-    return CochainIndex(module.algebra, module, degree, bound).dimension
+def whole_slice(module, degree: int, bound: int) -> list[dict]:
+    """The columns of the zero map on the degree-<=bound slice of
+    n-cochains: its kernel is the whole slice, the ceiling under which
+    ``_coboundary_slice`` widens in full."""
+    return [{}] * CochainIndex(module.algebra, module, degree, bound).dimension
+
+
+def cocycle_columns(module, degree: int, bound: int) -> list[dict]:
+    """The columns of d on the degree-<=bound slice of n-cochains, as
+    ``cohomology_dimensions`` hands them to ``_coboundary_slice``: their
+    kernel is Z cap slice."""
+    return cohomology._slice_columns(module, degree, bound)[1]
 
 
 def test_cochain_variables():
@@ -551,12 +558,11 @@ def test_plateau_h3_with_margin_three(inputs_dir):
 
 
 def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
-    # the head slot's images negated, d after d is no longer 0, and B
-    # escapes Z on plateau at n = 2, D = 0.  The same patch leaves Z = 0 on
-    # cur1 and mat2, so there B fills Z at once, no source is
-    # differentiated and the guard stays silent: the price of the
-    # widening's dim-Z ceiling.  The head is the first slot, found by its
-    # ring map
+    # the head slot's images negated, d after d is no longer 0: round 0's
+    # rows of B seed the cocycle kernel, which checks that d sends each of
+    # them to 0, so B escapes Z on plateau at n = 2, D = 0 and on cur1 and
+    # mat2 at every n 1-3, D 0-1.  The head is the first slot, found by
+    # its ring map
     original = cohomology._Stencil._image
 
     def negated_head(self, ring, entries, mono):
@@ -565,15 +571,18 @@ def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
         return tuple((offset, -c) for offset, c in image) if head else image
 
     monkeypatch.setattr(cohomology._Stencil, "_image", negated_head)
-    plateau = parse_algebra((inputs_dir / "plateau.alg").read_text(encoding="utf-8"))
-    module = BimoduleStructure.regular(plateau)
-    with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
-        cohomology_dimensions(plateau, module, 2, TruncationWindow(0))
+    jobs = [("plateau", 2, 0)]
+    jobs += [(name, n, bound) for name in ("cur1", "mat2") for n in (1, 2, 3) for bound in (0, 1)]
+    for name, n, bound in jobs:
+        algebra = parse_algebra((inputs_dir / f"{name}.alg").read_text(encoding="utf-8"))
+        module = BimoduleStructure.regular(algebra)
+        with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
+            cohomology_dimensions(algebra, module, n, TruncationWindow(bound))
 
 
 def test_non_associative_algebra_is_refused_before_computing(inputs_dir, monkeypatch):
     # the kept associativity verdict is read first: no slice is formed
-    monkeypatch.setattr(cohomology, "_cocycle_slice", lambda *args: pytest.fail("computed"))
+    monkeypatch.setattr(cohomology, "_slice_columns", lambda *args: pytest.fail("computed"))
     bad = parse_algebra((inputs_dir / "bad_del.alg").read_text(encoding="utf-8"))
     with pytest.raises(NonAssociativeError, match="algebra is not associative"):
         cohomology_dimensions(bad, BimoduleStructure.regular(bad), 1, TruncationWindow(1))
@@ -593,7 +602,7 @@ def test_module_breaking_its_laws_is_refused_before_computing(inputs_dir, monkey
     broken_left_only = module("left", "left e u -> del * u")
     window = TruncationWindow(1)
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_cocycle_slice", lambda *args: pytest.fail("computed"))
+        patch.setattr(cohomology, "_slice_columns", lambda *args: pytest.fail("computed"))
         with pytest.raises(UnfitModuleError, match="module violates its axiom system"):
             cohomology_dimensions(cur1, broken_right, 1, window)
     for n, message in [(0, "degree-0 differential needs both module actions"),
@@ -681,7 +690,7 @@ def test_coboundary_slice_keeps_truncation_guard(u2, u2_regular, monkeypatch):
     with pytest.raises(TruncationOverflowError, match=re.escape(
         "monomial (2, 0) on tuple (0, 0) exceeds degree 1"
     )):
-        _coboundary_slice(u2_regular, 2, window, 4, slice_dimension(u2_regular, 2, 1))
+        _coboundary_slice(u2_regular, 2, window, 4, whole_slice(u2_regular, 2, 1))
 
 
 def test_stencil_columns_overflow_with_the_message_of_one_column_at_a_time(u2):
@@ -713,8 +722,8 @@ def test_coboundary_slice_differentiates_each_source_once(
     calls = record_columns(monkeypatch)
     monkeypatch.setattr(cohomology, "apply_dn", None)
     window = TruncationWindow(1, 1)
-    whole = slice_dimension(u2_regular, 3, 1)
-    _, stabilized, rounds = _coboundary_slice(u2_regular, 3, window, 4, whole)
+    whole = whole_slice(u2_regular, 3, 1)
+    _, _, stabilized, rounds = _coboundary_slice(u2_regular, 3, window, 4, whole)
     assert stabilized and rounds == 3
     # U2 takes w = (0, -1), u = (1, 0) and b = 0, so the slice's labels
     # (degree <= 1 on 3-tuples) weigh 0 .. 5, and a source reaches the
@@ -731,32 +740,37 @@ def test_coboundary_slice_differentiates_each_source_once(
     assert len(calls) == len(set(calls)) == 102
     assert set(calls) == reaching
     assert max(sum(mono) for _, _, mono in calls) == 5
-    # under the ceiling dim(Z cap slice) = 8, B fills Z before any
-    # degree-3 source is admitted, and the last two rounds differentiate
-    # nothing yet still count
-    cocycles = _cocycle_slice(u2_regular, 3, 1)
+    # round 0 takes its 24 sources of degree <= 1 under the slice's own
+    # dimension; under the ceiling dim(Z cap slice) = 8 that follows, B
+    # fills Z after 4 degree-2 sources, before any degree-3 source is
+    # admitted, and the last two rounds differentiate nothing yet still
+    # count
+    columns = cocycle_columns(u2_regular, 3, 1)
+    cocycles = kernel(columns)
     calls.clear()
-    assert _coboundary_slice(u2_regular, 3, window, 4, cocycles.dim) == (cocycles, True, 3)
+    assert _coboundary_slice(u2_regular, 3, window, 4, columns) == (cocycles, cocycles, True, 3)
     assert len(calls) == len(set(calls)) == 28
     assert max(sum(mono) for _, _, mono in calls) < 3
     # U1 H^3 D=2 (22/22/0 in 2 rounds) takes 146 sources under the whole
-    # slice, 80 in the rounds and 66 in the weight pass, and 45 under dim
-    # Z, none of degree 3
+    # slice, 80 in the rounds and 66 in the weight pass, and 48 under dim
+    # Z: round 0 takes all its 48 sources of degree <= 2, which already
+    # fill Z, so no degree-3 source is differentiated
     u1 = parse_algebra(U1_PATH.read_text(encoding="utf-8"))
     u1_regular = BimoduleStructure.regular(u1)
     window = TruncationWindow(2, 1)
-    cocycles = _cocycle_slice(u1_regular, 3, 2)
+    columns = cocycle_columns(u1_regular, 3, 2)
+    cocycles = kernel(columns)
     results, counts = [], []
-    for ceiling in (slice_dimension(u1_regular, 3, 2), cocycles.dim):
+    for stand_in in (whole_slice(u1_regular, 3, 2), columns):
         calls.clear()
-        results.append(_coboundary_slice(u1_regular, 3, window, 4, ceiling))
+        results.append(_coboundary_slice(u1_regular, 3, window, 4, stand_in)[1:])
         counts.append(len(calls))
     assert results == [(cocycles, True, 2)] * 2
-    assert counts == [146, 45]
+    assert counts == [146, 48]
     assert max(sum(mono) for _, _, mono in calls) < 3
     # degree 0 takes the same route: d_0 columns and the coboundaries of H^1
     calls.clear()
-    _cocycle_slice(mat2_regular, 0, 0)
+    cohomology_dimensions(mat2, mat2_regular, 0, TruncationWindow(0))
     assert calls == CochainIndex(mat2, mat2_regular, 0, 0).labels
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1, 1))
     assert (rep.dim_cocycles, rep.dim_coboundaries, rep.dim_cohomology) == (4, 3, 1)
@@ -829,7 +843,7 @@ def test_ungraded_table_differentiates_every_source(monkeypatch):
     assert cohomology.grading(module) is None
     calls = record_columns(monkeypatch)
     window = TruncationWindow(1, 1)
-    _, _, rounds = _coboundary_slice(module, 2, window, 3, slice_dimension(module, 2, 1))
+    _, _, _, rounds = _coboundary_slice(module, 2, window, 3, whole_slice(module, 2, 1))
     last = window.degree_bound + (rounds - 1) * window.stabilization_margin
     assert len(calls) == len(set(calls))
     assert set(calls) == set(CochainIndex(algebra, module, 1, last).labels)
@@ -910,14 +924,14 @@ def test_weight_pruning_keeps_the_coboundary_slice(data):
     shifts = {us - sum(t) + b for t in iter_product(w, repeat=degree - 1) for us in u}
     top = max((int(e - shift) for e in slice_weights for shift in shifts
                if e - shift == int(e - shift)), default=bound)
-    whole = slice_dimension(module, degree, bound)
-    basis, stabilized, rounds = _coboundary_slice(module, degree, window, max_rounds, whole)
+    whole = whole_slice(module, degree, bound)
+    _, basis, stabilized, rounds = _coboundary_slice(module, degree, window, max_rounds, whole)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "grading", lambda module: None)
         full = _coboundary_slice(module, degree, window, max_rounds, whole)
-        assert full[1:] == (stabilized, rounds)
+        assert full[2:] == (stabilized, rounds)
         reaching = TruncationWindow(bound, max(top - bound, 1))
-        assert _coboundary_slice(module, degree, reaching, 1, whole)[0] == basis
+        assert _coboundary_slice(module, degree, reaching, 1, whole)[1] == basis
 
 
 @given(st.data())
@@ -988,16 +1002,16 @@ PROOF_JOBS = [
 def test_the_cocycle_ceiling_keeps_the_coboundary_slice(job, margin, max_rounds):
     # B cap slice lies in Z cap slice, and the RREF is unique, so once the
     # span fills Z it is all of B cap slice: stopping there moves no
-    # basis, flag or round count
+    # basis, flag or round count; and round 0's rows, seeding the kernel,
+    # move no row of Z
     name, n, bound = job
     module = dict(committed_modules())[name]
-    algebra = module.algebra
     window = TruncationWindow(bound, margin)
-    ceiling = _cocycle_slice(module, n, bound).dim
-    whole = slice_dimension(module, n, bound)
-    assert _coboundary_slice(module, n, window, max_rounds, ceiling) == _coboundary_slice(
-        module, n, window, max_rounds, whole
-    )
+    columns = cocycle_columns(module, n, bound)
+    cocycles, *under_z = _coboundary_slice(module, n, window, max_rounds, columns)
+    whole = whole_slice(module, n, bound)
+    assert cocycles == kernel(columns)
+    assert under_z == list(_coboundary_slice(module, n, window, max_rounds, whole)[1:])
 
 
 @given(st.sampled_from(PROOF_JOBS))

@@ -394,3 +394,63 @@ def test_slice_span_subtracts_outside_rows_without_reducing_them():
     assert span.insert({}) is False
     assert span.outside == {-1: {-1: 1}, -2: {-2: 1, -1: 2}}
     assert span.basis() == SubspaceBasis(2, {0: {0: 1}})
+
+
+@given(st.data())
+def test_kernel_seeded_with_known_null_vectors_is_the_textbook_kernel(data):
+    # known rows, the RREF of drawn combinations of the true kernel's
+    # basis, only drop their pivot columns from the elimination: any part
+    # of the kernel, none or all of it, gives the textbook kernel.  A
+    # known span that also holds a vector the columns do not send to 0 is
+    # refused
+    nrows = data.draw(st.integers(min_value=1, max_value=6))
+    ncols = data.draw(st.integers(min_value=1, max_value=7))
+    nonzero = rationals().filter(bool)
+    column = st.dictionaries(st.integers(0, nrows - 1), nonzero, max_size=nrows)
+    columns = data.draw(st.lists(column, min_size=ncols, max_size=ncols))
+    # each row ("single", k) holds one entry, so the peel forces its column
+    for k, j in enumerate(data.draw(st.lists(st.integers(0, ncols - 1), max_size=2))):
+        columns[j][("single", k)] = data.draw(nonzero)
+    labels = list(dict.fromkeys(label for col in columns for label in col))
+    dense = [[col.get(label, 0) for col in columns] for label in labels]
+    expected = fraction_kernel(dense, ncols)
+    size = len(expected)
+    combination = st.lists(sparse_rationals, min_size=size, max_size=size)
+    combinations = data.draw(st.lists(combination, max_size=size + 1))
+    vectors = [[sum((c * vec[j] for c, vec in zip(coeffs, expected)), Fraction(0))
+                for j in range(ncols)] for coeffs in combinations]
+    known = subspace(ncols, vectors).rows
+    assert [list(vec) for vec in kernel(columns, known).vectors] == expected
+    assert [list(vec) for vec in kernel(columns, subspace(ncols, expected).rows).vectors] == expected
+
+    stray = data.draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
+    if any(times(dense, stray)):
+        with pytest.raises(ContainmentError):
+            kernel(columns, subspace(ncols, [*vectors, stray]).rows)
+
+
+def test_kernel_refuses_a_known_row_it_does_not_send_to_zero():
+    columns = [{"a": 1}, {"a": 1}, {"b": 2}]
+    assert kernel(columns, {0: {0: 1, 1: -1}}).vectors == ((1, -1, 0),)
+    with pytest.raises(ContainmentError):
+        kernel(columns, {0: {0: 1, 1: -1}, 2: {2: 1}})
+    with pytest.raises(ContainmentError):
+        kernel(columns, {0: {0: 1, 1: 1}})
+
+
+def test_kernel_returns_no_row_of_its_caller():
+    # a slice span clears a new pivot from its echelon rows in place, so a
+    # kernel seeded with them must hand back rows of its own: when the
+    # peel forces every column off the known pivot (a, b) and when column
+    # 2, which no row holds, is free
+    for columns, free in [([{"a": 1}, {"a": 1}, {"b": 2}], ()),
+                          ([{"a": 1}, {"a": 1}, {}], ((0, 0, 1),))]:
+        span = _SliceSpan(range(3))
+        span.insert({0: 1, 1: -1})
+        known = span.echelon
+        got = kernel(columns, known)
+        assert got.vectors == ((1, -1, 0), *free)
+        assert all(row is not known[pivot] for pivot, row in got.rows.items() if pivot in known)
+        span.insert({1: 1})  # clears column 1 from the row at pivot 0
+        assert known[0] == {0: 1}
+        assert got.vectors == ((1, -1, 0), *free)
