@@ -2,7 +2,8 @@
 
     python3 scripts/ab_inproc.py BASE CHANGE --workload cohom-graded --reps 60 [--fresh]
         [--seed N ...]
-    python3 scripts/ab_inproc.py BASE CHANGE --job inputs/mat2.alg:3:2 --reps 20
+    python3 scripts/ab_inproc.py BASE CHANGE --job inputs/mat2.alg:3:2 [--job FILE:n:D ...]
+        --reps 20
 
 BASE and CHANGE are source checkouts (directories holding src/pseudo).
 Each checkout's package is copied into a temporary directory under its
@@ -35,9 +36,11 @@ the workloads' margin, on the regular module of the algebra defined in
 FILE, read as it is (no seed).  It is built again before every rep, as
 with --fresh, so a job that takes a tenth of a second or more (mat2 H^3
 at D=2 or 3), bound by elimination, can be timed as a one-shot run pays
-for it; the workloads' jobs take a few milliseconds each.  The job has
-no known answer, so the untimed pass checks that the two checkouts agree
-on its dimensions, flag and round count.
+for it; the workloads' jobs take a few milliseconds each.  --job given
+more than once makes each job one operation of the run, in the order
+given, so the jobs are timed interleaved, rep by rep, and the table has
+one row per job.  A job has no known answer, so the untimed pass checks
+that the two checkouts agree on its dimensions, flag and round count.
 
 Separate interpreters on a shared machine drift between runs; two
 packages timed in turn in one process see the same drift.
@@ -87,25 +90,28 @@ def import_copy(checkout: Path, name: str, workdir: Path):
     return package
 
 
-def job_setup(workloads, job: str) -> list:
-    """The one operation of ``job``, FILE:n:D (see the module docstring),
-    built through ``pseudo``; it has no check, and it returns the
-    report's dimensions, flag and round count."""
+def job_setup(workloads, jobs: tuple[str, ...]) -> list:
+    """One operation per job, FILE:n:D (see the module docstring), in
+    order, built through ``pseudo``; none has a check, and each returns
+    the report's dimensions, flag and round count."""
     from pseudo import cohomology
     from pseudo.cfmodule import BimoduleStructure
     from pseudo.formats import parse_algebra
 
-    path, degree, bound = parse_job(job)
-    algebra = parse_algebra(path.read_text(encoding="utf-8"))
-    module = BimoduleStructure.regular(algebra)
-    window = cohomology.TruncationWindow(bound, workloads.MARGIN)
+    def operation(job: str):
+        path, degree, bound = parse_job(job)
+        algebra = parse_algebra(path.read_text(encoding="utf-8"))
+        module = BimoduleStructure.regular(algebra)
+        window = cohomology.TruncationWindow(bound, workloads.MARGIN)
 
-    def run():
-        report = cohomology.cohomology_dimensions(algebra, module, degree, window)
-        return (report.dim_cocycles, report.dim_coboundaries, report.dim_cohomology,
-                report.stabilized, report.rounds)
+        def run():
+            report = cohomology.cohomology_dimensions(algebra, module, degree, window)
+            return (report.dim_cocycles, report.dim_coboundaries, report.dim_cohomology,
+                    report.stabilized, report.rounds)
 
-    return [workloads.Operation(f"{path.stem} H^{degree} D={bound}", run, None)]
+        return workloads.Operation(f"{path.stem} H^{degree} D={bound}", run, None)
+
+    return [operation(job) for job in jobs]
 
 
 def parse_job(job: str) -> tuple[Path, int, int]:
@@ -119,10 +125,10 @@ def parse_job(job: str) -> tuple[Path, int, int]:
     return path.resolve(), int(parts[1]), int(parts[2])
 
 
-def build_ops(workloads, package, workload: str, seed: int):
-    """The operations of the workload, or of the job when ``workload`` is
-    FILE:n:D, set up with ``package`` standing in for ``pseudo``: the
-    operations keep the module objects they imported."""
+def build_ops(workloads, package, workload: str | tuple[str, ...], seed: int):
+    """The operations of the workload, or of the jobs when ``workload`` is
+    a tuple of FILE:n:D, set up with ``package`` standing in for
+    ``pseudo``: the operations keep the module objects they imported."""
     alias = package.__name__
     saved = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "pseudo"}
     for name in saved:
@@ -160,7 +166,8 @@ def timed(op) -> float:
     return perf_counter() - started
 
 
-def timings(workloads, packages, workload: str, seed: int, reps: int, fresh: bool):
+def timings(workloads, packages, workload: str | tuple[str, ...], seed: int, reps: int,
+            fresh: bool):
     """The operations' labels and, per package, per operation, the time of
     each rep, after one untimed pass that checks every answer (an
     operation without a check: that both packages give the same one);
@@ -239,8 +246,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     chosen = parser.add_mutually_exclusive_group(required=True)
     chosen.add_argument("--workload", choices=IN_PROCESS)
-    chosen.add_argument("--job", metavar="FILE:n:D",
-                        help="one cohomology job, built again before every rep")
+    chosen.add_argument("--job", metavar="FILE:n:D", action="append",
+                        help="one cohomology job, built again before every rep; repeatable")
     parser.add_argument("--reps", required=True, type=int)
     parser.add_argument("--seed", type=int, action="append",
                         help="repeatable; 11 when left out")
@@ -253,7 +260,8 @@ def main(argv=None) -> int:
         if args.seed:
             parser.error("--seed applies to a workload, not to --job")
         try:
-            parse_job(args.job)
+            for job in args.job:
+                parse_job(job)
         except ValueError as exc:
             parser.error(str(exc))
     seeds = args.seed or [11]
@@ -266,8 +274,8 @@ def main(argv=None) -> int:
             import_copy(args.change.resolve(), "pseudo_change", Path(workdir)),
         ]
         fresh = args.fresh or args.job is not None
-        runs = [timings(workloads, packages, args.workload or args.job, seed, args.reps, fresh)
-                for seed in seeds]
+        chosen = args.workload or tuple(args.job)
+        runs = [timings(workloads, packages, chosen, seed, args.reps, fresh) for seed in seeds]
 
     if len(seeds) == 1:
         ((labels, times),) = runs

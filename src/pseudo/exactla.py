@@ -7,8 +7,10 @@ else, and ``_rows`` alone turns the columns into sparse rows (dict
 column number -> nonzero entry).  Entries take the coefficient form
 of ``pseudo.polyring``: an ``int`` when integral, otherwise a reduced
 ``Fraction`` with denominator above 1, never a float.  ``polyring._coeff``
-takes each entry in and normalizes every sum; ``polyring._quotient``,
-the one division, scales a new echelon row to 1 at its pivot.
+takes each entry in, in ``_taken`` for the kernel (which then builds
+rows of only some columns) and in ``_rows`` for ``solve_columns``, and
+normalizes every sum; ``polyring._quotient``, the one division, scales
+a new echelon row to 1 at its pivot.
 
 Every elimination goes through one sparse echelon (``Echelon``): a dict
 from pivot column to a row that is 1 at its pivot, its smallest column,
@@ -22,9 +24,10 @@ is cleared from just the rows that hold its column rather than from
 every stored row.  ``kernel`` can be handed RREF rows already known to
 lie in the null space (a cocycle slice is seeded with coboundaries);
 it checks each and sets their pivot columns aside.  It numbers the
-other columns sparsest first, peels off those that one-entry rows force
-to 0, reading the columns as its column -> rows index, and eliminates
-only what remains.
+other columns sparsest first and peels off those that one-entry rows
+force to 0: the first generation is read off label counts, with no row
+built, rows are made of the columns left, and the cascade reads the
+columns as its column -> rows index.  Only what remains is eliminated.
 ``_SliceSpan`` keeps fully reduced only the rows that lie in its slice
 and forward-reduces the rows that lead outside it; the lead convention
 (smallest column) is what makes that exact, hence it lives here.
@@ -32,7 +35,9 @@ and forward-reduces the rows that lead outside it; the lead convention
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import _coeff, _frozen, _quotient
@@ -183,16 +188,50 @@ def _rows(columns: Sequence[Mapping]) -> dict:
     return rows
 
 
-def _peel(columns: Sequence[Mapping], rows: dict) -> tuple[list[dict], set[int]]:
+def _taken(columns: Sequence[dict]) -> Sequence[dict]:
+    """The kernel's intake: ``columns`` with every entry in the coefficient
+    form and no zero entry.
+
+    The entries are gathered in one scan, and their types read off them.
+    When any is not ``int``, every entry is taken in through
+    ``polyring._coeff``, which refuses an inexact one, and the zeros are
+    dropped; when all are ints but some column holds a 0, only the zeros
+    are dropped; otherwise the columns come back as they are, not copied.
+    A label's entries are then its nonzero entries, so an explicit 0
+    neither counts towards a label nor becomes a pivot.
+    """
+    entries = list(chain.from_iterable(map(dict.values, columns)))
+    if set(map(type, entries)) - {int}:
+        taken = []
+        for column in columns:
+            kept = {}
+            for label, v in column.items():
+                v = _coeff(v)
+                if v:
+                    kept[label] = v
+            taken.append(kept)
+        return taken
+    if not all(entries):
+        return [{label: v for label, v in column.items() if v} for column in columns]
+    return columns
+
+
+def _peel(columns: Sequence[dict]) -> tuple[list[dict], set[int]]:
     """The singleton peel of structured Gaussian elimination (LaMacchia
     and Odlyzko): a row with one entry forces its column to 0 in every
-    kernel vector.  ``rows`` are the rows ``_rows`` made of ``columns``,
-    and column j's labels name the rows that can hold j, so the columns
-    are the index: a forced column is deleted (in place) from just those
-    rows, and a row left with one entry goes on the stack of rows to
-    peel.  Returns the nonempty rows that remain and the forced columns,
-    which none of them holds."""
-    forced: set[int] = set()
+    kernel vector.  ``columns`` are taken (``_taken``), so a label's count
+    over the columns is the number of entries of its row.  The first
+    generation is read off those counts: every column that holds a label
+    of count 1 is forced at once, and no row is built for it.  ``_rows``
+    then makes rows of the held columns alone (a forced one stands in as
+    empty, so the numbering is kept), and the cascade runs on them: the
+    columns are the index, a forced column is deleted (in place) from
+    just the rows its labels name, and a row left with one entry goes on
+    the stack of rows to peel.  Returns the nonempty rows that remain and
+    the forced columns, which none of them holds."""
+    count = Counter(chain.from_iterable(columns))
+    forced = {j for j, column in enumerate(columns) if 1 in map(count.__getitem__, column)}
+    rows = _rows([{} if j in forced else column for j, column in enumerate(columns)])
     stack = [row for row in rows.values() if len(row) == 1]
     while stack:
         row = stack.pop()
@@ -208,10 +247,12 @@ def _peel(columns: Sequence[Mapping], rows: dict) -> tuple[list[dict], set[int]]
     return [row for row in rows.values() if row], forced
 
 
-def kernel(columns: Sequence[Mapping], known: Mapping[int, Mapping] = {}) -> SubspaceBasis:
+def kernel(columns: Sequence[dict], known: Mapping[int, Mapping] = {}) -> SubspaceBasis:
     """Null space of the map with these columns, as an RREF basis of
     Q^len(columns).
 
+    The columns are taken in first (``_taken``): every entry is checked
+    and normalized, forced columns' included, and zeros are dropped.
     ``known`` (only read) holds the RREF rows, pivot column -> row, of a
     subspace the caller claims lies in the null space; a known row the
     columns do not send to 0 raises ContainmentError.  Subtracting known
@@ -222,25 +263,26 @@ def kernel(columns: Sequence[Mapping], known: Mapping[int, Mapping] = {}) -> Sub
     pivot on a sparse column fills in little), so the fill does not
     depend on the order the caller lists its unknowns in.  The singleton
     peel (``_peel``) then sets aside every column a one-entry row forces
-    to 0, and only the rows that remain are eliminated, shortest first (a
-    short pivot row adds few entries to the rows it clears).  Each free
-    column f, neither a pivot nor forced, gives the vector e_f minus the
-    f-entries of the pivot rows placed at their pivots, read back in the
-    caller's numbering.  The basis is the RREF of the known rows and
-    those vectors, which is unique, so no order ever shows; when no
-    column off the known pivots is free it is copies of the known rows.
-    No row of the result is one of the caller's.
+    to 0, reading its first generation off label counts, and only the
+    rows that remain are eliminated, shortest first (a short pivot row
+    adds few entries to the rows it clears).  Each free column f, neither
+    a pivot nor forced, gives the vector e_f minus the f-entries of the
+    pivot rows placed at their pivots, read back in the caller's
+    numbering.  The basis is the RREF of the known rows and those
+    vectors, which is unique, so no order ever shows; when no column off
+    the known pivots is free it is copies of the known rows.  No row of
+    the result is one of the caller's.
     """
+    columns = _taken(columns)
     for row in known.values():
         image: dict = {}
         for j, v in row.items():
             for label, c in columns[j].items():
-                image[label] = image.get(label, 0) + v * (c if type(c) is int else _coeff(c))
+                image[label] = image.get(label, 0) + v * c
         if any(image.values()):
             raise ContainmentError("a row claimed to lie in the kernel is not sent to 0")
     rest = sorted((j for j in range(len(columns)) if j not in known), key=lambda j: len(columns[j]))
-    sparse_first = [columns[j] for j in rest]
-    rows, forced = _peel(sparse_first, _rows(sparse_first))
+    rows, forced = _peel([columns[j] for j in rest])
     echelon = _span(sorted(rows, key=len))
     found = {f: {rest[f]: 1} for f in range(len(rest)) if f not in echelon and f not in forced}
     for pivot, row in echelon.items():

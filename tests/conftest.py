@@ -85,6 +85,24 @@ def matrix_algebra(size: int) -> ConformalAlgebra:
     return ConformalAlgebra(names, structure)
 
 
+def tensor_product(left: ConformalAlgebra, right: ConformalAlgebra) -> ConformalAlgebra:
+    """Current algebra of A ⊗ B, from the constant tables of Cur A and
+    Cur B, on the generators a ⊗ b (A's index major), named a_b:
+    (a ⊗ b)(a' ⊗ b') = aa' ⊗ bb'."""
+    a, b = structure_constants(left), structure_constants(right)
+    m = right.rank
+    pairs = list(iter_product(range(left.rank), range(m)))
+    structure = {}
+    for i, j in pairs:
+        for k, l in pairs:
+            entries = [(p * m + q, Poly.const(PRODUCT_VARS, a[i][k][p] * b[j][l][q]))
+                       for p, q in pairs if a[i][k][p] and b[j][l][q]]
+            if entries:
+                structure[(i * m + j, k * m + l)] = entries
+    names = tuple(f"{x}_{y}" for x in left.generators for y in right.generators)
+    return ConformalAlgebra(names, structure)
+
+
 def subspace(ambient_dimension: int, vectors) -> SubspaceBasis:
     """The span of dense vectors in Q^ambient_dimension."""
     rows = ({j: Fraction(v) for j, v in enumerate(vec) if v} for vec in vectors)

@@ -100,9 +100,22 @@ def test_one_job_outside_the_workloads_is_built_before_each_rep():
     assert re.fullmatch(r"change faster in \d+ of 2 reps", wins)
 
 
+def test_repeated_jobs_are_timed_together_one_row_each():
+    # --job twice: one build per package and rep makes both operations,
+    # timed in the order given, and the table has a row for each
+    count, table = builds_and_table("--job", "inputs/cur1.alg:2:1", "--job", "inputs/cur1.alg:1:0")
+    assert count == 2 + 2 * 2
+    header, *rows, total, kind_header, kind1, kind2, wins = table.splitlines()
+    assert [row.rsplit(None, 3)[0] for row in rows] == ["cur1 H^2 D=1", "cur1 H^1 D=0"]
+    assert total.startswith("sum of medians")
+    assert [kind1.split()[:-1], kind2.split()[:-1]] == [["cur1", "H^2", "D=1"], ["cur1", "H^1", "D=0"]]
+    assert re.fullmatch(r"change faster in \d+ of 2 reps", wins)
+
+
 def test_a_job_is_refused_unless_it_reads_file_n_d():
     for job, extra in [("inputs/cur1.alg:2", ()), ("inputs/cur1.alg:two:1", ()),
-                       ("inputs/none.alg:2:1", ()), ("inputs/cur1.alg:2:1", ("--seed", "3"))]:
+                       ("inputs/none.alg:2:1", ()), ("inputs/cur1.alg:2:1", ("--seed", "3")),
+                       ("inputs/cur1.alg:2:1", ("--job", "inputs/cur1.alg:2"))]:
         result = subprocess.run(
             [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--reps", "1", "--job", job, *extra],
             capture_output=True,

@@ -11,6 +11,7 @@ from conftest import (
     inner_derivation_space_dimension,
     matrix_algebra,
     rationals,
+    tensor_product,
 )
 from pseudo.cfmodule import BimoduleStructure
 from pseudo.cohomology import (
@@ -95,6 +96,47 @@ def test_hochschild_oracles_upper_triangular():
 def test_hochschild_oracles_split_pair_and_ground():
     assert [hh(fd_algebra("split"), n) for n in range(3)] == [2, 0, 0]
     assert [hh(fd_algebra("ground"), n) for n in range(3)] == [1, 0, 0]
+
+
+# HH^n(A) at n = 0..3 in closed form: a separable algebra (the ground
+# field, k x k, M_2) has its center at n = 0 and nothing above; T_2
+# (upper) is hereditary with the center k and no outer derivation; the
+# dual numbers k[x]/x^2 in characteristic 0 have k[x]/x^2 at n = 0 and k
+# at every n >= 1
+CLOSED_FORM_HH = {
+    "ground": (1, 0, 0, 0),
+    "split": (2, 0, 0, 0),
+    "upper": (1, 0, 0, 0),
+    "dual": (2, 1, 1, 1),
+    "mat2": (1, 0, 0, 0),
+}
+
+
+def kunneth(left, right):
+    """HH(A ⊗ B) = HH(A) ⊗ HH(B), graded, at n = 0..3."""
+    return tuple(sum(left[p] * right[n - p] for p in range(n + 1)) for n in range(4))
+
+
+UNITAL_CASES = [pytest.param(fd_algebra(name), CLOSED_FORM_HH[name], (1, 2, 3), id=name)
+                for name in CLOSED_FORM_HH]
+UNITAL_CASES += [
+    pytest.param(tensor_product(fd_algebra("dual"), fd_algebra(name)),
+                 kunneth(CLOSED_FORM_HH["dual"], CLOSED_FORM_HH[name]), (1,), id=f"dual x {name}")
+    for name in ("dual", "upper", "split")
+]
+
+
+@pytest.mark.parametrize("algebra, closed_form, bounds", UNITAL_CASES)
+def test_each_slice_is_hh_n_plus_hh_n_minus_one(algebra, closed_form, bounds):
+    # on a unital current algebra H^n holds HH^n(A) at weight 0 and
+    # HH^(n-1)(A) at weight 1, so every slice at D >= 1 reads their sum;
+    # HH comes from closed forms, not from the package's D = 0 slice
+    module = BimoduleStructure.regular(algebra)
+    for bound in bounds:
+        for n in range(4):
+            report = cohomology_dimensions(algebra, module, n, TruncationWindow(bound))
+            expected = closed_form[n] + (closed_form[n - 1] if n else 0)
+            assert report.dim_cohomology == expected, (bound, n)
 
 
 def test_degree_zero_slice_stabilizes_in_two_rounds():

@@ -226,6 +226,9 @@ ENTRY_POINTS = {
     "solve rhs": lambda v: solve_columns([{"r": 2}], {"r": v}),
     "solve_columns column entry": lambda v: solve_columns([{"r": 1}, {"r": v}], {"r": 1}),
     "kernel column entry": lambda v: kernel([{"r": 1}, {"r": v}]),
+    # label s holds column 1 alone, so the peel forces it off the label
+    # counts, without a row: the entry is refused on intake all the same
+    "kernel peeled column entry": lambda v: kernel([{"r": 1}, {"s": v}]),
     "CochainIndex.reconstruct": _reconstruct,
 }
 

@@ -11,6 +11,7 @@ from pseudo.exactla import (
     _SliceSpan,
     _peel,
     _rows,
+    _taken,
     kernel,
     quotient_dimension,
     solve_columns,
@@ -281,10 +282,11 @@ def test_kernel_is_the_same_echelon_for_any_row_order(data):
 
 
 def test_peel_reads_its_index_off_the_columns():
-    # rows a and b each hold column 0 alone; column 1 holds an explicit 0
-    # at a, which matches no row entry, and column 3 holds only a 0, so no
-    # row holds it; e forces column 2, which leaves d and then c with one
-    # entry (a cascade), and once column 0 is forced a and b are empty
+    # labels a and b each hold column 0 alone and e holds column 2 alone,
+    # so the counts force both at once; the explicit 0s of column 1 at a
+    # and column 3 at d are dropped on intake, so they neither count nor
+    # match a row entry; rows are made of columns 1, 3 and 4 alone, where
+    # c and d are left with column 1 (a cascade), and f is what remains
     columns = [
         {"a": 2, "b": -1, "c": 1},
         {"a": 0, "c": 3, "d": 1},
@@ -292,7 +294,7 @@ def test_peel_reads_its_index_off_the_columns():
         {"d": 0, "f": 1},
         {"f": -1},
     ]
-    left, forced = _peel(columns, _rows(columns))
+    left, forced = _peel(_taken(columns))
     assert left == [{3: 1, 4: -1}]
     assert forced == {0, 1, 2}
     labels = "abcdef"
@@ -320,7 +322,7 @@ def test_kernel_peels_one_entry_rows_and_their_cascades(data):
     got = kernel(columns_of(entries))
     assert [list(vec) for vec in got.vectors] == fraction_kernel(entries, ncols)
     columns = columns_of(entries)
-    left, forced = _peel(columns, _rows(columns))
+    left, forced = _peel(_taken(columns))
     assert all(len(row) > 1 and forced.isdisjoint(row) for row in left)
     assert all(vec[j] == 0 for vec in got.vectors for j in forced)
 
