@@ -193,15 +193,14 @@ def _taken(columns: Sequence[dict]) -> Sequence[dict]:
     form and no zero entry.
 
     The entries are gathered in one scan, and their types read off them.
-    When any is not ``int``, every entry is taken in through
-    ``polyring._coeff``, which refuses an inexact one, and the zeros are
-    dropped; when all are ints but some column holds a 0, only the zeros
-    are dropped; otherwise the columns come back as they are, not copied.
-    A label's entries are then its nonzero entries, so an explicit 0
-    neither counts towards a label nor becomes a pivot.
+    When all are nonzero ints the columns come back as they are, not
+    copied; otherwise every entry is taken in through ``polyring._coeff``,
+    which refuses an inexact one, and the zeros are dropped.  A label's
+    entries are then its nonzero entries, so an explicit 0 neither counts
+    towards a label nor becomes a pivot.
     """
     entries = list(chain.from_iterable(map(dict.values, columns)))
-    if set(map(type, entries)) - {int}:
+    if set(map(type, entries)) - {int} or not all(entries):
         taken = []
         for column in columns:
             kept = {}
@@ -211,8 +210,6 @@ def _taken(columns: Sequence[dict]) -> Sequence[dict]:
                     kept[label] = v
             taken.append(kept)
         return taken
-    if not all(entries):
-        return [{label: v for label, v in column.items() if v} for column in columns]
     return columns
 
 
