@@ -328,9 +328,9 @@ def _cmd_derivations(args, inputs: dict):
     if aborted is not None:
         return aborted
     # Z^1 and B^1 of the slice: B^1's sources are constant classes, each
-    # differentiated in round 0, before Z^1 is computed, and the kernel
-    # that computes Z^1 checks that d sends every row of B^1 to 0, so a
-    # broken d after d raises (exit 3)
+    # differentiated in round 0, before Z^1 is computed, and the one d
+    # after d guard, in cohomology_dimensions, checks that d sends every
+    # row of B^1 to 0, so a broken d after d raises (exit 3)
     rep = cohomology_dimensions(algebra, module, 1, TruncationWindow(args.deg))
     der, inner = rep.cocycles, rep.coboundaries
     index = CochainIndex(algebra, module, 1, args.deg)

@@ -45,14 +45,16 @@ input the widening differentiates only the sources whose weight can
 reach the slice, and a last pass takes those the rounds left, so there
 the coboundary space is exact.  The widening's round 0 comes first:
 since d after d = 0 its rows lie in Z, so they seed the kernel that
-computes Z (`exactla.kernel`'s known rows), which checks that d sends
-each to 0 and eliminates only the columns off their pivots.  The later
-rounds stop differentiating once B fills Z in the slice, which the same
-identity makes exact: they still run and count, so nothing reported
-moves.  `cohomology_dimensions` refuses a non-associative algebra
-(`NonAssociativeError`) and a module that breaks its laws
-(`UnfitModuleError`) before computing, reading the verdicts kept on
-them, so the guard that B lies in Z flags only a bug here.
+computes Z (`exactla.kernel`'s known rows), which eliminates only the
+columns off their pivots.  The later rounds stop differentiating once B
+fills Z in the slice, which the same identity makes exact: they still
+run and count, so nothing reported moves.  The identity is guarded
+once, here, in the module that owns d: `cohomology_dimensions` checks
+that the slice's columns send every row of the final B cap slice to 0,
+which covers round 0's rows too, since they span part of it.  It
+refuses a non-associative algebra (`NonAssociativeError`) and a module
+that breaks its laws (`UnfitModuleError`) before computing, reading the
+verdicts kept on them, so the guard flags only a bug here.
 """
 
 from __future__ import annotations
@@ -65,14 +67,7 @@ from typing import Mapping, Sequence
 
 from .cfmodule import BimoduleStructure, UnfitModuleError, axiom_failure
 from .conformal import ConformalAlgebra, NonAssociativeError, _kept, associativity_failure
-from .exactla import (
-    ContainmentError,
-    SubspaceBasis,
-    _SliceSpan,
-    kernel,
-    quotient_dimension,
-    solve_columns,
-)
+from .exactla import SubspaceBasis, _SliceSpan, kernel, solve_columns
 from .polyring import Poly, _RingMap, _coeff, _frozen, _mul_terms, iter_monomials
 
 
@@ -671,9 +666,10 @@ def _coboundary_slice(
     Round 0 runs first, with the slice's own dimension as its only
     ceiling.  Since d after d = 0 on every input `cohomology_dimensions`
     accepts, its rows lie in Z, so they seed the kernel (``exactla.kernel``
-    with them as ``known``, which raises ContainmentError if one is not
-    sent to 0): Z cap slice is their span plus the null space of the
-    columns off their pivots, and only those columns are eliminated.
+    with them as ``known``, unchecked there: `cohomology_dimensions` checks
+    every row of the B returned, which spans them, against d afterwards):
+    Z cap slice is their span plus the null space of the columns off their
+    pivots, and only those columns are eliminated.
     The later rounds and the weight pass run under dim(Z cap slice): once
     the span holds that many rows of the slice it is all of B cap slice,
     since the RREF is unique, and the stencil's lazy columns form no
@@ -771,8 +767,12 @@ def cohomology_dimensions(
     differentiated, though every round still runs and counts.  A
     non-associative algebra raises NonAssociativeError and a two-sided
     module that breaks its laws UnfitModuleError, before anything is
-    computed, so d after d = 0 holds and ComplexInconsistencyError, if a
-    row of B escapes Z, means a bug.
+    computed, so d after d = 0 holds.  It is checked once, after the
+    slice is computed: each row of B cap slice is multiplied against the
+    slice's columns, d on the slice, and a nonzero image (a row of B that
+    escapes Z, which only a bug makes) raises ComplexInconsistencyError.
+    B then lies in Z, so ``proof`` reads "cocycles" when their dimensions
+    agree.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -787,15 +787,21 @@ def cohomology_dimensions(
         raise UnfitModuleError("module violates its axiom system")
     d = window.degree_bound
     columns = _slice_columns(module, degree, d)[1]
-    try:
-        cocycles, coboundaries, stabilized, rounds = _coboundary_slice(
-            module, degree, window, max_rounds, columns
-        )
-        exact = quotient_dimension(cocycles, coboundaries) == 0
-    except ContainmentError as exc:
-        raise ComplexInconsistencyError(
-            "coboundary slice escapes the cocycle space: d after d is not zero"
-        ) from exc
+    cocycles, coboundaries, stabilized, rounds = _coboundary_slice(
+        module, degree, window, max_rounds, columns
+    )
+    # the one d after d guard: d of every row of B cap slice is 0, which
+    # covers round 0's rows that seeded the kernel unchecked, since they
+    # span part of B; then B lies in Z, and equal dimensions make them equal
+    for row in coboundaries.rows.values():
+        image: dict = {}
+        for j, v in row.items():
+            for code, c in columns[j].items():
+                image[code] = image.get(code, 0) + v * c
+        if any(image.values()):
+            raise ComplexInconsistencyError(
+                "coboundary slice escapes the cocycle space: d after d is not zero"
+            )
     return CohomologyReport(
         degree=degree,
         degree_bound=d,
@@ -804,7 +810,7 @@ def cohomology_dimensions(
         coboundaries=coboundaries,
         stabilized=stabilized,
         rounds=rounds,
-        proof="cocycles" if exact
+        proof="cocycles" if cocycles.dim == coboundaries.dim
         else "degree" if degree <= 1
         else "weights" if grading(module) is not None
         else None,

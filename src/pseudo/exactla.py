@@ -3,14 +3,15 @@
 A linear map comes in as its columns, one per unknown: each a sparse
 dict from row label (any hashable, such as a term of a cochain or of a
 family of maps) to entry.  ``kernel`` and ``solve_columns`` take nothing
-else, and ``_rows`` alone turns the columns into sparse rows (dict
-column number -> nonzero entry).  Entries take the coefficient form
-of ``pseudo.polyring``: an ``int`` when integral, otherwise a reduced
-``Fraction`` with denominator above 1, never a float.  ``polyring._coeff``
-takes each entry in, in ``_taken`` for the kernel (which then builds
-rows of only some columns) and in ``_rows`` for ``solve_columns``, and
-normalizes every sum; ``polyring._quotient``, the one division, scales
-a new echelon row to 1 at its pivot.
+else.  Entries take the coefficient form of ``pseudo.polyring``: an
+``int`` when integral, otherwise a reduced ``Fraction`` with denominator
+above 1, never a float.  Both take their entries in through one intake,
+``_taken``, which runs ``polyring._coeff`` on them (refusing an inexact
+one) and drops zeros, unless they are all nonzero ints already; then
+``_rows``, a plain transpose, turns taken columns into sparse rows (dict
+column number -> nonzero entry).  ``polyring._coeff`` also normalizes
+every sum, and ``polyring._quotient``, the one division, scales a new
+echelon row to 1 at its pivot.
 
 Every elimination goes through one sparse echelon (``Echelon``): a dict
 from pivot column to a row that is 1 at its pivot, its smallest column,
@@ -23,7 +24,9 @@ pivot bookkeeping of Dumas and Villard, here over Q), so a new pivot
 is cleared from just the rows that hold its column rather than from
 every stored row.  ``kernel`` can be handed RREF rows already known to
 lie in the null space (a cocycle slice is seeded with coboundaries);
-it checks each and sets their pivot columns aside.  It numbers the
+it sets their pivot columns aside and does not check them: whether d
+sends them to 0 is d's identity (d after d = 0), guarded once by the
+module that owns d (``cohomology.cohomology_dimensions``).  It numbers the
 other columns sparsest first and peels off those that one-entry rows
 force to 0: the first generation is read off label counts, with no row
 built, rows are made of the columns left, and the cascade reads the
@@ -41,22 +44,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import _coeff, _frozen, _quotient
-
-
-class ContainmentError(ValueError):
-    """A claimed subspace inclusion failed; callers treat this as a bug."""
-
-
-def _reduce(rows: Mapping[int, dict], row: dict[int, int | Fraction]) -> dict:
-    """Subtract from ``row``, in place, its part along the pivot rows ``rows``.
-
-    One pass over the pivot columns ``row`` holds suffices: a pivot row
-    is 0 at every other pivot column, so no subtraction changes another
-    pivot entry of ``row``.  The result is 0 iff ``row`` lay in the span.
-    """
-    for col in [c for c in row if c in rows]:
-        _subtract(row, row[col], rows[col])
-    return row
 
 
 class Echelon(dict):
@@ -85,7 +72,11 @@ class Echelon(dict):
         the index follows each entry those subtractions create or cancel.
         No other row's lead moves: a row holding the new lead leads below it.
         """
-        row = _reduce(self, row)
+        # one pass over the pivot columns the row holds suffices: a pivot
+        # row is 0 at every other pivot column, so no subtraction changes
+        # another pivot entry of the row, and it ends 0 iff it lay in the span
+        for col in [c for c in row if c in self]:
+            _subtract(row, row[col], self[col])
         if not row:
             return None
         lead = min(row)
@@ -165,32 +156,28 @@ class SubspaceBasis:
         return cls(ambient_dimension, {})
 
 
-def _rows(columns: Sequence[Mapping]) -> dict:
-    """Row label -> {column number: entry} of sparse columns keyed by row
-    labels: the one place columns become rows.
+def _rows(columns: Sequence[dict]) -> dict:
+    """Row label -> {column number: entry} of taken columns (``_taken``):
+    the one place columns become rows, a plain transpose.
 
-    Each entry is taken in through ``polyring._coeff`` (a nonzero int is
-    already in the coefficient form), so a float is refused, and a zero is
-    dropped, so it never becomes a pivot; a label no column reaches with a
-    nonzero entry gets no row.
+    The entries were checked, normalized and freed of zeros on intake, so
+    they are copied as they are; a label no column holds gets no row.
     """
     rows: dict = {}
     for col, column in enumerate(columns):
         for label, v in column.items():
-            if type(v) is not int:
-                v = _coeff(v)
-            if v:
-                row = rows.get(label)
-                if row is None:
-                    rows[label] = {col: v}
-                else:
-                    row[col] = v
+            row = rows.get(label)
+            if row is None:
+                rows[label] = {col: v}
+            else:
+                row[col] = v
     return rows
 
 
 def _taken(columns: Sequence[dict]) -> Sequence[dict]:
-    """The kernel's intake: ``columns`` with every entry in the coefficient
-    form and no zero entry.
+    """The one intake of every exact solve: ``columns`` with every entry
+    in the coefficient form and no zero entry.  ``kernel`` and
+    ``solve_columns`` take their entries in here and nowhere else.
 
     The entries are gathered in one scan, and their types read off them.
     When all are nonzero ints the columns come back as they are, not
@@ -248,11 +235,12 @@ def kernel(columns: Sequence[dict], known: Mapping[int, Mapping] = {}) -> Subspa
     """Null space of the map with these columns, as an RREF basis of
     Q^len(columns).
 
-    The columns are taken in first (``_taken``): every entry is checked
-    and normalized, forced columns' included, and zeros are dropped.
-    ``known`` (only read) holds the RREF rows, pivot column -> row, of a
-    subspace the caller claims lies in the null space; a known row the
-    columns do not send to 0 raises ContainmentError.  Subtracting known
+    The columns are taken in first (``_taken``, the one intake): every
+    entry is checked and normalized, forced columns' included, and zeros
+    are dropped.  ``known`` (only read) holds the RREF rows, pivot column
+    -> row, of a subspace the caller claims lies in the null space; they
+    are not checked here, since the one caller checks them against d
+    afterwards (``cohomology.cohomology_dimensions``).  Subtracting known
     rows makes a null vector 0 at every known pivot, so the null space is
     the known span plus the null space of the other columns alone, and
     only those are numbered, peeled and eliminated.  They are numbered
@@ -271,13 +259,6 @@ def kernel(columns: Sequence[dict], known: Mapping[int, Mapping] = {}) -> Subspa
     the result is one of the caller's.
     """
     columns = _taken(columns)
-    for row in known.values():
-        image: dict = {}
-        for j, v in row.items():
-            for label, c in columns[j].items():
-                image[label] = image.get(label, 0) + v * c
-        if any(image.values()):
-            raise ContainmentError("a row claimed to lie in the kernel is not sent to 0")
     rest = sorted((j for j in range(len(columns)) if j not in known), key=lambda j: len(columns[j]))
     rows, forced = _peel([columns[j] for j in rest])
     echelon = _span(sorted(rows, key=len))
@@ -293,17 +274,19 @@ def kernel(columns: Sequence[dict], known: Mapping[int, Mapping] = {}) -> Subspa
     return SubspaceBasis(len(columns), basis)
 
 
-def solve_columns(columns: Sequence[Mapping], target: Mapping) -> list[int | Fraction] | None:
+def solve_columns(columns: Sequence[dict], target: dict) -> list[int | Fraction] | None:
     """One exact solution x of sum_j x_j * columns[j] = target, or None if
     there is none; columns and target are sparse, keyed by row labels.
 
-    The target rides as column len(columns), and the solution is read off
-    the unique RREF of the augmented rows, so no row order shows; free
-    unknowns are 0.  A target label that no column reaches leaves an
-    inconsistent row.
+    The columns and the target are taken in (``_taken``, the one intake)
+    by two calls, so columns all in ints are not copied for a target that
+    holds a Fraction.  The target rides as column len(columns), and the
+    solution is read off the unique RREF of the augmented rows, so no row
+    order shows; free unknowns are 0.  A target label that no column
+    reaches leaves an inconsistent row.
     """
     ncols = len(columns)
-    echelon = _span(_rows([*columns, target]).values())
+    echelon = _span(_rows([*_taken(columns), *_taken([target])]).values())
     if ncols in echelon:
         return None
     solution = [0] * ncols
@@ -359,12 +342,3 @@ class _SliceSpan:
     def basis(self) -> SubspaceBasis:
         return SubspaceBasis(self.size, {p: dict(row) for p, row in self.echelon.items()})
 
-
-def quotient_dimension(big: SubspaceBasis, small: SubspaceBasis) -> int:
-    """dim(big) - dim(small), after verifying small really sits inside big."""
-    if big.ambient_dimension != small.ambient_dimension:
-        raise ValueError("ambient dimensions differ")
-    for row in small.rows.values():
-        if _reduce(big.rows, dict(row)):
-            raise ContainmentError("claimed subspace is not contained in the larger one")
-    return big.dim - small.dim

@@ -7,6 +7,7 @@ from typing import Sequence
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import pseudo.cohomology as cohomology
 import pseudo.conformal as conformal
 import pseudo.constructions as constructions
 from pseudo.cfmodule import BimoduleStructure
@@ -482,6 +483,20 @@ def record_images(monkeypatch) -> list:
         _RingMap, "_form", lambda ring, exp: formed.append((ring, exp)) or original(ring, exp)
     )
     return formed
+
+
+def negate_head_slot(monkeypatch) -> None:
+    """Negate the images of each stencil's head slot (the first slot,
+    found by its ring map) for the rest of the test, so d after d is no
+    longer 0."""
+    original = cohomology._Stencil._image
+
+    def negated_head(self, ring, entries, mono):
+        image = original(self, ring, entries, mono)
+        head = ring is self.slots[0][2]
+        return tuple((offset, -c) for offset, c in image) if head else image
+
+    monkeypatch.setattr(cohomology._Stencil, "_image", negated_head)
 
 
 def constant_ring_maps() -> dict:

@@ -117,22 +117,22 @@ def kunneth(left, right):
     return tuple(sum(left[p] * right[n - p] for p in range(n + 1)) for n in range(4))
 
 
-UNITAL_CASES = [pytest.param(fd_algebra(name), CLOSED_FORM_HH[name], (1, 2, 3), id=name)
+UNITAL_CASES = [pytest.param(fd_algebra(name), CLOSED_FORM_HH[name], id=name)
                 for name in CLOSED_FORM_HH]
 UNITAL_CASES += [
     pytest.param(tensor_product(fd_algebra("dual"), fd_algebra(name)),
-                 kunneth(CLOSED_FORM_HH["dual"], CLOSED_FORM_HH[name]), (1,), id=f"dual x {name}")
+                 kunneth(CLOSED_FORM_HH["dual"], CLOSED_FORM_HH[name]), id=f"dual x {name}")
     for name in ("dual", "upper", "split")
 ]
 
 
-@pytest.mark.parametrize("algebra, closed_form, bounds", UNITAL_CASES)
-def test_each_slice_is_hh_n_plus_hh_n_minus_one(algebra, closed_form, bounds):
+@pytest.mark.parametrize("algebra, closed_form", UNITAL_CASES)
+def test_each_slice_is_hh_n_plus_hh_n_minus_one(algebra, closed_form):
     # on a unital current algebra H^n holds HH^n(A) at weight 0 and
-    # HH^(n-1)(A) at weight 1, so every slice at D >= 1 reads their sum;
+    # HH^(n-1)(A) at weight 1, so every slice at D 1-3 reads their sum;
     # HH comes from closed forms, not from the package's D = 0 slice
     module = BimoduleStructure.regular(algebra)
-    for bound in bounds:
+    for bound in (1, 2, 3):
         for n in range(4):
             report = cohomology_dimensions(algebra, module, n, TruncationWindow(bound))
             expected = closed_form[n] + (closed_form[n - 1] if n else 0)

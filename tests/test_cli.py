@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseudo.cli import REPORT_SCHEMA, main
-from pseudo.exactla import ContainmentError
 from pseudo.polyring import VariableMismatchError
 
-from conftest import INPUTS, src_env
+from conftest import INPUTS, negate_head_slot, src_env
 
 
 def run_cli(*args, env_extra=None):
@@ -509,12 +508,11 @@ EXTEND_ARGV = ("extend", path("cur1.alg"), "--cocycle", path("gamma_lam.coc"))
     [
         ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV,
          VariableMismatchError("variables differ")),
-        ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV, ContainmentError("not a subspace")),
         ("cohomology.cohomology_dimensions", COHOMOLOGY_ARGV, KeyError("missing")),
         # only UnfitModuleError marks a datum's module as bad input
         ("constructions.ExtensionDatum", EXTEND_ARGV, ValueError("gamma index 7 out of range")),
     ],
-    ids=["VariableMismatchError", "ContainmentError", "KeyError", "ExtensionDatum-ValueError"],
+    ids=["VariableMismatchError", "KeyError", "ExtensionDatum-ValueError"],
 )
 def test_internal_errors_exit_3(monkeypatch, capsys, target, argv, error):
     from pseudo import cli
@@ -531,6 +529,20 @@ def test_internal_errors_exit_3(monkeypatch, capsys, target, argv, error):
         f"internal inconsistency in {argv[0]}: {type(error).__name__}: {error}"
         in captured.err
     )
+
+
+def test_broken_differential_exits_3(monkeypatch, capsys):
+    # a real run, not an injected error: with the head slot's images
+    # negated (as in test_cohomology's d after d guard test), the guard in
+    # cohomology_dimensions finds a row of B that d does not send to 0
+    from pseudo import cli
+
+    negate_head_slot(monkeypatch)
+    monkeypatch.chdir(INPUTS.parent)
+    assert cli.main(["cohomology", "inputs/cur1.alg", "--n", "1", "--deg", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d after d is not zero" in captured.err
 
 
 def test_deform_checks_its_algebra_once(monkeypatch, capsys):

@@ -22,7 +22,7 @@ from pseudo.cfmodule import BimoduleStructure, check_module_axioms
 from pseudo.cohomology import Cochain, CochainIndex, _stencil, apply_dn, cochain_variables
 from pseudo.conformal import ConformalAlgebra, check_associativity
 from pseudo.constructions import DeformationDatum, deformation_residuals
-from pseudo.exactla import Echelon, _rows, kernel, solve_columns
+from pseudo.exactla import Echelon, _rows, _taken, kernel, solve_columns
 from pseudo.polyring import Poly, VariableMismatchError, _RingMap, parse_poly, poly_to_str
 
 PL = ("del", "lam")
@@ -247,11 +247,11 @@ def test_exact_coefficients_are_accepted(entry):
 
 
 def test_explicit_zero_entries_are_dropped():
-    # an explicit 0 kept in a row would be taken for its pivot, and one
-    # kept in the target for an inconsistent row
+    # the one intake (_taken) drops an explicit 0: kept in a row it would
+    # be taken for its pivot, and kept in the target for an inconsistent row
     for zero, entry in ((0, 1), (Fraction(0), Fraction(4, 2))):
         columns = [{"r": zero, "s": zero}, {"r": entry}]
-        rows = _rows(columns)
+        rows = _rows(_taken(columns))
         assert rows == {"r": {1: entry}}
         assert_normal(rows["r"].values())
         assert kernel(columns).vectors == ((1, 0),)

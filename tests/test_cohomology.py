@@ -18,6 +18,7 @@ from conftest import (
     fraction_solve,
     free_rank_one,
     matrix_algebra,
+    negate_head_slot,
     polys,
     rationals,
     record_images,
@@ -39,7 +40,7 @@ from pseudo.cohomology import (
     _coboundary_slice,
 )
 from pseudo.conformal import PRODUCT_VARS, ConformalAlgebra, NonAssociativeError
-from pseudo.exactla import _SliceSpan, _span, kernel, quotient_dimension
+from pseudo.exactla import _SliceSpan, _span, kernel
 from pseudo.formats import parse_algebra, parse_module
 from pseudo.polyring import Poly, _coeff, iter_monomials, parse_poly, sort_variables
 
@@ -488,8 +489,9 @@ def test_derivation_basis_of_rank_one(cur1, cur1_regular):
 def test_derivation_basis_of_mat2(mat2, mat2_regular):
     rep = cohomology_dimensions(mat2, mat2_regular, 1, TruncationWindow(1))
     assert (rep.cocycles.dim, rep.coboundaries.dim) == (4, 3)
-    # raises unless the inner derivations lie among the derivations
-    assert quotient_dimension(rep.cocycles, rep.coboundaries) == 1
+    # the guard in cohomology_dimensions has checked that the inner
+    # derivations lie among the derivations
+    assert rep.dim_cohomology == 1
     # the sources of B^1 are constant classes, all admitted in round one
     assert rep.stabilized and rep.rounds == 2
 
@@ -558,19 +560,12 @@ def test_plateau_h3_with_margin_three(inputs_dir):
 
 
 def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
-    # the head slot's images negated, d after d is no longer 0: round 0's
-    # rows of B seed the cocycle kernel, which checks that d sends each of
-    # them to 0, so B escapes Z on plateau at n = 2, D = 0 and on cur1 and
-    # mat2 at every n 1-3, D 0-1.  The head is the first slot, found by
-    # its ring map
-    original = cohomology._Stencil._image
-
-    def negated_head(self, ring, entries, mono):
-        image = original(self, ring, entries, mono)
-        head = ring is self.slots[0][2]
-        return tuple((offset, -c) for offset, c in image) if head else image
-
-    monkeypatch.setattr(cohomology._Stencil, "_image", negated_head)
+    # the head slot's images negated, d after d is no longer 0: the one
+    # guard, in cohomology_dimensions, multiplies every row of B cap slice
+    # (round 0's rows, which seeded the cocycle kernel unchecked, among
+    # them) against d on the slice, so B escapes Z on plateau at n = 2,
+    # D = 0 and on cur1 and mat2 at every n 1-3, D 0-1
+    negate_head_slot(monkeypatch)
     jobs = [("plateau", 2, 0)]
     jobs += [(name, n, bound) for name in ("cur1", "mat2") for n in (1, 2, 3) for bound in (0, 1)]
     for name, n, bound in jobs:
@@ -578,6 +573,32 @@ def test_broken_differential_trips_the_d_after_d_guard(inputs_dir, monkeypatch):
         module = BimoduleStructure.regular(algebra)
         with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
             cohomology_dimensions(algebra, module, n, TruncationWindow(bound))
+
+
+def test_broken_later_rounds_trip_the_d_after_d_guard(inputs_dir, monkeypatch):
+    # every stencil column of a source monomial of degree > D gains +1 at
+    # code 0, which lies in the slice: round 0 is left whole and seeds the
+    # cocycle kernel with true rows of B, but it leaves B short of Z (7 of
+    # 8 rows on U2, 1 of 3 on plateau, 1 of 2 on plateau3 at H^3 D=1), so
+    # the later rounds add rows that d no longer sends to 0, and only the
+    # guard on the final B can see them
+    bound = 1
+    original = cohomology._Stencil.columns
+
+    def shifted(self, tup, k, monomials, limit):
+        for mono, column in zip(monomials, original(self, tup, k, monomials, limit)):
+            if sum(mono) > bound:
+                column[0] = column.get(0, 0) + 1
+                if not column[0]:
+                    del column[0]
+            yield column
+
+    monkeypatch.setattr(cohomology._Stencil, "columns", shifted)
+    for path in (U2_PATH, inputs_dir / "plateau.alg", inputs_dir / "plateau3.alg"):
+        algebra = parse_algebra(path.read_text(encoding="utf-8"))
+        module = BimoduleStructure.regular(algebra)
+        with pytest.raises(ComplexInconsistencyError, match="d after d is not zero"):
+            cohomology_dimensions(algebra, module, 3, TruncationWindow(bound))
 
 
 def test_non_associative_algebra_is_refused_before_computing(inputs_dir, monkeypatch):

@@ -83,6 +83,19 @@ def test_only_exactla_names_the_echelon():
     assert stray == []
 
 
+def test_every_exact_solve_takes_its_entries_in_through_one_intake():
+    """``exactla._taken`` is the one intake: ``kernel`` and
+    ``solve_columns`` each call it, and ``_rows``, which turns taken
+    columns into rows, takes nothing in a second time (no ``_coeff``)."""
+    tree = ast.parse((ROOT / "src/pseudo/exactla.py").read_text(encoding="utf-8"))
+    names = {
+        node.name: {inner.id for inner in ast.walk(node) if isinstance(inner, ast.Name)}
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert "_taken" in names["kernel"] and "_taken" in names["solve_columns"]
+    assert "_coeff" not in names["_rows"]
+
+
 def test_only_cohomology_names_the_stencil_and_its_labels():
     """The stencil's codes, the index labels and the raw term form of a
     cochain stay behind ``cohomology``: every other module asks it for a
